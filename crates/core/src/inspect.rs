@@ -135,12 +135,7 @@ mod tests {
     }
 
     fn stmts_at_line(p: &Program, line: u32) -> Vec<StmtRef> {
-        p.all_stmts()
-            .filter(|s| {
-                let span = p.instr(*s).span;
-                span.line == line && p.files[span.file].name == "prog.mj"
-            })
-            .collect()
+        p.stmts_at_line("prog.mj", line).to_vec()
     }
 
     #[test]

@@ -265,15 +265,7 @@ impl Analysis {
     /// All IR statements on `line` of the source file named `file`
     /// (excluding synthetic code), usable as a seed or desired set.
     pub fn stmts_at_line(&self, file: &str, line: u32) -> Vec<StmtRef> {
-        self.program
-            .all_stmts()
-            .filter(|s| {
-                let span = self.program.instr(*s).span;
-                !span.is_synthetic()
-                    && span.line == line
-                    && self.program.files[span.file].name == file
-            })
-            .collect()
+        self.program.stmts_at_line(file, line).to_vec()
     }
 
     /// The seed statements for slicing "from `file:line`" — all reachable
@@ -281,8 +273,10 @@ impl Analysis {
     /// reachable statement.
     pub fn seed_at_line(&self, file: &str, line: u32) -> Option<Vec<StmtRef>> {
         let stmts: Vec<StmtRef> = self
+            .program
             .stmts_at_line(file, line)
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|s| self.sdg.stmt_node(*s).is_some())
             .collect();
         if stmts.is_empty() {

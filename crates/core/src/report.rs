@@ -4,9 +4,9 @@ use crate::batch::QueryOutcome;
 use crate::inspect::InspectionResult;
 use crate::slice::Slice;
 use crate::stmtset::StmtSet;
-use std::collections::BTreeSet;
-use thinslice_ir::{pretty, Program, StmtRef};
-use thinslice_util::Completeness;
+use std::fmt::Write as _;
+use thinslice_ir::{pretty, FileId, Program, Span};
+use thinslice_util::{Completeness, FxHashSet};
 
 /// Renders a slice as source lines, deduplicated and in inspection (BFS)
 /// order. Synthetic statements (compiler-generated) are skipped.
@@ -16,27 +16,33 @@ pub fn slice_lines(program: &Program, slice: &Slice) -> Vec<String> {
 
 /// [`slice_lines`] over a bare statement set (e.g. a
 /// [`SliceResult`](crate::SliceResult)'s `stmts`), in the set's canonical
-/// order.
+/// order. Costs one hash probe per statement plus the bytes of the
+/// rendered lines, whatever the files' length.
 pub fn stmt_lines(program: &Program, stmts: &StmtSet) -> Vec<String> {
-    let mut seen: BTreeSet<(u32, u32)> = BTreeSet::new();
+    let mut seen: FxHashSet<(FileId, u32)> =
+        FxHashSet::with_capacity_and_hasher(stmts.len(), Default::default());
     let mut out = Vec::new();
     for &s in stmts {
         let span = program.instr(s).span;
-        if span.is_synthetic() {
-            continue;
-        }
-        if seen.insert((span.file.raw(), span.line)) {
-            out.push(render_line(program, s));
+        if !span.is_synthetic() && seen.insert((span.file, span.line)) {
+            out.push(render_line(program, span));
         }
     }
     out
 }
 
-fn render_line(program: &Program, s: StmtRef) -> String {
-    let span = program.instr(s).span;
+/// `file:line: text`, with the source line trimmed.
+fn render_line(program: &Program, span: Span) -> String {
     let file = &program.files[span.file];
-    let text = file.line(span.line).map(str::trim).unwrap_or("<unknown>");
-    format!("{}:{}: {}", file.name, span.line, text)
+    let text = file.line(span.line).map_or("<unknown>", str::trim);
+    // `:`, up to ten digits, `: `.
+    let mut line = String::with_capacity(file.name.len() + text.len() + 13);
+    line.push_str(&file.name);
+    line.push(':');
+    let _ = write!(line, "{}", span.line);
+    line.push_str(": ");
+    line.push_str(text);
+    line
 }
 
 /// Renders a slice at IR granularity (one line per IR statement), useful

@@ -292,6 +292,10 @@ pub struct AnalysisSession {
     /// Per-method def-site/control-dependence artifacts (SDG build input),
     /// ditto.
     sdg_cache: SdgCache,
+    /// [`AnalysisSession::resident_estimate`], kept current by every
+    /// path that builds, decodes or replaces a counted artifact, so
+    /// reading it costs nothing.
+    resident: usize,
 }
 
 impl AnalysisSession {
@@ -328,7 +332,7 @@ impl AnalysisSession {
     /// fingerprints, the first [`AnalysisSession::update`] cannot diff and
     /// takes the full-rebuild path; later updates diff normally.
     pub fn from_program(program: Program, config: PtaConfig, ctx: RunCtx) -> AnalysisSession {
-        AnalysisSession {
+        let mut session = AnalysisSession {
             ctx,
             config,
             program,
@@ -345,7 +349,10 @@ impl AnalysisSession {
             cs_scratch: [CsScratch::new(), CsScratch::new(), CsScratch::new()],
             gen_cache: GenCache::new(),
             sdg_cache: SdgCache::new(),
-        }
+            resident: 0,
+        };
+        session.refresh_resident();
+        session
     }
 
     /// The session's run context.
@@ -363,12 +370,24 @@ impl AnalysisSession {
     /// the same unit [`Budget::with_resident_limit`] polices.
     ///
     /// This is what a session pool feeds into govern's watermark
-    /// machinery: cheap (no allocation, no stage is forced), monotone as
-    /// lazy stages materialise, and deterministic for a given program and
-    /// set of built stages.
+    /// machinery after every request: a stored number (no allocation, no
+    /// walk, no stage is forced), monotone as lazy stages materialise,
+    /// and deterministic for a given program and set of built stages.
     ///
     /// [`Budget::with_resident_limit`]: thinslice_util::Budget::with_resident_limit
     pub fn resident_estimate(&self) -> usize {
+        self.resident
+    }
+
+    /// Recounts [`AnalysisSession::resident_estimate`]; called wherever a
+    /// counted artifact changes.
+    fn refresh_resident(&mut self) {
+        self.resident = self.count_resident();
+    }
+
+    /// The resident estimate counted from scratch: a walk over the program
+    /// and every built artifact.
+    fn count_resident(&self) -> usize {
         let mut elems = self.program.all_stmts().count();
         for csr in [&self.ci_csr, &self.cs_csr].into_iter().flatten() {
             elems += csr.node_count() + csr.edge_count();
@@ -503,6 +522,7 @@ impl AnalysisSession {
             }
         }
         self.fingerprints = Some(new_fingerprints);
+        self.refresh_resident();
         span.add("update.methods_changed", stats.methods_changed as u64);
         span.add("update.constraints_readded", stats.constraints_readded);
         span.add("update.csr_refrozen", stats.csr_segments_refrozen as u64);
@@ -699,6 +719,7 @@ impl AnalysisSession {
                 &self.ctx,
                 &mut self.gen_cache,
             ));
+            self.refresh_resident();
         }
     }
 
@@ -708,19 +729,18 @@ impl AnalysisSession {
             // A snapshot-adopted encoding decodes to the exact graph the
             // donor session held; a section that fails to decode falls
             // through to a clean rebuild (bit-identical by construction).
-            if let Some(bytes) = self.ci_snap.take() {
-                if let Some(sdg) = decode_section(&bytes, thinslice_sdg::snap::decode_sdg) {
-                    self.ci = Some((sdg, Completeness::Complete));
-                    return;
+            let decoded = self
+                .ci_snap
+                .take()
+                .and_then(|bytes| decode_section(&bytes, thinslice_sdg::snap::decode_sdg));
+            self.ci = Some(match decoded {
+                Some(sdg) => (sdg, Completeness::Complete),
+                None => {
+                    let (pta, _) = self.pta.as_ref().expect("pta ensured");
+                    build_ci_cached(&self.program, pta, &self.ctx, &mut self.sdg_cache)
                 }
-            }
-            let (pta, _) = self.pta.as_ref().expect("pta ensured");
-            self.ci = Some(build_ci_cached(
-                &self.program,
-                pta,
-                &self.ctx,
-                &mut self.sdg_cache,
-            ));
+            });
+            self.refresh_resident();
         }
     }
 
@@ -732,27 +752,23 @@ impl AnalysisSession {
             self.ensure_ci();
             let (sdg, _) = self.ci.as_ref().expect("ci ensured");
             self.ci_csr = Some(sdg.freeze_ctx(&self.ctx));
+            self.refresh_resident();
         }
     }
 
     fn ensure_cs(&mut self) {
         self.ensure_pta();
         if self.cs.is_none() {
-            if let Some(bytes) = self.cs_snap.take() {
-                if let Some(sdg) = decode_section(&bytes, thinslice_sdg::snap::decode_sdg) {
-                    self.cs = Some(sdg);
-                    return;
-                }
-            }
-            let (pta, _) = self.pta.as_ref().expect("pta ensured");
-            let modref = ModRef::compute(&self.program, pta);
-            self.cs = Some(build_cs_cached(
-                &self.program,
-                pta,
-                &modref,
-                &self.ctx,
-                &mut self.sdg_cache,
-            ));
+            let decoded = self
+                .cs_snap
+                .take()
+                .and_then(|bytes| decode_section(&bytes, thinslice_sdg::snap::decode_sdg));
+            self.cs = Some(decoded.unwrap_or_else(|| {
+                let (pta, _) = self.pta.as_ref().expect("pta ensured");
+                let modref = ModRef::compute(&self.program, pta);
+                build_cs_cached(&self.program, pta, &modref, &self.ctx, &mut self.sdg_cache)
+            }));
+            self.refresh_resident();
         }
     }
 
@@ -761,6 +777,7 @@ impl AnalysisSession {
             self.ensure_cs();
             let sdg = self.cs.as_ref().expect("cs ensured");
             self.cs_csr = Some(sdg.freeze_ctx(&self.ctx));
+            self.refresh_resident();
         }
     }
 
@@ -814,15 +831,7 @@ impl AnalysisSession {
     /// All IR statements on `line` of the source file named `file`
     /// (excluding synthetic code), usable as a seed or desired set.
     pub fn stmts_at_line(&self, file: &str, line: u32) -> Vec<StmtRef> {
-        self.program
-            .all_stmts()
-            .filter(|s| {
-                let span = self.program.instr(*s).span;
-                !span.is_synthetic()
-                    && span.line == line
-                    && self.program.files[span.file].name == file
-            })
-            .collect()
+        self.program.stmts_at_line(file, line).to_vec()
     }
 
     /// The seed statements for slicing "from `file:line`" — all reachable
@@ -830,11 +839,13 @@ impl AnalysisSession {
     /// reachable statement. Forces the frozen CI graph (reachability is
     /// defined against it), which queries need anyway.
     pub fn seed_at_line(&mut self, file: &str, line: u32) -> Option<Vec<StmtRef>> {
-        let stmts = self.stmts_at_line(file, line);
         self.ensure_ci_csr();
         let sdg = self.ci_csr.as_ref().expect("ci csr ensured");
-        let stmts: Vec<StmtRef> = stmts
-            .into_iter()
+        let stmts: Vec<StmtRef> = self
+            .program
+            .stmts_at_line(file, line)
+            .iter()
+            .copied()
             .filter(|s| sdg.stmt_node(*s).is_some())
             .collect();
         if stmts.is_empty() {
@@ -1170,7 +1181,7 @@ impl AnalysisSession {
         if !ok {
             return None;
         }
-        Some(AnalysisSession {
+        let mut session = AnalysisSession {
             ctx,
             config,
             program,
@@ -1187,7 +1198,10 @@ impl AnalysisSession {
             cs_scratch: [CsScratch::new(), CsScratch::new(), CsScratch::new()],
             gen_cache: GenCache::new(),
             sdg_cache: SdgCache::new(),
-        })
+            resident: 0,
+        };
+        session.refresh_resident();
+        Some(session)
     }
 
     /// Converts the session into the eager [`Analysis`] façade (forces
@@ -1655,6 +1669,142 @@ mod tests {
         assert!(pta.resident_estimate() > 0);
         assert!(s.gen_cache.resident_estimate() > 0);
         assert!(s.sdg_cache.resident_estimate() > 0);
+    }
+
+    /// Reference for the line index: a scan over every statement of the
+    /// program.
+    fn scan_stmts_at_line(p: &Program, file: &str, line: u32) -> Vec<StmtRef> {
+        p.all_stmts()
+            .filter(|s| {
+                let span = p.instr(*s).span;
+                !span.is_synthetic() && span.line == line && p.files[span.file].name == file
+            })
+            .collect()
+    }
+
+    /// Asserts that the caches a warm request reads agree with
+    /// recomputation: the stored resident estimate with a fresh count, and
+    /// every line's statements (and, once the CI graph is frozen, its
+    /// seeds) with a full scan. Never forces a stage.
+    fn assert_caches_fresh(s: &mut AnalysisSession, at: &str) {
+        assert_eq!(
+            s.resident_estimate(),
+            s.count_resident(),
+            "resident estimate after {at}"
+        );
+        let files: Vec<(String, u32)> = s
+            .program
+            .files
+            .iter()
+            .map(|f| (f.name.clone(), f.text().lines().count() as u32))
+            .collect();
+        for (file, lines) in &files {
+            for line in 0..=lines + 1 {
+                let scan = scan_stmts_at_line(&s.program, file, line);
+                assert_eq!(
+                    s.stmts_at_line(file, line),
+                    scan,
+                    "{file}:{line} after {at}"
+                );
+                let Some(csr) = &s.ci_csr else { continue };
+                let reachable: Vec<StmtRef> = scan
+                    .into_iter()
+                    .filter(|st| csr.stmt_node(*st).is_some())
+                    .collect();
+                let want = (!reachable.is_empty()).then_some(reachable);
+                assert_eq!(
+                    s.seed_at_line(file, line),
+                    want,
+                    "seed {file}:{line} after {at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn resident_estimate_and_line_index_track_every_stage_transition() {
+        use thinslice_suite::edits::EditScript;
+        fn refs(sources: &[(String, String)]) -> Vec<(&str, &str)> {
+            sources
+                .iter()
+                .map(|(n, t)| (n.as_str(), t.as_str()))
+                .collect()
+        }
+        // Which update paths the edit scripts reached: no-op, body edit,
+        // structural, undiffed.
+        let mut paths = [false; 4];
+        let mut record = |stats: &UpdateStats| {
+            let path = if stats.noop {
+                0
+            } else if stats.undiffed {
+                3
+            } else if stats.structural {
+                2
+            } else {
+                1
+            };
+            paths[path] = true;
+        };
+        for (name, seed) in [("jess", 3), ("mtrt", 11)] {
+            let bench = thinslice_suite::benchmark_named(name).unwrap();
+            let mut sources: Vec<(String, String)> = bench
+                .sources
+                .iter()
+                .map(|(n, t)| (n.to_string(), t.to_string()))
+                .collect();
+            let mut s = AnalysisSession::new(&refs(&sources)).unwrap();
+            assert_caches_fresh(&mut s, "new");
+            s.pta();
+            assert_caches_fresh(&mut s, "pta");
+            s.ci_graph();
+            assert_caches_fresh(&mut s, "ci_graph");
+            s.cs_graph();
+            assert_caches_fresh(&mut s, "cs_graph");
+
+            // A blank first line shifts every line of the file without
+            // changing the program: the no-op path must still re-key seeds.
+            sources[0].1.insert(0, '\n');
+            let stats = s.update(&refs(&sources)).unwrap();
+            assert!(stats.noop);
+            record(&stats);
+            assert_caches_fresh(&mut s, "whitespace update");
+            let mut script = EditScript::new(seed);
+            for step in 0..10 {
+                let (edited, edit) = script.step(&sources);
+                sources = edited;
+                record(&s.update(&refs(&sources)).unwrap());
+                let at = format!("{name} edit {step} ({})", edit.kind.label());
+                assert_caches_fresh(&mut s, &at);
+            }
+
+            // Restore, then decode the adopted growable graphs lazily.
+            let bytes = s.write_snapshot("k").expect("complete stages");
+            let mut r = AnalysisSession::from_snapshot(
+                &bytes,
+                "k",
+                PtaConfig::default(),
+                RunCtx::disabled(),
+            )
+            .expect("snapshot restores");
+            assert_caches_fresh(&mut r, "from_snapshot");
+            r.ci_sdg();
+            assert_caches_fresh(&mut r, "ci graph decode");
+            r.ensure_cs();
+            assert_caches_fresh(&mut r, "cs graph decode");
+            let (edited, _) = script.step(&sources);
+            record(&r.update(&refs(&edited)).unwrap());
+            assert_caches_fresh(&mut r, "update after restore");
+
+            // Without retained fingerprints the first update is undiffed.
+            let program = r.program().clone();
+            let mut u =
+                AnalysisSession::from_program(program, PtaConfig::default(), RunCtx::disabled());
+            assert_caches_fresh(&mut u, "from_program");
+            u.ci_graph();
+            record(&u.update(&refs(&sources)).unwrap());
+            assert_caches_fresh(&mut u, "undiffed update");
+        }
+        assert_eq!(paths, [true; 4], "no-op, body, structural, undiffed");
     }
 
     #[test]

@@ -8,6 +8,7 @@ use crate::lower::lower_body;
 use crate::span::{FileId, SourceFile, Span};
 use crate::ssa;
 use crate::stdlib::STDLIB_SOURCE;
+use std::collections::HashSet;
 use thinslice_util::FxHashMap;
 use thinslice_util::IdxVec;
 use thinslice_util::RunCtx;
@@ -105,11 +106,20 @@ fn parse_sources(sources: &[(&str, &str)], tel: &Telemetry) -> Result<ParsedSour
     let mut files: IdxVec<FileId, SourceFile> = IdxVec::new();
     let mut asts: Vec<(FileId, AstProgram)> = Vec::new();
     let mut parse_span = tel.span("ir.parse");
+    // File names come from outside the program: keep std's
+    // collision-resistant hasher.
+    let mut names: HashSet<&str> = HashSet::new();
     for (name, text) in sources {
-        let file = files.push(SourceFile {
-            name: name.to_string(),
-            text: text.to_string(),
-        });
+        // A file name is how seeds and rendered lines address a file, so
+        // it must be unique; the prepended stdlib claims `<stdlib>`.
+        if !names.insert(name) {
+            return Err(CompileError::new(
+                Phase::Resolve,
+                format!("duplicate source file `{name}`"),
+                Span::start_of(files.next_index()),
+            ));
+        }
+        let file = files.push(SourceFile::new(*name, *text));
         let ast = crate::parser::parse(file, text)?;
         asts.push((file, ast));
     }
@@ -286,6 +296,7 @@ impl Collector {
             object_class,
             string_class,
             main_method: MethodId::new(0), // fixed up below
+            line_index: LineIndex::default(),
         };
         check_overrides(&program, &decls)?;
         drop(resolve_span);
@@ -447,6 +458,26 @@ mod tests {
         )])
         .unwrap_err();
         assert!(err.message.contains("duplicate class"));
+    }
+
+    #[test]
+    fn duplicate_source_file_names_are_an_error() {
+        let main = "class Main { static void main() {\nprint(1);\n} }";
+        let helper = "class Helper {\nint f;\n}";
+        let err = compile(&[("t.mj", main), ("t.mj", helper)]).unwrap_err();
+        assert_eq!(err.phase, Phase::Resolve);
+        assert_eq!(err.message, "duplicate source file `t.mj`");
+        // The stdlib is prepended under `<stdlib>`, so a user file cannot
+        // take that name either.
+        let err = compile(&[("<stdlib>", main)]).unwrap_err();
+        assert_eq!(err.message, "duplicate source file `<stdlib>`");
+        // Distinct names compile, and a line lookup names one file.
+        let p = compile(&[("t.mj", main), ("u.mj", helper)]).unwrap();
+        let stmts = p.stmts_at_line("t.mj", 2);
+        assert!(!stmts.is_empty());
+        assert!(stmts
+            .iter()
+            .all(|&s| p.files[p.instr(s).span.file].name == "t.mj"));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! begin with [`InstrKind::Phi`] instructions.
 
 use crate::span::{FileId, SourceFile, Span};
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 use thinslice_util::FxHashMap;
 use thinslice_util::{new_index, IdxVec};
 
@@ -51,6 +53,28 @@ pub struct Program {
     pub string_class: ClassId,
     /// The program entry point (`static void main()` on some class).
     pub main_method: MethodId,
+    /// Statements by `(file name, line)`, built on the first
+    /// [`Program::stmts_at_line`] call. A compiled program is never
+    /// mutated, so the index cannot go stale; not serialized.
+    pub(crate) line_index: LineIndex,
+}
+
+/// Non-synthetic statements grouped by file name, then line, each group
+/// in [`Program::all_stmts`] order. File names are unique in a program;
+/// they come from outside it, so the outer map keeps std's
+/// collision-resistant hasher.
+type StmtsByLine = HashMap<String, FxHashMap<u32, Vec<StmtRef>>>;
+
+/// The lazily built statement index behind [`Program::stmts_at_line`].
+#[derive(Clone, Default)]
+pub(crate) struct LineIndex(OnceLock<StmtsByLine>);
+
+impl fmt::Debug for LineIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Derived state: a program prints the same before and after its
+        // first lookup.
+        f.write_str("LineIndex")
+    }
 }
 
 /// A class declaration.
@@ -692,6 +716,33 @@ impl Program {
     pub fn class_named(&self, name: &str) -> Option<ClassId> {
         self.class_by_name.get(name).copied()
     }
+
+    /// All IR statements on `line` of the source file named `file`
+    /// (excluding synthetic code), in [`Program::all_stmts`] order.
+    ///
+    /// The first call indexes every statement by file and line; every
+    /// later call is two hash lookups.
+    pub fn stmts_at_line(&self, file: &str, line: u32) -> &[StmtRef] {
+        let index = self.line_index.0.get_or_init(|| {
+            let mut by_file: IdxVec<FileId, FxHashMap<u32, Vec<StmtRef>>> =
+                IdxVec::from_elem(FxHashMap::default(), self.files.len());
+            for s in self.all_stmts() {
+                let span = self.instr(s).span;
+                if !span.is_synthetic() {
+                    by_file[span.file].entry(span.line).or_default().push(s);
+                }
+            }
+            self.files
+                .iter()
+                .zip(by_file.into_raw())
+                .map(|(f, lines)| (f.name.clone(), lines))
+                .collect()
+        });
+        index
+            .get(file)
+            .and_then(|lines| lines.get(&line))
+            .map_or(&[], Vec::as_slice)
+    }
 }
 
 impl fmt::Display for Loc {
@@ -703,6 +754,31 @@ impl fmt::Display for Loc {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stmts_at_line_matches_a_full_scan() {
+        let src = "class Main {\n  static int id(int a) { return a; }\n  static void main() {\n    int x = 1; int y = Main.id(x);\n\n    print(y);\n  }\n}\n";
+        let p = crate::compile(&[("t.mj", src)]).unwrap();
+        for (file, f) in p.files.iter_enumerated() {
+            let lines = f.text().lines().count() as u32;
+            for line in 0..=lines + 1 {
+                let scan: Vec<StmtRef> = p
+                    .all_stmts()
+                    .filter(|s| {
+                        let span = p.instr(*s).span;
+                        !span.is_synthetic() && span.file == file && span.line == line
+                    })
+                    .collect();
+                assert_eq!(p.stmts_at_line(&f.name, line), scan.as_slice());
+            }
+        }
+        assert!(
+            p.stmts_at_line("t.mj", 4).len() > 2,
+            "two statements on one line"
+        );
+        assert!(p.stmts_at_line("t.mj", 5).is_empty(), "blank line");
+        assert!(p.stmts_at_line("nope.mj", 4).is_empty(), "unknown file");
+    }
 
     #[test]
     fn operand_conversions() {

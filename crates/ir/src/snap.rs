@@ -12,12 +12,13 @@
 //! downstream artifact keyed by `StmtRef`, `Var`, or declaration-order ids
 //! remains valid against the restored program.
 
+use std::collections::HashSet;
 use thinslice_util::codec::{ByteReader, ByteWriter, CodecError};
 use thinslice_util::{FxHashMap, IdxVec};
 
 use crate::ir::{
     Block, BlockId, Body, CallKind, Class, ClassId, Const, Field, FieldId, Instr, InstrKind,
-    IrBinOp, IrUnOp, Method, MethodId, Operand, Program, Type, Var, VarInfo,
+    IrBinOp, IrUnOp, LineIndex, Method, MethodId, Operand, Program, Type, Var, VarInfo,
 };
 use crate::span::{FileId, SourceFile, Span};
 
@@ -26,7 +27,7 @@ pub fn encode_program(program: &Program, w: &mut ByteWriter) {
     w.vusize(program.files.len());
     for file in program.files.iter() {
         w.str(&file.name);
-        w.str(&file.text);
+        w.str(file.text());
     }
     w.vusize(program.classes.len());
     for class in program.classes.iter() {
@@ -83,10 +84,16 @@ pub fn decode_program(r: &mut ByteReader) -> Result<Program, CodecError> {
     let cap = |n: usize, r: &ByteReader| n.min(r.remaining());
     let n_files = r.vusize()?;
     let mut files: IdxVec<FileId, SourceFile> = IdxVec::with_capacity(cap(n_files, r));
+    let mut names: HashSet<&str> = HashSet::new();
     for _ in 0..n_files {
-        let name = r.str()?.to_string();
-        let text = r.str()?.to_string();
-        files.push(SourceFile { name, text });
+        let name = r.str()?;
+        let text = r.str()?;
+        // Compiled programs never repeat a file name; the line index
+        // keys on it.
+        if !names.insert(name) {
+            return Err(CodecError::Malformed("duplicate file name"));
+        }
+        files.push(SourceFile::new(name, text));
     }
     let n_classes = r.vusize()?;
     let mut classes: IdxVec<ClassId, Class> = IdxVec::with_capacity(cap(n_classes, r));
@@ -170,6 +177,7 @@ pub fn decode_program(r: &mut ByteReader) -> Result<Program, CodecError> {
         object_class,
         string_class,
         main_method,
+        line_index: LineIndex::default(),
     })
 }
 
@@ -739,6 +747,17 @@ mod tests {
             w.into_bytes()
         };
         assert_eq!(encode(), encode());
+    }
+
+    #[test]
+    fn duplicate_file_names_are_rejected() {
+        let mut program = compile(&[("snap.mj", SRC)]).unwrap();
+        program.files[FileId::new(1)].name = "<stdlib>".into();
+        let mut w = ByteWriter::new();
+        encode_program(&program, &mut w);
+        let bytes = w.into_bytes();
+        let err = decode_program(&mut ByteReader::new(&bytes)).unwrap_err();
+        assert_eq!(err, CodecError::Malformed("duplicate file name"));
     }
 
     #[test]

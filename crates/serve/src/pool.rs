@@ -565,8 +565,9 @@ impl SessionPool {
         }
     }
 
-    /// Returns a checked-out session, refreshing its resident estimate
-    /// (queries may have materialised more stages) and re-enforcing the
+    /// Returns a checked-out session, refreshing its entry's resident
+    /// estimate (queries may have materialised more stages; the session
+    /// keeps the number current, so this is a read) and re-enforcing the
     /// session cap and watermark.
     pub fn checkin(&mut self, co: Checkout) {
         let Some(i) = self.find(&co.hash) else {

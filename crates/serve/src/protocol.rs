@@ -463,22 +463,37 @@ pub fn kind_str(k: SliceKind) -> &'static str {
 
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    esc_into(&mut out, s);
     out
+}
+
+/// Appends `s` to `out` as a JSON string literal. Bytes that need no
+/// escape are copied in runs; every escaped byte is ASCII, so each run
+/// ends on a character boundary.
+fn esc_into(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\t' => Some("\\t"),
+            b'\r' => Some("\\r"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escaped {
+            Some(e) => out.push_str(e),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 fn id_json(id: Option<u64>) -> String {
@@ -646,11 +661,12 @@ pub fn slice_line(
         }
     }
     let _ = write!(s, ",\"stmt_count\":{},\"stmts\":[", stmts.len());
+    s.reserve(stmts.iter().map(|line| line.len() + 3).sum::<usize>() + 2);
     for (i, line) in stmts.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&esc(line));
+        esc_into(&mut s, line);
     }
     s.push_str("]}");
     s

@@ -386,6 +386,58 @@ fn oversized_programs_are_refused_structurally() {
 }
 
 #[test]
+fn duplicate_source_file_names_are_compile_errors() {
+    use thinslice_serve::pool::program_hash;
+    use thinslice_serve::protocol::SourceFile;
+
+    // Two files named alike would make a seed `file:line` ambiguous, and
+    // `<stdlib>` names the prepended standard library.
+    let main = src_json(1);
+    let main = &main[1..main.len() - 1];
+    let helper = "{\"name\":\"p1.mj\",\"text\":\"class Helper {\\nint f;\\n}\"}";
+    let stdlib = main.replace("p1.mj", "<stdlib>");
+    let hash = program_hash(&[SourceFile {
+        name: "p1.mj".into(),
+        text: program(1),
+    }]);
+    let script = vec![
+        format!("{{\"op\":\"load\",\"id\":1,\"sources\":[{main},{helper}]}}"),
+        format!("{{\"op\":\"load\",\"id\":2,\"sources\":[{stdlib}]}}"),
+        format!(
+            "{{\"op\":\"slice\",\"id\":3,\"sources\":[{main},{helper}],\"seed\":{{\"file\":\"p1.mj\",\"line\":4}}}}"
+        ),
+        load(4, 1),
+        format!(
+            "{{\"op\":\"reload\",\"id\":5,\"program\":\"{hash}\",\"sources\":[{main},{helper}]}}"
+        ),
+        slice(6, 1, 4, ""),
+        shutdown(7),
+    ];
+    // Lockstep: the reload must reach the pool after the load.
+    let (lines, _) = run_script_lockstep(ServeConfig::default(), &script);
+    let map = by_id(&lines);
+    for (id, name) in [(1u64, "p1.mj"), (2, "<stdlib>"), (3, "p1.mj"), (5, "p1.mj")] {
+        let error = field(&map[&id], "error");
+        assert_eq!(
+            error.get("code").and_then(Json::as_str),
+            Some("compile"),
+            "response {id}"
+        );
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert!(
+            message.contains(&format!("duplicate source file `{name}`")),
+            "response {id}: {message}"
+        );
+    }
+    assert_eq!(field(&map[&4], "ok"), Json::Bool(true));
+    assert_eq!(
+        field(&map[&6], "ok"),
+        Json::Bool(true),
+        "a refused reload leaves the loaded program serving"
+    );
+}
+
+#[test]
 fn admission_ladder_degrades_cs_to_ci_then_truncates_fleet_wide() {
     // Pin the first rung: any queue depth degrades CS to CI.
     let cfg = ServeConfig {
