@@ -41,6 +41,7 @@
 //!
 //! [`AnalysisSession::query`]: crate::AnalysisSession::query
 
+use crate::nodeset::NodeSet;
 use crate::session::{Engine, SliceResult};
 use crate::slice::{slice_dense, Slice, SliceKind, SliceScratch};
 use crate::tabulation::{
@@ -50,7 +51,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use thinslice_sdg::{DenseDisplay, DepGraph, FrozenSdg, NodeId};
-use thinslice_util::{par, Budget, CancelToken, Completeness, FxHashSet, Meter, RunCtx, Telemetry};
+use thinslice_util::{par, Budget, CancelToken, Completeness, Meter, RunCtx, Telemetry};
 
 /// Minimum batch size at which pre-filtering the edge array by the slice
 /// kind pays for its O(edges) setup scan. Below it, queries run directly
@@ -152,12 +153,7 @@ fn measured_bfs<G: DenseDisplay>(
 /// Post-hoc traversal accounting: the BFS scans every out-edge of every
 /// node it visits, so summing CSR degrees over the visited set reproduces
 /// the edges-visited figure without touching the hot loop.
-fn record_traversal<G: DepGraph>(
-    tel: &Telemetry,
-    graph: &G,
-    nodes: &FxHashSet<NodeId>,
-    started: Instant,
-) {
+fn record_traversal<G: DepGraph>(tel: &Telemetry, graph: &G, nodes: &NodeSet, started: Instant) {
     tel.record("batch.query_us", started.elapsed().as_secs_f64() * 1e6);
     tel.count("slice.nodes_visited", nodes.len() as u64);
     tel.count(
@@ -222,7 +218,7 @@ pub(crate) fn cs_plain(
 
 /// Runs one tabulation query on reusable scratch; with telemetry enabled,
 /// also records latency, traversal size and the per-query memo deltas.
-fn measured_cs<G: DepGraph>(
+fn measured_cs<G: DenseDisplay>(
     tel: &Telemetry,
     graph: &G,
     index: &DownConsumers,

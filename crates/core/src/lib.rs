@@ -53,6 +53,9 @@
 pub mod batch;
 pub mod expand;
 pub mod inspect;
+mod nodeset;
+#[cfg(test)]
+mod order_tests;
 pub mod report;
 pub mod session;
 pub mod slice;
@@ -69,6 +72,7 @@ pub use expand::{
 #[allow(deprecated)]
 pub use expand::{explain_aliasing_governed, explain_aliasing_telemetry};
 pub use inspect::{simulate_inspection, InspectTask, InspectionResult};
+pub use nodeset::NodeSet;
 pub use session::{
     AnalysisSession, BatchOptions, Engine, Query, QueryPolicy, SliceResult, UpdateStats,
 };

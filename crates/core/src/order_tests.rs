@@ -1,0 +1,225 @@
+//! Pins the frozen-graph answers — whose canonical orders and node sets
+//! come from bitset drains — against the sort-based references
+//! ([`slice_sparse`] and the sparse tabulation store) on a corpus whose
+//! levels and node sets span many bitset words and need reordering,
+//! unbudgeted and truncated, with truncated and unbudgeted queries
+//! interleaved on each session's reused scratch.
+
+use crate::session::{AnalysisSession, Engine, Query, QueryPolicy, SliceResult};
+use crate::slice::{slice_sparse, SliceKind, SliceScratch};
+use crate::tabulation::{cs_oneshot, cs_reusing, CsScratch};
+use thinslice_ir::{InstrKind, StmtRef};
+use thinslice_sdg::{DepGraph, FrozenSdg, NodeId};
+use thinslice_suite::{all_benchmarks, generate, GeneratorConfig};
+use thinslice_util::{Budget, Idx, Meter, SmallRng};
+
+/// Seeds per program besides its `print`s.
+const SAMPLED: usize = 200;
+
+/// Bits per bitset word: a list of more ids than this spans several words.
+const WORD_BITS: usize = 64;
+
+/// Every suite program plus generated programs at scales 1, 2 and 4.
+fn corpus() -> Vec<(String, Vec<(String, String)>)> {
+    let mut out: Vec<(String, Vec<(String, String)>)> = all_benchmarks()
+        .into_iter()
+        .map(|b| {
+            let files = b
+                .sources
+                .iter()
+                .map(|(n, t)| (n.to_string(), t.to_string()))
+                .collect();
+            (b.name.to_string(), files)
+        })
+        .collect();
+    for scale in [1, 2, 4] {
+        let text = generate(&GeneratorConfig::scaled(scale));
+        out.push((format!("gen-x{scale}"), vec![("gen.mj".into(), text)]));
+    }
+    out
+}
+
+/// Every reachable `print`, then a seeded sample of reachable statements.
+fn seeds(session: &mut AnalysisSession, rng: &mut SmallRng) -> Vec<StmtRef> {
+    let candidates: Vec<StmtRef> = session.program().all_stmts().collect();
+    let graph = session.ci_graph();
+    let reachable: Vec<StmtRef> = candidates
+        .into_iter()
+        .filter(|&s| graph.stmt_node(s).is_some())
+        .collect();
+    let program = session.program();
+    let mut out: Vec<StmtRef> = reachable
+        .iter()
+        .copied()
+        .filter(|&s| matches!(program.instr(s).kind, InstrKind::Print { .. }))
+        .collect();
+    for _ in 0..SAMPLED.min(reachable.len()) {
+        out.push(reachable[rng.range_usize(0, reachable.len())]);
+    }
+    out
+}
+
+/// The widest BFS level of a backward slice, and whether some level lists
+/// its nodes in another order by internal id than by external id — a
+/// level the ordering must permute. Counted independently of the slicers.
+fn level_shape(graph: &FrozenSdg, seeds: &[NodeId], kind: SliceKind) -> (usize, bool) {
+    let mut seen = vec![false; graph.node_count()];
+    let mut level: Vec<NodeId> = Vec::new();
+    for &s in seeds {
+        let n = graph.to_internal(s);
+        if !std::mem::replace(&mut seen[n.index()], true) {
+            level.push(n);
+        }
+    }
+    let (mut widest, mut permuted) = (0, false);
+    while !level.is_empty() {
+        widest = widest.max(level.len());
+        level.sort_unstable();
+        permuted |= level
+            .windows(2)
+            .any(|w| graph.to_external(w[0]) > graph.to_external(w[1]));
+        let mut next = Vec::new();
+        for &n in &level {
+            for e in graph.deps(n) {
+                if kind.follows(&e.kind) && !std::mem::replace(&mut seen[e.target.index()], true) {
+                    next.push(e.target);
+                }
+            }
+        }
+        level = next;
+    }
+    (widest, permuted)
+}
+
+/// Step limits that cut a query of `full` steps: 1, half and `full - 1`.
+fn cuts(full: usize) -> Vec<u64> {
+    let mut out: Vec<u64> = [1, full / 2, full.saturating_sub(1)]
+        .into_iter()
+        .filter(|&c| c >= 1 && c < full)
+        .map(|c| c as u64)
+        .collect();
+    out.dedup();
+    out
+}
+
+fn limited(steps: u64, degrade: bool) -> QueryPolicy {
+    QueryPolicy {
+        budget: Some(Budget::unlimited().with_step_limit(steps)),
+        degrade,
+    }
+}
+
+fn assert_same(got: &SliceResult, want_stmts: &[StmtRef], want_nodes: &crate::NodeSet, at: &str) {
+    assert_eq!(got.stmts.in_order(), want_stmts, "{at}: stmts");
+    assert_eq!(&got.nodes, want_nodes, "{at}: nodes");
+}
+
+#[test]
+fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
+    const CI_KINDS: [SliceKind; 3] = [
+        SliceKind::Thin,
+        SliceKind::TraditionalData,
+        SliceKind::TraditionalFull,
+    ];
+    let mut rng = SmallRng::new(0x5eed_0e0d);
+    let (mut widest, mut permuted, mut widest_ci_set, mut widest_cs_set) = (0, false, 0, 0);
+    let mut degraded = 0;
+    let mut sparse = SliceScratch::new();
+    for (name, files) in corpus() {
+        let refs: Vec<(&str, &str)> = files
+            .iter()
+            .map(|(n, t)| (n.as_str(), t.as_str()))
+            .collect();
+        let mut session = AnalysisSession::new(&refs).unwrap();
+        let stmts = seeds(&mut session, &mut rng);
+        let ci = session.ci_graph().clone();
+        let cs = session.cs_graph().clone();
+        let index = cs.down_consumers();
+        for (i, &stmt) in stmts.iter().enumerate() {
+            let ci_seeds = ci.stmt_nodes_of(stmt).to_vec();
+            for kind in CI_KINDS {
+                let at = format!("{name} seed {i} {kind:?}");
+                let q = Query::new(vec![stmt], kind, Engine::Ci);
+                let (want, _) =
+                    slice_sparse(&ci, &ci_seeds, kind, &mut sparse, &mut Meter::unlimited());
+                let got = session.query(&q);
+                assert!(got.completeness.is_complete(), "{at}");
+                assert_same(&got, want.stmts.in_order(), &want.nodes, &at);
+                let (w, p) = level_shape(&ci, &ci_seeds, kind);
+                widest = widest.max(w);
+                permuted |= p;
+                widest_ci_set = widest_ci_set.max(got.nodes.len());
+                // Truncated prefixes, interleaved on the session's scratch.
+                for steps in cuts(got.nodes.len()) {
+                    let cut = session.query(&q.clone().with_policy(limited(steps, false)));
+                    let mut meter = Budget::unlimited().with_step_limit(steps).meter();
+                    let (want, c) = slice_sparse(&ci, &ci_seeds, kind, &mut sparse, &mut meter);
+                    assert!(!cut.completeness.is_complete() && !c.is_complete());
+                    assert_same(
+                        &cut,
+                        want.stmts.in_order(),
+                        &want.nodes,
+                        &format!("{at} /{steps}"),
+                    );
+                    assert!(session.scratch_is_clean(), "{at} /{steps}");
+                }
+                assert!(session.scratch_is_clean(), "{at}");
+            }
+
+            let at = format!("{name} seed {i} cs-thin");
+            let kind = SliceKind::Thin;
+            let cs_seeds = cs.stmt_nodes_of(stmt).to_vec();
+            let q = Query::new(vec![stmt], kind, Engine::Cs);
+            let (want, _) = cs_oneshot(&cs, index, &cs_seeds, kind, &mut Meter::unlimited());
+            let got = session.query(&q);
+            assert!(got.completeness.is_complete() && !got.degraded, "{at}");
+            assert_same(&got, want.stmts.in_order(), &want.nodes, &at);
+            widest_cs_set = widest_cs_set.max(got.nodes.len());
+            for steps in cuts(got.nodes.len()) {
+                let at = format!("{at} /{steps}");
+                let budget = || Budget::unlimited().with_step_limit(steps).meter();
+                // A memo-free scratch follows the sparse store's traversal
+                // step for step, so their truncated answers are equal.
+                let (cold, c) = cs_reusing(
+                    &cs,
+                    index,
+                    &cs_seeds,
+                    kind,
+                    &mut CsScratch::new(),
+                    &mut budget(),
+                );
+                let (want, w) = cs_oneshot(&cs, index, &cs_seeds, kind, &mut budget());
+                assert!(!c.is_complete() && !w.is_complete(), "{at}");
+                assert_eq!(cold.stmts, want.stmts, "{at}: memo-free stmts");
+                assert_eq!(cold.nodes, want.nodes, "{at}: memo-free nodes");
+                // The session's warm memo splices regions instead of
+                // tabulating them, so it may finish within the limit, and
+                // is otherwise cut somewhere inside the fixpoint.
+                let cut = session.query(&q.clone().with_policy(limited(steps, false)));
+                if cut.completeness.is_complete() {
+                    assert_same(&cut, got.stmts.in_order(), &got.nodes, &at);
+                } else {
+                    assert!(cut.stmts.is_subset(&got.stmts), "{at}");
+                }
+                // With degradation on, a cut tabulation is re-answered by
+                // the dense BFS over the CS graph under a fresh meter.
+                let ladder = session.query(&q.clone().with_policy(limited(steps, true)));
+                if ladder.degraded {
+                    let (want, _) = slice_sparse(&cs, &cs_seeds, kind, &mut sparse, &mut budget());
+                    assert_same(&ladder, want.stmts.in_order(), &want.nodes, &at);
+                    degraded += 1;
+                } else {
+                    assert_same(&ladder, got.stmts.in_order(), &got.nodes, &at);
+                }
+                assert!(session.scratch_is_clean(), "{at}");
+            }
+        }
+    }
+    assert!(
+        widest > WORD_BITS,
+        "some BFS level must span several bitset words (widest {widest})"
+    );
+    assert!(permuted, "some BFS level must need reordering");
+    assert!(widest_ci_set > WORD_BITS && widest_cs_set > WORD_BITS);
+    assert!(degraded > 0, "the degradation ladder must run");
+}

@@ -41,6 +41,7 @@
 //! ```
 
 use crate::batch::{run_batch, BatchConfig, FaultInjection, QueryOutcome};
+use crate::nodeset::NodeSet;
 use crate::slice::{slice_dense, SliceKind, SliceScratch};
 use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::stmtset::StmtSet;
@@ -134,8 +135,8 @@ pub struct SliceResult {
     /// order: BFS (distance) order for reachability, sorted for
     /// tabulation.
     pub stmts: StmtSet,
-    /// All visited dependence-graph nodes.
-    pub nodes: FxHashSet<NodeId>,
+    /// All visited dependence-graph nodes, in external ids.
+    pub nodes: NodeSet,
     /// Whether the traversal reached its fixpoint.
     pub completeness: Completeness,
     /// Whether a context-sensitive query fell back to the
@@ -857,6 +858,12 @@ impl AnalysisSession {
 
     // ---- the query entrypoints ----
 
+    /// Whether every query scratch is back to empty per-query state.
+    #[cfg(test)]
+    pub(crate) fn scratch_is_clean(&self) -> bool {
+        self.scratch.is_clean() && self.cs_scratch.iter().all(CsScratch::is_clean)
+    }
+
     /// The budget a query runs under: its own, or the session's.
     fn effective_budget(&self, policy: &QueryPolicy) -> Budget {
         policy
@@ -1170,7 +1177,14 @@ impl AnalysisSession {
             None => None,
         };
         let cs_index = match snap.section("cs_index") {
-            Some(b) => Some(decode_section(b, thinslice_sdg::snap::decode_down)?),
+            Some(b) => {
+                // The index holds node ids of the frozen CS graph; without
+                // that graph the stage invariants below reject it anyway.
+                let nodes = cs_csr.as_ref().map_or(0, DepGraph::node_count);
+                Some(decode_section(b, |r| {
+                    thinslice_sdg::snap::decode_down(r, nodes)
+                })?)
+            }
             None => None,
         };
         // Stage-dependency invariants: each artifact implies its input.
@@ -1592,6 +1606,53 @@ mod tests {
             bad[pos] ^= 0x10;
             assert!(!ok(&bad, "cafe", PtaConfig::default()), "flip at {pos}");
         }
+    }
+
+    #[test]
+    fn snapshot_rejects_a_resealed_graph_whose_permutation_leaves_the_graph() {
+        // A checksum-valid file whose frozen CI graph is structurally
+        // broken: every `perm` entry of `ci_csr` overwritten with
+        // 0xFFFF_FFF0, then the file re-sealed so its checksum passes.
+        let src = "class Main { static void main() {\nint x = 1;\nint y = x + 2;\nprint(y);\n} }";
+        let mut s = AnalysisSession::new(&[("t.mj", src)]).unwrap();
+        let seeds = s.seed_at_line("t.mj", 4).unwrap();
+        let want = s.query(&Query::new(seeds.clone(), SliceKind::Thin, Engine::Ci));
+        let n = s.ci_graph().node_count();
+        assert!(n < 128, "one-byte length varints below");
+        let bytes = s.write_snapshot("k").unwrap();
+        let snap = SnapshotReader::open(&bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION).unwrap();
+        let mut resealed = SnapshotWriter::new(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, "k");
+        for name in snap.section_names() {
+            let mut payload = snap.section(name).unwrap().to_vec();
+            if name == "ci_csr" {
+                // The section ends with `perm` and `inv` (each a length
+                // varint, then n little-endian u32s) and a one-byte flag
+                // saying no down-edge index follows.
+                let inv_at = payload.len() - 1 - 4 * n - 1;
+                let perm_at = inv_at - 4 * n;
+                assert_eq!(usize::from(payload[perm_at - 1]), n);
+                assert_eq!(usize::from(payload[inv_at]), n);
+                for entry in payload[perm_at..inv_at].chunks_exact_mut(4) {
+                    entry.copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+                }
+                assert_eq!(
+                    thinslice_sdg::snap::decode_frozen(&mut ByteReader::new(&payload)).unwrap_err(),
+                    CodecError::Malformed("node permutation")
+                );
+            }
+            resealed.section(name, payload);
+        }
+        let restore = |b: &[u8]| {
+            AnalysisSession::from_snapshot(b, "k", PtaConfig::default(), RunCtx::disabled())
+        };
+        assert!(
+            restore(&resealed.finish()).is_none(),
+            "a structurally invalid graph must not restore"
+        );
+        let got = restore(&bytes)
+            .expect("the untampered file restores")
+            .query(&Query::new(seeds, SliceKind::Thin, Engine::Ci));
+        assert_eq!(got.stmts, want.stmts);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! engine drive the same loops through [`crate::Query`]; the free
 //! functions of earlier releases survive as deprecated delegating wrappers.
 
+use crate::nodeset::NodeSet;
 use crate::stmtset::StmtSet;
 use thinslice_ir::StmtRef;
 use thinslice_sdg::{DenseDisplay, DepGraph, NodeId, NO_DISPLAY};
-use thinslice_util::{BitSet, Budget, Completeness, FxHashSet, Meter, Outcome};
+use thinslice_util::{BitSet, Budget, Completeness, FxHashSet, Idx, Meter, Outcome};
 
 /// Which dependence relation a slice follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,8 +43,9 @@ impl SliceKind {
 pub struct Slice {
     /// The dependence relation used.
     pub kind: SliceKind,
-    /// All visited nodes (statements and connective nodes).
-    pub nodes: FxHashSet<NodeId>,
+    /// All visited nodes (statements and connective nodes), in external
+    /// ids.
+    pub nodes: NodeSet,
     /// Statements in the slice, in canonical BFS order from the seed:
     /// distance first, node id within a level.
     pub stmts: StmtSet,
@@ -86,7 +88,9 @@ pub struct SliceScratch {
     cur: Vec<NodeId>,
     /// The next BFS level, collected during expansion.
     next: Vec<NodeId>,
-    /// Word-level discovery set for the dense wavefront's wide levels.
+    /// Word-level discovery set for the dense wavefront's wide levels
+    /// (internal ids), and the external-id set that puts every level and
+    /// the result's node set in canonical order. Empty between uses.
     next_bits: BitSet<NodeId>,
     stmt_set: FxHashSet<StmtRef>,
     /// Dense-id statement dedup for [`slice_dense`]; mirrors `stmt_set`
@@ -100,12 +104,75 @@ impl SliceScratch {
     pub fn new() -> SliceScratch {
         SliceScratch::default()
     }
+
+    /// Whether every buffer is empty, as a finished query must leave it.
+    #[cfg(test)]
+    pub(crate) fn is_clean(&self) -> bool {
+        self.visited.is_empty()
+            && self.next_bits.is_empty()
+            && self.stmt_seen.is_empty()
+            && self.stmt_set.is_empty()
+            && self.touched.is_empty()
+            && self.cur.is_empty()
+            && self.next.is_empty()
+            && self.stmt_touched.is_empty()
+    }
 }
 
 /// Once the current level's frontier covers this fraction of the graph
 /// (one node per `WIDE_LEVEL_DIVISOR` graph nodes), the dense wavefront
 /// switches from per-edge visited tests to word-level bitset discovery.
 const WIDE_LEVEL_DIVISOR: usize = 16;
+
+/// Appends the external ids of `internal` (distinct internal ids) to `out`
+/// in ascending order, by setting one bit per node in `bits` — which must
+/// be empty and is left empty — and draining the words the bits span:
+/// O(nodes + words spanned), no comparisons.
+fn drain_external<G: DepGraph>(
+    sdg: &G,
+    internal: &[NodeId],
+    bits: &mut BitSet<NodeId>,
+    out: &mut Vec<NodeId>,
+) {
+    let (mut lo, mut hi) = (usize::MAX, 0);
+    for &n in internal {
+        let e = sdg.to_external(n);
+        bits.insert(e);
+        lo = lo.min(e.index());
+        hi = hi.max(e.index());
+    }
+    if lo <= hi {
+        bits.drain_span_into(NodeId::new(lo), NodeId::new(hi), out);
+    }
+}
+
+/// Moves the level collected in `next` into `cur` in canonical order —
+/// ascending external id — leaving `next` empty.
+fn order_level<G: DepGraph>(
+    sdg: &G,
+    next: &mut Vec<NodeId>,
+    cur: &mut Vec<NodeId>,
+    bits: &mut BitSet<NodeId>,
+) {
+    cur.clear();
+    drain_external(sdg, next, bits, cur);
+    for n in cur.iter_mut() {
+        *n = sdg.to_internal(*n);
+    }
+    next.clear();
+}
+
+/// The external ids of `internal` (distinct internal ids) as a
+/// [`NodeSet`], ordered through `bits` (empty before and after).
+pub(crate) fn external_node_set<G: DepGraph>(
+    sdg: &G,
+    internal: &[NodeId],
+    bits: &mut BitSet<NodeId>,
+) -> NodeSet {
+    let mut nodes = Vec::with_capacity(internal.len());
+    drain_external(sdg, internal, bits, &mut nodes);
+    NodeSet::from_sorted(nodes)
+}
 
 /// The one backward-reachability loop: a metered level-synchronous
 /// wavefront, generic over [`DepGraph`], hash statement dedup.
@@ -186,7 +253,7 @@ pub(crate) fn slice_sparse<G: DepGraph>(
     }
     let completeness = meter.completeness(leftover);
     cur.clear();
-    let nodes: FxHashSet<NodeId> = touched.iter().map(|&n| sdg.to_external(n)).collect();
+    let nodes: NodeSet = touched.iter().map(|&n| sdg.to_external(n)).collect();
     for n in touched.drain(..) {
         visited.remove(n);
     }
@@ -211,10 +278,12 @@ pub(crate) fn slice_sparse<G: DepGraph>(
 /// Wide levels (more than one frontier node per [`WIDE_LEVEL_DIVISOR`]
 /// graph nodes) switch discovery to word-parallel bitset algebra: targets
 /// are OR-ed into a discovery set unconditionally, then one `subtract` and
-/// one `union_with` per level replace the per-edge visited tests. Level
-/// membership — and therefore the canonical (level, external id) order and
-/// the slice — matches [`slice_sparse`] exactly; only the bookkeeping
-/// differs.
+/// one `union_with` per level replace the per-edge visited tests. Every
+/// level, and the result's node set, gets its external-id order by
+/// draining a bitset instead of by sorting. Level membership — and
+/// therefore the canonical (level, external id) order and the slice —
+/// matches [`slice_sparse`] exactly; only the bookkeeping differs. Every
+/// scratch bitset is empty again when this returns, truncated or not.
 pub(crate) fn slice_dense<G: DenseDisplay>(
     sdg: &G,
     seeds: &[NodeId],
@@ -238,10 +307,10 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
     for &s in seeds {
         let n = sdg.to_internal(s);
         if visited.insert(n) {
-            cur.push(n);
+            next.push(n);
         }
     }
-    cur.sort_unstable_by_key(|&n| sdg.to_external(n));
+    order_level(sdg, next, cur, next_bits);
     let mut leftover = 0usize;
     while !cur.is_empty() {
         let mut emitted = 0;
@@ -285,13 +354,11 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
                 }
             }
         }
-        next.sort_unstable_by_key(|&n| sdg.to_external(n));
-        std::mem::swap(cur, next);
-        next.clear();
+        order_level(sdg, next, cur, next_bits);
     }
     let completeness = meter.completeness(leftover);
     cur.clear();
-    let nodes: FxHashSet<NodeId> = touched.iter().map(|&n| sdg.to_external(n)).collect();
+    let nodes = external_node_set(sdg, touched, next_bits);
     for n in touched.drain(..) {
         visited.remove(n);
     }

@@ -8,13 +8,14 @@
 //! site. Procedure *summary edges* (call-site consumer → call-site actual)
 //! are computed lazily as entry nodes are reached from exits.
 
-use crate::slice::SliceKind;
+use crate::nodeset::NodeSet;
+use crate::slice::{external_node_set, SliceKind};
 use crate::stmtset::StmtSet;
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 use thinslice_ir::StmtRef;
-use thinslice_sdg::{DepGraph, EdgeKind, NodeId, NodeKind};
-use thinslice_util::{Budget, Completeness, FxHashMap, FxHashSet, Meter, Outcome};
+use thinslice_sdg::{DenseDisplay, DepGraph, EdgeKind, NodeId, NodeKind, NO_DISPLAY};
+use thinslice_util::{BitSet, Budget, Completeness, FxHashMap, FxHashSet, Meter, Outcome};
 use thinslice_util::{Idx, IdxVec};
 
 /// Result of a context-sensitive slice: the visited node set.
@@ -22,7 +23,7 @@ use thinslice_util::{Idx, IdxVec};
 pub struct CsSlice {
     /// All nodes in the slice, in the graph's *external* (pre-freeze) id
     /// domain, so results are comparable across growable and frozen views.
-    pub nodes: FxHashSet<NodeId>,
+    pub nodes: NodeSet,
     /// The statements in the slice, in sorted order (tabulation discovery
     /// order depends on the storage backend, so sorting is the canonical
     /// order that makes results comparable across backends).
@@ -44,15 +45,6 @@ impl CsSlice {
     pub fn contains(&self, stmt: StmtRef) -> bool {
         self.stmts.contains(stmt)
     }
-}
-
-/// Builds the canonical (sorted, deduplicated) [`StmtSet`] of a finished
-/// tabulation from its reached nodes.
-fn harvest_stmts<G: DepGraph>(sdg: &G, reached: impl Iterator<Item = NodeId>) -> StmtSet {
-    let mut stmts: Vec<StmtRef> = reached.filter_map(|n| sdg.display_stmt(n)).collect();
-    stmts.sort_unstable();
-    stmts.dedup();
-    StmtSet::from_ordered(stmts)
 }
 
 /// The source of a tabulation path edge: either the seed region (ascending
@@ -124,7 +116,8 @@ pub use thinslice_sdg::DownConsumers;
 ///   and every step is cheaper.
 ///
 /// Both store exactly the same relations, so the traversal — and the
-/// slice — is identical whichever backs it.
+/// slice — is identical whichever backs it. Each store builds the result
+/// from its reached nodes in its own `finish`.
 trait TabStore {
     /// Adds `src` to `n`'s path-edge set; true if it was not there.
     fn add_path(&mut self, n: NodeId, src: Src) -> bool;
@@ -144,12 +137,6 @@ trait TabStore {
     fn descend(&mut self, from: Src, exit: NodeId) -> bool;
     /// Current size of the path-edge relation, for watermark metering.
     fn resident(&self) -> usize;
-    /// Builds the result from all nodes with a path edge, then resets the
-    /// store for the next query. `complete` says whether the worklist
-    /// drained: a memoising store may only promote regions explored by a
-    /// *complete* query to its cache (a truncated query's regions are not
-    /// at fixpoint).
-    fn finish<G: DepGraph>(&mut self, sdg: &G, complete: bool) -> CsSlice;
 }
 
 /// Hash-map tabulation storage for one-shot queries. See [`TabStore`].
@@ -194,15 +181,25 @@ impl TabStore for SparseStore {
     fn resident(&self) -> usize {
         self.path.len()
     }
+}
 
-    fn finish<G: DepGraph>(&mut self, sdg: &G, _complete: bool) -> CsSlice {
-        // Nothing is memoised across queries, so truncation needs no
-        // special handling: everything is cleared either way.
-        let nodes: FxHashSet<NodeId> = self.path.keys().map(|&n| sdg.to_external(n)).collect();
-        let stmts = harvest_stmts(sdg, self.path.keys().copied());
-        self.path.clear();
-        self.summaries.clear();
-        CsSlice { nodes, stmts }
+impl SparseStore {
+    /// Builds the result from every node with a path edge: the node set and
+    /// the sorted, deduplicated statements, by sorting. Nothing is memoised
+    /// across queries, so a truncated query needs no special handling.
+    fn finish<G: DepGraph>(self, sdg: &G) -> CsSlice {
+        let nodes: NodeSet = self.path.keys().map(|&n| sdg.to_external(n)).collect();
+        let mut stmts: Vec<StmtRef> = self
+            .path
+            .keys()
+            .filter_map(|&n| sdg.display_stmt(n))
+            .collect();
+        stmts.sort_unstable();
+        stmts.dedup();
+        CsSlice {
+            nodes,
+            stmts: StmtSet::from_ordered(stmts),
+        }
     }
 }
 
@@ -299,6 +296,12 @@ struct DenseStore {
     /// DFS stack and visited list for [`DenseStore::splice`].
     splice_stack: Vec<NodeId>,
     spliced: Vec<NodeId>,
+    /// External-id bitset that orders the result's node set.
+    node_bits: BitSet<NodeId>,
+    /// Dense display ids already harvested by the finishing query, and
+    /// the list that clears them.
+    stmt_seen: BitSet<u32>,
+    stmt_touched: Vec<u32>,
     /// Cross-query memoisation counters (monotone; telemetry reads deltas).
     memo: MemoStats,
 }
@@ -516,10 +519,31 @@ impl TabStore for DenseStore {
     fn resident(&self) -> usize {
         self.reached.len()
     }
+}
 
-    fn finish<G: DepGraph>(&mut self, sdg: &G, complete: bool) -> CsSlice {
-        let nodes: FxHashSet<NodeId> = self.reached.iter().map(|&n| sdg.to_external(n)).collect();
-        let stmts = harvest_stmts(sdg, self.reached.iter().copied());
+impl DenseStore {
+    /// Builds the result from every node with a path edge, then resets the
+    /// store for the next query. The node set drains an external-id
+    /// bitset; display statements are deduplicated through their dense ids
+    /// first, so only the distinct ones are sorted. `complete` says whether
+    /// the worklist drained: only regions explored by a *complete* query
+    /// are promoted to the cache (a truncated query's regions are not at
+    /// fixpoint). Leaves every bitset of the store empty either way.
+    fn finish<G: DenseDisplay>(&mut self, sdg: &G, complete: bool) -> CsSlice {
+        let nodes = external_node_set(sdg, &self.reached, &mut self.node_bits);
+        for &n in &self.reached {
+            let d = sdg.display_dense(n);
+            if d != NO_DISPLAY && self.stmt_seen.insert(d) {
+                self.stmt_touched.push(d);
+            }
+        }
+        let mut stmts = Vec::with_capacity(self.stmt_touched.len());
+        for d in self.stmt_touched.drain(..) {
+            self.stmt_seen.remove(d);
+            stmts.push(sdg.dense_stmt(d));
+        }
+        stmts.sort_unstable();
+        let stmts = StmtSet::from_ordered(stmts);
         if complete {
             // Harvest the regions this query completed: the worklist has
             // drained, so every exit first explored here is at fixpoint.
@@ -608,6 +632,19 @@ impl CsScratch {
         self.store.shared.clone()
     }
 
+    /// Whether the per-query state is empty, as a finished query must
+    /// leave it (memoised graph facts persist by design).
+    #[cfg(test)]
+    pub(crate) fn is_clean(&self) -> bool {
+        let s = &self.store;
+        s.reached.is_empty()
+            && s.node_bits.is_empty()
+            && s.stmt_seen.is_empty()
+            && s.stmt_touched.is_empty()
+            && s.path.iter().all(Vec::is_empty)
+            && self.wl.is_empty()
+    }
+
     /// Cumulative memoisation counters of this scratch (exit-region memo
     /// hits/misses, summary edges). Snapshot before and after a query and
     /// diff with [`MemoStats::since`] for per-query figures.
@@ -658,7 +695,7 @@ pub(crate) fn cs_oneshot<G: DepGraph>(
     meter: &mut Meter,
 ) -> (CsSlice, Completeness) {
     let mut store = SparseStore::default();
-    tabulate(
+    let completeness = tabulate(
         sdg,
         index,
         seeds,
@@ -668,7 +705,8 @@ pub(crate) fn cs_oneshot<G: DepGraph>(
         &mut Vec::new(),
         &mut Vec::new(),
         meter,
-    )
+    );
+    (store.finish(sdg), completeness)
 }
 
 /// The scratch-reusing metered tabulation — the batched engine's and the
@@ -681,7 +719,7 @@ pub(crate) fn cs_oneshot<G: DepGraph>(
 /// queries, and a truncated query leaves no unsound memoised state behind
 /// (regions it explored are re-explored by the next query that needs
 /// them).
-pub(crate) fn cs_reusing<G: DepGraph>(
+pub(crate) fn cs_reusing<G: DenseDisplay>(
     sdg: &G,
     index: &DownConsumers,
     seeds: &[NodeId],
@@ -696,9 +734,10 @@ pub(crate) fn cs_reusing<G: DepGraph>(
         tmp_conts,
     } = scratch;
     store.ensure(sdg.node_count());
-    tabulate(
+    let completeness = tabulate(
         sdg, index, seeds, kind, store, wl, tmp_srcs, tmp_conts, meter,
-    )
+    );
+    (store.finish(sdg, completeness.is_complete()), completeness)
 }
 
 /// [`cs_slice`] with a prebuilt [`DownConsumers`] index for `sdg`. The
@@ -737,12 +776,13 @@ pub fn cs_slice_governed<G: DepGraph>(
 }
 
 /// [`cs_slice_governed`] with a shared index, caller-provided scratch and
-/// an armed meter. The scratch contract of [`cs_slice_reusing`] applies.
+/// an armed meter. The scratch contract of [`cs_slice_reusing`] applies,
+/// and so does its restriction to frozen graphs.
 #[deprecated(
     since = "0.4.0",
     note = "use `AnalysisSession::query` with a budgeted `QueryPolicy` instead"
 )]
-pub fn cs_slice_governed_reusing<G: DepGraph>(
+pub fn cs_slice_governed_reusing<G: DenseDisplay>(
     sdg: &G,
     index: &DownConsumers,
     seeds: &[NodeId],
@@ -755,9 +795,11 @@ pub fn cs_slice_governed_reusing<G: DepGraph>(
 }
 
 /// [`cs_slice_indexed`] with caller-provided scratch state; see
-/// [`CsScratch`]'s scratch contract.
+/// [`CsScratch`]'s scratch contract. Takes only frozen graphs: the
+/// reusing store deduplicates statements through dense display ids
+/// ([`DenseDisplay`]). A growable `Sdg` goes through [`cs_slice_indexed`].
 #[deprecated(since = "0.4.0", note = "use `AnalysisSession::query` instead")]
-pub fn cs_slice_reusing<G: DepGraph>(
+pub fn cs_slice_reusing<G: DenseDisplay>(
     sdg: &G,
     index: &DownConsumers,
     seeds: &[NodeId],
@@ -773,7 +815,7 @@ pub fn cs_slice_reusing<G: DepGraph>(
 /// Metered per worklist pop: once `meter` is exhausted the popped item is
 /// pushed back (honest frontier count) and the path edges accumulated so
 /// far — a subset of the fixpoint's, since the relation only grows — form
-/// the truncated result.
+/// the truncated result, which the caller reads out of `store`.
 #[allow(clippy::too_many_arguments)]
 fn tabulate<G: DepGraph, S: TabStore>(
     sdg: &G,
@@ -785,7 +827,7 @@ fn tabulate<G: DepGraph, S: TabStore>(
     tmp_srcs: &mut Vec<Src>,
     tmp_conts: &mut Vec<NodeId>,
     meter: &mut Meter,
-) -> (CsSlice, Completeness) {
+) -> Completeness {
     wl.clear();
 
     let add = |store: &mut S, wl: &mut VecDeque<(Src, NodeId)>, src: Src, n: NodeId| {
@@ -854,8 +896,7 @@ fn tabulate<G: DepGraph, S: TabStore>(
 
     let completeness = meter.completeness(wl.len());
     wl.clear();
-    let slice = store.finish(sdg, completeness.is_complete());
-    (slice, completeness)
+    completeness
 }
 
 #[cfg(test)]

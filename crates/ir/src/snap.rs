@@ -14,7 +14,7 @@
 
 use std::collections::HashSet;
 use thinslice_util::codec::{ByteReader, ByteWriter, CodecError};
-use thinslice_util::{FxHashMap, IdxVec};
+use thinslice_util::{FxHashMap, Idx, IdxVec};
 
 use crate::ir::{
     Block, BlockId, Body, CallKind, Class, ClassId, Const, Field, FieldId, Instr, InstrKind,
@@ -99,16 +99,16 @@ pub fn decode_program(r: &mut ByteReader) -> Result<Program, CodecError> {
     let mut classes: IdxVec<ClassId, Class> = IdxVec::with_capacity(cap(n_classes, r));
     for _ in 0..n_classes {
         let name = r.str()?.to_string();
-        let superclass = d_opt(r)?.map(|v| ClassId::new(v as usize));
+        let superclass = d_opt(r)?;
         let n_fields = r.vusize()?;
         let mut fields = Vec::with_capacity(cap(n_fields, r));
         for _ in 0..n_fields {
-            fields.push(FieldId::new(r.vusize()?));
+            fields.push(r.vidx::<FieldId>()?);
         }
         let n_methods = r.vusize()?;
         let mut methods = Vec::with_capacity(cap(n_methods, r));
         for _ in 0..n_methods {
-            methods.push(MethodId::new(r.vusize()?));
+            methods.push(r.vidx::<MethodId>()?);
         }
         let span = d_span(r)?;
         classes.push(Class {
@@ -122,7 +122,7 @@ pub fn decode_program(r: &mut ByteReader) -> Result<Program, CodecError> {
     let n_program_fields = r.vusize()?;
     let mut fields: IdxVec<FieldId, Field> = IdxVec::with_capacity(cap(n_program_fields, r));
     for _ in 0..n_program_fields {
-        let class = ClassId::new(r.vusize()?);
+        let class = r.vidx::<ClassId>()?;
         let name = r.str()?.to_string();
         let ty = d_ty(r)?;
         let is_static = r.bool()?;
@@ -138,7 +138,7 @@ pub fn decode_program(r: &mut ByteReader) -> Result<Program, CodecError> {
     let n_methods = r.vusize()?;
     let mut methods: IdxVec<MethodId, Method> = IdxVec::with_capacity(cap(n_methods, r));
     for _ in 0..n_methods {
-        let class = ClassId::new(r.vusize()?);
+        let class = r.vidx::<ClassId>()?;
         let name = r.str()?.to_string();
         let n_params = r.vusize()?;
         let mut param_tys = Vec::with_capacity(cap(n_params, r));
@@ -161,9 +161,9 @@ pub fn decode_program(r: &mut ByteReader) -> Result<Program, CodecError> {
             span,
         });
     }
-    let object_class = ClassId::new(r.vusize()?);
-    let string_class = ClassId::new(r.vusize()?);
-    let main_method = MethodId::new(r.vusize()?);
+    let object_class = r.vidx::<ClassId>()?;
+    let string_class = r.vidx::<ClassId>()?;
+    let main_method = r.vidx::<MethodId>()?;
     let mut class_by_name = FxHashMap::with_capacity_and_hasher(classes.len(), Default::default());
     for (id, class) in classes.iter_enumerated() {
         class_by_name.insert(class.name.clone(), id);
@@ -191,8 +191,8 @@ fn opt(w: &mut ByteWriter, v: Option<u32>) {
     }
 }
 
-fn d_opt(r: &mut ByteReader) -> Result<Option<u64>, CodecError> {
-    Ok(if r.bool()? { Some(r.vu64()?) } else { None })
+fn d_opt<I: Idx>(r: &mut ByteReader) -> Result<Option<I>, CodecError> {
+    Ok(if r.bool()? { Some(r.vidx()?) } else { None })
 }
 
 fn span(w: &mut ByteWriter, s: Span) {
@@ -203,7 +203,7 @@ fn span(w: &mut ByteWriter, s: Span) {
 
 fn d_span(r: &mut ByteReader) -> Result<Span, CodecError> {
     Ok(Span {
-        file: FileId::new(r.vusize()?),
+        file: r.vidx::<FileId>()?,
         line: r.vu64()? as u32,
         col: r.vu64()? as u32,
     })
@@ -230,9 +230,9 @@ pub fn encode_stmt_ref(w: &mut ByteWriter, s: crate::ir::StmtRef) {
 /// Decodes a [`StmtRef`](crate::ir::StmtRef) written by [`encode_stmt_ref`].
 pub fn decode_stmt_ref(r: &mut ByteReader) -> Result<crate::ir::StmtRef, CodecError> {
     Ok(crate::ir::StmtRef {
-        method: MethodId::new(r.vusize()?),
+        method: r.vidx::<MethodId>()?,
         loc: crate::ir::Loc {
-            block: BlockId::new(r.vusize()?),
+            block: r.vidx::<BlockId>()?,
             index: r.vu64()? as u32,
         },
     })
@@ -261,7 +261,7 @@ fn d_ty(r: &mut ByteReader) -> Result<Type, CodecError> {
         1 => Type::Bool,
         2 => Type::Void,
         3 => Type::Null,
-        4 => Type::Class(ClassId::new(r.vusize()?)),
+        4 => Type::Class(r.vidx::<ClassId>()?),
         5 => Type::Array(Box::new(d_ty(r)?)),
         _ => return Err(CodecError::Malformed("type tag")),
     })
@@ -308,15 +308,15 @@ fn d_body(r: &mut ByteReader) -> Result<Body, CodecError> {
     for _ in 0..n_vars {
         let name = r.str()?.to_string();
         let ty = d_ty(r)?;
-        let origin = d_opt(r)?.map(|v| Var::new(v as usize));
+        let origin = d_opt(r)?;
         vars.push(VarInfo { name, ty, origin });
     }
     let n_params = r.vusize()?;
     let mut params = Vec::with_capacity(cap(n_params, r));
     for _ in 0..n_params {
-        params.push(Var::new(r.vusize()?));
+        params.push(r.vidx::<Var>()?);
     }
-    let entry = BlockId::new(r.vusize()?);
+    let entry = r.vidx::<BlockId>()?;
     Ok(Body {
         blocks,
         vars,
@@ -345,7 +345,7 @@ fn operand(w: &mut ByteWriter, o: &Operand) {
 
 fn d_operand(r: &mut ByteReader) -> Result<Operand, CodecError> {
     Ok(match r.u8()? {
-        0 => Operand::Var(Var::new(r.vusize()?)),
+        0 => Operand::Var(r.vidx::<Var>()?),
         1 => Operand::Const(Const::Int(r.vi64()?)),
         2 => Operand::Const(Const::Bool(r.bool()?)),
         3 => Operand::Const(Const::Null),
@@ -358,7 +358,7 @@ fn var(w: &mut ByteWriter, v: Var) {
 }
 
 fn d_var(r: &mut ByteReader) -> Result<Var, CodecError> {
-    Ok(Var::new(r.vusize()?))
+    r.vidx()
 }
 
 fn instr_kind(w: &mut ByteWriter, k: &InstrKind) {
@@ -557,7 +557,7 @@ fn d_instr_kind(r: &mut ByteReader) -> Result<InstrKind, CodecError> {
         },
         6 => InstrKind::New {
             dst: d_var(r)?,
-            class: ClassId::new(r.vusize()?),
+            class: r.vidx::<ClassId>()?,
         },
         7 => InstrKind::NewArray {
             dst: d_var(r)?,
@@ -567,19 +567,19 @@ fn d_instr_kind(r: &mut ByteReader) -> Result<InstrKind, CodecError> {
         8 => InstrKind::Load {
             dst: d_var(r)?,
             base: d_var(r)?,
-            field: FieldId::new(r.vusize()?),
+            field: r.vidx::<FieldId>()?,
         },
         9 => InstrKind::Store {
             base: d_var(r)?,
-            field: FieldId::new(r.vusize()?),
+            field: r.vidx::<FieldId>()?,
             value: d_operand(r)?,
         },
         10 => InstrKind::StaticLoad {
             dst: d_var(r)?,
-            field: FieldId::new(r.vusize()?),
+            field: r.vidx::<FieldId>()?,
         },
         11 => InstrKind::StaticStore {
-            field: FieldId::new(r.vusize()?),
+            field: r.vidx::<FieldId>()?,
             value: d_operand(r)?,
         },
         12 => InstrKind::ArrayLoad {
@@ -604,17 +604,17 @@ fn d_instr_kind(r: &mut ByteReader) -> Result<InstrKind, CodecError> {
         16 => InstrKind::InstanceOf {
             dst: d_var(r)?,
             src: d_operand(r)?,
-            class: ClassId::new(r.vusize()?),
+            class: r.vidx::<ClassId>()?,
         },
         17 => {
-            let dst = d_opt(r)?.map(|v| Var::new(v as usize));
+            let dst = d_opt(r)?;
             let kind = match r.u8()? {
                 0 => CallKind::Virtual,
                 1 => CallKind::Static,
                 2 => CallKind::Special,
                 _ => return Err(CodecError::Malformed("call kind")),
             };
-            let callee = MethodId::new(r.vusize()?);
+            let callee = r.vidx::<MethodId>()?;
             let mut args = Vec::new();
             for _ in 0..r.vusize()? {
                 args.push(d_operand(r)?);
@@ -633,18 +633,18 @@ fn d_instr_kind(r: &mut ByteReader) -> Result<InstrKind, CodecError> {
             let dst = d_var(r)?;
             let mut args = Vec::new();
             for _ in 0..r.vusize()? {
-                let b = BlockId::new(r.vusize()?);
+                let b = r.vidx::<BlockId>()?;
                 args.push((b, d_operand(r)?));
             }
             InstrKind::Phi { dst, args }
         }
         20 => InstrKind::Goto {
-            target: BlockId::new(r.vusize()?),
+            target: r.vidx::<BlockId>()?,
         },
         21 => InstrKind::If {
             cond: d_operand(r)?,
-            then_bb: BlockId::new(r.vusize()?),
-            else_bb: BlockId::new(r.vusize()?),
+            then_bb: r.vidx::<BlockId>()?,
+            else_bb: r.vidx::<BlockId>()?,
         },
         22 => InstrKind::Return {
             value: if r.bool()? { Some(d_operand(r)?) } else { None },

@@ -119,12 +119,12 @@ pub fn decode_pta(r: &mut ByteReader) -> Result<Pta, CodecError> {
             _ => return Err(CodecError::Malformed("alloc site")),
         };
         let kind = match r.u8()? {
-            0 => ObjKind::Class(thinslice_ir::ClassId::new(r.vusize()?)),
+            0 => ObjKind::Class(r.vidx::<thinslice_ir::ClassId>()?),
             1 => ObjKind::Array(decode_type(r)?),
             _ => return Err(CodecError::Malformed("object kind")),
         };
         let ctx = if r.bool()? {
-            Some(ObjId::new(r.vusize()?))
+            Some(r.vidx::<ObjId>()?)
         } else {
             None
         };
@@ -139,15 +139,11 @@ pub fn decode_pta(r: &mut ByteReader) -> Result<Pta, CodecError> {
         delta_objects: r.vu64()?,
         meter_checks: r.vu64()?,
     };
-    let var_pts = read_map(r, |r| {
-        Ok((MethodId::new(r.vusize()?), Var::new(r.vusize()?)))
-    })?;
-    let inst_var_pts = read_map(r, |r| Ok((CgNode::new(r.vusize()?), Var::new(r.vusize()?))))?;
-    let field_pts = read_map(r, |r| {
-        Ok((ObjId::new(r.vusize()?), FieldId::new(r.vusize()?)))
-    })?;
-    let array_pts = read_map(r, |r| Ok(ObjId::new(r.vusize()?)))?;
-    let static_pts = read_map(r, |r| Ok(FieldId::new(r.vusize()?)))?;
+    let var_pts = read_map(r, |r| Ok((r.vidx::<MethodId>()?, r.vidx::<Var>()?)))?;
+    let inst_var_pts = read_map(r, |r| Ok((r.vidx::<CgNode>()?, r.vidx::<Var>()?)))?;
+    let field_pts = read_map(r, |r| Ok((r.vidx::<ObjId>()?, r.vidx::<FieldId>()?)))?;
+    let array_pts = read_map(r, |r| r.vidx::<ObjId>())?;
+    let static_pts = read_map(r, |r| r.vidx::<FieldId>())?;
     let n_call_targets = r.vusize()?;
     let mut call_targets: FxHashMap<StmtRef, Vec<MethodId>> =
         FxHashMap::with_capacity_and_hasher(n_call_targets.min(r.remaining()), Default::default());
@@ -156,7 +152,7 @@ pub fn decode_pta(r: &mut ByteReader) -> Result<Pta, CodecError> {
         let n = r.vusize()?;
         let mut targets = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
-            targets.push(MethodId::new(r.vusize()?));
+            targets.push(r.vidx::<MethodId>()?);
         }
         call_targets.insert(key, targets);
     }
@@ -164,11 +160,11 @@ pub fn decode_pta(r: &mut ByteReader) -> Result<Pta, CodecError> {
     let mut instances: FxHashMap<MethodId, Vec<CgNode>> =
         FxHashMap::with_capacity_and_hasher(n_instances.min(r.remaining()), Default::default());
     for _ in 0..n_instances {
-        let key = MethodId::new(r.vusize()?);
+        let key = r.vidx::<MethodId>()?;
         let n = r.vusize()?;
         let mut nodes = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
-            nodes.push(CgNode::new(r.vusize()?));
+            nodes.push(r.vidx::<CgNode>()?);
         }
         instances.insert(key, nodes);
     }
@@ -216,7 +212,7 @@ pub fn encode_stream_hashes(hashes: &[(MethodId, u64)], w: &mut ByteWriter) {
 pub fn decode_stream_hashes(r: &mut ByteReader) -> Result<Vec<(MethodId, u64)>, CodecError> {
     let mut out = Vec::new();
     for _ in 0..r.vusize()? {
-        let m = MethodId::new(r.vusize()?);
+        let m = r.vidx::<MethodId>()?;
         let h = r.u64_le()?;
         out.push((m, h));
     }

@@ -12,8 +12,15 @@
 //! All encodings are canonical: hash maps are written with sorted keys and
 //! verbatim per-key payloads, so encoding the same graph twice yields the
 //! same bytes and a decoded graph re-encodes to its input.
+//!
+//! The frozen graph and the index are decoded into arrays that queries
+//! index without bounds reasoning of their own, so their decoders check
+//! every value later used as an index — CSR offsets, node ids, the
+//! permutation, display ids — and return [`CodecError::Malformed`] on the
+//! first violation. A file whose checksum passes but whose structure is
+//! wrong is then discarded at restore instead of panicking a query.
 
-use crate::csr::{DownConsumers, FrozenSdg};
+use crate::csr::{DownConsumers, FrozenSdg, NO_DISPLAY};
 use crate::node::{Edge, EdgeKind, NodeId, NodeKind};
 use crate::{HeapMode, Sdg};
 use std::sync::OnceLock;
@@ -94,21 +101,17 @@ fn node_kind(w: &mut ByteWriter, k: NodeKind) {
 }
 
 fn d_node_kind(r: &mut ByteReader) -> Result<NodeKind, CodecError> {
-    let tag = r.u8()?;
-    let cg = |r: &mut ByteReader| -> Result<CgNode, CodecError> { Ok(CgNode::new(r.vusize()?)) };
-    let nid = |r: &mut ByteReader| -> Result<NodeId, CodecError> { Ok(NodeId::new(r.vusize()?)) };
-    let part = |r: &mut ByteReader| -> Result<PartId, CodecError> { Ok(PartId::new(r.vusize()?)) };
-    Ok(match tag {
-        0 => NodeKind::Stmt(cg(r)?, decode_stmt_ref(r)?),
-        1 => NodeKind::Entry(cg(r)?),
-        2 => NodeKind::FormalParam(cg(r)?, r.vu64()? as u32),
-        3 => NodeKind::ActualParam(nid(r)?, r.vu64()? as u32),
-        4 => NodeKind::RetMerge(cg(r)?),
-        5 => NodeKind::FormalIn(cg(r)?, part(r)?),
-        6 => NodeKind::FormalOut(cg(r)?, part(r)?),
-        7 => NodeKind::ActualIn(nid(r)?, part(r)?),
-        8 => NodeKind::ActualOut(nid(r)?, part(r)?),
-        9 => NodeKind::MethodHeap(cg(r)?, part(r)?),
+    Ok(match r.u8()? {
+        0 => NodeKind::Stmt(r.vidx()?, decode_stmt_ref(r)?),
+        1 => NodeKind::Entry(r.vidx()?),
+        2 => NodeKind::FormalParam(r.vidx()?, r.vu64()? as u32),
+        3 => NodeKind::ActualParam(r.vidx()?, r.vu64()? as u32),
+        4 => NodeKind::RetMerge(r.vidx()?),
+        5 => NodeKind::FormalIn(r.vidx()?, r.vidx()?),
+        6 => NodeKind::FormalOut(r.vidx()?, r.vidx()?),
+        7 => NodeKind::ActualIn(r.vidx()?, r.vidx()?),
+        8 => NodeKind::ActualOut(r.vidx()?, r.vidx()?),
+        9 => NodeKind::MethodHeap(r.vidx()?, r.vidx()?),
         _ => return Err(CodecError::Malformed("node kind")),
     })
 }
@@ -160,14 +163,19 @@ fn encode_edges(edges: &[Edge], w: &mut ByteWriter) {
     }
 }
 
-/// Decodes a flat edge array written by `encode_edges`.
-fn decode_edges(r: &mut ByteReader) -> Result<Vec<Edge>, CodecError> {
+/// Decodes a flat edge array written by `encode_edges`, with one past the
+/// largest node id any edge holds (target or call site), so a caller that
+/// learns the node count later can range-check every id without a second
+/// pass over the edges.
+fn decode_edges(r: &mut ByteReader) -> Result<(Vec<Edge>, usize), CodecError> {
     let targets = r.u32s()?;
     // The tag bytes borrow from the reader's buffer, but the param-site
     // stream after them needs the cursor back, so copy them out first.
     let tags = r.raw(targets.len())?.to_vec();
     let mut edges = Vec::with_capacity(targets.len());
+    let mut ids_below = 0usize;
     for (&target, &tag) in targets.iter().zip(&tags) {
+        ids_below = ids_below.max(target as usize + 1);
         let kind = match tag {
             0 => EdgeKind::Flow {
                 excluded_from_thin: false,
@@ -177,12 +185,15 @@ fn decode_edges(r: &mut ByteReader) -> Result<Vec<Edge>, CodecError> {
             },
             2 => EdgeKind::Control,
             3 => EdgeKind::Call,
-            4 => EdgeKind::ParamIn {
-                site: NodeId::new(r.vusize()?),
-            },
-            5 => EdgeKind::ParamOut {
-                site: NodeId::new(r.vusize()?),
-            },
+            4 | 5 => {
+                let site: NodeId = r.vidx()?;
+                ids_below = ids_below.max(site.index() + 1);
+                if tag == 4 {
+                    EdgeKind::ParamIn { site }
+                } else {
+                    EdgeKind::ParamOut { site }
+                }
+            }
             6 => EdgeKind::Summary,
             _ => return Err(CodecError::Malformed("edge kind")),
         };
@@ -191,7 +202,7 @@ fn decode_edges(r: &mut ByteReader) -> Result<Vec<Edge>, CodecError> {
             kind,
         });
     }
-    Ok(edges)
+    Ok((edges, ids_below))
 }
 
 /// Encodes a growable [`Sdg`]: heap mode, node kinds in intern order, then
@@ -240,7 +251,7 @@ pub fn decode_sdg(r: &mut ByteReader) -> Result<Sdg, CodecError> {
     if degrees.len() != n {
         return Err(CodecError::Malformed("sdg degree array"));
     }
-    let edges = decode_edges(r)?;
+    let (edges, _) = decode_edges(r)?;
     let total: usize = degrees.iter().map(|&d| d as usize).sum();
     if total != edges.len() {
         return Err(CodecError::Malformed("sdg edge count"));
@@ -255,6 +266,38 @@ pub fn decode_sdg(r: &mut ByteReader) -> Result<Sdg, CodecError> {
     Ok(sdg)
 }
 
+/// Checks CSR row offsets: `rows + 1` entries, starting at 0, never
+/// decreasing, ending at `len` (the length of the array they index).
+fn check_offsets(offsets: &[u32], rows: usize, len: usize) -> bool {
+    // Folds without short-circuiting, so the scan vectorises.
+    offsets.len() == rows + 1
+        && offsets[0] == 0
+        && offsets[rows] as usize == len
+        && offsets
+            .iter()
+            .zip(&offsets[1..])
+            .fold(true, |ok, (a, b)| ok & (a <= b))
+}
+
+/// Checks that `perm` and `inv` are inverse permutations of `0..n`.
+fn check_permutation(perm: &[NodeId], inv: &[NodeId], n: usize) -> bool {
+    perm.len() == n
+        && inv.len() == n
+        && perm.iter().enumerate().fold(true, |ok, (i, p)| {
+            ok & inv.get(p.index()).is_some_and(|e| e.index() == i)
+        })
+}
+
+/// The call-site id a node kind embeds, if any.
+fn kind_site(k: &NodeKind) -> Option<NodeId> {
+    match *k {
+        NodeKind::ActualParam(site, _)
+        | NodeKind::ActualIn(site, _)
+        | NodeKind::ActualOut(site, _) => Some(site),
+        _ => None,
+    }
+}
+
 /// Encodes a [`DownConsumers`] index (the tabulation memo seed) as four
 /// dense `u32` arrays: call sites, exits, offsets, consumers.
 pub fn encode_down(down: &DownConsumers, w: &mut ByteWriter) {
@@ -267,20 +310,32 @@ pub fn encode_down(down: &DownConsumers, w: &mut ByteWriter) {
     w.u32s(&consumers);
 }
 
-/// Decodes an index written by [`encode_down`].
-pub fn decode_down(r: &mut ByteReader) -> Result<DownConsumers, CodecError> {
+/// Decodes an index written by [`encode_down`] for a graph of
+/// `node_count` nodes. Rejects keys that are not strictly ascending (the
+/// lookup binary-searches them), offsets that leave the consumer array,
+/// and consumer ids outside the graph.
+pub fn decode_down(r: &mut ByteReader, node_count: usize) -> Result<DownConsumers, CodecError> {
     let sites = r.u32s()?;
     let exits = r.u32s()?;
     if sites.len() != exits.len() {
         return Err(CodecError::Malformed("down key arrays"));
     }
-    let keys = sites
+    let keys: Vec<(NodeId, NodeId)> = sites
         .iter()
         .zip(&exits)
         .map(|(&s, &e)| (d_nid32(s), d_nid32(e)))
         .collect();
+    if !keys.windows(2).all(|w| w[0] < w[1]) {
+        return Err(CodecError::Malformed("down keys not ascending"));
+    }
     let offsets = r.u32s()?;
-    let consumers = r.u32s()?.into_iter().map(d_nid32).collect();
+    let consumers: Vec<NodeId> = r.u32s()?.into_iter().map(d_nid32).collect();
+    if !check_offsets(&offsets, keys.len(), consumers.len()) {
+        return Err(CodecError::Malformed("down offsets"));
+    }
+    if consumers.iter().any(|c| c.index() >= node_count) {
+        return Err(CodecError::Malformed("down consumer id"));
+    }
     Ok(DownConsumers {
         keys,
         offsets,
@@ -339,18 +394,43 @@ pub fn encode_frozen(f: &FrozenSdg, w: &mut ByteWriter) {
 /// Decodes a graph written by [`encode_frozen`]. A serialized
 /// [`DownConsumers`] index is seeded into the lazy cache, so the first
 /// context-sensitive query after a warm start pays no index-build cost.
+///
+/// The graph's node count is the length of its node-kind array; the
+/// decoder rejects, as [`CodecError::Malformed`], offsets that are not a
+/// CSR over the edge array, edge targets and embedded site ids at or past
+/// the node count, per-node arrays of another length, display ids outside
+/// the display-statement table, a `perm`/`inv` pair that is not a pair of
+/// inverse permutations, and statement instance ids outside the graph.
 pub fn decode_frozen(r: &mut ByteReader) -> Result<FrozenSdg, CodecError> {
+    // No check takes a separate pass over the edges: decoding them
+    // already records the largest id they hold.
     let mode = d_mode(r)?;
     let offsets = r.u32s()?;
-    let edges = decode_edges(r)?;
-    let n_kinds = r.vusize()?;
-    let mut kinds = Vec::with_capacity(n_kinds.min(r.remaining()));
-    for _ in 0..n_kinds {
-        kinds.push(d_node_kind(r)?);
+    let (edges, edge_ids) = decode_edges(r)?;
+    let n = r.vusize()?;
+    let mut kinds = Vec::with_capacity(n.min(r.remaining()));
+    let mut kind_ids = 0usize;
+    for _ in 0..n {
+        let kind = d_node_kind(r)?;
+        if let Some(site) = kind_site(&kind) {
+            kind_ids = kind_ids.max(site.index() + 1);
+        }
+        kinds.push(kind);
     }
-    let n_display = r.vusize()?;
-    let mut display = Vec::with_capacity(n_display.min(r.remaining()));
-    for _ in 0..n_display {
+    if !check_offsets(&offsets, n, edges.len()) {
+        return Err(CodecError::Malformed("csr offsets"));
+    }
+    if edge_ids > n {
+        return Err(CodecError::Malformed("csr edge node id"));
+    }
+    if kind_ids > n {
+        return Err(CodecError::Malformed("node kind site id"));
+    }
+    if r.vusize()? != n {
+        return Err(CodecError::Malformed("display array length"));
+    }
+    let mut display = Vec::with_capacity(n.min(r.remaining()));
+    for _ in 0..n {
         display.push(if r.bool()? {
             Some(decode_stmt_ref(r)?)
         } else {
@@ -358,7 +438,19 @@ pub fn decode_frozen(r: &mut ByteReader) -> Result<FrozenSdg, CodecError> {
         });
     }
     let display_idx = r.u32s()?;
+    if display_idx.len() != n {
+        return Err(CodecError::Malformed("display array length"));
+    }
     let n_display_stmts = r.vusize()?;
+    // `NO_DISPLAY` is `u32::MAX`, so `d + 1` wraps it to 0: one
+    // comparison per entry accepts the sentinel and every id below the
+    // statement count.
+    const _: () = assert!(NO_DISPLAY == u32::MAX);
+    if !display_idx.iter().fold(true, |ok, &d| {
+        ok & (d.wrapping_add(1) as usize <= n_display_stmts)
+    }) {
+        return Err(CodecError::Malformed("display index"));
+    }
     let mut display_stmts = Vec::with_capacity(n_display_stmts.min(r.remaining()));
     for _ in 0..n_display_stmts {
         display_stmts.push(decode_stmt_ref(r)?);
@@ -368,14 +460,20 @@ pub fn decode_frozen(r: &mut ByteReader) -> Result<FrozenSdg, CodecError> {
         FxHashMap::with_capacity_and_hasher(n_stmts.min(r.remaining()), Default::default());
     for _ in 0..n_stmts {
         let s = decode_stmt_ref(r)?;
-        let nodes = r.u32s()?.into_iter().map(d_nid32).collect();
+        let nodes: Vec<NodeId> = r.u32s()?.into_iter().map(d_nid32).collect();
+        if nodes.iter().any(|id| id.index() >= n) {
+            return Err(CodecError::Malformed("statement node id"));
+        }
         nodes_of_stmt.insert(s, nodes);
     }
-    let perm = r.u32s()?.into_iter().map(d_nid32).collect();
-    let inv = r.u32s()?.into_iter().map(d_nid32).collect();
+    let perm: Vec<NodeId> = r.u32s()?.into_iter().map(d_nid32).collect();
+    let inv: Vec<NodeId> = r.u32s()?.into_iter().map(d_nid32).collect();
+    if !check_permutation(&perm, &inv, n) {
+        return Err(CodecError::Malformed("node permutation"));
+    }
     let down = OnceLock::new();
     if r.bool()? {
-        let _ = down.set(decode_down(r)?);
+        let _ = down.set(decode_down(r, n)?);
     }
     Ok(FrozenSdg {
         mode,
@@ -521,6 +619,324 @@ mod tests {
         assert_eq!(built.keys, lazy.keys);
         assert_eq!(built.offsets, lazy.offsets);
         assert_eq!(built.consumers, lazy.consumers);
+    }
+
+    /// Encodes `f` after `tamper` edits a copy of it, then decodes.
+    fn decode_tampered(
+        f: &FrozenSdg,
+        tamper: impl FnOnce(&mut FrozenSdg),
+    ) -> Result<(), CodecError> {
+        let mut bad = f.clone();
+        tamper(&mut bad);
+        let mut w = ByteWriter::new();
+        encode_frozen(&bad, &mut w);
+        let bytes = w.into_bytes();
+        decode_frozen(&mut ByteReader::new(&bytes)).map(|_| ())
+    }
+
+    /// The frozen CI graph of [`SRC`], with its down-edge index built so
+    /// the embedded index is part of the encoding.
+    fn frozen_ci() -> FrozenSdg {
+        let f = graphs().0.freeze();
+        f.down_consumers();
+        assert!(
+            decode_tampered(&f, |_| {}).is_ok(),
+            "untampered graph decodes"
+        );
+        f
+    }
+
+    fn assert_malformed(got: Result<(), CodecError>, what: &'static str) {
+        assert_eq!(got, Err(CodecError::Malformed(what)));
+    }
+
+    #[test]
+    fn snapshot_rejects_csr_offsets_of_the_wrong_length() {
+        let f = frozen_ci();
+        let got = decode_tampered(&f, |g| {
+            let last = *g.offsets.last().unwrap();
+            g.offsets.push(last);
+        });
+        assert_malformed(got, "csr offsets");
+    }
+
+    #[test]
+    fn snapshot_rejects_csr_offsets_not_starting_at_zero() {
+        let f = frozen_ci();
+        let got = decode_tampered(&f, |g| {
+            // Raise the leading zero run to 1: still non-decreasing and
+            // still ending at the edge count.
+            for o in g.offsets.iter_mut().take_while(|o| **o == 0) {
+                *o = 1;
+            }
+        });
+        assert_malformed(got, "csr offsets");
+    }
+
+    #[test]
+    fn snapshot_rejects_decreasing_csr_offsets() {
+        let f = frozen_ci();
+        let got = decode_tampered(&f, |g| {
+            let n = g.kinds.len();
+            let i = (1..n).find(|&i| g.offsets[i] < g.offsets[i + 1]).unwrap();
+            g.offsets[i] = g.offsets[i + 1] + 1;
+        });
+        assert_malformed(got, "csr offsets");
+    }
+
+    #[test]
+    fn snapshot_rejects_csr_offsets_not_ending_at_the_edge_count() {
+        let f = frozen_ci();
+        let got = decode_tampered(&f, |g| {
+            g.edges.pop();
+        });
+        assert_malformed(got, "csr offsets");
+    }
+
+    #[test]
+    fn snapshot_rejects_edge_targets_outside_the_graph() {
+        let f = frozen_ci();
+        let n = f.kinds.len();
+        let got = decode_tampered(&f, |g| g.edges[0].target = NodeId::new(n));
+        assert_malformed(got, "csr edge node id");
+    }
+
+    #[test]
+    fn snapshot_rejects_edge_call_sites_outside_the_graph() {
+        let f = frozen_ci();
+        let n = f.kinds.len();
+        let got = decode_tampered(&f, |g| {
+            let e = g
+                .edges
+                .iter_mut()
+                .find(|e| matches!(e.kind, EdgeKind::ParamIn { .. }))
+                .expect("the program has calls");
+            e.kind = EdgeKind::ParamIn {
+                site: NodeId::new(n),
+            };
+        });
+        assert_malformed(got, "csr edge node id");
+    }
+
+    #[test]
+    fn snapshot_rejects_node_kind_call_sites_outside_the_graph() {
+        let f = frozen_ci();
+        let n = f.kinds.len();
+        let got = decode_tampered(&f, |g| {
+            let k = g
+                .kinds
+                .iter_mut()
+                .find(|k| matches!(k, NodeKind::ActualParam(..)))
+                .expect("the program passes arguments");
+            if let NodeKind::ActualParam(_, i) = *k {
+                *k = NodeKind::ActualParam(NodeId::new(n), i);
+            }
+        });
+        assert_malformed(got, "node kind site id");
+    }
+
+    /// Encodes `f` with one id, stored by `place`, widened to 2^32 — a
+    /// 5-byte varint no `u32` index holds. `place` stores `u32::MAX` and
+    /// `u32::MAX - 1` in two encodings (5-byte varints too); the first
+    /// byte where they differ starts the varint to overwrite.
+    fn encode_with_wide_id(f: &FrozenSdg, place: impl Fn(&mut FrozenSdg, NodeId)) -> Vec<u8> {
+        let encode = |id: u32| {
+            let mut g = f.clone();
+            place(&mut g, NodeId::new(id as usize));
+            let mut w = ByteWriter::new();
+            encode_frozen(&g, &mut w);
+            w.into_bytes()
+        };
+        let (mut bytes, other) = (encode(u32::MAX), encode(u32::MAX - 1));
+        let at = bytes.iter().zip(&other).position(|(a, b)| a != b).unwrap();
+        let mut wide = ByteWriter::new();
+        wide.vu64(1 << 32);
+        bytes.splice(at..at + 5, wide.into_bytes());
+        bytes
+    }
+
+    #[test]
+    fn snapshot_rejects_edge_call_site_ids_wider_than_u32() {
+        let bytes = encode_with_wide_id(&frozen_ci(), |g, site| {
+            let e = g
+                .edges
+                .iter_mut()
+                .find(|e| matches!(e.kind, EdgeKind::ParamIn { .. }))
+                .expect("the program has calls");
+            e.kind = EdgeKind::ParamIn { site };
+        });
+        let got = decode_frozen(&mut ByteReader::new(&bytes)).map(|_| ());
+        assert_malformed(got, "index");
+    }
+
+    #[test]
+    fn snapshot_rejects_node_kind_call_site_ids_wider_than_u32() {
+        let bytes = encode_with_wide_id(&frozen_ci(), |g, site| {
+            let k = g
+                .kinds
+                .iter_mut()
+                .find(|k| matches!(k, NodeKind::ActualParam(..)))
+                .expect("the program passes arguments");
+            if let NodeKind::ActualParam(_, i) = *k {
+                *k = NodeKind::ActualParam(site, i);
+            }
+        });
+        let got = decode_frozen(&mut ByteReader::new(&bytes)).map(|_| ());
+        assert_malformed(got, "index");
+    }
+
+    #[test]
+    fn snapshot_rejects_a_node_kind_array_of_the_wrong_length() {
+        // The node count is the kind array's length, so a short kind
+        // array shows as offsets that do not fit it.
+        let f = frozen_ci();
+        let got = decode_tampered(&f, |g| {
+            g.kinds.pop();
+        });
+        assert_malformed(got, "csr offsets");
+    }
+
+    #[test]
+    fn snapshot_rejects_display_arrays_of_the_wrong_length() {
+        let f = frozen_ci();
+        assert_malformed(
+            decode_tampered(&f, |g| {
+                g.display.pop();
+            }),
+            "display array length",
+        );
+        assert_malformed(
+            decode_tampered(&f, |g| {
+                g.display_idx.pop();
+            }),
+            "display array length",
+        );
+    }
+
+    #[test]
+    fn snapshot_rejects_display_ids_outside_the_statement_table() {
+        let f = frozen_ci();
+        let got = decode_tampered(&f, |g| {
+            let i = g.display_idx.iter().position(|&d| d != NO_DISPLAY).unwrap();
+            g.display_idx[i] = u32::try_from(g.display_stmts.len()).unwrap();
+        });
+        assert_malformed(got, "display index");
+        // The sentinel itself stays legal.
+        let ok = decode_tampered(&f, |g| {
+            let i = g.display_idx.iter().position(|&d| d != NO_DISPLAY).unwrap();
+            g.display_idx[i] = NO_DISPLAY;
+        });
+        assert!(ok.is_ok());
+    }
+
+    #[test]
+    fn snapshot_rejects_permutation_entries_outside_the_graph() {
+        // Every `perm` entry set to 0xFFFF_FFF0: before this check, the
+        // restore succeeded and the first query indexed far out of bounds.
+        let f = frozen_ci();
+        let got = decode_tampered(&f, |g| {
+            for p in g.perm.iter_mut() {
+                *p = NodeId::new(0xFFFF_FFF0);
+            }
+        });
+        assert_malformed(got, "node permutation");
+    }
+
+    #[test]
+    fn snapshot_rejects_a_permutation_that_does_not_invert() {
+        let f = frozen_ci();
+        // Swapping two `perm` entries keeps it a permutation of 0..n, but
+        // `inv` no longer undoes it.
+        let got = decode_tampered(&f, |g| g.perm.swap(0, 1));
+        assert_malformed(got, "node permutation");
+        let got = decode_tampered(&f, |g| {
+            g.inv.pop();
+        });
+        assert_malformed(got, "node permutation");
+    }
+
+    #[test]
+    fn snapshot_rejects_statement_instances_outside_the_graph() {
+        let f = frozen_ci();
+        let n = f.kinds.len();
+        let got = decode_tampered(&f, |g| {
+            g.nodes_of_stmt.values_mut().next().unwrap()[0] = NodeId::new(n);
+        });
+        assert_malformed(got, "statement node id");
+    }
+
+    fn decode_down_tampered(
+        down: &DownConsumers,
+        n: usize,
+        tamper: impl FnOnce(&mut DownConsumers),
+    ) -> Result<DownConsumers, CodecError> {
+        let mut bad = down.clone();
+        tamper(&mut bad);
+        let mut w = ByteWriter::new();
+        encode_down(&bad, &mut w);
+        let bytes = w.into_bytes();
+        decode_down(&mut ByteReader::new(&bytes), n)
+    }
+
+    /// The CS graph's index, which has several keys.
+    fn down_index() -> (DownConsumers, usize) {
+        let f = graphs().1.freeze();
+        let down = f.down_consumers().clone();
+        assert!(down.keys.len() >= 2, "the program has several call sites");
+        let n = f.kinds.len();
+        assert!(decode_down_tampered(&down, n, |_| {}).is_ok());
+        (down, n)
+    }
+
+    #[test]
+    fn snapshot_rejects_down_keys_out_of_order() {
+        let (down, n) = down_index();
+        let got = decode_down_tampered(&down, n, |d| d.keys.swap(0, 1));
+        assert_eq!(
+            got.unwrap_err(),
+            CodecError::Malformed("down keys not ascending")
+        );
+        let got = decode_down_tampered(&down, n, |d| d.keys[1] = d.keys[0]);
+        assert_eq!(
+            got.unwrap_err(),
+            CodecError::Malformed("down keys not ascending")
+        );
+    }
+
+    #[test]
+    fn snapshot_rejects_down_offsets_outside_the_consumers() {
+        let (down, n) = down_index();
+        let got = decode_down_tampered(&down, n, |d| {
+            *d.offsets.last_mut().unwrap() += 1;
+        });
+        assert_eq!(got.unwrap_err(), CodecError::Malformed("down offsets"));
+        let got = decode_down_tampered(&down, n, |d| {
+            d.offsets.pop();
+        });
+        assert_eq!(got.unwrap_err(), CodecError::Malformed("down offsets"));
+    }
+
+    #[test]
+    fn snapshot_rejects_down_consumers_outside_the_graph() {
+        let (down, n) = down_index();
+        let got = decode_down_tampered(&down, n, |d| d.consumers[0] = NodeId::new(n));
+        assert_eq!(got.unwrap_err(), CodecError::Malformed("down consumer id"));
+    }
+
+    #[test]
+    fn snapshot_rejects_an_embedded_index_that_does_not_fit_its_graph() {
+        // The frozen graph's embedded index is checked against the graph's
+        // own node count.
+        let (_, cs) = graphs();
+        let f = cs.freeze();
+        f.down_consumers();
+        let n = f.kinds.len();
+        let got = decode_tampered(&f, |g| {
+            let mut down = g.down.take().unwrap();
+            down.consumers[0] = NodeId::new(n);
+            let _ = g.down.set(down);
+        });
+        assert_eq!(got, Err(CodecError::Malformed("down consumer id")));
     }
 
     #[test]

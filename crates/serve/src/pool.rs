@@ -290,6 +290,22 @@ impl SessionPool {
         }
     }
 
+    /// [`Self::warm_start`] for entry `i`, except that a quarantined entry
+    /// never warm-starts: its snapshot may hold what made the session
+    /// panic, so the caller builds from sources and the fresh build
+    /// overwrites the snapshot.
+    fn restore_unless_quarantined(
+        &mut self,
+        i: usize,
+        content: &str,
+    ) -> Option<Box<AnalysisSession>> {
+        if self.entries[i].quarantined {
+            None
+        } else {
+            self.warm_start(content)
+        }
+    }
+
     /// Best-effort snapshot persistence; a declined or failed save is
     /// invisible to the query path.
     fn persist(&mut self, session: &AnalysisSession, content: &str) {
@@ -404,8 +420,10 @@ impl SessionPool {
     }
 
     /// Exclusively checks out the session for `hash`, transparently
-    /// rebuilding it from retained sources after an eviction or a
-    /// quarantine.
+    /// rebuilding it after an eviction or a quarantine. An evicted session
+    /// warm-starts from its snapshot when one is stored; a quarantined one
+    /// is always compiled from its retained sources — the snapshot may hold
+    /// what made it panic — and the fresh build overwrites the snapshot.
     ///
     /// # Errors
     ///
@@ -426,7 +444,7 @@ impl SessionPool {
         }
         let was_quarantined = self.entries[i].quarantined;
         let content = self.entries[i].content.clone();
-        let session = match self.warm_start(&content) {
+        let session = match self.restore_unless_quarantined(i, &content) {
             Some(session) => session,
             None => {
                 let session = self
@@ -529,7 +547,7 @@ impl SessionPool {
             }
         } else {
             // Evicted or quarantined: build directly from the new sources.
-            let session = match self.warm_start(&content) {
+            let session = match self.restore_unless_quarantined(i, &content) {
                 Some(session) => session,
                 None => {
                     let session = self
@@ -591,7 +609,8 @@ impl SessionPool {
 
     /// Quarantines a poisoned session: the artifacts are dropped on the
     /// spot (a panicking query may have left scratch state inconsistent)
-    /// and the entry is marked so the next checkout counts as a rebuild.
+    /// and the entry is marked so the next checkout rebuilds it from
+    /// sources, bypassing the snapshot store.
     pub fn quarantine(&mut self, co: Checkout) {
         self.stats.quarantines += 1;
         self.flight(FlightKind::SessionQuarantined, &co.hash, 0, 0);
@@ -1033,6 +1052,26 @@ mod tests {
             expected,
             "rebuilt from sources"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn quarantined_entries_rebuild_from_sources_even_with_a_snapshot() {
+        let dir = snap_dir("quarantine");
+        let mut pool = snap_pool(&dir);
+        let h = pool.register(main_with(1)).unwrap().hash;
+        let expected = slice_line_2(&mut pool, &h);
+        // Checkout after a quarantine compiles, though a snapshot exists.
+        let co = pool.checkout(&h).unwrap();
+        pool.quarantine(co);
+        assert_eq!(slice_line_2(&mut pool, &h), expected);
+        assert_eq!((pool.stats.rebuilds, pool.stats.snapshot_hits), (1, 0));
+        // So does a reload of a quarantined entry to the same sources.
+        let co = pool.checkout(&h).unwrap();
+        pool.quarantine(co);
+        assert!(pool.reload(&h, main_with(1)).unwrap().rebuilt);
+        assert_eq!(pool.stats.snapshot_hits, 0);
+        assert_eq!(slice_line_2(&mut pool, &h), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1034,3 +1034,51 @@ fn warm_started_daemon_matches_cold_and_reload_invalidates_the_snapshot() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A panicking query quarantines its session; the rebuild must come from
+/// the retained sources, not from the snapshot store — the stored session
+/// may be exactly what panicked — and still answer like a fault-free
+/// daemon.
+#[test]
+fn quarantined_sessions_rebuild_from_sources_not_the_snapshot() {
+    let dir = snap_dir("quarantine");
+    // Seed the store with the program's snapshot.
+    run_script(
+        snap_cfg(&dir),
+        &[load(1, 1), slice(2, 1, 4, ""), shutdown(9)],
+    );
+    let cfg = || ServeConfig {
+        chaos: true,
+        ..snap_cfg(&dir)
+    };
+    // The load warm-starts; request 2's first attempt panics, quarantines
+    // the session and is retried on the rebuild; request 3 reuses it.
+    let faulted = vec![
+        load(1, 1),
+        slice(2, 1, 4, r#","chaos":{"panics":1}"#),
+        slice(3, 1, 5, ""),
+    ];
+    let doc = stats_after(cfg(), &faulted);
+    assert_eq!(pool_counter(&doc, "quarantines"), 1);
+    assert_eq!(pool_counter(&doc, "rebuilds"), 1);
+    assert_eq!(
+        pool_counter(&doc, "snapshot_hits"),
+        1,
+        "only the load restored from the store"
+    );
+
+    let mut script = faulted.clone();
+    script.push(shutdown(9));
+    let clean: Vec<String> = script
+        .iter()
+        .map(|l| l.replace(r#","chaos":{"panics":1}"#, ""))
+        .collect();
+    let (f_lines, f_summary) = run_script(cfg(), &script);
+    let (c_lines, _) = run_script(ServeConfig::default(), &clean);
+    assert_eq!(f_summary.panics, 1);
+    let (f, c) = (by_id(&f_lines), by_id(&c_lines));
+    for id in [2u64, 3] {
+        assert_eq!(f[&id], c[&id], "response {id} ≡ fault-free daemon");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -184,13 +184,32 @@ impl<I: Idx> BitSet<I> {
     /// this to turn a level's discovery bits into a node list and reset the
     /// set for the next level without a second clearing pass.
     pub fn drain_into(&mut self, out: &mut Vec<I>) {
-        for (wi, w) in self.words.iter_mut().enumerate() {
+        self.drain_words(0, self.words.len(), out);
+    }
+
+    /// [`Self::drain_into`] restricted to the words that hold `lo..=hi`:
+    /// O(words spanned + elements drained) however large the set's domain.
+    /// Elements that share a boundary word with `lo` or `hi` are drained
+    /// too; words outside the span are left untouched. A caller that knows
+    /// the least and greatest element it inserted uses this to read a
+    /// sparse set back in sorted order — and leave it empty — without a
+    /// full scan.
+    pub fn drain_span_into(&mut self, lo: I, hi: I, out: &mut Vec<I>) {
+        let end = (hi.index() / WORD_BITS + 1).min(self.words.len());
+        self.drain_words(lo.index() / WORD_BITS, end, out);
+    }
+
+    fn drain_words(&mut self, start: usize, end: usize, out: &mut Vec<I>) {
+        if start >= end {
+            return;
+        }
+        for (wi, w) in self.words[start..end].iter_mut().enumerate() {
             let mut bits = *w;
             *w = 0;
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                out.push(I::from_usize(wi * WORD_BITS + b));
+                out.push(I::from_usize((start + wi) * WORD_BITS + b));
             }
         }
     }
@@ -385,6 +404,54 @@ mod tests {
         // Draining an already-empty set appends nothing.
         s.drain_into(&mut out);
         assert_eq!(out.len(), elems.len());
+    }
+
+    #[test]
+    fn drain_span_into_visits_only_the_spanned_words() {
+        let mut s: BitSet = [70usize, 130, 200, 640].into_iter().collect();
+        let mut out = Vec::new();
+        // 130..=200 spans words 2..=3; 200's word also holds nothing else,
+        // 70 (word 1) and 640 (word 10) stay.
+        s.drain_span_into(130, 200, &mut out);
+        assert_eq!(out, vec![130, 200]);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![70, 640]);
+        // A boundary word is drained whole, and a span past the domain is
+        // clamped.
+        out.clear();
+        s.drain_span_into(64, 5000, &mut out);
+        assert_eq!(out, vec![70, 640]);
+        assert!(s.is_empty());
+        // Inverted and empty spans drain nothing.
+        s.insert(3);
+        out.clear();
+        s.drain_span_into(200, 100, &mut out);
+        assert!(out.is_empty());
+        s.drain_span_into(3, 3, &mut out);
+        assert_eq!(out, vec![3]);
+        let mut empty: BitSet = BitSet::new();
+        empty.drain_span_into(0, 1000, &mut out);
+        assert_eq!(out, vec![3], "an empty set drains nothing");
+    }
+
+    #[test]
+    fn drain_span_into_sorts_any_insertion_order() {
+        for seed in 0..24u64 {
+            let mut rng = SmallRng::new(seed ^ 0xd7a1);
+            let mut s: BitSet = BitSet::new();
+            let mut reference = BTreeSet::new();
+            let (mut lo, mut hi) = (usize::MAX, 0);
+            for _ in 0..rng.range_usize(1, 80) {
+                let v = rng.range_usize(0, 2000);
+                s.insert(v);
+                reference.insert(v);
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+            let mut out = Vec::new();
+            s.drain_span_into(lo, hi, &mut out);
+            assert_eq!(out, reference.into_iter().collect::<Vec<_>>());
+            assert!(s.is_empty(), "seed {seed}");
+        }
     }
 
     #[test]

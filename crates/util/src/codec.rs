@@ -34,6 +34,7 @@
 //! assert_eq!(sec.vu64().unwrap(), 42);
 //! ```
 
+use crate::Idx;
 use std::fmt;
 
 /// Ways a snapshot file can fail to decode.
@@ -259,6 +260,17 @@ impl<'a> ByteReader<'a> {
     #[inline]
     pub fn vusize(&mut self) -> Result<usize, CodecError> {
         usize::try_from(self.vu64()?).map_err(|_| CodecError::Malformed("usize"))
+    }
+
+    /// Reads a varint dense index, rejecting a value past `u32` — the
+    /// range every index type holds — so that a corrupt file fails to
+    /// decode instead of panicking in the index constructor.
+    #[inline]
+    pub fn vidx<I: Idx>(&mut self) -> Result<I, CodecError> {
+        match u32::try_from(self.vu64()?) {
+            Ok(v) => Ok(I::from_usize(v as usize)),
+            Err(_) => Err(CodecError::Malformed("index")),
+        }
     }
 
     /// Reads a zigzag-encoded `i64`.
@@ -582,6 +594,28 @@ mod tests {
         for &v in &values {
             assert_eq!(r.vu64().unwrap(), v);
         }
+        assert!(r.is_at_end());
+    }
+
+    #[test]
+    fn vidx_accepts_u32_and_rejects_wider_values() {
+        let mut w = ByteWriter::new();
+        for v in [
+            0,
+            127,
+            u64::from(u32::MAX),
+            u64::from(u32::MAX) + 1,
+            u64::MAX,
+        ] {
+            w.vu64(v);
+        }
+        let buf = w.into_bytes();
+        let mut r = ByteReader::new(&buf);
+        assert_eq!(r.vidx::<u32>(), Ok(0));
+        assert_eq!(r.vidx::<usize>(), Ok(127));
+        assert_eq!(r.vidx::<u32>(), Ok(u32::MAX));
+        assert_eq!(r.vidx::<u32>(), Err(CodecError::Malformed("index")));
+        assert_eq!(r.vidx::<usize>(), Err(CodecError::Malformed("index")));
         assert!(r.is_at_end());
     }
 
