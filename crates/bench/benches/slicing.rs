@@ -10,28 +10,22 @@
 //!   CSR freeze on top;
 //! * **per-slicer query time** — for each of the four slicer variants
 //!   (thin, traditional-data, traditional-full, context-sensitive thin):
-//!   - `seq`: the pre-existing single-query entry points over the growable
-//!     `Sdg` (fresh allocations per query; the tabulation rebuilds its
-//!     down-edge index per query),
-//!   - `csr`: a single query over the frozen CSR graph (fresh scratch),
-//!   - `batch`: `thinslice::batch` over the shared frozen graph with
-//!     per-worker scratch reuse and a shared tabulation index;
+//!   - `seq`: `AnalysisSession::query`, one query at a time on a warm
+//!     session (graphs built, scratch and tabulation memo reused),
+//!   - `batch`: `AnalysisSession::query_batch` over all the seeds at once
+//!     on the same session;
 //! * **throughput** — slices/sec for `seq` vs `batch`.
 //!
 //! Every batched result is asserted equal to its sequential counterpart
 //! before any number is reported. Results go to stdout as a table and to
 //! `BENCH_slicing.json` at the repository root as machine-readable JSON.
-//!
-//! The `seq` and `csr` variants intentionally time the legacy (now
-//! deprecated) per-query wrappers: they are the fixed reference points the
-//! batch speedups and the CI bench guard are measured against.
-#![allow(deprecated)]
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use thinslice::{batch, cs_slice, slice_from, Analysis, CsSlice, Slice, SliceKind};
+use thinslice::{AnalysisSession, Engine, Query, QueryOutcome, RunCtx, SliceKind, StmtSet};
+use thinslice_ir::StmtRef;
 use thinslice_pta::PtaConfig;
-use thinslice_sdg::{DepGraph, FrozenSdg, NodeId, Sdg};
+use thinslice_sdg::DepGraph;
 use thinslice_suite::{
     all_bug_tasks, benchmark_named, generate, line_with, Benchmark, GeneratorConfig,
 };
@@ -71,11 +65,13 @@ impl Slicer {
         }
     }
 
-    fn kind(self) -> SliceKind {
+    /// This slicer's query from `seeds`.
+    fn query(self, seeds: Vec<StmtRef>) -> Query {
         match self {
-            Slicer::Thin | Slicer::CsThin => SliceKind::Thin,
-            Slicer::Data => SliceKind::TraditionalData,
-            Slicer::Full => SliceKind::TraditionalFull,
+            Slicer::Thin => Query::new(seeds, SliceKind::Thin, Engine::Ci),
+            Slicer::Data => Query::new(seeds, SliceKind::TraditionalData, Engine::Ci),
+            Slicer::Full => Query::new(seeds, SliceKind::TraditionalFull, Engine::Ci),
+            Slicer::CsThin => Query::new(seeds, SliceKind::Thin, Engine::Cs),
         }
     }
 }
@@ -84,7 +80,6 @@ struct SlicerResult {
     slicer: Slicer,
     queries: usize,
     seq_mean_us: f64,
-    csr_mean_us: f64,
     batch_mean_us: f64,
     seq_total_s: f64,
     batch_total_s: f64,
@@ -99,47 +94,45 @@ struct BenchResult {
     slicers: Vec<SlicerResult>,
 }
 
-/// Median seconds per run for each of `fs`, measured in interleaved
-/// rounds: every round times each configuration once, back to back, after
-/// [`WARMUP`] untimed rounds. Interleaving means machine-load drift hits
-/// all configurations alike instead of biasing whichever happened to run
+/// Median seconds per run of each of `configs` configurations — `run(i)`
+/// runs configuration `i` once — measured in interleaved rounds: every
+/// round times each configuration once, back to back, after [`WARMUP`]
+/// untimed rounds. Interleaving means machine-load drift hits all
+/// configurations alike instead of biasing whichever happened to run
 /// during a busy stretch, and the median discards the rounds a scheduler
 /// preemption inflated — both matter for microsecond-scale measurements
 /// on a shared single-core machine.
-fn time_interleaved(mut fs: Vec<Box<dyn FnMut() + '_>>, n_rounds: usize) -> Vec<f64> {
+fn time_interleaved(configs: usize, mut run: impl FnMut(usize), n_rounds: usize) -> Vec<f64> {
     for _ in 0..WARMUP {
-        for f in &mut fs {
-            f();
+        for i in 0..configs {
+            run(i);
         }
     }
     // Samples go through the telemetry histogram so the percentile math
     // here is the same nearest-rank implementation the run reports use.
-    let mut rounds: Vec<Histogram> = (0..fs.len()).map(|_| Histogram::new()).collect();
+    let mut rounds: Vec<Histogram> = (0..configs).map(|_| Histogram::new()).collect();
     for _ in 0..n_rounds {
-        for (i, f) in fs.iter_mut().enumerate() {
+        for (i, h) in rounds.iter_mut().enumerate() {
             let start = Instant::now();
-            f();
-            rounds[i].record(start.elapsed().as_secs_f64());
+            run(i);
+            h.record(start.elapsed().as_secs_f64());
         }
     }
     rounds.iter().map(Histogram::median).collect()
 }
 
-fn stmt_sets(slices: &[Slice]) -> Vec<thinslice::StmtSet> {
-    slices.iter().map(|s| s.stmts.clone()).collect()
+fn stmt_sets(outcomes: &[QueryOutcome]) -> Vec<StmtSet> {
+    outcomes
+        .iter()
+        .map(|o| {
+            let s = o.slice.as_ref().expect("an ungoverned batch never fails");
+            s.stmts.clone()
+        })
+        .collect()
 }
 
-fn cs_stmt_counts(slices: &[CsSlice]) -> Vec<usize> {
-    slices.iter().map(CsSlice::len).collect()
-}
-
-/// The Table 2 seed queries of one benchmark, node-resolved against the
-/// given graph.
-fn table2_queries<G: DepGraph>(
-    b: &Benchmark,
-    a: &Analysis,
-    graph: &G,
-) -> Vec<Vec<thinslice_sdg::NodeId>> {
+/// The seed statements of the Table 2 tasks of one benchmark.
+fn table2_seeds(b: &Benchmark, s: &AnalysisSession) -> Vec<Vec<StmtRef>> {
     all_bug_tasks()
         .iter()
         .filter(|t| t.benchmark == b.name)
@@ -149,11 +142,7 @@ fn table2_queries<G: DepGraph>(
                 .iter()
                 .find(|(f, _)| *f == t.seed.file)
                 .expect("seed file");
-            let line = line_with(src.1, t.seed.snippet);
-            a.stmts_at_line(t.seed.file, line)
-                .into_iter()
-                .flat_map(|s| graph.stmt_nodes_of(s).to_vec())
-                .collect()
+            s.stmts_at_line(t.seed.file, line_with(src.1, t.seed.snippet))
         })
         .collect()
 }
@@ -168,101 +157,37 @@ fn run_benchmark(name: &str, threads: usize) -> BenchResult {
     let frozen = a.sdg.freeze();
     let freeze_ms = t1.elapsed().as_secs_f64() * 1000.0;
 
-    let cs_sdg = a.build_cs_sdg();
-    let cs_frozen = cs_sdg.freeze();
-
+    let mut session = b.session(PtaConfig::default(), RunCtx::disabled());
+    let seeds = table2_seeds(&b, &session);
+    let n = seeds.len();
     let mut slicers = Vec::new();
     for slicer in Slicer::ALL {
-        let (graph, graph_frozen): (&Sdg, &FrozenSdg) = match slicer {
-            Slicer::CsThin => (&cs_sdg, &cs_frozen),
-            _ => (&a.sdg, &frozen),
-        };
-        let queries = table2_queries(&b, &a, graph);
-        let n = queries.len();
-        if n == 0 {
-            continue;
-        }
-        let kind = slicer.kind();
-
-        let result = match slicer {
-            Slicer::CsThin => {
-                let seq: Vec<CsSlice> = queries.iter().map(|q| cs_slice(graph, q, kind)).collect();
-                let batched = batch::cs_slices(graph_frozen, &queries, kind, threads);
-                assert_eq!(
-                    cs_stmt_counts(&seq),
-                    cs_stmt_counts(&batched),
-                    "{name}/{}: batch must equal sequential",
-                    slicer.name()
-                );
-                for (s, bt) in seq.iter().zip(&batched) {
-                    assert_eq!(s.stmts, bt.stmts);
+        let queries: Vec<Query> = seeds.iter().map(|s| slicer.query(s.clone())).collect();
+        let seq: Vec<StmtSet> = queries.iter().map(|q| session.query(q).stmts).collect();
+        assert_eq!(
+            seq,
+            stmt_sets(&session.query_batch(&queries, threads)),
+            "{name}/{}: batch must equal sequential (order included)",
+            slicer.name()
+        );
+        let t = time_interleaved(
+            2,
+            |i| {
+                if i == 0 {
+                    for q in &queries {
+                        std::hint::black_box(session.query(q));
+                    }
+                } else {
+                    std::hint::black_box(session.query_batch(&queries, threads));
                 }
-                let t = time_interleaved(
-                    vec![
-                        Box::new(|| {
-                            for q in &queries {
-                                std::hint::black_box(cs_slice(graph, q, kind));
-                            }
-                        }),
-                        Box::new(|| {
-                            for q in &queries {
-                                std::hint::black_box(cs_slice(graph_frozen, q, kind));
-                            }
-                        }),
-                        Box::new(|| {
-                            std::hint::black_box(batch::cs_slices(
-                                graph_frozen,
-                                &queries,
-                                kind,
-                                threads,
-                            ));
-                        }),
-                    ],
-                    ROUNDS,
-                );
-                (t[0], t[1], t[2])
-            }
-            _ => {
-                let seq: Vec<Slice> = queries.iter().map(|q| slice_from(graph, q, kind)).collect();
-                let batched = batch::slices(graph_frozen, &queries, kind, threads);
-                assert_eq!(
-                    stmt_sets(&seq),
-                    stmt_sets(&batched),
-                    "{name}/{}: batch must equal sequential (BFS order included)",
-                    slicer.name()
-                );
-                let t = time_interleaved(
-                    vec![
-                        Box::new(|| {
-                            for q in &queries {
-                                std::hint::black_box(slice_from(graph, q, kind));
-                            }
-                        }),
-                        Box::new(|| {
-                            for q in &queries {
-                                std::hint::black_box(slice_from(graph_frozen, q, kind));
-                            }
-                        }),
-                        Box::new(|| {
-                            std::hint::black_box(batch::slices(
-                                graph_frozen,
-                                &queries,
-                                kind,
-                                threads,
-                            ));
-                        }),
-                    ],
-                    ROUNDS,
-                );
-                (t[0], t[1], t[2])
-            }
-        };
-        let (seq_total_s, csr_total_s, batch_total_s) = result;
+            },
+            ROUNDS,
+        );
+        let (seq_total_s, batch_total_s) = (t[0], t[1]);
         slicers.push(SlicerResult {
             slicer,
             queries: n,
             seq_mean_us: seq_total_s / n as f64 * 1e6,
-            csr_mean_us: csr_total_s / n as f64 * 1e6,
             batch_mean_us: batch_total_s / n as f64 * 1e6,
             seq_total_s,
             batch_total_s,
@@ -279,80 +204,55 @@ fn run_benchmark(name: &str, threads: usize) -> BenchResult {
     }
 }
 
-/// One benchmark's graphs and queries kept alive for the thread matrix.
+/// One benchmark's warm session and its Table 2 queries for all four
+/// slicers, kept alive for the thread matrix.
 struct MatrixBench {
-    ci_frozen: FrozenSdg,
-    ci_queries: Vec<Vec<NodeId>>,
-    cs_frozen: FrozenSdg,
-    cs_queries: Vec<Vec<NodeId>>,
+    session: AnalysisSession,
+    queries: Vec<Query>,
 }
 
-/// Builds the full Table 2 workload once (all benchmarks, CI and CS
-/// graphs) so the thread matrix can re-batch it at every thread count
+/// Builds the full Table 2 workload once (all benchmarks, all four
+/// slicers) so the thread matrix can re-batch it at every thread count
 /// without re-running the analysis pipeline.
-fn matrix_workload(names: &[&'static str]) -> (Vec<MatrixBench>, usize) {
-    let mut benches = Vec::new();
-    let mut queries = 0;
-    for name in names {
-        let b = benchmark_named(name).expect("benchmark exists");
-        let a = b.analyze(PtaConfig::default());
-        let cs_sdg = a.build_cs_sdg();
-        let ci_queries = table2_queries(&b, &a, &a.sdg);
-        let cs_queries = table2_queries(&b, &a, &cs_sdg);
-        // The CI graph serves three slicer kinds, the CS graph one.
-        queries += 3 * ci_queries.len() + cs_queries.len();
-        benches.push(MatrixBench {
-            ci_frozen: a.sdg.freeze(),
-            ci_queries,
-            cs_frozen: cs_sdg.freeze(),
-            cs_queries,
-        });
-    }
-    (benches, queries)
+fn matrix_workload(names: &[&'static str]) -> Vec<MatrixBench> {
+    names
+        .iter()
+        .map(|name| {
+            let b = benchmark_named(name).expect("benchmark exists");
+            let session = b.session(PtaConfig::default(), RunCtx::disabled());
+            let seeds = table2_seeds(&b, &session);
+            let queries = Slicer::ALL
+                .iter()
+                .flat_map(|&slicer| seeds.iter().map(move |s| slicer.query(s.clone())))
+                .collect();
+            MatrixBench { session, queries }
+        })
+        .collect()
 }
 
-/// Runs every slicer's batch over every benchmark at `threads`.
-fn run_matrix_batches(benches: &[MatrixBench], threads: usize) -> (Vec<Slice>, Vec<CsSlice>) {
-    let mut ci = Vec::new();
-    let mut cs = Vec::new();
+/// Runs every benchmark's batch at `threads`.
+fn run_matrix_batches(benches: &mut [MatrixBench], threads: usize) -> Vec<QueryOutcome> {
+    let mut out = Vec::new();
     for b in benches {
-        for kind in [
-            SliceKind::Thin,
-            SliceKind::TraditionalData,
-            SliceKind::TraditionalFull,
-        ] {
-            ci.extend(batch::slices(&b.ci_frozen, &b.ci_queries, kind, threads));
-        }
-        cs.extend(batch::cs_slices(
-            &b.cs_frozen,
-            &b.cs_queries,
-            SliceKind::Thin,
-            threads,
-        ));
+        out.extend(b.session.query_batch(&b.queries, threads));
     }
-    (ci, cs)
+    out
 }
 
 /// Batch throughput of the Table 2 workload at each thread count, with
 /// every thread count's results asserted bit-identical to single-threaded.
-fn thread_matrix(benches: &[MatrixBench], queries: usize) -> Vec<(usize, f64)> {
-    let (base_ci, base_cs) = run_matrix_batches(benches, 1);
+fn thread_matrix(benches: &mut [MatrixBench]) -> Vec<(usize, f64)> {
+    let queries: usize = benches.iter().map(|b| b.queries.len()).sum();
+    let base = stmt_sets(&run_matrix_batches(benches, 1));
     for &t in &THREAD_COUNTS[1..] {
-        let (ci, cs) = run_matrix_batches(benches, t);
-        assert_eq!(stmt_sets(&base_ci), stmt_sets(&ci), "threads={t}");
-        for (a, b) in base_cs.iter().zip(&cs) {
-            assert_eq!(a.stmts, b.stmts, "threads={t}");
-        }
+        let got = stmt_sets(&run_matrix_batches(benches, t));
+        assert_eq!(base, got, "threads={t}");
     }
     let totals = time_interleaved(
-        THREAD_COUNTS
-            .iter()
-            .map(|&t| {
-                Box::new(move || {
-                    std::hint::black_box(run_matrix_batches(benches, t));
-                }) as Box<dyn FnMut()>
-            })
-            .collect(),
+        THREAD_COUNTS.len(),
+        |i| {
+            std::hint::black_box(run_matrix_batches(benches, THREAD_COUNTS[i]));
+        },
         MATRIX_ROUNDS,
     );
     THREAD_COUNTS
@@ -375,22 +275,18 @@ struct SyntheticResult {
 /// [`SYNTHETIC_QUERIES`] thin-slice queries over the frozen CI graph.
 fn run_synthetic() -> SyntheticResult {
     let src = generate(&GeneratorConfig::scaled(2));
-    let a = Analysis::build(&[("gen.mj", &src)]).expect("generated program compiles");
-    let frozen = &a.csr;
-    let seeds: Vec<Vec<NodeId>> = a
-        .program
-        .all_stmts()
-        .filter_map(|s| {
-            let nodes = frozen.stmt_nodes_of(s);
-            if nodes.is_empty() {
-                None
-            } else {
-                Some(nodes.to_vec())
-            }
-        })
+    let mut session =
+        AnalysisSession::new(&[("gen.mj", &src)]).expect("generated program compiles");
+    let stmts: Vec<StmtRef> = session.program().all_stmts().collect();
+    let graph = session.ci_graph();
+    let (nodes, edges) = (graph.node_count(), graph.edge_count());
+    let seeds: Vec<Query> = stmts
+        .into_iter()
+        .filter(|&s| !graph.stmt_nodes_of(s).is_empty())
+        .map(|s| Query::new(vec![s], SliceKind::Thin, Engine::Ci))
         .collect();
     assert!(!seeds.is_empty());
-    let queries: Vec<Vec<NodeId>> = seeds
+    let queries: Vec<Query> = seeds
         .iter()
         .cycle()
         .take(SYNTHETIC_QUERIES)
@@ -398,27 +294,22 @@ fn run_synthetic() -> SyntheticResult {
         .collect();
 
     // Determinism across the matrix before anything is timed.
-    let base = batch::slices(frozen, &queries, SliceKind::Thin, 1);
+    let base = stmt_sets(&session.query_batch(&queries, 1));
     for &t in &THREAD_COUNTS[1..] {
-        let got = batch::slices(frozen, &queries, SliceKind::Thin, t);
-        assert_eq!(stmt_sets(&base), stmt_sets(&got), "synthetic threads={t}");
+        let got = stmt_sets(&session.query_batch(&queries, t));
+        assert_eq!(base, got, "synthetic threads={t}");
     }
 
     let totals = time_interleaved(
-        THREAD_COUNTS
-            .iter()
-            .map(|&t| {
-                let queries = &queries;
-                Box::new(move || {
-                    std::hint::black_box(batch::slices(frozen, queries, SliceKind::Thin, t));
-                }) as Box<dyn FnMut()>
-            })
-            .collect(),
+        THREAD_COUNTS.len(),
+        |i| {
+            std::hint::black_box(session.query_batch(&queries, THREAD_COUNTS[i]));
+        },
         MATRIX_ROUNDS,
     );
     SyntheticResult {
-        nodes: frozen.node_count(),
-        edges: frozen.edge_count(),
+        nodes,
+        edges,
         queries: SYNTHETIC_QUERIES,
         rows: THREAD_COUNTS
             .iter()
@@ -851,7 +742,6 @@ fn render_json(
             let _ = write!(out, "\"kind\": \"{}\", ", s.slicer.name());
             let _ = write!(out, "\"queries\": {}, ", s.queries);
             let _ = write!(out, "\"seq_mean_us\": {:.3}, ", s.seq_mean_us);
-            let _ = write!(out, "\"csr_single_mean_us\": {:.3}, ", s.csr_mean_us);
             let _ = write!(out, "\"batch_mean_us\": {:.3}, ", s.batch_mean_us);
             let _ = write!(
                 out,
@@ -997,11 +887,10 @@ fn main() {
         );
         for s in &r.slicers {
             println!(
-                "  {:<17} {:>2} queries  seq {:>9.1} µs  csr {:>9.1} µs  batch {:>9.1} µs  speedup {:>5.2}x",
+                "  {:<17} {:>2} queries  seq {:>9.1} µs  batch {:>9.1} µs  speedup {:>5.2}x",
                 s.slicer.name(),
                 s.queries,
                 s.seq_mean_us,
-                s.csr_mean_us,
                 s.batch_mean_us,
                 s.seq_total_s / s.batch_total_s.max(1e-12),
             );
@@ -1010,8 +899,8 @@ fn main() {
     }
 
     eprintln!("thread matrix (table2 workload) …");
-    let (benches, matrix_queries) = matrix_workload(&names);
-    let matrix = thread_matrix(&benches, matrix_queries);
+    let mut benches = matrix_workload(&names);
+    let matrix = thread_matrix(&mut benches);
     eprintln!("synthetic workload ({SYNTHETIC_QUERIES} seeds) …");
     let synthetic = run_synthetic();
     for (&(t, table2_tput), &(_, syn_tput)) in matrix.iter().zip(&synthetic.rows) {

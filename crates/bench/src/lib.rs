@@ -15,7 +15,7 @@
 //! shared by those binaries, so the logic is unit-testable.
 
 use std::time::{Duration, Instant};
-use thinslice::{Analysis, SliceKind};
+use thinslice::Analysis;
 use thinslice_pta::{ModRef, ProgramStats, PtaConfig};
 use thinslice_sdg::SdgStats;
 use thinslice_suite::{run_task, Benchmark, Task, TaskResult};
@@ -212,37 +212,41 @@ pub fn measure_scalability(label: &str, sources: &[(&str, &str)]) -> Scalability
     let sdg = thinslice_sdg::build_ci(&program, &pta);
     let ci_sdg_time = t1.elapsed();
 
-    // Slice from every print statement (the natural seeds).
+    let modref = ModRef::compute(&program, &pta);
+    let cs = thinslice_sdg::build_cs(&program, &pta, &modref);
+    let ci_stats = SdgStats::compute(&sdg);
+    let cs_stats = SdgStats::compute(&cs);
+
+    // Slice from every print statement (the natural seeds) through the
+    // façade's single-query thin slice: the BFS over the frozen graph,
+    // with the freeze outside the timer.
+    let csr = sdg.freeze();
+    let analysis = Analysis {
+        program,
+        pta,
+        sdg,
+        csr,
+    };
+    let program = &analysis.program;
     let seeds: Vec<_> = program
         .all_stmts()
         .filter(|s| {
             matches!(
                 program.instr(*s).kind,
                 thinslice_ir::InstrKind::Print { .. }
-            )
+            ) && analysis.sdg.stmt_node(*s).is_some()
         })
-        .filter_map(|s| sdg.stmt_node(s))
         .collect();
     let t2 = Instant::now();
-    let mut slices = 0usize;
     for &seed in &seeds {
-        // Deliberately times the legacy sparse-graph slicer: this row
-        // isolates raw BFS cost over the growable `Sdg`, without the
-        // session's freeze step.
-        #[allow(deprecated)]
-        let _ = thinslice::slice_from(&sdg, &[seed], SliceKind::Thin);
-        slices += 1;
+        std::hint::black_box(analysis.thin_slice(&[seed]));
     }
-    let thin_slice_time = if slices > 0 {
-        t2.elapsed() / slices as u32
-    } else {
+    let thin_slice_time = if seeds.is_empty() {
         Duration::ZERO
+    } else {
+        t2.elapsed() / seeds.len() as u32
     };
 
-    let modref = ModRef::compute(&program, &pta);
-    let cs = thinslice_sdg::build_cs(&program, &pta, &modref);
-    let ci_stats = SdgStats::compute(&sdg);
-    let cs_stats = SdgStats::compute(&cs);
     ScalabilityRow {
         label: label.to_string(),
         pta_time,

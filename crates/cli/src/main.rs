@@ -1052,8 +1052,10 @@ fn cmd_slice_batch(s: &mut AnalysisSession, o: &Options, ctx: &RunCtx) -> Result
         print_governed_batch(o, &seed_lines, &outcomes);
     } else {
         for ((f, l), out) in seed_lines.iter().zip(&outcomes) {
-            let size = out.slice.as_ref().map(|s| s.len()).unwrap_or(0);
-            println!("{f}:{l}  {:?} slice: {size} statements", o.kind);
+            match &out.slice {
+                Ok(s) => println!("{f}:{l}  {:?} slice: {} statements", o.kind, s.len()),
+                Err(e) => println!("{f}:{l}  FAILED: {e}"),
+            }
         }
         println!(
             "-- {} slices in {:.1} ms on {} thread(s) ({:.0} slices/sec)",

@@ -4,7 +4,7 @@
 //! many seeds (every task of Table 2/3 slices the same benchmark). This
 //! module amortises everything that does not depend on the seed —
 //! the CSR graph ([`FrozenSdg`]), per-worker scratch buffers
-//! ([`SliceScratch`]) and the tabulation's down-edge index
+//! ([`SliceScratch`], [`CsScratch`]) and the tabulation's down-edge index
 //! ([`DownConsumers`]) — and fans the queries out across a thread pool
 //! over the shared immutable graph.
 //!
@@ -13,64 +13,73 @@
 //! produces, whatever the thread count: workers share only immutable
 //! data, and each query's traversal is fully independent.
 //!
-//! One engine serves both the plain and the governed batch: a
-//! [`BatchConfig`] whose [`RunCtx`] is ungoverned (and that injects no
-//! faults) runs the zero-overhead fast path — no `catch_unwind`, no
-//! meter arming beyond one predictable branch per work item — while a
-//! governed config adds per-query budgets, panic isolation with bounded
-//! retry, and the CS → CI degradation ladder.
+//! One engine answers every batch, governed or not; an ungoverned batch
+//! simply runs under an unlimited budget. Every query arms its own meter
+//! and runs under `catch_unwind`: a query that panics is retried on fresh
+//! scratch and, if it keeps panicking, answered with a [`QueryError`]
+//! while its siblings are unaffected. A context-sensitive query cut short
+//! by its budget takes the CS → CI ladder unless the policy forbids it.
+//! Thin and data CI batches of at least 16 queries walk a view of the
+//! graph that keeps only the edges their kind follows, built once per
+//! batch; smaller ones, full slices and tabulation walk the graph itself.
+//! The meter ticks once per emitted node, so a filtered walk truncates at
+//! the same node as an unfiltered one. A one-query CS batch tabulates on
+//! a hash-based store, whose cost follows the slice, instead of dense
+//! scratch. Both size rules only choose what a batch costs: every answer
+//! is the same either way.
 //!
 //! # Examples
 //!
 //! ```
-//! use thinslice::{batch, Analysis, SliceKind};
+//! use thinslice::{AnalysisSession, Engine, Query, SliceKind};
 //!
-//! let analysis = Analysis::build(&[(
+//! let mut session = AnalysisSession::new(&[(
 //!     "t.mj",
 //!     "class Main { static void main() {\nint x = 1;\nprint(x);\nprint(2);\n} }",
 //! )])?;
-//! let seeds = vec![
-//!     analysis.seed_at_line("t.mj", 3).unwrap(),
-//!     analysis.seed_at_line("t.mj", 4).unwrap(),
-//! ];
-//! let slices = analysis.batch_slices(&seeds, SliceKind::Thin, 2);
-//! assert_eq!(slices.len(), 2);
-//! assert_eq!(slices[0].stmt_set(), analysis.thin_slice(&seeds[0]).stmt_set());
+//! let queries: Vec<Query> = [3, 4]
+//!     .into_iter()
+//!     .map(|line| {
+//!         let seeds = session.seed_at_line("t.mj", line).unwrap();
+//!         Query::new(seeds, SliceKind::Thin, Engine::Ci)
+//!     })
+//!     .collect();
+//! let outcomes = session.query_batch(&queries, 2);
+//! assert_eq!(outcomes.len(), 2);
+//! let first = outcomes[0].slice.as_ref().unwrap();
+//! assert_eq!(first.stmts, session.query(&queries[0]).stmts);
 //! # Ok::<(), thinslice_ir::CompileError>(())
 //! ```
 //!
 //! [`AnalysisSession::query`]: crate::AnalysisSession::query
 
-use crate::nodeset::NodeSet;
 use crate::session::{Engine, SliceResult};
-use crate::slice::{slice_dense, Slice, SliceKind, SliceScratch};
-use crate::tabulation::{
-    cs_oneshot, cs_reusing, CsScratch, CsSlice, DownConsumers, ExitShare, MemoStats,
-};
+use crate::slice::{slice_dense, SliceKind, SliceScratch};
+use crate::tabulation::{cs_oneshot, cs_reusing, CsScratch, DownConsumers, ExitShare, MemoStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use thinslice_sdg::{DenseDisplay, DepGraph, FrozenSdg, NodeId};
-use thinslice_util::{par, Budget, CancelToken, Completeness, Meter, RunCtx, Telemetry};
+use thinslice_util::{par, Budget, CancelToken, Completeness, RunCtx, Telemetry};
 
-/// Minimum batch size at which pre-filtering the edge array by the slice
-/// kind pays for its O(edges) setup scan. Below it, queries run directly
-/// on the shared graph with per-edge kind tests — both paths produce
-/// identical output, this is purely a cost model.
+/// Minimum batch size at which thin and data CI queries walk a view of
+/// the graph filtered by their kind. Building the view scans every edge
+/// once, which a few queries never earn back: below this size they walk
+/// the shared graph and test each edge's kind instead.
 const FILTER_THRESHOLD: usize = 16;
 
-/// Minimum cs batch size for the dense reusable scratch. Its node-indexed
+/// Minimum CS batch size for the dense reusable scratch. Its node-indexed
 /// tables cost O(graph) to set up, repaid by cheaper per-step bookkeeping
-/// and cross-query memoisation — below this, the hash-based one-shot
-/// store (with the shared down-edge index) wins.
+/// and memoisation across the batch's queries; a lone query tabulates on
+/// the hash-based one-shot store, whose cost follows the slice.
 const CS_DENSE_THRESHOLD: usize = 2;
 
 /// Minimum queries a worker must stand to receive before it is worth
 /// spawning: an OS thread costs tens of microseconds to start, which a
 /// worker handed one or two microsecond-scale slices never earns back.
-/// Clamping here (not in [`par`]) keeps the executor a pure mechanism
-/// while every engine entry point shares the one cost model. Results are
-/// unaffected — batches are bit-identical at every thread count.
+/// Clamping here (not in [`par`]) keeps the executor a pure mechanism.
+/// Results are unaffected — batches are bit-identical at every thread
+/// count.
 const MIN_QUERIES_PER_WORKER: usize = 8;
 
 /// `threads` clamped so each worker averages at least
@@ -79,203 +88,35 @@ fn effective_threads(threads: usize, queries: usize) -> usize {
     threads.clamp(1, queries.div_ceil(MIN_QUERIES_PER_WORKER).max(1))
 }
 
-// ---- the plain (ungoverned) fast path ----
-
-/// The ungoverned context-insensitive batch: one BFS per query on shared
-/// scratch, with the per-batch prefilter cost model. Telemetry-optional;
-/// a disabled handle leaves the traversal untouched.
-pub(crate) fn ci_plain(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-    tel: &Telemetry,
-) -> Vec<Slice> {
-    let mut span = tel.span("batch.slices");
-    span.add("batch.queries", queries.len() as u64);
-    let threads = effective_threads(threads, queries.len());
-    // The traditional-full slicer follows every edge kind, so the graph
-    // is its own filtered view: skip both the copy and the per-edge tests.
-    if matches!(kind, SliceKind::TraditionalFull) {
-        return par::map_with(queries, threads, SliceScratch::new, |scratch, _, seeds| {
-            measured_bfs(tel, graph, seeds, kind, scratch, true)
-        });
-    }
-    if queries.len() < FILTER_THRESHOLD {
-        return par::map_with(queries, threads, SliceScratch::new, |scratch, _, seeds| {
-            measured_bfs(tel, graph, seeds, kind, scratch, false)
-        });
-    }
-    // Filter once per batch: whether a kind follows an edge depends only
-    // on the edge's label, so dropping unfollowed edges up front leaves
-    // every query's traversal — and output — unchanged.
-    let filtered = graph.filtered(|e| kind.follows(&e.kind));
-    par::map_with(queries, threads, SliceScratch::new, |scratch, _, seeds| {
-        measured_bfs(tel, &filtered, seeds, kind, scratch, true)
-    })
-}
-
-/// Runs one BFS query; with telemetry enabled, also records its latency
-/// and traversal size. The traversal itself is untouched either way.
-fn measured_bfs<G: DenseDisplay>(
-    tel: &Telemetry,
-    graph: &G,
-    seeds: &[NodeId],
-    kind: SliceKind,
-    scratch: &mut SliceScratch,
-    prefiltered: bool,
-) -> Slice {
-    if !tel.is_enabled() {
-        return slice_dense(
-            graph,
-            seeds,
-            kind,
-            scratch,
-            prefiltered,
-            &mut Meter::unlimited(),
-        )
-        .0;
-    }
-    let started = Instant::now();
-    let slice = slice_dense(
-        graph,
-        seeds,
-        kind,
-        scratch,
-        prefiltered,
-        &mut Meter::unlimited(),
-    )
-    .0;
-    record_traversal(tel, graph, &slice.nodes, started);
-    slice
-}
-
-/// Post-hoc traversal accounting: the BFS scans every out-edge of every
-/// node it visits, so summing CSR degrees over the visited set reproduces
-/// the edges-visited figure without touching the hot loop.
-fn record_traversal<G: DepGraph>(tel: &Telemetry, graph: &G, nodes: &NodeSet, started: Instant) {
-    tel.record("batch.query_us", started.elapsed().as_secs_f64() * 1e6);
-    tel.count("slice.nodes_visited", nodes.len() as u64);
-    tel.count(
-        "slice.csr_edges_visited",
-        // Result nodes are external ids; degrees live on the internal CSR.
-        nodes
-            .iter()
-            .map(|&n| graph.deps(graph.to_internal(n)).len() as u64)
-            .sum(),
-    );
-}
-
-/// The ungoverned context-sensitive batch: the down-edge index is built
-/// once and shared by all workers, so a batch of N queries scans the
-/// graph's edges once, not N times.
-pub(crate) fn cs_plain(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-    tel: &Telemetry,
-) -> Vec<CsSlice> {
-    let mut span = tel.span("batch.cs_slices");
-    span.add("batch.queries", queries.len() as u64);
-    let threads = effective_threads(threads, queries.len());
-    // Each worker reuses its tabulation state across queries. Unlike the
-    // CI batch, no filtered view is built: the tabulation tests the edge
-    // kind in its own loop regardless, so the view's O(edges) copy bought
-    // nothing the test didn't already provide.
-    if queries.len() < CS_DENSE_THRESHOLD {
-        let index = graph.down_consumers();
-        return par::map_with(
-            queries,
-            threads,
-            || (),
-            |_, _, seeds| {
-                if !tel.is_enabled() {
-                    return cs_oneshot(graph, index, seeds, kind, &mut Meter::unlimited()).0;
-                }
-                let started = Instant::now();
-                let slice = cs_oneshot(graph, index, seeds, kind, &mut Meter::unlimited()).0;
-                record_traversal(tel, graph, &slice.nodes, started);
-                slice
-            },
-        );
-    }
-    // With several workers, each worker's scratch memoises callee-exit
-    // regions privately; a batch-wide share lets the first worker to
-    // complete a region publish it so the others splice instead of
-    // re-tabulating. Single-threaded batches skip the (small) publication
-    // cost: one scratch already sees every region.
-    let share = (threads > 1).then(|| Arc::new(ExitShare::new(graph.node_count())));
-    let new_scratch = || match &share {
-        Some(s) => CsScratch::with_share(Arc::clone(s)),
-        None => CsScratch::new(),
-    };
-    let index = graph.down_consumers();
-    par::map_with(queries, threads, new_scratch, |scratch, _, seeds| {
-        measured_cs(tel, graph, index, seeds, kind, scratch)
-    })
-}
-
-/// Runs one tabulation query on reusable scratch; with telemetry enabled,
-/// also records latency, traversal size and the per-query memo deltas.
-fn measured_cs<G: DenseDisplay>(
-    tel: &Telemetry,
-    graph: &G,
-    index: &DownConsumers,
-    seeds: &[NodeId],
-    kind: SliceKind,
-    scratch: &mut CsScratch,
-) -> CsSlice {
-    if !tel.is_enabled() {
-        return cs_reusing(graph, index, seeds, kind, scratch, &mut Meter::unlimited()).0;
-    }
-    let started = Instant::now();
-    let before = scratch.memo_stats();
-    let slice = cs_reusing(graph, index, seeds, kind, scratch, &mut Meter::unlimited()).0;
-    record_memo(tel, scratch.memo_stats().since(&before));
-    record_traversal(tel, graph, &slice.nodes, started);
-    slice
-}
-
-fn record_memo(tel: &Telemetry, delta: MemoStats) {
-    tel.count("cs.exit_memo_hits", delta.exit_hits);
-    tel.count("cs.exit_memo_misses", delta.exit_misses);
-    tel.count("cs.summary_edges", delta.summary_edges);
-    tel.count("cs.shared_memo_hits", delta.shared_hits);
-    tel.count("cs.shared_memo_published", delta.shared_published);
-}
-
-// ---- governed batches: budgets, panic isolation, graceful degradation ----
-
 /// Deterministic fault injection for robustness tests: query `query`
 /// panics on its first `attempts` attempts (so `attempts <= retries`
 /// exercises recovery, `attempts > retries` exercises a hard failure).
 #[derive(Debug, Clone, Copy)]
 pub struct FaultInjection {
-    /// Index of the query whose worker panics.
+    /// Index, into the queries passed to
+    /// [`AnalysisSession::query_batch_with`], of the query whose worker
+    /// panics.
+    ///
+    /// [`AnalysisSession::query_batch_with`]: crate::AnalysisSession::query_batch_with
     pub query: usize,
     /// How many of its attempts panic before it would succeed.
     pub attempts: u32,
 }
 
-/// Configuration for a batch run.
-///
-/// The default is the zero-overhead fast path: an ungoverned
-/// [`RunCtx`], no fault injection, no fail-fast. Any governed feature
-/// (a limited budget in the context, fault injection, fail-fast) routes
-/// the batch through the guarded engine instead — per-query budgets,
-/// `catch_unwind` panic isolation, bounded retry.
+/// How one batch runs: the group's context and robustness options.
 #[derive(Debug, Clone)]
-pub struct BatchConfig {
-    /// Shared run context: the telemetry sink for per-query latency /
-    /// retry metrics and budget-exhaustion events, plus the per-query
-    /// resource budget (deadline measured per attempt).
+pub(crate) struct BatchConfig {
+    /// Shared run context: the telemetry sink for per-query metrics and
+    /// budget-exhaustion events, plus the per-query resource budget
+    /// (deadline measured per attempt).
     pub ctx: RunCtx,
-    /// Cancel the remaining queries after the first hard query failure.
-    pub fail_fast: bool,
+    /// Under fail-fast, the token cancelled after the first hard query
+    /// failure; the call's budgets carry it, so the queries after the
+    /// failure stop.
+    pub fail_fast: Option<CancelToken>,
     /// How many times a panicked query is retried on fresh scratch.
     pub retries: u32,
-    /// Test-only deterministic fault injection.
+    /// Test-only deterministic fault injection, indexed into this batch.
     pub fault: Option<FaultInjection>,
     /// Whether a context-sensitive query that exhausts its budget is
     /// re-answered by the cheaper context-insensitive slicer (the
@@ -288,19 +129,11 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             ctx: RunCtx::disabled(),
-            fail_fast: false,
+            fail_fast: None,
             retries: 1,
             fault: None,
             degrade: true,
         }
-    }
-}
-
-impl BatchConfig {
-    /// Whether this config needs the guarded engine (budgets, panic
-    /// isolation, cancellation) rather than the zero-overhead fast path.
-    pub(crate) fn needs_guarded(&self) -> bool {
-        self.ctx.is_governed() || self.fault.is_some() || self.fail_fast
     }
 }
 
@@ -324,18 +157,13 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// The pre-0.4 name for a governed batch's per-query slice result.
-#[deprecated(since = "0.4.0", note = "use `SliceResult` instead")]
-pub type GovernedSlice = SliceResult;
-
 /// One query's outcome in a batch.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     /// The slice, or the hard error that survived all retries.
     pub slice: Result<SliceResult, QueryError>,
-    /// Wall-clock time spent on this query (all attempts). Zero on the
-    /// ungoverned fast path with telemetry disabled — per-query clock
-    /// reads are part of what "zero overhead" means there.
+    /// Wall-clock time spent on this query, all attempts included.
+    /// Measured for every query of every batch, governed or not.
     pub latency: Duration,
     /// How many retries ran (0 = first attempt sufficed).
     pub retries: u32,
@@ -351,6 +179,88 @@ impl QueryOutcome {
     }
 }
 
+/// Answers one context-insensitive query: the BFS over `graph` on warm
+/// scratch, under a meter freshly armed from `budget`. With `prefiltered`
+/// the graph holds exactly the edges `kind` follows. Under a limited
+/// budget the meter's slow checks are counted as `govern.meter_checks`.
+pub(crate) fn answer_ci<G: DenseDisplay>(
+    graph: &G,
+    prefiltered: bool,
+    seeds: &[NodeId],
+    kind: SliceKind,
+    budget: &Budget,
+    scratch: &mut SliceScratch,
+    tel: &Telemetry,
+) -> SliceResult {
+    let mut meter = budget.meter();
+    let (slice, completeness) = slice_dense(graph, seeds, kind, scratch, prefiltered, &mut meter);
+    if !budget.is_unlimited() {
+        tel.count("govern.meter_checks", meter.slow_checks());
+    }
+    SliceResult {
+        engine: Engine::Ci,
+        kind,
+        stmts: slice.stmts,
+        nodes: slice.nodes,
+        completeness,
+        degraded: false,
+    }
+}
+
+/// Answers one context-sensitive query: the tabulation over `graph` on
+/// warm scratch `cs`, or on a one-shot store when `cs` is `None`, under a
+/// meter freshly armed from `budget`. A tabulation cut short with
+/// `degrade` set takes the scalability ladder, CS → CI → truncated: the
+/// CI BFS over the same graph answers instead, under a second meter from
+/// the same budget, and the result is marked `degraded` (and counted as
+/// `govern.degraded_queries`).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn answer_cs(
+    graph: &FrozenSdg,
+    index: &DownConsumers,
+    seeds: &[NodeId],
+    kind: SliceKind,
+    budget: &Budget,
+    degrade: bool,
+    cs: Option<&mut CsScratch>,
+    bfs: &mut SliceScratch,
+    tel: &Telemetry,
+) -> SliceResult {
+    let mut meter = budget.meter();
+    let (slice, completeness) = match cs {
+        Some(cs) => cs_reusing(graph, index, seeds, kind, cs, &mut meter),
+        None => cs_oneshot(graph, index, seeds, kind, &mut meter),
+    };
+    let mut checks = meter.slow_checks();
+    let result = if completeness.is_complete() || !degrade {
+        SliceResult {
+            engine: Engine::Cs,
+            kind,
+            stmts: slice.stmts,
+            nodes: slice.nodes,
+            completeness,
+            degraded: false,
+        }
+    } else {
+        let mut ci_meter = budget.meter();
+        let (ci, ci_completeness) = slice_dense(graph, seeds, kind, bfs, false, &mut ci_meter);
+        checks += ci_meter.slow_checks();
+        tel.count("govern.degraded_queries", 1);
+        SliceResult {
+            engine: Engine::Ci,
+            kind,
+            stmts: ci.stmts,
+            nodes: ci.nodes,
+            completeness: ci_completeness,
+            degraded: true,
+        }
+    };
+    if !budget.is_unlimited() {
+        tel.count("govern.meter_checks", checks);
+    }
+    result
+}
+
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -361,13 +271,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one query's attempts under `catch_unwind`: a panic poisons only
+/// Runs query `i`'s attempts under `catch_unwind`: a panic poisons only
 /// this worker's scratch (replaced fresh), is retried up to `cfg.retries`
-/// times, and on final failure optionally cancels the rest of the batch.
+/// times, and on final failure under fail-fast cancels the call's token,
+/// which the rest of the call's queries run under.
 fn run_guarded<S>(
     i: usize,
     cfg: &BatchConfig,
-    cancel: &CancelToken,
     scratch: &mut S,
     fresh: impl Fn() -> S,
     attempt: impl Fn(&mut S) -> SliceResult,
@@ -377,15 +287,14 @@ fn run_guarded<S>(
     loop {
         let inject = cfg
             .fault
-            .as_ref()
             .is_some_and(|f| f.query == i && attempts_used < f.attempts);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if inject {
-                panic!("injected worker fault (query {i})");
+                panic!("injected worker fault");
             }
             attempt(scratch)
         }));
-        match outcome {
+        let payload = match outcome {
             Ok(slice) => {
                 return QueryOutcome {
                     slice: Ok(slice),
@@ -393,194 +302,83 @@ fn run_guarded<S>(
                     retries: attempts_used,
                 }
             }
-            Err(payload) => {
-                // The unwound attempt may have left the scratch mid-update;
-                // replace it so the retry (and the worker's later queries)
-                // start from known-good state.
-                *scratch = fresh();
-                if attempts_used < cfg.retries {
-                    attempts_used += 1;
-                    continue;
-                }
-                if cfg.fail_fast {
-                    cancel.cancel();
-                }
-                return QueryOutcome {
-                    slice: Err(QueryError::Panicked {
-                        message: panic_message(payload.as_ref()),
-                    }),
-                    latency: start.elapsed(),
-                    retries: attempts_used,
-                };
-            }
+            Err(payload) => payload,
+        };
+        // The unwound attempt may have left the scratch mid-update;
+        // replace it so the retry (and the worker's later queries) start
+        // from known-good state.
+        *scratch = fresh();
+        if attempts_used < cfg.retries {
+            attempts_used += 1;
+            continue;
         }
+        if let Some(cancel) = &cfg.fail_fast {
+            cancel.cancel();
+        }
+        return QueryOutcome {
+            slice: Err(QueryError::Panicked {
+                message: panic_message(payload.as_ref()),
+            }),
+            latency: start.elapsed(),
+            retries: attempts_used,
+        };
     }
 }
 
-/// The effective budget and cancel token for a governed batch: fail-fast
-/// needs a shared token, so one is created unless the caller provided one.
-fn armed_budget(cfg: &BatchConfig) -> (Budget, CancelToken) {
-    let cancel = cfg.ctx.budget().cancel_token().cloned().unwrap_or_default();
-    let budget = cfg.ctx.budget().clone().with_cancel(cancel.clone());
-    (budget, cancel)
-}
-
-/// Records one governed query's outcome: latency, retries, failures, and —
-/// when the budget ran out — a `govern.budget_exhausted` event carrying the
-/// stage, the reason and the abandoned-frontier size.
-fn record_governed(tel: &Telemetry, stage: &str, out: &QueryOutcome) {
+/// The batch recorder: one query's latency and retries, its failure or
+/// its answer's size — visited nodes, and the summed out-degrees of those
+/// nodes in the graph the query walked, which are the edges its walk
+/// scanned — and, for a truncated answer, a `govern.budget_exhausted`
+/// event carrying the stage, the reason and the abandoned-frontier size.
+fn record_outcome<G: DepGraph>(tel: &Telemetry, stage: &str, walked: &G, out: &QueryOutcome) {
     if !tel.is_enabled() {
         return;
     }
     tel.record("batch.query_us", out.latency.as_secs_f64() * 1e6);
-    tel.count("batch.retries", out.retries as u64);
-    match &out.slice {
+    tel.count("batch.retries", u64::from(out.retries));
+    let s = match &out.slice {
+        Ok(s) => s,
         Err(e) => {
             tel.count("batch.query_failures", 1);
             tel.event(
                 "batch.query_failed",
                 &[("stage", stage.to_string()), ("error", e.to_string())],
             );
+            return;
         }
-        Ok(s) => {
-            tel.count("slice.nodes_visited", s.nodes.len() as u64);
-            if s.degraded {
-                tel.count("govern.degraded_queries", 1);
-            }
-            if let Completeness::Truncated { reason, frontier } = &s.completeness {
-                tel.count("govern.budget_exhaustions", 1);
-                tel.event(
-                    "govern.budget_exhausted",
-                    &[
-                        ("stage", stage.to_string()),
-                        ("reason", reason.to_string()),
-                        ("frontier", frontier.to_string()),
-                    ],
-                );
-            }
-        }
+    };
+    tel.count("slice.nodes_visited", s.nodes.len() as u64);
+    tel.count(
+        "slice.csr_edges_visited",
+        // Result nodes are external ids; degrees live on the internal CSR.
+        s.nodes
+            .iter()
+            .map(|&n| walked.deps(walked.to_internal(n)).len() as u64)
+            .sum(),
+    );
+    if let Completeness::Truncated { reason, frontier } = &s.completeness {
+        tel.count("govern.budget_exhaustions", 1);
+        tel.event(
+            "govern.budget_exhausted",
+            &[
+                ("stage", stage.to_string()),
+                ("reason", reason.to_string()),
+                ("frontier", frontier.to_string()),
+            ],
+        );
     }
 }
 
-/// The guarded context-insensitive batch: per-query budgets, panic
-/// isolation with bounded retry, and per-query latency/retry reporting.
-///
-/// Traversal per query is identical to the ungoverned engine's; a query
-/// that exhausts its budget returns its truncated prefix labelled
-/// `Truncated` instead of blocking the batch.
-pub(crate) fn ci_guarded(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-    cfg: &BatchConfig,
-) -> Vec<QueryOutcome> {
-    let (budget, cancel) = armed_budget(cfg);
-    let tel = cfg.ctx.telemetry();
-    let mut span = tel.span("batch.governed_slices");
-    span.add("batch.queries", queries.len() as u64);
-    let threads = effective_threads(threads, queries.len());
-    // The traditional-full slicer follows every edge, so the shared graph
-    // is its own filtered view (as in the plain batch).
-    let prefiltered = matches!(kind, SliceKind::TraditionalFull);
-    par::map_with(queries, threads, SliceScratch::new, |scratch, i, seeds| {
-        let out = run_guarded(i, cfg, &cancel, scratch, SliceScratch::new, |s| {
-            let mut meter = budget.meter();
-            let (slice, completeness) = slice_dense(graph, seeds, kind, s, prefiltered, &mut meter);
-            tel.count("govern.meter_checks", meter.slow_checks());
-            SliceResult {
-                engine: Engine::Ci,
-                kind,
-                stmts: slice.stmts,
-                nodes: slice.nodes,
-                completeness,
-                degraded: false,
-            }
-        });
-        record_governed(tel, "slice", &out);
-        out
-    })
+fn record_memo(tel: &Telemetry, delta: MemoStats) {
+    tel.count("cs.exit_memo_hits", delta.exit_hits);
+    tel.count("cs.exit_memo_misses", delta.exit_misses);
+    tel.count("cs.summary_edges", delta.summary_edges);
+    tel.count("cs.shared_memo_hits", delta.shared_hits);
+    tel.count("cs.shared_memo_published", delta.shared_published);
 }
 
-/// The guarded context-sensitive batch, with graceful degradation: a
-/// query whose tabulation exhausts its budget is re-answered by the
-/// context-insensitive reachability slicer over the same frozen graph
-/// (fresh meter) and marked `degraded` — the paper's scalability ladder,
-/// CS → CI → truncated. `cfg.degrade = false` keeps the truncated CS
-/// prefix instead.
-pub(crate) fn cs_guarded(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-    cfg: &BatchConfig,
-) -> Vec<QueryOutcome> {
-    let (budget, cancel) = armed_budget(cfg);
-    let tel = cfg.ctx.telemetry();
-    let mut span = tel.span("batch.governed_cs_slices");
-    span.add("batch.queries", queries.len() as u64);
-    let threads = effective_threads(threads, queries.len());
-    let index = graph.down_consumers();
-    // Guarded batches share exit regions the same way the plain CS batch
-    // does; a panicked worker's replacement scratch re-attaches to the
-    // batch share (only *complete* queries publish, so a scratch discarded
-    // mid-query has published nothing unsound).
-    let share = (threads > 1).then(|| Arc::new(ExitShare::new(graph.node_count())));
-    let fresh = || {
-        let cs = match &share {
-            Some(s) => CsScratch::with_share(Arc::clone(s)),
-            None => CsScratch::new(),
-        };
-        (cs, SliceScratch::new())
-    };
-    par::map_with(queries, threads, fresh, |scratch, i, seeds| {
-        let out = run_guarded(i, cfg, &cancel, scratch, fresh, |(cs, bfs)| {
-            let mut meter = budget.meter();
-            let memo_before = if tel.is_enabled() {
-                Some(cs.memo_stats())
-            } else {
-                None
-            };
-            let (slice, completeness) = cs_reusing(graph, index, seeds, kind, cs, &mut meter);
-            if let Some(before) = memo_before {
-                record_memo(tel, cs.memo_stats().since(&before));
-            }
-            if completeness.is_complete() || !cfg.degrade {
-                tel.count("govern.meter_checks", meter.slow_checks());
-                return SliceResult {
-                    engine: Engine::Cs,
-                    kind,
-                    stmts: slice.stmts,
-                    nodes: slice.nodes,
-                    completeness,
-                    degraded: false,
-                };
-            }
-            // Degradation ladder: answer with the cheaper CI slicer over
-            // the same graph, under a fresh meter from the same budget.
-            let mut ci_meter = budget.meter();
-            let (ci, ci_completeness) = slice_dense(graph, seeds, kind, bfs, false, &mut ci_meter);
-            tel.count(
-                "govern.meter_checks",
-                meter.slow_checks() + ci_meter.slow_checks(),
-            );
-            SliceResult {
-                engine: Engine::Ci,
-                kind,
-                stmts: ci.stmts,
-                nodes: ci.nodes,
-                completeness: ci_completeness,
-                degraded: true,
-            }
-        });
-        record_governed(tel, "cs_slice", &out);
-        out
-    })
-}
-
-/// The one batch entrypoint: dispatches on the engine and on whether the
-/// config needs the guarded path, and wraps fast-path results in
-/// [`QueryOutcome`]s so callers see one shape.
+/// The batch engine: answers `queries` (seed nodes of `graph`) on up to
+/// `threads` workers, in query order, under `cfg`. See the module docs.
 pub(crate) fn run_batch(
     graph: &FrozenSdg,
     queries: &[Vec<NodeId>],
@@ -589,134 +387,103 @@ pub(crate) fn run_batch(
     threads: usize,
     cfg: &BatchConfig,
 ) -> Vec<QueryOutcome> {
-    if cfg.needs_guarded() {
-        return match engine {
-            Engine::Ci => ci_guarded(graph, queries, kind, threads, cfg),
-            Engine::Cs => cs_guarded(graph, queries, kind, threads, cfg),
-        };
+    let mut span = cfg.ctx.telemetry().span("batch.slices");
+    span.add("batch.queries", queries.len() as u64);
+    // The full slicer follows every edge, so the graph is its own filtered
+    // view.
+    let prefiltered = kind == SliceKind::TraditionalFull;
+    // Whether a kind follows an edge depends only on the edge's label, so
+    // dropping the unfollowed edges once per batch leaves every query's
+    // walk — and answer — unchanged.
+    if engine == Engine::Ci && !prefiltered && queries.len() >= FILTER_THRESHOLD {
+        let filtered = graph.filtered(|e| kind.follows(&e.kind));
+        return run_on(&filtered, true, graph, queries, kind, engine, threads, cfg);
     }
+    run_on(
+        graph,
+        prefiltered,
+        graph,
+        queries,
+        kind,
+        engine,
+        threads,
+        cfg,
+    )
+}
+
+/// [`run_batch`] with CI queries walking `view`, which holds exactly the
+/// edges `kind` follows when `prefiltered` is set; CS queries walk
+/// `graph`, which is then `view` itself.
+#[allow(clippy::too_many_arguments)]
+fn run_on<G: DenseDisplay + Sync>(
+    view: &G,
+    prefiltered: bool,
+    graph: &FrozenSdg,
+    queries: &[Vec<NodeId>],
+    kind: SliceKind,
+    engine: Engine,
+    threads: usize,
+    cfg: &BatchConfig,
+) -> Vec<QueryOutcome> {
     let tel = cfg.ctx.telemetry();
-    let complete = |engine: Engine, stmts, nodes| QueryOutcome {
-        slice: Ok(SliceResult {
-            engine,
-            kind,
-            stmts,
-            nodes,
-            completeness: Completeness::Complete,
-            degraded: false,
-        }),
-        latency: Duration::ZERO,
-        retries: 0,
+    let budget = cfg.ctx.budget();
+    let threads = effective_threads(threads, queries.len());
+    // With several workers, each worker's CS scratch memoises callee-exit
+    // regions privately; a batch-wide share lets the first worker to
+    // complete a region publish it so the others splice instead of
+    // re-tabulating. A panicked worker's replacement scratch re-attaches
+    // to the share (only *complete* queries publish, so a scratch
+    // discarded mid-query has published nothing unsound).
+    let share =
+        (engine == Engine::Cs && threads > 1).then(|| Arc::new(ExitShare::new(graph.node_count())));
+    let fresh = || {
+        let cs = match &share {
+            Some(s) => CsScratch::with_share(Arc::clone(s)),
+            None => CsScratch::new(),
+        };
+        (cs, SliceScratch::new())
     };
-    match engine {
-        Engine::Ci => ci_plain(graph, queries, kind, threads, tel)
-            .into_iter()
-            .map(|s| complete(Engine::Ci, s.stmts, s.nodes))
-            .collect(),
-        Engine::Cs => cs_plain(graph, queries, kind, threads, tel)
-            .into_iter()
-            .map(|s| complete(Engine::Cs, s.stmts, s.nodes))
-            .collect(),
-    }
-}
-
-// ---- pre-0.4 entrypoints, kept as thin wrappers ----
-
-/// Computes one backward slice per query, in query order.
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query_batch` instead")]
-pub fn slices(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-) -> Vec<Slice> {
-    ci_plain(graph, queries, kind, threads, &Telemetry::disabled())
-}
-
-/// [`slices`] recording batch telemetry: a `batch.slices` span, a per-query
-/// latency histogram (`batch.query_us`) and post-hoc traversal counters.
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query_batch` instead")]
-pub fn slices_telemetry(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-    tel: &Telemetry,
-) -> Vec<Slice> {
-    ci_plain(graph, queries, kind, threads, tel)
-}
-
-/// Computes one context-sensitive (tabulation) slice per query, in query
-/// order.
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query_batch` instead")]
-pub fn cs_slices(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-) -> Vec<CsSlice> {
-    cs_plain(graph, queries, kind, threads, &Telemetry::disabled())
-}
-
-/// [`cs_slices`] recording batch telemetry: a `batch.cs_slices` span, the
-/// `batch.query_us` latency histogram, traversal counters and the
-/// tabulation's exit-region memo hit/miss + summary-edge counters.
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query_batch` instead")]
-pub fn cs_slices_telemetry(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-    tel: &Telemetry,
-) -> Vec<CsSlice> {
-    cs_plain(graph, queries, kind, threads, tel)
-}
-
-/// The CI batch under a [`BatchConfig`]: per-query budgets, panic
-/// isolation with bounded retry, and per-query latency/retry reporting.
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query_batch` instead")]
-pub fn governed_slices(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-    cfg: &BatchConfig,
-) -> Vec<QueryOutcome> {
-    ci_guarded(graph, queries, kind, threads, cfg)
-}
-
-/// The CS batch under a [`BatchConfig`], with the CS → CI degradation
-/// ladder.
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query_batch` instead")]
-pub fn governed_cs_slices(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-    cfg: &BatchConfig,
-) -> Vec<QueryOutcome> {
-    cs_guarded(graph, queries, kind, threads, cfg)
-}
-
-/// Resolves statement-level queries to node-level ones against `graph`.
-pub fn node_queries(graph: &FrozenSdg, queries: &[Vec<thinslice_ir::StmtRef>]) -> Vec<Vec<NodeId>> {
-    queries
-        .iter()
-        .map(|ss| {
-            ss.iter()
-                .flat_map(|&s| graph.stmt_nodes_of(s).to_vec())
-                .collect()
-        })
-        .collect()
+    let stage = match engine {
+        Engine::Ci => "slice",
+        Engine::Cs => "cs_slice",
+    };
+    let dense_cs = queries.len() >= CS_DENSE_THRESHOLD;
+    par::map_with(queries, threads, fresh, |scratch, i, seeds| {
+        let out = run_guarded(i, cfg, scratch, fresh, |(cs, bfs)| match engine {
+            Engine::Ci => answer_ci(view, prefiltered, seeds, kind, budget, bfs, tel),
+            Engine::Cs => {
+                let before = cs.memo_stats();
+                let index = graph.down_consumers();
+                let cs_scratch = dense_cs.then_some(&mut *cs);
+                let result = answer_cs(
+                    graph,
+                    index,
+                    seeds,
+                    kind,
+                    budget,
+                    cfg.degrade,
+                    cs_scratch,
+                    bfs,
+                    tel,
+                );
+                record_memo(tel, cs.memo_stats().since(&before));
+                result
+            }
+        });
+        record_outcome(tel, stage, view, &out);
+        out
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slice::slice_sparse;
+    use crate::slice::{slice_sparse, Slice};
+    use crate::tabulation::{cs_oneshot, CsSlice};
     use crate::Analysis;
+    use thinslice_util::Meter;
 
-    /// Sequential oracle: the historical one-shot CI slice.
+    /// Sequential oracle: the one-shot CI slice over the growable graph.
     fn slice_from(sdg: &thinslice_sdg::Sdg, seeds: &[NodeId], kind: SliceKind) -> Slice {
         slice_sparse(
             sdg,
@@ -728,7 +495,7 @@ mod tests {
         .0
     }
 
-    /// Sequential oracle: the historical one-shot CS slice.
+    /// Sequential oracle: the one-shot CS slice over the growable graph.
     fn cs_slice(sdg: &thinslice_sdg::Sdg, seeds: &[NodeId], kind: SliceKind) -> CsSlice {
         cs_oneshot(
             sdg,
@@ -738,6 +505,31 @@ mod tests {
             &mut Meter::unlimited(),
         )
         .0
+    }
+
+    /// The ungoverned batch's answers, unwrapped.
+    fn batch(
+        graph: &FrozenSdg,
+        queries: &[Vec<NodeId>],
+        kind: SliceKind,
+        engine: Engine,
+        threads: usize,
+    ) -> Vec<SliceResult> {
+        run_batch(
+            graph,
+            queries,
+            kind,
+            engine,
+            threads,
+            &BatchConfig::default(),
+        )
+        .into_iter()
+        .map(|o| {
+            let s = o.slice.expect("no faults injected");
+            assert!(s.completeness.is_complete() && !s.degraded);
+            s
+        })
+        .collect()
     }
 
     fn setup() -> Analysis {
@@ -792,7 +584,7 @@ mod tests {
                 .map(|q| slice_from(&a.sdg, q, kind))
                 .collect();
             for threads in [1, 2, 4, 8] {
-                let batched = ci_plain(&a.csr, &queries, kind, threads, &Telemetry::disabled());
+                let batched = batch(&a.csr, &queries, kind, Engine::Ci, threads);
                 assert_eq!(batched.len(), sequential.len());
                 for (b, s) in batched.iter().zip(&sequential) {
                     assert_eq!(b.stmts, s.stmts, "{kind:?}/{threads}");
@@ -811,13 +603,7 @@ mod tests {
             .map(|q| cs_slice(&a.sdg, q, SliceKind::Thin))
             .collect();
         for threads in [1, 2, 4, 8] {
-            let batched = cs_plain(
-                &a.csr,
-                &queries,
-                SliceKind::Thin,
-                threads,
-                &Telemetry::disabled(),
-            );
+            let batched = batch(&a.csr, &queries, SliceKind::Thin, Engine::Cs, threads);
             for (b, s) in batched.iter().zip(&sequential) {
                 assert_eq!(b.stmts, s.stmts, "threads={threads}");
                 assert_eq!(b.nodes, s.nodes);
@@ -832,13 +618,7 @@ mod tests {
         let a = setup();
         let q = all_print_queries(&a);
         let twice: Vec<Vec<NodeId>> = vec![q[0].clone(), q[1].clone(), q[0].clone()];
-        let out = ci_plain(
-            &a.csr,
-            &twice,
-            SliceKind::TraditionalFull,
-            1,
-            &Telemetry::disabled(),
-        );
+        let out = batch(&a.csr, &twice, SliceKind::TraditionalFull, Engine::Ci, 1);
         assert_eq!(out[0].stmts, out[2].stmts);
         assert_eq!(out[0].nodes, out[2].nodes);
     }
@@ -857,7 +637,7 @@ mod tests {
             SliceKind::TraditionalData,
             SliceKind::TraditionalFull,
         ] {
-            let batched = cs_plain(&a.csr, &tiled, kind, 1, &Telemetry::disabled());
+            let batched = batch(&a.csr, &tiled, kind, Engine::Cs, 1);
             for (b, seeds) in batched.iter().zip(&tiled) {
                 let s = cs_slice(&a.sdg, seeds, kind);
                 assert_eq!(b.stmts, s.stmts, "{kind:?}");
@@ -868,8 +648,9 @@ mod tests {
 
     #[test]
     fn large_batches_take_the_filtered_path_and_still_match() {
-        // Tile the queries past the CI filter threshold so the prefiltered
-        // BFS actually runs (the CS batch never filters).
+        // A tiled batch on two workers, past the filter threshold: thin
+        // and data CI queries walk the filtered view, and every answer
+        // matches the sequential one.
         let a = setup();
         let q = all_print_queries(&a);
         let tiled: Vec<Vec<NodeId>> = q
@@ -884,13 +665,13 @@ mod tests {
             SliceKind::TraditionalData,
             SliceKind::TraditionalFull,
         ] {
-            let batched = ci_plain(&a.csr, &tiled, kind, 2, &Telemetry::disabled());
+            let batched = batch(&a.csr, &tiled, kind, Engine::Ci, 2);
             for (b, seeds) in batched.iter().zip(&tiled) {
                 let s = slice_from(&a.sdg, seeds, kind);
                 assert_eq!(b.stmts, s.stmts, "{kind:?}");
                 assert_eq!(b.nodes, s.nodes);
             }
-            let cs_batched = cs_plain(&a.csr, &tiled, kind, 2, &Telemetry::disabled());
+            let cs_batched = batch(&a.csr, &tiled, kind, Engine::Cs, 2);
             for (b, seeds) in cs_batched.iter().zip(&tiled) {
                 let s = cs_slice(&a.sdg, seeds, kind);
                 assert_eq!(b.stmts, s.stmts, "{kind:?}");
@@ -903,41 +684,9 @@ mod tests {
     fn empty_batch_and_empty_query() {
         let a = setup();
         let none: &[Vec<NodeId>] = &[];
-        assert!(ci_plain(&a.csr, none, SliceKind::Thin, 4, &Telemetry::disabled()).is_empty());
-        let out = ci_plain(
-            &a.csr,
-            &[Vec::new()],
-            SliceKind::Thin,
-            1,
-            &Telemetry::disabled(),
-        );
+        assert!(batch(&a.csr, none, SliceKind::Thin, Engine::Ci, 4).is_empty());
+        let out = batch(&a.csr, &[Vec::new()], SliceKind::Thin, Engine::Ci, 1);
         assert_eq!(out.len(), 1);
         assert!(out[0].is_empty());
-    }
-
-    #[test]
-    fn run_batch_fast_path_matches_guarded_path() {
-        // The same queries through both halves of the dispatcher must
-        // agree on statements and nodes (the guarded path merely adds
-        // isolation, never changes a traversal).
-        let a = setup();
-        let queries = all_print_queries(&a);
-        let plain_cfg = BatchConfig::default();
-        let guarded_cfg = BatchConfig {
-            ctx: RunCtx::disabled().with_budget(Budget::unlimited().with_step_limit(u64::MAX)),
-            ..BatchConfig::default()
-        };
-        for engine in [Engine::Ci, Engine::Cs] {
-            let fast = run_batch(&a.csr, &queries, SliceKind::Thin, engine, 1, &plain_cfg);
-            let slow = run_batch(&a.csr, &queries, SliceKind::Thin, engine, 1, &guarded_cfg);
-            assert_eq!(fast.len(), slow.len());
-            for (f, s) in fast.iter().zip(&slow) {
-                let (f, s) = (f.slice.as_ref().unwrap(), s.slice.as_ref().unwrap());
-                assert_eq!(f.stmts, s.stmts, "{engine:?}");
-                assert_eq!(f.nodes, s.nodes);
-                assert!(f.completeness.is_complete() && s.completeness.is_complete());
-                assert!(!f.degraded && !s.degraded);
-            }
-        }
     }
 }

@@ -17,7 +17,7 @@ use crate::slice::{slice_sparse, Slice, SliceKind, SliceScratch};
 use thinslice_ir::{InstrKind, MethodId, Program, StmtRef, Var};
 use thinslice_pta::{AllocSite, ObjId, Pta};
 use thinslice_sdg::{EdgeKind, NodeId, NodeKind, Sdg};
-use thinslice_util::{Budget, Completeness, FxHashSet, Meter, Outcome, RunCtx, Telemetry};
+use thinslice_util::{Completeness, FxHashSet, Meter, Outcome, RunCtx};
 
 /// The result of explaining one heap-based flow in a thin slice.
 #[derive(Debug, Clone)]
@@ -136,47 +136,6 @@ pub fn explain_aliasing_ctx(
         Err(_) => tel.count("expand.rejections", 1),
     }
     out
-}
-
-/// [`explain_aliasing`] recording expansion telemetry.
-///
-/// # Errors
-///
-/// Same as [`explain_aliasing`].
-#[deprecated(
-    since = "0.4.0",
-    note = "use `explain_aliasing_ctx` with a `RunCtx` instead"
-)]
-pub fn explain_aliasing_telemetry(
-    program: &Program,
-    pta: &Pta,
-    sdg: &Sdg,
-    load: StmtRef,
-    store: StmtRef,
-    tel: &Telemetry,
-) -> Result<AliasExplanation, ExpandError> {
-    let ctx = RunCtx::disabled().with_telemetry(tel.clone());
-    explain_aliasing_ctx(program, pta, sdg, load, store, &ctx).map(|o| o.result)
-}
-
-/// [`explain_aliasing`] under a resource [`Budget`].
-///
-/// # Errors
-///
-/// Same as [`explain_aliasing`].
-#[deprecated(
-    since = "0.4.0",
-    note = "use `explain_aliasing_ctx` with a governed `RunCtx` instead"
-)]
-pub fn explain_aliasing_governed(
-    program: &Program,
-    pta: &Pta,
-    sdg: &Sdg,
-    load: StmtRef,
-    store: StmtRef,
-    budget: &Budget,
-) -> Result<Outcome<AliasExplanation>, ExpandError> {
-    explain_inner(program, pta, sdg, load, store, &mut budget.meter())
 }
 
 /// The one expansion engine behind every `explain_aliasing` entrypoint:

@@ -23,7 +23,9 @@
 //!
 //! * [`AnalysisSession`] — the lazy, memoising query session: stage
 //!   artifacts built on first use, one [`RunCtx`] for telemetry and
-//!   governance, one [`Query`] → [`SliceResult`] shape;
+//!   governance, one [`Query`] → [`SliceResult`] shape, and
+//!   [`AnalysisSession::query_batch`] for many queries at once through the
+//!   one batch engine ([`batch`]);
 //! * [`Analysis`] — the eager context-insensitive pipeline, convenient
 //!   for scripts and tests that slice a program once.
 //!
@@ -63,26 +65,18 @@ pub mod snapshot;
 mod stmtset;
 pub mod tabulation;
 
-#[allow(deprecated)]
-pub use batch::GovernedSlice;
-pub use batch::{BatchConfig, FaultInjection, QueryError, QueryOutcome};
+pub use batch::{FaultInjection, QueryError, QueryOutcome};
 pub use expand::{
     explain_aliasing, explain_aliasing_ctx, exposed_control_deps, heap_flow_pairs, AliasExplanation,
 };
-#[allow(deprecated)]
-pub use expand::{explain_aliasing_governed, explain_aliasing_telemetry};
 pub use inspect::{simulate_inspection, InspectTask, InspectionResult};
 pub use nodeset::NodeSet;
 pub use session::{
     AnalysisSession, BatchOptions, Engine, Query, QueryPolicy, SliceResult, UpdateStats,
 };
-#[allow(deprecated)]
-pub use slice::{slice_from, slice_from_governed, slice_from_reusing};
 pub use slice::{Slice, SliceKind, SliceScratch};
 pub use snapshot::{source_hash, SnapshotLoad, SnapshotStore};
 pub use stmtset::StmtSet;
-#[allow(deprecated)]
-pub use tabulation::{cs_slice, cs_slice_governed, cs_slice_indexed, cs_slice_reusing};
 pub use tabulation::{CsScratch, CsSlice, DownConsumers, MemoStats};
 pub use thinslice_util::{
     Budget, CancelToken, Completeness, ExhaustReason, Meter, Outcome, RunCtx, RunReport, Telemetry,
@@ -180,85 +174,6 @@ impl Analysis {
         AnalysisSession::from_program(program, config, ctx.clone()).into_analysis()
     }
 
-    /// [`Analysis::with_config`] recording pipeline telemetry.
-    ///
-    /// # Errors
-    ///
-    /// Returns any [`CompileError`] from the frontend.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `Analysis::with_ctx` with a `RunCtx` instead"
-    )]
-    pub fn with_config_telemetry(
-        sources: &[(&str, &str)],
-        config: PtaConfig,
-        tel: &Telemetry,
-    ) -> Result<Analysis, CompileError> {
-        Self::with_ctx(
-            sources,
-            config,
-            &RunCtx::disabled().with_telemetry(tel.clone()),
-        )
-    }
-
-    /// [`Analysis::from_program`] recording pipeline telemetry.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `Analysis::from_program_ctx` with a `RunCtx` instead"
-    )]
-    pub fn from_program_telemetry(
-        program: Program,
-        config: PtaConfig,
-        tel: &Telemetry,
-    ) -> Analysis {
-        Self::from_program_ctx(
-            program,
-            config,
-            &RunCtx::disabled().with_telemetry(tel.clone()),
-        )
-    }
-
-    /// [`Analysis::with_config`] under a resource [`Budget`], with a
-    /// per-stage build report.
-    ///
-    /// # Errors
-    ///
-    /// Returns any [`CompileError`] from the frontend.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `AnalysisSession::with_ctx` with a governed `RunCtx` instead"
-    )]
-    pub fn with_config_governed(
-        sources: &[(&str, &str)],
-        config: PtaConfig,
-        budget: &Budget,
-    ) -> Result<(Analysis, BuildReport), CompileError> {
-        let program = compile(sources)?;
-        #[allow(deprecated)]
-        Ok(Self::from_program_governed(program, config, budget))
-    }
-
-    /// [`Analysis::from_program`] under a resource [`Budget`].
-    ///
-    /// Each stage (points-to solve, SDG construction) gets a freshly armed
-    /// meter from `budget`; a stage that exhausts it yields a sound partial
-    /// result (smaller call graph / fewer dependence edges) and the next
-    /// stage proceeds on it. The [`BuildReport`] says what was truncated.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `AnalysisSession::from_program` with a governed `RunCtx` instead"
-    )]
-    pub fn from_program_governed(
-        program: Program,
-        config: PtaConfig,
-        budget: &Budget,
-    ) -> (Analysis, BuildReport) {
-        let ctx = RunCtx::disabled().with_budget(budget.clone());
-        let mut session = AnalysisSession::from_program(program, config, ctx);
-        let report = session.build_report();
-        (session.into_analysis(), report)
-    }
-
     /// Builds the context-sensitive (heap-parameter) dependence graph.
     /// Expensive on large programs — that is the paper's point.
     pub fn build_cs_sdg(&self) -> Sdg {
@@ -327,81 +242,6 @@ impl Analysis {
     /// Runs the §6.1 breadth-first inspection simulation.
     pub fn inspect(&self, task: &InspectTask, kind: SliceKind) -> InspectionResult {
         simulate_inspection(&self.program, &self.csr, task, kind)
-    }
-
-    /// Computes one slice per statement-level query, fanned out over
-    /// `threads` workers sharing the frozen CSR graph. Results are in query
-    /// order and identical to calling [`Analysis::thin_slice`] (etc.) per
-    /// query.
-    pub fn batch_slices(
-        &self,
-        queries: &[Vec<StmtRef>],
-        kind: SliceKind,
-        threads: usize,
-    ) -> Vec<Slice> {
-        let node_queries: Vec<Vec<NodeId>> = queries.iter().map(|ss| self.nodes_of(ss)).collect();
-        batch::ci_plain(
-            &self.csr,
-            &node_queries,
-            kind,
-            threads,
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// [`Analysis::batch_slices`] recording batch telemetry (per-query
-    /// latency histogram, traversal counters).
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `AnalysisSession::query_batch` with a traced `RunCtx` instead"
-    )]
-    pub fn batch_slices_telemetry(
-        &self,
-        queries: &[Vec<StmtRef>],
-        kind: SliceKind,
-        threads: usize,
-        tel: &Telemetry,
-    ) -> Vec<Slice> {
-        let node_queries: Vec<Vec<NodeId>> = queries.iter().map(|ss| self.nodes_of(ss)).collect();
-        batch::ci_plain(&self.csr, &node_queries, kind, threads, tel)
-    }
-
-    /// A single slice from `seeds` under a resource [`Budget`].
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `AnalysisSession::query` with a budgeted `QueryPolicy` instead"
-    )]
-    pub fn slice_governed(
-        &self,
-        seeds: &[StmtRef],
-        kind: SliceKind,
-        budget: &Budget,
-    ) -> Outcome<Slice> {
-        let (slice, completeness) = slice::slice_sparse(
-            &self.csr,
-            &self.nodes_of(seeds),
-            kind,
-            &mut SliceScratch::new(),
-            &mut budget.meter(),
-        );
-        Outcome::new(slice, completeness)
-    }
-
-    /// [`Analysis::batch_slices`] under a [`batch::BatchConfig`]: per-query
-    /// budgets, panic isolation with bounded retry, per-query latency.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `AnalysisSession::query_batch_with` instead"
-    )]
-    pub fn governed_batch_slices(
-        &self,
-        queries: &[Vec<StmtRef>],
-        kind: SliceKind,
-        threads: usize,
-        cfg: &BatchConfig,
-    ) -> Vec<QueryOutcome> {
-        let node_queries: Vec<Vec<NodeId>> = queries.iter().map(|ss| self.nodes_of(ss)).collect();
-        batch::ci_guarded(&self.csr, &node_queries, kind, threads, cfg)
     }
 
     /// Explains the aliasing between two heap accesses in a thin slice

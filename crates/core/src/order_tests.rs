@@ -3,11 +3,14 @@
 //! ([`slice_sparse`] and the sparse tabulation store) on a corpus whose
 //! levels and node sets span many bitset words and need reordering,
 //! unbudgeted and truncated, with truncated and unbudgeted queries
-//! interleaved on each session's reused scratch.
+//! interleaved on each session's reused scratch; and against the same
+//! references walking the growable graphs the frozen ones came from.
 
 use crate::session::{AnalysisSession, Engine, Query, QueryPolicy, SliceResult};
 use crate::slice::{slice_sparse, SliceKind, SliceScratch};
-use crate::tabulation::{cs_oneshot, cs_reusing, CsScratch};
+use crate::stmtset::StmtSet;
+use crate::tabulation::{cs_oneshot, cs_reusing, CsScratch, DownConsumers};
+use crate::{Analysis, NodeSet};
 use thinslice_ir::{InstrKind, StmtRef};
 use thinslice_sdg::{DepGraph, FrozenSdg, NodeId};
 use thinslice_suite::{all_benchmarks, generate, GeneratorConfig};
@@ -18,6 +21,12 @@ const SAMPLED: usize = 200;
 
 /// Bits per bitset word: a list of more ids than this spans several words.
 const WORD_BITS: usize = 64;
+
+const KINDS: [SliceKind; 3] = [
+    SliceKind::Thin,
+    SliceKind::TraditionalData,
+    SliceKind::TraditionalFull,
+];
 
 /// Every suite program plus generated programs at scales 1, 2 and 4.
 fn corpus() -> Vec<(String, Vec<(String, String)>)> {
@@ -109,18 +118,13 @@ fn limited(steps: u64, degrade: bool) -> QueryPolicy {
     }
 }
 
-fn assert_same(got: &SliceResult, want_stmts: &[StmtRef], want_nodes: &crate::NodeSet, at: &str) {
+fn assert_same(got: &SliceResult, want_stmts: &[StmtRef], want_nodes: &NodeSet, at: &str) {
     assert_eq!(got.stmts.in_order(), want_stmts, "{at}: stmts");
     assert_eq!(&got.nodes, want_nodes, "{at}: nodes");
 }
 
 #[test]
 fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
-    const CI_KINDS: [SliceKind; 3] = [
-        SliceKind::Thin,
-        SliceKind::TraditionalData,
-        SliceKind::TraditionalFull,
-    ];
     let mut rng = SmallRng::new(0x5eed_0e0d);
     let (mut widest, mut permuted, mut widest_ci_set, mut widest_cs_set) = (0, false, 0, 0);
     let mut degraded = 0;
@@ -137,7 +141,7 @@ fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
         let index = cs.down_consumers();
         for (i, &stmt) in stmts.iter().enumerate() {
             let ci_seeds = ci.stmt_nodes_of(stmt).to_vec();
-            for kind in CI_KINDS {
+            for kind in KINDS {
                 let at = format!("{name} seed {i} {kind:?}");
                 let q = Query::new(vec![stmt], kind, Engine::Ci);
                 let (want, _) =
@@ -222,4 +226,50 @@ fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
     assert!(permuted, "some BFS level must need reordering");
     assert!(widest_ci_set > WORD_BITS && widest_cs_set > WORD_BITS);
     assert!(degraded > 0, "the degradation ladder must run");
+}
+
+/// The growable graphs as one more reference: on every print seed of
+/// every suite program, both engines answer every kind exactly as the
+/// sort-based slicers answer over the growable `Sdg`s — the direct-edge
+/// graph for CI, the heap-parameter graph for CS — in statement order and
+/// node set.
+#[test]
+fn session_answers_match_the_sort_based_references_on_the_growable_graphs() {
+    let mut scratch = SliceScratch::new();
+    for b in all_benchmarks() {
+        let a = Analysis::build(&b.sources).unwrap();
+        let cs_sdg = a.build_cs_sdg();
+        let cs_index = DownConsumers::build(&cs_sdg);
+        let mut session = AnalysisSession::new(&b.sources).unwrap();
+        let prints = a
+            .program
+            .all_stmts()
+            .filter(|&s| matches!(a.program.instr(s).kind, InstrKind::Print { .. }));
+        for stmt in prints {
+            for (engine, sdg) in [(Engine::Ci, &a.sdg), (Engine::Cs, &cs_sdg)] {
+                let seeds = sdg.stmt_nodes_of(stmt).to_vec();
+                if seeds.is_empty() {
+                    continue;
+                }
+                for kind in KINDS {
+                    let at = format!("{} {stmt:?} {engine:?}/{kind:?}", b.name);
+                    let unlimited = &mut Meter::unlimited();
+                    let (stmts, nodes): (StmtSet, NodeSet) = match engine {
+                        Engine::Ci => {
+                            let (s, _) = slice_sparse(sdg, &seeds, kind, &mut scratch, unlimited);
+                            (s.stmts, s.nodes)
+                        }
+                        Engine::Cs => {
+                            let (s, _) = cs_oneshot(sdg, &cs_index, &seeds, kind, unlimited);
+                            (s.stmts, s.nodes)
+                        }
+                    };
+                    let got = session.query(&Query::new(vec![stmt], kind, engine));
+                    assert_eq!((got.engine, got.kind), (engine, kind), "{at}");
+                    assert!(got.completeness.is_complete() && !got.degraded, "{at}");
+                    assert_same(&got, stmts.in_order(), &nodes, &at);
+                }
+            }
+        }
+    }
 }

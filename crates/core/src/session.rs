@@ -1,9 +1,7 @@
 //! The unified query session: one object, one entrypoint, every slicer.
 //!
-//! Before 0.4 the crate exposed a cross-product of entrypoints — four
-//! slicer families × {plain, telemetry, governed} × {one-shot, reusing} —
-//! and callers had to thread the right graph, scratch and meter through
-//! each. [`AnalysisSession`] collapses that surface:
+//! [`AnalysisSession`] answers all four slicers of the paper's §5, one
+//! query at a time or in batches:
 //!
 //! * it owns the pipeline's stage artifacts (compiled program → points-to
 //!   → dependence graph → frozen CSR → down-edge index → tabulation memo)
@@ -11,11 +9,11 @@
 //!   context-insensitive queries never pays for the context-sensitive
 //!   graph, and repeated queries reuse warm scratch and memo state;
 //! * one [`RunCtx`] (telemetry + budget) threads through every stage, so
-//!   a traced or governed session needs no `_telemetry` / `_governed`
-//!   twin calls;
+//!   the same calls serve traced, governed and plain sessions;
 //! * one request shape, [`Query`] — seeds, slice kind, engine, policy —
 //!   answered by [`AnalysisSession::query`] with one result shape,
-//!   [`SliceResult`].
+//!   [`SliceResult`], and by [`AnalysisSession::query_batch`] through the
+//!   one batch engine ([`crate::batch`]).
 //!
 //! Cache invariants: stage artifacts are immutable once built (the MJ
 //! program never changes under a session), so memoisation is pure — a
@@ -40,12 +38,12 @@
 //! # Ok::<(), thinslice_ir::CompileError>(())
 //! ```
 
-use crate::batch::{run_batch, BatchConfig, FaultInjection, QueryOutcome};
+use crate::batch::{answer_ci, answer_cs, run_batch, BatchConfig, FaultInjection, QueryOutcome};
 use crate::nodeset::NodeSet;
-use crate::slice::{slice_dense, SliceKind, SliceScratch};
+use crate::slice::{SliceKind, SliceScratch};
 use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::stmtset::StmtSet;
-use crate::tabulation::{cs_reusing, CsScratch, DownConsumers, MemoStats};
+use crate::tabulation::{CsScratch, DownConsumers, MemoStats};
 use crate::{Analysis, BuildReport};
 use thinslice_ir::delta::{ProgramDelta, ProgramFingerprints};
 use thinslice_ir::{compile_fingerprinted, CompileError, Program, StmtRef};
@@ -54,8 +52,8 @@ use thinslice_sdg::{
     body_fingerprint, build_ci_cached, build_cs_cached, DepGraph, FrozenSdg, NodeId, Sdg, SdgCache,
 };
 use thinslice_util::{
-    Budget, ByteReader, ByteWriter, CodecError, Completeness, FxHashSet, RunCtx, SnapshotReader,
-    SnapshotWriter,
+    Budget, ByteReader, ByteWriter, CancelToken, CodecError, Completeness, FxHashSet, RunCtx,
+    SnapshotReader, SnapshotWriter,
 };
 
 /// Which slicing engine answers a query.
@@ -170,14 +168,20 @@ impl SliceResult {
 /// everything about *how* a batch runs that is not per-query policy.
 #[derive(Debug, Clone, Default)]
 pub struct BatchOptions {
-    /// Cancel the remaining queries after the first hard query failure.
+    /// Cancel the rest of the call after the first hard query failure,
+    /// whatever their (engine, kind, policy) group: queries that start
+    /// afterwards come back truncated, and running ones stop at their
+    /// meter's next check. The call then runs under a cancel token of its
+    /// own, which replaces the token of the session's or a policy's
+    /// budget, so a failure never cancels the session. A group whose
+    /// own token is already cancelled when it starts keeps that token.
     pub fail_fast: bool,
     /// How many times a panicked query is retried on fresh scratch.
     /// `None` keeps the engine default (one retry).
     pub retries: Option<u32>,
     /// Test-only deterministic fault injection. The fault's query index
-    /// counts positions within one (engine, kind, policy) group of the
-    /// batch — for a homogeneous batch, the original query index.
+    /// is an index into the `queries` passed to
+    /// [`AnalysisSession::query_batch_with`]; only that query panics.
     pub fault: Option<FaultInjection>,
 }
 
@@ -879,7 +883,6 @@ impl AnalysisSession {
     /// to a cold one.
     pub fn query(&mut self, q: &Query) -> SliceResult {
         let budget = self.effective_budget(&q.policy);
-        let governed = !budget.is_unlimited();
         let tel = self.ctx.telemetry().clone();
         let mut span = tel.span("session.query");
         let result = match q.engine {
@@ -887,80 +890,35 @@ impl AnalysisSession {
                 self.ensure_ci_csr();
                 let graph = self.ci_csr.as_ref().expect("ci csr ensured");
                 let seeds = resolve_seeds(graph, &q.seeds);
-                let prefiltered = matches!(q.kind, SliceKind::TraditionalFull);
-                let mut meter = budget.meter();
-                let (slice, completeness) = slice_dense(
+                // The full slicer follows every edge: the graph is its own
+                // filtered view.
+                let prefiltered = q.kind == SliceKind::TraditionalFull;
+                answer_ci(
                     graph,
+                    prefiltered,
                     &seeds,
                     q.kind,
+                    &budget,
                     &mut self.scratch,
-                    prefiltered,
-                    &mut meter,
-                );
-                if governed {
-                    tel.count("govern.meter_checks", meter.slow_checks());
-                }
-                SliceResult {
-                    engine: Engine::Ci,
-                    kind: q.kind,
-                    stmts: slice.stmts,
-                    nodes: slice.nodes,
-                    completeness,
-                    degraded: false,
-                }
+                    &tel,
+                )
             }
             Engine::Cs => {
                 self.ensure_cs_index();
                 let graph = self.cs_csr.as_ref().expect("cs csr ensured");
                 let index = self.cs_index.as_ref().expect("cs index ensured");
                 let seeds = resolve_seeds(graph, &q.seeds);
-                let mut meter = budget.meter();
-                let (slice, completeness) = cs_reusing(
+                answer_cs(
                     graph,
                     index,
                     &seeds,
                     q.kind,
-                    &mut self.cs_scratch[kind_slot(q.kind)],
-                    &mut meter,
-                );
-                if completeness.is_complete() || !q.policy.degrade {
-                    if governed {
-                        tel.count("govern.meter_checks", meter.slow_checks());
-                    }
-                    SliceResult {
-                        engine: Engine::Cs,
-                        kind: q.kind,
-                        stmts: slice.stmts,
-                        nodes: slice.nodes,
-                        completeness,
-                        degraded: false,
-                    }
-                } else {
-                    // Scalability ladder: re-answer with the CI engine
-                    // over the same graph, under a fresh meter.
-                    let mut ci_meter = budget.meter();
-                    let (ci, ci_completeness) = slice_dense(
-                        graph,
-                        &seeds,
-                        q.kind,
-                        &mut self.scratch,
-                        false,
-                        &mut ci_meter,
-                    );
-                    tel.count(
-                        "govern.meter_checks",
-                        meter.slow_checks() + ci_meter.slow_checks(),
-                    );
-                    tel.count("govern.degraded_queries", 1);
-                    SliceResult {
-                        engine: Engine::Ci,
-                        kind: q.kind,
-                        stmts: ci.stmts,
-                        nodes: ci.nodes,
-                        completeness: ci_completeness,
-                        degraded: true,
-                    }
-                }
+                    &budget,
+                    q.policy.degrade,
+                    Some(&mut self.cs_scratch[kind_slot(q.kind)]),
+                    &mut self.scratch,
+                    &tel,
+                )
             }
         };
         span.add("slice.stmts", result.stmts.len() as u64);
@@ -970,6 +928,12 @@ impl AnalysisSession {
     /// Answers a batch of queries fanned out over `threads` workers, in
     /// query order, with default robustness (see
     /// [`AnalysisSession::query_batch_with`]).
+    ///
+    /// Every batch, governed or not, runs through the one batch engine:
+    /// each [`QueryOutcome::latency`] is measured, and a query whose
+    /// walk panics is isolated and retried on fresh scratch — if it keeps
+    /// panicking, its outcome is an `Err` while the rest of the batch
+    /// answers normally. Nothing unwinds out of this call.
     pub fn query_batch(&mut self, queries: &[Query], threads: usize) -> Vec<QueryOutcome> {
         self.query_batch_with(queries, threads, &BatchOptions::default())
     }
@@ -977,11 +941,12 @@ impl AnalysisSession {
     /// Answers a batch of queries fanned out over `threads` workers.
     ///
     /// Queries are grouped by (engine, kind, policy) and each group runs
-    /// through the shared batch engine — graph and down-edge index built
-    /// once, per-worker scratch reuse, and (when any query is governed or
-    /// `opts` asks for isolation) per-query budgets with panic isolation.
-    /// Results come back in the original query order; each is identical
-    /// to what [`AnalysisSession::query`] would return for that query.
+    /// through the batch engine — graph and down-edge index built once,
+    /// per-worker scratch reuse, and per-query budgets with panic
+    /// isolation and bounded retry (see [`AnalysisSession::query_batch`]).
+    /// Results come back in the original query order; each answer is
+    /// identical to what [`AnalysisSession::query`] would return for that
+    /// query.
     pub fn query_batch_with(
         &mut self,
         queries: &[Query],
@@ -1001,15 +966,31 @@ impl AnalysisSession {
             }
         }
         let mut out: Vec<Option<QueryOutcome>> = (0..queries.len()).map(|_| None).collect();
+        // One fresh token for the whole call, so that under fail-fast a
+        // hard failure cancels every later query, whatever its group, and
+        // never a token the session or a policy keeps.
+        let cancel = opts.fail_fast.then(CancelToken::new);
         for (rep, idxs) in groups {
             let q = &queries[rep];
-            let budget = self.effective_budget(&q.policy);
-            let ctx = self.ctx.clone().with_budget(budget);
+            let mut budget = self.effective_budget(&q.policy);
+            if let Some(cancel) = &cancel {
+                // A group whose own token is already cancelled keeps it,
+                // and answers as its single queries would.
+                if !budget.cancel_token().is_some_and(CancelToken::is_cancelled) {
+                    budget = budget.with_cancel(cancel.clone());
+                }
+            }
+            // The fault names a query of the call; only its group sees it,
+            // at that query's position within the group.
+            let fault = opts.fault.and_then(|f| {
+                let query = idxs.iter().position(|&i| i == f.query)?;
+                Some(FaultInjection { query, ..f })
+            });
             let cfg = BatchConfig {
-                ctx,
-                fail_fast: opts.fail_fast,
+                ctx: self.ctx.clone().with_budget(budget),
+                fail_fast: cancel.clone(),
                 retries: opts.retries.unwrap_or(BatchConfig::default().retries),
-                fault: opts.fault,
+                fault,
                 degrade: q.policy.degrade,
             };
             let graph = match q.engine {

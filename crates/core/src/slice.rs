@@ -1,16 +1,18 @@
 //! Context-insensitive slicing as graph reachability (paper §5.2).
 //!
-//! One metered BFS serves every caller: the ungoverned entrypoints pass an
-//! unlimited [`Meter`] (one predictable branch per node), the governed ones
-//! an armed meter. The [`crate::AnalysisSession`] query path and the batch
-//! engine drive the same loops through [`crate::Query`]; the free
-//! functions of earlier releases survive as deprecated delegating wrappers.
+//! Two metered BFS loops produce the same answer: `slice_dense`, the
+//! frozen-graph walk behind [`crate::AnalysisSession`] queries and the
+//! batch engine, and `slice_sparse`, the sort-based reference that walks
+//! any [`DepGraph`] — the growable graph of [`crate::expand`] and the
+//! [`crate::Analysis`] façade. An ungoverned caller passes an unlimited
+//! [`Meter`] (one predictable branch per node), a governed one an armed
+//! meter.
 
 use crate::nodeset::NodeSet;
 use crate::stmtset::StmtSet;
 use thinslice_ir::StmtRef;
 use thinslice_sdg::{DenseDisplay, DepGraph, NodeId, NO_DISPLAY};
-use thinslice_util::{BitSet, Budget, Completeness, FxHashSet, Idx, Meter, Outcome};
+use thinslice_util::{BitSet, Completeness, FxHashSet, Idx, Meter};
 
 /// Which dependence relation a slice follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -373,77 +375,6 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
         },
         completeness,
     )
-}
-
-/// Computes a backward slice from `seeds` by BFS over the edges `kind`
-/// follows. Seeds at distance 0; ties within a level broken by node id.
-///
-/// Generic over [`DepGraph`]: runs identically over the growable
-/// [`thinslice_sdg::Sdg`] and its frozen CSR form
-/// ([`thinslice_sdg::FrozenSdg`]), which is the fast path for repeated
-/// queries.
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query` instead")]
-pub fn slice_from<G: DepGraph>(sdg: &G, seeds: &[NodeId], kind: SliceKind) -> Slice {
-    slice_sparse(
-        sdg,
-        seeds,
-        kind,
-        &mut SliceScratch::new(),
-        &mut Meter::unlimited(),
-    )
-    .0
-}
-
-/// [`slice_from`] with caller-provided scratch buffers. The result is
-/// identical to [`slice_from`]'s for any scratch state left by previous
-/// queries.
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query` instead")]
-pub fn slice_from_reusing<G: DepGraph>(
-    sdg: &G,
-    seeds: &[NodeId],
-    kind: SliceKind,
-    scratch: &mut SliceScratch,
-) -> Slice {
-    slice_sparse(sdg, seeds, kind, scratch, &mut Meter::unlimited()).0
-}
-
-/// [`slice_from`] under a resource [`Budget`].
-///
-/// Runs the identical BFS; once the budget is exhausted the traversal stops
-/// pulling from the frontier and the visited prefix — a subset of the
-/// unbudgeted slice, in the same discovery order — is returned labelled
-/// `Truncated` with the abandoned frontier size. With an unlimited budget
-/// the result is bit-identical to [`slice_from`].
-#[deprecated(
-    since = "0.4.0",
-    note = "use `AnalysisSession::query` with a budgeted `QueryPolicy` instead"
-)]
-pub fn slice_from_governed<G: DepGraph>(
-    sdg: &G,
-    seeds: &[NodeId],
-    kind: SliceKind,
-    budget: &Budget,
-) -> Outcome<Slice> {
-    let mut meter = budget.meter();
-    let (slice, completeness) =
-        slice_sparse(sdg, seeds, kind, &mut SliceScratch::new(), &mut meter);
-    Outcome::new(slice, completeness)
-}
-
-/// [`slice_from_governed`] with caller-provided scratch and an armed meter.
-#[deprecated(
-    since = "0.4.0",
-    note = "use `AnalysisSession::query` with a budgeted `QueryPolicy` instead"
-)]
-pub fn slice_from_governed_reusing<G: DepGraph>(
-    sdg: &G,
-    seeds: &[NodeId],
-    kind: SliceKind,
-    scratch: &mut SliceScratch,
-    meter: &mut Meter,
-) -> Outcome<Slice> {
-    let (slice, completeness) = slice_sparse(sdg, seeds, kind, scratch, meter);
-    Outcome::new(slice, completeness)
 }
 
 #[cfg(test)]

@@ -7,6 +7,16 @@
 //! at the call site; ascending back to a caller must close it at the same
 //! site. Procedure *summary edges* (call-site consumer → call-site actual)
 //! are computed lazily as entry nodes are reached from exits.
+//!
+//! The tabulation is meant for graphs whose *every* cross-procedure edge
+//! is a labelled parameter/call edge — the heap-parameter mode of
+//! [`thinslice_sdg::build_cs`] (or call-free regions of any graph). On the
+//! direct-heap-edge graph, store→load edges cross procedures without call
+//! labels, so summarisation cannot continue past them and heap-borne flow
+//! is truncated; the paper likewise only pairs tabulation with heap
+//! parameters. [`crate::AnalysisSession`] answers `Engine::Cs` queries
+//! this way, on warm [`CsScratch`] that memoises summaries and callee-exit
+//! regions across queries.
 
 use crate::nodeset::NodeSet;
 use crate::slice::{external_node_set, SliceKind};
@@ -15,7 +25,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 use thinslice_ir::StmtRef;
 use thinslice_sdg::{DenseDisplay, DepGraph, EdgeKind, NodeId, NodeKind, NO_DISPLAY};
-use thinslice_util::{BitSet, Budget, Completeness, FxHashMap, FxHashSet, Meter, Outcome};
+use thinslice_util::{BitSet, Completeness, FxHashMap, FxHashSet, Meter};
 use thinslice_util::{Idx, IdxVec};
 
 /// Result of a context-sensitive slice: the visited node set.
@@ -80,27 +90,6 @@ fn classify<G: DepGraph>(kind: &EdgeKind, sdg: &G, target: NodeId) -> Step {
     }
 }
 
-/// Computes a context-sensitive backward slice from `seeds`.
-///
-/// Intended for graphs whose *every* cross-procedure edge is a labelled
-/// parameter/call edge — i.e. the heap-parameter mode of
-/// [`thinslice_sdg::build_cs`] (or call-free regions of any graph). On the
-/// direct-heap-edge graph, store→load edges cross procedures without call
-/// labels, so summarisation cannot continue past them and heap-borne flow
-/// is truncated; the paper likewise only pairs tabulation with heap
-/// parameters (§5.3).
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query` instead")]
-pub fn cs_slice<G: DepGraph>(sdg: &G, seeds: &[NodeId], kind: SliceKind) -> CsSlice {
-    cs_oneshot(
-        sdg,
-        &DownConsumers::build(sdg),
-        seeds,
-        kind,
-        &mut Meter::unlimited(),
-    )
-    .0
-}
-
 pub use thinslice_sdg::DownConsumers;
 
 /// Storage for the tabulation's path-edge and summary relations.
@@ -108,8 +97,10 @@ pub use thinslice_sdg::DownConsumers;
 /// The algorithm ([`tabulate`]) is written once against this trait; the
 /// two implementations trade differently:
 ///
-/// * [`SparseStore`] — hash maps, no setup cost, per-step hashing. What a
-///   one-shot query wants: its cost is proportional to the slice.
+/// * [`SparseStore`] — hash maps, no setup cost, per-step hashing, and a
+///   sort-based `finish`. What a one-shot query wants: its cost is
+///   proportional to the slice. It answers a one-query batch, and the
+///   tests compare the dense store against it.
 /// * [`DenseStore`] — [`NodeId`]-indexed tables, O(graph) one-time setup,
 ///   per-step array indexing, O(|slice|) clearing via touched-lists. What
 ///   a reused scratch wants: across a batch the setup amortises to zero
@@ -139,7 +130,7 @@ trait TabStore {
     fn resident(&self) -> usize;
 }
 
-/// Hash-map tabulation storage for one-shot queries. See [`TabStore`].
+/// Hash-map tabulation storage. See [`TabStore`].
 #[derive(Debug, Default)]
 struct SparseStore {
     path: FxHashMap<NodeId, FxHashSet<Src>>,
@@ -263,8 +254,7 @@ mod exit_state {
 /// splices the region (and, transitively, its sub-exits' regions) into
 /// its path table instead of re-tabulating the callee: across a batch,
 /// each callee region is tabulated once, not once per query. This is why
-/// [`cs_slice_reusing`] requires scratch reuse to stay on one
-/// (graph, kind) pair.
+/// a [`CsScratch`] may only be reused on one (graph, kind) pair.
 #[derive(Debug, Default)]
 struct DenseStore {
     /// `path[n]` = sources with a path edge to `n`. The per-node source
@@ -595,9 +585,6 @@ impl DenseStore {
 /// cleared between queries retaining capacity, while memoised graph facts
 /// (summaries, callee-exit regions) persist and make later queries
 /// cheaper. In steady state a query allocates nothing but its result.
-/// One-shot entry points ([`cs_slice`],
-/// [`cs_slice_indexed`]) use a sparse store instead, which needs no
-/// O(graph) setup — so their latency is untouched by the batch machinery.
 #[derive(Debug, Default)]
 pub struct CsScratch {
     store: DenseStore,
@@ -684,9 +671,10 @@ impl CsScratch {
     }
 }
 
-/// The one-shot metered tabulation: a fresh [`SparseStore`] (no O(graph)
-/// setup, cost proportional to the slice), a shared down-edge index and a
-/// caller-armed meter. All single-query entrypoints delegate here.
+/// The one-shot metered tabulation on a fresh [`SparseStore`] (no O(graph)
+/// setup, cost proportional to the slice) with a caller-armed meter: what
+/// a one-query batch runs, and the reference the tests compare
+/// [`cs_reusing`] against, on any [`DepGraph`].
 pub(crate) fn cs_oneshot<G: DepGraph>(
     sdg: &G,
     index: &DownConsumers,
@@ -709,7 +697,7 @@ pub(crate) fn cs_oneshot<G: DepGraph>(
     (store.finish(sdg), completeness)
 }
 
-/// The scratch-reusing metered tabulation — the batched engine's and the
+/// The scratch-reusing metered tabulation — the batch engine's and the
 /// session's inner loop.
 ///
 /// The scratch memoises summary edges and callee-exit regions, which are
@@ -738,75 +726,6 @@ pub(crate) fn cs_reusing<G: DenseDisplay>(
         sdg, index, seeds, kind, store, wl, tmp_srcs, tmp_conts, meter,
     );
     (store.finish(sdg, completeness.is_complete()), completeness)
-}
-
-/// [`cs_slice`] with a prebuilt [`DownConsumers`] index for `sdg`. The
-/// index depends only on the graph, so it can be shared across any number
-/// of queries (and threads).
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query` instead")]
-pub fn cs_slice_indexed<G: DepGraph>(
-    sdg: &G,
-    index: &DownConsumers,
-    seeds: &[NodeId],
-    kind: SliceKind,
-) -> CsSlice {
-    cs_oneshot(sdg, index, seeds, kind, &mut Meter::unlimited()).0
-}
-
-/// [`cs_slice`] under a resource [`Budget`].
-///
-/// Identical traversal; once the budget is exhausted the accumulated path
-/// edges — a subset of the fixpoint relation, since it only grows — are
-/// returned labelled `Truncated` with the abandoned worklist size. With an
-/// unlimited budget the result is bit-identical to [`cs_slice`].
-#[deprecated(
-    since = "0.4.0",
-    note = "use `AnalysisSession::query` with a budgeted `QueryPolicy` instead"
-)]
-pub fn cs_slice_governed<G: DepGraph>(
-    sdg: &G,
-    seeds: &[NodeId],
-    kind: SliceKind,
-    budget: &Budget,
-) -> Outcome<CsSlice> {
-    let mut meter = budget.meter();
-    let (slice, completeness) =
-        cs_oneshot(sdg, &DownConsumers::build(sdg), seeds, kind, &mut meter);
-    Outcome::new(slice, completeness)
-}
-
-/// [`cs_slice_governed`] with a shared index, caller-provided scratch and
-/// an armed meter. The scratch contract of [`cs_slice_reusing`] applies,
-/// and so does its restriction to frozen graphs.
-#[deprecated(
-    since = "0.4.0",
-    note = "use `AnalysisSession::query` with a budgeted `QueryPolicy` instead"
-)]
-pub fn cs_slice_governed_reusing<G: DenseDisplay>(
-    sdg: &G,
-    index: &DownConsumers,
-    seeds: &[NodeId],
-    kind: SliceKind,
-    scratch: &mut CsScratch,
-    meter: &mut Meter,
-) -> Outcome<CsSlice> {
-    let (slice, completeness) = cs_reusing(sdg, index, seeds, kind, scratch, meter);
-    Outcome::new(slice, completeness)
-}
-
-/// [`cs_slice_indexed`] with caller-provided scratch state; see
-/// [`CsScratch`]'s scratch contract. Takes only frozen graphs: the
-/// reusing store deduplicates statements through dense display ids
-/// ([`DenseDisplay`]). A growable `Sdg` goes through [`cs_slice_indexed`].
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query` instead")]
-pub fn cs_slice_reusing<G: DenseDisplay>(
-    sdg: &G,
-    index: &DownConsumers,
-    seeds: &[NodeId],
-    kind: SliceKind,
-    scratch: &mut CsScratch,
-) -> CsSlice {
-    cs_reusing(sdg, index, seeds, kind, scratch, &mut Meter::unlimited()).0
 }
 
 /// The paper's §5.3 tabulation, generic over graph and storage; see
@@ -1082,6 +1001,63 @@ mod tests {
             let cold = cs_slice(&frozen, &[seed], SliceKind::Thin);
             assert_eq!(warm.nodes, cold.nodes);
             assert_eq!(warm.stmts, cold.stmts);
+        }
+    }
+
+    #[test]
+    fn context_sensitive_slices_are_never_larger() {
+        // Tabulation vs reachability on the *same* graph, the direct-edge
+        // one, from the first three reachable prints of every suite
+        // benchmark.
+        for b in thinslice_suite::all_benchmarks() {
+            let a = crate::Analysis::build(&b.sources).unwrap();
+            let prints = a.program.all_stmts().filter(|&s| {
+                matches!(a.program.instr(s).kind, InstrKind::Print { .. })
+                    && !a.sdg.stmt_nodes_of(s).is_empty()
+            });
+            for seed in prints.take(3) {
+                let nodes = a.sdg.stmt_nodes_of(seed).to_vec();
+                let ci = slice_from(&a.sdg, &nodes, SliceKind::Thin);
+                let cs = cs_slice(&a.sdg, &nodes, SliceKind::Thin);
+                assert!(
+                    cs.stmts.is_subset(&ci.stmts),
+                    "{}: tabulation must not add statements at {seed:?}",
+                    b.name
+                );
+            }
+        }
+    }
+
+    /// The context-sensitive tabulation result is always a subset of the
+    /// context-insensitive reachability result on the same graph, for
+    /// every slice kind, on generated programs.
+    #[test]
+    fn tabulation_is_a_refinement() {
+        use thinslice_suite::{generate, GeneratorConfig};
+        use thinslice_util::SmallRng;
+        for case in 0..8u64 {
+            let seed = SmallRng::new(case ^ 0x7ab).next_u64() % 200;
+            let config = GeneratorConfig {
+                seed,
+                ..GeneratorConfig::default()
+            };
+            let src = generate(&config);
+            let a = crate::Analysis::build(&[("gen.mj", &src)]).unwrap();
+            let seed_stmt = a
+                .program
+                .all_stmts()
+                .find(|s| matches!(a.program.instr(*s).kind, InstrKind::Print { .. }))
+                .unwrap();
+            let nodes = a.sdg.stmt_nodes_of(seed_stmt).to_vec();
+            for kind in [
+                SliceKind::Thin,
+                SliceKind::TraditionalData,
+                SliceKind::TraditionalFull,
+            ] {
+                let ci = slice_from(&a.sdg, &nodes, kind);
+                let cs = cs_slice(&a.sdg, &nodes, kind);
+                assert!(cs.stmts.is_subset(&ci.stmts), "kind {kind:?}");
+            }
         }
     }
 

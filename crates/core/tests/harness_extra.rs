@@ -1,7 +1,7 @@
 //! Extra harness tests: inspection ordering, report rendering and whole-
 //! program SSA validation.
 
-use thinslice::{Analysis, InspectTask, SliceKind};
+use thinslice::{Analysis, AnalysisSession, Engine, InspectTask, Query, SliceKind};
 use thinslice_ir::ssa::validate_ssa;
 
 #[test]
@@ -112,17 +112,12 @@ int a = 2;
 int b = a * a;
 print(b);
 } }";
-    let a = Analysis::build(&[("p.mj", src)]).unwrap();
-    let seeds = a.seed_at_line("p.mj", 4).unwrap();
-    let nodes: Vec<_> = seeds
-        .iter()
-        .flat_map(|&s| a.sdg.stmt_nodes_of(s).to_vec())
-        .collect();
-    #[allow(deprecated)]
-    let ci = thinslice::slice_from(&a.sdg, &nodes, SliceKind::Thin);
-    #[allow(deprecated)]
-    let cs = thinslice::cs_slice(&a.sdg, &nodes, SliceKind::Thin);
-    assert_eq!(ci.stmt_set(), cs.stmts.to_hash_set());
+    let mut s = AnalysisSession::new(&[("p.mj", src)]).unwrap();
+    let seeds = s.seed_at_line("p.mj", 4).unwrap();
+    let ci = s.query(&Query::new(seeds.clone(), SliceKind::Thin, Engine::Ci));
+    let cs = s.query(&Query::new(seeds, SliceKind::Thin, Engine::Cs));
+    assert_eq!(cs.engine, Engine::Cs);
+    assert_eq!(ci.stmt_set(), cs.stmt_set());
 }
 
 #[test]

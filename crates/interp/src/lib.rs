@@ -33,8 +33,6 @@ pub mod machine;
 pub mod natives;
 
 pub use dynslice::{dynamic_data_slice, dynamic_thin_slice, DynamicSlice};
-#[allow(deprecated)]
-pub use machine::run_telemetry;
 pub use machine::{run, run_ctx, EventId, ExecConfig, Execution, Outcome};
 pub use natives::NativeWorld;
 pub use thinslice_util::{Budget, CancelToken, ExhaustReason};

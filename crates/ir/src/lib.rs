@@ -51,8 +51,6 @@ pub mod ssa;
 pub mod stdlib;
 pub mod token;
 
-#[allow(deprecated)]
-pub use compile::compile_telemetry;
 pub use compile::{compile, compile_ctx, compile_fingerprinted, compile_raw};
 pub use error::CompileError;
 pub use ir::{

@@ -196,22 +196,6 @@ impl Pta {
         (pta, completeness)
     }
 
-    /// Like [`Pta::analyze`], but metered: a truncated solve yields a sound
-    /// under-approximation of the call graph and points-to sets, labelled
-    /// with why it stopped and how much worklist was abandoned.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `Pta::analyze_ctx` with a governed `RunCtx` instead"
-    )]
-    pub fn analyze_governed(
-        program: &Program,
-        config: PtaConfig,
-        meter: &mut thinslice_util::Meter,
-    ) -> (Pta, Completeness) {
-        let (result, completeness) = solver::solve_governed(program, &config, meter);
-        (Self::from_solver(config, result), completeness)
-    }
-
     fn from_solver(config: PtaConfig, r: SolverResult) -> Pta {
         let mut var_pts: FxHashMap<(MethodId, Var), BitSet<ObjId>> = FxHashMap::default();
         let mut inst_var_pts: FxHashMap<(CgNode, Var), BitSet<ObjId>> = FxHashMap::default();

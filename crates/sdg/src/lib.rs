@@ -44,8 +44,6 @@ pub mod node;
 pub mod snap;
 pub mod stats;
 
-#[allow(deprecated)]
-pub use builder::build_ci_governed;
 pub use builder::{build_ci, build_ci_cached, build_ci_ctx};
 pub use cache::SdgCache;
 pub use csr::{DenseDisplay, DepGraph, DownConsumers, FilteredCsr, FrozenSdg, NO_DISPLAY};

@@ -1,21 +1,17 @@
 //! The parallel batched query engine must be a pure performance feature:
 //! for every slicer variant, every benchmark program and every thread
-//! count, its output is bit-for-bit the sequential single-query output.
+//! count, `AnalysisSession::query_batch` answers bit-for-bit what
+//! `AnalysisSession::query` answers one query at a time.
 //!
 //! This holds by construction — workers share only immutable data (the
 //! frozen CSR graph, the down-edge index) and per-worker scratch reuse
 //! clears or memoises only query-independent facts — and this test pins
 //! the construction down against the whole evaluation suite.
 
-// This suite deliberately exercises the legacy node-level entrypoints: it
-// pins the batch engines against the exact sequential slicers they wrap,
-// below the session/Query layer (which tests/session_api.rs covers).
-#![allow(deprecated)]
-
-use thinslice::{batch, cs_slice, slice_from, SliceKind};
+use thinslice::{AnalysisSession, Engine, Query, QueryOutcome, RunCtx, SliceKind};
 use thinslice_ir::InstrKind;
 use thinslice_pta::PtaConfig;
-use thinslice_sdg::{DepGraph, NodeId};
+use thinslice_sdg::DepGraph;
 
 const BFS_KINDS: [SliceKind; 3] = [
     SliceKind::Thin,
@@ -23,44 +19,48 @@ const BFS_KINDS: [SliceKind; 3] = [
     SliceKind::TraditionalFull,
 ];
 
-/// One query per print statement of the program, resolved against `graph`.
-fn print_queries<G: DepGraph>(program: &thinslice_ir::Program, graph: &G) -> Vec<Vec<NodeId>> {
-    program
+/// One query per print statement the engine's graph reaches.
+fn print_queries(s: &mut AnalysisSession, kind: SliceKind, engine: Engine) -> Vec<Query> {
+    let prints: Vec<_> = s
+        .program()
         .all_stmts()
-        .filter(|s| matches!(program.instr(*s).kind, InstrKind::Print { .. }))
-        .map(|s| graph.stmt_nodes_of(s).to_vec())
-        .filter(|nodes| !nodes.is_empty())
+        .filter(|st| matches!(s.program().instr(*st).kind, InstrKind::Print { .. }))
+        .collect();
+    let graph = match engine {
+        Engine::Ci => s.ci_graph(),
+        Engine::Cs => s.cs_graph(),
+    };
+    prints
+        .into_iter()
+        .filter(|&st| !graph.stmt_nodes_of(st).is_empty())
+        .map(|st| Query::new(vec![st], kind, engine))
         .collect()
 }
 
-/// Tiles `queries` so batches are large enough to take the prefiltered
-/// fast path as well as the small-batch path.
-fn tiled(queries: &[Vec<NodeId>], n: usize) -> Vec<Vec<NodeId>> {
-    queries.iter().cycle().take(n).cloned().collect()
+/// Asserts every batched outcome equals the single query's answer.
+fn assert_matches_queries(s: &mut AnalysisSession, queries: &[Query], batched: &[QueryOutcome]) {
+    assert_eq!(batched.len(), queries.len());
+    for (i, (q, got)) in queries.iter().zip(batched).enumerate() {
+        let want = s.query(q);
+        let got = got.slice.as_ref().expect("ungoverned batch never fails");
+        let at = format!("query {i}: {:?}/{:?}", q.engine, q.kind);
+        assert_eq!(got.stmts, want.stmts, "{at}");
+        assert_eq!(got.nodes, want.nodes, "{at}");
+        assert_eq!(got.engine, want.engine, "{at}");
+        assert_eq!(got.completeness, want.completeness, "{at}");
+    }
 }
 
 #[test]
 fn batched_bfs_slices_match_sequential_on_all_benchmarks() {
     for b in thinslice_suite::all_benchmarks() {
-        let a = b.analyze(PtaConfig::default());
-        let queries = print_queries(&a.program, &a.csr);
-        assert!(!queries.is_empty(), "{}: no print queries", b.name);
+        let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
         for kind in BFS_KINDS {
-            let sequential: Vec<_> = queries
-                .iter()
-                .map(|q| slice_from(&a.sdg, q, kind))
-                .collect();
+            let queries = print_queries(&mut s, kind, Engine::Ci);
+            assert!(!queries.is_empty(), "{}: no print queries", b.name);
             for threads in [1, 2, 4, 8] {
-                let batched = batch::slices(&a.csr, &queries, kind, threads);
-                assert_eq!(batched.len(), sequential.len());
-                for (got, want) in batched.iter().zip(&sequential) {
-                    assert_eq!(
-                        got.stmts, want.stmts,
-                        "{}: {kind:?} at {threads} threads",
-                        b.name
-                    );
-                    assert_eq!(got.nodes, want.nodes, "{}: {kind:?}", b.name);
-                }
+                let batched = s.query_batch(&queries, threads);
+                assert_matches_queries(&mut s, &queries, &batched);
             }
         }
     }
@@ -69,55 +69,34 @@ fn batched_bfs_slices_match_sequential_on_all_benchmarks() {
 #[test]
 fn batched_tabulation_matches_sequential_on_all_benchmarks() {
     for b in thinslice_suite::all_benchmarks() {
-        let a = b.analyze(PtaConfig::default());
+        let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
         // The tabulation is paired with the heap-parameter graph, as in
         // the paper (§5.3).
-        let cs_sdg = a.build_cs_sdg();
-        let cs_frozen = cs_sdg.freeze();
-        let queries = print_queries(&a.program, &cs_frozen);
+        let queries = print_queries(&mut s, SliceKind::Thin, Engine::Cs);
         assert!(!queries.is_empty(), "{}: no print queries", b.name);
-        let sequential: Vec<_> = queries
-            .iter()
-            .map(|q| cs_slice(&cs_sdg, q, SliceKind::Thin))
-            .collect();
         for threads in [1, 2, 4, 8] {
-            let batched = batch::cs_slices(&cs_frozen, &queries, SliceKind::Thin, threads);
-            assert_eq!(batched.len(), sequential.len());
-            for (got, want) in batched.iter().zip(&sequential) {
-                assert_eq!(got.stmts, want.stmts, "{}: {threads} threads", b.name);
-                assert_eq!(got.nodes, want.nodes, "{}", b.name);
-            }
+            let batched = s.query_batch(&queries, threads);
+            assert_matches_queries(&mut s, &queries, &batched);
         }
     }
 }
 
 #[test]
 fn large_batches_match_sequential_through_every_fast_path() {
-    // Tile queries past the batch engine's internal thresholds so the
-    // per-batch edge prefilter and the scratch-memoisation paths are all
-    // exercised, on one benchmark from each heap mode.
+    // Tile the queries to a batch of 20 so two workers both run, reusing
+    // their scratch and (for tabulation) sharing callee-exit regions, on
+    // every kind of both engines.
     let b = thinslice_suite::benchmark_named("nanoxml").expect("nanoxml exists");
-    let a = b.analyze(PtaConfig::default());
-
-    let queries = tiled(&print_queries(&a.program, &a.csr), 20);
-    for kind in BFS_KINDS {
-        let batched = batch::slices(&a.csr, &queries, kind, 2);
-        for (got, seeds) in batched.iter().zip(&queries) {
-            let want = slice_from(&a.sdg, seeds, kind);
-            assert_eq!(got.stmts, want.stmts, "{kind:?}");
-            assert_eq!(got.nodes, want.nodes, "{kind:?}");
-        }
-    }
-
-    let cs_sdg = a.build_cs_sdg();
-    let cs_frozen = cs_sdg.freeze();
-    let cs_queries = tiled(&print_queries(&a.program, &cs_frozen), 20);
-    for kind in BFS_KINDS {
-        let batched = batch::cs_slices(&cs_frozen, &cs_queries, kind, 2);
-        for (got, seeds) in batched.iter().zip(&cs_queries) {
-            let want = cs_slice(&cs_sdg, seeds, kind);
-            assert_eq!(got.stmts, want.stmts, "{kind:?}");
-            assert_eq!(got.nodes, want.nodes, "{kind:?}");
+    let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
+    for engine in [Engine::Ci, Engine::Cs] {
+        for kind in BFS_KINDS {
+            let queries: Vec<Query> = print_queries(&mut s, kind, engine)
+                .into_iter()
+                .cycle()
+                .take(20)
+                .collect();
+            let batched = s.query_batch(&queries, 2);
+            assert_matches_queries(&mut s, &queries, &batched);
         }
     }
 }

@@ -47,28 +47,6 @@ fn slicer_inclusion_hierarchy_holds_on_all_benchmarks() {
 }
 
 #[test]
-fn context_sensitive_slices_are_never_larger() {
-    for b in thinslice_suite::all_benchmarks() {
-        let a = b.analyze(PtaConfig::default());
-        for seed in print_seeds(&a).into_iter().take(3) {
-            let nodes = a.sdg.stmt_nodes_of(seed).to_vec();
-            // Tabulation vs reachability on the *same* graph: the session's
-            // Cs engine answers from the heap-parameter graph instead, so
-            // this refinement check stays on the node-level entrypoints.
-            #[allow(deprecated)]
-            let ci = thinslice::slice_from(&a.sdg, &nodes, SliceKind::Thin);
-            #[allow(deprecated)]
-            let cs = thinslice::cs_slice(&a.sdg, &nodes, SliceKind::Thin);
-            assert!(
-                cs.stmts.is_subset(&ci.stmts),
-                "{}: tabulation must not add statements at {seed:?}",
-                b.name
-            );
-        }
-    }
-}
-
-#[test]
 fn heap_parameter_graphs_preserve_thin_reachability() {
     // The CS graph routes heap flow differently but must not lose it: a
     // value reachable in the CI thin slice through one store/load pair is

@@ -1,16 +1,18 @@
 //! Resource governance across the pipeline: budget-exhausted queries
 //! return sound truncated prefixes (never panics or hangs), context-
-//! sensitive queries degrade to context-insensitive reachability, and a
-//! panicking worker in a batch cannot corrupt its siblings.
+//! sensitive queries degrade to context-insensitive reachability, a
+//! governed batch answers each query as the governed single query does,
+//! and a panicking worker in a batch cannot corrupt its siblings.
 
 use std::time::Duration;
 use thinslice::batch::FaultInjection;
 use thinslice::{
-    AnalysisSession, BatchOptions, Budget, Completeness, Engine, ExhaustReason, Query, QueryError,
-    QueryPolicy, RunCtx, SliceKind,
+    AnalysisSession, BatchOptions, Budget, CancelToken, Completeness, Engine, ExhaustReason, Query,
+    QueryError, QueryOutcome, QueryPolicy, RunCtx, SliceKind, SliceResult,
 };
 use thinslice_ir::{InstrKind, Program, StmtRef};
 use thinslice_pta::PtaConfig;
+use thinslice_suite::GeneratorConfig;
 
 /// One single-statement seed per print statement of the program.
 fn print_seeds(program: &Program) -> Vec<Vec<StmtRef>> {
@@ -299,5 +301,245 @@ fn fail_fast_cancels_the_queries_after_a_hard_failure() {
             "query {i}: {:?}",
             slice.completeness
         );
+    }
+}
+
+/// Four queries in two (engine, kind, policy) groups: three thin CI
+/// queries, then one data CI query.
+fn two_group_batch(s: &AnalysisSession) -> Vec<Query> {
+    let thin = queries(s.program(), SliceKind::Thin, Engine::Ci);
+    assert!(thin.len() >= 3, "need at least three queries");
+    let data = Query::new(
+        thin[0].seeds.clone(),
+        SliceKind::TraditionalData,
+        Engine::Ci,
+    );
+    let mut qs = thin[..3].to_vec();
+    qs.push(data);
+    qs
+}
+
+/// Query `query` panics once and is not retried.
+fn fault_at(query: usize, fail_fast: bool) -> BatchOptions {
+    BatchOptions {
+        fault: Some(FaultInjection { query, attempts: 1 }),
+        retries: Some(0),
+        fail_fast,
+    }
+}
+
+fn assert_cancelled(out: &QueryOutcome, i: usize) {
+    let slice = out.slice.as_ref().expect("cancelled, not failed");
+    assert!(
+        matches!(
+            slice.completeness,
+            Completeness::Truncated {
+                reason: ExhaustReason::Cancelled,
+                ..
+            }
+        ),
+        "query {i}: {:?}",
+        slice.completeness
+    );
+}
+
+#[test]
+fn fail_fast_cancels_the_later_queries_of_every_group() {
+    let mut s = nanoxml_session();
+    let qs = two_group_batch(&s);
+    // One worker, so the failure of query 1 precedes queries 2 and 3.
+    let out = s.query_batch_with(&qs, 1, &fault_at(1, true));
+    assert!(out[0].is_clean());
+    assert!(out[1].slice.is_err());
+    assert_cancelled(&out[2], 2);
+    assert_cancelled(&out[3], 3);
+}
+
+#[test]
+fn fault_at_a_query_of_a_later_group_panics_that_query() {
+    let mut s = nanoxml_session();
+    let qs = two_group_batch(&s);
+    let out = s.query_batch_with(&qs, 1, &fault_at(3, false));
+    for (i, o) in out.iter().enumerate().take(3) {
+        assert!(o.is_clean(), "query {i}: {:?}", o.slice);
+    }
+    assert!(
+        matches!(&out[3].slice, Err(QueryError::Panicked { message })
+            if message.contains("injected worker fault")),
+        "query 3 must fail: {:?}",
+        out[3].slice
+    );
+}
+
+#[test]
+fn fault_at_a_query_panics_no_query_of_another_group() {
+    let mut s = nanoxml_session();
+    let qs = two_group_batch(&s);
+    let out = s.query_batch_with(&qs, 1, &fault_at(0, false));
+    assert!(out[0].slice.is_err());
+    for (i, o) in out.iter().enumerate().skip(1) {
+        assert!(o.is_clean(), "query {i}: {:?}", o.slice);
+    }
+}
+
+#[test]
+fn fail_fast_failure_leaves_the_session_token_uncancelled() {
+    // The session's budget carries a token; a fail-fast batch runs under a
+    // token of its own, so its failure cancels neither the session's token
+    // nor any later query or batch on the session.
+    let token = CancelToken::new();
+    let ctx = RunCtx::disabled().with_budget(Budget::unlimited().with_cancel(token.clone()));
+    let mut s = thinslice_suite::benchmark_named("nanoxml")
+        .expect("nanoxml exists")
+        .session(PtaConfig::default(), ctx);
+    let qs = two_group_batch(&s);
+    let out = s.query_batch_with(&qs, 1, &fault_at(1, true));
+    assert!(out[1].slice.is_err());
+    assert_cancelled(&out[2], 2);
+    assert_cancelled(&out[3], 3);
+    assert!(!token.is_cancelled(), "the session token must stay live");
+    for (i, q) in qs.iter().enumerate() {
+        assert!(s.query(q).completeness.is_complete(), "query {i}");
+    }
+    for opts in [BatchOptions::default(), fault_at(9, true)] {
+        for (i, o) in s.query_batch_with(&qs, 1, &opts).iter().enumerate() {
+            assert!(o.is_clean(), "query {i}: {:?}", o.slice);
+        }
+    }
+    // A cancelled session token still stops a fail-fast batch, as it
+    // stops every single query.
+    token.cancel();
+    for (i, o) in s
+        .query_batch_with(&qs, 1, &fault_at(9, true))
+        .iter()
+        .enumerate()
+    {
+        assert_cancelled(o, i);
+    }
+}
+
+/// Asserts a batched outcome equals the single query's answer.
+fn assert_answers_like(got: &QueryOutcome, want: &SliceResult, at: &str) {
+    let got = got.slice.as_ref().expect("no worker may panic");
+    assert_eq!(got.stmts.in_order(), want.stmts.in_order(), "{at}: stmts");
+    assert_eq!(got.nodes, want.nodes, "{at}: nodes");
+    assert_eq!(got.completeness, want.completeness, "{at}: completeness");
+    assert_eq!(
+        (got.engine, got.degraded),
+        (want.engine, want.degraded),
+        "{at}"
+    );
+}
+
+#[test]
+fn governed_batches_answer_like_governed_queries() {
+    // Thin and data batches of 16 queries walk a filtered view under the
+    // budget, batches of 3 walk the whole graph, as the single query
+    // does. Step limits of 1, half and full - 1 of the largest answer cut
+    // every query, some and only the largest; two threads run two
+    // workers on 16 queries.
+    let generated = thinslice_suite::generate(&GeneratorConfig::scaled(2));
+    let programs = [
+        ("nanoxml", nanoxml_session()),
+        (
+            "gen-x2",
+            AnalysisSession::new(&[("gen.mj", generated.as_str())]).unwrap(),
+        ),
+    ];
+    for (name, mut s) in programs {
+        for kind in [
+            SliceKind::Thin,
+            SliceKind::TraditionalData,
+            SliceKind::TraditionalFull,
+        ] {
+            let prints = queries(s.program(), kind, Engine::Ci);
+            let n = prints.len().max(16);
+            let qs: Vec<Query> = prints.into_iter().cycle().take(n).collect();
+            let sizes: Vec<usize> = qs.iter().map(|q| s.query(q).nodes.len()).collect();
+            let full = *sizes.iter().max().unwrap();
+            let largest = sizes.iter().position(|&len| len == full).unwrap();
+            assert!(full > 2, "{name}: {kind:?} answers too small to cut");
+            for limit in [1, full / 2, full - 1] {
+                let policy = budgeted(steps(limit as u64));
+                let governed: Vec<Query> = qs
+                    .iter()
+                    .map(|q| q.clone().with_policy(policy.clone()))
+                    .collect();
+                // Below the filter threshold: the largest query and the
+                // two after it.
+                let small: Vec<Query> = governed
+                    .iter()
+                    .cycle()
+                    .skip(largest)
+                    .take(3)
+                    .cloned()
+                    .collect();
+                for (threads, batch) in [(1, &governed), (2, &governed), (1, &small)] {
+                    let len = batch.len();
+                    let at = format!("{name} {kind:?} limit {limit} threads {threads} of {len}");
+                    let batched = s.query_batch(batch, threads);
+                    let mut truncated = 0;
+                    for (i, (q, got)) in batch.iter().zip(&batched).enumerate() {
+                        let want = s.query(q);
+                        truncated += usize::from(!want.completeness.is_complete());
+                        assert_answers_like(got, &want, &format!("{at} query {i}"));
+                    }
+                    assert!(truncated > 0, "{at}: the limit must cut something");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn one_query_ungoverned_batches_answer_like_queries() {
+    let mut s = nanoxml_session();
+    for engine in [Engine::Ci, Engine::Cs] {
+        for kind in [
+            SliceKind::Thin,
+            SliceKind::TraditionalData,
+            SliceKind::TraditionalFull,
+        ] {
+            let q = queries(s.program(), kind, engine)
+                .into_iter()
+                .find(|q| s.query(q).stmts.len() > 1)
+                .expect("a print with a non-trivial slice");
+            let out = s.query_batch(std::slice::from_ref(&q), 1);
+            assert_eq!(out.len(), 1);
+            assert_eq!(out[0].retries, 0);
+            let want = s.query(&q);
+            assert!(want.completeness.is_complete());
+            assert_answers_like(&out[0], &want, &format!("{engine:?}/{kind:?}"));
+        }
+    }
+}
+
+#[test]
+fn one_query_governed_cs_batches_answer_like_cold_queries() {
+    // A one-query CS batch tabulates on the one-shot store, which follows
+    // memo-free dense scratch step for step. Cut short, it answers as the
+    // first CS query of a fresh session does: by the ladder to CI, or with
+    // the truncated CS prefix when the policy forbids degrading.
+    let mut warm = nanoxml_session();
+    let q = queries(warm.program(), SliceKind::Thin, Engine::Cs)
+        .into_iter()
+        .max_by_key(|q| warm.query(q).nodes.len())
+        .expect("a print query");
+    let full = warm.query(&q).nodes.len();
+    assert!(full > 2, "answer too small to cut");
+    for limit in [1, full / 2, full - 1] {
+        for degrade in [true, false] {
+            let policy = QueryPolicy {
+                budget: Some(steps(limit as u64)),
+                degrade,
+            };
+            let q = q.clone().with_policy(policy);
+            let mut s = nanoxml_session();
+            let out = s.query_batch(std::slice::from_ref(&q), 1);
+            let want = s.query(&q);
+            assert!(want.degraded || !want.completeness.is_complete());
+            let at = format!("limit {limit} degrade {degrade}");
+            assert_answers_like(&out[0], &want, &at);
+        }
     }
 }

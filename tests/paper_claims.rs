@@ -1,5 +1,6 @@
 //! The paper's four headline claims (§6), each as an executable test.
 
+use thinslice::{AnalysisSession, Engine, Query, RunCtx, SliceKind};
 use thinslice_pta::{ModRef, ProgramStats, PtaConfig};
 use thinslice_sdg::{build_cs, SdgStats};
 
@@ -81,25 +82,27 @@ fn claim4_scalability() {
     let program = thinslice_ir::compile(&b.sources).unwrap();
 
     let t0 = Instant::now();
-    let pta = thinslice_pta::Pta::analyze(&program, PtaConfig::default());
+    let _pta = thinslice_pta::Pta::analyze(&program, PtaConfig::default());
     let pta_time = t0.elapsed();
 
-    let sdg = thinslice_sdg::build_ci(&program, &pta);
-    let seed = program
+    let mut session =
+        AnalysisSession::from_program(program, PtaConfig::default(), RunCtx::disabled());
+    let print = session
+        .program()
         .all_stmts()
         .find(|s| {
             matches!(
-                program.instr(*s).kind,
+                session.program().instr(*s).kind,
                 thinslice_ir::InstrKind::Print { .. }
             )
         })
-        .and_then(|s| sdg.stmt_node(s))
         .unwrap();
+    let query = Query::new(vec![print], SliceKind::Thin, Engine::Ci);
+    // Warm the session first — graph, freeze and scratch are built — so
+    // the timer sees one query's walk.
+    assert!(!session.query(&query).is_empty(), "the print is reachable");
     let t1 = Instant::now();
-    // Times the raw node-level slicer on the hand-built SDG so the
-    // comparison excludes session bookkeeping.
-    #[allow(deprecated)]
-    let _ = thinslice::slice_from(&sdg, &[seed], thinslice::SliceKind::Thin);
+    let _ = session.query(&query);
     let slice_time = t1.elapsed();
     assert!(
         slice_time < pta_time,

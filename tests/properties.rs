@@ -2,7 +2,7 @@
 //! the whole pipeline that must hold for *any* MJ program the generator can
 //! produce.
 
-use thinslice::{Analysis, SliceKind};
+use thinslice::Analysis;
 use thinslice_pta::PtaConfig;
 use thinslice_suite::{generate, GeneratorConfig};
 use thinslice_util::SmallRng;
@@ -113,45 +113,5 @@ fn coarsening_is_monotone() {
         let p = precise.thin_slice(&[seed_stmt]).stmt_set();
         let c = coarse.thin_slice(&[seed_stmt]).stmt_set();
         assert!(p.is_subset(&c));
-    }
-}
-
-/// The context-sensitive tabulation result is always a subset of the
-/// context-insensitive reachability result, for every slice kind.
-#[test]
-fn tabulation_is_a_refinement() {
-    for case in 0..8u64 {
-        let seed = SmallRng::new(case ^ 0x7ab).next_u64() % 200;
-        let config = GeneratorConfig {
-            seed,
-            ..GeneratorConfig::default()
-        };
-        let src = generate(&config);
-        let a = Analysis::build(&[("gen.mj", &src)]).unwrap();
-        let seed_stmt = a
-            .program
-            .all_stmts()
-            .find(|s| {
-                matches!(
-                    a.program.instr(*s).kind,
-                    thinslice_ir::InstrKind::Print { .. }
-                )
-            })
-            .unwrap();
-        let nodes = a.sdg.stmt_nodes_of(seed_stmt).to_vec();
-        for kind in [
-            SliceKind::Thin,
-            SliceKind::TraditionalData,
-            SliceKind::TraditionalFull,
-        ] {
-            // Tabulation vs reachability on the *same* graph: the session's
-            // Cs engine answers from the heap-parameter graph instead, so
-            // this refinement check stays on the node-level entrypoints.
-            #[allow(deprecated)]
-            let ci = thinslice::slice_from(&a.sdg, &nodes, kind);
-            #[allow(deprecated)]
-            let cs = thinslice::cs_slice(&a.sdg, &nodes, kind);
-            assert!(cs.stmts.is_subset(&ci.stmts), "kind {kind:?}");
-        }
     }
 }

@@ -1,9 +1,10 @@
-//! The unified `AnalysisSession`/`Query` entrypoint is a pure re-plumbing
-//! of the legacy free-function cross-product: for every slice kind, both
-//! engines, and every suite benchmark, the Query path answers bit-for-bit
-//! identically to the deprecated entrypoints it subsumes; governed queries
-//! return sound truncations of the full answers; and the batched path is
-//! indistinguishable from the sequential one.
+//! The unified `AnalysisSession`/`Query` entrypoint on every suite
+//! benchmark: CI queries answer bit-for-bit what the `Analysis` façade's
+//! sort-based sparse slicer answers, for every slice kind; governed
+//! queries return sound truncations of the full answers; and the batched
+//! path is indistinguishable from the sequential one. (The comparisons
+//! against the growable graphs, CI and CS, live with the crate-private
+//! reference slicers in `thinslice`'s `order_tests`.)
 
 use thinslice::{Budget, Completeness, Engine, Query, QueryPolicy, RunCtx, SliceKind};
 use thinslice_ir::InstrKind;
@@ -30,13 +31,15 @@ fn ci_queries_match_the_legacy_sparse_slicer_on_all_benchmarks() {
         let a = b.analyze(PtaConfig::default());
         let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
         for seed in print_seeds(&a.program, 3) {
-            let nodes = a.sdg.stmt_nodes_of(seed).to_vec();
-            if nodes.is_empty() {
+            if a.sdg.stmt_nodes_of(seed).is_empty() {
                 continue;
             }
             for kind in KINDS {
-                #[allow(deprecated)]
-                let legacy = thinslice::slice_from(&a.sdg, &nodes, kind);
+                let sparse = match kind {
+                    SliceKind::Thin => a.thin_slice(&[seed]),
+                    SliceKind::TraditionalData => a.traditional_slice(&[seed]),
+                    SliceKind::TraditionalFull => a.full_slice(&[seed]),
+                };
                 let got = s.query(&Query::new(vec![seed], kind, Engine::Ci));
                 assert_eq!(got.engine, Engine::Ci);
                 assert_eq!(got.kind, kind);
@@ -44,33 +47,8 @@ fn ci_queries_match_the_legacy_sparse_slicer_on_all_benchmarks() {
                 assert!(!got.degraded);
                 // Bit-identical: same statements in the same BFS order,
                 // same visited node set.
-                assert_eq!(got.stmts, legacy.stmts, "{}: {kind:?}", b.name);
-                assert_eq!(got.nodes, legacy.nodes, "{}: {kind:?}", b.name);
-            }
-        }
-    }
-}
-
-#[test]
-fn cs_queries_match_the_legacy_tabulation_on_all_benchmarks() {
-    for b in thinslice_suite::all_benchmarks() {
-        let a = b.analyze(PtaConfig::default());
-        let cs_sdg = a.build_cs_sdg();
-        let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
-        for seed in print_seeds(&a.program, 2) {
-            let nodes = cs_sdg.stmt_nodes_of(seed).to_vec();
-            if nodes.is_empty() {
-                continue;
-            }
-            for kind in KINDS {
-                #[allow(deprecated)]
-                let legacy = thinslice::cs_slice(&cs_sdg, &nodes, kind);
-                let got = s.query(&Query::new(vec![seed], kind, Engine::Cs));
-                assert_eq!(got.engine, Engine::Cs);
-                assert!(got.completeness.is_complete());
-                assert!(!got.degraded);
-                assert_eq!(got.stmts, legacy.stmts, "{}: {kind:?}", b.name);
-                assert_eq!(got.nodes, legacy.nodes, "{}: {kind:?}", b.name);
+                assert_eq!(got.stmts, sparse.stmts, "{}: {kind:?}", b.name);
+                assert_eq!(got.nodes, sparse.nodes, "{}: {kind:?}", b.name);
             }
         }
     }
