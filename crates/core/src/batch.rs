@@ -5,8 +5,8 @@
 //! module amortises everything that does not depend on the seed —
 //! the CSR graph ([`FrozenSdg`]), per-worker scratch buffers
 //! ([`SliceScratch`], [`CsScratch`]) and the tabulation's down-edge index
-//! ([`DownConsumers`]) — and fans the queries out across a thread pool
-//! over the shared immutable graph.
+//! ([`FrozenSdg::down_consumers`]) — and fans the queries out across a
+//! thread pool over the shared immutable graph.
 //!
 //! Results are returned in query order, and each result is identical to
 //! what the sequential single-query path ([`AnalysisSession::query`])
@@ -55,12 +55,12 @@
 
 use crate::session::{Engine, SliceResult};
 use crate::slice::{slice_dense, SliceKind, SliceScratch};
-use crate::tabulation::{cs_oneshot, cs_reusing, CsScratch, DownConsumers, ExitShare, MemoStats};
+use crate::tabulation::{cs_oneshot, cs_reusing, CsScratch, ExitShare, MemoStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use thinslice_sdg::{DenseDisplay, DepGraph, FrozenSdg, NodeId};
-use thinslice_util::{par, Budget, CancelToken, Completeness, RunCtx, Telemetry};
+use thinslice_util::{panic_message, par, Budget, CancelToken, Completeness, RunCtx, Telemetry};
 
 /// Minimum batch size at which thin and data CI queries walk a view of
 /// the graph filtered by their kind. Building the view scans every edge
@@ -207,9 +207,10 @@ pub(crate) fn answer_ci<G: DenseDisplay>(
     }
 }
 
-/// Answers one context-sensitive query: the tabulation over `graph` on
-/// warm scratch `cs`, or on a one-shot store when `cs` is `None`, under a
-/// meter freshly armed from `budget`. A tabulation cut short with
+/// Answers one context-sensitive query: the tabulation over `graph` (with
+/// the down-edge index cached on it) on warm scratch `cs`, or on a
+/// one-shot store when `cs` is `None`, under a meter freshly armed from
+/// `budget`. A tabulation cut short with
 /// `degrade` set takes the scalability ladder, CS → CI → truncated: the
 /// CI BFS over the same graph answers instead, under a second meter from
 /// the same budget, and the result is marked `degraded` (and counted as
@@ -217,7 +218,6 @@ pub(crate) fn answer_ci<G: DenseDisplay>(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn answer_cs(
     graph: &FrozenSdg,
-    index: &DownConsumers,
     seeds: &[NodeId],
     kind: SliceKind,
     budget: &Budget,
@@ -227,6 +227,7 @@ pub(crate) fn answer_cs(
     tel: &Telemetry,
 ) -> SliceResult {
     let mut meter = budget.meter();
+    let index = graph.down_consumers();
     let (slice, completeness) = match cs {
         Some(cs) => cs_reusing(graph, index, seeds, kind, cs, &mut meter),
         None => cs_oneshot(graph, index, seeds, kind, &mut meter),
@@ -259,16 +260,6 @@ pub(crate) fn answer_cs(
         tel.count("govern.meter_checks", checks);
     }
     result
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Runs query `i`'s attempts under `catch_unwind`: a panic poisons only
@@ -453,11 +444,9 @@ fn run_on<G: DenseDisplay + Sync>(
             Engine::Ci => answer_ci(view, prefiltered, seeds, kind, budget, bfs, tel),
             Engine::Cs => {
                 let before = cs.memo_stats();
-                let index = graph.down_consumers();
                 let cs_scratch = dense_cs.then_some(&mut *cs);
                 let result = answer_cs(
                     graph,
-                    index,
                     seeds,
                     kind,
                     budget,
@@ -479,7 +468,7 @@ fn run_on<G: DenseDisplay + Sync>(
 mod tests {
     use super::*;
     use crate::slice::{slice_sparse, Slice};
-    use crate::tabulation::{cs_oneshot, CsSlice};
+    use crate::tabulation::{cs_oneshot, CsSlice, DownConsumers};
     use crate::Analysis;
     use thinslice_util::Meter;
 

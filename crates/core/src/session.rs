@@ -43,7 +43,7 @@ use crate::nodeset::NodeSet;
 use crate::slice::{SliceKind, SliceScratch};
 use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::stmtset::StmtSet;
-use crate::tabulation::{CsScratch, DownConsumers, MemoStats};
+use crate::tabulation::{CsScratch, MemoStats};
 use crate::{Analysis, BuildReport};
 use thinslice_ir::delta::{ProgramDelta, ProgramFingerprints};
 use thinslice_ir::{compile_fingerprinted, CompileError, Program, StmtRef};
@@ -52,7 +52,7 @@ use thinslice_sdg::{
     body_fingerprint, build_ci_cached, build_cs_cached, DepGraph, FrozenSdg, NodeId, Sdg, SdgCache,
 };
 use thinslice_util::{
-    Budget, ByteReader, ByteWriter, CancelToken, CodecError, Completeness, FxHashSet, RunCtx,
+    Budget, ByteReader, ByteWriter, CancelToken, CodecError, Completeness, FxHashSet, Idx, RunCtx,
     SnapshotReader, SnapshotWriter,
 };
 
@@ -275,20 +275,14 @@ pub struct AnalysisSession {
     /// and starts retaining fingerprints).
     fingerprints: Option<ProgramFingerprints>,
     pta: Option<(Pta, Completeness)>,
+    /// The growable CI graph. A session restored from a snapshot holds
+    /// only the frozen graph, and thaws this one from it on the first
+    /// edit or [`AnalysisSession::ci_sdg`] call: queries never need it.
     ci: Option<(Sdg, Completeness)>,
-    /// Encoded growable CI graph adopted from a snapshot, decoded on
-    /// first use: queries traverse the frozen graph, so only an edit
-    /// (or an explicit [`AnalysisSession::ci_sdg`] call) pays the
-    /// decode. A section that fails to decode falls back to a clean
-    /// rebuild — never an error on the query path.
-    ci_snap: Option<Vec<u8>>,
     ci_csr: Option<FrozenSdg>,
+    /// The growable CS graph, thawed like the CI one.
     cs: Option<Sdg>,
-    /// Encoded growable CS graph adopted from a snapshot (see
-    /// [`AnalysisSession::ci_snap`](#structfield.ci_snap)).
-    cs_snap: Option<Vec<u8>>,
     cs_csr: Option<FrozenSdg>,
-    cs_index: Option<DownConsumers>,
     scratch: SliceScratch,
     cs_scratch: [CsScratch; KINDS],
     /// Per-method constraint-generation streams (solver input), kept warm
@@ -344,12 +338,9 @@ impl AnalysisSession {
             fingerprints: None,
             pta: None,
             ci: None,
-            ci_snap: None,
             ci_csr: None,
             cs: None,
-            cs_snap: None,
             cs_csr: None,
-            cs_index: None,
             scratch: SliceScratch::new(),
             cs_scratch: [CsScratch::new(), CsScratch::new(), CsScratch::new()],
             gen_cache: GenCache::new(),
@@ -399,20 +390,6 @@ impl AnalysisSession {
         }
         for sdg in self.ci.iter().map(|(g, _)| g).chain(self.cs.iter()) {
             elems += sdg.node_count() + sdg.edge_count();
-        }
-        // A snapshot-adopted graph still pending decode holds the same
-        // nodes and edges its frozen counterpart does; count it via that
-        // proxy so a warm session is not under-reported to the eviction
-        // watermark before its first edit.
-        if self.ci.is_none() && self.ci_snap.is_some() {
-            if let Some(csr) = &self.ci_csr {
-                elems += csr.node_count() + csr.edge_count();
-            }
-        }
-        if self.cs.is_none() && self.cs_snap.is_some() {
-            if let Some(csr) = &self.cs_csr {
-                elems += csr.node_count() + csr.edge_count();
-            }
         }
         // Solved and cached state is resident too: the points-to sets, the
         // warm constraint streams, and the per-method SDG artifacts all
@@ -492,13 +469,12 @@ impl AnalysisSession {
         // no extra pass over either version's text.
         let (new_program, new_fingerprints) = compile_fingerprinted(new_sources, &self.ctx)?;
         // The delta paths below diff and rebuild the growable graphs in
-        // place, so graphs adopted from a snapshot but not yet decoded
-        // must materialise first (their encodings describe the
-        // pre-edit program and would be stale afterwards).
-        if self.ci_snap.is_some() {
+        // place, so a graph restored only in frozen form thaws first,
+        // while the frozen form still describes the pre-edit program.
+        if self.ci_csr.is_some() {
             self.ensure_ci();
         }
-        if self.cs_snap.is_some() {
+        if self.cs_csr.is_some() {
             self.ensure_cs();
         }
         let delta = self
@@ -628,8 +604,8 @@ impl AnalysisSession {
             self.ci = Some((new_ci, comp));
         }
 
-        // CS graph: same, plus the down-edge index and tabulation memos
-        // that hang off the frozen graph.
+        // CS graph: same, plus the tabulation memos that hang off the
+        // frozen graph (its down-edge index is cached on the graph).
         if let Some(old_cs) = self.cs.take() {
             let (pta, _) = self.pta.as_ref().expect("cs implies pta");
             let modref = ModRef::compute(&self.program, pta);
@@ -642,10 +618,6 @@ impl AnalysisSession {
                 if self.cs_csr.is_some() {
                     stats.csr_segments_refrozen += new_cs.instance_count();
                     self.cs_csr = Some(new_cs.freeze_ctx(&self.ctx));
-                }
-                if self.cs_index.is_some() {
-                    let csr = self.cs_csr.as_ref().expect("index implies csr");
-                    self.cs_index = Some(DownConsumers::build(csr));
                 }
                 for scratch in &mut self.cs_scratch {
                     stats.memo_entries_invalidated += scratch.invalidate();
@@ -676,7 +648,6 @@ impl AnalysisSession {
         let ci_csr_was = self.ci_csr.take().is_some();
         let cs_was = self.cs.take().is_some();
         let cs_csr_was = self.cs_csr.take().is_some();
-        let cs_index_was = self.cs_index.take().is_some();
         self.program = new_program;
         let misses0 = self.sdg_cache.misses;
         if pta_was {
@@ -695,9 +666,6 @@ impl AnalysisSession {
         if cs_csr_was {
             self.ensure_cs_csr();
             stats.csr_segments_refrozen += self.cs.as_ref().expect("cs ensured").instance_count();
-        }
-        if cs_index_was {
-            self.ensure_cs_index();
         }
         stats.control_deps_recomputed = self.sdg_cache.misses - misses0;
         stats.csr_segments_total = self.segments_total();
@@ -731,14 +699,11 @@ impl AnalysisSession {
     fn ensure_ci(&mut self) {
         self.ensure_pta();
         if self.ci.is_none() {
-            // A snapshot-adopted encoding decodes to the exact graph the
-            // donor session held; a section that fails to decode falls
-            // through to a clean rebuild (bit-identical by construction).
-            let decoded = self
-                .ci_snap
-                .take()
-                .and_then(|bytes| decode_section(&bytes, thinslice_sdg::snap::decode_sdg));
-            self.ci = Some(match decoded {
+            // A restored frozen graph thaws to the exact graph the donor
+            // session held; one that does not thaw falls through to a
+            // clean rebuild (bit-identical by construction).
+            let thawed = self.ci_csr.as_ref().and_then(FrozenSdg::thaw);
+            self.ci = Some(match thawed {
                 Some(sdg) => (sdg, Completeness::Complete),
                 None => {
                     let (pta, _) = self.pta.as_ref().expect("pta ensured");
@@ -750,9 +715,8 @@ impl AnalysisSession {
     }
 
     fn ensure_ci_csr(&mut self) {
-        // Short-circuit on a present frozen graph: a snapshot restores the
-        // CSR eagerly but leaves the growable graph pending, and queries
-        // must not force its decode.
+        // Short-circuit on a present frozen graph: a snapshot restores
+        // only the frozen graph, and queries must not force a thaw.
         if self.ci_csr.is_none() {
             self.ensure_ci();
             let (sdg, _) = self.ci.as_ref().expect("ci ensured");
@@ -764,11 +728,8 @@ impl AnalysisSession {
     fn ensure_cs(&mut self) {
         self.ensure_pta();
         if self.cs.is_none() {
-            let decoded = self
-                .cs_snap
-                .take()
-                .and_then(|bytes| decode_section(&bytes, thinslice_sdg::snap::decode_sdg));
-            self.cs = Some(decoded.unwrap_or_else(|| {
+            let thawed = self.cs_csr.as_ref().and_then(FrozenSdg::thaw);
+            self.cs = Some(thawed.unwrap_or_else(|| {
                 let (pta, _) = self.pta.as_ref().expect("pta ensured");
                 let modref = ModRef::compute(&self.program, pta);
                 build_cs_cached(&self.program, pta, &modref, &self.ctx, &mut self.sdg_cache)
@@ -783,14 +744,6 @@ impl AnalysisSession {
             let sdg = self.cs.as_ref().expect("cs ensured");
             self.cs_csr = Some(sdg.freeze_ctx(&self.ctx));
             self.refresh_resident();
-        }
-    }
-
-    fn ensure_cs_index(&mut self) {
-        if self.cs_index.is_none() {
-            self.ensure_cs_csr();
-            let csr = self.cs_csr.as_ref().expect("cs csr ensured");
-            self.cs_index = Some(DownConsumers::build(csr));
         }
     }
 
@@ -904,13 +857,11 @@ impl AnalysisSession {
                 )
             }
             Engine::Cs => {
-                self.ensure_cs_index();
+                self.ensure_cs_csr();
                 let graph = self.cs_csr.as_ref().expect("cs csr ensured");
-                let index = self.cs_index.as_ref().expect("cs index ensured");
                 let seeds = resolve_seeds(graph, &q.seeds);
                 answer_cs(
                     graph,
-                    index,
                     &seeds,
                     q.kind,
                     &budget,
@@ -1023,10 +974,11 @@ impl AnalysisSession {
     /// keyed by `key` (the program content hash, see
     /// [`crate::snapshot::source_hash`]). Stage presence mirrors the
     /// session's lazy state: a stage never built is not written, and a
-    /// restored session stays lazy about it. Returns `None` when any
-    /// built stage is truncated — a budget-cut artifact must be rebuilt,
-    /// not warmed over — so only exact, complete results are ever
-    /// persisted.
+    /// restored session stays lazy about it. Each dependence graph is
+    /// written once, in frozen form; a growable graph that was never
+    /// frozen is frozen for the write. Returns `None` when any built
+    /// stage is truncated — a budget-cut artifact must be rebuilt, not
+    /// warmed over — so only exact, complete results are ever persisted.
     ///
     /// Scratch space, tabulation memos, and the per-method caches are
     /// deliberately *not* serialized: they are performance state that
@@ -1060,36 +1012,24 @@ impl AnalysisSession {
             thinslice_pta::snap::encode_stream_hashes(&hashes, &mut w);
             snap.section("streams", w.into_bytes());
         }
-        if let Some((ci, _)) = &self.ci {
-            let mut w = ByteWriter::new();
-            thinslice_sdg::snap::encode_sdg(ci, &mut w);
-            snap.section("ci", w.into_bytes());
-        } else if let Some(b) = &self.ci_snap {
-            // Adopted from a snapshot and never forced since: the
-            // encoding is canonical, so the bytes round-trip verbatim.
-            snap.section("ci", b.clone());
-        }
-        if let Some(csr) = &self.ci_csr {
-            let mut w = ByteWriter::new();
-            thinslice_sdg::snap::encode_frozen(csr, &mut w);
-            snap.section("ci_csr", w.into_bytes());
-        }
-        if let Some(cs) = &self.cs {
-            let mut w = ByteWriter::new();
-            thinslice_sdg::snap::encode_sdg(cs, &mut w);
-            snap.section("cs", w.into_bytes());
-        } else if let Some(b) = &self.cs_snap {
-            snap.section("cs", b.clone());
-        }
-        if let Some(csr) = &self.cs_csr {
+        for (name, csr, sdg) in [
+            ("ci_csr", &self.ci_csr, self.ci.as_ref().map(|(g, _)| g)),
+            ("cs_csr", &self.cs_csr, self.cs.as_ref()),
+        ] {
+            // A graph is stored in frozen form only; one built but never
+            // frozen is frozen here, and a restored session thaws it.
+            let fresh;
+            let csr = match (csr, sdg) {
+                (Some(csr), _) => csr,
+                (None, Some(sdg)) => {
+                    fresh = sdg.freeze();
+                    &fresh
+                }
+                (None, None) => continue,
+            };
             let mut w = ByteWriter::new();
             thinslice_sdg::snap::encode_frozen(csr, &mut w);
-            snap.section("cs_csr", w.into_bytes());
-        }
-        if let Some(idx) = &self.cs_index {
-            let mut w = ByteWriter::new();
-            thinslice_sdg::snap::encode_down(idx, &mut w);
-            snap.section("cs_index", w.into_bytes());
+            snap.section(name, w.into_bytes());
         }
         Some(snap.finish())
     }
@@ -1100,13 +1040,15 @@ impl AnalysisSession {
     /// Adoption is gated by, in order: the container's magic, format
     /// version, and whole-file checksum; the key (the caller's program
     /// content hash must equal the snapshot's); the points-to
-    /// configuration (canonical encodings must be byte-equal); stage
-    /// presence invariants (a graph without its points-to input is
-    /// rejected); and the constraint-stream cross-check (every reachable
-    /// method's stream hash, recomputed over the restored program, must
-    /// match what the solve was keyed on). Any failure returns `None` —
-    /// the caller falls back to a clean full build, never an error on the
-    /// query path.
+    /// configuration (canonical encodings must be byte-equal); the
+    /// points-to result's method ids (every reachable method must exist
+    /// in the restored program); the constraint-stream cross-check
+    /// (every reachable method's stream hash, recomputed over the
+    /// restored program, must match what the solve was keyed on); the
+    /// structural checks of each frozen graph's decoder; and stage
+    /// presence (a graph without its points-to input is rejected). Any
+    /// failure returns `None` — the caller falls back to a clean full
+    /// build, never an error on the query path.
     pub fn from_snapshot(
         bytes: &[u8],
         key: &str,
@@ -1134,6 +1076,15 @@ impl AnalysisSession {
                     snap.section("streams")?,
                     thinslice_pta::snap::decode_stream_hashes,
                 )?;
+                // Recomputing a stream hash indexes the program's methods
+                // by the solve's (sorted) reachable method ids.
+                let reachable = pta.reachable_methods();
+                if reachable
+                    .last()
+                    .is_some_and(|m| m.index() >= program.methods.len())
+                {
+                    return None;
+                }
                 if stored != thinslice_pta::snap::reachable_stream_hashes(&pta, &program) {
                     return None;
                 }
@@ -1141,39 +1092,14 @@ impl AnalysisSession {
             }
             None => None,
         };
-        // The growable graphs are adopted as encoded bytes and decoded
-        // on first use — queries traverse the frozen graphs below, so
-        // the warm-start path never pays for graph replay it may never
-        // need. (The whole-file checksum already vouched for the bytes;
-        // a section that still fails to decode falls back to a clean
-        // rebuild inside the ensure path.)
-        let ci_snap = snap.section("ci").map(<[u8]>::to_vec);
-        let ci_csr = match snap.section("ci_csr") {
-            Some(b) => Some(decode_section(b, thinslice_sdg::snap::decode_frozen)?),
-            None => None,
+        let frozen = |name| match snap.section(name) {
+            Some(b) => decode_section(b, thinslice_sdg::snap::decode_frozen).map(Some),
+            None => Some(None),
         };
-        let cs_snap = snap.section("cs").map(<[u8]>::to_vec);
-        let cs_csr = match snap.section("cs_csr") {
-            Some(b) => Some(decode_section(b, thinslice_sdg::snap::decode_frozen)?),
-            None => None,
-        };
-        let cs_index = match snap.section("cs_index") {
-            Some(b) => {
-                // The index holds node ids of the frozen CS graph; without
-                // that graph the stage invariants below reject it anyway.
-                let nodes = cs_csr.as_ref().map_or(0, DepGraph::node_count);
-                Some(decode_section(b, |r| {
-                    thinslice_sdg::snap::decode_down(r, nodes)
-                })?)
-            }
-            None => None,
-        };
-        // Stage-dependency invariants: each artifact implies its input.
-        let ok = (pta.is_some() || (ci_snap.is_none() && cs_snap.is_none()))
-            && (ci_snap.is_some() || ci_csr.is_none())
-            && (cs_snap.is_some() || cs_csr.is_none())
-            && (cs_csr.is_some() || cs_index.is_none());
-        if !ok {
+        let ci_csr = frozen("ci_csr")?;
+        let cs_csr = frozen("cs_csr")?;
+        // A graph implies its points-to input.
+        if pta.is_none() && (ci_csr.is_some() || cs_csr.is_some()) {
             return None;
         }
         let mut session = AnalysisSession {
@@ -1183,12 +1109,9 @@ impl AnalysisSession {
             fingerprints,
             pta,
             ci: None,
-            ci_snap,
             ci_csr,
             cs: None,
-            cs_snap,
             cs_csr,
-            cs_index,
             scratch: SliceScratch::new(),
             cs_scratch: [CsScratch::new(), CsScratch::new(), CsScratch::new()],
             gen_cache: GenCache::new(),
@@ -1203,8 +1126,8 @@ impl AnalysisSession {
     /// the CI pipeline). The CS artifacts, if built, are dropped.
     pub fn into_analysis(mut self) -> Analysis {
         // ensure_ci_csr short-circuits on a restored frozen graph, so
-        // force the growable graph explicitly (it may still be pending
-        // snapshot decode).
+        // force the growable graph explicitly (a restored session has not
+        // thawed it yet).
         self.ensure_ci();
         self.ensure_ci_csr();
         Analysis {
@@ -1522,14 +1445,14 @@ mod tests {
         .expect("clean snapshot restores");
         assert!(restored.pta.is_some());
         assert!(restored.ci_csr.is_some() && restored.cs_csr.is_some());
-        assert!(restored.cs_index.is_some());
-        // The growable graphs are adopted as pending bytes; queries go
-        // through the frozen graphs and never force them.
-        assert!(restored.ci.is_none() && restored.ci_snap.is_some());
-        assert!(restored.cs.is_none() && restored.cs_snap.is_some());
+        // Only the frozen graphs are stored; queries go through them and
+        // never thaw the growable ones.
+        assert!(restored.ci.is_none() && restored.cs.is_none());
         assert_sessions_identical(&mut restored, &mut s, 10);
         assert!(restored.ci.is_none() && restored.cs.is_none());
-        // Forcing them decodes the donor's exact graphs.
+        let again = |r: &AnalysisSession| r.write_snapshot("deadbeef").unwrap();
+        assert_eq!(again(&restored), bytes, "re-encoded before thawing");
+        // Thawing yields the donor's exact graphs.
         assert!(restored.ci_sdg().same_graph(s.ci_sdg()));
         restored.ensure_cs();
         assert!(restored
@@ -1537,6 +1460,7 @@ mod tests {
             .as_ref()
             .unwrap()
             .same_graph(s.cs.as_ref().unwrap()));
+        assert_eq!(again(&restored), bytes, "re-encoded after thawing");
         // And against a genuinely fresh build.
         assert_matches_fresh(&mut restored, SRC, 10);
     }
@@ -1553,7 +1477,7 @@ mod tests {
                 .unwrap();
         assert!(restored.pta.is_some() && restored.ci_csr.is_some());
         assert!(
-            restored.cs.is_none() && restored.cs_csr.is_none() && restored.cs_index.is_none(),
+            restored.cs.is_none() && restored.cs_csr.is_none(),
             "a stage never built must not materialise through a snapshot"
         );
     }
@@ -1606,14 +1530,13 @@ mod tests {
         for name in snap.section_names() {
             let mut payload = snap.section(name).unwrap().to_vec();
             if name == "ci_csr" {
-                // The section ends with `perm` and `inv` (each a length
-                // varint, then n little-endian u32s) and a one-byte flag
-                // saying no down-edge index follows.
-                let inv_at = payload.len() - 1 - 4 * n - 1;
-                let perm_at = inv_at - 4 * n;
+                // The section ends with `perm` (a length varint, then n
+                // little-endian u32s) and a one-byte flag saying no
+                // down-edge index follows.
+                let flag_at = payload.len() - 1;
+                let perm_at = flag_at - 4 * n;
                 assert_eq!(usize::from(payload[perm_at - 1]), n);
-                assert_eq!(usize::from(payload[inv_at]), n);
-                for entry in payload[perm_at..inv_at].chunks_exact_mut(4) {
+                for entry in payload[perm_at..flag_at].chunks_exact_mut(4) {
                     entry.copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
                 }
                 assert_eq!(
@@ -1634,6 +1557,36 @@ mod tests {
             .expect("the untampered file restores")
             .query(&Query::new(seeds, SliceKind::Thin, Engine::Ci));
         assert_eq!(got.stmts, want.stmts);
+    }
+
+    #[test]
+    fn snapshot_rejects_a_points_to_result_naming_methods_the_program_lacks() {
+        // A checksum-valid file whose `pta`, `streams` and graph sections
+        // come from javac and whose other sections come from a one-method
+        // program, re-sealed: the solve names methods the program lacks.
+        let javac = thinslice_suite::benchmark_named("javac").unwrap();
+        let mut donor = AnalysisSession::new(&javac.sources).unwrap();
+        donor.ci_graph();
+        let donor = donor.write_snapshot("k").unwrap();
+        let src = "class Main { static void main() {\nint x = 1;\nprint(x);\n} }";
+        let mut small = AnalysisSession::new(&[("t.mj", src)]).unwrap();
+        small.ci_graph();
+        let small = small.write_snapshot("k").unwrap();
+        let open = |b| SnapshotReader::open(b, SNAPSHOT_MAGIC, SNAPSHOT_VERSION).unwrap();
+        let (from_donor, from_small) = (open(&donor), open(&small));
+        let mut resealed = SnapshotWriter::new(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, "k");
+        for name in from_small.section_names() {
+            let from = match name {
+                "pta" | "streams" | "ci_csr" => &from_donor,
+                _ => &from_small,
+            };
+            resealed.section(name, from.section(name).unwrap().to_vec());
+        }
+        let restore = |b: &[u8]| {
+            AnalysisSession::from_snapshot(b, "k", PtaConfig::default(), RunCtx::disabled())
+        };
+        assert!(restore(&resealed.finish()).is_none());
+        assert!(restore(&small).is_some(), "the untampered file restores");
     }
 
     #[test]
@@ -1819,7 +1772,7 @@ mod tests {
                 assert_caches_fresh(&mut s, &at);
             }
 
-            // Restore, then decode the adopted growable graphs lazily.
+            // Restore, then thaw the growable graphs.
             let bytes = s.write_snapshot("k").expect("complete stages");
             let mut r = AnalysisSession::from_snapshot(
                 &bytes,
@@ -1830,9 +1783,9 @@ mod tests {
             .expect("snapshot restores");
             assert_caches_fresh(&mut r, "from_snapshot");
             r.ci_sdg();
-            assert_caches_fresh(&mut r, "ci graph decode");
+            assert_caches_fresh(&mut r, "ci graph thaw");
             r.ensure_cs();
-            assert_caches_fresh(&mut r, "cs graph decode");
+            assert_caches_fresh(&mut r, "cs graph thaw");
             let (edited, _) = script.step(&sources);
             record(&r.update(&refs(&edited)).unwrap());
             assert_caches_fresh(&mut r, "update after restore");

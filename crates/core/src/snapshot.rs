@@ -1,10 +1,10 @@
 //! Warm-start snapshot persistence: content-hash-keyed session files.
 //!
-//! An [`AnalysisSession`]'s stage artifacts (program, points-to, graphs,
-//! CSRs, tabulation index) are pure functions of the source text and the
-//! points-to configuration, so once built they can be persisted and
-//! adopted by any later process analysing the same sources. The file
-//! format is the versioned section container of
+//! An [`AnalysisSession`]'s stage artifacts (program, points-to, frozen
+//! graphs with their tabulation index) are pure functions of the source
+//! text and the points-to configuration, so once built they can be
+//! persisted and adopted by any later process analysing the same
+//! sources. The file format is the versioned section container of
 //! [`thinslice_util::SnapshotWriter`]: magic, format version, the program
 //! content hash as the key, a section table, and a trailing whole-file
 //! checksum.
@@ -30,7 +30,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TSNP";
 
 /// Version of the session snapshot format. Bumped on any section layout
 /// change; files carrying any other version are discarded and rebuilt.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// The 16-hex-digit content hash of a source set: an order-sensitive
 /// FxHash over every file name and text. Deterministic across runs and

@@ -16,12 +16,21 @@
 //! [`DepGraph::to_internal`]/[`DepGraph::to_external`], and per-node edge
 //! order is preserved exactly, so slice output — statement order included —
 //! is bit-for-bit identical to slicing the growable graph.
+//!
+//! A frozen graph has five primary arrays: the heap mode, the CSR
+//! `offsets` and `edges`, the node `kinds` and the renumbering `perm`.
+//! Everything else it holds — the inverse renumbering, the dense
+//! display-statement numbering and the statement → instance-node map — is
+//! derived from them by one constructor that both [`Sdg::freeze`] and the
+//! snapshot decoder end in, so a snapshot stores only the primary arrays.
+//! [`FrozenSdg::thaw`] undoes the renumbering and gives back the growable
+//! graph the frozen one was built from.
 
 use crate::node::{Edge, EdgeKind, NodeId, NodeKind};
 use crate::{HeapMode, Sdg};
 use std::sync::OnceLock;
 use thinslice_ir::StmtRef;
-use thinslice_util::{FxHashMap, Idx, RunCtx};
+use thinslice_util::{FxHashMap, Idx, IdxVec, RunCtx};
 
 /// The read-only graph surface the slicers need.
 ///
@@ -92,11 +101,11 @@ impl DepGraph for Sdg {
 /// A dependence graph frozen into compressed-sparse-row arrays.
 ///
 /// `edges[offsets[n] .. offsets[n + 1]]` are the dependencies of node `n`,
-/// in exactly the order [`Sdg::deps`] returned them. Node kinds and display
-/// statements are likewise flattened into dense arrays, so a backward BFS
-/// touches only contiguous memory. The frozen graph is immutable and safe
-/// to share across threads ([`Sync`]), which is what the batched query
-/// engine relies on.
+/// in exactly the order [`Sdg::deps`] returned them. Node kinds and dense
+/// display-statement ids are likewise flattened into arrays, so a
+/// backward BFS touches only contiguous memory. The frozen graph is
+/// immutable and safe to share across threads ([`Sync`]), which is what
+/// the batched query engine relies on.
 ///
 /// # Examples
 ///
@@ -123,20 +132,23 @@ pub struct FrozenSdg {
     pub(crate) edges: Vec<Edge>,
     /// Node kinds, indexed by `NodeId`.
     pub(crate) kinds: Vec<NodeKind>,
-    /// Pre-resolved display statements, indexed by `NodeId`.
-    pub(crate) display: Vec<Option<StmtRef>>,
-    /// Dense id of each node's display statement ([`NO_DISPLAY`] if none):
-    /// distinct display statements numbered `0..display_stmts.len()`.
-    pub(crate) display_idx: Vec<u32>,
-    /// The distinct display statements, indexed by their dense id.
-    pub(crate) display_stmts: Vec<StmtRef>,
-    /// All instance nodes of a statement, for seed resolution. Holds
-    /// *external* (growable-graph) ids in original intern order.
-    pub(crate) nodes_of_stmt: FxHashMap<StmtRef, Vec<NodeId>>,
     /// BFS renumbering: `perm[external] = internal`.
     pub(crate) perm: Vec<NodeId>,
+    // The fields below are derived from the ones above by
+    // `FrozenSdg::from_parts`.
     /// Inverse renumbering: `inv[internal] = external`.
-    pub(crate) inv: Vec<NodeId>,
+    inv: Vec<NodeId>,
+    /// Dense id of each node's display statement ([`NO_DISPLAY`] if none):
+    /// distinct display statements numbered `0..display_stmts.len()` in
+    /// internal order of first appearance.
+    display_idx: Vec<u32>,
+    /// The distinct display statements, indexed by their dense id.
+    display_stmts: Vec<StmtRef>,
+    /// Each statement's entry in `stmt_nodes`.
+    slot_of: FxHashMap<StmtRef, u32>,
+    /// All instance nodes of a statement, for seed resolution. Holds
+    /// *external* (growable-graph) ids in original intern order.
+    stmt_nodes: Vec<Vec<NodeId>>,
     /// Lazily built [`DownConsumers`] index (a pure graph fact, so it is
     /// cached on the graph and shared by every batch and thread).
     pub(crate) down: OnceLock<DownConsumers>,
@@ -167,6 +179,113 @@ pub trait DenseDisplay: DepGraph {
 }
 
 impl FrozenSdg {
+    /// Builds a frozen graph from its primary arrays and derives the rest:
+    /// the inverse renumbering, each statement's instance nodes, and the
+    /// dense numbering of display statements.
+    ///
+    /// The arrays must fit together: `offsets` a CSR over `edges` with one
+    /// row per kind, every node id in an edge or a kind below the node
+    /// count, and `perm` a permutation of `0..kinds.len()`. The snapshot
+    /// decoder checks all of this before it calls here.
+    pub(crate) fn from_parts(
+        mode: HeapMode,
+        offsets: Vec<u32>,
+        edges: Vec<Edge>,
+        kinds: Vec<NodeKind>,
+        perm: Vec<NodeId>,
+    ) -> FrozenSdg {
+        let n = kinds.len();
+        let mut inv = vec![NodeId::new(0); n];
+        // Each statement's instance nodes, collected in external order
+        // (the growable graph's intern order); `slot` maps a statement
+        // node to its statement's entry, and any other node to
+        // `NO_DISPLAY`.
+        let mut slot_of: FxHashMap<StmtRef, u32> = FxHashMap::default();
+        let mut stmts = Vec::new();
+        let mut stmt_nodes: Vec<Vec<NodeId>> = Vec::new();
+        let mut slot = vec![NO_DISPLAY; n];
+        for (external, &internal) in perm.iter().enumerate() {
+            let external = NodeId::new(external);
+            inv[internal.index()] = external;
+            if let Some(s) = kinds[internal.index()].as_stmt() {
+                let k = *slot_of.entry(s).or_insert_with(|| {
+                    stmts.push(s);
+                    stmt_nodes.push(Vec::new());
+                    u32::try_from(stmts.len() - 1).expect("stmt count exceeds u32")
+                });
+                stmt_nodes[k as usize].push(external);
+                slot[internal.index()] = k;
+            }
+        }
+        // A node displays as its own statement, or an actual node as its
+        // call site's. Display ids follow internal order, so the ids a
+        // traversal deduplicates lie as close together as its nodes.
+        let mut dense = vec![NO_DISPLAY; stmts.len()];
+        let mut display_stmts = Vec::with_capacity(stmts.len());
+        let display_idx = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, kind)| {
+                let k = slot[kind.site().map_or(i, NodeId::index)];
+                if k == NO_DISPLAY {
+                    return NO_DISPLAY;
+                }
+                let d = &mut dense[k as usize];
+                if *d == NO_DISPLAY {
+                    *d = display_stmts.len() as u32;
+                    display_stmts.push(stmts[k as usize]);
+                }
+                *d
+            })
+            .collect();
+        FrozenSdg {
+            mode,
+            offsets,
+            edges,
+            kinds,
+            perm,
+            inv,
+            display_idx,
+            display_stmts,
+            slot_of,
+            stmt_nodes,
+            down: OnceLock::new(),
+        }
+    }
+
+    /// Rebuilds the growable graph this one was frozen from: nodes
+    /// interned in external order, each with its dependence list in its
+    /// original order. The result is [`Sdg::same_graph`] as the graph that
+    /// was frozen, and freezing it again yields this graph's arrays.
+    ///
+    /// Returns `None` when two nodes share a kind. No frozen growable
+    /// graph has such a pair, because interning makes kinds unique, but a
+    /// graph decoded from a snapshot can; its caller rebuilds from the
+    /// program instead.
+    pub fn thaw(&self) -> Option<Sdg> {
+        let n = self.kinds.len();
+        let mut sdg = Sdg::empty(self.mode);
+        sdg.nodes = IdxVec::with_capacity(n);
+        sdg.deps = IdxVec::with_capacity(n);
+        sdg.node_of.reserve(n);
+        let external = |id: NodeId| self.inv[id.index()];
+        for (i, &internal) in self.perm.iter().enumerate() {
+            let kind = self.kinds[internal.index()].map_site(external);
+            if sdg.intern(kind).index() != i {
+                return None;
+            }
+        }
+        for (i, &internal) in self.perm.iter().enumerate() {
+            sdg.deps[NodeId::new(i)] = self
+                .deps(internal)
+                .iter()
+                .map(|e| e.map_ids(external))
+                .collect();
+        }
+        sdg.edge_count = self.edges.len();
+        Some(sdg)
+    }
+
     /// Total edge count.
     pub fn edge_count(&self) -> usize {
         self.edges.len()
@@ -359,11 +478,14 @@ impl DepGraph for FrozenSdg {
     }
 
     fn display_stmt(&self, n: NodeId) -> Option<StmtRef> {
-        self.display[n.index()]
+        let d = self.display_idx[n.index()];
+        (d != NO_DISPLAY).then(|| self.display_stmts[d as usize])
     }
 
     fn stmt_nodes_of(&self, s: StmtRef) -> &[NodeId] {
-        self.nodes_of_stmt.get(&s).map(Vec::as_slice).unwrap_or(&[])
+        self.slot_of
+            .get(&s)
+            .map_or(&[], |&k| &self.stmt_nodes[k as usize])
     }
 
     fn mode(&self) -> HeapMode {
@@ -439,76 +561,19 @@ impl Sdg {
 
         // Node ids embedded in edge and node payloads move with the
         // permutation so the frozen graph is self-consistent internally.
-        let remap_edge = |e: &Edge| -> Edge {
-            let target = perm[e.target.index()];
-            let kind = match e.kind {
-                EdgeKind::ParamIn { site } => EdgeKind::ParamIn {
-                    site: perm[site.index()],
-                },
-                EdgeKind::ParamOut { site } => EdgeKind::ParamOut {
-                    site: perm[site.index()],
-                },
-                k => k,
-            };
-            Edge { target, kind }
-        };
-        let remap_kind = |k: NodeKind| -> NodeKind {
-            match k {
-                NodeKind::ActualParam(site, i) => NodeKind::ActualParam(perm[site.index()], i),
-                NodeKind::ActualIn(site, p) => NodeKind::ActualIn(perm[site.index()], p),
-                NodeKind::ActualOut(site, p) => NodeKind::ActualOut(perm[site.index()], p),
-                k => k,
-            }
-        };
-
+        let internal = |id: NodeId| perm[id.index()];
         let mut offsets = Vec::with_capacity(n + 1);
         let mut edges = Vec::with_capacity(self.edge_count());
-        let mut kinds = Vec::with_capacity(n);
-        let mut display = Vec::with_capacity(n);
-        let mut display_idx = Vec::with_capacity(n);
-        let mut display_stmts = Vec::new();
-        let mut dense_of: FxHashMap<StmtRef, u32> = FxHashMap::default();
         offsets.push(0);
         for &old in &inv {
-            edges.extend(Sdg::deps(self, old).iter().map(remap_edge));
+            edges.extend(Sdg::deps(self, old).iter().map(|e| e.map_ids(internal)));
             offsets.push(u32::try_from(edges.len()).expect("edge count exceeds u32"));
-            kinds.push(remap_kind(Sdg::node(self, old)));
-            // Display statements resolve through the growable graph, where
-            // the embedded site ids are still original.
-            let d = Sdg::display_stmt(self, old);
-            display.push(d);
-            display_idx.push(match d {
-                Some(s) => *dense_of.entry(s).or_insert_with(|| {
-                    display_stmts.push(s);
-                    u32::try_from(display_stmts.len() - 1).expect("stmt count exceeds u32")
-                }),
-                None => NO_DISPLAY,
-            });
         }
-
-        // Seed resolution keeps *external* ids in original intern order, so
-        // `stmt_nodes_of`/`stmt_node` answer identically to the growable
-        // graph.
-        let mut nodes_of_stmt: FxHashMap<StmtRef, Vec<NodeId>> = FxHashMap::default();
-        for (id, &kind) in self.nodes() {
-            if let NodeKind::Stmt(_, s) = kind {
-                nodes_of_stmt.entry(s).or_default().push(id);
-            }
-        }
-
-        FrozenSdg {
-            mode: Sdg::mode(self),
-            offsets,
-            edges,
-            kinds,
-            display,
-            display_idx,
-            display_stmts,
-            nodes_of_stmt,
-            perm,
-            inv,
-            down: OnceLock::new(),
-        }
+        let kinds = inv
+            .iter()
+            .map(|&old| Sdg::node(self, old).map_site(internal))
+            .collect();
+        FrozenSdg::from_parts(Sdg::mode(self), offsets, edges, kinds, perm)
     }
 }
 

@@ -140,12 +140,10 @@ impl Sdg {
     /// call line — e.g. `names.add(firstName)` in the paper's Figure 1
     /// thin slice).
     pub fn display_stmt(&self, n: NodeId) -> Option<StmtRef> {
-        match self.nodes[n] {
-            NodeKind::Stmt(_, s) => Some(s),
-            NodeKind::ActualParam(site, _)
-            | NodeKind::ActualIn(site, _)
-            | NodeKind::ActualOut(site, _) => self.nodes[site].as_stmt(),
-            _ => None,
+        let kind = self.nodes[n];
+        match kind.site() {
+            Some(site) => self.nodes[site].as_stmt(),
+            None => kind.as_stmt(),
         }
     }
 

@@ -1,0 +1,62 @@
+//! `FrozenSdg::thaw` undoes `Sdg::freeze` on the CI and CS graphs of every
+//! suite program and of generated programs: the thawed graph is
+//! `same_graph` as the one that was frozen, and freezing it again yields
+//! the same arrays.
+
+use thinslice_ir::compile;
+use thinslice_pta::{ModRef, Pta, PtaConfig};
+use thinslice_sdg::snap::{decode_frozen, encode_frozen};
+use thinslice_sdg::{build_ci, build_cs, FrozenSdg, Sdg};
+use thinslice_suite::{all_benchmarks, generate, GeneratorConfig};
+use thinslice_util::{ByteReader, ByteWriter};
+
+fn encode(f: &FrozenSdg) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    encode_frozen(f, &mut w);
+    w.into_bytes()
+}
+
+fn assert_thaw_undoes_freeze(name: &str, g: &Sdg) {
+    let frozen = g.freeze();
+    let thawed = frozen.thaw().expect("a frozen graph has unique kinds");
+    assert!(thawed.same_graph(g), "{name}");
+    assert_eq!(thawed.edge_count(), g.edge_count(), "{name}");
+    assert_eq!(thawed.instance_count(), g.instance_count(), "{name}");
+    for (id, _) in g.nodes() {
+        assert_eq!(thawed.display_stmt(id), g.display_stmt(id), "{name}");
+    }
+    for (_, s) in g.stmt_nodes() {
+        assert_eq!(thawed.stmt_nodes_of(s), g.stmt_nodes_of(s), "{name}");
+    }
+    let bytes = encode(&frozen);
+    assert_eq!(encode(&thawed.freeze()), bytes, "{name}: refrozen");
+    // A graph decoded from those bytes thaws to the same graph.
+    let decoded = decode_frozen(&mut ByteReader::new(&bytes)).expect("decodes");
+    assert!(
+        decoded.thaw().expect("thaws").same_graph(g),
+        "{name}: decoded"
+    );
+}
+
+fn check(name: &str, sources: &[(&str, &str)]) {
+    let program = compile(sources).expect("compiles");
+    let pta = Pta::analyze(&program, PtaConfig::default());
+    let modref = ModRef::compute(&program, &pta);
+    assert_thaw_undoes_freeze(&format!("{name} ci"), &build_ci(&program, &pta));
+    assert_thaw_undoes_freeze(&format!("{name} cs"), &build_cs(&program, &pta, &modref));
+}
+
+#[test]
+fn snapshot_thaw_undoes_freeze_on_every_suite_program() {
+    for b in all_benchmarks() {
+        check(b.name, &b.sources);
+    }
+}
+
+#[test]
+fn snapshot_thaw_undoes_freeze_on_generated_programs() {
+    for scale in [1, 2, 4] {
+        let text = generate(&GeneratorConfig::scaled(scale));
+        check(&format!("gen-x{scale}"), &[("gen.mj", &text)]);
+    }
+}

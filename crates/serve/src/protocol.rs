@@ -40,7 +40,9 @@ use std::fmt::Write as _;
 
 use thinslice::{Engine, SliceKind, UpdateStats};
 use thinslice_util::govern::Completeness;
-use thinslice_util::telemetry::{FlightEvent, HistogramSummary, Json, RUN_REPORT_SCHEMA};
+use thinslice_util::telemetry::{
+    escape_into, FlightEvent, HistogramSummary, Json, RUN_REPORT_SCHEMA,
+};
 
 /// Schema tag carried by every response line.
 pub const RESPONSE_SCHEMA: &str = "thinslice.serve_response.v1";
@@ -463,37 +465,8 @@ pub fn kind_str(k: SliceKind) -> &'static str {
 
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    esc_into(&mut out, s);
+    escape_into(&mut out, s);
     out
-}
-
-/// Appends `s` to `out` as a JSON string literal. Bytes that need no
-/// escape are copied in runs; every escaped byte is ASCII, so each run
-/// ends on a character boundary.
-fn esc_into(out: &mut String, s: &str) {
-    out.push('"');
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escaped = match b {
-            b'"' => Some("\\\""),
-            b'\\' => Some("\\\\"),
-            b'\n' => Some("\\n"),
-            b'\t' => Some("\\t"),
-            b'\r' => Some("\\r"),
-            0..=0x1f => None,
-            _ => continue,
-        };
-        out.push_str(&s[run..i]);
-        match escaped {
-            Some(e) => out.push_str(e),
-            None => {
-                let _ = write!(out, "\\u{b:04x}");
-            }
-        }
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
-    out.push('"');
 }
 
 fn id_json(id: Option<u64>) -> String {
@@ -666,7 +639,7 @@ pub fn slice_line(
         if i > 0 {
             s.push(',');
         }
-        esc_into(&mut s, line);
+        escape_into(&mut s, line);
     }
     s.push_str("]}");
     s

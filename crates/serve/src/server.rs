@@ -54,7 +54,7 @@ use crate::protocol::{
 use thinslice::{report, Budget, Engine, FaultInjection, Query, QueryPolicy, SliceResult};
 use thinslice_util::govern::Completeness;
 use thinslice_util::telemetry::{FlightKind, FlightRecorder, Histogram, Telemetry};
-use thinslice_util::FxHashMap;
+use thinslice_util::{panic_message, FxHashMap};
 
 /// How many slow queries the log retains (oldest dropped first).
 const SLOW_LOG_CAP: usize = 32;
@@ -1239,15 +1239,5 @@ fn skip_to_newline<R: BufRead>(input: &mut R) -> bool {
             Ok(_) if byte[0] == b'\n' => return true,
             Ok(_) => {}
         }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }

@@ -21,7 +21,9 @@
 //!   reports, zero-cost when disabled,
 //! * [`RunCtx`] — the run-wide context bundling telemetry + budget,
 //!   threaded as one parameter through every pipeline stage,
-//! * [`SmallRng`] — a deterministic PRNG for generators and tests.
+//! * [`SmallRng`] — a deterministic PRNG for generators and tests,
+//! * [`panic_message`] — the text of a caught panic, for the batch
+//!   engine's and the daemon's panic isolation.
 //!
 //! # Examples
 //!
@@ -58,6 +60,18 @@ pub use telemetry::{
 };
 pub use unionfind::UnionFind;
 pub use worklist::Worklist;
+
+/// The message of a caught panic: its `&str` or `String` payload, or a
+/// placeholder for a payload of any other type.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
 
 /// Types usable as dense indices into [`IdxVec`] and [`BitSet`].
 ///

@@ -940,21 +940,35 @@ impl JsonWriter {
     }
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal: `"` and `\` escaped,
+/// newline, tab and carriage return as `\n`, `\t`, `\r`, and every other
+/// control character as `\u00XX`. Bytes that need no escape are copied in
+/// runs; every escaped byte is ASCII, so each run ends on a character
+/// boundary.
+pub fn escape_into(out: &mut String, s: &str) {
+    use std::fmt::Write;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\t' => Some("\\t"),
+            b'\r' => Some("\\r"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escaped {
+            Some(e) => out.push_str(e),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
