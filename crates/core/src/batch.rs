@@ -54,7 +54,7 @@
 //! [`AnalysisSession::query`]: crate::AnalysisSession::query
 
 use crate::session::{Engine, SliceResult};
-use crate::slice::{slice_dense, SliceKind, SliceScratch};
+use crate::slice::{slice_dense, Slice, SliceKind, SliceScratch};
 use crate::tabulation::{cs_oneshot, cs_reusing, CsScratch, ExitShare, MemoStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -197,13 +197,20 @@ pub(crate) fn answer_ci<G: DenseDisplay>(
     if !budget.is_unlimited() {
         tel.count("govern.meter_checks", meter.slow_checks());
     }
+    answer(slice, Engine::Ci, completeness, false)
+}
+
+/// The answer `slice` makes, labelled with its engine and honesty flags.
+fn answer(slice: Slice, engine: Engine, completeness: Completeness, degraded: bool) -> SliceResult {
     SliceResult {
-        engine: Engine::Ci,
-        kind,
+        engine,
+        kind: slice.kind,
         stmts: slice.stmts,
-        nodes: slice.nodes,
+        nodes_visited: slice.nodes_visited,
+        #[cfg(test)]
+        visited: slice.visited,
         completeness,
-        degraded: false,
+        degraded,
     }
 }
 
@@ -234,27 +241,13 @@ pub(crate) fn answer_cs(
     };
     let mut checks = meter.slow_checks();
     let result = if completeness.is_complete() || !degrade {
-        SliceResult {
-            engine: Engine::Cs,
-            kind,
-            stmts: slice.stmts,
-            nodes: slice.nodes,
-            completeness,
-            degraded: false,
-        }
+        answer(slice, Engine::Cs, completeness, false)
     } else {
         let mut ci_meter = budget.meter();
         let (ci, ci_completeness) = slice_dense(graph, seeds, kind, bfs, false, &mut ci_meter);
         checks += ci_meter.slow_checks();
         tel.count("govern.degraded_queries", 1);
-        SliceResult {
-            engine: Engine::Ci,
-            kind,
-            stmts: ci.stmts,
-            nodes: ci.nodes,
-            completeness: ci_completeness,
-            degraded: true,
-        }
+        answer(ci, Engine::Ci, ci_completeness, true)
     };
     if !budget.is_unlimited() {
         tel.count("govern.meter_checks", checks);
@@ -317,11 +310,10 @@ fn run_guarded<S>(
 }
 
 /// The batch recorder: one query's latency and retries, its failure or
-/// its answer's size — visited nodes, and the summed out-degrees of those
-/// nodes in the graph the query walked, which are the edges its walk
-/// scanned — and, for a truncated answer, a `govern.budget_exhausted`
-/// event carrying the stage, the reason and the abandoned-frontier size.
-fn record_outcome<G: DepGraph>(tel: &Telemetry, stage: &str, walked: &G, out: &QueryOutcome) {
+/// the number of nodes its walk visited, and, for a truncated answer, a
+/// `govern.budget_exhausted` event carrying the stage, the reason and the
+/// abandoned-frontier size.
+fn record_outcome(tel: &Telemetry, stage: &str, out: &QueryOutcome) {
     if !tel.is_enabled() {
         return;
     }
@@ -338,15 +330,7 @@ fn record_outcome<G: DepGraph>(tel: &Telemetry, stage: &str, walked: &G, out: &Q
             return;
         }
     };
-    tel.count("slice.nodes_visited", s.nodes.len() as u64);
-    tel.count(
-        "slice.csr_edges_visited",
-        // Result nodes are external ids; degrees live on the internal CSR.
-        s.nodes
-            .iter()
-            .map(|&n| walked.deps(walked.to_internal(n)).len() as u64)
-            .sum(),
-    );
+    tel.count("slice.nodes_visited", s.nodes_visited as u64);
     if let Completeness::Truncated { reason, frontier } = &s.completeness {
         tel.count("govern.budget_exhaustions", 1);
         tel.event(
@@ -459,7 +443,7 @@ fn run_on<G: DenseDisplay + Sync>(
                 result
             }
         });
-        record_outcome(tel, stage, view, &out);
+        record_outcome(tel, stage, &out);
         out
     })
 }
@@ -467,8 +451,8 @@ fn run_on<G: DenseDisplay + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slice::{slice_sparse, Slice};
-    use crate::tabulation::{cs_oneshot, CsSlice, DownConsumers};
+    use crate::slice::slice_sparse;
+    use crate::tabulation::{cs_oneshot, DownConsumers};
     use crate::Analysis;
     use thinslice_util::Meter;
 
@@ -485,7 +469,7 @@ mod tests {
     }
 
     /// Sequential oracle: the one-shot CS slice over the growable graph.
-    fn cs_slice(sdg: &thinslice_sdg::Sdg, seeds: &[NodeId], kind: SliceKind) -> CsSlice {
+    fn cs_slice(sdg: &thinslice_sdg::Sdg, seeds: &[NodeId], kind: SliceKind) -> Slice {
         cs_oneshot(
             sdg,
             &DownConsumers::build(sdg),
@@ -577,7 +561,7 @@ mod tests {
                 assert_eq!(batched.len(), sequential.len());
                 for (b, s) in batched.iter().zip(&sequential) {
                     assert_eq!(b.stmts, s.stmts, "{kind:?}/{threads}");
-                    assert_eq!(b.nodes, s.nodes);
+                    assert_eq!(b.visited, s.visited);
                 }
             }
         }
@@ -587,7 +571,7 @@ mod tests {
     fn batch_cs_matches_sequential() {
         let a = setup();
         let queries = all_print_queries(&a);
-        let sequential: Vec<CsSlice> = queries
+        let sequential: Vec<Slice> = queries
             .iter()
             .map(|q| cs_slice(&a.sdg, q, SliceKind::Thin))
             .collect();
@@ -595,7 +579,7 @@ mod tests {
             let batched = batch(&a.csr, &queries, SliceKind::Thin, Engine::Cs, threads);
             for (b, s) in batched.iter().zip(&sequential) {
                 assert_eq!(b.stmts, s.stmts, "threads={threads}");
-                assert_eq!(b.nodes, s.nodes);
+                assert_eq!(b.visited, s.visited);
             }
         }
     }
@@ -609,7 +593,7 @@ mod tests {
         let twice: Vec<Vec<NodeId>> = vec![q[0].clone(), q[1].clone(), q[0].clone()];
         let out = batch(&a.csr, &twice, SliceKind::TraditionalFull, Engine::Ci, 1);
         assert_eq!(out[0].stmts, out[2].stmts);
-        assert_eq!(out[0].nodes, out[2].nodes);
+        assert_eq!(out[0].visited, out[2].visited);
     }
 
     #[test]
@@ -630,7 +614,7 @@ mod tests {
             for (b, seeds) in batched.iter().zip(&tiled) {
                 let s = cs_slice(&a.sdg, seeds, kind);
                 assert_eq!(b.stmts, s.stmts, "{kind:?}");
-                assert_eq!(b.nodes, s.nodes);
+                assert_eq!(b.visited, s.visited);
             }
         }
     }
@@ -658,13 +642,13 @@ mod tests {
             for (b, seeds) in batched.iter().zip(&tiled) {
                 let s = slice_from(&a.sdg, seeds, kind);
                 assert_eq!(b.stmts, s.stmts, "{kind:?}");
-                assert_eq!(b.nodes, s.nodes);
+                assert_eq!(b.visited, s.visited);
             }
             let cs_batched = batch(&a.csr, &tiled, kind, Engine::Cs, 2);
             for (b, seeds) in cs_batched.iter().zip(&tiled) {
                 let s = cs_slice(&a.sdg, seeds, kind);
                 assert_eq!(b.stmts, s.stmts, "{kind:?}");
-                assert_eq!(b.nodes, s.nodes);
+                assert_eq!(b.visited, s.visited);
             }
         }
     }

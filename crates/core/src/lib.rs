@@ -55,7 +55,6 @@
 pub mod batch;
 pub mod expand;
 pub mod inspect;
-mod nodeset;
 #[cfg(test)]
 mod order_tests;
 pub mod report;
@@ -70,14 +69,13 @@ pub use expand::{
     explain_aliasing, explain_aliasing_ctx, exposed_control_deps, heap_flow_pairs, AliasExplanation,
 };
 pub use inspect::{simulate_inspection, InspectTask, InspectionResult};
-pub use nodeset::NodeSet;
 pub use session::{
     AnalysisSession, BatchOptions, Engine, Query, QueryPolicy, SliceResult, UpdateStats,
 };
 pub use slice::{Slice, SliceKind, SliceScratch};
 pub use snapshot::{source_hash, SnapshotLoad, SnapshotStore};
 pub use stmtset::StmtSet;
-pub use tabulation::{CsScratch, CsSlice, DownConsumers, MemoStats};
+pub use tabulation::{CsScratch, DownConsumers, MemoStats};
 pub use thinslice_util::{
     Budget, CancelToken, Completeness, ExhaustReason, Meter, Outcome, RunCtx, RunReport, Telemetry,
 };
@@ -398,6 +396,6 @@ class Main {
         let facade = a.thin_slice(&seed);
         let session = s.query(&Query::new(seed, SliceKind::Thin, Engine::Ci));
         assert_eq!(facade.stmts, session.stmts);
-        assert_eq!(facade.nodes, session.nodes);
+        assert_eq!(facade.visited, session.visited);
     }
 }

@@ -1,16 +1,20 @@
-//! Pins the frozen-graph answers — whose canonical orders and node sets
-//! come from bitset drains — against the sort-based references
-//! ([`slice_sparse`] and the sparse tabulation store) on a corpus whose
-//! levels and node sets span many bitset words and need reordering,
-//! unbudgeted and truncated, with truncated and unbudgeted queries
-//! interleaved on each session's reused scratch; and against the same
-//! references walking the growable graphs the frozen ones came from.
+//! Pins the frozen-graph answers — whose canonical orders come from
+//! bitset drains — against the sort-based references ([`slice_sparse`]
+//! and the sparse tabulation store) on a corpus whose levels and visited
+//! sets span many bitset words and need reordering, unbudgeted and
+//! truncated, with truncated and unbudgeted queries interleaved on each
+//! session's reused scratch; and against the same references walking the
+//! growable graphs the frozen ones came from.
+//!
+//! Each answer is compared in statement order and in visited-node
+//! membership. Answers carry only a visited-node count; the membership is
+//! the test-only `visited` field of [`crate::Slice`] and
+//! [`SliceResult`], and the count is pinned to its length.
 
 use crate::session::{AnalysisSession, Engine, Query, QueryPolicy, SliceResult};
 use crate::slice::{slice_sparse, SliceKind, SliceScratch};
-use crate::stmtset::StmtSet;
 use crate::tabulation::{cs_oneshot, cs_reusing, CsScratch, DownConsumers};
-use crate::{Analysis, NodeSet};
+use crate::Analysis;
 use thinslice_ir::{InstrKind, StmtRef};
 use thinslice_sdg::{DepGraph, FrozenSdg, NodeId};
 use thinslice_suite::{all_benchmarks, generate, GeneratorConfig};
@@ -118,9 +122,12 @@ fn limited(steps: u64, degrade: bool) -> QueryPolicy {
     }
 }
 
-fn assert_same(got: &SliceResult, want_stmts: &[StmtRef], want_nodes: &NodeSet, at: &str) {
+/// Asserts that `got` holds `want_stmts` in order and visited exactly the
+/// nodes `want_visited`, and that its count says so.
+fn assert_same(got: &SliceResult, want_stmts: &[StmtRef], want_visited: &[NodeId], at: &str) {
     assert_eq!(got.stmts.in_order(), want_stmts, "{at}: stmts");
-    assert_eq!(&got.nodes, want_nodes, "{at}: nodes");
+    assert_eq!(got.visited, want_visited, "{at}: visited nodes");
+    assert_eq!(got.nodes_visited, want_visited.len(), "{at}: visited count");
 }
 
 #[test]
@@ -148,13 +155,13 @@ fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
                     slice_sparse(&ci, &ci_seeds, kind, &mut sparse, &mut Meter::unlimited());
                 let got = session.query(&q);
                 assert!(got.completeness.is_complete(), "{at}");
-                assert_same(&got, want.stmts.in_order(), &want.nodes, &at);
+                assert_same(&got, want.stmts.in_order(), &want.visited, &at);
                 let (w, p) = level_shape(&ci, &ci_seeds, kind);
                 widest = widest.max(w);
                 permuted |= p;
-                widest_ci_set = widest_ci_set.max(got.nodes.len());
+                widest_ci_set = widest_ci_set.max(got.nodes_visited);
                 // Truncated prefixes, interleaved on the session's scratch.
-                for steps in cuts(got.nodes.len()) {
+                for steps in cuts(got.nodes_visited) {
                     let cut = session.query(&q.clone().with_policy(limited(steps, false)));
                     let mut meter = Budget::unlimited().with_step_limit(steps).meter();
                     let (want, c) = slice_sparse(&ci, &ci_seeds, kind, &mut sparse, &mut meter);
@@ -162,7 +169,7 @@ fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
                     assert_same(
                         &cut,
                         want.stmts.in_order(),
-                        &want.nodes,
+                        &want.visited,
                         &format!("{at} /{steps}"),
                     );
                     assert!(session.scratch_is_clean(), "{at} /{steps}");
@@ -177,9 +184,9 @@ fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
             let (want, _) = cs_oneshot(&cs, index, &cs_seeds, kind, &mut Meter::unlimited());
             let got = session.query(&q);
             assert!(got.completeness.is_complete() && !got.degraded, "{at}");
-            assert_same(&got, want.stmts.in_order(), &want.nodes, &at);
-            widest_cs_set = widest_cs_set.max(got.nodes.len());
-            for steps in cuts(got.nodes.len()) {
+            assert_same(&got, want.stmts.in_order(), &want.visited, &at);
+            widest_cs_set = widest_cs_set.max(got.nodes_visited);
+            for steps in cuts(got.nodes_visited) {
                 let at = format!("{at} /{steps}");
                 let budget = || Budget::unlimited().with_step_limit(steps).meter();
                 // A memo-free scratch follows the sparse store's traversal
@@ -195,13 +202,18 @@ fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
                 let (want, w) = cs_oneshot(&cs, index, &cs_seeds, kind, &mut budget());
                 assert!(!c.is_complete() && !w.is_complete(), "{at}");
                 assert_eq!(cold.stmts, want.stmts, "{at}: memo-free stmts");
-                assert_eq!(cold.nodes, want.nodes, "{at}: memo-free nodes");
+                assert_eq!(cold.visited, want.visited, "{at}: memo-free nodes");
+                assert_eq!(
+                    cold.nodes_visited,
+                    want.visited.len(),
+                    "{at}: memo-free count"
+                );
                 // The session's warm memo splices regions instead of
                 // tabulating them, so it may finish within the limit, and
                 // is otherwise cut somewhere inside the fixpoint.
                 let cut = session.query(&q.clone().with_policy(limited(steps, false)));
                 if cut.completeness.is_complete() {
-                    assert_same(&cut, got.stmts.in_order(), &got.nodes, &at);
+                    assert_same(&cut, got.stmts.in_order(), &got.visited, &at);
                 } else {
                     assert!(cut.stmts.is_subset(&got.stmts), "{at}");
                 }
@@ -210,10 +222,10 @@ fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
                 let ladder = session.query(&q.clone().with_policy(limited(steps, true)));
                 if ladder.degraded {
                     let (want, _) = slice_sparse(&cs, &cs_seeds, kind, &mut sparse, &mut budget());
-                    assert_same(&ladder, want.stmts.in_order(), &want.nodes, &at);
+                    assert_same(&ladder, want.stmts.in_order(), &want.visited, &at);
                     degraded += 1;
                 } else {
-                    assert_same(&ladder, got.stmts.in_order(), &got.nodes, &at);
+                    assert_same(&ladder, got.stmts.in_order(), &got.visited, &at);
                 }
                 assert!(session.scratch_is_clean(), "{at}");
             }
@@ -232,7 +244,7 @@ fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
 /// every suite program, both engines answer every kind exactly as the
 /// sort-based slicers answer over the growable `Sdg`s — the direct-edge
 /// graph for CI, the heap-parameter graph for CS — in statement order and
-/// node set.
+/// visited nodes.
 #[test]
 fn session_answers_match_the_sort_based_references_on_the_growable_graphs() {
     let mut scratch = SliceScratch::new();
@@ -254,20 +266,14 @@ fn session_answers_match_the_sort_based_references_on_the_growable_graphs() {
                 for kind in KINDS {
                     let at = format!("{} {stmt:?} {engine:?}/{kind:?}", b.name);
                     let unlimited = &mut Meter::unlimited();
-                    let (stmts, nodes): (StmtSet, NodeSet) = match engine {
-                        Engine::Ci => {
-                            let (s, _) = slice_sparse(sdg, &seeds, kind, &mut scratch, unlimited);
-                            (s.stmts, s.nodes)
-                        }
-                        Engine::Cs => {
-                            let (s, _) = cs_oneshot(sdg, &cs_index, &seeds, kind, unlimited);
-                            (s.stmts, s.nodes)
-                        }
+                    let (want, _) = match engine {
+                        Engine::Ci => slice_sparse(sdg, &seeds, kind, &mut scratch, unlimited),
+                        Engine::Cs => cs_oneshot(sdg, &cs_index, &seeds, kind, unlimited),
                     };
                     let got = session.query(&Query::new(vec![stmt], kind, engine));
                     assert_eq!((got.engine, got.kind), (engine, kind), "{at}");
                     assert!(got.completeness.is_complete() && !got.degraded, "{at}");
-                    assert_same(&got, stmts.in_order(), &nodes, &at);
+                    assert_same(&got, want.stmts.in_order(), &want.visited, &at);
                 }
             }
         }

@@ -39,7 +39,6 @@
 //! ```
 
 use crate::batch::{answer_ci, answer_cs, run_batch, BatchConfig, FaultInjection, QueryOutcome};
-use crate::nodeset::NodeSet;
 use crate::slice::{SliceKind, SliceScratch};
 use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::stmtset::StmtSet;
@@ -49,7 +48,8 @@ use thinslice_ir::delta::{ProgramDelta, ProgramFingerprints};
 use thinslice_ir::{compile_fingerprinted, CompileError, Program, StmtRef};
 use thinslice_pta::{incr, GenCache, ModRef, Pta, PtaConfig};
 use thinslice_sdg::{
-    body_fingerprint, build_ci_cached, build_cs_cached, DepGraph, FrozenSdg, NodeId, Sdg, SdgCache,
+    body_fingerprint, build_ci_cached, build_cs_cached, DenseDisplay, DepGraph, FrozenSdg,
+    HeapMode, NodeId, Sdg, SdgCache,
 };
 use thinslice_util::{
     Budget, ByteReader, ByteWriter, CancelToken, CodecError, Completeness, FxHashSet, Idx, RunCtx,
@@ -121,7 +121,8 @@ impl Query {
     }
 }
 
-/// The one slice-result shape: statements plus the honesty labels.
+/// The one slice-result shape: statements, the size of the walk, and the
+/// honesty labels.
 #[derive(Debug, Clone)]
 pub struct SliceResult {
     /// The engine that actually answered (after any degradation — a
@@ -133,8 +134,14 @@ pub struct SliceResult {
     /// order: BFS (distance) order for reachability, sorted for
     /// tabulation.
     pub stmts: StmtSet,
-    /// All visited dependence-graph nodes, in external ids.
-    pub nodes: NodeSet,
+    /// How many dependence-graph nodes the walk visited, statements and
+    /// connective nodes alike: the work a query did, which the daemon
+    /// charges a client.
+    pub nodes_visited: usize,
+    /// The visited nodes' external ids, ascending (see
+    /// [`crate::Slice`]'s field of the same name).
+    #[cfg(test)]
+    pub(crate) visited: Vec<NodeId>,
     /// Whether the traversal reached its fixpoint.
     pub completeness: Completeness,
     /// Whether a context-sensitive query fell back to the
@@ -1045,10 +1052,13 @@ impl AnalysisSession {
     /// in the restored program); the constraint-stream cross-check
     /// (every reachable method's stream hash, recomputed over the
     /// restored program, must match what the solve was keyed on); the
-    /// structural checks of each frozen graph's decoder; and stage
-    /// presence (a graph without its points-to input is rejected). Any
-    /// failure returns `None` — the caller falls back to a clean full
-    /// build, never an error on the query path.
+    /// structural checks of each frozen graph's decoder; each graph's
+    /// heap mode (direct edges in `ci_csr`, heap parameters in `cs_csr`);
+    /// each graph's statements (every one must name an instruction of the
+    /// restored program); and stage presence (a graph without its
+    /// points-to input is rejected). Any failure returns `None` — the
+    /// caller falls back to a clean full build, never an error on the
+    /// query path.
     pub fn from_snapshot(
         bytes: &[u8],
         key: &str,
@@ -1092,12 +1102,19 @@ impl AnalysisSession {
             }
             None => None,
         };
-        let frozen = |name| match snap.section(name) {
-            Some(b) => decode_section(b, thinslice_sdg::snap::decode_frozen).map(Some),
+        let frozen = |name, mode| match snap.section(name) {
+            Some(b) => {
+                let graph = decode_section(b, thinslice_sdg::snap::decode_frozen)?;
+                // A graph of the other heap mode would answer the other
+                // engine's queries, and one naming a statement the program
+                // lacks would index past it when an answer is rendered.
+                (graph.mode() == mode && names_only_program_stmts(&graph, &program))
+                    .then_some(Some(graph))
+            }
             None => Some(None),
         };
-        let ci_csr = frozen("ci_csr")?;
-        let cs_csr = frozen("cs_csr")?;
+        let ci_csr = frozen("ci_csr", HeapMode::DirectEdges)?;
+        let cs_csr = frozen("cs_csr", HeapMode::Parameters)?;
         // A graph implies its points-to input.
         if pta.is_none() && (ci_csr.is_some() || cs_csr.is_some()) {
             return None;
@@ -1139,7 +1156,6 @@ impl AnalysisSession {
     }
 }
 
-/// Total constraint-generation sites across a program's method bodies.
 /// Decodes one snapshot section, requiring the decoder to consume it
 /// exactly; `None` on any codec error (the caller rebuilds instead).
 fn decode_section<'a, T>(
@@ -1151,6 +1167,22 @@ fn decode_section<'a, T>(
     r.is_at_end().then_some(v)
 }
 
+/// Whether every statement `graph` displays names an instruction of
+/// `program`: a method with a body, and a block and an instruction index
+/// inside it.
+fn names_only_program_stmts(graph: &FrozenSdg, program: &Program) -> bool {
+    (0..graph.dense_stmt_count() as u32).all(|i| {
+        let s = graph.dense_stmt(i);
+        program
+            .methods
+            .get(s.method)
+            .and_then(|m| m.body.as_ref())
+            .and_then(|body| body.blocks.get(s.loc.block))
+            .is_some_and(|block| (s.loc.index as usize) < block.instrs.len())
+    })
+}
+
+/// Total constraint-generation sites across a program's method bodies.
 fn total_sites(program: &Program) -> u64 {
     program
         .methods
@@ -1213,7 +1245,7 @@ mod tests {
                 let cold = s.query(&q);
                 let warm = s.query(&q);
                 assert_eq!(cold.stmts, warm.stmts, "{engine:?}/{kind:?}");
-                assert_eq!(cold.nodes, warm.nodes);
+                assert_eq!(cold.visited, warm.visited);
             }
         }
     }
@@ -1240,7 +1272,7 @@ mod tests {
                     "{:?}/{:?}/threads={threads}",
                     q.engine, q.kind
                 );
-                assert_eq!(got.nodes, single.nodes);
+                assert_eq!(got.visited, single.visited);
                 assert_eq!(got.engine, single.engine);
             }
         }
@@ -1265,7 +1297,7 @@ mod tests {
                     cold.stmts.in_order(),
                     "{engine:?}/{kind:?}"
                 );
-                assert_eq!(updated.nodes, cold.nodes);
+                assert_eq!(updated.visited, cold.visited);
                 assert_eq!(updated.completeness, cold.completeness);
             }
         }
@@ -1415,7 +1447,7 @@ mod tests {
                     rb.stmts.in_order(),
                     "{engine:?}/{kind:?}"
                 );
-                assert_eq!(ra.nodes, rb.nodes);
+                assert_eq!(ra.visited, rb.visited);
                 assert_eq!(ra.completeness, rb.completeness);
             }
         }
@@ -1587,6 +1619,83 @@ mod tests {
         };
         assert!(restore(&resealed.finish()).is_none());
         assert!(restore(&small).is_some(), "the untampered file restores");
+    }
+
+    #[test]
+    fn snapshot_rejects_a_graph_naming_statements_the_program_lacks() {
+        // A checksum-valid file holding a one-method program's sections
+        // around javac's `ci_csr`, re-sealed: the graph decodes, but most
+        // of its statements name methods the program lacks, and rendering
+        // an answer would index past the program.
+        let javac = thinslice_suite::benchmark_named("javac").unwrap();
+        let mut donor = AnalysisSession::new(&javac.sources).unwrap();
+        donor.ci_graph();
+        let donor = donor.write_snapshot("k").unwrap();
+        let src = "class Main { static void main() {\nint x = 1;\nprint(x);\n} }";
+        let mut small = AnalysisSession::new(&[("t.mj", src)]).unwrap();
+        small.ci_graph();
+        let methods = small.program().methods.len();
+        let small = small.write_snapshot("k").unwrap();
+        let open = |b| SnapshotReader::open(b, SNAPSHOT_MAGIC, SNAPSHOT_VERSION).unwrap();
+        let (from_donor, from_small) = (open(&donor), open(&small));
+        let graph = from_donor.section("ci_csr").unwrap();
+        let decoded = decode_section(graph, thinslice_sdg::snap::decode_frozen).unwrap();
+        assert!(
+            (0..decoded.dense_stmt_count() as u32)
+                .any(|i| decoded.dense_stmt(i).method.index() >= methods),
+            "the donor graph names methods past the small program's"
+        );
+        let mut resealed = SnapshotWriter::new(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, "k");
+        for name in from_small.section_names() {
+            let from = if name == "ci_csr" {
+                &from_donor
+            } else {
+                &from_small
+            };
+            resealed.section(name, from.section(name).unwrap().to_vec());
+        }
+        let restore = |b: &[u8]| {
+            AnalysisSession::from_snapshot(b, "k", PtaConfig::default(), RunCtx::disabled())
+        };
+        assert!(restore(&resealed.finish()).is_none());
+        assert!(restore(&small).is_some(), "the untampered file restores");
+    }
+
+    #[test]
+    fn snapshot_rejects_graph_sections_of_the_wrong_heap_mode() {
+        // A checksum-valid javac file with its `ci_csr` and `cs_csr`
+        // sections swapped, re-sealed: both graphs decode, and each would
+        // answer the other engine's queries without any error.
+        let javac = thinslice_suite::benchmark_named("javac").unwrap();
+        let mut s = AnalysisSession::new(&javac.sources).unwrap();
+        s.ci_graph();
+        s.cs_graph();
+        let bytes = s.write_snapshot("k").unwrap();
+        let snap = SnapshotReader::open(&bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION).unwrap();
+        let mut resealed = SnapshotWriter::new(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, "k");
+        for name in snap.section_names() {
+            let from = match name {
+                "ci_csr" => "cs_csr",
+                "cs_csr" => "ci_csr",
+                other => other,
+            };
+            let payload = snap.section(from).unwrap();
+            if from != name {
+                let graph = decode_section(payload, thinslice_sdg::snap::decode_frozen)
+                    .expect("the moved graph decodes");
+                let mode = match name {
+                    "ci_csr" => HeapMode::Parameters,
+                    _ => HeapMode::DirectEdges,
+                };
+                assert_eq!(graph.mode(), mode, "{name}");
+            }
+            resealed.section(name, payload.to_vec());
+        }
+        let restore = |b: &[u8]| {
+            AnalysisSession::from_snapshot(b, "k", PtaConfig::default(), RunCtx::disabled())
+        };
+        assert!(restore(&resealed.finish()).is_none());
+        assert!(restore(&bytes).is_some(), "the untampered file restores");
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! [`crate::Analysis`] façade. An ungoverned caller passes an unlimited
 //! [`Meter`] (one predictable branch per node), a governed one an armed
 //! meter.
+//!
+//! An answer carries its statements and the number of graph nodes the walk
+//! visited.
 
-use crate::nodeset::NodeSet;
 use crate::stmtset::StmtSet;
 use thinslice_ir::StmtRef;
 use thinslice_sdg::{DenseDisplay, DepGraph, NodeId, NO_DISPLAY};
@@ -40,17 +42,22 @@ impl SliceKind {
     }
 }
 
-/// The result of a context-insensitive backward slice.
+/// The result of a backward slice, by reachability or by tabulation.
 #[derive(Debug, Clone)]
 pub struct Slice {
     /// The dependence relation used.
     pub kind: SliceKind,
-    /// All visited nodes (statements and connective nodes), in external
-    /// ids.
-    pub nodes: NodeSet,
-    /// Statements in the slice, in canonical BFS order from the seed:
-    /// distance first, node id within a level.
+    /// How many dependence-graph nodes the walk visited, statements and
+    /// connective nodes alike.
+    pub nodes_visited: usize,
+    /// Statements in the slice, in the engine's canonical order: BFS from
+    /// the seed (distance first, external node id within a level) for
+    /// reachability, sorted for tabulation.
     pub stmts: StmtSet,
+    /// The visited nodes' external ids, ascending: the membership the
+    /// tests compare across slicers and graph representations.
+    #[cfg(test)]
+    pub(crate) visited: Vec<NodeId>,
 }
 
 impl Slice {
@@ -91,8 +98,8 @@ pub struct SliceScratch {
     /// The next BFS level, collected during expansion.
     next: Vec<NodeId>,
     /// Word-level discovery set for the dense wavefront's wide levels
-    /// (internal ids), and the external-id set that puts every level and
-    /// the result's node set in canonical order. Empty between uses.
+    /// (internal ids), and the external-id set that puts every level in
+    /// canonical order. Empty between uses.
     next_bits: BitSet<NodeId>,
     stmt_set: FxHashSet<StmtRef>,
     /// Dense-id statement dedup for [`slice_dense`]; mirrors `stmt_set`
@@ -126,30 +133,11 @@ impl SliceScratch {
 /// switches from per-edge visited tests to word-level bitset discovery.
 const WIDE_LEVEL_DIVISOR: usize = 16;
 
-/// Appends the external ids of `internal` (distinct internal ids) to `out`
-/// in ascending order, by setting one bit per node in `bits` — which must
-/// be empty and is left empty — and draining the words the bits span:
-/// O(nodes + words spanned), no comparisons.
-fn drain_external<G: DepGraph>(
-    sdg: &G,
-    internal: &[NodeId],
-    bits: &mut BitSet<NodeId>,
-    out: &mut Vec<NodeId>,
-) {
-    let (mut lo, mut hi) = (usize::MAX, 0);
-    for &n in internal {
-        let e = sdg.to_external(n);
-        bits.insert(e);
-        lo = lo.min(e.index());
-        hi = hi.max(e.index());
-    }
-    if lo <= hi {
-        bits.drain_span_into(NodeId::new(lo), NodeId::new(hi), out);
-    }
-}
-
-/// Moves the level collected in `next` into `cur` in canonical order —
-/// ascending external id — leaving `next` empty.
+/// Moves the level collected in `next` (distinct internal ids) into `cur`
+/// in canonical order — ascending external id — leaving `next` empty. Sets
+/// one bit per node in `bits`, which must be empty and is left empty, and
+/// drains the words the bits span: O(nodes + words spanned), no
+/// comparisons.
 fn order_level<G: DepGraph>(
     sdg: &G,
     next: &mut Vec<NodeId>,
@@ -157,23 +145,32 @@ fn order_level<G: DepGraph>(
     bits: &mut BitSet<NodeId>,
 ) {
     cur.clear();
-    drain_external(sdg, next, bits, cur);
+    let (mut lo, mut hi) = (usize::MAX, 0);
+    for &n in next.iter() {
+        let e = sdg.to_external(n);
+        bits.insert(e);
+        lo = lo.min(e.index());
+        hi = hi.max(e.index());
+    }
+    if lo <= hi {
+        bits.drain_span_into(NodeId::new(lo), NodeId::new(hi), cur);
+    }
     for n in cur.iter_mut() {
         *n = sdg.to_internal(*n);
     }
     next.clear();
 }
 
-/// The external ids of `internal` (distinct internal ids) as a
-/// [`NodeSet`], ordered through `bits` (empty before and after).
-pub(crate) fn external_node_set<G: DepGraph>(
+/// The external ids of `internal`, ascending: a slice's visited-node
+/// membership, which only the tests read.
+#[cfg(test)]
+pub(crate) fn external_ids<G: DepGraph>(
     sdg: &G,
-    internal: &[NodeId],
-    bits: &mut BitSet<NodeId>,
-) -> NodeSet {
-    let mut nodes = Vec::with_capacity(internal.len());
-    drain_external(sdg, internal, bits, &mut nodes);
-    NodeSet::from_sorted(nodes)
+    internal: impl IntoIterator<Item = NodeId>,
+) -> Vec<NodeId> {
+    let mut ids: Vec<NodeId> = internal.into_iter().map(|n| sdg.to_external(n)).collect();
+    ids.sort_unstable();
+    ids
 }
 
 /// The one backward-reachability loop: a metered level-synchronous
@@ -190,8 +187,8 @@ pub(crate) fn external_node_set<G: DepGraph>(
 /// With an unlimited meter the completeness is always `Complete`; once an
 /// armed meter exhausts, emission stops at the failing node and the
 /// emitted prefix — an exact prefix of the canonical order — is returned
-/// `Truncated` with the abandoned frontier size. Seeds and result nodes
-/// are in the external numbering; conversion happens here at the boundary.
+/// `Truncated` with the abandoned frontier size. Seeds are in the external
+/// numbering; conversion happens here at the boundary.
 pub(crate) fn slice_sparse<G: DepGraph>(
     sdg: &G,
     seeds: &[NodeId],
@@ -255,19 +252,18 @@ pub(crate) fn slice_sparse<G: DepGraph>(
     }
     let completeness = meter.completeness(leftover);
     cur.clear();
-    let nodes: NodeSet = touched.iter().map(|&n| sdg.to_external(n)).collect();
+    let slice = Slice {
+        kind,
+        nodes_visited: touched.len(),
+        stmts: StmtSet::from_ordered(stmts),
+        #[cfg(test)]
+        visited: external_ids(sdg, touched.iter().copied()),
+    };
     for n in touched.drain(..) {
         visited.remove(n);
     }
     stmt_set.clear();
-    (
-        Slice {
-            kind,
-            nodes,
-            stmts: StmtSet::from_ordered(stmts),
-        },
-        completeness,
-    )
+    (slice, completeness)
 }
 
 /// [`slice_sparse`] over a frozen graph, using its dense statement
@@ -281,11 +277,11 @@ pub(crate) fn slice_sparse<G: DepGraph>(
 /// graph nodes) switch discovery to word-parallel bitset algebra: targets
 /// are OR-ed into a discovery set unconditionally, then one `subtract` and
 /// one `union_with` per level replace the per-edge visited tests. Every
-/// level, and the result's node set, gets its external-id order by
-/// draining a bitset instead of by sorting. Level membership — and
-/// therefore the canonical (level, external id) order and the slice —
-/// matches [`slice_sparse`] exactly; only the bookkeeping differs. Every
-/// scratch bitset is empty again when this returns, truncated or not.
+/// level gets its external-id order by draining a bitset instead of by
+/// sorting. Level membership — and therefore the canonical (level,
+/// external id) order and the slice — matches [`slice_sparse`] exactly;
+/// only the bookkeeping differs. Every scratch bitset is empty again when
+/// this returns, truncated or not.
 pub(crate) fn slice_dense<G: DenseDisplay>(
     sdg: &G,
     seeds: &[NodeId],
@@ -360,21 +356,20 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
     }
     let completeness = meter.completeness(leftover);
     cur.clear();
-    let nodes = external_node_set(sdg, touched, next_bits);
+    let slice = Slice {
+        kind,
+        nodes_visited: touched.len(),
+        stmts: StmtSet::from_ordered(stmts),
+        #[cfg(test)]
+        visited: external_ids(sdg, touched.iter().copied()),
+    };
     for n in touched.drain(..) {
         visited.remove(n);
     }
     for d in stmt_touched.drain(..) {
         stmt_seen.remove(d);
     }
-    (
-        Slice {
-            kind,
-            nodes,
-            stmts: StmtSet::from_ordered(stmts),
-        },
-        completeness,
-    )
+    (slice, completeness)
 }
 
 #[cfg(test)]
@@ -560,7 +555,7 @@ mod tests {
                 warm.stmts, dense.stmts,
                 "{kind:?}: the dense-dedup loop must match too"
             );
-            assert_eq!(warm.nodes, cold.nodes);
+            assert_eq!(warm.visited, cold.visited);
         }
     }
 

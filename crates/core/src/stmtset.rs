@@ -1,12 +1,7 @@
-//! The statement set shared by every slice result.
-//!
-//! The context-insensitive [`crate::Slice`] and the context-sensitive
-//! [`crate::tabulation::CsSlice`] used to carry their statements in two
-//! different containers (a BFS-ordered `Vec` and a hash set) with
-//! duplicated membership/size logic. [`StmtSet`] is the one type both use:
-//! a deduplicated `Vec` in a *canonical* order — BFS (distance) order for
-//! CI slices, sorted order for CS slices — so equality is deterministic
-//! and order-sensitive, and iteration allocates nothing.
+//! The statement set every slice result carries: a deduplicated `Vec` in
+//! a *canonical* order — BFS (distance) order for CI slices, sorted order
+//! for CS slices — so equality is deterministic and order-sensitive, and
+//! iteration allocates nothing.
 
 use thinslice_ir::StmtRef;
 use thinslice_util::FxHashSet;

@@ -17,9 +17,11 @@
 //! parameters. [`crate::AnalysisSession`] answers `Engine::Cs` queries
 //! this way, on warm [`CsScratch`] that memoises summaries and callee-exit
 //! regions across queries.
+//!
+//! A tabulation answers with the same [`Slice`] shape as reachability:
+//! its statements, sorted, and the number of nodes with a path edge.
 
-use crate::nodeset::NodeSet;
-use crate::slice::{external_node_set, SliceKind};
+use crate::slice::{Slice, SliceKind};
 use crate::stmtset::StmtSet;
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
@@ -27,35 +29,6 @@ use thinslice_ir::StmtRef;
 use thinslice_sdg::{DenseDisplay, DepGraph, EdgeKind, NodeId, NodeKind, NO_DISPLAY};
 use thinslice_util::{BitSet, Completeness, FxHashMap, FxHashSet, Meter};
 use thinslice_util::{Idx, IdxVec};
-
-/// Result of a context-sensitive slice: the visited node set.
-#[derive(Debug, Clone)]
-pub struct CsSlice {
-    /// All nodes in the slice, in the graph's *external* (pre-freeze) id
-    /// domain, so results are comparable across growable and frozen views.
-    pub nodes: NodeSet,
-    /// The statements in the slice, in sorted order (tabulation discovery
-    /// order depends on the storage backend, so sorting is the canonical
-    /// order that makes results comparable across backends).
-    pub stmts: StmtSet,
-}
-
-impl CsSlice {
-    /// Number of statements in the slice.
-    pub fn len(&self) -> usize {
-        self.stmts.len()
-    }
-
-    /// Whether no statements are in the slice.
-    pub fn is_empty(&self) -> bool {
-        self.stmts.is_empty()
-    }
-
-    /// Whether the slice contains `stmt`.
-    pub fn contains(&self, stmt: StmtRef) -> bool {
-        self.stmts.contains(stmt)
-    }
-}
 
 /// The source of a tabulation path edge: either the seed region (ascending
 /// allowed) or a callee exit being summarised.
@@ -175,11 +148,13 @@ impl TabStore for SparseStore {
 }
 
 impl SparseStore {
-    /// Builds the result from every node with a path edge: the node set and
-    /// the sorted, deduplicated statements, by sorting. Nothing is memoised
-    /// across queries, so a truncated query needs no special handling.
-    fn finish<G: DepGraph>(self, sdg: &G) -> CsSlice {
-        let nodes: NodeSet = self.path.keys().map(|&n| sdg.to_external(n)).collect();
+    /// Builds the result from every node with a path edge: their count and
+    /// the sorted, deduplicated statements, by sorting. Tabulation
+    /// discovery order depends on the store, so sorting is the canonical
+    /// order that makes answers comparable across stores. Nothing is
+    /// memoised across queries, so a truncated query needs no special
+    /// handling.
+    fn finish<G: DepGraph>(self, sdg: &G, kind: SliceKind) -> Slice {
         let mut stmts: Vec<StmtRef> = self
             .path
             .keys()
@@ -187,9 +162,12 @@ impl SparseStore {
             .collect();
         stmts.sort_unstable();
         stmts.dedup();
-        CsSlice {
-            nodes,
+        Slice {
+            kind,
+            nodes_visited: self.path.len(),
             stmts: StmtSet::from_ordered(stmts),
+            #[cfg(test)]
+            visited: crate::slice::external_ids(sdg, self.path.keys().copied()),
         }
     }
 }
@@ -261,7 +239,8 @@ struct DenseStore {
     /// sets are tiny (almost always 1–3), so a vector with linear dedup
     /// beats a hash set.
     path: IdxVec<NodeId, Vec<Src>>,
-    /// Nodes whose path set is non-empty — the slice, and the clear list.
+    /// Nodes whose path set is non-empty — the visited nodes, and the
+    /// clear list.
     reached: Vec<NodeId>,
     /// Summary edges discovered so far: consumer node → continuations.
     /// A graph fact; persists across queries.
@@ -286,8 +265,6 @@ struct DenseStore {
     /// DFS stack and visited list for [`DenseStore::splice`].
     splice_stack: Vec<NodeId>,
     spliced: Vec<NodeId>,
-    /// External-id bitset that orders the result's node set.
-    node_bits: BitSet<NodeId>,
     /// Dense display ids already harvested by the finishing query, and
     /// the list that clears them.
     stmt_seen: BitSet<u32>,
@@ -513,14 +490,13 @@ impl TabStore for DenseStore {
 
 impl DenseStore {
     /// Builds the result from every node with a path edge, then resets the
-    /// store for the next query. The node set drains an external-id
-    /// bitset; display statements are deduplicated through their dense ids
-    /// first, so only the distinct ones are sorted. `complete` says whether
-    /// the worklist drained: only regions explored by a *complete* query
-    /// are promoted to the cache (a truncated query's regions are not at
-    /// fixpoint). Leaves every bitset of the store empty either way.
-    fn finish<G: DenseDisplay>(&mut self, sdg: &G, complete: bool) -> CsSlice {
-        let nodes = external_node_set(sdg, &self.reached, &mut self.node_bits);
+    /// store for the next query. Display statements are deduplicated
+    /// through their dense ids first, so only the distinct ones are sorted.
+    /// `complete` says whether the worklist drained: only regions explored
+    /// by a *complete* query are promoted to the cache (a truncated query's
+    /// regions are not at fixpoint). Leaves every bitset of the store empty
+    /// either way.
+    fn finish<G: DenseDisplay>(&mut self, sdg: &G, kind: SliceKind, complete: bool) -> Slice {
         for &n in &self.reached {
             let d = sdg.display_dense(n);
             if d != NO_DISPLAY && self.stmt_seen.insert(d) {
@@ -533,7 +509,13 @@ impl DenseStore {
             stmts.push(sdg.dense_stmt(d));
         }
         stmts.sort_unstable();
-        let stmts = StmtSet::from_ordered(stmts);
+        let slice = Slice {
+            kind,
+            nodes_visited: self.reached.len(),
+            stmts: StmtSet::from_ordered(stmts),
+            #[cfg(test)]
+            visited: crate::slice::external_ids(sdg, self.reached.iter().copied()),
+        };
         if complete {
             // Harvest the regions this query completed: the worklist has
             // drained, so every exit first explored here is at fixpoint.
@@ -576,7 +558,7 @@ impl DenseStore {
         for n in self.reached.drain(..) {
             self.path[n].clear();
         }
-        CsSlice { nodes, stmts }
+        slice
     }
 }
 
@@ -625,7 +607,6 @@ impl CsScratch {
     pub(crate) fn is_clean(&self) -> bool {
         let s = &self.store;
         s.reached.is_empty()
-            && s.node_bits.is_empty()
             && s.stmt_seen.is_empty()
             && s.stmt_touched.is_empty()
             && s.path.iter().all(Vec::is_empty)
@@ -681,7 +662,7 @@ pub(crate) fn cs_oneshot<G: DepGraph>(
     seeds: &[NodeId],
     kind: SliceKind,
     meter: &mut Meter,
-) -> (CsSlice, Completeness) {
+) -> (Slice, Completeness) {
     let mut store = SparseStore::default();
     let completeness = tabulate(
         sdg,
@@ -694,7 +675,7 @@ pub(crate) fn cs_oneshot<G: DepGraph>(
         &mut Vec::new(),
         meter,
     );
-    (store.finish(sdg), completeness)
+    (store.finish(sdg, kind), completeness)
 }
 
 /// The scratch-reusing metered tabulation — the batch engine's and the
@@ -714,7 +695,7 @@ pub(crate) fn cs_reusing<G: DenseDisplay>(
     kind: SliceKind,
     scratch: &mut CsScratch,
     meter: &mut Meter,
-) -> (CsSlice, Completeness) {
+) -> (Slice, Completeness) {
     let CsScratch {
         store,
         wl,
@@ -725,7 +706,8 @@ pub(crate) fn cs_reusing<G: DenseDisplay>(
     let completeness = tabulate(
         sdg, index, seeds, kind, store, wl, tmp_srcs, tmp_conts, meter,
     );
-    (store.finish(sdg, completeness.is_complete()), completeness)
+    let slice = store.finish(sdg, kind, completeness.is_complete());
+    (slice, completeness)
 }
 
 /// The paper's §5.3 tabulation, generic over graph and storage; see
@@ -821,12 +803,12 @@ fn tabulate<G: DepGraph, S: TabStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slice::{slice_sparse, SliceKind, SliceScratch};
+    use crate::slice::{slice_sparse, SliceScratch};
     use thinslice_ir::{compile, InstrKind, Program};
     use thinslice_pta::{ModRef, Pta, PtaConfig};
     use thinslice_sdg::{build_ci, build_cs, Sdg};
 
-    fn cs_slice<G: DepGraph>(sdg: &G, seeds: &[NodeId], kind: SliceKind) -> CsSlice {
+    fn cs_slice<G: DepGraph>(sdg: &G, seeds: &[NodeId], kind: SliceKind) -> Slice {
         cs_oneshot(
             sdg,
             &DownConsumers::build(sdg),
@@ -837,7 +819,7 @@ mod tests {
         .0
     }
 
-    fn slice_from<G: DepGraph>(sdg: &G, seeds: &[NodeId], kind: SliceKind) -> crate::Slice {
+    fn slice_from<G: DepGraph>(sdg: &G, seeds: &[NodeId], kind: SliceKind) -> Slice {
         slice_sparse(
             sdg,
             seeds,
@@ -999,7 +981,7 @@ mod tests {
             let frozen = graph.freeze();
             let warm = cs_slice(graph, &[seed], SliceKind::Thin);
             let cold = cs_slice(&frozen, &[seed], SliceKind::Thin);
-            assert_eq!(warm.nodes, cold.nodes);
+            assert_eq!(warm.visited, cold.visited);
             assert_eq!(warm.stmts, cold.stmts);
         }
     }

@@ -963,7 +963,7 @@ impl Server {
         let query = Query::new(seeds, req.kind, engine).with_policy(policy);
         let slice = session.query(&query);
         let stmts = report::stmt_lines(session.program(), &slice.stmts);
-        let spend = slice.nodes.len() as u64;
+        let spend = slice.nodes_visited as u64;
         Ok((slice, engine, stmts, spend))
     }
 

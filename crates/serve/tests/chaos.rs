@@ -16,7 +16,7 @@
 use std::io::{Cursor, Write};
 use std::sync::{Arc, Mutex};
 
-use thinslice::FaultInjection;
+use thinslice::{AnalysisSession, Engine, FaultInjection, Query, SliceKind};
 use thinslice_serve::pool::PoolConfig;
 use thinslice_serve::protocol::validate_response_line;
 use thinslice_serve::{ServeConfig, ServeSummary, Server};
@@ -785,6 +785,42 @@ fn stats_reports_tenant_tables_memo_and_slow_queries() {
             .and_then(Json::as_u64),
         Some(1)
     );
+}
+
+#[test]
+fn tenant_spend_is_the_visited_node_count_of_each_answer() {
+    // The daemon charges each answered slice the number of graph nodes it
+    // visited, so an unbudgeted tenant's spend is the sum a fresh session
+    // reports for the same seeds, kinds and engines.
+    let shapes = [
+        ("thin", SliceKind::Thin, "ci", Engine::Ci),
+        ("data", SliceKind::TraditionalData, "ci", Engine::Ci),
+        ("full", SliceKind::TraditionalFull, "ci", Engine::Ci),
+        ("thin", SliceKind::Thin, "cs", Engine::Cs),
+    ];
+    let text = program(1);
+    let mut fresh = AnalysisSession::new(&[("p1.mj", text.as_str())]).unwrap();
+    let mut script = vec![load(1, 1)];
+    let mut want = 0u64;
+    for (i, (kind_name, kind, engine_name, engine)) in shapes.into_iter().enumerate() {
+        for line in [3, 5] {
+            let id = 10 + 2 * i as u64 + u64::from(line == 5);
+            let extra =
+                format!(r#","client":"gamma","kind":"{kind_name}","engine":"{engine_name}""#);
+            script.push(slice(id, 1, line, &extra));
+            let seeds = fresh.seed_at_line("p1.mj", line).unwrap();
+            want += fresh.query(&Query::new(seeds, kind, engine)).nodes_visited as u64;
+        }
+    }
+    script.push(shutdown(99));
+    let doc = stats_after(ServeConfig::default(), &script);
+    let tenants = doc.get("tenants").and_then(Json::as_arr).unwrap();
+    assert_eq!(tenants.len(), 1);
+    let gamma = &tenants[0];
+    assert_eq!(gamma.get("client").and_then(Json::as_str), Some("gamma"));
+    assert_eq!(gamma.get("requests").and_then(Json::as_u64), Some(8));
+    assert!(want > 0);
+    assert_eq!(gamma.get("spent_steps").and_then(Json::as_u64), Some(want));
 }
 
 #[test]

@@ -45,7 +45,7 @@ fn assert_matches_queries(s: &mut AnalysisSession, queries: &[Query], batched: &
         let got = got.slice.as_ref().expect("ungoverned batch never fails");
         let at = format!("query {i}: {:?}/{:?}", q.engine, q.kind);
         assert_eq!(got.stmts, want.stmts, "{at}");
-        assert_eq!(got.nodes, want.nodes, "{at}");
+        assert_eq!(got.nodes_visited, want.nodes_visited, "{at}");
         assert_eq!(got.engine, want.engine, "{at}");
         assert_eq!(got.completeness, want.completeness, "{at}");
     }

@@ -56,12 +56,12 @@ fn truncated_bfs_slices_are_nonempty_prefixes_of_the_full_slice() {
             assert!(!qs.is_empty(), "{}: no print queries", b.name);
             for q in qs.iter().take(3) {
                 let full = s.query(q);
-                if full.nodes.len() < 2 {
+                if full.nodes_visited < 2 {
                     continue;
                 }
                 // Quotas strictly below the full visit count must truncate;
                 // a quota of exactly the fixpoint size must not.
-                for quota in [1, (full.nodes.len() as u64) / 2] {
+                for quota in [1, (full.nodes_visited as u64) / 2] {
                     let partial = s.query(&q.clone().with_policy(budgeted(steps(quota))));
                     assert!(
                         matches!(
@@ -73,7 +73,7 @@ fn truncated_bfs_slices_are_nonempty_prefixes_of_the_full_slice() {
                         ),
                         "{}: quota {quota} of {} visits gave {:?}",
                         b.name,
-                        full.nodes.len(),
+                        full.nodes_visited,
                         partial.completeness,
                     );
                     assert!(!partial.stmts.is_empty(), "{}", b.name);
@@ -87,7 +87,7 @@ fn truncated_bfs_slices_are_nonempty_prefixes_of_the_full_slice() {
                         b.name
                     );
                     assert!(
-                        partial.nodes.iter().all(|n| full.nodes.contains(n)),
+                        partial.nodes_visited <= full.nodes_visited,
                         "{}: truncated slice escaped the full slice",
                         b.name
                     );
@@ -112,7 +112,7 @@ fn unbudgeted_governed_slices_match_the_ungoverned_slicer() {
                 let governed = s.query(&q.clone().with_policy(budgeted(Budget::unlimited())));
                 assert!(governed.completeness.is_complete(), "{}", b.name);
                 assert_eq!(governed.stmts, full.stmts);
-                assert_eq!(governed.nodes, full.nodes);
+                assert_eq!(governed.nodes_visited, full.nodes_visited);
             }
         }
     }
@@ -149,11 +149,7 @@ fn truncated_tabulation_slices_are_nonempty_subsets_of_the_fixpoint() {
                 "{}: truncated tabulation escaped the fixpoint slice",
                 b.name
             );
-            assert!(
-                partial.nodes.iter().all(|n| full.nodes.contains(n)),
-                "{}",
-                b.name
-            );
+            assert!(partial.nodes_visited <= full.nodes_visited, "{}", b.name);
         }
     }
 }
@@ -243,7 +239,7 @@ fn injected_worker_panic_cannot_corrupt_sibling_queries() {
         // Bit-identical siblings: the panic and the scratch replacement
         // leaked nothing into other workers.
         assert_eq!(got.stmts, want.stmts, "query {i}");
-        assert_eq!(got.nodes, want.nodes, "query {i}");
+        assert_eq!(got.nodes_visited, want.nodes_visited, "query {i}");
         assert!(got.completeness.is_complete());
     }
 }
@@ -268,7 +264,7 @@ fn a_retry_on_fresh_scratch_recovers_from_a_transient_panic() {
     let want = clean[0].slice.as_ref().unwrap();
     assert_eq!(outcomes[0].retries, 1);
     assert_eq!(recovered.stmts, want.stmts);
-    assert_eq!(recovered.nodes, want.nodes);
+    assert_eq!(recovered.nodes_visited, want.nodes_visited);
 }
 
 #[test]
@@ -422,7 +418,7 @@ fn fail_fast_failure_leaves_the_session_token_uncancelled() {
 fn assert_answers_like(got: &QueryOutcome, want: &SliceResult, at: &str) {
     let got = got.slice.as_ref().expect("no worker may panic");
     assert_eq!(got.stmts.in_order(), want.stmts.in_order(), "{at}: stmts");
-    assert_eq!(got.nodes, want.nodes, "{at}: nodes");
+    assert_eq!(got.nodes_visited, want.nodes_visited, "{at}: nodes visited");
     assert_eq!(got.completeness, want.completeness, "{at}: completeness");
     assert_eq!(
         (got.engine, got.degraded),
@@ -455,7 +451,7 @@ fn governed_batches_answer_like_governed_queries() {
             let prints = queries(s.program(), kind, Engine::Ci);
             let n = prints.len().max(16);
             let qs: Vec<Query> = prints.into_iter().cycle().take(n).collect();
-            let sizes: Vec<usize> = qs.iter().map(|q| s.query(q).nodes.len()).collect();
+            let sizes: Vec<usize> = qs.iter().map(|q| s.query(q).nodes_visited).collect();
             let full = *sizes.iter().max().unwrap();
             let largest = sizes.iter().position(|&len| len == full).unwrap();
             assert!(full > 2, "{name}: {kind:?} answers too small to cut");
@@ -523,9 +519,9 @@ fn one_query_governed_cs_batches_answer_like_cold_queries() {
     let mut warm = nanoxml_session();
     let q = queries(warm.program(), SliceKind::Thin, Engine::Cs)
         .into_iter()
-        .max_by_key(|q| warm.query(q).nodes.len())
+        .max_by_key(|q| warm.query(q).nodes_visited)
         .expect("a print query");
-    let full = warm.query(&q).nodes.len();
+    let full = warm.query(&q).nodes_visited;
     assert!(full > 2, "answer too small to cut");
     for limit in [1, full / 2, full - 1] {
         for degrade in [true, false] {

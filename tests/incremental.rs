@@ -64,7 +64,10 @@ fn assert_matches_fresh(
                 let got = live.query(&q);
                 let want = fresh.query(&q);
                 assert_eq!(got.stmts, want.stmts, "{ctx}: {engine:?} {kind:?} stmts");
-                assert_eq!(got.nodes, want.nodes, "{ctx}: {engine:?} {kind:?} nodes");
+                assert_eq!(
+                    got.nodes_visited, want.nodes_visited,
+                    "{ctx}: {engine:?} {kind:?} nodes visited"
+                );
                 assert_eq!(
                     got.completeness, want.completeness,
                     "{ctx}: {engine:?} {kind:?} completeness"

@@ -46,9 +46,13 @@ fn ci_queries_match_the_legacy_sparse_slicer_on_all_benchmarks() {
                 assert!(got.completeness.is_complete());
                 assert!(!got.degraded);
                 // Bit-identical: same statements in the same BFS order,
-                // same visited node set.
+                // same number of visited nodes.
                 assert_eq!(got.stmts, sparse.stmts, "{}: {kind:?}", b.name);
-                assert_eq!(got.nodes, sparse.nodes, "{}: {kind:?}", b.name);
+                assert_eq!(
+                    got.nodes_visited, sparse.nodes_visited,
+                    "{}: {kind:?}",
+                    b.name
+                );
             }
         }
     }
@@ -67,14 +71,14 @@ fn governed_queries_return_truncated_subsets_of_the_full_answer() {
             ] {
                 let q = Query::new(vec![seed], kind, engine);
                 let full = s.query(&q);
-                if full.nodes.len() < 2 || full.stmts.len() < 2 {
+                if full.nodes_visited < 2 || full.stmts.len() < 2 {
                     continue;
                 }
                 // The warm tabulation memo makes later CS queries cheap, so
                 // only a one-step quota reliably truncates them; the CI BFS
                 // has no cross-query memo and truncates at half its visits.
                 let quota = match engine {
-                    Engine::Ci => full.nodes.len() as u64 / 2,
+                    Engine::Ci => full.nodes_visited as u64 / 2,
                     Engine::Cs => 1,
                 };
                 let policy = QueryPolicy {
@@ -133,7 +137,11 @@ fn batched_queries_match_sequential_queries_on_all_benchmarks() {
                     "{}: query {i} at {threads} threads",
                     b.name
                 );
-                assert_eq!(got.nodes, want.nodes, "{}: query {i}", b.name);
+                assert_eq!(
+                    got.nodes_visited, want.nodes_visited,
+                    "{}: query {i}",
+                    b.name
+                );
                 assert_eq!(got.engine, want.engine, "{}: query {i}", b.name);
                 assert_eq!(got.completeness, want.completeness, "{}: query {i}", b.name);
             }
@@ -165,7 +173,7 @@ fn a_fresh_session_answers_like_a_warm_one() {
             let want = cold.query(&q);
             let got = warm.query(&q);
             assert_eq!(got.stmts, want.stmts);
-            assert_eq!(got.nodes, want.nodes);
+            assert_eq!(got.nodes_visited, want.nodes_visited);
         }
     }
 }
