@@ -75,9 +75,7 @@ pub fn simulate_inspection<G: DepGraph>(
     let mut frontier: Worklist<NodeId> = Worklist::new();
     for &s in &task.seeds {
         for &n in sdg.stmt_nodes_of(s) {
-            // `stmt_nodes_of` reports external ids; the traversal runs in
-            // the graph's internal id domain.
-            frontier.push(sdg.to_internal(n));
+            frontier.push(n);
         }
     }
 

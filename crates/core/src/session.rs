@@ -138,7 +138,7 @@ pub struct SliceResult {
     /// connective nodes alike: the work a query did, which the daemon
     /// charges a client.
     pub nodes_visited: usize,
-    /// The visited nodes' external ids, ascending (see
+    /// The visited nodes' ids, ascending (see
     /// [`crate::Slice`]'s field of the same name).
     #[cfg(test)]
     pub(crate) visited: Vec<NodeId>,
@@ -1546,34 +1546,34 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_rejects_a_resealed_graph_whose_permutation_leaves_the_graph() {
+    fn snapshot_rejects_a_resealed_graph_whose_edges_leave_the_graph() {
         // A checksum-valid file whose frozen CI graph is structurally
-        // broken: every `perm` entry of `ci_csr` overwritten with
+        // broken: every edge target of `ci_csr` overwritten with
         // 0xFFFF_FFF0, then the file re-sealed so its checksum passes.
         let src = "class Main { static void main() {\nint x = 1;\nint y = x + 2;\nprint(y);\n} }";
         let mut s = AnalysisSession::new(&[("t.mj", src)]).unwrap();
         let seeds = s.seed_at_line("t.mj", 4).unwrap();
         let want = s.query(&Query::new(seeds.clone(), SliceKind::Thin, Engine::Ci));
-        let n = s.ci_graph().node_count();
-        assert!(n < 128, "one-byte length varints below");
+        let (n, m) = (s.ci_graph().node_count(), s.ci_graph().edge_count());
+        assert!(n < 127 && m < 128, "one-byte length varints below");
         let bytes = s.write_snapshot("k").unwrap();
         let snap = SnapshotReader::open(&bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION).unwrap();
         let mut resealed = SnapshotWriter::new(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, "k");
         for name in snap.section_names() {
             let mut payload = snap.section(name).unwrap().to_vec();
             if name == "ci_csr" {
-                // The section ends with `perm` (a length varint, then n
-                // little-endian u32s) and a one-byte flag saying no
-                // down-edge index follows.
-                let flag_at = payload.len() - 1;
-                let perm_at = flag_at - 4 * n;
-                assert_eq!(usize::from(payload[perm_at - 1]), n);
-                for entry in payload[perm_at..flag_at].chunks_exact_mut(4) {
+                // The section starts with the heap mode byte, the CSR
+                // offsets (a length varint, then n + 1 little-endian
+                // u32s), and the edge targets (a length varint, then m
+                // little-endian u32s).
+                let targets_at = 1 + 1 + 4 * (n + 1) + 1;
+                assert_eq!(usize::from(payload[targets_at - 1]), m);
+                for entry in payload[targets_at..targets_at + 4 * m].chunks_exact_mut(4) {
                     entry.copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
                 }
                 assert_eq!(
                     thinslice_sdg::snap::decode_frozen(&mut ByteReader::new(&payload)).unwrap_err(),
-                    CodecError::Malformed("node permutation")
+                    CodecError::Malformed("csr edge node id")
                 );
             }
             resealed.section(name, payload);

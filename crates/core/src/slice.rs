@@ -51,11 +51,11 @@ pub struct Slice {
     /// connective nodes alike.
     pub nodes_visited: usize,
     /// Statements in the slice, in the engine's canonical order: BFS from
-    /// the seed (distance first, external node id within a level) for
+    /// the seed (distance first, node id within a level) for
     /// reachability, sorted for tabulation.
     pub stmts: StmtSet,
-    /// The visited nodes' external ids, ascending: the membership the
-    /// tests compare across slicers and graph representations.
+    /// The visited nodes' ids, ascending: the membership the tests compare
+    /// across slicers and graph representations.
     #[cfg(test)]
     pub(crate) visited: Vec<NodeId>,
 }
@@ -93,13 +93,13 @@ impl Slice {
 pub struct SliceScratch {
     visited: BitSet<NodeId>,
     touched: Vec<NodeId>,
-    /// The current BFS level, sorted into canonical (external-id) order.
+    /// The current BFS level, sorted into canonical (ascending-id) order.
     cur: Vec<NodeId>,
     /// The next BFS level, collected during expansion.
     next: Vec<NodeId>,
-    /// Word-level discovery set for the dense wavefront's wide levels
-    /// (internal ids), and the external-id set that puts every level in
-    /// canonical order. Empty between uses.
+    /// Word-level discovery set for the dense wavefront's wide levels, and
+    /// the set that puts every narrow level in canonical order. Empty
+    /// between uses.
     next_bits: BitSet<NodeId>,
     stmt_set: FxHashSet<StmtRef>,
     /// Dense-id statement dedup for [`slice_dense`]; mirrors `stmt_set`
@@ -133,42 +133,29 @@ impl SliceScratch {
 /// switches from per-edge visited tests to word-level bitset discovery.
 const WIDE_LEVEL_DIVISOR: usize = 16;
 
-/// Moves the level collected in `next` (distinct internal ids) into `cur`
-/// in canonical order — ascending external id — leaving `next` empty. Sets
-/// one bit per node in `bits`, which must be empty and is left empty, and
-/// drains the words the bits span: O(nodes + words spanned), no
-/// comparisons.
-fn order_level<G: DepGraph>(
-    sdg: &G,
-    next: &mut Vec<NodeId>,
-    cur: &mut Vec<NodeId>,
-    bits: &mut BitSet<NodeId>,
-) {
+/// Moves the level collected in `next` (distinct ids) into `cur` in
+/// canonical order — ascending id — leaving `next` empty. Sets one bit per
+/// node in `bits`, which must be empty and is left empty, and drains the
+/// words the bits span: O(nodes + words spanned), no comparisons.
+fn order_level(next: &mut Vec<NodeId>, cur: &mut Vec<NodeId>, bits: &mut BitSet<NodeId>) {
     cur.clear();
     let (mut lo, mut hi) = (usize::MAX, 0);
     for &n in next.iter() {
-        let e = sdg.to_external(n);
-        bits.insert(e);
-        lo = lo.min(e.index());
-        hi = hi.max(e.index());
+        bits.insert(n);
+        lo = lo.min(n.index());
+        hi = hi.max(n.index());
     }
     if lo <= hi {
         bits.drain_span_into(NodeId::new(lo), NodeId::new(hi), cur);
     }
-    for n in cur.iter_mut() {
-        *n = sdg.to_internal(*n);
-    }
     next.clear();
 }
 
-/// The external ids of `internal`, ascending: a slice's visited-node
-/// membership, which only the tests read.
+/// `ids`, ascending: a slice's visited-node membership, which only the
+/// tests read.
 #[cfg(test)]
-pub(crate) fn external_ids<G: DepGraph>(
-    sdg: &G,
-    internal: impl IntoIterator<Item = NodeId>,
-) -> Vec<NodeId> {
-    let mut ids: Vec<NodeId> = internal.into_iter().map(|n| sdg.to_external(n)).collect();
+pub(crate) fn sorted_ids(ids: impl IntoIterator<Item = NodeId>) -> Vec<NodeId> {
+    let mut ids: Vec<NodeId> = ids.into_iter().collect();
     ids.sort_unstable();
     ids
 }
@@ -176,19 +163,17 @@ pub(crate) fn external_ids<G: DepGraph>(
 /// The one backward-reachability loop: a metered level-synchronous
 /// wavefront, generic over [`DepGraph`], hash statement dedup.
 ///
-/// The canonical visit order is (BFS level, ascending node id in the
-/// *external* numbering): each level is discovered as a set, sorted by
-/// [`DepGraph::to_external`], and emitted in that order. The order is a
-/// property of the dependence relation alone — independent of the graph
-/// representation and of any internal renumbering a frozen graph applies —
+/// The canonical visit order is (BFS level, ascending node id): each
+/// level is discovered as a set, sorted, and emitted in that order. The
+/// order is a property of the dependence relation alone — independent of
+/// the graph representation and of the order edges are expanded in —
 /// which is what keeps batched, sequential, growable and CSR runs
 /// bit-identical.
 ///
 /// With an unlimited meter the completeness is always `Complete`; once an
 /// armed meter exhausts, emission stops at the failing node and the
 /// emitted prefix — an exact prefix of the canonical order — is returned
-/// `Truncated` with the abandoned frontier size. Seeds are in the external
-/// numbering; conversion happens here at the boundary.
+/// `Truncated` with the abandoned frontier size.
 pub(crate) fn slice_sparse<G: DepGraph>(
     sdg: &G,
     seeds: &[NodeId],
@@ -205,13 +190,12 @@ pub(crate) fn slice_sparse<G: DepGraph>(
         ..
     } = scratch;
     let mut stmts = Vec::new();
-    for &s in seeds {
-        let n = sdg.to_internal(s);
+    for &n in seeds {
         if visited.insert(n) {
             cur.push(n);
         }
     }
-    cur.sort_unstable_by_key(|&n| sdg.to_external(n));
+    cur.sort_unstable();
     let mut leftover = 0usize;
     while !cur.is_empty() {
         // Emit this level in canonical order, one meter tick per node.
@@ -246,7 +230,7 @@ pub(crate) fn slice_sparse<G: DepGraph>(
                 }
             }
         }
-        next.sort_unstable_by_key(|&n| sdg.to_external(n));
+        next.sort_unstable();
         std::mem::swap(cur, next);
         next.clear();
     }
@@ -257,7 +241,7 @@ pub(crate) fn slice_sparse<G: DepGraph>(
         nodes_visited: touched.len(),
         stmts: StmtSet::from_ordered(stmts),
         #[cfg(test)]
-        visited: external_ids(sdg, touched.iter().copied()),
+        visited: sorted_ids(touched.iter().copied()),
     };
     for n in touched.drain(..) {
         visited.remove(n);
@@ -276,12 +260,13 @@ pub(crate) fn slice_sparse<G: DepGraph>(
 /// Wide levels (more than one frontier node per [`WIDE_LEVEL_DIVISOR`]
 /// graph nodes) switch discovery to word-parallel bitset algebra: targets
 /// are OR-ed into a discovery set unconditionally, then one `subtract` and
-/// one `union_with` per level replace the per-edge visited tests. Every
-/// level gets its external-id order by draining a bitset instead of by
-/// sorting. Level membership — and therefore the canonical (level,
-/// external id) order and the slice — matches [`slice_sparse`] exactly;
-/// only the bookkeeping differs. Every scratch bitset is empty again when
-/// this returns, truncated or not.
+/// one `union_with` per level replace the per-edge visited tests, and the
+/// drained discovery set is already in ascending id order. Every narrow
+/// level gets its order by draining a bitset instead of by sorting. Level
+/// membership — and therefore the canonical (level, id) order and the
+/// slice — matches [`slice_sparse`] exactly; only the bookkeeping
+/// differs. Every scratch bitset is empty again when this returns,
+/// truncated or not.
 pub(crate) fn slice_dense<G: DenseDisplay>(
     sdg: &G,
     seeds: &[NodeId],
@@ -302,13 +287,12 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
     } = scratch;
     let node_count = sdg.node_count();
     let mut stmts = Vec::new();
-    for &s in seeds {
-        let n = sdg.to_internal(s);
+    for &n in seeds {
         if visited.insert(n) {
             next.push(n);
         }
     }
-    order_level(sdg, next, cur, next_bits);
+    order_level(next, cur, next_bits);
     let mut leftover = 0usize;
     while !cur.is_empty() {
         let mut emitted = 0;
@@ -342,7 +326,8 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
             }
             next_bits.subtract(visited);
             visited.union_with(next_bits);
-            next_bits.drain_into(next);
+            cur.clear();
+            next_bits.drain_into(cur);
         } else {
             for &n in cur.iter() {
                 for e in sdg.deps(n) {
@@ -351,8 +336,8 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
                     }
                 }
             }
+            order_level(next, cur, next_bits);
         }
-        order_level(sdg, next, cur, next_bits);
     }
     let completeness = meter.completeness(leftover);
     cur.clear();
@@ -361,7 +346,7 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
         nodes_visited: touched.len(),
         stmts: StmtSet::from_ordered(stmts),
         #[cfg(test)]
-        visited: external_ids(sdg, touched.iter().copied()),
+        visited: sorted_ids(touched.iter().copied()),
     };
     for n in touched.drain(..) {
         visited.remove(n);

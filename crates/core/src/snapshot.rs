@@ -30,7 +30,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TSNP";
 
 /// Version of the session snapshot format. Bumped on any section layout
 /// change; files carrying any other version are discarded and rebuilt.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// The 16-hex-digit content hash of a source set: an order-sensitive
 /// FxHash over every file name and text. Deterministic across runs and

@@ -167,7 +167,7 @@ impl SparseStore {
             nodes_visited: self.path.len(),
             stmts: StmtSet::from_ordered(stmts),
             #[cfg(test)]
-            visited: crate::slice::external_ids(sdg, self.path.keys().copied()),
+            visited: crate::slice::sorted_ids(self.path.keys().copied()),
         }
     }
 }
@@ -175,8 +175,8 @@ impl SparseStore {
 /// A callee exit's tabulated region at fixpoint, as published to
 /// [`ExitShare`]: the nodes its `Exit` source reaches, the sub-exits the
 /// region descends into (whose regions carry the rest of the nodes), and
-/// the summary edges its exploration discovered. All ids are in the
-/// graph's *internal* domain. Immutable once published.
+/// the summary edges its exploration discovered. Immutable once
+/// published.
 #[derive(Debug, Default)]
 pub struct ExitRegion {
     nodes: Vec<NodeId>,
@@ -514,7 +514,7 @@ impl DenseStore {
             nodes_visited: self.reached.len(),
             stmts: StmtSet::from_ordered(stmts),
             #[cfg(test)]
-            visited: crate::slice::external_ids(sdg, self.reached.iter().copied()),
+            visited: crate::slice::sorted_ids(self.reached.iter().copied()),
         };
         if complete {
             // Harvest the regions this query completed: the worklist has
@@ -738,8 +738,7 @@ fn tabulate<G: DepGraph, S: TabStore>(
     };
 
     for &s in seeds {
-        // Seeds arrive as external ids; the traversal runs internal.
-        add(store, wl, Src::Seed, sdg.to_internal(s));
+        add(store, wl, Src::Seed, s);
     }
 
     while let Some((src, n)) = wl.pop_front() {

@@ -25,12 +25,32 @@ use crate::token::{Token, TokenKind};
 /// ```
 pub fn parse(file: FileId, text: &str) -> Result<AstProgram, CompileError> {
     let tokens = lex(file, text)?;
-    Parser { tokens, pos: 0 }.program()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    }
+    .program()
 }
+
+/// The deepest nesting [`parse`] accepts. The parser and every later pass
+/// over the tree (type checking, lowering, fingerprints, dropping it)
+/// recurse once per level, so the limit bounds their stack use whatever
+/// the input: a program nested to the limit compiles on a thread with the
+/// default 2 MiB stack. A block or nested statement counts one level, and
+/// so does each `[]` of an array type. Within a statement, every
+/// expression, operator and cast counts one level until the statement
+/// ends: each operator of a binary or postfix chain deepens the tree by
+/// one, and the count cannot tell which subexpression ends up deepest.
+/// The deepest statement of the benchmark suite, the generated programs
+/// and the standard library counts 17.
+pub const MAX_NESTING: usize = 64;
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels of nesting open at the current token (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -89,6 +109,18 @@ impl Parser {
 
     fn error(&self, message: impl Into<String>) -> CompileError {
         CompileError::new(Phase::Parse, message, self.span())
+    }
+
+    /// Opens one more level of nesting, failing at the current token once
+    /// more than [`MAX_NESTING`] would be open. Callers that close a level
+    /// restore `depth` when the construct ends; an error abandons the
+    /// whole parse, so an early return leaves nothing to restore.
+    fn nest(&mut self) -> Result<(), CompileError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     // ---- grammar ----
@@ -230,22 +262,29 @@ impl Parser {
             }
             other => return Err(self.error(format!("expected type, found {}", other.describe()))),
         };
+        let depth = self.depth;
         while matches!(self.peek(), TokenKind::LBracket)
             && matches!(self.peek_at(1), TokenKind::RBracket)
         {
+            self.nest()?;
             self.bump();
             self.bump();
             ty = TypeExpr::Array(Box::new(ty));
         }
+        self.depth = depth;
         Ok(ty)
     }
 
     fn block(&mut self) -> Result<Vec<Stmt>, CompileError> {
+        let depth = self.depth;
+        self.nest()?;
         self.expect(TokenKind::LBrace)?;
         let mut stmts = Vec::new();
         while !self.eat(&TokenKind::RBrace) {
             stmts.push(self.stmt()?);
+            self.depth = depth + 1;
         }
+        self.depth = depth;
         Ok(stmts)
     }
 
@@ -326,7 +365,11 @@ impl Parser {
         if matches!(self.peek(), TokenKind::LBrace) {
             self.block()
         } else {
-            Ok(vec![self.stmt()?])
+            let depth = self.depth;
+            self.nest()?;
+            let stmt = self.stmt()?;
+            self.depth = depth;
+            Ok(vec![stmt])
         }
     }
 
@@ -464,6 +507,7 @@ impl Parser {
     // ---- expressions, precedence climbing ----
 
     fn expr(&mut self) -> Result<Expr, CompileError> {
+        self.nest()?;
         self.or_expr()
     }
 
@@ -471,6 +515,7 @@ impl Parser {
         let mut lhs = self.and_expr()?;
         while matches!(self.peek(), TokenKind::OrOr) {
             let span = self.span();
+            self.nest()?;
             self.bump();
             let rhs = self.and_expr()?;
             lhs = Expr {
@@ -489,6 +534,7 @@ impl Parser {
         let mut lhs = self.equality_expr()?;
         while matches!(self.peek(), TokenKind::AndAnd) {
             let span = self.span();
+            self.nest()?;
             self.bump();
             let rhs = self.equality_expr()?;
             lhs = Expr {
@@ -512,6 +558,7 @@ impl Parser {
                 _ => break,
             };
             let span = self.span();
+            self.nest()?;
             self.bump();
             let rhs = self.relational_expr()?;
             lhs = Expr {
@@ -536,6 +583,7 @@ impl Parser {
                 TokenKind::Ge => BinOp::Ge,
                 TokenKind::InstanceOf => {
                     let span = self.span();
+                    self.nest()?;
                     self.bump();
                     let (class, _) = self.expect_ident()?;
                     lhs = Expr {
@@ -550,6 +598,7 @@ impl Parser {
                 _ => break,
             };
             let span = self.span();
+            self.nest()?;
             self.bump();
             let rhs = self.additive_expr()?;
             lhs = Expr {
@@ -573,6 +622,7 @@ impl Parser {
                 _ => break,
             };
             let span = self.span();
+            self.nest()?;
             self.bump();
             let rhs = self.multiplicative_expr()?;
             lhs = Expr {
@@ -597,6 +647,7 @@ impl Parser {
                 _ => break,
             };
             let span = self.span();
+            self.nest()?;
             self.bump();
             let rhs = self.unary_expr()?;
             lhs = Expr {
@@ -615,6 +666,7 @@ impl Parser {
         let span = self.span();
         match self.peek() {
             TokenKind::Not => {
+                self.nest()?;
                 self.bump();
                 let e = self.unary_expr()?;
                 Ok(Expr {
@@ -626,6 +678,7 @@ impl Parser {
                 })
             }
             TokenKind::Minus => {
+                self.nest()?;
                 self.bump();
                 let e = self.unary_expr()?;
                 Ok(Expr {
@@ -646,6 +699,7 @@ impl Parser {
             match self.peek() {
                 TokenKind::Dot => {
                     let span = self.span();
+                    self.nest()?;
                     self.bump();
                     let (name, _) = self.expect_ident()?;
                     if matches!(self.peek(), TokenKind::LParen) {
@@ -670,6 +724,7 @@ impl Parser {
                 }
                 TokenKind::LBracket => {
                     let span = self.span();
+                    self.nest()?;
                     self.bump();
                     let idx = self.expr()?;
                     self.expect(TokenKind::RBracket)?;
@@ -808,6 +863,7 @@ impl Parser {
             }
             TokenKind::LParen => {
                 if self.is_cast() {
+                    self.nest()?;
                     self.bump();
                     let ty = self.type_expr(false)?;
                     self.expect(TokenKind::RParen)?;

@@ -94,3 +94,84 @@ fn error_spans_are_positioned() {
     .unwrap_err();
     assert_eq!(err.span.line, 3, "{err}");
 }
+
+/// Compiles `body` as `Main.main`'s body on a spawned thread with the
+/// default 2 MiB stack, as the daemon compiles a `load`. A stack overflow
+/// aborts the whole test binary.
+fn compile_on_a_spawned_thread(body: String) -> Result<(), String> {
+    let src = format!(
+        "class Node {{ Node next; }}\n\
+         class Main {{ static int id(int v) {{ return v; }}\n\
+         static void main() {{\n{body}\n}} }}"
+    );
+    std::thread::spawn(move || {
+        compile(&[("deep.mj", &src)])
+            .map(|_| ())
+            .map_err(|e| e.to_string())
+    })
+    .join()
+    .expect("the compiling thread does not panic")
+}
+
+/// A left-deep chain of `terms` ones.
+fn sum_of_ones(terms: usize) -> String {
+    vec!["1"; terms].join("+")
+}
+
+/// Nesting past the limit is a compile error, not a stack overflow: 2,000
+/// parentheses around one expression, and a 20,000-term sum, whose
+/// left-deep tree is as deep as the sum is long.
+#[test]
+fn nesting_past_the_limit_is_a_compile_error() {
+    let parens = format!("int x = {}1{};", "(".repeat(2_000), ")".repeat(2_000));
+    let sum = format!("int x = {};", sum_of_ones(20_000));
+    for body in [parens, sum] {
+        let err = compile_on_a_spawned_thread(body).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+}
+
+/// A way to nest code: its name, the levels its frame around the nested
+/// part adds, and the method body nesting it `n` times.
+type Shape = (&'static str, usize, fn(usize) -> String);
+
+/// Each shape of nesting compiles exactly at the limit on the daemon's
+/// stack size, and one level more is refused. The method body is one
+/// level; an initialiser or a printed value is one more, except where an
+/// array type's dimensions are the deepest part of a statement.
+#[test]
+fn programs_nested_to_the_limit_compile_on_a_two_mib_stack() {
+    let max = thinslice_ir::parser::MAX_NESTING;
+    let shapes: [Shape; 9] = [
+        ("parentheses", 2, |n| {
+            format!("int x = {}1{};", "(".repeat(n), ")".repeat(n))
+        }),
+        ("sum", 2, |n| format!("int x = {};", sum_of_ones(n + 1))),
+        ("negations", 2, |n| format!("int x = {}1;", "- ".repeat(n))),
+        ("casts", 2, |n| {
+            format!("Object x = {}null;", "(Object) ".repeat(n))
+        }),
+        ("field loads", 2, |n| {
+            format!("Node n = new Node();\nNode x = n{};", ".next".repeat(n))
+        }),
+        ("calls", 2, |n| {
+            format!("int x = {}1{};", "id(".repeat(n), ")".repeat(n))
+        }),
+        ("blocks", 2, |n| {
+            format!("{}print(1);{}", "{".repeat(n), "}".repeat(n))
+        }),
+        ("for loops", 2, |n| {
+            format!("{}print(1);", "for (;;) ".repeat(n))
+        }),
+        ("array type", 1, |n| {
+            format!("int{} x = null;", "[]".repeat(n))
+        }),
+    ];
+    for (name, overhead, shape) in shapes {
+        let at = max - overhead;
+        compile_on_a_spawned_thread(shape(at))
+            .unwrap_or_else(|e| panic!("{name} nested {at} deep: {e}"));
+        let err = compile_on_a_spawned_thread(shape(at + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{name}: {err}");
+    }
+}

@@ -7,24 +7,17 @@
 //! slicers traverse the graph through the [`DepGraph`] trait, so they run
 //! unchanged over either representation.
 //!
-//! [`Sdg::freeze`] additionally renumbers the nodes into BFS (wavefront)
-//! order over the dependence edges: nodes a backward slice visits together
-//! get adjacent ids, so a traversal's visited bitset and edge rows stay in
-//! cache. The permutation is internal — every [`NodeId`] crossing the API
-//! boundary (seed resolution via [`DepGraph::stmt_nodes_of`], slice result
-//! node sets) stays in the *original* growable-graph numbering via
-//! [`DepGraph::to_internal`]/[`DepGraph::to_external`], and per-node edge
-//! order is preserved exactly, so slice output — statement order included —
-//! is bit-for-bit identical to slicing the growable graph.
+//! [`Sdg::freeze`] is a straight copy: frozen node `i` is growable node
+//! `i`, and each node's edges keep their order, so a slice over either
+//! graph — statement order included — is bit-for-bit identical.
 //!
-//! A frozen graph has five primary arrays: the heap mode, the CSR
-//! `offsets` and `edges`, the node `kinds` and the renumbering `perm`.
-//! Everything else it holds — the inverse renumbering, the dense
-//! display-statement numbering and the statement → instance-node map — is
-//! derived from them by one constructor that both [`Sdg::freeze`] and the
-//! snapshot decoder end in, so a snapshot stores only the primary arrays.
-//! [`FrozenSdg::thaw`] undoes the renumbering and gives back the growable
-//! graph the frozen one was built from.
+//! A frozen graph has four primary arrays: the heap mode, the CSR
+//! `offsets` and `edges`, and the node `kinds`. Everything else it holds —
+//! the dense display-statement numbering and the statement → instance-node
+//! map — is derived from them by one constructor that both [`Sdg::freeze`]
+//! and the snapshot decoder end in, so a snapshot stores only the primary
+//! arrays. [`FrozenSdg::thaw`] gives back the growable graph the frozen
+//! one was built from.
 
 use crate::node::{Edge, EdgeKind, NodeId, NodeKind};
 use crate::{HeapMode, Sdg};
@@ -55,21 +48,6 @@ pub trait DepGraph {
 
     /// The graph's heap mode.
     fn mode(&self) -> HeapMode;
-
-    /// Maps an *external* node id (the growable graph's numbering, used at
-    /// every API boundary) to this graph's traversal id. Identity except on
-    /// graphs that renumber internally ([`FrozenSdg`]).
-    #[inline]
-    fn to_internal(&self, n: NodeId) -> NodeId {
-        n
-    }
-
-    /// Inverse of [`DepGraph::to_internal`]: maps a traversal id back to
-    /// the external numbering results are reported in.
-    #[inline]
-    fn to_external(&self, n: NodeId) -> NodeId {
-        n
-    }
 }
 
 impl DepGraph for Sdg {
@@ -132,22 +110,17 @@ pub struct FrozenSdg {
     pub(crate) edges: Vec<Edge>,
     /// Node kinds, indexed by `NodeId`.
     pub(crate) kinds: Vec<NodeKind>,
-    /// BFS renumbering: `perm[external] = internal`.
-    pub(crate) perm: Vec<NodeId>,
     // The fields below are derived from the ones above by
     // `FrozenSdg::from_parts`.
-    /// Inverse renumbering: `inv[internal] = external`.
-    inv: Vec<NodeId>,
-    /// Dense id of each node's display statement ([`NO_DISPLAY`] if none):
-    /// distinct display statements numbered `0..display_stmts.len()` in
-    /// internal order of first appearance.
+    /// Dense id of each node's display statement ([`NO_DISPLAY`] if none).
     display_idx: Vec<u32>,
-    /// The distinct display statements, indexed by their dense id.
+    /// The distinct display statements, indexed by their dense id: the
+    /// statements of the statement nodes, in order of first appearance. A
+    /// statement's dense id is also its entry in `stmt_nodes`.
     display_stmts: Vec<StmtRef>,
-    /// Each statement's entry in `stmt_nodes`.
+    /// Each statement's dense id.
     slot_of: FxHashMap<StmtRef, u32>,
-    /// All instance nodes of a statement, for seed resolution. Holds
-    /// *external* (growable-graph) ids in original intern order.
+    /// All instance nodes of a statement, ascending, for seed resolution.
     stmt_nodes: Vec<Vec<NodeId>>,
     /// Lazily built [`DownConsumers`] index (a pure graph fact, so it is
     /// cached on the graph and shared by every batch and thread).
@@ -180,71 +153,47 @@ pub trait DenseDisplay: DepGraph {
 
 impl FrozenSdg {
     /// Builds a frozen graph from its primary arrays and derives the rest:
-    /// the inverse renumbering, each statement's instance nodes, and the
-    /// dense numbering of display statements.
+    /// each statement's instance nodes and the dense numbering of display
+    /// statements.
     ///
     /// The arrays must fit together: `offsets` a CSR over `edges` with one
-    /// row per kind, every node id in an edge or a kind below the node
-    /// count, and `perm` a permutation of `0..kinds.len()`. The snapshot
-    /// decoder checks all of this before it calls here.
+    /// row per kind, and every node id in an edge or a kind below the node
+    /// count. The snapshot decoder checks this before it calls here.
     pub(crate) fn from_parts(
         mode: HeapMode,
         offsets: Vec<u32>,
         edges: Vec<Edge>,
         kinds: Vec<NodeKind>,
-        perm: Vec<NodeId>,
     ) -> FrozenSdg {
-        let n = kinds.len();
-        let mut inv = vec![NodeId::new(0); n];
-        // Each statement's instance nodes, collected in external order
-        // (the growable graph's intern order); `slot` maps a statement
-        // node to its statement's entry, and any other node to
-        // `NO_DISPLAY`.
+        // `slot[n]` is the dense id of statement node `n`'s statement, and
+        // `NO_DISPLAY` for any other node.
         let mut slot_of: FxHashMap<StmtRef, u32> = FxHashMap::default();
-        let mut stmts = Vec::new();
+        let mut display_stmts = Vec::new();
         let mut stmt_nodes: Vec<Vec<NodeId>> = Vec::new();
-        let mut slot = vec![NO_DISPLAY; n];
-        for (external, &internal) in perm.iter().enumerate() {
-            let external = NodeId::new(external);
-            inv[internal.index()] = external;
-            if let Some(s) = kinds[internal.index()].as_stmt() {
+        let mut slot = vec![NO_DISPLAY; kinds.len()];
+        for (i, kind) in kinds.iter().enumerate() {
+            if let Some(s) = kind.as_stmt() {
                 let k = *slot_of.entry(s).or_insert_with(|| {
-                    stmts.push(s);
+                    display_stmts.push(s);
                     stmt_nodes.push(Vec::new());
-                    u32::try_from(stmts.len() - 1).expect("stmt count exceeds u32")
+                    u32::try_from(display_stmts.len() - 1).expect("stmt count exceeds u32")
                 });
-                stmt_nodes[k as usize].push(external);
-                slot[internal.index()] = k;
+                stmt_nodes[k as usize].push(NodeId::new(i));
+                slot[i] = k;
             }
         }
         // A node displays as its own statement, or an actual node as its
-        // call site's. Display ids follow internal order, so the ids a
-        // traversal deduplicates lie as close together as its nodes.
-        let mut dense = vec![NO_DISPLAY; stmts.len()];
-        let mut display_stmts = Vec::with_capacity(stmts.len());
+        // call site's.
         let display_idx = kinds
             .iter()
             .enumerate()
-            .map(|(i, kind)| {
-                let k = slot[kind.site().map_or(i, NodeId::index)];
-                if k == NO_DISPLAY {
-                    return NO_DISPLAY;
-                }
-                let d = &mut dense[k as usize];
-                if *d == NO_DISPLAY {
-                    *d = display_stmts.len() as u32;
-                    display_stmts.push(stmts[k as usize]);
-                }
-                *d
-            })
+            .map(|(i, kind)| slot[kind.site().map_or(i, NodeId::index)])
             .collect();
         FrozenSdg {
             mode,
             offsets,
             edges,
             kinds,
-            perm,
-            inv,
             display_idx,
             display_stmts,
             slot_of,
@@ -254,7 +203,7 @@ impl FrozenSdg {
     }
 
     /// Rebuilds the growable graph this one was frozen from: nodes
-    /// interned in external order, each with its dependence list in its
+    /// interned in id order, each with its dependence list in its
     /// original order. The result is [`Sdg::same_graph`] as the graph that
     /// was frozen, and freezing it again yields this graph's arrays.
     ///
@@ -268,19 +217,12 @@ impl FrozenSdg {
         sdg.nodes = IdxVec::with_capacity(n);
         sdg.deps = IdxVec::with_capacity(n);
         sdg.node_of.reserve(n);
-        let external = |id: NodeId| self.inv[id.index()];
-        for (i, &internal) in self.perm.iter().enumerate() {
-            let kind = self.kinds[internal.index()].map_site(external);
-            if sdg.intern(kind).index() != i {
+        for (i, &kind) in self.kinds.iter().enumerate() {
+            let id = sdg.intern(kind);
+            if id.index() != i {
                 return None;
             }
-        }
-        for (i, &internal) in self.perm.iter().enumerate() {
-            sdg.deps[NodeId::new(i)] = self
-                .deps(internal)
-                .iter()
-                .map(|e| e.map_ids(external))
-                .collect();
+            sdg.deps[id] = self.deps(id).to_vec();
         }
         sdg.edge_count = self.edges.len();
         Some(sdg)
@@ -425,14 +367,6 @@ impl DepGraph for FilteredCsr<'_> {
     fn mode(&self) -> HeapMode {
         self.base.mode()
     }
-
-    fn to_internal(&self, n: NodeId) -> NodeId {
-        self.base.to_internal(n)
-    }
-
-    fn to_external(&self, n: NodeId) -> NodeId {
-        self.base.to_external(n)
-    }
 }
 
 impl DenseDisplay for FrozenSdg {
@@ -491,14 +425,6 @@ impl DepGraph for FrozenSdg {
     fn mode(&self) -> HeapMode {
         self.mode
     }
-
-    fn to_internal(&self, n: NodeId) -> NodeId {
-        self.perm[n.index()]
-    }
-
-    fn to_external(&self, n: NodeId) -> NodeId {
-        self.inv[n.index()]
-    }
 }
 
 impl Sdg {
@@ -517,63 +443,20 @@ impl Sdg {
         csr
     }
 
-    /// Freezes the graph into its CSR form, renumbering nodes into BFS
-    /// order over the dependence edges (cache-aware layout: a slice's
-    /// wavefront reads adjacent edge rows and adjacent visited-bitset
-    /// words).
-    ///
-    /// The renumbering is invisible outside the graph: seed resolution
-    /// ([`DepGraph::stmt_nodes_of`]) keeps original ids, traversal code
-    /// converts at the boundary via [`DepGraph::to_internal`] /
-    /// [`DepGraph::to_external`], and per-node edge order is preserved
-    /// exactly — so traversals over the frozen graph visit the same nodes
-    /// in the same order as over `self` and report identical results.
+    /// Freezes the graph into its CSR form: frozen node `i` is node `i`
+    /// of `self`, with its dependence list in the same order, so
+    /// traversals over the frozen graph visit the same nodes in the same
+    /// order as over `self` and report identical results.
     pub fn freeze(&self) -> FrozenSdg {
-        let n = Sdg::node_count(self);
-        let placeholder = NodeId::new(0);
-        // BFS forest over the dependence edges, roots taken in original id
-        // order, new ids assigned at discovery time.
-        let mut perm: Vec<NodeId> = vec![placeholder; n];
-        let mut inv: Vec<NodeId> = Vec::with_capacity(n);
-        let mut discovered = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        for root in 0..n {
-            if discovered[root] {
-                continue;
-            }
-            discovered[root] = true;
-            let old = NodeId::new(root);
-            perm[root] = NodeId::new(inv.len());
-            inv.push(old);
-            queue.push_back(old);
-            while let Some(at) = queue.pop_front() {
-                for e in Sdg::deps(self, at) {
-                    let t = e.target.index();
-                    if !discovered[t] {
-                        discovered[t] = true;
-                        perm[t] = NodeId::new(inv.len());
-                        inv.push(e.target);
-                        queue.push_back(e.target);
-                    }
-                }
-            }
-        }
-
-        // Node ids embedded in edge and node payloads move with the
-        // permutation so the frozen graph is self-consistent internally.
-        let internal = |id: NodeId| perm[id.index()];
-        let mut offsets = Vec::with_capacity(n + 1);
+        let mut offsets = Vec::with_capacity(Sdg::node_count(self) + 1);
         let mut edges = Vec::with_capacity(self.edge_count());
         offsets.push(0);
-        for &old in &inv {
-            edges.extend(Sdg::deps(self, old).iter().map(|e| e.map_ids(internal)));
+        for row in self.deps.iter() {
+            edges.extend_from_slice(row);
             offsets.push(u32::try_from(edges.len()).expect("edge count exceeds u32"));
         }
-        let kinds = inv
-            .iter()
-            .map(|&old| Sdg::node(self, old).map_site(internal))
-            .collect();
-        FrozenSdg::from_parts(Sdg::mode(self), offsets, edges, kinds, perm)
+        let kinds = self.nodes.as_slice().to_vec();
+        FrozenSdg::from_parts(Sdg::mode(self), offsets, edges, kinds)
     }
 }
 
@@ -631,53 +514,13 @@ mod tests {
         assert_eq!(DepGraph::node_count(&f), Sdg::node_count(&g));
         assert_eq!(f.edge_count(), g.edge_count());
         for (id, _) in g.nodes() {
-            // The frozen graph renumbers internally; modulo the id
-            // mapping, every node keeps its kind, display statement, and
+            // Every node keeps its id, kind, display statement, and
             // dependence list in the original order.
-            let fid = f.to_internal(id);
-            assert_eq!(f.to_external(fid), id, "permutation roundtrip");
-            let mapped: Vec<(NodeId, EdgeKind)> = DepGraph::deps(&f, fid)
-                .iter()
-                .map(|e| (f.to_external(e.target), e.kind))
-                .collect();
-            let want: Vec<(NodeId, EdgeKind)> = Sdg::deps(&g, id)
-                .iter()
-                .map(|e| (e.target, e.kind))
-                .collect();
-            assert_eq!(mapped, want, "edge order at {id:?}");
-            assert_eq!(DepGraph::node(&f, fid), Sdg::node(&g, id));
-            assert_eq!(DepGraph::display_stmt(&f, fid), Sdg::display_stmt(&g, id));
+            assert_eq!(DepGraph::deps(&f, id), Sdg::deps(&g, id), "edges at {id:?}");
+            assert_eq!(DepGraph::node(&f, id), Sdg::node(&g, id));
+            assert_eq!(DepGraph::display_stmt(&f, id), Sdg::display_stmt(&g, id));
         }
         assert_eq!(DepGraph::mode(&f), HeapMode::DirectEdges);
-    }
-
-    #[test]
-    fn freeze_renumbers_into_bfs_order() {
-        // Original intern order deliberately scatters the dependence
-        // chain: a -> c -> b. BFS from root `a` must lay them out as
-        // a=0, c=1, b=2 internally.
-        let mut g = Sdg::empty(HeapMode::DirectEdges);
-        let a = g.intern(stmt(0, 0));
-        let b = g.intern(stmt(0, 1));
-        let c = g.intern(stmt(0, 2));
-        g.add_edge(
-            a,
-            Edge {
-                target: c,
-                kind: EdgeKind::Control,
-            },
-        );
-        g.add_edge(
-            c,
-            Edge {
-                target: b,
-                kind: EdgeKind::Call,
-            },
-        );
-        let f = g.freeze();
-        assert_eq!(f.to_internal(a).index(), 0);
-        assert_eq!(f.to_internal(c).index(), 1);
-        assert_eq!(f.to_internal(b).index(), 2);
     }
 
     #[test]
@@ -716,9 +559,8 @@ mod tests {
         assert_eq!(f.dense_stmt_count(), 2);
         let mut seen = std::collections::HashSet::new();
         for (id, _) in g.nodes() {
-            let fid = f.to_internal(id);
-            let dense = f.display_dense(fid);
-            match DepGraph::display_stmt(&f, fid) {
+            let dense = f.display_dense(id);
+            match DepGraph::display_stmt(&f, id) {
                 None => assert_eq!(dense, NO_DISPLAY),
                 Some(s) => {
                     assert_ne!(dense, NO_DISPLAY);
@@ -728,12 +570,10 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), f.dense_stmt_count());
-        // The filtered view shares the numbering (and the permutation).
+        // The filtered view shares the numbering.
         let v = f.filtered(|_| true);
         for (id, _) in g.nodes() {
-            let fid = v.to_internal(id);
-            assert_eq!(fid, f.to_internal(id));
-            assert_eq!(v.display_dense(fid), f.display_dense(fid));
+            assert_eq!(v.display_dense(id), f.display_dense(id));
         }
     }
 

@@ -197,11 +197,10 @@ impl Sdg {
     /// Structural equality: same heap mode, same node interning order, and
     /// identical per-node dependence lists.
     ///
-    /// Because the frozen CSR, its traversal permutation, and every slice
-    /// answer are pure functions of this structure (plus seeds), two graphs
-    /// for which this holds yield byte-identical slicer output — the test
-    /// the incremental session uses to keep a previous freeze and its memo
-    /// tables after an edit.
+    /// Because the frozen CSR and every slice answer are pure functions of
+    /// this structure (plus seeds), two graphs for which this holds yield
+    /// byte-identical slicer output — the test the incremental session
+    /// uses to keep a previous freeze and its memo tables after an edit.
     pub fn same_graph(&self, other: &Sdg) -> bool {
         self.mode == other.mode && self.nodes == other.nodes && self.deps == other.deps
     }

@@ -67,32 +67,6 @@ impl NodeKind {
             _ => None,
         }
     }
-
-    /// The same kind with its call-site id, if any, renumbered by `f`.
-    pub(crate) fn map_site(self, f: impl Fn(NodeId) -> NodeId) -> NodeKind {
-        match self {
-            NodeKind::ActualParam(site, i) => NodeKind::ActualParam(f(site), i),
-            NodeKind::ActualIn(site, p) => NodeKind::ActualIn(f(site), p),
-            NodeKind::ActualOut(site, p) => NodeKind::ActualOut(f(site), p),
-            k => k,
-        }
-    }
-}
-
-impl Edge {
-    /// The same edge with its target and call-site id, if any, renumbered
-    /// by `f`.
-    pub(crate) fn map_ids(self, f: impl Fn(NodeId) -> NodeId) -> Edge {
-        let kind = match self.kind {
-            EdgeKind::ParamIn { site } => EdgeKind::ParamIn { site: f(site) },
-            EdgeKind::ParamOut { site } => EdgeKind::ParamOut { site: f(site) },
-            k => k,
-        };
-        Edge {
-            target: f(self.target),
-            kind,
-        }
-    }
 }
 
 /// A dependence edge, stored on the *dependent* node and pointing at what it

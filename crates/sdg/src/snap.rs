@@ -1,25 +1,24 @@
 //! Snapshot codecs for dependence graphs (warm-start persistence).
 //!
 //! A dependence graph is persisted in one encoding: the [`FrozenSdg`]'s
-//! primary arrays — heap mode, CSR offsets and edges, node kinds and the
-//! BFS permutation — plus its [`DownConsumers`] tabulation index when that
-//! has been built. The decoder hands the arrays to the same constructor
-//! [`Sdg::freeze`](crate::Sdg::freeze) ends in, which derives the inverse
-//! permutation, the dense display numbering and the statement map, so a
-//! restored graph answers every query in the same order as the one that
-//! was frozen. The growable graph is not stored: [`FrozenSdg::thaw`]
-//! rebuilds it from the frozen one.
+//! primary arrays — heap mode, CSR offsets and edges, and node kinds —
+//! plus its [`DownConsumers`] tabulation index when that has been built.
+//! The decoder hands the arrays to the same constructor
+//! [`Sdg::freeze`](crate::Sdg::freeze) ends in, which derives the dense
+//! display numbering and the statement map, so a restored graph answers
+//! every query in the same order as the one that was frozen. The growable
+//! graph is not stored: [`FrozenSdg::thaw`] rebuilds it from the frozen
+//! one.
 //!
 //! The encoding is canonical: encoding the same graph twice yields the
 //! same bytes, and a decoded graph re-encodes to its input.
 //!
 //! The decoded arrays are indexed by queries, and by the derivation,
 //! without bounds reasoning of their own, so the decoder checks every
-//! value later used as an index — CSR offsets, node ids, the permutation,
-//! the index's keys, offsets and consumers — and returns
-//! [`CodecError::Malformed`] on the first violation. A file whose checksum
-//! passes but whose structure is wrong is then discarded at restore
-//! instead of panicking a query.
+//! value later used as an index — CSR offsets, node ids, the index's keys,
+//! offsets and consumers — and returns [`CodecError::Malformed`] on the
+//! first violation. A file whose checksum passes but whose structure is
+//! wrong is then discarded at restore instead of panicking a query.
 
 use crate::csr::{DownConsumers, FrozenSdg};
 use crate::node::{Edge, EdgeKind, NodeId, NodeKind};
@@ -217,17 +216,6 @@ fn check_offsets(offsets: &[u32], rows: usize, len: usize) -> bool {
             .fold(true, |ok, (a, b)| ok & (a <= b))
 }
 
-/// Checks that `perm` is a permutation of `0..n`: `n` entries, each below
-/// `n`, no two equal.
-fn is_permutation(perm: &[NodeId], n: usize) -> bool {
-    let mut seen = vec![false; n];
-    perm.len() == n
-        && perm.iter().all(|p| {
-            seen.get_mut(p.index())
-                .is_some_and(|s| !std::mem::replace(s, true))
-        })
-}
-
 /// Encodes a [`DownConsumers`] index (the tabulation memo seed) as four
 /// dense `u32` arrays: call sites, exits, offsets, consumers.
 fn encode_down(down: &DownConsumers, w: &mut ByteWriter) {
@@ -274,9 +262,9 @@ fn decode_down(r: &mut ByteReader, node_count: usize) -> Result<DownConsumers, C
 }
 
 /// Encodes a [`FrozenSdg`]'s primary arrays — heap mode, CSR offsets and
-/// edges, node kinds, the BFS permutation — plus the cached
-/// [`DownConsumers`] index if it has been built. The hot arrays use the
-/// bulk struct-of-arrays layouts (`encode_edges`, [`ByteWriter::u32s`]).
+/// edges, node kinds — plus the cached [`DownConsumers`] index if it has
+/// been built. The hot arrays use the bulk struct-of-arrays layouts
+/// (`encode_edges`, [`ByteWriter::u32s`]).
 pub fn encode_frozen(f: &FrozenSdg, w: &mut ByteWriter) {
     w.u8(mode_tag(f.mode));
     w.u32s(&f.offsets);
@@ -285,8 +273,6 @@ pub fn encode_frozen(f: &FrozenSdg, w: &mut ByteWriter) {
     for &k in &f.kinds {
         node_kind(w, k);
     }
-    let perm: Vec<u32> = f.perm.iter().map(|&p| nid32(p)).collect();
-    w.u32s(&perm);
     match f.down.get() {
         Some(down) => {
             w.bool(true);
@@ -304,8 +290,8 @@ pub fn encode_frozen(f: &FrozenSdg, w: &mut ByteWriter) {
 /// The graph's node count is the length of its node-kind array; the
 /// decoder rejects, as [`CodecError::Malformed`], offsets that are not a
 /// CSR over the edge array, edge targets and embedded site ids at or past
-/// the node count, a `perm` that is not a permutation of the node ids,
-/// and an index that does not fit the graph (see `decode_down`).
+/// the node count, and an index that does not fit the graph (see
+/// `decode_down`).
 pub fn decode_frozen(r: &mut ByteReader) -> Result<FrozenSdg, CodecError> {
     // No check takes a separate pass over the edges: decoding them
     // already records the largest id they hold.
@@ -331,16 +317,12 @@ pub fn decode_frozen(r: &mut ByteReader) -> Result<FrozenSdg, CodecError> {
     if kind_ids > n {
         return Err(CodecError::Malformed("node kind site id"));
     }
-    let perm: Vec<NodeId> = r.u32s()?.into_iter().map(d_nid32).collect();
-    if !is_permutation(&perm, n) {
-        return Err(CodecError::Malformed("node permutation"));
-    }
     let down = if r.bool()? {
         Some(decode_down(r, n)?)
     } else {
         None
     };
-    let f = FrozenSdg::from_parts(mode, offsets, edges, kinds, perm);
+    let f = FrozenSdg::from_parts(mode, offsets, edges, kinds);
     if let Some(down) = down {
         let _ = f.down.set(down);
     }
@@ -390,11 +372,9 @@ mod tests {
         assert_eq!(a.offsets, b.offsets);
         assert_eq!(a.edges, b.edges);
         assert_eq!(a.kinds, b.kinds);
-        assert_eq!(a.perm, b.perm);
         assert_eq!(a.dense_stmt_count(), b.dense_stmt_count());
         for i in 0..a.node_count() {
             let n = NodeId::new(i);
-            assert_eq!(a.to_external(n), b.to_external(n));
             assert_eq!(a.display_stmt(n), b.display_stmt(n));
             assert_eq!(a.display_dense(n), b.display_dense(n));
             if let Some(s) = a.node(n).as_stmt() {
@@ -428,13 +408,11 @@ mod tests {
                 bytes,
                 "a decoded graph re-encodes to its input"
             );
-            // Query surface: same deps in the same order for every node,
-            // same permutation mapping.
+            // Query surface: same deps in the same order for every node.
             for i in 0..f.node_count() {
                 let n = NodeId::new(i);
                 assert_eq!(f.deps(n), back.deps(n));
                 assert_eq!(f.node(n), back.node(n));
-                assert_eq!(f.to_internal(n), back.to_internal(n));
             }
         }
     }
@@ -643,32 +621,6 @@ mod tests {
             g.kinds.pop();
         });
         assert_malformed(got, "csr offsets");
-    }
-
-    #[test]
-    fn snapshot_rejects_permutation_entries_outside_the_graph() {
-        // Every `perm` entry set to 0xFFFF_FFF0: before this check, the
-        // restore succeeded and the first query indexed far out of bounds.
-        let f = frozen_ci();
-        let got = decode_tampered(&f, |g| {
-            for p in g.perm.iter_mut() {
-                *p = NodeId::new(0xFFFF_FFF0);
-            }
-        });
-        assert_malformed(got, "node permutation");
-    }
-
-    #[test]
-    fn snapshot_rejects_a_permutation_that_does_not_invert() {
-        let f = frozen_ci();
-        // A repeated entry leaves every entry inside the graph, but two
-        // nodes share an internal id and another id has no node.
-        let got = decode_tampered(&f, |g| g.perm[1] = g.perm[0]);
-        assert_malformed(got, "node permutation");
-        let got = decode_tampered(&f, |g| {
-            g.perm.pop();
-        });
-        assert_malformed(got, "node permutation");
     }
 
     fn decode_down_tampered(

@@ -1,12 +1,13 @@
-//! `FrozenSdg::thaw` undoes `Sdg::freeze` on the CI and CS graphs of every
-//! suite program and of generated programs: the thawed graph is
-//! `same_graph` as the one that was frozen, and freezing it again yields
-//! the same arrays.
+//! `Sdg::freeze` keeps every node id, and `FrozenSdg::thaw` undoes it, on
+//! the CI and CS graphs of every suite program and of generated programs:
+//! the frozen graph answers `node`, `deps` and `stmt_nodes_of` exactly as
+//! the growable one, the thawed graph is `same_graph` as the one that was
+//! frozen, and freezing it again yields the same arrays.
 
 use thinslice_ir::compile;
 use thinslice_pta::{ModRef, Pta, PtaConfig};
 use thinslice_sdg::snap::{decode_frozen, encode_frozen};
-use thinslice_sdg::{build_ci, build_cs, FrozenSdg, Sdg};
+use thinslice_sdg::{build_ci, build_cs, DepGraph, FrozenSdg, Sdg};
 use thinslice_suite::{all_benchmarks, generate, GeneratorConfig};
 use thinslice_util::{ByteReader, ByteWriter};
 
@@ -18,6 +19,14 @@ fn encode(f: &FrozenSdg) -> Vec<u8> {
 
 fn assert_thaw_undoes_freeze(name: &str, g: &Sdg) {
     let frozen = g.freeze();
+    assert_eq!(frozen.node_count(), g.node_count(), "{name}");
+    for (id, &kind) in g.nodes() {
+        assert_eq!(frozen.node(id), kind, "{name}: node {id:?}");
+        assert_eq!(frozen.deps(id), g.deps(id), "{name}: deps of {id:?}");
+    }
+    for (_, s) in g.stmt_nodes() {
+        assert_eq!(frozen.stmt_nodes_of(s), g.stmt_nodes_of(s), "{name}: {s:?}");
+    }
     let thawed = frozen.thaw().expect("a frozen graph has unique kinds");
     assert!(thawed.same_graph(g), "{name}");
     assert_eq!(thawed.edge_count(), g.edge_count(), "{name}");

@@ -219,6 +219,26 @@ fn garbage_and_truncated_lines_get_structured_errors_not_disconnects() {
 }
 
 #[test]
+fn deeply_nested_lines_get_parse_errors_not_a_crash() {
+    // 10,000 nested arrays: 10 KB, far under the line limit, but deep
+    // enough to overflow the stack of a parser without a nesting limit.
+    let script = vec!["[".repeat(10_000), r#"{"op":"status","id":1}"#.to_string()];
+    let (lines, summary) = run_script(ServeConfig::default(), &script);
+    assert_eq!(lines.len(), script.len(), "one response per request line");
+    assert_eq!((summary.errors, summary.served), (1, 1));
+    let refused = lines
+        .iter()
+        .find(|l| field(l, "id") == Json::Null)
+        .expect("the nested line is answered");
+    assert_eq!(field(refused, "ok"), Json::Bool(false));
+    assert_eq!(
+        field(refused, "error").get("code").and_then(Json::as_str),
+        Some("parse")
+    );
+    assert_eq!(field(&by_id(&lines)[&1], "ok"), Json::Bool(true));
+}
+
+#[test]
 fn injected_panic_quarantines_rebuilds_and_siblings_stay_bit_identical() {
     // Request 4 panics on more attempts than the server retries, so it
     // hard-fails; request 5 re-queries the same program afterwards.

@@ -972,6 +972,12 @@ pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so the limit bounds its stack use
+/// whatever the input; the deepest documents this workspace writes nest 5
+/// levels.
+pub const MAX_JSON_DEPTH: usize = 64;
+
 /// A parsed JSON value (minimal, for [`RunReport::from_json`] and tests).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -994,11 +1000,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a byte-offset description of the first syntax error.
+    /// Returns a byte-offset description of the first syntax error, or of
+    /// the first array or object nested deeper than [`MAX_JSON_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -1070,8 +1077,14 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which `depth` arrays and objects enclose.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth == MAX_JSON_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at byte {pos}"
+        ));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'{') => {
@@ -1090,7 +1103,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 entries.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -1112,7 +1125,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -1284,6 +1297,26 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} x").is_err());
         assert!(RunReport::from_json("{\"schema\":\"other\"}").is_err());
+    }
+
+    #[test]
+    fn parser_rejects_nesting_past_the_limit() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        assert!(Json::parse(&format!("{{\"a\":{}}}", nested(MAX_JSON_DEPTH - 1))).is_ok());
+        let at = MAX_JSON_DEPTH;
+        let want = format!("nesting deeper than {MAX_JSON_DEPTH} levels at byte {at}");
+        assert_eq!(Json::parse(&nested(MAX_JSON_DEPTH + 1)), Err(want.clone()));
+        assert_eq!(
+            Json::parse(&format!("{{\"a\":{}}}", nested(MAX_JSON_DEPTH))),
+            Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                at + 4
+            ))
+        );
+        // Far past the limit, and unterminated: rejected at the same byte,
+        // before the parser descends further.
+        assert_eq!(Json::parse(&"[".repeat(10_000)), Err(want));
     }
 
     #[test]
