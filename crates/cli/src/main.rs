@@ -71,7 +71,7 @@ serve runs the multi-tenant slice daemon: line-delimited JSON requests on
 serve observability: the flight recorder is always on (--recorder-capacity
   events, 0 disables); --slow-ms logs queries over the threshold;
   --stats-interval prints a stats snapshot to stderr every <secs> seconds.
-  `thinslice stats` asks a running daemon for its thinslice.serve_stats.v1
+  `thinslice stats` asks a running daemon for its thinslice.serve_stats.v2
   document over the socket and renders a top-style table (--json prints
   the raw response line instead).
 
@@ -400,7 +400,7 @@ fn emit_telemetry(o: &Options, tel: &Telemetry) -> Result<(), String> {
 /// Validates previously emitted machine-readable output: a
 /// `thinslice.run_report.v1` report (from `--metrics-out`), a
 /// `thinslice.serve_response.v1` transcript (the line-delimited responses
-/// a serve run wrote), or a `thinslice.serve_stats.v1` snapshot (the
+/// a serve run wrote), or a `thinslice.serve_stats.v2` snapshot (the
 /// document the `stats` op embeds). Dispatches on the `schema` field of
 /// the first non-empty line; any other schema id is rejected by name.
 fn cmd_validate_report(o: &Options) -> Result<(), String> {
@@ -613,7 +613,7 @@ fn parse_stats_options(args: &[String]) -> Result<StatsCli, String> {
 }
 
 /// One-shot observability client: asks a running daemon for its
-/// `thinslice.serve_stats.v1` snapshot over the Unix socket and renders
+/// `thinslice.serve_stats.v2` snapshot over the Unix socket and renders
 /// it as a `top`-style table (or the raw response line with `--json`).
 #[cfg(unix)]
 fn cmd_stats(args: &[String]) -> Result<(), String> {
@@ -791,7 +791,7 @@ fn cmd_reload(args: &[String]) -> Result<(), String> {
     Err("reload talks to a Unix-socket daemon; only supported on unix".into())
 }
 
-/// Renders a parsed `thinslice.serve_stats.v1` document as text: a daemon
+/// Renders a parsed `thinslice.serve_stats.v2` document as text: a daemon
 /// header line, the per-tenant table, the per-session table, the
 /// slow-query log, and the flight-recorder tail. Missing fields render as
 /// zeros rather than failing — the wire doc was already validated.
@@ -1522,7 +1522,7 @@ mod tests {
     fn renders_stats_documents() {
         use thinslice_util::telemetry::Json;
         let doc = Json::parse(
-            r#"{"schema":"thinslice.serve_stats.v1","uptime_ms":1500,
+            r#"{"schema":"thinslice.serve_stats.v2","uptime_ms":1500,
                 "pool":{"programs":1,"live_sessions":1,"capacity":8,"quarantined":0,
                         "resident":123,"hits":3,"misses":1,"builds":1,"evictions":0,
                         "quarantines":0,"rebuilds":0,"reloads":0,"reloads_incremental":0,
@@ -1531,10 +1531,9 @@ mod tests {
                 "server":{"served":4,"errors":0,"panics":0,"recorded":6,"recorder_capacity":256},
                 "tenants":[{"client":"alpha","requests":4,"errors":0,"retries":0,"degraded":1,
                             "shed":0,"spent_steps":900,"exit_hits":3,"exit_misses":1,
-                            "shared_hits":0,
                             "latency_us":{"count":4,"sum":800,"p50":150,"p95":400,"max":420}}],
                 "sessions":[{"program":"00deadbeef00cafe","content":"00deadbeef00cafe","live":true,"quarantined":false,
-                             "resident":123,"exit_hits":3,"exit_misses":1,"shared_hits":0,
+                             "resident":123,"exit_hits":3,"exit_misses":1,
                              "latency_us":{"count":4,"sum":800,"p50":150,"p95":400,"max":420}}],
                 "slow":[{"id":7,"client":"alpha","program":"00deadbeef00cafe","kind":"thin",
                          "engine":"ci","admission":"full","completeness":"complete","seeds":1,
@@ -1563,7 +1562,7 @@ mod tests {
         assert!(text.contains("session_built"), "{text}");
         // An idle daemon renders just the header line.
         let idle = Json::parse(
-            r#"{"schema":"thinslice.serve_stats.v1","uptime_ms":0,
+            r#"{"schema":"thinslice.serve_stats.v2","uptime_ms":0,
                 "pool":{"programs":0,"live_sessions":0,"capacity":8,"quarantined":0,
                         "resident":0,"hits":0,"misses":0,"builds":0,"evictions":0,
                         "quarantines":0,"rebuilds":0,"reloads":0,"reloads_incremental":0,

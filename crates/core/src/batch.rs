@@ -55,11 +55,10 @@
 
 use crate::session::{Engine, SliceResult};
 use crate::slice::{slice_dense, Slice, SliceKind, SliceScratch};
-use crate::tabulation::{cs_oneshot, cs_reusing, CsScratch, ExitShare, MemoStats};
+use crate::tabulation::{cs_oneshot, cs_reusing, CsScratch, MemoStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-use thinslice_sdg::{DenseDisplay, DepGraph, FrozenSdg, NodeId};
+use thinslice_sdg::{DenseDisplay, FrozenSdg, NodeId};
 use thinslice_util::{panic_message, par, Budget, CancelToken, Completeness, RunCtx, Telemetry};
 
 /// Minimum batch size at which thin and data CI queries walk a view of
@@ -348,8 +347,6 @@ fn record_memo(tel: &Telemetry, delta: MemoStats) {
     tel.count("cs.exit_memo_hits", delta.exit_hits);
     tel.count("cs.exit_memo_misses", delta.exit_misses);
     tel.count("cs.summary_edges", delta.summary_edges);
-    tel.count("cs.shared_memo_hits", delta.shared_hits);
-    tel.count("cs.shared_memo_published", delta.shared_published);
 }
 
 /// The batch engine: answers `queries` (seed nodes of `graph`) on up to
@@ -389,6 +386,11 @@ pub(crate) fn run_batch(
 /// [`run_batch`] with CI queries walking `view`, which holds exactly the
 /// edges `kind` follows when `prefiltered` is set; CS queries walk
 /// `graph`, which is then `view` itself.
+///
+/// The workers share only these immutable graphs and `graph`'s down-edge
+/// index. Each worker owns its scratch, so a CS worker memoises callee-exit
+/// regions for its own queries alone, and a panicked query's replacement
+/// scratch starts with an empty memo.
 #[allow(clippy::too_many_arguments)]
 fn run_on<G: DenseDisplay + Sync>(
     view: &G,
@@ -403,21 +405,7 @@ fn run_on<G: DenseDisplay + Sync>(
     let tel = cfg.ctx.telemetry();
     let budget = cfg.ctx.budget();
     let threads = effective_threads(threads, queries.len());
-    // With several workers, each worker's CS scratch memoises callee-exit
-    // regions privately; a batch-wide share lets the first worker to
-    // complete a region publish it so the others splice instead of
-    // re-tabulating. A panicked worker's replacement scratch re-attaches
-    // to the share (only *complete* queries publish, so a scratch
-    // discarded mid-query has published nothing unsound).
-    let share =
-        (engine == Engine::Cs && threads > 1).then(|| Arc::new(ExitShare::new(graph.node_count())));
-    let fresh = || {
-        let cs = match &share {
-            Some(s) => CsScratch::with_share(Arc::clone(s)),
-            None => CsScratch::new(),
-        };
-        (cs, SliceScratch::new())
-    };
+    let fresh = || (CsScratch::new(), SliceScratch::new());
     let stage = match engine {
         Engine::Ci => "slice",
         Engine::Cs => "cs_slice",
@@ -454,6 +442,7 @@ mod tests {
     use crate::slice::slice_sparse;
     use crate::tabulation::{cs_oneshot, DownConsumers};
     use crate::Analysis;
+    use thinslice_sdg::DepGraph;
     use thinslice_util::Meter;
 
     /// Sequential oracle: the one-shot CI slice over the growable graph.

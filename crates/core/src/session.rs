@@ -425,8 +425,6 @@ impl AnalysisSession {
             total.exit_hits += s.exit_hits;
             total.exit_misses += s.exit_misses;
             total.summary_edges += s.summary_edges;
-            total.shared_hits += s.shared_hits;
-            total.shared_published += s.shared_published;
         }
         total
     }

@@ -24,11 +24,9 @@
 use crate::slice::{Slice, SliceKind};
 use crate::stmtset::StmtSet;
 use std::collections::VecDeque;
-use std::sync::{Arc, OnceLock};
 use thinslice_ir::StmtRef;
 use thinslice_sdg::{DenseDisplay, DepGraph, EdgeKind, NodeId, NodeKind, NO_DISPLAY};
-use thinslice_util::{BitSet, Completeness, FxHashMap, FxHashSet, Meter};
-use thinslice_util::{Idx, IdxVec};
+use thinslice_util::{BitSet, Completeness, FxHashMap, FxHashSet, IdxVec, Meter};
 
 /// The source of a tabulation path edge: either the seed region (ascending
 /// allowed) or a callee exit being summarised.
@@ -87,11 +85,8 @@ trait TabStore {
     fn add_path(&mut self, n: NodeId, src: Src) -> bool;
     /// Copies `n`'s current sources into `out` (which is cleared first).
     fn copy_srcs(&self, n: NodeId, out: &mut Vec<Src>);
-    /// Records the summary edge `consumer → actual`, discovered while
-    /// tabulating on behalf of `owner`; true if new. A memoising store uses
-    /// `owner` to attribute the edge to the callee-exit region whose ascent
-    /// produced it, so the region can be republished to other workers.
-    fn add_summary(&mut self, owner: Src, consumer: NodeId, actual: NodeId) -> bool;
+    /// Records the summary edge `consumer → actual`; true if new.
+    fn add_summary(&mut self, consumer: NodeId, actual: NodeId) -> bool;
     /// Copies `n`'s known summary continuations into `out` (cleared first).
     fn copy_summaries(&self, n: NodeId, out: &mut Vec<NodeId>);
     /// Called when the traversal descends from a node with source `from`
@@ -122,7 +117,7 @@ impl TabStore for SparseStore {
         }
     }
 
-    fn add_summary(&mut self, _owner: Src, consumer: NodeId, actual: NodeId) -> bool {
+    fn add_summary(&mut self, consumer: NodeId, actual: NodeId) -> bool {
         let v = self.summaries.entry(consumer).or_default();
         if v.contains(&actual) {
             return false;
@@ -172,41 +167,6 @@ impl SparseStore {
     }
 }
 
-/// A callee exit's tabulated region at fixpoint, as published to
-/// [`ExitShare`]: the nodes its `Exit` source reaches, the sub-exits the
-/// region descends into (whose regions carry the rest of the nodes), and
-/// the summary edges its exploration discovered. Immutable once
-/// published.
-#[derive(Debug, Default)]
-pub struct ExitRegion {
-    nodes: Vec<NodeId>,
-    deps: Vec<NodeId>,
-    summaries: Vec<(NodeId, NodeId)>,
-}
-
-/// Cross-worker publication of completed callee-exit regions.
-///
-/// One slot per node, write-once: the first worker whose *complete* query
-/// tabulates an exit's region publishes it; every other worker installs the
-/// published region instead of re-tabulating the callee. Readers take the
-/// lock-free fast path of [`OnceLock::get`]; a lost publication race is
-/// harmless because both racers computed the same fixpoint. Shared per
-/// batch — regions are facts of the (graph, slice kind) pair, so a share
-/// must never outlive either.
-#[derive(Debug)]
-pub struct ExitShare {
-    slots: Vec<OnceLock<Arc<ExitRegion>>>,
-}
-
-impl ExitShare {
-    /// Creates an empty share with one slot per node of the graph.
-    pub fn new(node_count: usize) -> ExitShare {
-        ExitShare {
-            slots: (0..node_count).map(|_| OnceLock::new()).collect(),
-        }
-    }
-}
-
 /// `exit_state` values for [`DenseStore`].
 mod exit_state {
     /// Never descended into.
@@ -230,9 +190,12 @@ mod exit_state {
 /// summary its consumers can ever receive — is at fixpoint and can be
 /// replayed verbatim. A later query that descends into a memoised exit
 /// splices the region (and, transitively, its sub-exits' regions) into
-/// its path table instead of re-tabulating the callee: across a batch,
-/// each callee region is tabulated once, not once per query. This is why
-/// a [`CsScratch`] may only be reused on one (graph, kind) pair.
+/// its path table instead of re-tabulating the callee: across the queries
+/// sharing a store (one batch worker's, or one session slice kind's), each
+/// callee region is tabulated once, not once per query. Stores never
+/// exchange regions, so a batch on several workers tabulates a region once
+/// per worker that needs it. This is why a [`CsScratch`] may only be
+/// reused on one (graph, kind) pair.
 #[derive(Debug, Default)]
 struct DenseStore {
     /// `path[n]` = sources with a path edge to `n`. The per-node source
@@ -253,13 +216,6 @@ struct DenseStore {
     exit_deps: IdxVec<NodeId, Vec<NodeId>>,
     /// Per-exit [`exit_state`] value.
     exit_state: IdxVec<NodeId, u8>,
-    /// Summary edges attributed to the exit whose ascent discovered them
-    /// (deduplicated per exit, independently of the global `summaries`
-    /// dedup — a re-explored region must re-accumulate its full set).
-    /// Persists across truncation; drained when the region is published.
-    exit_summaries: IdxVec<NodeId, Vec<(NodeId, NodeId)>>,
-    /// Cross-worker region publication, when this store takes part in one.
-    shared: Option<Arc<ExitShare>>,
     /// Exits first explored by the in-flight query, for harvesting.
     explored_now: Vec<NodeId>,
     /// DFS stack and visited list for [`DenseStore::splice`].
@@ -285,10 +241,6 @@ pub struct MemoStats {
     pub exit_misses: u64,
     /// Summary edges recorded (a graph fact shared by later queries).
     pub summary_edges: u64,
-    /// Descents answered by installing a region another worker published.
-    pub shared_hits: u64,
-    /// Regions this scratch published to the cross-worker share.
-    pub shared_published: u64,
 }
 
 impl MemoStats {
@@ -298,8 +250,6 @@ impl MemoStats {
             exit_hits: self.exit_hits - earlier.exit_hits,
             exit_misses: self.exit_misses - earlier.exit_misses,
             summary_edges: self.summary_edges - earlier.summary_edges,
-            shared_hits: self.shared_hits - earlier.shared_hits,
-            shared_published: self.shared_published - earlier.shared_published,
         }
     }
 }
@@ -314,68 +264,7 @@ impl DenseStore {
             self.exit_cache = IdxVec::from_elem(Vec::new(), node_count);
             self.exit_deps = IdxVec::from_elem(Vec::new(), node_count);
             self.exit_state = IdxVec::from_elem(exit_state::UNSEEN, node_count);
-            self.exit_summaries = IdxVec::from_elem(Vec::new(), node_count);
         }
-    }
-
-    /// Tries to satisfy a descent into the unseen `exit` from the
-    /// cross-worker share. Collects the transitive closure of published
-    /// regions the install needs first, then installs all of them or
-    /// nothing: a region whose sub-exit is missing from the share cannot
-    /// be replayed, and one whose sub-exit this query is currently
-    /// EXPLORING must not be spliced over an in-flight tabulation (a
-    /// truncated query would then cache a region that was never completed
-    /// locally). Locally CACHED sub-regions are already satisfied.
-    fn try_install(&mut self, exit: NodeId) -> bool {
-        let share = match &self.shared {
-            Some(s) => Arc::clone(s),
-            None => return false,
-        };
-        let mut stack = vec![exit];
-        let mut seen: FxHashSet<NodeId> = FxHashSet::default();
-        let mut regions: Vec<(NodeId, Arc<ExitRegion>)> = Vec::new();
-        while let Some(e) = stack.pop() {
-            if !seen.insert(e) {
-                continue;
-            }
-            match self.exit_state[e] {
-                exit_state::CACHED => continue,
-                exit_state::EXPLORING => return false,
-                _ => {}
-            }
-            let Some(region) = share.slots[e.index()].get() else {
-                return false;
-            };
-            stack.extend_from_slice(&region.deps);
-            regions.push((e, Arc::clone(region)));
-        }
-        for (e, region) in regions {
-            debug_assert!(self.exit_cache[e].is_empty());
-            self.exit_cache[e].extend_from_slice(&region.nodes);
-            for &d in &region.deps {
-                if !self.exit_deps[e].contains(&d) {
-                    self.exit_deps[e].push(d);
-                }
-            }
-            for &(consumer, actual) in &region.summaries {
-                self.add_global_summary(consumer, actual);
-            }
-            self.exit_state[e] = exit_state::CACHED;
-        }
-        self.memo.shared_hits += 1;
-        true
-    }
-
-    /// The global (per-store) summary relation insert; shared by
-    /// [`TabStore::add_summary`] and [`DenseStore::try_install`].
-    fn add_global_summary(&mut self, consumer: NodeId, actual: NodeId) -> bool {
-        let v = &mut self.summaries[consumer];
-        if v.contains(&actual) {
-            return false;
-        }
-        v.push(actual);
-        self.memo.summary_edges += 1;
-        true
     }
 
     /// Replays the memoised region of `exit` (and transitively of the
@@ -428,18 +317,14 @@ impl TabStore for DenseStore {
         out.extend(self.path[n].iter().copied());
     }
 
-    fn add_summary(&mut self, owner: Src, consumer: NodeId, actual: NodeId) -> bool {
-        if let Src::Exit(e) = owner {
-            // Attribute the edge to the owning exit's region regardless of
-            // the global dedup below: a later (re-)exploration of `e` must
-            // still accumulate the region's complete summary set even when
-            // an earlier query already knew the edge globally.
-            let v = &mut self.exit_summaries[e];
-            if !v.contains(&(consumer, actual)) {
-                v.push((consumer, actual));
-            }
+    fn add_summary(&mut self, consumer: NodeId, actual: NodeId) -> bool {
+        let v = &mut self.summaries[consumer];
+        if v.contains(&actual) {
+            return false;
         }
-        self.add_global_summary(consumer, actual)
+        v.push(actual);
+        self.memo.summary_edges += 1;
+        true
     }
 
     fn copy_summaries(&self, n: NodeId, out: &mut Vec<NodeId>) {
@@ -467,14 +352,6 @@ impl TabStore for DenseStore {
             }
             exit_state::EXPLORING => true,
             _ => {
-                if self.try_install(exit) {
-                    // Another worker published the region; it is CACHED
-                    // now, so splice instead of exploring.
-                    if !self.path[exit].contains(&Src::Exit(exit)) {
-                        self.splice(exit);
-                    }
-                    return false;
-                }
                 self.memo.exit_misses += 1;
                 self.exit_state[exit] = exit_state::EXPLORING;
                 self.explored_now.push(exit);
@@ -530,18 +407,6 @@ impl DenseStore {
             }
             for e in self.explored_now.drain(..) {
                 self.exit_state[e] = exit_state::CACHED;
-                if let Some(share) = &self.shared {
-                    let region = ExitRegion {
-                        nodes: self.exit_cache[e].clone(),
-                        deps: self.exit_deps[e].clone(),
-                        summaries: std::mem::take(&mut self.exit_summaries[e]),
-                    };
-                    if share.slots[e.index()].set(Arc::new(region)).is_ok() {
-                        self.memo.shared_published += 1;
-                    }
-                    // A lost race is fine: both racers tabulated the same
-                    // fixpoint, so the winning region is interchangeable.
-                }
             }
         } else {
             // Truncated: the regions first explored here are NOT at
@@ -584,23 +449,6 @@ impl CsScratch {
         CsScratch::default()
     }
 
-    /// Creates a scratch whose dense store publishes completed callee-exit
-    /// regions to `share` and installs regions other workers published.
-    /// The share is a fact store of one (graph, slice kind) pair — every
-    /// scratch attached to it must query exactly that pair.
-    pub fn with_share(share: Arc<ExitShare>) -> CsScratch {
-        let mut scratch = CsScratch::default();
-        scratch.store.shared = Some(share);
-        scratch
-    }
-
-    /// The share this scratch publishes to, if any — so a replacement
-    /// scratch (e.g. after panic isolation discards this one) can stay
-    /// attached to the same batch-wide share.
-    pub fn share(&self) -> Option<Arc<ExitShare>> {
-        self.store.shared.clone()
-    }
-
     /// Whether the per-query state is empty, as a finished query must
     /// leave it (memoised graph facts persist by design).
     #[cfg(test)]
@@ -630,9 +478,8 @@ impl CsScratch {
             .count()
     }
 
-    /// Drops every memoised graph fact (summary edges, callee-exit regions,
-    /// and any cross-worker share attachment), returning how many cached
-    /// exit regions were discarded.
+    /// Drops every memoised graph fact (summary edges and callee-exit
+    /// regions), returning how many cached exit regions were discarded.
     ///
     /// Required whenever the scratch's graph is *replaced* rather than
     /// merely regrown: the dense store only resets itself when the node
@@ -764,7 +611,7 @@ fn tabulate<G: DepGraph, S: TabStore>(
                             let actual = e.target;
                             if let Some(consumers) = index.get(site, exit) {
                                 for &consumer in consumers {
-                                    if store.add_summary(src, consumer, actual) {
+                                    if store.add_summary(consumer, actual) {
                                         // Extend everyone who already
                                         // reached the consumer.
                                         store.copy_srcs(consumer, tmp_srcs);

@@ -20,6 +20,7 @@ use crate::ir::{
     Block, BlockId, Body, CallKind, Class, ClassId, Const, Field, FieldId, Instr, InstrKind,
     IrBinOp, IrUnOp, LineIndex, Method, MethodId, Operand, Program, Type, Var, VarInfo,
 };
+use crate::parser::MAX_NESTING;
 use crate::span::{FileId, SourceFile, Span};
 
 /// Encodes `program` into `w`.
@@ -255,16 +256,25 @@ fn ty(w: &mut ByteWriter, t: &Type) {
     }
 }
 
+/// Decodes a run of array tags by counting it, not by recursing, so a
+/// snapshot cannot overflow the restoring thread's stack. The parser
+/// refuses array types nested deeper than [`MAX_NESTING`], so a longer run
+/// comes from no compiled program.
 fn d_ty(r: &mut ByteReader) -> Result<Type, CodecError> {
-    Ok(match r.u8()? {
-        0 => Type::Int,
-        1 => Type::Bool,
-        2 => Type::Void,
-        3 => Type::Null,
-        4 => Type::Class(r.vidx::<ClassId>()?),
-        5 => Type::Array(Box::new(d_ty(r)?)),
-        _ => return Err(CodecError::Malformed("type tag")),
-    })
+    let mut arrays = 0;
+    let base = loop {
+        match r.u8()? {
+            0 => break Type::Int,
+            1 => break Type::Bool,
+            2 => break Type::Void,
+            3 => break Type::Null,
+            4 => break Type::Class(r.vidx::<ClassId>()?),
+            5 if arrays == MAX_NESTING => return Err(CodecError::Malformed("type nesting")),
+            5 => arrays += 1,
+            _ => return Err(CodecError::Malformed("type tag")),
+        }
+    };
+    Ok((0..arrays).fold(base, |t, _| Type::Array(Box::new(t))))
 }
 
 fn body(w: &mut ByteWriter, b: &Body) {
@@ -758,6 +768,50 @@ mod tests {
         let bytes = w.into_bytes();
         let err = decode_program(&mut ByteReader::new(&bytes)).unwrap_err();
         assert_eq!(err, CodecError::Malformed("duplicate file name"));
+    }
+
+    /// `Class(3)` under `levels` array constructors.
+    fn nested_array(levels: usize) -> Type {
+        (0..levels).fold(Type::Class(ClassId::new(3)), |t, _| {
+            Type::Array(Box::new(t))
+        })
+    }
+
+    fn type_bytes(t: &Type) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        encode_type(&mut w, t);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_long_run_of_array_tags_is_refused_on_a_default_stack() {
+        let mut bytes = vec![5u8; 100_000];
+        bytes.push(0);
+        let decoded = std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(move || decode_type(&mut ByteReader::new(&bytes)))
+            .unwrap()
+            .join()
+            .expect("decoding must not overflow the stack");
+        assert_eq!(decoded, Err(CodecError::Malformed("type nesting")));
+    }
+
+    #[test]
+    fn an_array_type_nested_to_the_parser_limit_round_trips() {
+        let t = nested_array(MAX_NESTING);
+        let bytes = type_bytes(&t);
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(decode_type(&mut r), Ok(t));
+        assert!(r.is_at_end());
+    }
+
+    #[test]
+    fn an_array_type_nested_past_the_parser_limit_is_malformed() {
+        let bytes = type_bytes(&nested_array(MAX_NESTING + 1));
+        assert_eq!(
+            decode_type(&mut ByteReader::new(&bytes)),
+            Err(CodecError::Malformed("type nesting"))
+        );
     }
 
     #[test]

@@ -139,28 +139,22 @@ impl Pta {
         Self::from_solver(config, result)
     }
 
-    /// Like [`Pta::analyze`], but under a [`RunCtx`]: the solve is recorded
-    /// as a `pta.solve` span (plus solver counters and gauges) through the
-    /// context's telemetry, and metered against the context's budget when
-    /// one is set. A truncated solve yields a sound under-approximation of
-    /// the call graph and points-to sets, labelled with why it stopped and
-    /// how much worklist was abandoned. With a disabled context this is
-    /// exactly [`Pta::analyze`] (always [`Completeness::Complete`]).
-    pub fn analyze_ctx(program: &Program, config: PtaConfig, ctx: &RunCtx) -> (Pta, Completeness) {
-        let mut cache = GenCache::new();
-        Self::analyze_cached(program, config, ctx, &mut cache)
-    }
-
-    /// Like [`Pta::analyze_ctx`], but replaying per-method constraint
-    /// generation streams from (and retaining new ones into) `cache`.
+    /// Like [`Pta::analyze`], but under a [`RunCtx`], replaying per-method
+    /// constraint generation streams from (and retaining new ones into)
+    /// `cache`. The solve is recorded as a `pta.solve` span (plus solver
+    /// counters and gauges) through the context's telemetry, and metered
+    /// against the context's budget when one is set. A truncated solve
+    /// yields a sound under-approximation of the call graph and points-to
+    /// sets, labelled with why it stopped and how much worklist was
+    /// abandoned. With a fresh cache and a disabled context this is exactly
+    /// [`Pta::analyze`] (always [`Completeness::Complete`]).
     ///
-    /// This is the incremental-update entry point: after an edit, the
+    /// This is also the incremental-update entry point: after an edit, the
     /// session invalidates only the changed methods' streams and re-solves,
     /// which restarts propagation but skips all generation work for
-    /// untouched code. The result is bit-identical to a cold
-    /// [`Pta::analyze_ctx`] because cached streams are byte-equal to
-    /// freshly built ones and inclusion constraints have a unique least
-    /// fixpoint.
+    /// untouched code. The result is bit-identical to a solve on a fresh
+    /// cache because cached streams are byte-equal to freshly built ones
+    /// and inclusion constraints have a unique least fixpoint.
     pub fn analyze_cached(
         program: &Program,
         config: PtaConfig,

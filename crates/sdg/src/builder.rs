@@ -27,41 +27,19 @@ pub fn build_ci(program: &Program, pta: &Pta) -> Sdg {
     Builder::new(program, pta, crate::HeapMode::DirectEdges).run()
 }
 
-/// Like [`build_ci`], but under a [`RunCtx`]: construction is recorded as a
-/// `sdg.build` span (with node/edge counters and gauges) through the
-/// context's telemetry, and metered against the context's budget when one
-/// is set. A truncated build returns a graph with a (sound) subset of the
-/// statement nodes and dependence edges, labelled with why construction
-/// stopped and roughly how much work was abandoned. With a disabled context
-/// this is exactly [`build_ci`] (always [`Completeness::Complete`]).
-pub fn build_ci_ctx(program: &Program, pta: &Pta, ctx: &RunCtx) -> (Sdg, Completeness) {
-    let tel = ctx.telemetry();
-    let (sdg, completeness) = {
-        let mut span = tel.span("sdg.build");
-        let (sdg, completeness) = if ctx.is_governed() {
-            let mut meter = ctx.meter();
-            Builder::new(program, pta, crate::HeapMode::DirectEdges).run_governed(&mut meter)
-        } else {
-            (
-                Builder::new(program, pta, crate::HeapMode::DirectEdges).run(),
-                Completeness::Complete,
-            )
-        };
-        span.add("sdg.nodes", sdg.node_count() as u64);
-        span.add("sdg.edges", sdg.edge_count() as u64);
-        (sdg, completeness)
-    };
-    tel.gauge("sdg.nodes", sdg.node_count() as u64);
-    tel.gauge("sdg.edges", sdg.edge_count() as u64);
-    (sdg, completeness)
-}
-
-/// Like [`build_ci_ctx`], but serving per-method def-site/control-dependence
-/// artifacts from (and retaining new ones into) `cache` — the incremental
-/// rebuild entry point. With an empty cache this is exactly
-/// [`build_ci_ctx`]; with a warm cache the graph is still bit-identical,
-/// because cached artifacts equal freshly computed ones for unchanged
-/// methods and interning order is unaffected.
+/// Like [`build_ci`], but under a [`RunCtx`], serving per-method
+/// def-site/control-dependence artifacts from (and retaining new ones into)
+/// `cache`. Construction is recorded as a `sdg.build` span (with node/edge
+/// counters and gauges) through the context's telemetry, and metered
+/// against the context's budget when one is set. A truncated build returns
+/// a graph with a (sound) subset of the statement nodes and dependence
+/// edges, labelled with why construction stopped and roughly how much work
+/// was abandoned. With an empty cache and a disabled context this is
+/// exactly [`build_ci`] (always [`Completeness::Complete`]).
+///
+/// This is also the incremental rebuild entry point: with a warm cache the
+/// graph is still bit-identical, because cached artifacts equal freshly
+/// computed ones for unchanged methods and interning order is unaffected.
 pub fn build_ci_cached(
     program: &Program,
     pta: &Pta,

@@ -28,20 +28,11 @@ pub fn build_cs(program: &Program, pta: &Pta, modref: &ModRef) -> Sdg {
     sdg
 }
 
-/// Like [`build_cs`], but under a [`RunCtx`]: construction is recorded as a
-/// `sdg.build_cs` span with node/edge counters. With a disabled context
-/// this is exactly [`build_cs`].
-pub fn build_cs_ctx(program: &Program, pta: &Pta, modref: &ModRef, ctx: &RunCtx) -> Sdg {
-    let mut span = ctx.telemetry().span("sdg.build_cs");
-    let sdg = build_cs(program, pta, modref);
-    span.add("sdg.nodes", sdg.node_count() as u64);
-    span.add("sdg.edges", sdg.edge_count() as u64);
-    sdg
-}
-
-/// Like [`build_cs_ctx`], but serving per-method skeleton artifacts from
-/// (and retaining new ones into) `cache` — the incremental rebuild entry
-/// point, bit-identical to a cold build for the same inputs.
+/// Like [`build_cs`], but under a [`RunCtx`], serving per-method skeleton
+/// artifacts from (and retaining new ones into) `cache`. Construction is
+/// recorded as a `sdg.build_cs` span with node/edge counters. This is also
+/// the incremental rebuild entry point: with any cache the graph is
+/// bit-identical to [`build_cs`] for the same inputs.
 pub fn build_cs_cached(
     program: &Program,
     pta: &Pta,

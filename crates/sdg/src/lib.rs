@@ -44,11 +44,11 @@ pub mod node;
 pub mod snap;
 pub mod stats;
 
-pub use builder::{build_ci, build_ci_cached, build_ci_ctx};
+pub use builder::{build_ci, build_ci_cached};
 pub use cache::SdgCache;
 pub use csr::{DenseDisplay, DepGraph, DownConsumers, FilteredCsr, FrozenSdg, NO_DISPLAY};
 pub use fingerprint::body_fingerprint;
-pub use heap_params::{build_cs, build_cs_cached, build_cs_ctx};
+pub use heap_params::{build_cs, build_cs_cached};
 pub use node::{Edge, EdgeKind, NodeId, NodeKind};
 pub use stats::SdgStats;
 

@@ -49,7 +49,7 @@ pub const RESPONSE_SCHEMA: &str = "thinslice.serve_response.v1";
 
 /// Schema tag of the observability document embedded in a `stats`
 /// response (and accepted standalone by `validate-report`).
-pub const SERVE_STATS_SCHEMA: &str = "thinslice.serve_stats.v1";
+pub const SERVE_STATS_SCHEMA: &str = "thinslice.serve_stats.v2";
 
 /// Hard cap on one request line; longer lines are answered with a
 /// `too_large` error without being parsed.
@@ -712,7 +712,7 @@ pub fn shutdown_line(id: Option<u64>, drained: usize) -> String {
     )
 }
 
-// ---- stats document (`thinslice.serve_stats.v1`) ----
+// ---- stats document (`thinslice.serve_stats.v2`) ----
 
 /// One tenant's row in a stats document: request counters plus memo-hit
 /// deltas and the latency quantiles of everything this client ran.
@@ -737,8 +737,6 @@ pub struct TenantRow {
     pub exit_hits: u64,
     /// Exit-region memo misses this client's queries observed.
     pub exit_misses: u64,
-    /// Cross-worker exit-share hits this client's queries observed.
-    pub shared_hits: u64,
     /// Wall-clock latency quantiles in microseconds.
     pub latency_us: HistogramSummary,
 }
@@ -762,8 +760,6 @@ pub struct SessionRow {
     pub exit_hits: u64,
     /// Exit-region memo misses accumulated by the live session.
     pub exit_misses: u64,
-    /// Cross-worker exit-share hits accumulated by the live session.
-    pub shared_hits: u64,
     /// Wall-clock latency quantiles of queries on this program, in
     /// microseconds.
     pub latency_us: HistogramSummary,
@@ -849,7 +845,7 @@ fn summary_json(s: &HistogramSummary) -> String {
 }
 
 /// Serializes a [`StatsSnapshot`] as a standalone
-/// `thinslice.serve_stats.v1` JSON document (fixed key order).
+/// `thinslice.serve_stats.v2` JSON document (fixed key order).
 pub fn stats_doc(s: &StatsSnapshot) -> String {
     let mut d = format!(
         "{{\"schema\":{},\"uptime_ms\":{},\"pool\":{{\"programs\":{},\"live_sessions\":{},\
@@ -893,7 +889,7 @@ pub fn stats_doc(s: &StatsSnapshot) -> String {
             d,
             "{{\"client\":{},\"requests\":{},\"errors\":{},\"retries\":{},\"degraded\":{},\
              \"shed\":{},\"spent_steps\":{},\"exit_hits\":{},\"exit_misses\":{},\
-             \"shared_hits\":{},\"latency_us\":{}}}",
+             \"latency_us\":{}}}",
             esc(&t.client),
             t.requests,
             t.errors,
@@ -903,7 +899,6 @@ pub fn stats_doc(s: &StatsSnapshot) -> String {
             t.spent_steps,
             t.exit_hits,
             t.exit_misses,
-            t.shared_hits,
             summary_json(&t.latency_us),
         );
     }
@@ -915,7 +910,7 @@ pub fn stats_doc(s: &StatsSnapshot) -> String {
         let _ = write!(
             d,
             "{{\"program\":{},\"content\":{},\"live\":{},\"quarantined\":{},\"resident\":{},\
-             \"exit_hits\":{},\"exit_misses\":{},\"shared_hits\":{},\"latency_us\":{}}}",
+             \"exit_hits\":{},\"exit_misses\":{},\"latency_us\":{}}}",
             esc(&r.program),
             esc(&r.content),
             r.live,
@@ -923,7 +918,6 @@ pub fn stats_doc(s: &StatsSnapshot) -> String {
             r.resident,
             r.exit_hits,
             r.exit_misses,
-            r.shared_hits,
             summary_json(&r.latency_us),
         );
     }
@@ -971,7 +965,7 @@ pub fn stats_doc(s: &StatsSnapshot) -> String {
 }
 
 /// Serializes a `stats` response: the standard envelope with the
-/// `thinslice.serve_stats.v1` document embedded under `"stats"`.
+/// `thinslice.serve_stats.v2` document embedded under `"stats"`.
 pub fn stats_line(id: Option<u64>, snapshot: &StatsSnapshot) -> String {
     format!(
         "{},\"stats\":{}}}",
@@ -1162,7 +1156,7 @@ fn need_summary(v: &Json, key: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a `thinslice.serve_stats.v1` document (standalone or as
+/// Validates a `thinslice.serve_stats.v2` document (standalone or as
 /// extracted from a `stats` response), returning a one-line summary.
 ///
 /// # Errors
@@ -1223,7 +1217,6 @@ pub fn validate_stats_doc(v: &Json) -> Result<String, String> {
             "spent_steps",
             "exit_hits",
             "exit_misses",
-            "shared_hits",
         ] {
             need_u64(t, key).map_err(|e| format!("tenant: {e}"))?;
         }
@@ -1242,7 +1235,7 @@ pub fn validate_stats_doc(v: &Json) -> Result<String, String> {
                 ));
             }
         }
-        for key in ["resident", "exit_hits", "exit_misses", "shared_hits"] {
+        for key in ["resident", "exit_hits", "exit_misses"] {
             need_u64(s, key).map_err(|e| format!("session: {e}"))?;
         }
         for key in ["live", "quarantined"] {
@@ -1651,7 +1644,7 @@ mod tests {
         };
         reject("{\"schema\":\"other.v1\"}", "schema");
         reject(
-            "{\"schema\":\"thinslice.serve_stats.v1\",\"uptime_ms\":1}",
+            "{\"schema\":\"thinslice.serve_stats.v2\",\"uptime_ms\":1}",
             "pool",
         );
         // An out-of-order event tail is caught.

@@ -680,7 +680,7 @@ fn stats_op_is_answered_inline_during_chaos() {
     let doc = field(&map[&3], "stats");
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
-        Some("thinslice.serve_stats.v1")
+        Some("thinslice.serve_stats.v2")
     );
     assert_eq!(summary.errors, 0);
     assert_eq!(summary.panics, 1);

@@ -267,6 +267,69 @@ fn a_retry_on_fresh_scratch_recovers_from_a_transient_panic() {
     assert_eq!(recovered.nodes_visited, want.nodes_visited);
 }
 
+/// One context-sensitive thin query per line of nanoxml's sources that
+/// holds a reachable statement.
+fn cs_line_queries(s: &mut AnalysisSession) -> Vec<Query> {
+    let b = thinslice_suite::benchmark_named("nanoxml").expect("nanoxml exists");
+    let mut qs = Vec::new();
+    for (file, text) in &b.sources {
+        for line in 1..=text.lines().count() as u32 {
+            if let Some(seeds) = s.seed_at_line(file, line) {
+                qs.push(Query::new(seeds, SliceKind::Thin, Engine::Cs));
+            }
+        }
+    }
+    qs
+}
+
+#[test]
+fn a_panicking_cs_worker_cannot_corrupt_its_siblings() {
+    // Sixteen or more queries at two threads run two workers, each on its
+    // own memoising CS scratch; the panicking query's worker continues on
+    // a fresh scratch.
+    let mut s = nanoxml_session();
+    let qs = cs_line_queries(&mut s);
+    assert!(qs.len() >= 16, "two workers need at least 16 queries");
+    let k = qs.len() / 2;
+    let wants: Vec<SliceResult> = qs.iter().map(|q| s.query(q)).collect();
+    let clean = s.query_batch(&qs, 2);
+    for (i, (got, want)) in clean.iter().zip(&wants).enumerate() {
+        assert_answers_like(got, want, &format!("clean query {i}"));
+    }
+
+    // Query k panics on every allowed attempt (2 > 1 retry).
+    let fault = |attempts| BatchOptions {
+        fault: Some(FaultInjection { query: k, attempts }),
+        retries: Some(1),
+        ..BatchOptions::default()
+    };
+    let faulty = s.query_batch_with(&qs, 2, &fault(2));
+    assert_eq!(faulty.len(), qs.len());
+    for (i, got) in faulty.iter().enumerate() {
+        if i == k {
+            assert_eq!(got.retries, 1);
+            assert!(
+                matches!(&got.slice, Err(QueryError::Panicked { message })
+                    if message.contains("injected worker fault")),
+                "query {k} must fail: {:?}",
+                got.slice
+            );
+            continue;
+        }
+        let at = format!("sibling {i}");
+        assert_eq!(got.retries, 0, "{at}");
+        assert_answers_like(got, clean[i].slice.as_ref().unwrap(), &at);
+        assert_answers_like(got, &wants[i], &at);
+    }
+
+    // One panic, one allowed retry: query k recovers with the same answer.
+    let recovered = s.query_batch_with(&qs, 2, &fault(1));
+    assert_eq!(recovered[k].retries, 1);
+    for (i, (got, want)) in recovered.iter().zip(&wants).enumerate() {
+        assert_answers_like(got, want, &format!("recovered batch query {i}"));
+    }
+}
+
 #[test]
 fn fail_fast_cancels_the_queries_after_a_hard_failure() {
     let mut s = nanoxml_session();
