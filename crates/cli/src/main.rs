@@ -576,10 +576,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         #[cfg(not(unix))]
         Some(_) => return Err("--socket is only supported on unix".into()),
-        None => {
-            let input = std::io::BufReader::new(std::io::stdin());
-            server.serve(input, thinslice_serve::shared_out(std::io::stdout()))
-        }
+        None => server.serve(
+            std::io::stdin(),
+            thinslice_serve::shared_out(std::io::stdout()),
+        ),
     };
     eprintln!(
         "thinslice-serve: done (served {}, errors {}, panics {})",

@@ -7,6 +7,24 @@
 //! reader thread; `slice` requests are queued and executed by a worker
 //! pool.
 //!
+//! One exception spares a closed-loop client (an IDE or CLI caller that
+//! waits for each answer) the hand-off to a worker: in stream
+//! mode ([`Server::serve`]) with one worker, the reader answers a `slice`
+//! itself when no job is queued or executing and its input buffer holds
+//! nothing after the line. It is the same job, admitted from the same
+//! queue depth and counted as in flight, so drains wait for it. The one
+//! worker finds nothing to run meanwhile, since the reader enqueues
+//! nothing while it executes, so still one query runs at a time. The
+//! price is intake: a `load`, `reload`, `status` or `stats` line sent
+//! during that query waits for it, where the reader would have answered
+//! it while the worker ran the query. With more workers every slice
+//! queues, because a reader busy with a query would leave a slice sent
+//! meanwhile unread instead of starting it on an idle worker. Pipelined
+//! input still queues, which keeps the queue depth that admission
+//! control reads. Socket mode ([`Server::serve_listener`]) always
+//! queues: it has one reader per connection, so answering in place there
+//! could run more than `workers` queries at once.
+//!
 //! Robustness layers, outermost first:
 //!
 //! * **Malformed input** — the reader consumes raw bytes line by line
@@ -39,7 +57,7 @@
 //! [`FaultInjection`]: thinslice::FaultInjection
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -53,11 +71,16 @@ use crate::protocol::{
 };
 use thinslice::{report, Budget, Engine, FaultInjection, Query, QueryPolicy, SliceResult};
 use thinslice_util::govern::Completeness;
-use thinslice_util::telemetry::{FlightKind, FlightRecorder, Histogram, Telemetry};
+use thinslice_util::telemetry::{
+    FlightKind, FlightRecorder, Histogram, HistogramSummary, Telemetry,
+};
 use thinslice_util::{panic_message, FxHashMap};
 
 /// How many slow queries the log retains (oldest dropped first).
 const SLOW_LOG_CAP: usize = 32;
+
+/// How many of a latency row's newest samples its p50 and p95 cover.
+const LATENCY_WINDOW: usize = 1024;
 
 /// How many flight-recorder events a `stats` response tails.
 const EVENT_TAIL: usize = 32;
@@ -179,7 +202,51 @@ struct TenantAgg {
     spent_steps: u64,
     exit_hits: u64,
     exit_misses: u64,
-    latency: Histogram,
+    latency: LatencyRow,
+}
+
+/// One row of the daemon's latency tables. Count, sum and max are running
+/// totals; p50 and p95 are taken over the newest [`LATENCY_WINDOW`]
+/// samples, held in a ring that grows with the row's first samples and
+/// then stays put, so a row's memory and the cost of summarising it under
+/// the observability lock do not grow with uptime, and a row with few
+/// samples holds few.
+#[derive(Default)]
+struct LatencyRow {
+    count: u64,
+    sum: f64,
+    max: f64,
+    /// The newest samples; sample `n` (0-based) lives in slot
+    /// `n % LATENCY_WINDOW`.
+    window: Vec<f64>,
+}
+
+impl LatencyRow {
+    fn record(&mut self, v: f64) {
+        if self.window.len() < LATENCY_WINDOW {
+            self.window.push(v);
+        } else {
+            self.window[(self.count % LATENCY_WINDOW as u64) as usize] = v;
+        }
+        self.count += 1;
+        self.sum += v;
+        self.max = self.max.max(v);
+    }
+
+    /// The row's summary; percentiles are nearest-rank over the window.
+    fn summary(&self) -> HistogramSummary {
+        let mut newest = Histogram::new();
+        for &v in &self.window {
+            newest.record(v);
+        }
+        HistogramSummary {
+            count: self.count,
+            sum: self.sum,
+            p50: newest.percentile(50.0),
+            p95: newest.percentile(95.0),
+            max: self.max,
+        }
+    }
 }
 
 /// Wall-clock stage breakdown of one completed request, in microseconds
@@ -198,8 +265,8 @@ struct Obs {
     /// Per-tenant tables, keyed by client name (sorted iteration gives
     /// the stats doc its deterministic row order).
     tenants: BTreeMap<String, TenantAgg>,
-    /// Per-program latency histograms, keyed by pool hash.
-    session_lat: BTreeMap<String, Histogram>,
+    /// Per-program latency rows, keyed by pool hash.
+    session_lat: BTreeMap<String, LatencyRow>,
     /// The slow-query log, oldest first, capped at [`SLOW_LOG_CAP`].
     slow: VecDeque<SlowQueryRow>,
 }
@@ -557,7 +624,16 @@ impl Server {
         self.cv.notify_all();
     }
 
-    fn enqueue_slice(&self, id: Option<u64>, client: String, req: SliceRequest, out: &SharedOut) {
+    /// Queues a slice for the workers or, when it comes `alone` to an idle
+    /// one-worker daemon, runs it on the calling thread before returning.
+    fn submit_slice(
+        &self,
+        id: Option<u64>,
+        client: String,
+        req: SliceRequest,
+        out: &SharedOut,
+        alone: bool,
+    ) {
         if let ProgramRef::Inline(sources) = &req.program {
             let size = Self::sources_size(sources);
             if size > self.cfg.max_program_bytes {
@@ -610,6 +686,12 @@ impl Server {
             enqueued: Instant::now(),
             out: out.clone(),
         };
+        if alone && self.cfg.workers <= 1 && sched.pending == 0 && sched.in_flight == 0 {
+            sched.in_flight += 1;
+            drop(sched);
+            self.run_job(job);
+            return;
+        }
         match sched.queues.iter_mut().find(|(c, _)| *c == client) {
             Some((_, q)) => q.push_back(job),
             None => sched.queues.push((client, VecDeque::from([job]))),
@@ -623,6 +705,13 @@ impl Server {
     /// slice queries are queued for the workers. Total over arbitrary
     /// input — every failure is a structured error response.
     pub fn ingest(&self, line: &str, out: &SharedOut) -> Ingest {
+        self.ingest_line(line, out, false)
+    }
+
+    /// [`Server::ingest`] for the stream reader, which sets `alone` when
+    /// its input buffer holds nothing after `line`: such a slice may be
+    /// answered on the reader thread (see the module docs).
+    fn ingest_line(&self, line: &str, out: &SharedOut, alone: bool) -> Ingest {
         match parse_request(line) {
             Err(e) => {
                 self.write_err(out, e.id, e.code, &e.message);
@@ -650,7 +739,7 @@ impl Server {
                     Ingest::Shutdown
                 }
                 Op::Slice(sr) => {
-                    self.enqueue_slice(req.id, req.client, sr, out);
+                    self.submit_slice(req.id, req.client, sr, out, alone);
                     Ingest::Continue
                 }
             },
@@ -688,10 +777,21 @@ impl Server {
                     sched = self.cv.wait(sched).unwrap();
                 }
             };
-            self.execute(job);
-            let mut sched = self.sched.lock().unwrap();
-            sched.in_flight -= 1;
-            drop(sched);
+            self.run_job(job);
+        }
+    }
+
+    /// Executes a job already counted in `in_flight`, then retires it.
+    /// Workers wait on the condvar for jobs and the serve loop for the end
+    /// of input, so only a drain waits for a completion: the condvar is
+    /// woken only when this completion ends one.
+    fn run_job(&self, job: Job) {
+        self.execute(job);
+        let mut sched = self.sched.lock().unwrap();
+        sched.in_flight -= 1;
+        let drained = !sched.accepting && sched.pending == 0 && sched.in_flight == 0;
+        drop(sched);
+        if drained {
             self.cv.notify_all();
         }
     }
@@ -1003,7 +1103,11 @@ impl Server {
     /// paths stop intake, drain every queued and in-flight query (each
     /// still receives its response), then return the run's summary —
     /// after writing the `shutdown` acknowledgement when one is owed.
-    pub fn serve<R: BufRead + Send>(&self, input: R, out: SharedOut) -> ServeSummary {
+    ///
+    /// `input` may be any reader: the server buffers it itself, because
+    /// whether a line has input buffered behind it decides which thread
+    /// answers a slice (see the module docs).
+    pub fn serve<R: Read + Send>(&self, input: R, out: SharedOut) -> ServeSummary {
         std::thread::scope(|scope| {
             for _ in 0..self.cfg.workers.max(1) {
                 scope.spawn(|| self.worker_loop());
@@ -1186,8 +1290,9 @@ impl Server {
     /// Reads raw bytes line by line (bounded, lossy UTF-8) and ingests
     /// each. Oversized lines are answered and skipped without being
     /// buffered whole; invalid UTF-8 becomes a parse error response.
-    fn reader_loop<R: BufRead>(&self, mut input: R, out: &SharedOut) {
+    fn reader_loop<R: Read>(&self, input: R, out: &SharedOut) {
         use crate::protocol::MAX_LINE_BYTES;
+        let mut input = BufReader::new(input);
         let mut buf: Vec<u8> = Vec::new();
         loop {
             if self.shutdown.load(Ordering::Relaxed) {
@@ -1217,7 +1322,8 @@ impl Server {
                     if line.trim().is_empty() {
                         continue;
                     }
-                    if let Ingest::Shutdown = self.ingest(line, out) {
+                    let alone = input.buffer().is_empty();
+                    if let Ingest::Shutdown = self.ingest_line(line, out, alone) {
                         return;
                     }
                 }
@@ -1236,5 +1342,111 @@ fn skip_to_newline<R: BufRead>(input: &mut R) -> bool {
             Ok(_) if byte[0] == b'\n' => return true,
             Ok(_) => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SLICE: &str = r#"{"op":"slice","id":1,"sources":[{"name":"t.mj","text":"class Main { static void main() {\nint x = 1;\nprint(x);\n} }"}],"seed":{"file":"t.mj","line":3}}"#;
+
+    /// A server configured for `workers` workers that never start, and
+    /// the bytes it writes.
+    fn idle_server(workers: usize) -> (Server, SharedOut, Arc<Mutex<Vec<u8>>>) {
+        let written = Arc::new(Mutex::new(Vec::new()));
+        let out: SharedOut = written.clone();
+        let cfg = ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        };
+        (Server::new(cfg), out, written)
+    }
+
+    fn pending(server: &Server) -> usize {
+        server.sched.lock().unwrap().pending
+    }
+
+    #[test]
+    fn an_idle_reader_answers_a_lone_slice_itself() {
+        let (server, out, written) = idle_server(1);
+        assert_eq!(server.ingest_line(SLICE, &out, true), Ingest::Continue);
+        let response = String::from_utf8(written.lock().unwrap().clone()).unwrap();
+        assert!(response.contains(r#""op":"slice""#), "{response}");
+        assert!(response.contains(r#""ok":true"#), "{response}");
+        assert_eq!(pending(&server), 0);
+        assert_eq!(server.sched.lock().unwrap().in_flight, 0);
+    }
+
+    #[test]
+    fn a_slice_with_input_behind_it_is_queued() {
+        let (server, out, written) = idle_server(1);
+        server.ingest_line(SLICE, &out, false);
+        assert_eq!(pending(&server), 1);
+        assert!(written.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_lone_slice_is_queued_while_the_daemon_is_busy() {
+        let (server, out, written) = idle_server(1);
+        server.ingest_line(SLICE, &out, false);
+        server.ingest_line(SLICE, &out, true);
+        assert_eq!(pending(&server), 2, "queued behind a queued job");
+        assert!(written.lock().unwrap().is_empty());
+
+        let (server, out, written) = idle_server(1);
+        server.sched.lock().unwrap().in_flight = 1;
+        server.ingest_line(SLICE, &out, true);
+        assert_eq!(pending(&server), 1, "queued while a job executes");
+        assert!(written.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_lone_slice_is_queued_when_more_than_one_worker_could_run_it() {
+        let (server, out, written) = idle_server(2);
+        server.ingest_line(SLICE, &out, true);
+        assert_eq!(pending(&server), 1);
+        assert!(written.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn ingest_always_queues() {
+        let (server, out, written) = idle_server(1);
+        server.ingest(SLICE, &out);
+        assert_eq!(pending(&server), 1);
+        assert!(written.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn latency_rows_keep_running_totals_and_a_bounded_window() {
+        let mut row = LatencyRow::default();
+        let samples: Vec<f64> = (0..10_000u32).map(|i| f64::from(10_000 - i)).collect();
+        let mut newest = Histogram::new();
+        for &v in &samples {
+            row.record(v);
+        }
+        for &v in &samples[samples.len() - LATENCY_WINDOW..] {
+            newest.record(v);
+        }
+        let s = row.summary();
+        assert_eq!(s.count, 10_000);
+        assert_eq!(s.sum, samples.iter().sum::<f64>());
+        assert_eq!(s.max, 10_000.0);
+        assert_eq!(
+            (s.p50, s.p95),
+            (newest.percentile(50.0), newest.percentile(95.0))
+        );
+        assert_eq!((s.p50, s.p95), (512.0, 973.0));
+        assert_eq!(row.window.len(), LATENCY_WINDOW);
+
+        let mut one = LatencyRow::default();
+        one.record(7.0);
+        assert_eq!(one.window.len(), 1, "a row holds only the slots it used");
+        assert!(one.window.capacity() < LATENCY_WINDOW);
+        let s = one.summary();
+        assert_eq!(
+            (s.count, s.sum, s.p50, s.p95, s.max),
+            (1, 7.0, 7.0, 7.0, 7.0)
+        );
     }
 }

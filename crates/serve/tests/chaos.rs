@@ -56,12 +56,13 @@ fn run_script(cfg: ServeConfig, script: &[String]) -> (Vec<String>, ServeSummary
 }
 
 /// Feeds a script one line at a time, yielding line N+1 only once N
-/// responses are in the sink. Synchronous ops (load/reload/stats) are
-/// handled inline on the reader thread while slice queries run on
-/// workers, so an unpaced script can race a reload against a slice that
-/// is still checked out; lockstep pacing makes such scripts
-/// deterministic. Requires every request to produce exactly one
-/// response line.
+/// responses are in the sink: a closed-loop client. Synchronous ops
+/// (load/reload/stats) are handled inline on the reader thread, so an
+/// unpaced script can race a reload against a slice still queued for a
+/// worker. Under lockstep pacing the daemon is idle and nothing is
+/// buffered behind each line, so at one worker every slice is answered
+/// on the reader thread too, in script order. Requires every request to
+/// produce exactly one response line.
 struct LockstepInput {
     lines: Vec<Vec<u8>>,
     next: usize,
@@ -111,7 +112,7 @@ fn run_script_lockstep(cfg: ServeConfig, script: &[String]) -> (Vec<String>, Ser
         sink: sink.clone(),
         pending: Vec::new(),
     };
-    let summary = server.serve(std::io::BufReader::new(input), out);
+    let summary = server.serve(input, out);
     let bytes = sink.0.lock().unwrap().clone();
     let lines: Vec<String> = String::from_utf8(bytes)
         .expect("responses are UTF-8")
@@ -122,6 +123,31 @@ fn run_script_lockstep(cfg: ServeConfig, script: &[String]) -> (Vec<String>, Ser
         validate_response_line(line).unwrap_or_else(|e| panic!("invalid response {line:?}: {e}"));
     }
     (lines, summary)
+}
+
+/// Runs a script paced both ways: pipelined ([`run_script`], most slices
+/// queued for a worker) and closed-loop ([`run_script_lockstep`], where a
+/// one-worker config answers every slice on the reader thread). Asserts
+/// that the two runs give the same summary and the same answers, and
+/// returns the pipelined run.
+fn run_both(cfg: ServeConfig, script: &[String]) -> (Vec<String>, ServeSummary) {
+    let (lines, summary) = run_script(cfg.clone(), script);
+    let (closed_lines, closed_summary) = run_script_lockstep(cfg, script);
+    assert_eq!(
+        answers(&lines),
+        answers(&closed_lines),
+        "pipelined ≡ closed-loop answers"
+    );
+    assert_eq!(summary, closed_summary, "pipelined ≡ closed-loop summary");
+    (lines, summary)
+}
+
+/// Load, slice and error responses by id: everything but `status` and
+/// `shutdown`, whose counters depend on load.
+fn answers(lines: &[String]) -> std::collections::BTreeMap<u64, String> {
+    let mut map = by_id(lines);
+    map.retain(|_, line| !matches!(field(line, "op").as_str(), Some("status" | "shutdown")));
+    map
 }
 
 /// Indexes responses by id (every scripted request carries a unique id).
@@ -255,7 +281,7 @@ fn injected_panic_quarantines_rebuilds_and_siblings_stay_bit_identical() {
         .map(|l| l.replace(r#","chaos":{"panics":3}"#, ""))
         .collect();
 
-    let (f_lines, f_summary) = run_script(chaos_cfg(), &faulted);
+    let (f_lines, f_summary) = run_both(chaos_cfg(), &faulted);
     let (c_lines, c_summary) = run_script(chaos_cfg(), &clean);
     let f = by_id(&f_lines);
     let c = by_id(&c_lines);
@@ -296,7 +322,7 @@ fn single_panic_recovers_via_retry_with_identical_response() {
         .iter()
         .map(|l| l.replace(r#","chaos":{"panics":1}"#, ""))
         .collect();
-    let (f_lines, f_summary) = run_script(chaos_cfg(), &faulted);
+    let (f_lines, f_summary) = run_both(chaos_cfg(), &faulted);
     let (c_lines, _) = run_script(chaos_cfg(), &clean);
     assert_eq!(f_summary.panics, 1);
     assert_eq!(f_summary.errors, 0, "the retry hid the fault entirely");
@@ -320,7 +346,7 @@ fn config_level_fault_injection_extends_batch_fault_shape() {
         }),
         ..ServeConfig::default()
     };
-    let (f_lines, f_summary) = run_script(cfg, &script);
+    let (f_lines, f_summary) = run_both(cfg, &script);
     let (c_lines, _) = run_script(ServeConfig::default(), &script);
     assert_eq!(f_summary.panics, 1);
     assert_eq!(f_summary.errors, 0);
@@ -465,7 +491,7 @@ fn admission_ladder_degrades_cs_to_ci_then_truncates_fleet_wide() {
         ..ServeConfig::default()
     };
     let script = vec![slice(1, 1, 4, r#","engine":"cs""#), shutdown(2)];
-    let (lines, _) = run_script(cfg, &script);
+    let (lines, _) = run_both(cfg, &script);
     let map = by_id(&lines);
     assert_eq!(field(&map[&1], "admission"), Json::Str("degrade-ci".into()));
     assert_eq!(field(&map[&1], "engine"), Json::Str("ci".into()));
@@ -478,7 +504,7 @@ fn admission_ladder_degrades_cs_to_ci_then_truncates_fleet_wide() {
         truncate_step_cap: 1,
         ..ServeConfig::default()
     };
-    let (lines, summary) = run_script(cfg, &script.clone());
+    let (lines, summary) = run_both(cfg, &script);
     let map = by_id(&lines);
     assert_eq!(field(&map[&1], "admission"), Json::Str("truncate".into()));
     assert_eq!(
@@ -502,7 +528,7 @@ fn per_client_budget_sheds_the_heavy_tenant_only() {
         with_client(3, "light"),
         shutdown(4),
     ];
-    let (lines, _) = run_script(cfg, &script);
+    let (lines, _) = run_both(cfg, &script);
     let map = by_id(&lines);
     assert_eq!(field(&map[&1], "admission"), Json::Str("full".into()));
     assert_eq!(
