@@ -15,8 +15,8 @@
 //! shared by those binaries, so the logic is unit-testable.
 
 use std::time::{Duration, Instant};
-use thinslice::Analysis;
-use thinslice_pta::{ModRef, ProgramStats, PtaConfig};
+use thinslice::{AnalysisSession, Engine, Query, RunCtx, SliceKind};
+use thinslice_pta::{ProgramStats, PtaConfig};
 use thinslice_sdg::SdgStats;
 use thinslice_suite::{run_task, Benchmark, Task, TaskResult};
 
@@ -39,12 +39,13 @@ pub fn table1_rows() -> Vec<Table1Row> {
         .into_iter()
         .map(|b| {
             let start = Instant::now();
-            let a = b.analyze(PtaConfig::default());
+            let mut session = b.session(PtaConfig::default(), RunCtx::disabled());
+            let (program, pta, graph) = session.ci_parts();
             let analysis_time = start.elapsed();
             Table1Row {
                 name: b.name.to_string(),
-                stats: ProgramStats::compute(&a.program, &a.pta),
-                sdg: SdgStats::compute(&a.sdg),
+                stats: ProgramStats::compute(program, pta),
+                sdg: SdgStats::compute(graph),
                 analysis_time,
             }
         })
@@ -79,10 +80,10 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
 }
 
 /// Computes the rows for Table 2 or Table 3 from a task list, grouping the
-/// (expensive) analyses per benchmark.
+/// (expensive) sessions per benchmark.
 pub fn run_tasks(tasks: &[Task]) -> Vec<TaskResult> {
     let mut rows = Vec::new();
-    let mut current: Option<(Benchmark, Analysis, Analysis)> = None;
+    let mut current: Option<(Benchmark, AnalysisSession, AnalysisSession)> = None;
     for task in tasks {
         let needs_new = current
             .as_ref()
@@ -91,11 +92,11 @@ pub fn run_tasks(tasks: &[Task]) -> Vec<TaskResult> {
         if needs_new {
             let b = thinslice_suite::benchmark_named(task.benchmark)
                 .unwrap_or_else(|| panic!("unknown benchmark {}", task.benchmark));
-            let precise = b.analyze(PtaConfig::default());
-            let noobjsens = b.analyze(PtaConfig::without_object_sensitivity());
+            let precise = b.session(PtaConfig::default(), RunCtx::disabled());
+            let noobjsens = b.session(PtaConfig::without_object_sensitivity(), RunCtx::disabled());
             current = Some((b, precise, noobjsens));
         }
-        let (b, precise, noobjsens) = current.as_ref().unwrap();
+        let (b, precise, noobjsens) = current.as_mut().unwrap();
         rows.push(run_task(b, task, precise, noobjsens));
     }
     rows
@@ -190,9 +191,10 @@ pub struct ScalabilityRow {
     pub label: String,
     /// Pointer analysis + call graph time.
     pub pta_time: Duration,
-    /// CI SDG construction time.
+    /// CI SDG construction time, the freeze into the query graph included.
     pub ci_sdg_time: Duration,
-    /// Mean time of a CI thin slice (averaged over seeds).
+    /// Mean time of one CI thin-slice query on the warm session (averaged
+    /// over seeds).
     pub thin_slice_time: Duration,
     /// CI SDG total nodes.
     pub ci_nodes: usize,
@@ -202,50 +204,44 @@ pub struct ScalabilityRow {
     pub cs_heap_param_nodes: usize,
 }
 
-/// Measures one program for the scalability table.
+/// Measures one program for the scalability table, stage by stage through
+/// one session.
 pub fn measure_scalability(label: &str, sources: &[(&str, &str)]) -> ScalabilityRow {
     let program = thinslice_ir::compile(sources).expect("program compiles");
+    let mut session =
+        AnalysisSession::from_program(program, PtaConfig::default(), RunCtx::disabled());
     let t0 = Instant::now();
-    let pta = thinslice_pta::Pta::analyze(&program, PtaConfig::default());
+    session.pta();
     let pta_time = t0.elapsed();
     let t1 = Instant::now();
-    let sdg = thinslice_sdg::build_ci(&program, &pta);
+    session.ci_graph();
     let ci_sdg_time = t1.elapsed();
 
-    let modref = ModRef::compute(&program, &pta);
-    let cs = thinslice_sdg::build_cs(&program, &pta, &modref);
-    let ci_stats = SdgStats::compute(&sdg);
-    let cs_stats = SdgStats::compute(&cs);
-
-    // Slice from every print statement (the natural seeds) through the
-    // façade's single-query thin slice: the BFS over the frozen graph,
-    // with the freeze outside the timer.
-    let csr = sdg.freeze();
-    let analysis = Analysis {
-        program,
-        pta,
-        sdg,
-        csr,
-    };
-    let program = &analysis.program;
-    let seeds: Vec<_> = program
+    // Slice from every print statement (the natural seeds), one query per
+    // seed on the warm session: graphs built before the timer, scratch
+    // reused across queries.
+    let (program, _, graph) = session.ci_parts();
+    let ci_stats = SdgStats::compute(graph);
+    let queries: Vec<Query> = program
         .all_stmts()
         .filter(|s| {
             matches!(
                 program.instr(*s).kind,
                 thinslice_ir::InstrKind::Print { .. }
-            ) && analysis.sdg.stmt_node(*s).is_some()
+            ) && graph.stmt_node(*s).is_some()
         })
+        .map(|s| Query::new(vec![s], SliceKind::Thin, Engine::Ci))
         .collect();
     let t2 = Instant::now();
-    for &seed in &seeds {
-        std::hint::black_box(analysis.thin_slice(&[seed]));
+    for q in &queries {
+        std::hint::black_box(session.query(q));
     }
-    let thin_slice_time = if seeds.is_empty() {
+    let thin_slice_time = if queries.is_empty() {
         Duration::ZERO
     } else {
-        t2.elapsed() / seeds.len() as u32
+        t2.elapsed() / queries.len() as u32
     };
+    let cs_stats = SdgStats::compute(session.cs_graph());
 
     ScalabilityRow {
         label: label.to_string(),

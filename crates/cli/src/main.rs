@@ -24,8 +24,8 @@
 
 use std::process::ExitCode;
 use thinslice::{
-    report, AnalysisSession, BatchOptions, Budget, Engine, Query, RunCtx, RunReport, SliceKind,
-    Telemetry,
+    report, AnalysisSession, BatchOptions, Budget, Engine, Query, QueryPolicy, RunCtx, RunReport,
+    SliceKind, Telemetry,
 };
 use thinslice_interp::{dynamic_thin_slice, run_ctx as interp_run, ExecConfig};
 use thinslice_ir::pretty;
@@ -287,10 +287,35 @@ fn load(o: &Options, ctx: &RunCtx) -> Result<AnalysisSession, String> {
     load_with_snapshot(o, ctx).map(|(s, _)| s)
 }
 
+/// [`open`] followed, under governance, by the analysis build and a
+/// warning for each stage the budget cut short.
 fn load_with_snapshot(
     o: &Options,
     ctx: &RunCtx,
 ) -> Result<(AnalysisSession, Option<SnapshotPersist>), String> {
+    let (mut session, snapshot) = open(o, ctx)?;
+    if o.governed() {
+        let build = session.build_report();
+        if !build.pta.is_complete() {
+            eprintln!(
+                "warning: points-to solve {}; the call graph is partial",
+                build.pta
+            );
+        }
+        if !build.sdg.is_complete() {
+            eprintln!(
+                "warning: SDG construction {}; some dependences are missing",
+                build.sdg
+            );
+        }
+    }
+    Ok((session, snapshot))
+}
+
+/// Reads the input files and opens a session on them, restored from the
+/// snapshot directory when it holds one for these sources. Builds no
+/// analysis stage.
+fn open(o: &Options, ctx: &RunCtx) -> Result<(AnalysisSession, Option<SnapshotPersist>), String> {
     let mut sources: Vec<(String, String)> = Vec::new();
     for f in &o.files {
         let text = std::fs::read_to_string(f).map_err(|e| format!("{f}: {e}"))?;
@@ -316,27 +341,12 @@ fn load_with_snapshot(
     let warm = snapshot
         .as_ref()
         .and_then(|sn| sn.store.load(&sn.key, config.clone(), ctx.clone()));
-    let mut session = match warm {
+    let session = match warm {
         Some(session) => session,
         None => {
             AnalysisSession::with_ctx(&borrowed, config, ctx.clone()).map_err(|e| e.to_string())?
         }
     };
-    if o.governed() {
-        let build = session.build_report();
-        if !build.pta.is_complete() {
-            eprintln!(
-                "warning: points-to solve {}; the call graph is partial",
-                build.pta
-            );
-        }
-        if !build.sdg.is_complete() {
-            eprintln!(
-                "warning: SDG construction {}; some dependences are missing",
-                build.sdg
-            );
-        }
-    }
     Ok((session, snapshot))
 }
 
@@ -1180,11 +1190,19 @@ fn cmd_slice(o: &Options, ctx: &RunCtx) -> Result<(), String> {
 fn cmd_explain(o: &Options, ctx: &RunCtx) -> Result<(), String> {
     let mut s = load(o, ctx)?;
     let seeds = resolve_seed(&mut s, o)?;
-    let a = s.into_analysis();
+    // The thin slice whose heap flows are explained is not governed; the
+    // explanations are.
+    let unbudgeted = QueryPolicy {
+        budget: Some(Budget::unlimited()),
+        ..QueryPolicy::default()
+    };
+    let thin =
+        s.query(&Query::new(seeds.clone(), SliceKind::Thin, Engine::Ci).with_policy(unbudgeted));
+    let (program, pta, graph) = s.ci_parts();
     // Control dependences of the seed.
     let mut ctrl = Vec::new();
     for &st in &seeds {
-        for c in thinslice::expand::exposed_control_deps(&a.sdg, st) {
+        for c in thinslice::expand::exposed_control_deps(graph, st) {
             if !ctrl.contains(&c) {
                 ctrl.push(c);
             }
@@ -1195,24 +1213,23 @@ fn cmd_explain(o: &Options, ctx: &RunCtx) -> Result<(), String> {
         println!("  (none — the seed is unconditionally executed)");
     }
     for c in &ctrl {
-        println!("  {}", pretty::stmt_str(&a.program, *c));
+        println!("  {}", pretty::stmt_str(program, *c));
     }
     // Heap-flow pairs of the thin slice and their aliasing explanations.
-    let thin = a.thin_slice(&seeds);
-    let pairs = thinslice::expand::heap_flow_pairs(&a.program, &a.sdg, &thin);
+    let pairs = thinslice::expand::heap_flow_pairs(program, graph, &thin.stmts);
     println!("\nheap-based value flow in the thin slice (paper 4.1):");
     if pairs.is_empty() {
         println!("  (none — the value never travels through the heap)");
     }
     for (load, store) in pairs {
-        println!("  load : {}", pretty::stmt_str(&a.program, load));
-        println!("  store: {}", pretty::stmt_str(&a.program, store));
-        match thinslice::explain_aliasing_ctx(&a.program, &a.pta, &a.sdg, load, store, ctx) {
+        println!("  load : {}", pretty::stmt_str(program, load));
+        println!("  store: {}", pretty::stmt_str(program, store));
+        match thinslice::explain_aliasing_ctx(program, pta, graph, load, store, ctx) {
             Ok(e) => {
                 let e = e.result;
                 println!("  common objects: {}", e.common_objects.len());
                 for st in e.statements() {
-                    println!("    {}", pretty::stmt_str(&a.program, st));
+                    println!("    {}", pretty::stmt_str(program, st));
                 }
             }
             Err(err) => println!("  (no explanation: {err})"),
@@ -1222,14 +1239,16 @@ fn cmd_explain(o: &Options, ctx: &RunCtx) -> Result<(), String> {
     Ok(())
 }
 
+/// Interprets the program; builds no analysis stage.
 fn cmd_run(o: &Options, ctx: &RunCtx) -> Result<(), String> {
-    let a = load(o, ctx)?.into_analysis();
+    let (s, _) = open(o, ctx)?;
+    let program = s.program();
     let config = ExecConfig {
         lines: o.lines.clone(),
         ints: o.ints.clone(),
         ..ExecConfig::default()
     };
-    let exec = interp_run(&a.program, &config, ctx);
+    let exec = interp_run(program, &config, ctx);
     for (_, text) in &exec.prints {
         println!("{text}");
     }
@@ -1248,7 +1267,7 @@ fn cmd_run(o: &Options, ctx: &RunCtx) -> Result<(), String> {
             let mut stmts: Vec<_> = slice.stmts.iter().copied().collect();
             stmts.sort();
             for st in stmts {
-                println!("  {}", pretty::stmt_str(&a.program, st));
+                println!("  {}", pretty::stmt_str(program, st));
             }
         } else {
             println!("(nothing printed — no dynamic slice)");
@@ -1258,9 +1277,10 @@ fn cmd_run(o: &Options, ctx: &RunCtx) -> Result<(), String> {
 }
 
 fn cmd_info(o: &Options, ctx: &RunCtx) -> Result<(), String> {
-    let a = load(o, ctx)?.into_analysis();
-    let stats = thinslice_pta::ProgramStats::compute(&a.program, &a.pta);
-    let sdg_stats = thinslice_sdg::SdgStats::compute(&a.sdg);
+    let mut s = load(o, ctx)?;
+    let (program, pta, graph) = s.ci_parts();
+    let stats = thinslice_pta::ProgramStats::compute(program, pta);
+    let sdg_stats = thinslice_sdg::SdgStats::compute(graph);
     println!("classes:               {}", stats.classes);
     println!("reachable methods:     {}", stats.methods);
     println!("call-graph nodes:      {}", stats.cg_nodes);

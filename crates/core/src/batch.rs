@@ -441,8 +441,9 @@ mod tests {
     use super::*;
     use crate::slice::slice_sparse;
     use crate::tabulation::{cs_oneshot, DownConsumers};
-    use crate::Analysis;
-    use thinslice_sdg::DepGraph;
+    use thinslice_ir::{compile, Program};
+    use thinslice_pta::{Pta, PtaConfig};
+    use thinslice_sdg::{build_ci, DepGraph, Sdg};
     use thinslice_util::Meter;
 
     /// Sequential oracle: the one-shot CI slice over the growable graph.
@@ -494,8 +495,16 @@ mod tests {
         .collect()
     }
 
-    fn setup() -> Analysis {
-        Analysis::build(&[(
+    /// The test program with its growable CI graph (the sequential
+    /// oracles' input) and the same graph frozen (the batches' input).
+    struct Fixture {
+        program: Program,
+        sdg: Sdg,
+        csr: FrozenSdg,
+    }
+
+    fn setup() -> Fixture {
+        let program = compile(&[(
             "t.mj",
             "class Box { Object item;
                 void fill(Object o) { this.item = o; }
@@ -512,10 +521,14 @@ mod tests {
                 print(y);
              } }",
         )])
-        .unwrap()
+        .unwrap();
+        let pta = Pta::analyze(&program, PtaConfig::default());
+        let sdg = build_ci(&program, &pta);
+        let csr = sdg.freeze();
+        Fixture { program, sdg, csr }
     }
 
-    fn all_print_queries(a: &Analysis) -> Vec<Vec<NodeId>> {
+    fn all_print_queries(a: &Fixture) -> Vec<Vec<NodeId>> {
         use thinslice_ir::InstrKind;
         a.program
             .all_stmts()

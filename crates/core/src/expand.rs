@@ -12,12 +12,18 @@
 //!   statements.
 //!
 //! Repeating these expansions in the limit yields the traditional slice.
+//!
+//! Every expansion walks the frozen context-insensitive graph, the one
+//! CI queries walk ([`crate::AnalysisSession::ci_parts`] lends it with
+//! the program and the points-to result), so a session restored from a
+//! snapshot explains without rebuilding its growable graph.
 
-use crate::slice::{slice_sparse, Slice, SliceKind, SliceScratch};
+use crate::slice::{slice_dense, SliceKind, SliceScratch};
+use crate::stmtset::StmtSet;
 use thinslice_ir::{InstrKind, MethodId, Program, StmtRef, Var};
 use thinslice_pta::{AllocSite, ObjId, Pta};
-use thinslice_sdg::{EdgeKind, NodeId, NodeKind, Sdg};
-use thinslice_util::{Completeness, FxHashSet, Meter, Outcome, RunCtx};
+use thinslice_sdg::{DepGraph, EdgeKind, FrozenSdg, NodeId, NodeKind};
+use thinslice_util::{Completeness, Meter, Outcome, RunCtx};
 
 /// The result of explaining one heap-based flow in a thin slice.
 #[derive(Debug, Clone)]
@@ -91,11 +97,11 @@ fn base_of(program: &Program, s: StmtRef) -> Option<(MethodId, Var)> {
 pub fn explain_aliasing(
     program: &Program,
     pta: &Pta,
-    sdg: &Sdg,
+    graph: &FrozenSdg,
     load: StmtRef,
     store: StmtRef,
 ) -> Result<AliasExplanation, ExpandError> {
-    explain_inner(program, pta, sdg, load, store, &mut Meter::unlimited()).map(|o| o.result)
+    explain_inner(program, pta, graph, load, store, &mut Meter::unlimited()).map(|o| o.result)
 }
 
 /// [`explain_aliasing`] under a [`RunCtx`]: the context's telemetry gets an
@@ -113,14 +119,14 @@ pub fn explain_aliasing(
 pub fn explain_aliasing_ctx(
     program: &Program,
     pta: &Pta,
-    sdg: &Sdg,
+    graph: &FrozenSdg,
     load: StmtRef,
     store: StmtRef,
     ctx: &RunCtx,
 ) -> Result<Outcome<AliasExplanation>, ExpandError> {
     let tel = ctx.telemetry();
     let mut span = tel.span("expand.explain_aliasing");
-    let out = explain_inner(program, pta, sdg, load, store, &mut ctx.meter());
+    let out = explain_inner(program, pta, graph, load, store, &mut ctx.meter());
     match &out {
         Ok(exp) => {
             span.add(
@@ -143,7 +149,7 @@ pub fn explain_aliasing_ctx(
 fn explain_inner(
     program: &Program,
     pta: &Pta,
-    sdg: &Sdg,
+    graph: &FrozenSdg,
     load: StmtRef,
     store: StmtRef,
     meter: &mut Meter,
@@ -160,7 +166,7 @@ fn explain_inner(
     let (load_base_flow, c1) = base_pointer_flow(
         program,
         pta,
-        sdg,
+        graph,
         lm,
         lbase,
         &common_vec,
@@ -170,7 +176,7 @@ fn explain_inner(
     let (store_base_flow, c2) = base_pointer_flow(
         program,
         pta,
-        sdg,
+        graph,
         sm,
         sbase,
         &common_vec,
@@ -197,16 +203,15 @@ fn explain_inner(
 fn base_pointer_flow(
     program: &Program,
     pta: &Pta,
-    sdg: &Sdg,
+    graph: &FrozenSdg,
     method: MethodId,
     base: Var,
     objects: &[ObjId],
     scratch: &mut SliceScratch,
     meter: &mut Meter,
 ) -> (Vec<StmtRef>, Completeness) {
-    let seeds = def_nodes_of(program, sdg, method, base);
-    let (slice, completeness): (Slice, Completeness) =
-        slice_sparse(sdg, &seeds, SliceKind::Thin, scratch, meter);
+    let seeds = def_nodes_of(program, pta, graph, method, base);
+    let (slice, completeness) = slice_dense(graph, &seeds, SliceKind::Thin, scratch, false, meter);
     let stmts = slice
         .stmts
         .iter()
@@ -216,24 +221,29 @@ fn base_pointer_flow(
     (stmts, completeness)
 }
 
-/// The SDG nodes to seed a base-pointer flow question at: the SSA
-/// definition of the variable (all clones), or its formal-parameter nodes.
-fn def_nodes_of(program: &Program, sdg: &Sdg, method: MethodId, v: Var) -> Vec<NodeId> {
+/// The graph nodes to seed a base-pointer flow question at: the SSA
+/// definition of the variable (all clones), or its formal-parameter nodes
+/// in every instance of `method`, in node order.
+fn def_nodes_of(
+    program: &Program,
+    pta: &Pta,
+    graph: &FrozenSdg,
+    method: MethodId,
+    v: Var,
+) -> Vec<NodeId> {
     let body = program.methods[method].body.as_ref().expect("body");
     for (loc, instr) in body.instrs() {
         if instr.kind.def() == Some(v) {
             let sr = StmtRef { method, loc };
-            return sdg.stmt_nodes_of(sr).to_vec();
+            return graph.stmt_nodes_of(sr).to_vec();
         }
     }
     if let Some(idx) = body.params.iter().position(|p| *p == v) {
-        return sdg
-            .nodes()
-            .filter_map(|(n, k)| match k {
-                NodeKind::FormalParam(_, i) if *i == idx as u32 && sdg.method_of(n) == method => {
-                    Some(n)
-                }
-                _ => None,
+        return (0..graph.node_count())
+            .map(NodeId::new)
+            .filter(|&n| {
+                matches!(graph.node(n), NodeKind::FormalParam(inst, i)
+                    if i == idx as u32 && pta.callgraph.node(inst).0 == method)
             })
             .collect();
     }
@@ -285,12 +295,12 @@ fn stmt_touches_objects(program: &Program, pta: &Pta, s: StmtRef, objects: &[Obj
 /// The controlling conditionals of `stmt` (paper §4.2): the Control-edge
 /// targets of its node. These are the "lexically close" branches a user
 /// would discover by reading the code around a thin-slice statement.
-pub fn exposed_control_deps(sdg: &Sdg, stmt: StmtRef) -> Vec<StmtRef> {
+pub fn exposed_control_deps(graph: &FrozenSdg, stmt: StmtRef) -> Vec<StmtRef> {
     let mut out = Vec::new();
-    for &n in sdg.stmt_nodes_of(stmt) {
-        for e in sdg.deps(n) {
+    for &n in graph.stmt_nodes_of(stmt) {
+        for e in graph.deps(n) {
             if matches!(e.kind, EdgeKind::Control) {
-                if let Some(s) = sdg.node(e.target).as_stmt() {
+                if let Some(s) = graph.node(e.target).as_stmt() {
                     if !out.contains(&s) {
                         out.push(s);
                     }
@@ -301,13 +311,18 @@ pub fn exposed_control_deps(sdg: &Sdg, stmt: StmtRef) -> Vec<StmtRef> {
     out
 }
 
-/// Statements that pass through heap-based flow inside a thin slice: pairs
-/// of (load, store) connected by a producer heap edge. These are the points
-/// a user may ask [`explain_aliasing`] about.
-pub fn heap_flow_pairs(program: &Program, sdg: &Sdg, slice: &Slice) -> Vec<(StmtRef, StmtRef)> {
-    let in_slice: FxHashSet<StmtRef> = slice.stmt_set();
+/// Statements that pass through heap-based flow inside a thin slice (the
+/// `stmts` of its answer): pairs of (load, store) connected by a producer
+/// heap edge. These are the points a user may ask [`explain_aliasing`]
+/// about.
+pub fn heap_flow_pairs(
+    program: &Program,
+    graph: &FrozenSdg,
+    stmts: &StmtSet,
+) -> Vec<(StmtRef, StmtRef)> {
+    let in_slice = stmts.to_hash_set();
     let mut out = Vec::new();
-    for &s in &slice.stmts {
+    for &s in stmts {
         let is_load = matches!(
             program.instr(s).kind,
             InstrKind::Load { .. } | InstrKind::ArrayLoad { .. }
@@ -315,8 +330,8 @@ pub fn heap_flow_pairs(program: &Program, sdg: &Sdg, slice: &Slice) -> Vec<(Stmt
         if !is_load {
             continue;
         }
-        for &n in sdg.stmt_nodes_of(s) {
-            for e in sdg.deps(n) {
+        for &n in graph.stmt_nodes_of(s) {
+            for e in graph.deps(n) {
                 if !matches!(
                     e.kind,
                     EdgeKind::Flow {
@@ -325,7 +340,7 @@ pub fn heap_flow_pairs(program: &Program, sdg: &Sdg, slice: &Slice) -> Vec<(Stmt
                 ) {
                     continue;
                 }
-                if let Some(t) = sdg.node(e.target).as_stmt() {
+                if let Some(t) = graph.node(e.target).as_stmt() {
                     let is_store = matches!(
                         program.instr(t).kind,
                         InstrKind::Store { .. } | InstrKind::ArrayStore { .. }
@@ -347,16 +362,13 @@ mod tests {
     use thinslice_pta::PtaConfig;
     use thinslice_sdg::build_ci;
 
-    /// The historical one-shot thin slice, over the new internal loop.
-    fn slice_from(sdg: &Sdg, seeds: &[NodeId], kind: SliceKind) -> Slice {
-        slice_sparse(
-            sdg,
-            seeds,
-            kind,
-            &mut SliceScratch::new(),
-            &mut Meter::unlimited(),
-        )
-        .0
+    /// A one-shot thin slice's statements.
+    fn thin_from(graph: &FrozenSdg, seed: NodeId) -> StmtSet {
+        let mut meter = Meter::unlimited();
+        let scratch = &mut SliceScratch::new();
+        slice_dense(graph, &[seed], SliceKind::Thin, scratch, false, &mut meter)
+            .0
+            .stmts
     }
 
     /// The paper's Figure 4 shape: a File is closed through one alias and
@@ -381,11 +393,11 @@ mod tests {
         }
     } }";
 
-    fn setup() -> (thinslice_ir::Program, Pta, Sdg) {
+    fn setup() -> (thinslice_ir::Program, Pta, FrozenSdg) {
         let p = compile(&[("t.mj", FILE_PROGRAM)]).unwrap();
         let pta = Pta::analyze(&p, PtaConfig::default());
-        let sdg = build_ci(&p, &pta);
-        (p, pta, sdg)
+        let graph = build_ci(&p, &pta).freeze();
+        (p, pta, graph)
     }
 
     fn open_field_access(p: &thinslice_ir::Program, load: bool, in_method: &str) -> StmtRef {
@@ -405,25 +417,23 @@ mod tests {
 
     #[test]
     fn thin_slice_finds_producers_of_open_flag() {
-        let (p, pta, sdg) = setup();
+        let (p, _, graph) = setup();
         // Seed: the load of `open` in isOpen.
         let load = open_field_access(&p, true, "isOpen");
-        let seed = sdg.stmt_node(load).unwrap();
-        let thin = slice_from(&sdg, &[seed], SliceKind::Thin);
+        let thin = thin_from(&graph, graph.stmt_node(load).unwrap());
         // Producers: the store in the constructor and in closeFile.
         let ctor_store = open_field_access(&p, false, "<init>");
         let close_store = open_field_access(&p, false, "closeFile");
         assert!(thin.contains(ctor_store));
         assert!(thin.contains(close_store));
-        let _ = pta;
     }
 
     #[test]
     fn explain_aliasing_reveals_container_flow() {
-        let (p, pta, sdg) = setup();
+        let (p, pta, graph) = setup();
         let load = open_field_access(&p, true, "isOpen");
         let store = open_field_access(&p, false, "closeFile");
-        let exp = explain_aliasing(&p, &pta, &sdg, load, store).unwrap();
+        let exp = explain_aliasing(&p, &pta, &graph, load, store).unwrap();
         assert_eq!(
             exp.common_objects.len(),
             1,
@@ -471,7 +481,7 @@ mod tests {
         } }";
         let p = compile(&[("t.mj", src)]).unwrap();
         let pta = Pta::analyze(&p, PtaConfig::default());
-        let sdg = build_ci(&p, &pta);
+        let graph = build_ci(&p, &pta).freeze();
         let load = p
             .all_stmts()
             .find(|s| matches!(p.instr(*s).kind, InstrKind::Load { .. }))
@@ -481,44 +491,43 @@ mod tests {
             .find(|s| matches!(p.instr(*s).kind, InstrKind::Store { .. }))
             .unwrap();
         assert!(matches!(
-            explain_aliasing(&p, &pta, &sdg, load, store),
+            explain_aliasing(&p, &pta, &graph, load, store),
             Err(ExpandError::NoCommonObjects)
         ));
     }
 
     #[test]
     fn not_a_heap_access_is_rejected() {
-        let (p, pta, sdg) = setup();
+        let (p, pta, graph) = setup();
         let print_like = p
             .all_stmts()
             .find(|s| matches!(p.instr(*s).kind, InstrKind::Throw { .. }))
             .unwrap();
         let store = open_field_access(&p, false, "closeFile");
         assert!(matches!(
-            explain_aliasing(&p, &pta, &sdg, print_like, store),
+            explain_aliasing(&p, &pta, &graph, print_like, store),
             Err(ExpandError::NotAHeapAccess(_))
         ));
     }
 
     #[test]
     fn control_deps_exposed_on_demand() {
-        let (p, _, sdg) = setup();
+        let (p, _, graph) = setup();
         let throw_stmt = p
             .all_stmts()
             .find(|s| matches!(p.instr(*s).kind, InstrKind::Throw { .. }))
             .unwrap();
-        let ctrl = exposed_control_deps(&sdg, throw_stmt);
+        let ctrl = exposed_control_deps(&graph, throw_stmt);
         assert_eq!(ctrl.len(), 1, "the throw is controlled by the `if (!open)`");
         assert!(matches!(p.instr(ctrl[0]).kind, InstrKind::If { .. }));
     }
 
     #[test]
     fn heap_flow_pairs_found_in_thin_slice() {
-        let (p, _, sdg) = setup();
+        let (p, _, graph) = setup();
         let load = open_field_access(&p, true, "isOpen");
-        let seed = sdg.stmt_node(load).unwrap();
-        let thin = slice_from(&sdg, &[seed], SliceKind::Thin);
-        let pairs = heap_flow_pairs(&p, &sdg, &thin);
+        let thin = thin_from(&graph, graph.stmt_node(load).unwrap());
+        let pairs = heap_flow_pairs(&p, &graph, &thin);
         assert!(
             pairs
                 .iter()

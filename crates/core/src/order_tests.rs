@@ -8,15 +8,15 @@
 //!
 //! Each answer is compared in statement order and in visited-node
 //! membership. Answers carry only a visited-node count; the membership is
-//! the test-only `visited` field of [`crate::Slice`] and
+//! the test-only `visited` field of [`crate::slice::Slice`] and
 //! [`SliceResult`], and the count is pinned to its length.
 
 use crate::session::{AnalysisSession, Engine, Query, QueryPolicy, SliceResult};
 use crate::slice::{slice_sparse, SliceKind, SliceScratch};
 use crate::tabulation::{cs_oneshot, cs_reusing, CsScratch, DownConsumers};
-use crate::Analysis;
-use thinslice_ir::{InstrKind, StmtRef};
-use thinslice_sdg::{DepGraph, FrozenSdg, NodeId};
+use thinslice_ir::{compile, InstrKind, StmtRef};
+use thinslice_pta::{ModRef, Pta, PtaConfig};
+use thinslice_sdg::{build_ci, build_cs, DepGraph, FrozenSdg, NodeId};
 use thinslice_suite::{all_benchmarks, generate, GeneratorConfig};
 use thinslice_util::{Budget, Idx, Meter, SmallRng};
 
@@ -246,16 +246,17 @@ fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
 fn session_answers_match_the_sort_based_references_on_the_growable_graphs() {
     let mut scratch = SliceScratch::new();
     for b in all_benchmarks() {
-        let a = Analysis::build(&b.sources).unwrap();
-        let cs_sdg = a.build_cs_sdg();
+        let program = compile(&b.sources).unwrap();
+        let pta = Pta::analyze(&program, PtaConfig::default());
+        let ci_sdg = build_ci(&program, &pta);
+        let cs_sdg = build_cs(&program, &pta, &ModRef::compute(&program, &pta));
         let cs_index = DownConsumers::build(&cs_sdg);
         let mut session = AnalysisSession::new(&b.sources).unwrap();
-        let prints = a
-            .program
+        let prints = program
             .all_stmts()
-            .filter(|&s| matches!(a.program.instr(s).kind, InstrKind::Print { .. }));
+            .filter(|&s| matches!(program.instr(s).kind, InstrKind::Print { .. }));
         for stmt in prints {
-            for (engine, sdg) in [(Engine::Ci, &a.sdg), (Engine::Cs, &cs_sdg)] {
+            for (engine, sdg) in [(Engine::Ci, &ci_sdg), (Engine::Cs, &cs_sdg)] {
                 let seeds = sdg.stmt_nodes_of(stmt).to_vec();
                 if seeds.is_empty() {
                     continue;

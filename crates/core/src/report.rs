@@ -2,22 +2,16 @@
 
 use crate::batch::QueryOutcome;
 use crate::inspect::InspectionResult;
-use crate::slice::Slice;
 use crate::stmtset::StmtSet;
 use std::fmt::Write as _;
 use thinslice_ir::{pretty, FileId, Program, Span};
 use thinslice_util::{Completeness, FxHashSet};
 
-/// Renders a slice as source lines, deduplicated and in inspection (BFS)
-/// order. Synthetic statements (compiler-generated) are skipped.
-pub fn slice_lines(program: &Program, slice: &Slice) -> Vec<String> {
-    stmt_lines(program, &slice.stmts)
-}
-
-/// [`slice_lines`] over a bare statement set (e.g. a
-/// [`SliceResult`](crate::SliceResult)'s `stmts`), in the set's canonical
-/// order. Costs one hash probe per statement plus the bytes of the
-/// rendered lines, whatever the files' length.
+/// Renders a slice's statements (a [`SliceResult`](crate::SliceResult)'s
+/// `stmts`) as source lines, deduplicated and in the set's canonical
+/// order: inspection (BFS) order for a CI slice. Synthetic statements
+/// (compiler-generated) are skipped. Costs one hash probe per statement
+/// plus the bytes of the rendered lines, whatever the files' length.
 pub fn stmt_lines(program: &Program, stmts: &StmtSet) -> Vec<String> {
     let mut seen: FxHashSet<(FileId, u32)> =
         FxHashSet::with_capacity_and_hasher(stmts.len(), Default::default());
@@ -45,11 +39,10 @@ fn render_line(program: &Program, span: Span) -> String {
     line
 }
 
-/// Renders a slice at IR granularity (one line per IR statement), useful
-/// for debugging the analyses themselves.
-pub fn slice_instrs(program: &Program, slice: &Slice) -> Vec<String> {
-    slice
-        .stmts
+/// Renders a slice's statements at IR granularity (one line per IR
+/// statement), useful for debugging the analyses themselves.
+pub fn slice_instrs(program: &Program, stmts: &StmtSet) -> Vec<String> {
+    stmts
         .iter()
         .map(|&s| pretty::stmt_str(program, s))
         .collect()
@@ -122,43 +115,19 @@ pub fn governed_batch_footer(outcomes: &[QueryOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slice::{slice_sparse, SliceKind, SliceScratch};
-    use thinslice_ir::{compile, InstrKind};
-    use thinslice_pta::{Pta, PtaConfig};
-    use thinslice_sdg::build_ci;
-    use thinslice_util::Meter;
-
-    fn slice_from(
-        sdg: &thinslice_sdg::Sdg,
-        seeds: &[thinslice_sdg::NodeId],
-        kind: SliceKind,
-    ) -> Slice {
-        slice_sparse(
-            sdg,
-            seeds,
-            kind,
-            &mut SliceScratch::new(),
-            &mut Meter::unlimited(),
-        )
-        .0
-    }
+    use crate::{AnalysisSession, Engine, Query, SliceKind};
 
     #[test]
     fn report_renders_source_lines_once() {
         let src = "class Main { static void main() {\nint x = 1;\nint y = x + x;\nprint(y);\n} }";
-        let p = compile(&[("demo.mj", src)]).unwrap();
-        let pta = Pta::analyze(&p, PtaConfig::default());
-        let sdg = build_ci(&p, &pta);
-        let seed_stmt = p
-            .all_stmts()
-            .find(|s| matches!(p.instr(*s).kind, InstrKind::Print { .. }))
-            .unwrap();
-        let slice = slice_from(&sdg, &[sdg.stmt_node(seed_stmt).unwrap()], SliceKind::Thin);
-        let lines = slice_lines(&p, &slice);
+        let mut s = AnalysisSession::new(&[("demo.mj", src)]).unwrap();
+        let seed = s.seed_at_line("demo.mj", 4).unwrap();
+        let slice = s.query(&Query::new(seed, SliceKind::Thin, Engine::Ci));
+        let lines = stmt_lines(s.program(), &slice.stmts);
         assert_eq!(lines.len(), 3, "three distinct source lines: {lines:?}");
         assert!(lines[0].contains("print(y);"));
         assert!(lines.iter().any(|l| l.contains("int x = 1;")));
-        let instrs = slice_instrs(&p, &slice);
+        let instrs = slice_instrs(s.program(), &slice.stmts);
         assert!(instrs.len() >= lines.len());
     }
 

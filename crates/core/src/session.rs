@@ -43,7 +43,7 @@ use crate::slice::{SliceKind, SliceScratch};
 use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::stmtset::StmtSet;
 use crate::tabulation::{CsScratch, MemoStats};
-use crate::{Analysis, BuildReport};
+use crate::BuildReport;
 use thinslice_ir::delta::{ProgramDelta, ProgramFingerprints};
 use thinslice_ir::{compile_fingerprinted, CompileError, Program, StmtRef};
 use thinslice_pta::{incr, GenCache, ModRef, Pta, PtaConfig};
@@ -139,7 +139,7 @@ pub struct SliceResult {
     /// charges a client.
     pub nodes_visited: usize,
     /// The visited nodes' ids, ascending (see
-    /// [`crate::Slice`]'s field of the same name).
+    /// [`crate::slice::Slice`]'s field of the same name).
     #[cfg(test)]
     pub(crate) visited: Vec<NodeId>,
     /// Whether the traversal reached its fixpoint.
@@ -771,6 +771,21 @@ impl AnalysisSession {
         self.ci_csr.as_ref().expect("ci csr ensured")
     }
 
+    /// The program, its points-to result and the frozen CI graph, lent
+    /// together (the last two built on first use): what the §6.1
+    /// inspection ([`crate::inspect`]) and the §4 expansions
+    /// ([`crate::expand`]) read. A session restored from a snapshot lends
+    /// its restored graph, so explaining never thaws the growable one.
+    pub fn ci_parts(&mut self) -> (&Program, &Pta, &FrozenSdg) {
+        self.ensure_pta();
+        self.ensure_ci_csr();
+        (
+            &self.program,
+            &self.pta.as_ref().expect("pta ensured").0,
+            self.ci_csr.as_ref().expect("ci csr ensured"),
+        )
+    }
+
     /// The frozen context-sensitive (heap-parameter) graph — what CS
     /// queries traverse (built on first use). Expensive on large
     /// programs; that is the paper's point.
@@ -1136,22 +1151,6 @@ impl AnalysisSession {
         session.refresh_resident();
         Some(session)
     }
-
-    /// Converts the session into the eager [`Analysis`] façade (forces
-    /// the CI pipeline). The CS artifacts, if built, are dropped.
-    pub fn into_analysis(mut self) -> Analysis {
-        // ensure_ci_csr short-circuits on a restored frozen graph, so
-        // force the growable graph explicitly (a restored session has not
-        // thawed it yet).
-        self.ensure_ci();
-        self.ensure_ci_csr();
-        Analysis {
-            program: self.program,
-            pta: self.pta.expect("pta ensured").0,
-            sdg: self.ci.expect("ci ensured").0,
-            csr: self.ci_csr.expect("ci csr ensured"),
-        }
-    }
 }
 
 /// Decodes one snapshot section, requiring the decoder to consume it
@@ -1510,6 +1509,84 @@ mod tests {
             restored.cs.is_none() && restored.cs_csr.is_none(),
             "a stage never built must not materialise through a snapshot"
         );
+    }
+
+    /// The paper's Figure 4: a `File` is closed through one alias fetched
+    /// from a `Vector` and read through another; line 17 throws.
+    const FIGURE4: &str = r#"class File {
+    boolean open;
+    File() { this.open = true; }
+    boolean isOpen() { return this.open; }
+    void closeFile() { this.open = false; }
+}
+class Main {
+    static void main() {
+        File f = new File();
+        Vector files = new Vector();
+        files.add(f);
+        File g = (File) files.get(0);
+        g.closeFile();
+        File h = (File) files.get(0);
+        boolean open = h.isOpen();
+        if (!open) {
+            throw new Exception("read from closed file");
+        }
+        print("file ok");
+    }
+}"#;
+
+    /// The three §4 expansions from a seed line, asked as the Table 2
+    /// harness asks them: the seed's control dependences, the heap-flow
+    /// pairs of the thin slice from the seed and those conditionals, and
+    /// each pair's aliasing explanation (rendered with `Debug`).
+    fn expansions(s: &mut AnalysisSession, file: &str, line: u32) -> Vec<String> {
+        let mut seeds = s.seed_at_line(file, line).unwrap();
+        let (_, _, graph) = s.ci_parts();
+        let ctrl: Vec<StmtRef> = seeds
+            .iter()
+            .flat_map(|&st| crate::expand::exposed_control_deps(graph, st))
+            .collect();
+        seeds.extend(&ctrl);
+        let thin = s.query(&Query::new(seeds, SliceKind::Thin, Engine::Ci));
+        let (program, pta, graph) = s.ci_parts();
+        let pairs = crate::expand::heap_flow_pairs(program, graph, &thin.stmts);
+        assert!(!pairs.is_empty(), "{file}:{line}: no heap flow to explain");
+        let mut out = vec![format!("{ctrl:?}"), format!("{pairs:?}")];
+        for (load, store) in pairs {
+            let e = crate::expand::explain_aliasing(program, pta, graph, load, store);
+            out.push(format!("{e:?}"));
+        }
+        out
+    }
+
+    #[test]
+    fn restored_sessions_expand_like_fresh_ones_without_thawing() {
+        let nanoxml = thinslice_suite::benchmark_named("nanoxml").unwrap();
+        let task = thinslice_suite::all_bug_tasks()
+            .into_iter()
+            .find(|t| t.id == "nanoxml-5")
+            .unwrap();
+        let nano_line = thinslice_suite::line_with(nanoxml.sources[0].1, task.seed.snippet);
+        for (sources, file, line) in [
+            (vec![("file.mj", FIGURE4)], "file.mj", 17),
+            (nanoxml.sources.clone(), "nanoxml.mj", nano_line),
+        ] {
+            let mut fresh = AnalysisSession::new(&sources).unwrap();
+            let want = expansions(&mut fresh, file, line);
+            let bytes = fresh.write_snapshot("k").unwrap();
+            let mut restored = AnalysisSession::from_snapshot(
+                &bytes,
+                "k",
+                PtaConfig::default(),
+                RunCtx::disabled(),
+            )
+            .unwrap();
+            assert_eq!(expansions(&mut restored, file, line), want, "{file}:{line}");
+            assert!(
+                restored.ci.is_none() && restored.cs.is_none(),
+                "{file}:{line}: expanding built a growable graph"
+            );
+        }
     }
 
     #[test]

@@ -1,20 +1,26 @@
 //! Context-insensitive slicing as graph reachability (paper §5.2).
 //!
-//! Two metered BFS loops produce the same answer: `slice_dense`, the
-//! frozen-graph walk behind [`crate::AnalysisSession`] queries and the
-//! batch engine, and `slice_sparse`, the sort-based reference that walks
-//! any [`DepGraph`] — the growable graph of [`crate::expand`] and the
-//! [`crate::Analysis`] façade. An ungoverned caller passes an unlimited
-//! [`Meter`] (one predictable branch per node), a governed one an armed
-//! meter.
+//! One metered BFS loop, `slice_dense`, walks the frozen graph behind
+//! every CI answer: [`crate::AnalysisSession`] queries, the batch engine,
+//! the degradation ladder and the §4 expansions of [`crate::expand`]. The
+//! tests pin it against `slice_sparse`, a sort-based reference that walks
+//! any [`DepGraph`](thinslice_sdg::DepGraph), the growable graph
+//! included. An ungoverned caller passes an unlimited [`Meter`] (one
+//! predictable branch per node), a governed one an armed meter.
 //!
-//! An answer carries its statements and the number of graph nodes the walk
-//! visited.
+//! A walk yields a crate-internal `Slice`: its statements and the number
+//! of graph nodes it visited. Callers read it as a
+//! [`SliceResult`](crate::SliceResult).
 
 use crate::stmtset::StmtSet;
+#[cfg(test)]
 use thinslice_ir::StmtRef;
-use thinslice_sdg::{DenseDisplay, DepGraph, NodeId, NO_DISPLAY};
-use thinslice_util::{BitSet, Completeness, FxHashSet, Idx, Meter};
+#[cfg(test)]
+use thinslice_sdg::DepGraph;
+use thinslice_sdg::{DenseDisplay, NodeId, NO_DISPLAY};
+#[cfg(test)]
+use thinslice_util::FxHashSet;
+use thinslice_util::{BitSet, Completeness, Idx, Meter};
 
 /// Which dependence relation a slice follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,44 +48,24 @@ impl SliceKind {
     }
 }
 
-/// The result of a backward slice, by reachability or by tabulation.
+/// The result of a backward slice, by reachability or by tabulation: the
+/// engines' internal answer, which [`crate::batch`] labels into a
+/// [`SliceResult`](crate::SliceResult).
 #[derive(Debug, Clone)]
-pub struct Slice {
+pub(crate) struct Slice {
     /// The dependence relation used.
-    pub kind: SliceKind,
+    pub(crate) kind: SliceKind,
     /// How many dependence-graph nodes the walk visited, statements and
     /// connective nodes alike.
-    pub nodes_visited: usize,
+    pub(crate) nodes_visited: usize,
     /// Statements in the slice, in the engine's canonical order: BFS from
     /// the seed (distance first, node id within a level) for
     /// reachability, sorted for tabulation.
-    pub stmts: StmtSet,
+    pub(crate) stmts: StmtSet,
     /// The visited nodes' ids, ascending: the membership the tests compare
     /// across slicers and graph representations.
     #[cfg(test)]
     pub(crate) visited: Vec<NodeId>,
-}
-
-impl Slice {
-    /// Statements in the slice as a hash set.
-    pub fn stmt_set(&self) -> FxHashSet<StmtRef> {
-        self.stmts.to_hash_set()
-    }
-
-    /// Whether the slice contains `stmt`.
-    pub fn contains(&self, stmt: StmtRef) -> bool {
-        self.stmts.contains(stmt)
-    }
-
-    /// Number of statements in the slice.
-    pub fn len(&self) -> usize {
-        self.stmts.len()
-    }
-
-    /// Whether the slice is empty (possible only for unreachable seeds).
-    pub fn is_empty(&self) -> bool {
-        self.stmts.is_empty()
-    }
 }
 
 /// Reusable buffers for repeated slicing queries over one graph.
@@ -101,9 +87,11 @@ pub struct SliceScratch {
     /// the set that puts every narrow level in canonical order. Empty
     /// between uses.
     next_bits: BitSet<NodeId>,
+    /// Statement dedup for the test-only `slice_sparse`.
+    #[cfg(test)]
     stmt_set: FxHashSet<StmtRef>,
-    /// Dense-id statement dedup for [`slice_dense`]; mirrors `stmt_set`
-    /// but costs a bit test instead of a hash per node.
+    /// Dense-id statement dedup for [`slice_dense`]: a bit test instead of
+    /// a hash per node.
     stmt_seen: BitSet<u32>,
     stmt_touched: Vec<u32>,
 }
@@ -160,8 +148,9 @@ pub(crate) fn sorted_ids(ids: impl IntoIterator<Item = NodeId>) -> Vec<NodeId> {
     ids
 }
 
-/// The one backward-reachability loop: a metered level-synchronous
-/// wavefront, generic over [`DepGraph`], hash statement dedup.
+/// The reference backward-reachability loop the tests pin
+/// [`slice_dense`] against: a metered level-synchronous wavefront, generic
+/// over [`DepGraph`], hash statement dedup and sorted levels.
 ///
 /// The canonical visit order is (BFS level, ascending node id): each
 /// level is discovered as a set, sorted, and emitted in that order. The
@@ -174,6 +163,7 @@ pub(crate) fn sorted_ids(ids: impl IntoIterator<Item = NodeId>) -> Vec<NodeId> {
 /// armed meter exhausts, emission stops at the failing node and the
 /// emitted prefix — an exact prefix of the canonical order — is returned
 /// `Truncated` with the abandoned frontier size.
+#[cfg(test)]
 pub(crate) fn slice_sparse<G: DepGraph>(
     sdg: &G,
     seeds: &[NodeId],
@@ -250,12 +240,15 @@ pub(crate) fn slice_sparse<G: DepGraph>(
     (slice, completeness)
 }
 
-/// [`slice_sparse`] over a frozen graph, using its dense statement
-/// numbering ([`DenseDisplay`]) so the per-node statement dedup is a bit
-/// test instead of a hash — the batched engine's per-worker inner loop.
-/// With `prefiltered` the graph's edges are already exactly the ones
-/// `kind` follows (see `FrozenSdg::filtered`) and the inner loop skips the
-/// per-edge kind test.
+/// The backward-reachability loop over a frozen graph: a metered
+/// level-synchronous wavefront whose canonical visit order is (BFS level,
+/// ascending node id), using the graph's dense statement numbering
+/// ([`DenseDisplay`]) so the per-node statement dedup is a bit test
+/// instead of a hash. With `prefiltered` the graph's edges are already
+/// exactly the ones `kind` follows (see `FrozenSdg::filtered`) and the
+/// inner loop skips the per-edge kind test. Truncation behaves as in
+/// `slice_sparse`: the emitted prefix of the canonical order, marked with
+/// the abandoned frontier size.
 ///
 /// Wide levels (more than one frontier node per [`WIDE_LEVEL_DIVISOR`]
 /// graph nodes) switch discovery to word-parallel bitset algebra: targets
@@ -264,7 +257,7 @@ pub(crate) fn slice_sparse<G: DepGraph>(
 /// drained discovery set is already in ascending id order. Every narrow
 /// level gets its order by draining a bitset instead of by sorting. Level
 /// membership — and therefore the canonical (level, id) order and the
-/// slice — matches [`slice_sparse`] exactly; only the bookkeeping
+/// slice — matches `slice_sparse` exactly; only the bookkeeping
 /// differs. Every scratch bitset is empty again when this returns,
 /// truncated or not.
 pub(crate) fn slice_dense<G: DenseDisplay>(
@@ -416,10 +409,10 @@ mod tests {
             .find(|s| matches!(&p.instr(*s).kind, InstrKind::StrConst { value, .. } if value == "John"))
             .unwrap();
         assert!(
-            thin.contains(lit),
+            thin.stmts.contains(lit),
             "thin slice must trace the value to its literal"
         );
-        assert!(trad.contains(lit));
+        assert!(trad.stmts.contains(lit));
 
         // The Vector constructor's array allocation is an explainer: only
         // the traditional slice contains it.
@@ -430,14 +423,14 @@ mod tests {
             .find(|s| s.method == ctor && matches!(p.instr(*s).kind, InstrKind::NewArray { .. }))
             .unwrap();
         assert!(
-            !thin.contains(ctor_alloc),
+            !thin.stmts.contains(ctor_alloc),
             "thin slice must not contain the Vector's backing-array allocation"
         );
         assert!(
-            trad.contains(ctor_alloc),
+            trad.stmts.contains(ctor_alloc),
             "the traditional slice reaches the allocation through base pointers"
         );
-        assert!(thin.len() < trad.len());
+        assert!(thin.stmts.len() < trad.stmts.len());
     }
 
     #[test]
@@ -460,7 +453,7 @@ mod tests {
                     if *class == p.class_named("Main").unwrap())
             })
             .unwrap();
-        assert!(thin.contains(alloc), "value flows store→load→print");
+        assert!(thin.stmts.contains(alloc), "value flows store→load→print");
         // But the Box allocation (base pointer) is not a producer.
         let box_alloc = p
             .all_stmts()
@@ -469,7 +462,7 @@ mod tests {
                     if *class == p.class_named("Box").unwrap())
             })
             .unwrap();
-        assert!(!thin.contains(box_alloc));
+        assert!(!thin.stmts.contains(box_alloc));
     }
 
     #[test]
@@ -488,12 +481,12 @@ mod tests {
             .find(|s| s.method == p.main_method && matches!(p.instr(*s).kind, InstrKind::If { .. }))
             .unwrap();
         assert!(
-            !thin.contains(if_stmt),
+            !thin.stmts.contains(if_stmt),
             "thin slices exclude control dependence"
         );
-        assert!(full.contains(if_stmt));
+        assert!(full.stmts.contains(if_stmt));
         // The full slice pulls the condition's data deps too.
-        assert!(full.len() > thin.len());
+        assert!(full.stmts.len() > thin.stmts.len());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! this way, on warm [`CsScratch`] that memoises summaries and callee-exit
 //! regions across queries.
 //!
-//! A tabulation answers with the same [`Slice`] shape as reachability:
+//! A tabulation answers with the same `Slice` shape as reachability:
 //! its statements, sorted, and the number of nodes with a path edge.
 
 use crate::slice::{Slice, SliceKind};
@@ -677,12 +677,18 @@ mod tests {
     }
 
     fn setup(src: &str) -> (Program, Sdg, Sdg) {
-        let p = compile(&[("t.mj", src)]).unwrap();
-        let pta = Pta::analyze(&p, PtaConfig::default());
-        let ci = build_ci(&p, &pta);
+        let (p, pta, ci) = ci_of(&[("t.mj", src)]);
         let modref = ModRef::compute(&p, &pta);
         let cs = build_cs(&p, &pta, &modref);
         (p, ci, cs)
+    }
+
+    /// A program with its points-to result and growable CI graph.
+    fn ci_of(sources: &[(&str, &str)]) -> (Program, Pta, Sdg) {
+        let p = compile(sources).unwrap();
+        let pta = Pta::analyze(&p, PtaConfig::default());
+        let ci = build_ci(&p, &pta);
+        (p, pta, ci)
     }
 
     /// Finds the statement that materialises integer constant `n` (either a
@@ -748,14 +754,14 @@ mod tests {
         let a_def = find_const_def(&p, 111);
         let b_def = find_const_def(&p, 222);
 
-        assert!(ci_slice.contains(a_def));
+        assert!(ci_slice.stmts.contains(a_def));
         assert!(
-            ci_slice.contains(b_def),
+            ci_slice.stmts.contains(b_def),
             "context-insensitive slicing includes the unrealizable path through id"
         );
-        assert!(cs.contains(a_def));
+        assert!(cs.stmts.contains(a_def));
         assert!(
-            !cs.contains(b_def),
+            !cs.stmts.contains(b_def),
             "tabulation must keep the two call sites apart"
         );
     }
@@ -806,7 +812,7 @@ mod tests {
             })
             .unwrap();
         assert!(
-            slice.contains(alloc),
+            slice.stmts.contains(alloc),
             "value must flow store→formal-out→actual-out→load across calls"
         );
     }
@@ -838,15 +844,15 @@ mod tests {
         // one, from the first three reachable prints of every suite
         // benchmark.
         for b in thinslice_suite::all_benchmarks() {
-            let a = crate::Analysis::build(&b.sources).unwrap();
-            let prints = a.program.all_stmts().filter(|&s| {
-                matches!(a.program.instr(s).kind, InstrKind::Print { .. })
-                    && !a.sdg.stmt_nodes_of(s).is_empty()
+            let (program, _, sdg) = ci_of(&b.sources);
+            let prints = program.all_stmts().filter(|&s| {
+                matches!(program.instr(s).kind, InstrKind::Print { .. })
+                    && !sdg.stmt_nodes_of(s).is_empty()
             });
             for seed in prints.take(3) {
-                let nodes = a.sdg.stmt_nodes_of(seed).to_vec();
-                let ci = slice_from(&a.sdg, &nodes, SliceKind::Thin);
-                let cs = cs_slice(&a.sdg, &nodes, SliceKind::Thin);
+                let nodes = sdg.stmt_nodes_of(seed).to_vec();
+                let ci = slice_from(&sdg, &nodes, SliceKind::Thin);
+                let cs = cs_slice(&sdg, &nodes, SliceKind::Thin);
                 assert!(
                     cs.stmts.is_subset(&ci.stmts),
                     "{}: tabulation must not add statements at {seed:?}",
@@ -870,20 +876,19 @@ mod tests {
                 ..GeneratorConfig::default()
             };
             let src = generate(&config);
-            let a = crate::Analysis::build(&[("gen.mj", &src)]).unwrap();
-            let seed_stmt = a
-                .program
+            let (program, _, sdg) = ci_of(&[("gen.mj", &src)]);
+            let seed_stmt = program
                 .all_stmts()
-                .find(|s| matches!(a.program.instr(*s).kind, InstrKind::Print { .. }))
+                .find(|s| matches!(program.instr(*s).kind, InstrKind::Print { .. }))
                 .unwrap();
-            let nodes = a.sdg.stmt_nodes_of(seed_stmt).to_vec();
+            let nodes = sdg.stmt_nodes_of(seed_stmt).to_vec();
             for kind in [
                 SliceKind::Thin,
                 SliceKind::TraditionalData,
                 SliceKind::TraditionalFull,
             ] {
-                let ci = slice_from(&a.sdg, &nodes, kind);
-                let cs = cs_slice(&a.sdg, &nodes, kind);
+                let ci = slice_from(&sdg, &nodes, kind);
+                let cs = cs_slice(&sdg, &nodes, kind);
                 assert!(cs.stmts.is_subset(&ci.stmts), "kind {kind:?}");
             }
         }
@@ -908,7 +913,7 @@ mod tests {
         let cs = cs_slice(&ci, &[seed], SliceKind::Thin);
         let five = find_const_def(&p, 5);
         let six = find_const_def(&p, 6);
-        assert!(cs.contains(six));
-        assert!(!cs.contains(five));
+        assert!(cs.stmts.contains(six));
+        assert!(!cs.stmts.contains(five));
     }
 }

@@ -1,8 +1,23 @@
 //! Extra harness tests: inspection ordering, report rendering and whole-
 //! program SSA validation.
 
-use thinslice::{Analysis, AnalysisSession, Engine, InspectTask, Query, SliceKind};
+use thinslice::{
+    explain_aliasing, simulate_inspection, AnalysisSession, Engine, InspectTask, InspectionResult,
+    Query, SliceKind,
+};
 use thinslice_ir::ssa::validate_ssa;
+
+/// The thin-slice inspection of `p.mj` from the seed line to the desired
+/// line.
+fn inspect_thin(src: &str, seed_line: u32, desired_line: u32) -> InspectionResult {
+    let mut s = AnalysisSession::new(&[("p.mj", src)]).unwrap();
+    let task = InspectTask {
+        seeds: s.seed_at_line("p.mj", seed_line).unwrap(),
+        desired: vec![s.stmts_at_line("p.mj", desired_line)],
+    };
+    let (program, _, graph) = s.ci_parts();
+    simulate_inspection(program, graph, &task, SliceKind::Thin)
+}
 
 #[test]
 fn inspection_order_is_distance_monotone() {
@@ -17,13 +32,7 @@ int c = b + 1;
 int d = c + 1;
 print(d);
 } }";
-    let a = Analysis::build(&[("p.mj", src)]).unwrap();
-    let seeds = a.seed_at_line("p.mj", 6).unwrap();
-    let task = InspectTask {
-        seeds,
-        desired: vec![a.stmts_at_line("p.mj", 2)],
-    };
-    let r = a.inspect(&task, SliceKind::Thin);
+    let r = inspect_thin(src, 6, 2);
     assert!(r.found_all);
     let lines: Vec<u32> = r.order.iter().map(|(_, l)| *l).collect();
     assert_eq!(
@@ -43,13 +52,7 @@ class Main { static void main() {
 int x = 1 + 2 * 3 - 4 + 5 * 6;
 print(x);
 } }";
-    let a = Analysis::build(&[("p.mj", src)]).unwrap();
-    let seeds = a.seed_at_line("p.mj", 3).unwrap();
-    let task = InspectTask {
-        seeds,
-        desired: vec![a.stmts_at_line("p.mj", 2)],
-    };
-    let r = a.inspect(&task, SliceKind::Thin);
+    let r = inspect_thin(src, 3, 2);
     assert_eq!(r.inspected, 2, "seed line + producer line");
 }
 
@@ -60,13 +63,7 @@ class Main { static void main() {
 int x = 41;
 print(x + 1);
 } }";
-    let a = Analysis::build(&[("p.mj", src)]).unwrap();
-    let seeds = a.seed_at_line("p.mj", 3).unwrap();
-    let task = InspectTask {
-        seeds,
-        desired: vec![a.stmts_at_line("p.mj", 2)],
-    };
-    let r = a.inspect(&task, SliceKind::Thin);
+    let r = inspect_thin(src, 3, 2);
     let report = thinslice::report::inspection_report(&r);
     assert!(report.contains("p.mj:3"), "{report}");
     assert!(report.contains("all desired statements found"), "{report}");
@@ -91,13 +88,13 @@ fn full_slice_of_seed_with_no_deps_is_just_the_seed_line() {
 class Main { static void main() {
 print(7);
 } }";
-    let a = Analysis::build(&[("p.mj", src)]).unwrap();
+    let mut a = AnalysisSession::new(&[("p.mj", src)]).unwrap();
     let seeds = a.seed_at_line("p.mj", 2).unwrap();
-    let thin = a.thin_slice(&seeds);
+    let thin = a.query(&Query::new(seeds, SliceKind::Thin, Engine::Ci));
     let lines: std::collections::HashSet<u32> = thin
         .stmts
         .iter()
-        .map(|&s| a.program.instr(s).span.line)
+        .map(|&s| a.program().instr(s).span.line)
         .filter(|&l| l > 0)
         .collect();
     assert_eq!(lines, std::collections::HashSet::from([2]));
@@ -131,40 +128,26 @@ fn expansion_statements_are_outside_the_thin_slice() {
         Object got = b.item;
         print(got);
     } }";
-    let a = Analysis::build(&[("t.mj", src)]).unwrap();
-    let load = a
-        .program
+    let mut a = AnalysisSession::new(&[("t.mj", src)]).unwrap();
+    let program = a.program();
+    let main_stmt = |pick: fn(&thinslice_ir::InstrKind) -> bool| {
+        program
+            .all_stmts()
+            .find(|s| s.method == program.main_method && pick(&program.instr(*s).kind))
+            .unwrap()
+    };
+    let load = main_stmt(|k| matches!(k, thinslice_ir::InstrKind::Load { .. }));
+    let store = main_stmt(|k| matches!(k, thinslice_ir::InstrKind::Store { .. }));
+    let box_alloc = program
         .all_stmts()
         .find(|s| {
-            s.method == a.program.main_method
-                && matches!(
-                    a.program.instr(*s).kind,
-                    thinslice_ir::InstrKind::Load { .. }
-                )
+            matches!(&program.instr(*s).kind, thinslice_ir::InstrKind::New { class, .. }
+                if *class == program.class_named("Box").unwrap())
         })
         .unwrap();
-    let store = a
-        .program
-        .all_stmts()
-        .find(|s| {
-            s.method == a.program.main_method
-                && matches!(
-                    a.program.instr(*s).kind,
-                    thinslice_ir::InstrKind::Store { .. }
-                )
-        })
-        .unwrap();
-    let seeds = vec![load];
-    let thin = a.thin_slice(&seeds);
-    let explanation = a.explain_aliasing(load, store).unwrap();
-    let box_alloc = a
-        .program
-        .all_stmts()
-        .find(|s| {
-            matches!(&a.program.instr(*s).kind, thinslice_ir::InstrKind::New { class, .. }
-                if *class == a.program.class_named("Box").unwrap())
-        })
-        .unwrap();
+    let thin = a.query(&Query::new(vec![load], SliceKind::Thin, Engine::Ci));
+    let (program, pta, graph) = a.ci_parts();
+    let explanation = explain_aliasing(program, pta, graph, load, store).unwrap();
     assert!(
         !thin.contains(box_alloc),
         "the Box allocation is an explainer"

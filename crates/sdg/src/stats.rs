@@ -1,7 +1,7 @@
 //! SDG size statistics, used by Table 1 and the scalability experiment.
 
-use crate::node::NodeKind;
-use crate::Sdg;
+use crate::node::{NodeId, NodeKind};
+use crate::DepGraph;
 
 /// Node/edge counts of one dependence graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,13 +22,15 @@ pub struct SdgStats {
 }
 
 impl SdgStats {
-    /// Computes statistics for `sdg`.
-    pub fn compute(sdg: &Sdg) -> SdgStats {
+    /// Computes statistics for `graph`, growable or frozen.
+    pub fn compute<G: DepGraph + ?Sized>(graph: &G) -> SdgStats {
         let mut stmt_nodes = 0;
         let mut param_nodes = 0;
         let mut heap_param_nodes = 0;
-        for (_, kind) in sdg.nodes() {
-            match kind {
+        let mut edges = 0;
+        for n in (0..graph.node_count()).map(NodeId::new) {
+            edges += graph.deps(n).len();
+            match graph.node(n) {
                 NodeKind::Stmt(..) => stmt_nodes += 1,
                 NodeKind::FormalParam(..) | NodeKind::ActualParam(..) | NodeKind::RetMerge(_) => {
                     param_nodes += 1
@@ -42,11 +44,11 @@ impl SdgStats {
             }
         }
         SdgStats {
-            nodes: sdg.node_count(),
+            nodes: graph.node_count(),
             stmt_nodes,
             param_nodes,
             heap_param_nodes,
-            edges: sdg.edge_count(),
+            edges,
         }
     }
 }
@@ -70,7 +72,10 @@ mod tests {
         )])
         .unwrap();
         let pta = Pta::analyze(&p, PtaConfig::default());
-        let ci = SdgStats::compute(&build_ci(&p, &pta));
+        let ci_sdg = build_ci(&p, &pta);
+        let ci = SdgStats::compute(&ci_sdg);
+        assert_eq!(SdgStats::compute(&ci_sdg.freeze()), ci, "frozen = growable");
+        assert_eq!(ci.edges, ci_sdg.edge_count());
         let modref = ModRef::compute(&p, &pta);
         let cs = SdgStats::compute(&build_cs(&p, &pta, &modref));
         assert_eq!(ci.heap_param_nodes, 0);

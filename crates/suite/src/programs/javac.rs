@@ -534,14 +534,15 @@ pub fn casts() -> Vec<Task> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thinslice::RunCtx;
     use thinslice_pta::PtaConfig;
 
     #[test]
     fn javac_compiles_and_tasks_resolve() {
         let b = benchmark();
-        let a = b.analyze(PtaConfig::default());
+        let mut a = b.session(PtaConfig::default(), RunCtx::disabled());
         for task in casts() {
-            let resolved = task.resolve(&b, &a);
+            let resolved = task.resolve(&b, &mut a);
             assert!(!resolved.seeds.is_empty(), "{}: no seeds", task.id);
         }
     }
@@ -551,12 +552,12 @@ mod tests {
         // A tough cast is one the pointer analysis cannot verify: `n` may
         // point to any Node subclass at the cast site.
         let b = benchmark();
-        let a = b.analyze(PtaConfig::default());
+        let mut a = b.session(PtaConfig::default(), RunCtx::disabled());
         let line = crate::spec::line_with(SOURCE, "AddNode add = (AddNode) n;");
         let stmts = a.stmts_at_line("javac.mj", line);
         let cast = stmts
             .iter()
-            .find_map(|s| match &a.program.instr(*s).kind {
+            .find_map(|s| match &a.program().instr(*s).kind {
                 thinslice_ir::InstrKind::Cast {
                     src: thinslice_ir::Operand::Var(v),
                     ty,
@@ -565,8 +566,9 @@ mod tests {
                 _ => None,
             })
             .expect("cast statement on the line");
+        let (program, pta, _) = a.ci_parts();
         assert!(
-            !a.pta.cast_is_verified(&a.program, cast.0, cast.1, &cast.2),
+            !pta.cast_is_verified(program, cast.0, cast.1, &cast.2),
             "the (AddNode) cast must be unverifiable by the pointer analysis"
         );
     }

@@ -195,14 +195,15 @@ pub fn casts() -> Vec<Task> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thinslice::RunCtx;
     use thinslice_pta::PtaConfig;
 
     #[test]
     fn mtrt_compiles_and_tasks_resolve() {
         let b = benchmark();
-        let a = b.analyze(PtaConfig::default());
+        let mut a = b.session(PtaConfig::default(), RunCtx::disabled());
         for task in casts() {
-            let resolved = task.resolve(&b, &a);
+            let resolved = task.resolve(&b, &mut a);
             assert!(!resolved.seeds.is_empty(), "{}: no seeds", task.id);
         }
     }

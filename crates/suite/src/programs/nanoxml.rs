@@ -314,14 +314,15 @@ pub fn bugs() -> Vec<Task> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thinslice::RunCtx;
     use thinslice_pta::PtaConfig;
 
     #[test]
     fn nanoxml_compiles_and_tasks_resolve() {
         let b = benchmark();
-        let a = b.analyze(PtaConfig::default());
+        let mut a = b.session(PtaConfig::default(), RunCtx::disabled());
         for task in bugs() {
-            let resolved = task.resolve(&b, &a);
+            let resolved = task.resolve(&b, &mut a);
             assert!(!resolved.seeds.is_empty(), "{}: no seeds", task.id);
             assert!(!resolved.desired.is_empty(), "{}: no desired", task.id);
         }

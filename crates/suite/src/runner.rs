@@ -14,7 +14,10 @@
 //!   inspected afterwards.
 
 use crate::spec::{Benchmark, Task};
-use thinslice::{expand, Analysis, InspectTask, InspectionResult, SliceKind};
+use thinslice::{
+    expand, simulate_inspection, AnalysisSession, Engine, InspectTask, InspectionResult, Query,
+    SliceKind,
+};
 use thinslice_ir::StmtRef;
 
 /// The measured numbers for one slicer on one task.
@@ -61,9 +64,9 @@ impl TaskResult {
 }
 
 /// Runs one slicer on one resolved task, applying the control-dependence
-/// and aliasing-expansion methodology.
+/// and aliasing-expansion methodology, over the session's frozen CI graph.
 pub fn measure(
-    analysis: &Analysis,
+    session: &mut AnalysisSession,
     task: &Task,
     resolved: &InspectTask,
     kind: SliceKind,
@@ -74,12 +77,13 @@ pub fn measure(
     // line 12 [int op = n.op] to see what value op gets", §6.3) — the
     // invariant question is about the tag, not the casted object's flow.
     // For debugging tasks the conditionals *join* the failing seed.
+    let (program, _, graph) = session.ci_parts();
     let mut seeds: Vec<StmtRef> = resolved.seeds.clone();
     let mut extra_inspected = 0usize;
     if task.control_deps > 0 {
         let mut conditionals = Vec::new();
         for s in resolved.seeds.clone() {
-            for c in expand::exposed_control_deps(&analysis.sdg, s) {
+            for c in expand::exposed_control_deps(graph, s) {
                 if !conditionals.contains(&c) {
                     conditionals.push(c);
                 }
@@ -101,7 +105,7 @@ pub fn measure(
         seeds,
         desired: resolved.desired.clone(),
     };
-    let base: InspectionResult = analysis.inspect(&widened, kind);
+    let base: InspectionResult = simulate_inspection(program, graph, &widened, kind);
 
     let mut inspected = base.inspected + task.control_deps as usize + extra_inspected;
     let mut found = base.found_all;
@@ -110,27 +114,24 @@ pub fn measure(
     if !found && task.needs_alias_expansion {
         // One level of aliasing expansion: inspect the explanations of the
         // slice's heap-flow pairs until the desired statements appear.
-        let slice = match kind {
-            SliceKind::Thin => analysis.thin_slice(&widened.seeds),
-            SliceKind::TraditionalData => analysis.traditional_slice(&widened.seeds),
-            SliceKind::TraditionalFull => analysis.full_slice(&widened.seeds),
-        };
+        let slice = session.query(&Query::new(widened.seeds.clone(), kind, Engine::Ci));
+        let (program, pta, graph) = session.ci_parts();
         let desired_lines: Vec<(thinslice_ir::FileId, u32)> = widened
             .desired
             .iter()
             .flatten()
             .map(|&s| {
-                let sp = analysis.program.instr(s).span;
+                let sp = program.instr(s).span;
                 (sp.file, sp.line)
             })
             .collect();
         // The user asks the aliasing question at the heap-flow pair closest
         // to the seed first (its store was inspected earliest), and reads
         // both base-pointer explanations breadth-first, interleaved.
-        let mut pairs = expand::heap_flow_pairs(&analysis.program, &analysis.sdg, &slice);
+        let mut pairs = expand::heap_flow_pairs(program, graph, &slice.stmts);
         let position_of = |s: StmtRef| {
-            let sp = analysis.program.instr(s).span;
-            let file_name = analysis.program.files[sp.file].name.clone();
+            let sp = program.instr(s).span;
+            let file_name = program.files[sp.file].name.clone();
             base.order
                 .iter()
                 .position(|(f, l)| *f == file_name && *l == sp.line)
@@ -141,7 +142,7 @@ pub fn measure(
         // user asks about `close()` because it is what wrote `false`).
         let stores_literal = |s: StmtRef| -> bool {
             matches!(
-                analysis.program.instr(s).kind,
+                program.instr(s).kind,
                 thinslice_ir::InstrKind::Store {
                     value: thinslice_ir::Operand::Const(_),
                     ..
@@ -167,7 +168,9 @@ pub fn measure(
         // all open aliasing questions at the same depth.
         let streams: Vec<Vec<StmtRef>> = pairs
             .into_iter()
-            .filter_map(|(load, store)| analysis.explain_aliasing(load, store).ok())
+            .filter_map(|(load, store)| {
+                expand::explain_aliasing(program, pta, graph, load, store).ok()
+            })
             .map(|explanation| {
                 let (lf, sf) = (&explanation.load_base_flow, &explanation.store_base_flow);
                 let mut interleaved = Vec::with_capacity(lf.len() + sf.len());
@@ -185,7 +188,7 @@ pub fn measure(
         let mut extra = 0usize;
         'outer: for stream in &streams {
             for &s in stream {
-                let sp = analysis.program.instr(s).span;
+                let sp = program.instr(s).span;
                 if sp.is_synthetic() || !seen_lines.insert((sp.file, sp.line)) {
                     continue;
                 }
@@ -208,12 +211,12 @@ pub fn measure(
 }
 
 /// Runs a full task: thin + traditional, with and without object-sensitive
-/// containers.
+/// containers, each on its own session.
 pub fn run_task(
     benchmark: &Benchmark,
     task: &Task,
-    precise: &Analysis,
-    noobjsens: &Analysis,
+    precise: &mut AnalysisSession,
+    noobjsens: &mut AnalysisSession,
 ) -> TaskResult {
     let resolved = task.resolve(benchmark, precise);
     let resolved_no = task.resolve(benchmark, noobjsens);
@@ -233,15 +236,22 @@ pub fn run_task(
 mod tests {
     use super::*;
     use crate::programs::{jtopas, nanoxml};
+    use thinslice::RunCtx;
     use thinslice_pta::PtaConfig;
+
+    fn sessions(b: &Benchmark) -> (AnalysisSession, AnalysisSession) {
+        (
+            b.session(PtaConfig::default(), RunCtx::disabled()),
+            b.session(PtaConfig::without_object_sensitivity(), RunCtx::disabled()),
+        )
+    }
 
     #[test]
     fn jtopas_rows_are_trivial_for_both_slicers() {
         let b = jtopas::benchmark();
-        let precise = b.analyze(PtaConfig::default());
-        let noobjsens = b.analyze(PtaConfig::without_object_sensitivity());
+        let (mut precise, mut noobjsens) = sessions(&b);
         for task in jtopas::bugs() {
-            let row = run_task(&b, &task, &precise, &noobjsens);
+            let row = run_task(&b, &task, &mut precise, &mut noobjsens);
             assert!(row.thin.found, "{}: thin must find the bug", row.id);
             assert!(row.trad.found, "{}: trad must find the bug", row.id);
             assert!(
@@ -257,12 +267,11 @@ mod tests {
     #[test]
     fn nanoxml_thin_beats_traditional() {
         let b = nanoxml::benchmark();
-        let precise = b.analyze(PtaConfig::default());
-        let noobjsens = b.analyze(PtaConfig::without_object_sensitivity());
+        let (mut precise, mut noobjsens) = sessions(&b);
         let mut total_thin = 0;
         let mut total_trad = 0;
         for task in nanoxml::bugs() {
-            let row = run_task(&b, &task, &precise, &noobjsens);
+            let row = run_task(&b, &task, &mut precise, &mut noobjsens);
             assert!(row.thin.found, "{}: thin must find the bug", row.id);
             assert!(row.trad.found, "{}: trad must find the bug", row.id);
             // nanoxml-5's aliasing expansion can cost a line or two more

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example debug_file_handle`
 
-use thinslice::{expand, report, Analysis};
+use thinslice::{expand, report, AnalysisSession, Engine, Query, SliceKind};
 use thinslice_ir::pretty;
 
 const FILE_PROGRAM: &str = r#"class File {
@@ -35,49 +35,55 @@ class Main {
 }"#;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let analysis = Analysis::build(&[("file.mj", FILE_PROGRAM)])?;
+    let mut session = AnalysisSession::new(&[("file.mj", FILE_PROGRAM)])?;
 
     // The failure: the throw at line 17. No value flows into a throw's
     // guard from the throw itself, so the user first looks at the
     // lexically-adjacent conditional (paper §4.2)…
-    let throw_seed = analysis
+    let throw_seed = session
         .seed_at_line("file.mj", 17)
         .expect("throw is reachable");
+    let (program, _, graph) = session.ci_parts();
     let conditionals: Vec<_> = throw_seed
         .iter()
-        .flat_map(|&s| expand::exposed_control_deps(&analysis.sdg, s))
+        .flat_map(|&s| expand::exposed_control_deps(graph, s))
         .collect();
     println!("relevant control dependence(s) of the throw:");
     for c in &conditionals {
-        println!("  {}", pretty::stmt_str(&analysis.program, *c));
+        println!("  {}", pretty::stmt_str(program, *c));
     }
 
     // …and thin-slices from it.
-    let thin = analysis.thin_slice(&conditionals);
+    let thin = session.query(&Query::new(
+        conditionals.clone(),
+        SliceKind::Thin,
+        Engine::Ci,
+    ));
+    let (program, pta, graph) = session.ci_parts();
     println!("\nthin slice from the conditional (producers of `open`):");
-    for line in report::slice_lines(&analysis.program, &thin) {
+    for line in report::stmt_lines(program, &thin.stmts) {
         println!("  {line}");
     }
 
     // The slice shows `this.open = false` in closeFile, but not *which*
     // File was closed. Ask the aliasing question for the load/store pair.
-    let pairs = expand::heap_flow_pairs(&analysis.program, &analysis.sdg, &thin);
+    let pairs = expand::heap_flow_pairs(program, graph, &thin.stmts);
     let (load, store) = pairs
         .iter()
         .find(|(_, s)| {
             // the store inside closeFile
-            analysis.program.methods[s.method].name == "closeFile"
+            program.methods[s.method].name == "closeFile"
         })
         .copied()
         .expect("the closeFile store communicates with the isOpen load");
     println!("\nexplaining the aliasing between:");
-    println!("  load : {}", pretty::stmt_str(&analysis.program, load));
-    println!("  store: {}", pretty::stmt_str(&analysis.program, store));
+    println!("  load : {}", pretty::stmt_str(program, load));
+    println!("  store: {}", pretty::stmt_str(program, store));
 
-    let explanation = analysis.explain_aliasing(load, store)?;
+    let explanation = expand::explain_aliasing(program, pta, graph, load, store)?;
     println!("\nstatements showing the common File's flow (paper §4.1):");
     for s in explanation.statements() {
-        println!("  {}", pretty::stmt_str(&analysis.program, s));
+        println!("  {}", pretty::stmt_str(program, s));
     }
     println!(
         "\n=> the `g.closeFile()` call on an alias fetched from the Vector is revealed;\n\
@@ -86,7 +92,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Contrast: the traditional slice gets there too, but buries the
     // answer in base-pointer plumbing.
-    let trad = analysis.traditional_slice(&conditionals);
+    let trad = session.query(&Query::new(
+        conditionals,
+        SliceKind::TraditionalData,
+        Engine::Ci,
+    ));
     println!(
         "\nthin slice: {} statements + {} explanation statements; traditional slice: {} statements",
         thin.len(),

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example dynamic_slice`
 
-use thinslice::Analysis;
+use thinslice::{AnalysisSession, Engine, Query, SliceKind};
 use thinslice_interp::{dynamic_data_slice, dynamic_thin_slice, run, ExecConfig};
 use thinslice_ir::pretty;
 
@@ -39,12 +39,12 @@ class Main {
 }"#;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let analysis = Analysis::build(&[("fig1.mj", FIGURE1)])?;
+    let mut session = AnalysisSession::new(&[("fig1.mj", FIGURE1)])?;
 
     // Run with the paper's input "John Doe" (plus a second name so the
     // index-sensitivity of dynamic dependences shows).
     let exec = run(
-        &analysis.program,
+        session.program(),
         &ExecConfig {
             lines: vec!["John Doe".into(), "Jane Roe".into()],
             ..ExecConfig::default()
@@ -68,12 +68,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut stmts: Vec<_> = dyn_thin.stmts.iter().copied().collect();
     stmts.sort();
     for s in stmts {
-        println!("  {}", pretty::stmt_str(&analysis.program, s));
+        println!("  {}", pretty::stmt_str(session.program(), s));
     }
 
     // Compare with the static thin slice of the same seed statement.
     let seed_stmt = exec.events[seed_event].stmt;
-    let static_thin = analysis.thin_slice(&[seed_stmt]);
+    let static_thin = session.query(&Query::new(vec![seed_stmt], SliceKind::Thin, Engine::Ci));
     println!(
         "\nstatic thin slice of the same seed: {} statements — the dynamic slice is a\n\
          subset ({}): the run only exercised one path and one vector slot.",

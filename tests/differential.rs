@@ -4,10 +4,11 @@
 //! Soundness of the static thin slicer means: for any execution and any
 //! seed statement, the statements in the *dynamic* thin slice (exact,
 //! index-sensitive, per-run) must all appear in the *static* thin slice of
-//! the same seed. Likewise for the full data slices, and the dynamic call
-//! targets must be within the static call graph.
+//! the same seed. Likewise for the full data slices. Both engines answer
+//! the static side: context-insensitive reachability and
+//! context-sensitive tabulation.
 
-use thinslice::Analysis;
+use thinslice::{AnalysisSession, Engine, Query, SliceKind};
 use thinslice_interp::{dynamic_data_slice, dynamic_thin_slice, run, ExecConfig, Outcome};
 use thinslice_ir::InstrKind;
 use thinslice_suite::{generate, GeneratorConfig};
@@ -26,31 +27,39 @@ fn exec_config() -> ExecConfig {
     }
 }
 
-/// Runs one program and checks dynamic ⊆ static for every executed print.
+/// Runs one program and checks dynamic ⊆ static for every executed print,
+/// on both engines.
 fn check_program(sources: &[(&str, &str)], config: &ExecConfig) {
-    let analysis = Analysis::build(sources).expect("compiles");
-    let exec = run(&analysis.program, config);
+    let mut session = AnalysisSession::new(sources).expect("compiles");
+    let exec = run(session.program(), config);
     // Whatever the outcome, the recorded prefix of the trace is valid.
     for (idx, (event, _)) in exec.prints.iter().enumerate() {
         let seed_stmt = exec.events[*event].stmt;
-        if analysis.sdg.stmt_nodes_of(seed_stmt).is_empty() {
+        if session.ci_graph().stmt_node(seed_stmt).is_none() {
             continue;
         }
-        let static_thin = analysis.thin_slice(&[seed_stmt]).stmt_set();
-        let static_data = analysis.traditional_slice(&[seed_stmt]).stmt_set();
         let dyn_thin = dynamic_thin_slice(&exec, *event);
         let dyn_data = dynamic_data_slice(&exec, *event);
-        for s in &dyn_thin.stmts {
-            assert!(
-                static_thin.contains(s),
-                "print #{idx}: dynamic thin stmt {s:?} missing from static thin slice"
-            );
-        }
-        for s in &dyn_data.stmts {
-            assert!(
-                static_data.contains(s),
-                "print #{idx}: dynamic data stmt {s:?} missing from static data slice"
-            );
+        for engine in [Engine::Ci, Engine::Cs] {
+            let mut static_slice = |kind| {
+                let r = session.query(&Query::new(vec![seed_stmt], kind, engine));
+                assert!(r.completeness.is_complete() && !r.degraded);
+                r.stmt_set()
+            };
+            let static_thin = static_slice(SliceKind::Thin);
+            let static_data = static_slice(SliceKind::TraditionalData);
+            for s in &dyn_thin.stmts {
+                assert!(
+                    static_thin.contains(s),
+                    "print #{idx}: dynamic thin stmt {s:?} missing from static {engine:?} thin slice"
+                );
+            }
+            for s in &dyn_data.stmts {
+                assert!(
+                    static_data.contains(s),
+                    "print #{idx}: dynamic data stmt {s:?} missing from static {engine:?} data slice"
+                );
+            }
         }
         // Thin ⊆ data dynamically too.
         assert!(dyn_thin.stmts.is_subset(&dyn_data.stmts));
@@ -70,8 +79,8 @@ fn benchmarks_actually_execute() {
     // Every benchmark must run far enough to print something — otherwise
     // the differential test is vacuous.
     for b in thinslice_suite::all_benchmarks() {
-        let analysis = Analysis::build(&b.sources).unwrap();
-        let exec = run(&analysis.program, &exec_config());
+        let session = AnalysisSession::new(&b.sources).unwrap();
+        let exec = run(session.program(), &exec_config());
         assert!(
             !exec.prints.is_empty() || !matches!(exec.outcome, Outcome::Finished),
             "{}: executed {} steps, printed nothing, finished silently",
@@ -111,9 +120,10 @@ class Main {
         Names.printNames(firstNames);
     }
 }"#;
-    let analysis = Analysis::build(&[("fig1.mj", src)]).unwrap();
+    let session = AnalysisSession::new(&[("fig1.mj", src)]).unwrap();
+    let program = session.program();
     let exec = run(
-        &analysis.program,
+        program,
         &ExecConfig {
             lines: vec!["John Doe".into()],
             ..ExecConfig::default()
@@ -128,12 +138,11 @@ class Main {
 
     let seed = exec.prints[0].0;
     let dyn_thin = dynamic_thin_slice(&exec, seed);
-    let buggy = analysis
-        .program
+    let buggy = program
         .all_stmts()
         .find(|s| {
-            matches!(&analysis.program.instr(*s).kind, InstrKind::Call { callee, .. }
-                if analysis.program.methods[*callee].name == "substring")
+            matches!(&program.instr(*s).kind, InstrKind::Call { callee, .. }
+                if program.methods[*callee].name == "substring")
         })
         .unwrap();
     assert!(

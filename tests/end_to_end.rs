@@ -2,27 +2,33 @@
 //! analyses, and satisfies the structural relations between the four
 //! slicers.
 
-use thinslice::{Analysis, Engine, Query, RunCtx, SliceKind};
-use thinslice_ir::InstrKind;
+use thinslice::{AnalysisSession, Engine, Query, RunCtx, SliceKind, SliceResult};
+use thinslice_ir::{InstrKind, StmtRef};
 use thinslice_pta::PtaConfig;
 
-/// Every print statement of every benchmark, as a slicing seed.
-fn print_seeds(a: &Analysis) -> Vec<thinslice_ir::StmtRef> {
-    a.program
+/// Every reachable print statement of the program, as a slicing seed.
+fn print_seeds(s: &mut AnalysisSession) -> Vec<StmtRef> {
+    let (program, _, graph) = s.ci_parts();
+    program
         .all_stmts()
-        .filter(|s| matches!(a.program.instr(*s).kind, InstrKind::Print { .. }))
-        .filter(|s| !a.sdg.stmt_nodes_of(*s).is_empty())
+        .filter(|s| matches!(program.instr(*s).kind, InstrKind::Print { .. }))
+        .filter(|s| graph.stmt_node(*s).is_some())
         .collect()
+}
+
+/// The context-insensitive `kind` slice from one statement.
+fn ci_slice(s: &mut AnalysisSession, seed: StmtRef, kind: SliceKind) -> SliceResult {
+    s.query(&Query::new(vec![seed], kind, Engine::Ci))
 }
 
 #[test]
 fn slicer_inclusion_hierarchy_holds_on_all_benchmarks() {
     for b in thinslice_suite::all_benchmarks() {
-        let a = b.analyze(PtaConfig::default());
-        for seed in print_seeds(&a) {
-            let thin = a.thin_slice(&[seed]);
-            let data = a.traditional_slice(&[seed]);
-            let full = a.full_slice(&[seed]);
+        let mut a = b.session(PtaConfig::default(), RunCtx::disabled());
+        for seed in print_seeds(&mut a) {
+            let thin = ci_slice(&mut a, seed, SliceKind::Thin);
+            let data = ci_slice(&mut a, seed, SliceKind::TraditionalData);
+            let full = ci_slice(&mut a, seed, SliceKind::TraditionalFull);
             let thin_set = thin.stmt_set();
             let data_set = data.stmt_set();
             let full_set = full.stmt_set();
@@ -52,10 +58,9 @@ fn heap_parameter_graphs_preserve_thin_reachability() {
     // value reachable in the CI thin slice through one store/load pair is
     // reachable in the CS graph too (possibly through heap parameters).
     let b = thinslice_suite::benchmark_named("jtopas").unwrap();
-    let a = b.analyze(PtaConfig::default());
     let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
 
-    for seed in print_seeds(&a) {
+    for seed in print_seeds(&mut s) {
         let ci = s.query(&Query::new(vec![seed], SliceKind::Thin, Engine::Ci));
         let cs = s.query(&Query::new(vec![seed], SliceKind::Thin, Engine::Cs));
         // Not equality (the CS graph is context-sensitive and strictly more
@@ -79,14 +84,14 @@ fn noobjsens_slices_contain_the_precise_slices() {
     // one (monotonicity of abstraction coarsening).
     for name in ["nanoxml", "jack"] {
         let b = thinslice_suite::benchmark_named(name).unwrap();
-        let precise = b.analyze(PtaConfig::default());
-        let coarse = b.analyze(PtaConfig::without_object_sensitivity());
-        for seed in print_seeds(&precise).into_iter().take(4) {
-            if coarse.sdg.stmt_nodes_of(seed).is_empty() {
+        let mut precise = b.session(PtaConfig::default(), RunCtx::disabled());
+        let mut coarse = b.session(PtaConfig::without_object_sensitivity(), RunCtx::disabled());
+        for seed in print_seeds(&mut precise).into_iter().take(4) {
+            if coarse.ci_graph().stmt_node(seed).is_none() {
                 continue;
             }
-            let p = precise.thin_slice(&[seed]).stmt_set();
-            let c = coarse.thin_slice(&[seed]).stmt_set();
+            let p = ci_slice(&mut precise, seed, SliceKind::Thin).stmt_set();
+            let c = ci_slice(&mut coarse, seed, SliceKind::Thin).stmt_set();
             assert!(
                 p.is_subset(&c),
                 "{name}: coarsening must not remove statements at {seed:?}"
@@ -102,14 +107,14 @@ fn all_examples_compile_against_the_suite() {
     // bug task. This is the contract the examples and tables rely on.
     for task in thinslice_suite::all_bug_tasks() {
         let b = thinslice_suite::benchmark_named(task.benchmark).unwrap();
-        let a = b.analyze(PtaConfig::default());
-        let resolved = task.resolve(&b, &a);
+        let mut a = b.session(PtaConfig::default(), RunCtx::disabled());
+        let resolved = task.resolve(&b, &mut a);
         assert!(!resolved.seeds.is_empty(), "{}", task.id);
     }
     for task in thinslice_suite::all_cast_tasks() {
         let b = thinslice_suite::benchmark_named(task.benchmark).unwrap();
-        let a = b.analyze(PtaConfig::default());
-        let resolved = task.resolve(&b, &a);
+        let mut a = b.session(PtaConfig::default(), RunCtx::disabled());
+        let resolved = task.resolve(&b, &mut a);
         assert!(!resolved.seeds.is_empty(), "{}", task.id);
     }
 }

@@ -129,13 +129,78 @@ fn claim4_scalability() {
 #[test]
 fn table1_cloning_shows_on_every_benchmark() {
     for b in thinslice_suite::all_benchmarks() {
-        let a = b.analyze(PtaConfig::default());
-        let stats = ProgramStats::compute(&a.program, &a.pta);
+        let stats_of = |config| {
+            let mut s = b.session(config, RunCtx::disabled());
+            let (program, pta, _) = s.ci_parts();
+            ProgramStats::compute(program, pta)
+        };
+        let stats = stats_of(PtaConfig::default());
         assert!(stats.cg_nodes > stats.methods, "{}: {stats:?}", b.name);
         // And the coarse configuration has exactly one node per method.
-        let coarse = b.analyze(PtaConfig::without_object_sensitivity());
-        let cstats = ProgramStats::compute(&coarse.program, &coarse.pta);
+        let cstats = stats_of(PtaConfig::without_object_sensitivity());
         assert_eq!(cstats.cg_nodes, cstats.methods, "{}", b.name);
+    }
+}
+
+/// One slicer's numbers in a table row: `(#inspected, found, full-slice
+/// lines)`.
+type Measured = (usize, bool, usize);
+
+/// Every Table 2 and Table 3 row as `table2` and `table3` compute it:
+/// `(task, #Control, [thin, trad, thin NoObjSens, trad NoObjSens])`.
+/// Counts are deterministic, so any change here is an answer change.
+#[rustfmt::skip]
+const TABLE_ROWS: &[(&str, u32, [Measured; 4])] = &[
+    ("nanoxml-1", 0, [(10, true, 16), (27, true, 98), (10, true, 16), (47, true, 111)]),
+    ("nanoxml-2", 0, [(7, true, 13), (21, true, 29), (11, true, 25), (40, true, 108)]),
+    ("nanoxml-3", 0, [(7, true, 13), (14, true, 93), (7, true, 13), (14, true, 120)]),
+    ("nanoxml-4", 1, [(5, true, 10), (6, true, 84), (5, true, 10), (6, true, 112)]),
+    ("nanoxml-5", 1, [(19, true, 19), (18, true, 96), (19, true, 19), (18, true, 123)]),
+    ("nanoxml-6", 0, [(6, true, 20), (6, true, 101), (6, true, 20), (6, true, 114)]),
+    ("jtopas-1", 0, [(1, true, 9), (1, true, 33), (1, true, 9), (1, true, 37)]),
+    ("jtopas-2", 1, [(10, true, 14), (13, true, 39), (10, true, 14), (13, true, 43)]),
+    ("ant-1", 1, [(8, true, 15), (11, true, 73), (8, true, 15), (11, true, 83)]),
+    ("ant-2", 0, [(4, true, 10), (5, true, 71), (4, true, 10), (5, true, 81)]),
+    ("ant-3", 15, [(21, true, 40), (21, true, 56), (21, true, 45), (21, true, 104)]),
+    ("ant-4", 2, [(21, true, 30), (40, true, 64), (25, true, 35), (49, true, 82)]),
+    ("xml-security-1", 1, [(8, true, 28), (8, true, 43), (8, true, 28), (8, true, 48)]),
+    ("mtrt-1", 0, [(10, true, 10), (21, true, 26), (11, true, 11), (23, true, 29)]),
+    ("mtrt-2", 0, [(10, true, 10), (21, true, 26), (12, true, 12), (24, true, 30)]),
+    ("jess-1", 2, [(9, true, 9), (10, true, 53), (9, true, 9), (10, true, 70)]),
+    ("jess-2", 0, [(13, true, 15), (25, true, 47), (16, true, 23), (41, true, 64)]),
+    ("jess-3", 2, [(9, true, 9), (10, true, 53), (9, true, 9), (10, true, 70)]),
+    ("jess-4", 2, [(9, true, 9), (10, true, 53), (9, true, 9), (10, true, 70)]),
+    ("jess-5", 2, [(13, true, 18), (30, true, 51), (20, true, 22), (39, true, 65)]),
+    ("jess-6", 2, [(9, true, 10), (27, true, 35), (15, true, 18), (44, true, 63)]),
+    ("javac-1", 1, [(17, true, 17), (29, true, 179), (17, true, 17), (29, true, 189)]),
+    ("javac-2", 1, [(17, true, 17), (29, true, 179), (17, true, 17), (29, true, 189)]),
+    ("javac-3", 1, [(17, true, 17), (29, true, 179), (17, true, 17), (29, true, 189)]),
+    ("javac-4", 1, [(17, true, 17), (29, true, 179), (17, true, 17), (29, true, 189)]),
+    ("jack-1", 0, [(6, true, 18), (19, true, 93), (7, true, 30), (24, true, 104)]),
+    ("jack-2", 0, [(11, true, 11), (27, true, 29), (16, true, 28), (35, true, 104)]),
+    ("jack-3", 0, [(6, true, 8), (19, true, 33), (8, true, 30), (25, true, 104)]),
+    ("jack-4", 0, [(7, true, 9), (16, true, 39), (7, true, 9), (16, true, 39)]),
+    ("jack-5", 0, [(6, true, 14), (14, true, 37), (9, true, 30), (21, true, 104)]),
+    ("jack-6", 0, [(7, true, 9), (16, true, 39), (7, true, 9), (16, true, 39)]),
+    ("jack-7", 0, [(12, true, 27), (22, true, 93), (13, true, 34), (26, true, 104)]),
+    ("jack-8", 0, [(12, true, 13), (26, true, 33), (18, true, 35), (45, true, 104)]),
+    ("jack-9", 0, [(6, true, 14), (12, true, 37), (9, true, 30), (19, true, 104)]),
+    ("jack-10", 0, [(6, true, 24), (7, true, 96), (6, true, 34), (7, true, 106)]),
+];
+
+/// Tables 2 and 3 exactly: every row's `#Thin`, `#Trad`, `#Control`, both
+/// NoObjSens counts, whether each slicer found the desired statements, and
+/// each full-slice size. The claims above only bound these numbers.
+#[test]
+fn tables_2_and_3_rows_are_pinned() {
+    let mut tasks = thinslice_suite::all_bug_tasks();
+    tasks.extend(thinslice_suite::all_cast_tasks());
+    let rows = thinslice_bench_rows(&tasks);
+    assert_eq!(rows.len(), TABLE_ROWS.len());
+    for (r, want) in rows.iter().zip(TABLE_ROWS) {
+        let measured = [r.thin, r.trad, r.thin_noobjsens, r.trad_noobjsens]
+            .map(|m| (m.inspected, m.found, m.full_slice));
+        assert_eq!((r.id, r.control_deps, measured), *want);
     }
 }
 
@@ -143,22 +208,16 @@ fn thinslice_bench_rows(tasks: &[thinslice_suite::Task]) -> Vec<thinslice_suite:
     let mut rows = Vec::new();
     let mut cache: std::collections::HashMap<
         &'static str,
-        (
-            thinslice_suite::Benchmark,
-            thinslice::Analysis,
-            thinslice::Analysis,
-        ),
+        (thinslice_suite::Benchmark, AnalysisSession, AnalysisSession),
     > = std::collections::HashMap::new();
     for task in tasks {
-        let entry = cache.entry(task.benchmark).or_insert_with(|| {
+        let (b, precise, noobjsens) = cache.entry(task.benchmark).or_insert_with(|| {
             let b = thinslice_suite::benchmark_named(task.benchmark).unwrap();
-            let p = b.analyze(PtaConfig::default());
-            let n = b.analyze(PtaConfig::without_object_sensitivity());
+            let p = b.session(PtaConfig::default(), RunCtx::disabled());
+            let n = b.session(PtaConfig::without_object_sensitivity(), RunCtx::disabled());
             (b, p, n)
         });
-        rows.push(thinslice_suite::run_task(
-            &entry.0, task, &entry.1, &entry.2,
-        ));
+        rows.push(thinslice_suite::run_task(b, task, precise, noobjsens));
     }
     rows
 }

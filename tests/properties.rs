@@ -2,7 +2,8 @@
 //! the whole pipeline that must hold for *any* MJ program the generator can
 //! produce.
 
-use thinslice::Analysis;
+use thinslice::{AnalysisSession, Engine, Query, RunCtx, SliceKind, SliceResult};
+use thinslice_ir::StmtRef;
 use thinslice_pta::PtaConfig;
 use thinslice_suite::{generate, GeneratorConfig};
 use thinslice_util::SmallRng;
@@ -17,6 +18,31 @@ fn arb_config(rng: &mut SmallRng) -> GeneratorConfig {
     }
 }
 
+/// A session on one generated program.
+fn session(src: &str, config: PtaConfig) -> AnalysisSession {
+    AnalysisSession::with_ctx(&[("gen.mj", src)], config, RunCtx::disabled())
+        .expect("generated program compiles")
+}
+
+/// The context-insensitive `kind` slice from one statement.
+fn ci_slice(s: &mut AnalysisSession, seed: StmtRef, kind: SliceKind) -> SliceResult {
+    s.query(&Query::new(vec![seed], kind, Engine::Ci))
+}
+
+/// The program's first print statement.
+fn first_print(s: &AnalysisSession) -> StmtRef {
+    let program = s.program();
+    program
+        .all_stmts()
+        .find(|s| {
+            matches!(
+                program.instr(*s).kind,
+                thinslice_ir::InstrKind::Print { .. }
+            )
+        })
+        .unwrap()
+}
+
 /// Every generated program compiles, analyses, and slices without
 /// panicking; thin ⊆ data ⊆ full holds for every print seed.
 #[test]
@@ -24,23 +50,23 @@ fn pipeline_invariants_on_generated_programs() {
     for case in 0..12u64 {
         let config = arb_config(&mut SmallRng::new(case));
         let src = generate(&config);
-        let a = Analysis::build(&[("gen.mj", &src)]).expect("generated program compiles");
-        let seeds: Vec<_> = a
-            .program
+        let mut a = session(&src, PtaConfig::default());
+        let (program, _, graph) = a.ci_parts();
+        let seeds: Vec<_> = program
             .all_stmts()
             .filter(|s| {
                 matches!(
-                    a.program.instr(*s).kind,
+                    program.instr(*s).kind,
                     thinslice_ir::InstrKind::Print { .. }
                 )
             })
-            .filter(|s| !a.sdg.stmt_nodes_of(*s).is_empty())
+            .filter(|s| graph.stmt_node(*s).is_some())
             .collect();
         assert!(!seeds.is_empty(), "generated programs always print");
         for seed in seeds {
-            let thin = a.thin_slice(&[seed]);
-            let data = a.traditional_slice(&[seed]);
-            let full = a.full_slice(&[seed]);
+            let thin = ci_slice(&mut a, seed, SliceKind::Thin);
+            let data = ci_slice(&mut a, seed, SliceKind::TraditionalData);
+            let full = ci_slice(&mut a, seed, SliceKind::TraditionalFull);
             assert!(thin.stmt_set().is_subset(&data.stmt_set()));
             assert!(data.stmt_set().is_subset(&full.stmt_set()));
             assert!(thin.contains(seed));
@@ -64,20 +90,11 @@ fn slicing_is_deterministic() {
             ..GeneratorConfig::default()
         };
         let src = generate(&config);
-        let a1 = Analysis::build(&[("gen.mj", &src)]).unwrap();
-        let a2 = Analysis::build(&[("gen.mj", &src)]).unwrap();
-        let seed_stmt = a1
-            .program
-            .all_stmts()
-            .find(|s| {
-                matches!(
-                    a1.program.instr(*s).kind,
-                    thinslice_ir::InstrKind::Print { .. }
-                )
-            })
-            .unwrap();
-        let s1 = a1.thin_slice(&[seed_stmt]);
-        let s2 = a2.thin_slice(&[seed_stmt]);
+        let mut a1 = session(&src, PtaConfig::default());
+        let mut a2 = session(&src, PtaConfig::default());
+        let seed_stmt = first_print(&a1);
+        let s1 = ci_slice(&mut a1, seed_stmt, SliceKind::Thin);
+        let s2 = ci_slice(&mut a2, seed_stmt, SliceKind::Thin);
         assert_eq!(s1.stmts, s2.stmts);
     }
 }
@@ -93,25 +110,14 @@ fn coarsening_is_monotone() {
             ..GeneratorConfig::default()
         };
         let src = generate(&config);
-        let precise = Analysis::build(&[("gen.mj", &src)]).unwrap();
-        let coarse =
-            Analysis::with_config(&[("gen.mj", &src)], PtaConfig::without_object_sensitivity())
-                .unwrap();
-        let seed_stmt = precise
-            .program
-            .all_stmts()
-            .find(|s| {
-                matches!(
-                    precise.program.instr(*s).kind,
-                    thinslice_ir::InstrKind::Print { .. }
-                )
-            })
-            .unwrap();
-        if coarse.sdg.stmt_nodes_of(seed_stmt).is_empty() {
+        let mut precise = session(&src, PtaConfig::default());
+        let mut coarse = session(&src, PtaConfig::without_object_sensitivity());
+        let seed_stmt = first_print(&precise);
+        if coarse.ci_graph().stmt_node(seed_stmt).is_none() {
             continue;
         }
-        let p = precise.thin_slice(&[seed_stmt]).stmt_set();
-        let c = coarse.thin_slice(&[seed_stmt]).stmt_set();
+        let p = ci_slice(&mut precise, seed_stmt, SliceKind::Thin).stmt_set();
+        let c = ci_slice(&mut coarse, seed_stmt, SliceKind::Thin).stmt_set();
         assert!(p.is_subset(&c));
     }
 }

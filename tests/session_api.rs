@@ -1,10 +1,10 @@
 //! The unified `AnalysisSession`/`Query` entrypoint on every suite
-//! benchmark: CI queries answer bit-for-bit what the `Analysis` façade's
-//! sort-based sparse slicer answers, for every slice kind; governed
-//! queries return sound truncations of the full answers; and the batched
-//! path is indistinguishable from the sequential one. (The comparisons
-//! against the growable graphs, CI and CS, live with the crate-private
-//! reference slicers in `thinslice`'s `order_tests`.)
+//! benchmark: governed queries return sound truncations of the full
+//! answers; the batched path is indistinguishable from the sequential
+//! one; and a warm session answers like a cold one. (The comparisons
+//! against the sort-based reference slicers, over the frozen graphs and
+//! the growable ones, CI and CS, live with those crate-private references
+//! in `thinslice`'s `order_tests`.)
 
 use thinslice::{Budget, Completeness, Engine, Query, QueryPolicy, RunCtx, SliceKind};
 use thinslice_ir::InstrKind;
@@ -23,39 +23,6 @@ fn print_seeds(program: &thinslice_ir::Program, n: usize) -> Vec<thinslice_ir::S
         .filter(|s| matches!(program.instr(*s).kind, InstrKind::Print { .. }))
         .take(n)
         .collect()
-}
-
-#[test]
-fn ci_queries_match_the_legacy_sparse_slicer_on_all_benchmarks() {
-    for b in thinslice_suite::all_benchmarks() {
-        let a = b.analyze(PtaConfig::default());
-        let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
-        for seed in print_seeds(&a.program, 3) {
-            if a.sdg.stmt_nodes_of(seed).is_empty() {
-                continue;
-            }
-            for kind in KINDS {
-                let sparse = match kind {
-                    SliceKind::Thin => a.thin_slice(&[seed]),
-                    SliceKind::TraditionalData => a.traditional_slice(&[seed]),
-                    SliceKind::TraditionalFull => a.full_slice(&[seed]),
-                };
-                let got = s.query(&Query::new(vec![seed], kind, Engine::Ci));
-                assert_eq!(got.engine, Engine::Ci);
-                assert_eq!(got.kind, kind);
-                assert!(got.completeness.is_complete());
-                assert!(!got.degraded);
-                // Bit-identical: same statements in the same BFS order,
-                // same number of visited nodes.
-                assert_eq!(got.stmts, sparse.stmts, "{}: {kind:?}", b.name);
-                assert_eq!(
-                    got.nodes_visited, sparse.nodes_visited,
-                    "{}: {kind:?}",
-                    b.name
-                );
-            }
-        }
-    }
 }
 
 #[test]
@@ -155,11 +122,8 @@ fn a_fresh_session_answers_like_a_warm_one() {
     // never change answers — a session that has already answered other
     // queries agrees with a cold session on every later query.
     let b = thinslice_suite::benchmark_named("nanoxml").expect("nanoxml exists");
-    let seeds = {
-        let a = b.analyze(PtaConfig::default());
-        print_seeds(&a.program, 4)
-    };
     let mut warm = b.session(PtaConfig::default(), RunCtx::disabled());
+    let seeds = print_seeds(warm.program(), 4);
     // Warm the session up on everything once.
     for &seed in &seeds {
         for engine in [Engine::Ci, Engine::Cs] {

@@ -2,7 +2,7 @@
 //! compiled, analysed, sliced and executed — the static and dynamic
 //! results must agree per the differential contract.
 
-use thinslice::Analysis;
+use thinslice::{AnalysisSession, Engine, Query, SliceKind};
 use thinslice_interp::{dynamic_thin_slice, run, ExecConfig, Outcome};
 
 const WORKOUT: &str = r#"class Main {
@@ -66,8 +66,8 @@ const WORKOUT: &str = r#"class Main {
 
 #[test]
 fn container_workout_executes_correctly() {
-    let analysis = Analysis::build(&[("workout.mj", WORKOUT)]).unwrap();
-    let exec = run(&analysis.program, &ExecConfig::default());
+    let session = AnalysisSession::new(&[("workout.mj", WORKOUT)]).unwrap();
+    let exec = run(session.program(), &ExecConfig::default());
     assert_eq!(exec.outcome, Outcome::Finished, "{:?}", exec.outcome);
     let texts: Vec<&str> = exec.prints.iter().map(|(_, t)| t.as_str()).collect();
     assert_eq!(
@@ -96,14 +96,16 @@ fn container_workout_executes_correctly() {
 
 #[test]
 fn container_workout_dynamic_slices_are_subsets() {
-    let analysis = Analysis::build(&[("workout.mj", WORKOUT)]).unwrap();
-    let exec = run(&analysis.program, &ExecConfig::default());
+    let mut session = AnalysisSession::new(&[("workout.mj", WORKOUT)]).unwrap();
+    let exec = run(session.program(), &ExecConfig::default());
     for (event, _) in &exec.prints {
         let seed = exec.events[*event].stmt;
-        if analysis.sdg.stmt_nodes_of(seed).is_empty() {
+        if session.ci_graph().stmt_node(seed).is_none() {
             continue;
         }
-        let static_thin = analysis.thin_slice(&[seed]).stmt_set();
+        let static_thin = session
+            .query(&Query::new(vec![seed], SliceKind::Thin, Engine::Ci))
+            .stmt_set();
         let dynamic = dynamic_thin_slice(&exec, *event);
         for s in &dynamic.stmts {
             assert!(
@@ -119,24 +121,24 @@ fn container_workout_thin_slices_skip_growth_machinery() {
     // Pushing 12 items forces Vector.grow; the grown backing array is a
     // base-pointer concern and its length computation must stay out of the
     // thin slice of a retrieved value.
-    let analysis = Analysis::build(&[("workout.mj", WORKOUT)]).unwrap();
+    let mut session = AnalysisSession::new(&[("workout.mj", WORKOUT)]).unwrap();
     let line = WORKOUT
         .lines()
         .position(|l| l.contains("print((String) v.get(0));"))
         .unwrap() as u32
         + 1;
-    let seeds = analysis.seed_at_line("workout.mj", line).unwrap();
-    let thin = analysis.thin_slice(&seeds);
-    let trad = analysis.traditional_slice(&seeds);
-    let vector = analysis.program.class_named("Vector").unwrap();
-    let grow = analysis.program.resolve_method(vector, "grow").unwrap();
-    let grow_alloc = analysis
-        .program
+    let seeds = session.seed_at_line("workout.mj", line).unwrap();
+    let thin = session.query(&Query::new(seeds.clone(), SliceKind::Thin, Engine::Ci));
+    let trad = session.query(&Query::new(seeds, SliceKind::TraditionalData, Engine::Ci));
+    let program = session.program();
+    let vector = program.class_named("Vector").unwrap();
+    let grow = program.resolve_method(vector, "grow").unwrap();
+    let grow_alloc = program
         .all_stmts()
         .find(|s| {
             s.method == grow
                 && matches!(
-                    analysis.program.instr(*s).kind,
+                    program.instr(*s).kind,
                     thinslice_ir::InstrKind::NewArray { .. }
                 )
         })
@@ -151,13 +153,12 @@ fn container_workout_thin_slices_skip_growth_machinery() {
     );
     // But grow's element-copying store IS a producer (values flow through
     // it when the vector grows).
-    let copy_store = analysis
-        .program
+    let copy_store = program
         .all_stmts()
         .find(|s| {
             s.method == grow
                 && matches!(
-                    analysis.program.instr(*s).kind,
+                    program.instr(*s).kind,
                     thinslice_ir::InstrKind::ArrayStore { .. }
                 )
         })

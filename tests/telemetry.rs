@@ -4,7 +4,7 @@
 //! budget-exhaustion events, and a disabled handle changes nothing.
 
 use thinslice::{
-    Analysis, AnalysisSession, Budget, Engine, Query, QueryPolicy, RunCtx, SliceKind, Telemetry,
+    AnalysisSession, Budget, Engine, Query, QueryPolicy, RunCtx, SliceKind, Telemetry,
 };
 use thinslice_ir::{Program, StmtRef};
 use thinslice_util::telemetry::RUN_REPORT_SCHEMA;
@@ -58,12 +58,7 @@ fn queries(program: &Program, engine: Engine) -> Vec<Query> {
 #[test]
 fn pipeline_spans_nest_and_time_monotonically() {
     let tel = Telemetry::enabled();
-    let _a = Analysis::with_ctx(
-        &[("t.mj", PROGRAM)],
-        thinslice_pta::PtaConfig::default(),
-        &RunCtx::disabled().with_telemetry(tel.clone()),
-    )
-    .unwrap();
+    session(RunCtx::disabled().with_telemetry(tel.clone())).ci_graph();
     let report = tel.report();
     let names: Vec<&str> = report.spans.iter().map(|s| s.name.as_str()).collect();
     for expected in [
