@@ -1119,11 +1119,13 @@ fn print_governed_batch(
 }
 
 /// With telemetry enabled, one extra footer line summarising the per-query
-/// latency histogram. Plain runs print nothing extra.
+/// latency histogram. Plain runs print nothing extra. CI queries answered
+/// together in one lane walk each report the walk's wall time.
 fn print_latency_footer(tel: &Telemetry) {
     if let Some(h) = tel.histogram_summary("batch.query_us") {
         println!(
-            "-- per-query latency: p50 {:.1} us, p95 {:.1} us, max {:.1} us over {} queries",
+            "-- per-query latency: p50 {:.1} us, p95 {:.1} us, max {:.1} us over {} queries \
+             (a lane-walked query reports its group's wall time)",
             h.p50, h.p95, h.max, h.count
         );
     }

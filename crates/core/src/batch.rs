@@ -3,22 +3,33 @@
 //! The paper's evaluation workload is query-heavy: one dependence graph,
 //! many seeds (every task of Table 2/3 slices the same benchmark). This
 //! module amortises everything that does not depend on the seed —
-//! the CSR graph ([`FrozenSdg`]), per-worker scratch buffers
-//! ([`SliceScratch`], [`CsScratch`]) and the tabulation's down-edge index
-//! ([`FrozenSdg::down_consumers`]) — and fans the queries out across a
-//! thread pool over the shared immutable graph.
+//! the CSR graph ([`FrozenSdg`]), per-worker scratch buffers (the BFS
+//! and lane-walk scratch, [`CsScratch`]) and the tabulation's down-edge
+//! index ([`FrozenSdg::down_consumers`]) — and fans the queries out
+//! across a thread pool over the shared immutable graph.
 //!
 //! Results are returned in query order, and each result is identical to
 //! what the sequential single-query path ([`AnalysisSession::query`])
 //! produces, whatever the thread count: workers share only immutable
-//! data, and each query's traversal is fully independent.
+//! data, and each query's answer depends on its own seeds and meter alone.
+//!
+//! A context-insensitive batch is cut into runs of at most 64 consecutive
+//! queries, at least one run per worker, and each run is answered by one
+//! lane walk: a multi-source BFS that carries a 64-bit lane mask per node,
+//! so the queries of a run share the scan of every node they reach (Then
+//! et al., *The More the Merrier*, VLDB 2014). A run of one query, the run
+//! holding a fault-injected query, a run whose walk panicked, and every
+//! run of a batch under a deadline or without retries are answered one
+//! query at a time instead. A context-sensitive batch is answered one
+//! query at a time.
 //!
 //! One engine answers every batch, governed or not; an ungoverned batch
-//! simply runs under an unlimited budget. Every query arms its own meter
-//! and runs under `catch_unwind`: a query that panics is retried on fresh
-//! scratch and, if it keeps panicking, answered with a [`QueryError`]
-//! while its siblings are unaffected. A context-sensitive query cut short
-//! by its budget takes the CS → CI ladder unless the policy forbids it.
+//! simply runs under an unlimited budget. Every query arms its own meter,
+//! and every walk runs under `catch_unwind`: a query that panics is
+//! retried on fresh scratch and, if it keeps panicking, answered with a
+//! [`QueryError`] while its siblings are unaffected. A context-sensitive
+//! query cut short by its budget takes the CS → CI ladder unless the
+//! policy forbids it.
 //! Thin and data CI batches of at least 16 queries walk a view of the
 //! graph that keeps only the edges their kind follows, built once per
 //! batch; smaller ones, full slices and tabulation walk the graph itself.
@@ -54,12 +65,15 @@
 //! [`AnalysisSession::query`]: crate::AnalysisSession::query
 
 use crate::session::{Engine, SliceResult};
-use crate::slice::{slice_dense, Slice, SliceKind, SliceScratch};
+use crate::slice::{slice_dense, slice_lanes, Slice, SliceKind, SliceScratch, LANES};
 use crate::tabulation::{cs_oneshot, cs_reusing, CsScratch, MemoStats};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use thinslice_sdg::{DenseDisplay, FrozenSdg, NodeId};
-use thinslice_util::{panic_message, par, Budget, CancelToken, Completeness, RunCtx, Telemetry};
+use thinslice_util::{
+    panic_message, par, Budget, CancelToken, Completeness, Meter, RunCtx, Telemetry,
+};
 
 /// Minimum batch size at which thin and data CI queries walk a view of
 /// the graph filtered by their kind. Building the view scans every edge
@@ -162,7 +176,10 @@ pub struct QueryOutcome {
     /// The slice, or the hard error that survived all retries.
     pub slice: Result<SliceResult, QueryError>,
     /// Wall-clock time spent on this query, all attempts included.
-    /// Measured for every query of every batch, governed or not.
+    /// Measured for every query of every batch, governed or not. A
+    /// context-insensitive query answered in a lane walk with up to 63
+    /// others reports the walk's wall time, the same for every query of
+    /// its group.
     pub latency: Duration,
     /// How many retries ran (0 = first attempt sufficed).
     pub retries: u32,
@@ -197,6 +214,32 @@ pub(crate) fn answer_ci<G: DenseDisplay>(
         tel.count("govern.meter_checks", meter.slow_checks());
     }
     answer(slice, Engine::Ci, completeness, false)
+}
+
+/// Answers a group of up to [`LANES`] context-insensitive queries with one
+/// lane walk over `graph`, each query under its own meter armed from
+/// `budget`, so each answer is the one [`answer_ci`] gives.
+fn answer_lanes<G: DenseDisplay>(
+    graph: &G,
+    prefiltered: bool,
+    queries: &[Vec<NodeId>],
+    kind: SliceKind,
+    budget: &Budget,
+    scratch: &mut SliceScratch,
+    tel: &Telemetry,
+) -> Vec<SliceResult> {
+    let mut meters: Vec<Meter> = queries.iter().map(|_| budget.meter()).collect();
+    let walked = slice_lanes(graph, queries, kind, scratch, prefiltered, &mut meters);
+    if !budget.is_unlimited() {
+        tel.count(
+            "govern.meter_checks",
+            meters.iter().map(Meter::slow_checks).sum(),
+        );
+    }
+    walked
+        .into_iter()
+        .map(|(slice, completeness)| answer(slice, Engine::Ci, completeness, false))
+        .collect()
 }
 
 /// The answer `slice` makes, labelled with its engine and honesty flags.
@@ -257,16 +300,18 @@ pub(crate) fn answer_cs(
 /// Runs query `i`'s attempts under `catch_unwind`: a panic poisons only
 /// this worker's scratch (replaced fresh), is retried up to `cfg.retries`
 /// times, and on final failure under fail-fast cancels the call's token,
-/// which the rest of the call's queries run under.
+/// which the rest of the call's queries run under. `spent` attempts (a
+/// failed lane walk) are already charged against the retries.
 fn run_guarded<S>(
     i: usize,
     cfg: &BatchConfig,
+    spent: u32,
     scratch: &mut S,
     fresh: impl Fn() -> S,
     attempt: impl Fn(&mut S) -> SliceResult,
 ) -> QueryOutcome {
     let start = Instant::now();
-    let mut attempts_used = 0u32;
+    let mut attempts_used = spent;
     loop {
         let inject = cfg
             .fault
@@ -350,7 +395,8 @@ fn record_memo(tel: &Telemetry, delta: MemoStats) {
 }
 
 /// The batch engine: answers `queries` (seed nodes of `graph`) on up to
-/// `threads` workers, in query order, under `cfg`. See the module docs.
+/// `threads` workers, in query order, under `cfg`. See the module docs. A
+/// CI batch that runs on the calling thread alone walks on `scratch`.
 pub(crate) fn run_batch(
     graph: &FrozenSdg,
     queries: &[Vec<NodeId>],
@@ -358,80 +404,173 @@ pub(crate) fn run_batch(
     engine: Engine,
     threads: usize,
     cfg: &BatchConfig,
+    scratch: &mut SliceScratch,
 ) -> Vec<QueryOutcome> {
     let mut span = cfg.ctx.telemetry().span("batch.slices");
     span.add("batch.queries", queries.len() as u64);
+    let threads = effective_threads(threads, queries.len());
+    if engine == Engine::Cs {
+        return run_cs(graph, queries, kind, threads, cfg);
+    }
     // The full slicer follows every edge, so the graph is its own filtered
     // view.
     let prefiltered = kind == SliceKind::TraditionalFull;
     // Whether a kind follows an edge depends only on the edge's label, so
     // dropping the unfollowed edges once per batch leaves every query's
     // walk — and answer — unchanged.
-    if engine == Engine::Ci && !prefiltered && queries.len() >= FILTER_THRESHOLD {
+    if !prefiltered && queries.len() >= FILTER_THRESHOLD {
         let filtered = graph.filtered(|e| kind.follows(&e.kind));
-        return run_on(&filtered, true, graph, queries, kind, engine, threads, cfg);
+        return run_ci(&filtered, true, queries, kind, threads, cfg, scratch);
     }
-    run_on(
-        graph,
-        prefiltered,
-        graph,
-        queries,
-        kind,
-        engine,
-        threads,
-        cfg,
-    )
+    run_ci(graph, prefiltered, queries, kind, threads, cfg, scratch)
 }
 
-/// [`run_batch`] with CI queries walking `view`, which holds exactly the
-/// edges `kind` follows when `prefiltered` is set; CS queries walk
-/// `graph`, which is then `view` itself.
+/// `n` queries cut into runs of consecutive queries of near-equal length:
+/// as few as lane walks allow ([`LANES`] queries each), but at least one
+/// per worker.
+fn lane_groups(n: usize, workers: usize) -> Vec<Range<usize>> {
+    let groups = n.div_ceil(LANES).max(workers).max(1);
+    let (per, extra) = (n / groups, n % groups);
+    let mut start = 0;
+    (0..groups)
+        .map(|g| {
+            let len = per + usize::from(g < extra);
+            start += len;
+            start - len..start
+        })
+        .collect()
+}
+
+/// Answers a CI batch over `view`, which holds exactly the edges `kind`
+/// follows when `prefiltered` is set: one lane walk per group of
+/// consecutive queries, the groups spread over the workers. With one
+/// worker the groups run on the calling thread, on `scratch`.
 ///
-/// The workers share only these immutable graphs and `graph`'s down-edge
-/// index. Each worker owns its scratch, so a CS worker memoises callee-exit
-/// regions for its own queries alone, and a panicked query's replacement
-/// scratch starts with an empty memo.
-#[allow(clippy::too_many_arguments)]
-fn run_on<G: DenseDisplay + Sync>(
+/// A group is answered one query at a time instead, each query under
+/// `run_guarded`, when it holds one query or the fault-injected query, when
+/// the budget has a deadline (a deadline is per query, and a lane's clock
+/// would also run during its siblings' work), when no retry is allowed, and
+/// after its lane walk panicked. The failed walk is recorded as a
+/// `batch.lane_walk_failed` event and charged as each query's first
+/// attempt. So retries, fail-fast order, deadlines and sibling isolation
+/// are those of single queries. Every query of a lane-walked group reports
+/// the group's wall time as its latency.
+fn run_ci<G: DenseDisplay + Sync>(
     view: &G,
     prefiltered: bool,
+    queries: &[Vec<NodeId>],
+    kind: SliceKind,
+    threads: usize,
+    cfg: &BatchConfig,
+    scratch: &mut SliceScratch,
+) -> Vec<QueryOutcome> {
+    let tel = cfg.ctx.telemetry();
+    let budget = cfg.ctx.budget();
+    let groups = lane_groups(queries.len(), threads);
+    let lanes = budget.time_limit().is_none() && cfg.retries > 0;
+    let record = |out: QueryOutcome| {
+        record_outcome(tel, "slice", &out);
+        out
+    };
+    let answer_group = |scratch: &mut SliceScratch, range: &Range<usize>| {
+        let group = &queries[range.clone()];
+        let faulty = cfg.fault.is_some_and(|f| range.contains(&f.query));
+        let (mut spent, mut wasted) = (0, Duration::ZERO);
+        if lanes && group.len() > 1 && !faulty {
+            let start = Instant::now();
+            let walked = catch_unwind(AssertUnwindSafe(|| {
+                answer_lanes(view, prefiltered, group, kind, budget, scratch, tel)
+            }));
+            match walked {
+                Ok(answers) => {
+                    let latency = start.elapsed();
+                    return answers
+                        .into_iter()
+                        .map(|slice| {
+                            record(QueryOutcome {
+                                slice: Ok(slice),
+                                latency,
+                                retries: 0,
+                            })
+                        })
+                        .collect();
+                }
+                Err(payload) => {
+                    // The unwound walk may have left the scratch mid-update.
+                    *scratch = SliceScratch::new();
+                    tel.count("batch.lane_walk_failures", 1);
+                    tel.event(
+                        "batch.lane_walk_failed",
+                        &[
+                            ("queries", group.len().to_string()),
+                            ("error", panic_message(payload.as_ref())),
+                        ],
+                    );
+                    (spent, wasted) = (1, start.elapsed());
+                }
+            }
+        }
+        range
+            .clone()
+            .map(|i| {
+                let mut out = run_guarded(i, cfg, spent, scratch, SliceScratch::new, |bfs| {
+                    answer_ci(view, prefiltered, &queries[i], kind, budget, bfs, tel)
+                });
+                out.latency += wasted;
+                record(out)
+            })
+            .collect::<Vec<_>>()
+    };
+    if threads <= 1 {
+        return groups
+            .iter()
+            .flat_map(|range| answer_group(scratch, range))
+            .collect();
+    }
+    par::map_with(&groups, threads, SliceScratch::new, |scratch, _, range| {
+        answer_group(scratch, range)
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// Answers a context-sensitive batch over `graph`, one query at a time on
+/// each worker.
+///
+/// The workers share only the immutable graph and its down-edge index.
+/// Each worker owns its scratch, so a CS worker memoises callee-exit
+/// regions for its own queries alone, and a panicked query's replacement
+/// scratch starts with an empty memo.
+fn run_cs(
     graph: &FrozenSdg,
     queries: &[Vec<NodeId>],
     kind: SliceKind,
-    engine: Engine,
     threads: usize,
     cfg: &BatchConfig,
 ) -> Vec<QueryOutcome> {
     let tel = cfg.ctx.telemetry();
     let budget = cfg.ctx.budget();
-    let threads = effective_threads(threads, queries.len());
     let fresh = || (CsScratch::new(), SliceScratch::new());
-    let stage = match engine {
-        Engine::Ci => "slice",
-        Engine::Cs => "cs_slice",
-    };
     let dense_cs = queries.len() >= CS_DENSE_THRESHOLD;
     par::map_with(queries, threads, fresh, |scratch, i, seeds| {
-        let out = run_guarded(i, cfg, scratch, fresh, |(cs, bfs)| match engine {
-            Engine::Ci => answer_ci(view, prefiltered, seeds, kind, budget, bfs, tel),
-            Engine::Cs => {
-                let before = cs.memo_stats();
-                let cs_scratch = dense_cs.then_some(&mut *cs);
-                let result = answer_cs(
-                    graph,
-                    seeds,
-                    kind,
-                    budget,
-                    cfg.degrade,
-                    cs_scratch,
-                    bfs,
-                    tel,
-                );
-                record_memo(tel, cs.memo_stats().since(&before));
-                result
-            }
+        let out = run_guarded(i, cfg, 0, scratch, fresh, |(cs, bfs)| {
+            let before = cs.memo_stats();
+            let cs_scratch = dense_cs.then_some(&mut *cs);
+            let result = answer_cs(
+                graph,
+                seeds,
+                kind,
+                budget,
+                cfg.degrade,
+                cs_scratch,
+                bfs,
+                tel,
+            );
+            record_memo(tel, cs.memo_stats().since(&before));
+            result
         });
-        record_outcome(tel, stage, &out);
+        record_outcome(tel, "cs_slice", &out);
         out
     })
 }
@@ -485,6 +624,7 @@ mod tests {
             engine,
             threads,
             &BatchConfig::default(),
+            &mut SliceScratch::new(),
         )
         .into_iter()
         .map(|o| {
@@ -652,6 +792,61 @@ mod tests {
                 assert_eq!(b.stmts, s.stmts, "{kind:?}");
                 assert_eq!(b.visited, s.visited);
             }
+        }
+    }
+
+    #[test]
+    fn lane_groups_are_full_words_unless_workers_need_more() {
+        let lens = |n, workers| -> Vec<usize> {
+            let groups = lane_groups(n, workers);
+            assert_eq!(groups.last().map_or(0, |g| g.end), n);
+            groups.iter().map(ExactSizeIterator::len).collect()
+        };
+        assert_eq!(lens(150, 1), [50, 50, 50]);
+        assert_eq!(lens(3520, 2), [64; 55]);
+        assert_eq!(lens(64, 1), [64]);
+        assert_eq!(lens(64, 2), [32, 32]);
+        assert_eq!(lens(128, 8), [16; 8]);
+        assert_eq!(lens(65, 3), [22, 22, 21]);
+        assert_eq!(lens(0, 1), [0]);
+    }
+
+    #[test]
+    fn a_panicked_lane_walk_is_recorded_and_charged_as_a_first_attempt() {
+        // A seed past the graph's last node panics every walk: its group's
+        // lane walk, then its own retry. The sibling is answered on its
+        // retry; without retries the group is never lane-walked, so no
+        // query runs twice.
+        let a = setup();
+        let q = all_print_queries(&a)[0].clone();
+        let queries = vec![q.clone(), vec![NodeId::new(a.csr.node_count())]];
+        for retries in [1, 0] {
+            let cfg = BatchConfig {
+                ctx: RunCtx::new(Telemetry::enabled(), Budget::unlimited()),
+                retries,
+                ..BatchConfig::default()
+            };
+            let kind = SliceKind::Thin;
+            let out = run_batch(
+                &a.csr,
+                &queries,
+                kind,
+                Engine::Ci,
+                1,
+                &cfg,
+                &mut SliceScratch::new(),
+            );
+            let report = cfg.ctx.telemetry().report();
+            let failed_walks = report
+                .events
+                .iter()
+                .filter(|e| e.name == "batch.lane_walk_failed")
+                .count();
+            assert_eq!(failed_walks, retries as usize, "retries {retries}");
+            let sibling = out[0].slice.as_ref().expect("the sibling is answered");
+            assert_eq!(sibling.stmts, slice_from(&a.sdg, &q, kind).stmts);
+            assert_eq!((out[0].retries, out[1].retries), (retries, retries));
+            assert!(out[1].slice.is_err());
         }
     }
 

@@ -71,7 +71,7 @@ pub use inspect::{simulate_inspection, InspectTask, InspectionResult};
 pub use session::{
     AnalysisSession, BatchOptions, Engine, Query, QueryPolicy, SliceResult, UpdateStats,
 };
-pub use slice::{SliceKind, SliceScratch};
+pub use slice::SliceKind;
 pub use snapshot::{source_hash, SnapshotLoad, SnapshotStore};
 pub use stmtset::StmtSet;
 pub use tabulation::{CsScratch, DownConsumers, MemoStats};

@@ -33,7 +33,7 @@ const KINDS: [SliceKind; 3] = [
 ];
 
 /// Every suite program plus generated programs at scales 1, 2 and 4.
-fn corpus() -> Vec<(String, Vec<(String, String)>)> {
+pub(crate) fn corpus() -> Vec<(String, Vec<(String, String)>)> {
     let mut out: Vec<(String, Vec<(String, String)>)> = all_benchmarks()
         .into_iter()
         .map(|b| {
@@ -53,7 +53,7 @@ fn corpus() -> Vec<(String, Vec<(String, String)>)> {
 }
 
 /// Every reachable `print`, then a seeded sample of reachable statements.
-fn seeds(session: &mut AnalysisSession, rng: &mut SmallRng) -> Vec<StmtRef> {
+pub(crate) fn seeds(session: &mut AnalysisSession, rng: &mut SmallRng) -> Vec<StmtRef> {
     let candidates: Vec<StmtRef> = session.program().all_stmts().collect();
     let graph = session.ci_graph();
     let reachable: Vec<StmtRef> = candidates

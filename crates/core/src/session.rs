@@ -184,7 +184,10 @@ pub struct BatchOptions {
     /// own token is already cancelled when it starts keeps that token.
     pub fail_fast: bool,
     /// How many times a panicked query is retried on fresh scratch.
-    /// `None` keeps the engine default (one retry).
+    /// `None` keeps the engine default (one retry). A lane walk that
+    /// panics counts as one attempt of each query it was answering, so
+    /// with `Some(0)` context-insensitive queries are answered one at a
+    /// time, never in lane walks.
     pub retries: Option<u32>,
     /// Test-only deterministic fault injection. The fault's query index
     /// is an index into the `queries` passed to
@@ -978,7 +981,15 @@ impl AnalysisSession {
                 .iter()
                 .map(|&i| resolve_seeds(graph, &queries[i].seeds))
                 .collect();
-            let results = run_batch(graph, &node_q, q.kind, q.engine, threads, &cfg);
+            let results = run_batch(
+                graph,
+                &node_q,
+                q.kind,
+                q.engine,
+                threads,
+                &cfg,
+                &mut self.scratch,
+            );
             for (&i, r) in idxs.iter().zip(results) {
                 out[i] = Some(r);
             }
@@ -1004,7 +1015,11 @@ impl AnalysisSession {
     /// deliberately *not* serialized: they are performance state that
     /// repopulates on use, and the bit-identity contract holds without
     /// them.
+    ///
+    /// The write is timed as a `snapshot.write` span on the session's
+    /// telemetry, carrying the bytes written as `snapshot.bytes`.
     pub fn write_snapshot(&self, key: &str) -> Option<Vec<u8>> {
+        let mut span = self.ctx.telemetry().span("snapshot.write");
         if self.pta.iter().any(|(_, c)| !c.is_complete()) {
             return None;
         }
@@ -1051,7 +1066,9 @@ impl AnalysisSession {
             thinslice_sdg::snap::encode_frozen(csr, &mut w);
             snap.section(name, w.into_bytes());
         }
-        Some(snap.finish())
+        let bytes = snap.finish();
+        span.add("snapshot.bytes", bytes.len() as u64);
+        Some(bytes)
     }
 
     /// Restores a session from snapshot bytes written by
@@ -1072,12 +1089,19 @@ impl AnalysisSession {
     /// points-to input is rejected). Any failure returns `None` — the
     /// caller falls back to a clean full build, never an error on the
     /// query path.
+    ///
+    /// The restore, adopted or rejected, is timed as a `snapshot.restore`
+    /// span on `ctx`'s telemetry, carrying the bytes read as
+    /// `snapshot.bytes`.
     pub fn from_snapshot(
         bytes: &[u8],
         key: &str,
         config: PtaConfig,
         ctx: RunCtx,
     ) -> Option<AnalysisSession> {
+        let tel = ctx.telemetry().clone();
+        let mut span = tel.span("snapshot.restore");
+        span.add("snapshot.bytes", bytes.len() as u64);
         let snap = SnapshotReader::open(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION).ok()?;
         if snap.key() != key {
             return None;

@@ -1,12 +1,14 @@
 //! Context-insensitive slicing as graph reachability (paper §5.2).
 //!
 //! One metered BFS loop, `slice_dense`, walks the frozen graph behind
-//! every CI answer: [`crate::AnalysisSession`] queries, the batch engine,
-//! the degradation ladder and the §4 expansions of [`crate::expand`]. The
-//! tests pin it against `slice_sparse`, a sort-based reference that walks
-//! any [`DepGraph`](thinslice_sdg::DepGraph), the growable graph
-//! included. An ungoverned caller passes an unlimited [`Meter`] (one
-//! predictable branch per node), a governed one an armed meter.
+//! every single CI answer: [`crate::AnalysisSession`] queries, the
+//! degradation ladder and the §4 expansions of [`crate::expand`]. The
+//! batch engine answers up to 64 queries per walk with `slice_lanes`, the
+//! same loop run for a word of lanes at once. The tests pin both against
+//! `slice_sparse`, a sort-based reference that walks any
+//! [`DepGraph`](thinslice_sdg::DepGraph), the growable graph included. An
+//! ungoverned caller passes an unlimited [`Meter`] (one predictable branch
+//! per node), a governed one an armed meter.
 //!
 //! A walk yields a crate-internal `Slice`: its statements and the number
 //! of graph nodes it visited. Callers read it as a
@@ -68,7 +70,8 @@ pub(crate) struct Slice {
     pub(crate) visited: Vec<NodeId>,
 }
 
-/// Reusable buffers for repeated slicing queries over one graph.
+/// Reusable buffers for repeated slicing queries over one graph, by single
+/// walks ([`slice_dense`]) and lane walks ([`slice_lanes`]).
 ///
 /// A BFS needs a visited set, the current and next wavefront, and a
 /// statement-dedup set; on a query-per-seed workload, allocating them anew
@@ -76,7 +79,7 @@ pub(crate) struct Slice {
 /// warm: after each query only the touched bits are cleared, so reuse is
 /// O(|slice|), not O(|graph|).
 #[derive(Debug, Default)]
-pub struct SliceScratch {
+pub(crate) struct SliceScratch {
     visited: BitSet<NodeId>,
     touched: Vec<NodeId>,
     /// The current BFS level, sorted into canonical (ascending-id) order.
@@ -94,11 +97,22 @@ pub struct SliceScratch {
     /// a hash per node.
     stmt_seen: BitSet<u32>,
     stmt_touched: Vec<u32>,
+    /// The lane walk's ([`slice_lanes`]) masks per node, zero between uses.
+    lane_masks: Vec<LaneMasks>,
+    /// The lane walk's current level, ascending, each node with the lanes
+    /// whose level holds it.
+    lane_level: Vec<(NodeId, u64)>,
+    /// The lanes that have emitted each dense display statement, zero
+    /// between uses.
+    stmt_lanes: Vec<u64>,
+    /// Each lane's statements so far, as dense ids in emission order,
+    /// empty between uses.
+    lane_stmts: Vec<Vec<u32>>,
 }
 
 impl SliceScratch {
     /// Creates an empty scratch. Buffers grow on first use.
-    pub fn new() -> SliceScratch {
+    pub(crate) fn new() -> SliceScratch {
         SliceScratch::default()
     }
 
@@ -113,6 +127,10 @@ impl SliceScratch {
             && self.cur.is_empty()
             && self.next.is_empty()
             && self.stmt_touched.is_empty()
+            && self.lane_masks.iter().all(|m| m.seen == 0 && m.next == 0)
+            && self.lane_level.is_empty()
+            && self.stmt_lanes.iter().all(|&m| m == 0)
+            && self.lane_stmts.iter().all(Vec::is_empty)
     }
 }
 
@@ -350,6 +368,178 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
     (slice, completeness)
 }
 
+/// How many queries one lane walk answers: the bits of a machine word.
+pub(crate) const LANES: usize = u64::BITS as usize;
+
+/// One node's lane masks in a lane walk: bit `l` stands for query `l`.
+#[derive(Debug, Default, Clone, Copy)]
+struct LaneMasks {
+    /// Lanes that have discovered the node.
+    seen: u64,
+    /// Lanes whose next level holds the node.
+    next: u64,
+}
+
+/// The lanes set in `mask`, lowest first.
+fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let l = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            l
+        })
+    })
+}
+
+/// [`slice_dense`] for up to [`LANES`] queries at once: one
+/// level-synchronous walk over the union of their wavefronts (multi-source
+/// BFS), with a `u64` lane mask per node and per display statement. Query
+/// `l` seeds lane `l` and is metered by `meters[l]`.
+///
+/// Each level's union frontier is emitted in ascending node id, so every
+/// lane emits exactly its own level in the canonical (level, id) order.
+/// A lane ticks its own meter once per node it emits, with its own emitted
+/// count as the tracked size, and dedups statements through its own bit of
+/// the statement masks. Each node is expanded once, for the lanes that
+/// emitted it. A lane whose meter runs out stops emitting, counts its
+/// unemitted nodes of that level as its frontier and is dropped from the
+/// next level, exactly where the single walk stops. So each lane answers
+/// what `slice_dense` answers for its query under the same meter; what the
+/// lanes share is the scan of each node's edges, which every lane holding
+/// the node would otherwise repeat.
+pub(crate) fn slice_lanes<G: DenseDisplay>(
+    sdg: &G,
+    queries: &[Vec<NodeId>],
+    kind: SliceKind,
+    scratch: &mut SliceScratch,
+    prefiltered: bool,
+    meters: &mut [Meter],
+) -> Vec<(Slice, Completeness)> {
+    assert!(queries.len() <= LANES && meters.len() == queries.len());
+    let SliceScratch {
+        lane_masks: masks,
+        touched,
+        lane_level: cur,
+        next,
+        cur: ordered,
+        next_bits,
+        stmt_lanes,
+        stmt_touched,
+        lane_stmts,
+        ..
+    } = scratch;
+    if masks.len() < sdg.node_count() {
+        masks.resize(sdg.node_count(), LaneMasks::default());
+    }
+    if stmt_lanes.len() < sdg.dense_stmt_count() {
+        stmt_lanes.resize(sdg.dense_stmt_count(), 0);
+    }
+    let lanes = queries.len();
+    let mut emitted = vec![0usize; lanes];
+    let mut leftover = vec![0usize; lanes];
+    if lane_stmts.len() < lanes {
+        lane_stmts.resize_with(lanes, Vec::new);
+    }
+    #[cfg(test)]
+    let mut visited: Vec<Vec<NodeId>> = vec![Vec::new(); lanes];
+    // Lanes whose meter has run out.
+    let mut exhausted = 0u64;
+    // Discovers `t` for the lanes in `lanes` that have not seen it yet.
+    let mut discover = |masks: &mut [LaneMasks], next: &mut Vec<NodeId>, t: NodeId, lanes: u64| {
+        let m = &mut masks[t.index()];
+        let new = lanes & !m.seen;
+        if new != 0 {
+            if m.seen == 0 {
+                touched.push(t);
+            }
+            if m.next == 0 {
+                next.push(t);
+            }
+            m.seen |= new;
+            m.next |= new;
+        }
+    };
+    for (l, seeds) in queries.iter().enumerate() {
+        for &n in seeds {
+            discover(masks, next, n, 1 << l);
+        }
+    }
+    loop {
+        // The next level, less the lanes cut short in the last one.
+        order_level(next, ordered, next_bits);
+        cur.clear();
+        for n in ordered.drain(..) {
+            let at = std::mem::take(&mut masks[n.index()].next) & !exhausted;
+            if at != 0 {
+                cur.push((n, at));
+            }
+        }
+        if cur.is_empty() {
+            break;
+        }
+        for &(n, at) in cur.iter() {
+            for l in lanes_of(at & exhausted) {
+                leftover[l] += 1;
+            }
+            let mut emit = 0;
+            for l in lanes_of(at & !exhausted) {
+                if meters[l].tick_tracked(emitted[l]) {
+                    emitted[l] += 1;
+                    emit |= 1 << l;
+                    #[cfg(test)]
+                    visited[l].push(n);
+                } else {
+                    exhausted |= 1 << l;
+                    leftover[l] = 1;
+                }
+            }
+            if emit == 0 {
+                continue;
+            }
+            let d = sdg.display_dense(n);
+            if d != NO_DISPLAY {
+                let seen = &mut stmt_lanes[d as usize];
+                let new = emit & !*seen;
+                if new != 0 {
+                    if *seen == 0 {
+                        stmt_touched.push(d);
+                    }
+                    *seen |= new;
+                    for l in lanes_of(new) {
+                        lane_stmts[l].push(d);
+                    }
+                }
+            }
+            for e in sdg.deps(n) {
+                if prefiltered || kind.follows(&e.kind) {
+                    discover(masks, next, e.target, emit);
+                }
+            }
+        }
+    }
+    for n in touched.drain(..) {
+        masks[n.index()].seen = 0;
+    }
+    for d in stmt_touched.drain(..) {
+        stmt_lanes[d as usize] = 0;
+    }
+    lane_stmts[..lanes]
+        .iter_mut()
+        .enumerate()
+        .map(|(l, ids)| {
+            let stmts = ids.drain(..).map(|d| sdg.dense_stmt(d)).collect();
+            let slice = Slice {
+                kind,
+                nodes_visited: emitted[l],
+                stmts: StmtSet::from_ordered(stmts),
+                #[cfg(test)]
+                visited: sorted_ids(std::mem::take(&mut visited[l])),
+            };
+            (slice, meters[l].completeness(leftover[l]))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,6 +725,92 @@ mod tests {
             );
             assert_eq!(warm.visited, cold.visited);
         }
+    }
+
+    #[test]
+    fn lane_walks_visit_what_the_sparse_reference_visits() {
+        // Groups of up to 64 queries, each lane checked against its own
+        // single walk: unlimited, and with per-lane step limits that cut
+        // some lanes mid-level while their neighbours run on. Each group
+        // also holds a repeated query and one with no seed node, and every
+        // walk must leave the scratch clean.
+        use crate::order_tests::{corpus, seeds};
+        use crate::AnalysisSession;
+        use thinslice_util::{Budget, SmallRng};
+        let mut rng = SmallRng::new(0x1a9e_5eed);
+        let (mut lanes, mut sparse) = (SliceScratch::new(), SliceScratch::new());
+        let (mut groups, mut cut) = (0, 0);
+        for (name, files) in corpus() {
+            let refs: Vec<(&str, &str)> = files
+                .iter()
+                .map(|(n, t)| (n.as_str(), t.as_str()))
+                .collect();
+            let mut session = AnalysisSession::new(&refs).unwrap();
+            let stmts = seeds(&mut session, &mut rng);
+            let graph = session.ci_graph();
+            let mut queries: Vec<Vec<NodeId>> = stmts
+                .iter()
+                .map(|&s| graph.stmt_nodes_of(s).to_vec())
+                .collect();
+            queries.insert(1, queries[0].clone());
+            queries.insert(2, Vec::new());
+            for kind in [
+                SliceKind::Thin,
+                SliceKind::TraditionalData,
+                SliceKind::TraditionalFull,
+            ] {
+                let filtered = graph.filtered(|e| kind.follows(&e.kind));
+                for (g, group) in queries.chunks(LANES).enumerate() {
+                    let at = format!("{name} {kind:?} group {g}");
+                    let unlimited = |_: &Vec<NodeId>| Meter::unlimited();
+                    let full: Vec<(Slice, Completeness)> = group
+                        .iter()
+                        .map(|q| slice_sparse(graph, q, kind, &mut sparse, &mut unlimited(q)))
+                        .collect();
+                    let mut meters: Vec<Meter> = group.iter().map(unlimited).collect();
+                    let walked = slice_lanes(&filtered, group, kind, &mut lanes, true, &mut meters);
+                    assert!(lanes.is_clean(), "{at}");
+                    for (l, ((got, c), (want, _))) in walked.iter().zip(&full).enumerate() {
+                        assert!(c.is_complete(), "{at} lane {l}");
+                        assert_eq!(got.stmts, want.stmts, "{at} lane {l}");
+                        assert_eq!(got.visited, want.visited, "{at} lane {l}");
+                        assert_eq!(got.nodes_visited, want.nodes_visited, "{at} lane {l}");
+                    }
+                    // Every third lane unlimited, the others cut at a
+                    // point of their own.
+                    let limits: Vec<Option<u64>> = full
+                        .iter()
+                        .enumerate()
+                        .map(|(l, (s, _))| {
+                            (l % 3 != 0 && s.nodes_visited > 1)
+                                .then(|| 1 + (l * 7 % s.nodes_visited) as u64)
+                        })
+                        .collect();
+                    let meter = |limit: &Option<u64>| match limit {
+                        Some(n) => Budget::unlimited().with_step_limit(*n).meter(),
+                        None => Meter::unlimited(),
+                    };
+                    let mut meters: Vec<Meter> = limits.iter().map(meter).collect();
+                    let walked = slice_lanes(graph, group, kind, &mut lanes, false, &mut meters);
+                    assert!(lanes.is_clean(), "{at}");
+                    for (l, ((got, c), q)) in walked.iter().zip(group).enumerate() {
+                        let (want, w) =
+                            slice_sparse(graph, q, kind, &mut sparse, &mut meter(&limits[l]));
+                        let at = format!("{at} lane {l} limit {:?}", limits[l]);
+                        assert_eq!(*c, w, "{at}");
+                        assert_eq!(got.stmts, want.stmts, "{at}");
+                        assert_eq!(got.visited, want.visited, "{at}");
+                        cut += usize::from(!c.is_complete());
+                    }
+                    groups += 1;
+                }
+            }
+        }
+        assert!(
+            groups > 3 * corpus().len(),
+            "some program needs several groups"
+        );
+        assert!(cut > 0, "some lane must be cut short");
     }
 
     #[test]

@@ -149,6 +149,11 @@ impl Budget {
         self.cancel.as_ref()
     }
 
+    /// The wall-clock limit, if any.
+    pub fn time_limit(&self) -> Option<Duration> {
+        self.time_limit
+    }
+
     /// Tightens the step limit to at most `steps` (keeps the smaller limit).
     pub fn cap_steps(mut self, steps: u64) -> Self {
         self.step_limit = Some(self.step_limit.map_or(steps, |s| s.min(steps)));

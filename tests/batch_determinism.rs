@@ -12,6 +12,7 @@ use thinslice::{AnalysisSession, Engine, Query, QueryOutcome, RunCtx, SliceKind}
 use thinslice_ir::InstrKind;
 use thinslice_pta::PtaConfig;
 use thinslice_sdg::DepGraph;
+use thinslice_suite::GeneratorConfig;
 
 const BFS_KINDS: [SliceKind; 3] = [
     SliceKind::Thin,
@@ -97,6 +98,61 @@ fn large_batches_match_sequential_through_every_fast_path() {
                 .collect();
             let batched = s.query_batch(&queries, 2);
             assert_matches_queries(&mut s, &queries, &batched);
+        }
+    }
+}
+
+/// Every statement of the generated scale-2 program that the CI graph
+/// reaches, one query each.
+fn generated_statement_queries(s: &mut AnalysisSession, kind: SliceKind) -> Vec<Query> {
+    let stmts: Vec<_> = {
+        let program = s.program();
+        program
+            .all_stmts()
+            .filter(|&st| {
+                let span = program.instr(st).span;
+                !span.is_synthetic() && program.files[span.file].name == "gen.mj"
+            })
+            .collect()
+    };
+    let graph = s.ci_graph();
+    stmts
+        .into_iter()
+        .filter(|&st| !graph.stmt_nodes_of(st).is_empty())
+        .map(|st| Query::new(vec![st], kind, Engine::Ci))
+        .collect()
+}
+
+#[test]
+fn lane_walked_batches_match_sequential_across_group_boundaries() {
+    // CI batches are answered 64 queries per walk, in runs of consecutive
+    // queries. Every statement of a generated program spans many runs;
+    // the prefixes put a boundary at each side of one and two full runs;
+    // the mixed batch repeats a query and holds one that resolves to no
+    // node, inside one run.
+    let generated = thinslice_suite::generate(&GeneratorConfig::scaled(2));
+    let mut s = AnalysisSession::new(&[("gen.mj", generated.as_str())]).unwrap();
+    let stmts: Vec<_> = s.program().all_stmts().collect();
+    let graph = s.ci_graph();
+    let unreachable = stmts
+        .into_iter()
+        .find(|&st| graph.stmt_nodes_of(st).is_empty())
+        .expect("the standard library holds unreachable statements");
+    for kind in BFS_KINDS {
+        let all = generated_statement_queries(&mut s, kind);
+        assert!(all.len() > 4 * 64, "{} queries", all.len());
+        let mut mixed = all[..10].to_vec();
+        mixed.insert(3, all[0].clone());
+        mixed.insert(6, Query::new(vec![unreachable], kind, Engine::Ci));
+        let batches = [2, 63, 64, 65, 129]
+            .into_iter()
+            .map(|n| all[..n].to_vec())
+            .chain([all.clone(), mixed]);
+        for queries in batches {
+            for threads in [1, 2, 4, 8] {
+                let batched = s.query_batch(&queries, threads);
+                assert_matches_queries(&mut s, &queries, &batched);
+            }
         }
     }
 }

@@ -602,3 +602,154 @@ fn one_query_governed_cs_batches_answer_like_cold_queries() {
         }
     }
 }
+
+/// The runs of consecutive outcomes that share one latency: a lane group
+/// reports its walk's wall time for every query, and a query answered
+/// alone forms a run of its own.
+fn latency_runs(out: &[QueryOutcome]) -> Vec<std::ops::Range<usize>> {
+    let mut runs = Vec::new();
+    let mut start = 0;
+    for i in 1..=out.len() {
+        if i == out.len() || out[i].latency != out[start].latency {
+            runs.push(start..i);
+            start = i;
+        }
+    }
+    runs
+}
+
+#[test]
+fn governed_lane_groups_answer_like_governed_queries() {
+    // The step limits of `governed_batches_answer_like_governed_queries`
+    // on batches of more than 64 queries, which the engine walks in
+    // several lane groups: each lane runs on its own meter, so a group
+    // holds cut and uncut lanes side by side.
+    let generated = thinslice_suite::generate(&GeneratorConfig::scaled(2));
+    let programs = [
+        ("nanoxml", nanoxml_session()),
+        (
+            "gen-x2",
+            AnalysisSession::new(&[("gen.mj", generated.as_str())]).unwrap(),
+        ),
+    ];
+    for (name, mut s) in programs {
+        for kind in [
+            SliceKind::Thin,
+            SliceKind::TraditionalData,
+            SliceKind::TraditionalFull,
+        ] {
+            let prints = queries(s.program(), kind, Engine::Ci);
+            let qs: Vec<Query> = prints.into_iter().cycle().take(100).collect();
+            let sizes: Vec<usize> = qs.iter().map(|q| s.query(q).nodes_visited).collect();
+            let full = *sizes.iter().max().unwrap();
+            assert!(full > 2, "{name}: {kind:?} answers too small to cut");
+            let mut mixed_groups = 0;
+            for limit in [1, full / 2, full - 1] {
+                let policy = budgeted(steps(limit as u64));
+                let governed: Vec<Query> = qs
+                    .iter()
+                    .map(|q| q.clone().with_policy(policy.clone()))
+                    .collect();
+                for threads in [1, 2] {
+                    let at = format!("{name} {kind:?} limit {limit} threads {threads}");
+                    let batched = s.query_batch(&governed, threads);
+                    let mut cut = vec![false; governed.len()];
+                    for (i, (q, got)) in governed.iter().zip(&batched).enumerate() {
+                        let want = s.query(q);
+                        cut[i] = !want.completeness.is_complete();
+                        assert_answers_like(got, &want, &format!("{at} query {i}"));
+                    }
+                    let groups = latency_runs(&batched);
+                    assert!(groups.iter().all(|g| g.len() <= 64), "{at}: {groups:?}");
+                    mixed_groups += groups
+                        .into_iter()
+                        .filter(|g| {
+                            cut[g.clone()].contains(&true) && cut[g.clone()].contains(&false)
+                        })
+                        .count();
+                }
+            }
+            assert!(
+                mixed_groups > 0,
+                "{name} {kind:?}: no group mixes cut and uncut lanes"
+            );
+        }
+    }
+}
+
+#[test]
+fn fail_fast_fault_in_a_later_lane_group_cancels_what_follows() {
+    // 150 thin queries run as three groups of 50 on one worker. The first
+    // group is walked before the fault, the second holds it and is
+    // answered one query at a time, and the third starts cancelled.
+    let mut s = nanoxml_session();
+    let qs: Vec<Query> = queries(s.program(), SliceKind::Thin, Engine::Ci)
+        .into_iter()
+        .cycle()
+        .take(150)
+        .collect();
+    let fault = 60;
+    let opts = BatchOptions {
+        fault: Some(FaultInjection {
+            query: fault,
+            attempts: 2,
+        }),
+        retries: Some(1),
+        fail_fast: true,
+    };
+    let out = s.query_batch_with(&qs, 1, &opts);
+    // A walked group's queries all report the group's wall time; the
+    // faulty group's queries are timed one by one.
+    let runs = latency_runs(&out);
+    assert_eq!(runs.first(), Some(&(0..50)));
+    assert!(out[100..].iter().all(|o| o.latency == out[100].latency));
+    assert!(runs.len() > 3, "the faulty group was lane-walked: {runs:?}");
+    for (i, o) in out.iter().enumerate().take(fault) {
+        assert!(o.is_clean(), "query {i}: {:?}", o.slice);
+        assert_answers_like(o, &s.query(&qs[i]), &format!("query {i}"));
+    }
+    assert_eq!(out[fault].retries, 1);
+    assert!(
+        matches!(&out[fault].slice, Err(QueryError::Panicked { message })
+            if message.contains("injected worker fault")),
+        "query {fault} must fail: {:?}",
+        out[fault].slice
+    );
+    for (i, o) in out.iter().enumerate().skip(fault + 1) {
+        assert_cancelled(o, i);
+    }
+}
+
+#[test]
+fn batches_under_a_deadline_answer_each_query_on_its_own_clock() {
+    // A deadline is per query, and every lane of a walk would run on the
+    // group's clock. So under a deadline a 64-query batch, which one lane
+    // walk would answer, is answered one query at a time: each query is
+    // timed alone, and each answer is the governed query's, complete.
+    let mut s = nanoxml_session();
+    let policy = budgeted(Budget::unlimited().with_deadline(Duration::from_secs(60)));
+    for kind in [
+        SliceKind::Thin,
+        SliceKind::TraditionalData,
+        SliceKind::TraditionalFull,
+    ] {
+        let qs: Vec<Query> = queries(s.program(), kind, Engine::Ci)
+            .into_iter()
+            .cycle()
+            .take(64)
+            .map(|q| q.with_policy(policy.clone()))
+            .collect();
+        for threads in [1, 2] {
+            let out = s.query_batch(&qs, threads);
+            for (i, (q, o)) in qs.iter().zip(&out).enumerate() {
+                assert!(o.is_clean(), "{kind:?} query {i}: {:?}", o.slice);
+                assert_answers_like(o, &s.query(q), &format!("{kind:?} query {i}"));
+            }
+            let runs = latency_runs(&out);
+            assert!(
+                runs.len() > 2,
+                "{kind:?} threads {threads}: walked as {runs:?}"
+            );
+        }
+    }
+}

@@ -269,3 +269,42 @@ fn disabled_telemetry_changes_nothing() {
     assert!(report.histograms.is_empty());
     assert!(report.events.is_empty());
 }
+
+#[test]
+fn snapshot_write_and_restore_record_spans() {
+    // A traced write and a traced restore, adopted or rejected, each
+    // record one span carrying the snapshot's byte count; a restore under
+    // an untraced context records nothing.
+    let tel = Telemetry::enabled();
+    let traced = || RunCtx::disabled().with_telemetry(tel.clone());
+    let mut s = session(traced());
+    s.ci_graph();
+    let bytes = s.write_snapshot("key").expect("complete stages snapshot");
+    let config = thinslice_pta::PtaConfig::default;
+    assert!(AnalysisSession::from_snapshot(&bytes, "key", config(), traced()).is_some());
+    assert!(AnalysisSession::from_snapshot(&bytes, "other", config(), traced()).is_none());
+    let before = tel.report().spans.len();
+    assert!(AnalysisSession::from_snapshot(&bytes, "key", config(), RunCtx::disabled()).is_some());
+
+    let report = tel.report();
+    assert_eq!(
+        report.spans.len(),
+        before,
+        "an untraced restore records nothing"
+    );
+    let spans = |name: &str| -> Vec<u64> {
+        report
+            .spans
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| {
+                let bytes = s.counters.iter().find(|(k, _)| k == "snapshot.bytes");
+                bytes.expect("the span carries its byte count").1
+            })
+            .collect()
+    };
+    let len = bytes.len() as u64;
+    assert_eq!(spans("snapshot.write"), [len]);
+    assert_eq!(spans("snapshot.restore"), [len, len]);
+    assert!(RunReport::from_json(&report.to_json()).is_ok());
+}
