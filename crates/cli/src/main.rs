@@ -1050,13 +1050,12 @@ fn cmd_slice_batch(s: &mut AnalysisSession, o: &Options, ctx: &RunCtx) -> Result
         fail_fast: o.fail_fast,
         ..BatchOptions::default()
     };
-    // More workers than queries buys nothing; the engine clamps further
-    // (it refuses to spawn for trivial per-worker shares), but capping
-    // here keeps the printed thread count honest.
-    let threads = o.threads.clamp(1, queries.len().max(1));
     let start = std::time::Instant::now();
-    let outcomes = s.query_batch_with(&queries, threads, &opts);
+    let outcomes = s.query_batch_with(&queries, o.threads, &opts);
     let elapsed = start.elapsed();
+    // The engine gives a batch fewer workers than asked for when the
+    // queries would not keep them busy; print the workers it used.
+    let workers = s.batch_workers(&queries, o.threads, &opts);
 
     if o.governed() {
         print_governed_batch(o, &seed_lines, &outcomes);
@@ -1071,7 +1070,7 @@ fn cmd_slice_batch(s: &mut AnalysisSession, o: &Options, ctx: &RunCtx) -> Result
             "-- {} slices in {:.1} ms on {} thread(s) ({:.0} slices/sec)",
             outcomes.len(),
             elapsed.as_secs_f64() * 1000.0,
-            threads,
+            workers,
             outcomes.len() as f64 / elapsed.as_secs_f64().max(1e-9),
         );
     }

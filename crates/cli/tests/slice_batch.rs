@@ -1,0 +1,95 @@
+//! `thinslice slice --all-seeds` ends with a footer that names the workers
+//! the batch engine ran, which can be fewer than `--threads` asks for: a
+//! lane-walked batch gets one worker per group of 64 queries.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// The CI smoke program: 26 seed lines, one lane group.
+const SMOKE: &str = "class Main {
+  static void main() {
+    Vector names = new Vector();
+    String first = \"John\";
+    names.add(first);
+    String got = (String) names.get(0);
+    print(got);
+    int x = 3;
+    int y = x + 4;
+    print(y);
+  }
+}
+";
+
+/// A program of 245 seed lines, four lane groups.
+fn wide() -> String {
+    let mut text = String::from(
+        "class Box { int v; Box next; }\nclass Main {\n  static void main() {\n    \
+         Box b0 = new Box();\n    b0.v = 0;\n",
+    );
+    for i in 1..=60 {
+        text += &format!(
+            "    Box b{i} = new Box();\n    b{i}.next = b{p};\n    b{i}.v = b{p}.v + {i};\n    \
+             if (b{i}.v > {i}) {{ print(b{i}.next.v); }}\n",
+            p = i - 1
+        );
+    }
+    text + "  }\n}\n"
+}
+
+fn write(name: &str, text: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("slice_batch");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    std::fs::write(&path, text).unwrap();
+    path
+}
+
+/// The batch footer of `thinslice slice <src> --all-seeds <extra>`.
+fn footer(src: &Path, extra: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_thinslice"))
+        .arg("slice")
+        .arg(src)
+        .arg("--all-seeds")
+        .args(extra)
+        .output()
+        .expect("the CLI starts");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    stdout
+        .lines()
+        .find(|l| l.starts_with("-- ") && l.contains("slices in"))
+        .unwrap_or_else(|| panic!("no batch footer in {stdout}"))
+        .to_string()
+}
+
+#[test]
+fn the_batch_footer_names_the_workers_the_engine_ran() {
+    let smoke = write("smoke.mj", SMOKE);
+    let wide = write("wide.mj", &wide());
+    for (src, seeds, threads, cs, workers) in [
+        (&smoke, 26, "8", false, 1),
+        (&smoke, 26, "8", true, 1),
+        (&wide, 245, "1", false, 1),
+        (&wide, 245, "2", false, 2),
+        (&wide, 245, "8", false, 4),
+        (&wide, 245, "8", true, 4),
+    ] {
+        let mut extra = vec!["--threads", threads];
+        if cs {
+            extra.push("--cs");
+        }
+        let line = footer(src, &extra);
+        assert!(
+            line.starts_with(&format!("-- {seeds} slices in ")),
+            "{extra:?}: {line}"
+        );
+        assert!(
+            line.contains(&format!(" on {workers} thread(s) ")),
+            "{extra:?}: {line}"
+        );
+    }
+}

@@ -4,24 +4,30 @@
 //! many seeds (every task of Table 2/3 slices the same benchmark). This
 //! module amortises everything that does not depend on the seed —
 //! the CSR graph ([`FrozenSdg`]), per-worker scratch buffers (the BFS
-//! and lane-walk scratch, [`CsScratch`]) and the tabulation's down-edge
-//! index ([`FrozenSdg::down_consumers`]) — and fans the queries out
-//! across a thread pool over the shared immutable graph.
+//! and lane-walk scratch, [`CsScratch`]), the tabulation's down-edge
+//! index ([`FrozenSdg::down_consumers`]) and the summary edges — and fans
+//! the queries out across a thread pool over the shared immutable graph.
 //!
 //! Results are returned in query order, and each result is identical to
 //! what the sequential single-query path ([`AnalysisSession::query`])
 //! produces, whatever the thread count: workers share only immutable
 //! data, and each query's answer depends on its own seeds and meter alone.
 //!
-//! A context-insensitive batch is cut into runs of at most 64 consecutive
-//! queries, at least one run per worker, and each run is answered by one
-//! lane walk: a multi-source BFS that carries a 64-bit lane mask per node,
-//! so the queries of a run share the scan of every node they reach (Then
-//! et al., *The More the Merrier*, VLDB 2014). A run of one query, the run
-//! holding a fault-injected query, a run whose walk panicked, and every
-//! run of a batch under a deadline or without retries are answered one
-//! query at a time instead. A context-sensitive batch is answered one
-//! query at a time.
+//! A batch is cut into runs of at most 64 consecutive queries, and each
+//! run is answered by one lane walk that carries a 64-bit lane mask per
+//! node, so the queries of a run share the scan of every node they reach.
+//! A context-insensitive run is a multi-source BFS (Then et al., *The More
+//! the Merrier*, VLDB 2014). A context-sensitive run is two-phase
+//! reachability over the graph plus its summary edges (Horwitz, Reps and
+//! Binkley), which the session builds once per slice kind and graph, on
+//! its first such batch. A lane-walked batch gets one worker per run.
+//!
+//! A run of one query, the run holding a fault-injected query, a run
+//! whose walk panicked, and every run of a batch without retries are
+//! answered one query at a time instead, as is every run of a CI batch
+//! under a deadline and of a CS batch under any limit or cancel token. A
+//! batch answered one query at a time gets a worker per 8 queries, and at
+//! least one run per worker.
 //!
 //! One engine answers every batch, governed or not; an ungoverned batch
 //! simply runs under an unlimited budget. Every query arms its own meter,
@@ -66,7 +72,7 @@
 
 use crate::session::{Engine, SliceResult};
 use crate::slice::{slice_dense, slice_lanes, Slice, SliceKind, SliceScratch, LANES};
-use crate::tabulation::{cs_oneshot, cs_reusing, CsScratch, MemoStats};
+use crate::tabulation::{cs_lanes, cs_oneshot, cs_reusing, CsScratch, MemoStats};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -88,18 +94,13 @@ const FILTER_THRESHOLD: usize = 16;
 const CS_DENSE_THRESHOLD: usize = 2;
 
 /// Minimum queries a worker must stand to receive before it is worth
-/// spawning: an OS thread costs tens of microseconds to start, which a
-/// worker handed one or two microsecond-scale slices never earns back.
-/// Clamping here (not in [`par`]) keeps the executor a pure mechanism.
-/// Results are unaffected — batches are bit-identical at every thread
-/// count.
+/// spawning, in a batch answered one query at a time: an OS thread costs
+/// tens of microseconds to start, which a worker handed one or two
+/// microsecond-scale slices never earns back. A lane-walked batch gets one
+/// worker per lane group instead ([`BatchConfig::workers`]). Clamping here
+/// (not in [`par`]) keeps the executor a pure mechanism. Results are
+/// unaffected — batches are bit-identical at every thread count.
 const MIN_QUERIES_PER_WORKER: usize = 8;
-
-/// `threads` clamped so each worker averages at least
-/// [`MIN_QUERIES_PER_WORKER`] queries (and never below 1).
-fn effective_threads(threads: usize, queries: usize) -> usize {
-    threads.clamp(1, queries.div_ceil(MIN_QUERIES_PER_WORKER).max(1))
-}
 
 /// Deterministic fault injection for robustness tests: query `query`
 /// panics on its first `attempts` attempts (so `attempts <= retries`
@@ -150,6 +151,37 @@ impl Default for BatchConfig {
     }
 }
 
+impl BatchConfig {
+    /// Whether `engine`'s batches run in lane walks under this
+    /// configuration. Never without a retry, since a walk that panics is
+    /// charged as each query's first attempt. A CI batch walks unless its
+    /// budget has a deadline: a deadline is per query, and a lane's clock
+    /// would also run during its siblings' work. A CS batch walks only
+    /// under an unlimited budget, because a lane walk cannot stop where
+    /// the tabulation's worklist order would stop it.
+    fn lanes(&self, engine: Engine) -> bool {
+        let budget = self.ctx.budget();
+        self.retries > 0
+            && match engine {
+                Engine::Ci => budget.time_limit().is_none(),
+                Engine::Cs => budget.is_unlimited(),
+            }
+    }
+
+    /// How many workers a batch of `queries` queries of `engine` runs on
+    /// when `threads` are asked for, never below 1: one per lane group of
+    /// [`LANES`] queries when the batch is lane-walked, otherwise one per
+    /// [`MIN_QUERIES_PER_WORKER`] queries.
+    pub(crate) fn workers(&self, engine: Engine, threads: usize, queries: usize) -> usize {
+        let per_worker = if self.lanes(engine) {
+            LANES
+        } else {
+            MIN_QUERIES_PER_WORKER
+        };
+        threads.clamp(1, queries.div_ceil(per_worker).max(1))
+    }
+}
+
 /// A hard per-query failure (distinct from a truncated-but-sound result).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
@@ -176,10 +208,11 @@ pub struct QueryOutcome {
     /// The slice, or the hard error that survived all retries.
     pub slice: Result<SliceResult, QueryError>,
     /// Wall-clock time spent on this query, all attempts included.
-    /// Measured for every query of every batch, governed or not. A
-    /// context-insensitive query answered in a lane walk with up to 63
-    /// others reports the walk's wall time, the same for every query of
-    /// its group.
+    /// Measured for every query of every batch, governed or not. A query
+    /// answered in a lane walk with up to 63 others, context-insensitive
+    /// or context-sensitive, reports the walk's wall time, the same for
+    /// every query of its group; the walk that first needs a graph's
+    /// summary edges also includes building them.
     pub latency: Duration,
     /// How many retries ran (0 = first attempt sufficed).
     pub retries: u32,
@@ -396,7 +429,10 @@ fn record_memo(tel: &Telemetry, delta: MemoStats) {
 
 /// The batch engine: answers `queries` (seed nodes of `graph`) on up to
 /// `threads` workers, in query order, under `cfg`. See the module docs. A
-/// CI batch that runs on the calling thread alone walks on `scratch`.
+/// CI batch that runs on the calling thread alone walks on `scratch`; a CS
+/// batch's lane walks read the summary graph that `summaries`, the
+/// session's CS scratch for `kind`, builds on first use.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_batch(
     graph: &FrozenSdg,
     queries: &[Vec<NodeId>],
@@ -405,12 +441,14 @@ pub(crate) fn run_batch(
     threads: usize,
     cfg: &BatchConfig,
     scratch: &mut SliceScratch,
+    summaries: &CsScratch,
 ) -> Vec<QueryOutcome> {
     let mut span = cfg.ctx.telemetry().span("batch.slices");
     span.add("batch.queries", queries.len() as u64);
-    let threads = effective_threads(threads, queries.len());
+    let threads = cfg.workers(engine, threads, queries.len());
+    let lanes = cfg.lanes(engine);
     if engine == Engine::Cs {
-        return run_cs(graph, queries, kind, threads, cfg);
+        return run_cs(graph, queries, kind, threads, lanes, cfg, summaries);
     }
     // The full slicer follows every edge, so the graph is its own filtered
     // view.
@@ -420,14 +458,24 @@ pub(crate) fn run_batch(
     // walk — and answer — unchanged.
     if !prefiltered && queries.len() >= FILTER_THRESHOLD {
         let filtered = graph.filtered(|e| kind.follows(&e.kind));
-        return run_ci(&filtered, true, queries, kind, threads, cfg, scratch);
+        return run_ci(&filtered, true, queries, kind, threads, lanes, cfg, scratch);
     }
-    run_ci(graph, prefiltered, queries, kind, threads, cfg, scratch)
+    run_ci(
+        graph,
+        prefiltered,
+        queries,
+        kind,
+        threads,
+        lanes,
+        cfg,
+        scratch,
+    )
 }
 
 /// `n` queries cut into runs of consecutive queries of near-equal length:
 /// as few as lane walks allow ([`LANES`] queries each), but at least one
-/// per worker.
+/// per worker. A lane-walked batch has no more workers than that, so its
+/// runs are full words but for the remainder spread over them.
 fn lane_groups(n: usize, workers: usize) -> Vec<Range<usize>> {
     let groups = n.div_ceil(LANES).max(workers).max(1);
     let (per, extra) = (n / groups, n % groups);
@@ -441,47 +489,42 @@ fn lane_groups(n: usize, workers: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Answers a CI batch over `view`, which holds exactly the edges `kind`
-/// follows when `prefiltered` is set: one lane walk per group of
-/// consecutive queries, the groups spread over the workers. With one
-/// worker the groups run on the calling thread, on `scratch`.
+/// Answers `n` queries in lane groups of consecutive queries
+/// ([`lane_groups`]) spread over `threads` workers, in query order. With
+/// one worker the groups run on the calling thread, on `scratch`; with
+/// more, each worker starts from `fresh`.
 ///
-/// A group is answered one query at a time instead, each query under
-/// `run_guarded`, when it holds one query or the fault-injected query, when
-/// the budget has a deadline (a deadline is per query, and a lane's clock
-/// would also run during its siblings' work), when no retry is allowed, and
-/// after its lane walk panicked. The failed walk is recorded as a
-/// `batch.lane_walk_failed` event and charged as each query's first
-/// attempt. So retries, fail-fast order, deadlines and sibling isolation
-/// are those of single queries. Every query of a lane-walked group reports
-/// the group's wall time as its latency.
-fn run_ci<G: DenseDisplay + Sync>(
-    view: &G,
-    prefiltered: bool,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
+/// With `lanes` set, a group of two or more queries is answered by `walk`,
+/// one lane walk. A group is answered one query at a time instead, each
+/// query by `single` under `run_guarded`, when `lanes` is off, when it
+/// holds one query or the fault-injected query, and after its walk
+/// panicked. The failed walk is recorded as a `batch.lane_walk_failed`
+/// event and charged as each query's first attempt. So retries, fail-fast
+/// order and sibling isolation are those of single queries. Every query
+/// of a lane-walked group reports the group's wall time as its latency.
+#[allow(clippy::too_many_arguments)]
+fn run_groups<S: Send>(
+    n: usize,
     threads: usize,
     cfg: &BatchConfig,
-    scratch: &mut SliceScratch,
+    stage: &str,
+    lanes: bool,
+    scratch: &mut S,
+    fresh: impl Fn() -> S + Sync,
+    walk: impl Fn(&mut S, Range<usize>) -> Vec<SliceResult> + Sync,
+    single: impl Fn(&mut S, usize) -> SliceResult + Sync,
 ) -> Vec<QueryOutcome> {
     let tel = cfg.ctx.telemetry();
-    let budget = cfg.ctx.budget();
-    let groups = lane_groups(queries.len(), threads);
-    let lanes = budget.time_limit().is_none() && cfg.retries > 0;
     let record = |out: QueryOutcome| {
-        record_outcome(tel, "slice", &out);
+        record_outcome(tel, stage, &out);
         out
     };
-    let answer_group = |scratch: &mut SliceScratch, range: &Range<usize>| {
-        let group = &queries[range.clone()];
+    let answer_group = |scratch: &mut S, range: &Range<usize>| {
         let faulty = cfg.fault.is_some_and(|f| range.contains(&f.query));
         let (mut spent, mut wasted) = (0, Duration::ZERO);
-        if lanes && group.len() > 1 && !faulty {
+        if lanes && range.len() > 1 && !faulty {
             let start = Instant::now();
-            let walked = catch_unwind(AssertUnwindSafe(|| {
-                answer_lanes(view, prefiltered, group, kind, budget, scratch, tel)
-            }));
-            match walked {
+            match catch_unwind(AssertUnwindSafe(|| walk(scratch, range.clone()))) {
                 Ok(answers) => {
                     let latency = start.elapsed();
                     return answers
@@ -497,12 +540,12 @@ fn run_ci<G: DenseDisplay + Sync>(
                 }
                 Err(payload) => {
                     // The unwound walk may have left the scratch mid-update.
-                    *scratch = SliceScratch::new();
+                    *scratch = fresh();
                     tel.count("batch.lane_walk_failures", 1);
                     tel.event(
                         "batch.lane_walk_failed",
                         &[
-                            ("queries", group.len().to_string()),
+                            ("queries", range.len().to_string()),
                             ("error", panic_message(payload.as_ref())),
                         ],
                     );
@@ -513,21 +556,20 @@ fn run_ci<G: DenseDisplay + Sync>(
         range
             .clone()
             .map(|i| {
-                let mut out = run_guarded(i, cfg, spent, scratch, SliceScratch::new, |bfs| {
-                    answer_ci(view, prefiltered, &queries[i], kind, budget, bfs, tel)
-                });
+                let mut out = run_guarded(i, cfg, spent, scratch, &fresh, |s| single(s, i));
                 out.latency += wasted;
                 record(out)
             })
             .collect::<Vec<_>>()
     };
+    let groups = lane_groups(n, threads);
     if threads <= 1 {
         return groups
             .iter()
             .flat_map(|range| answer_group(scratch, range))
             .collect();
     }
-    par::map_with(&groups, threads, SliceScratch::new, |scratch, _, range| {
+    par::map_with(&groups, threads, &fresh, |scratch, _, range| {
         answer_group(scratch, range)
     })
     .into_iter()
@@ -535,31 +577,91 @@ fn run_ci<G: DenseDisplay + Sync>(
     .collect()
 }
 
-/// Answers a context-sensitive batch over `graph`, one query at a time on
-/// each worker.
+/// Answers a CI batch over `view`, which holds exactly the edges `kind`
+/// follows when `prefiltered` is set, through [`run_groups`], each lane
+/// walk under per-lane meters. With one worker the groups walk on
+/// `scratch`.
+#[allow(clippy::too_many_arguments)]
+fn run_ci<G: DenseDisplay + Sync>(
+    view: &G,
+    prefiltered: bool,
+    queries: &[Vec<NodeId>],
+    kind: SliceKind,
+    threads: usize,
+    lanes: bool,
+    cfg: &BatchConfig,
+    scratch: &mut SliceScratch,
+) -> Vec<QueryOutcome> {
+    let tel = cfg.ctx.telemetry();
+    let budget = cfg.ctx.budget();
+    run_groups(
+        queries.len(),
+        threads,
+        cfg,
+        "slice",
+        lanes,
+        scratch,
+        SliceScratch::new,
+        |scratch, range| {
+            answer_lanes(
+                view,
+                prefiltered,
+                &queries[range],
+                kind,
+                budget,
+                scratch,
+                tel,
+            )
+        },
+        |bfs, i| answer_ci(view, prefiltered, &queries[i], kind, budget, bfs, tel),
+    )
+}
+
+/// Answers a context-sensitive batch over `graph` through [`run_groups`].
 ///
-/// The workers share only the immutable graph and its down-edge index.
-/// Each worker owns its scratch, so a CS worker memoises callee-exit
-/// regions for its own queries alone, and a panicked query's replacement
-/// scratch starts with an empty memo.
+/// A lane-walked group is one [`cs_lanes`] walk over the graph's
+/// [`SummaryGraph`](crate::tabulation::SummaryGraph), which `summaries`
+/// (the session's scratch for `kind`) builds on the first walk and keeps.
+/// One at a time, each query is tabulated on its worker's own memoising
+/// scratch, so a worker memoises callee-exit regions for its own queries
+/// alone, and a panicked query's replacement scratch starts with an empty
+/// memo. Workers share only the immutable graph, its down-edge index and
+/// the summary graph.
+#[allow(clippy::too_many_arguments)]
 fn run_cs(
     graph: &FrozenSdg,
     queries: &[Vec<NodeId>],
     kind: SliceKind,
     threads: usize,
+    lanes: bool,
     cfg: &BatchConfig,
+    summaries: &CsScratch,
 ) -> Vec<QueryOutcome> {
     let tel = cfg.ctx.telemetry();
     let budget = cfg.ctx.budget();
     let fresh = || (CsScratch::new(), SliceScratch::new());
     let dense_cs = queries.len() >= CS_DENSE_THRESHOLD;
-    par::map_with(queries, threads, fresh, |scratch, i, seeds| {
-        let out = run_guarded(i, cfg, 0, scratch, fresh, |(cs, bfs)| {
+    run_groups(
+        queries.len(),
+        threads,
+        cfg,
+        "cs_slice",
+        lanes,
+        &mut fresh(),
+        fresh,
+        |(cs, _), range| {
+            let lanes_graph = summaries.summary_graph(graph, kind, tel);
+            cs_lanes(graph, lanes_graph, &queries[range], kind, cs)
+                .into_iter()
+                .map(|slice| answer(slice, Engine::Cs, Completeness::Complete, false))
+                .collect()
+        },
+        |(cs, bfs), i| {
             let before = cs.memo_stats();
             let cs_scratch = dense_cs.then_some(&mut *cs);
             let result = answer_cs(
                 graph,
-                seeds,
+                &queries[i],
                 kind,
                 budget,
                 cfg.degrade,
@@ -569,10 +671,8 @@ fn run_cs(
             );
             record_memo(tel, cs.memo_stats().since(&before));
             result
-        });
-        record_outcome(tel, "cs_slice", &out);
-        out
-    })
+        },
+    )
 }
 
 #[cfg(test)]
@@ -625,6 +725,7 @@ mod tests {
             threads,
             &BatchConfig::default(),
             &mut SliceScratch::new(),
+            &CsScratch::new(),
         )
         .into_iter()
         .map(|o| {
@@ -797,26 +898,50 @@ mod tests {
 
     #[test]
     fn lane_groups_are_full_words_unless_workers_need_more() {
-        let lens = |n, workers| -> Vec<usize> {
-            let groups = lane_groups(n, workers);
+        // A lane-walked batch gets one worker per group of 64, so its runs
+        // are full words; one answered a query at a time gets a worker per
+        // 8 queries, and at least a run per worker.
+        let walked = BatchConfig::default();
+        let single = BatchConfig {
+            retries: 0,
+            ..BatchConfig::default()
+        };
+        let lens = |cfg: &BatchConfig, n, threads| -> Vec<usize> {
+            let groups = lane_groups(n, cfg.workers(Engine::Ci, threads, n));
             assert_eq!(groups.last().map_or(0, |g| g.end), n);
             groups.iter().map(ExactSizeIterator::len).collect()
         };
-        assert_eq!(lens(150, 1), [50, 50, 50]);
-        assert_eq!(lens(3520, 2), [64; 55]);
-        assert_eq!(lens(64, 1), [64]);
-        assert_eq!(lens(64, 2), [32, 32]);
-        assert_eq!(lens(128, 8), [16; 8]);
-        assert_eq!(lens(65, 3), [22, 22, 21]);
-        assert_eq!(lens(0, 1), [0]);
+        assert_eq!(lens(&walked, 150, 1), [50, 50, 50]);
+        assert_eq!(lens(&walked, 150, 8), [50, 50, 50]);
+        assert_eq!(lens(&walked, 3520, 2), [64; 55]);
+        assert_eq!(lens(&walked, 64, 1), [64]);
+        assert_eq!(lens(&walked, 64, 2), [64]);
+        assert_eq!(lens(&walked, 128, 8), [64, 64]);
+        assert_eq!(lens(&walked, 65, 3), [33, 32]);
+        assert_eq!(lens(&walked, 0, 1), [0]);
+        assert_eq!(lens(&single, 64, 2), [32, 32]);
+        assert_eq!(lens(&single, 128, 8), [16; 8]);
+        assert_eq!(lens(&single, 65, 3), [22, 22, 21]);
+        assert_eq!(walked.workers(Engine::Ci, 8, 26), 1);
+        assert_eq!(single.workers(Engine::Ci, 8, 26), 4);
+        // Any limit keeps a CS batch off lane walks; only a deadline keeps a
+        // CI batch off them.
+        let limited = BatchConfig {
+            ctx: RunCtx::new(
+                Telemetry::disabled(),
+                Budget::unlimited().with_step_limit(9),
+            ),
+            ..BatchConfig::default()
+        };
+        assert_eq!(limited.workers(Engine::Ci, 8, 26), 1);
+        assert_eq!(limited.workers(Engine::Cs, 8, 26), 4);
     }
 
-    #[test]
-    fn a_panicked_lane_walk_is_recorded_and_charged_as_a_first_attempt() {
-        // A seed past the graph's last node panics every walk: its group's
-        // lane walk, then its own retry. The sibling is answered on its
-        // retry; without retries the group is never lane-walked, so no
-        // query runs twice.
+    /// A seed past the graph's last node panics every walk of `engine`:
+    /// its group's lane walk, then its own retry. The sibling is answered
+    /// on its retry; without retries the group is never lane-walked, so no
+    /// query runs twice.
+    fn assert_panicked_walks_are_charged(engine: Engine) {
         let a = setup();
         let q = all_print_queries(&a)[0].clone();
         let queries = vec![q.clone(), vec![NodeId::new(a.csr.node_count())]];
@@ -831,10 +956,11 @@ mod tests {
                 &a.csr,
                 &queries,
                 kind,
-                Engine::Ci,
+                engine,
                 1,
                 &cfg,
                 &mut SliceScratch::new(),
+                &CsScratch::new(),
             );
             let report = cfg.ctx.telemetry().report();
             let failed_walks = report
@@ -844,10 +970,24 @@ mod tests {
                 .count();
             assert_eq!(failed_walks, retries as usize, "retries {retries}");
             let sibling = out[0].slice.as_ref().expect("the sibling is answered");
-            assert_eq!(sibling.stmts, slice_from(&a.sdg, &q, kind).stmts);
+            let want = match engine {
+                Engine::Ci => slice_from(&a.sdg, &q, kind),
+                Engine::Cs => cs_slice(&a.sdg, &q, kind),
+            };
+            assert_eq!(sibling.stmts, want.stmts);
             assert_eq!((out[0].retries, out[1].retries), (retries, retries));
             assert!(out[1].slice.is_err());
         }
+    }
+
+    #[test]
+    fn a_panicked_lane_walk_is_recorded_and_charged_as_a_first_attempt() {
+        assert_panicked_walks_are_charged(Engine::Ci);
+    }
+
+    #[test]
+    fn a_panicked_cs_lane_walk_is_recorded_and_charged_as_a_first_attempt() {
+        assert_panicked_walks_are_charged(Engine::Cs);
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! warm query returns exactly what a cold one would. The tabulation memo
 //! is keyed per slice kind because summary edges depend on which edges a
 //! kind follows; the CS scratch for one kind is never consulted for
-//! another.
+//! another. The same per-kind scratch holds the summary graph that
+//! lane-walked CS batches build on first use, and drops it with the memo
+//! whenever the CS graph changes.
 //!
 //! # Examples
 //!
@@ -234,7 +236,7 @@ pub struct UpdateStats {
     /// The CI dependence graph came out identical, keeping its frozen CSR.
     pub ci_graph_reused: bool,
     /// The CS dependence graph came out identical, keeping its frozen CSR,
-    /// down-edge index and tabulation memos.
+    /// down-edge index, tabulation memos and summary graphs.
     pub cs_graph_reused: bool,
     /// Constraint-generation sites in the updated program (what a
     /// from-scratch solve generates).
@@ -454,15 +456,16 @@ impl AnalysisSession {
     ///   graph re-derivation is skipped outright — the graphs would come
     ///   out byte-identical. Otherwise built graphs are re-derived over
     ///   the warm per-method caches, and a graph that comes out identical
-    ///   keeps its frozen CSR, down-edge index and tabulation memos.
+    ///   keeps its frozen CSR, down-edge index, tabulation memos and the
+    ///   summary graphs of lane-walked CS batches.
     /// * **structural edit** (or no retained fingerprints): identifier
     ///   numbering shifted, so caches are cleared and previously built
     ///   stages rebuild from scratch — still deterministic, still
     ///   bit-identical to a fresh session.
     ///
     /// Stage laziness is preserved: a stage never built is not built now.
-    /// Batch-level exit-sharing state is per-batch, not session-held, so
-    /// there is nothing to invalidate there.
+    /// A changed CS graph drops every per-kind summary graph with the
+    /// tabulation memos; the next lane-walked batch of a kind rebuilds it.
     ///
     /// # Errors
     ///
@@ -927,46 +930,9 @@ impl AnalysisSession {
         threads: usize,
         opts: &BatchOptions,
     ) -> Vec<QueryOutcome> {
-        // Group by (engine, kind, policy), preserving in-group order.
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (i, q) in queries.iter().enumerate() {
-            let found = groups.iter_mut().find(|(rep, _)| {
-                let r = &queries[*rep];
-                r.engine == q.engine && r.kind == q.kind && r.policy == q.policy
-            });
-            match found {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((i, vec![i])),
-            }
-        }
         let mut out: Vec<Option<QueryOutcome>> = (0..queries.len()).map(|_| None).collect();
-        // One fresh token for the whole call, so that under fail-fast a
-        // hard failure cancels every later query, whatever its group, and
-        // never a token the session or a policy keeps.
-        let cancel = opts.fail_fast.then(CancelToken::new);
-        for (rep, idxs) in groups {
-            let q = &queries[rep];
-            let mut budget = self.effective_budget(&q.policy);
-            if let Some(cancel) = &cancel {
-                // A group whose own token is already cancelled keeps it,
-                // and answers as its single queries would.
-                if !budget.cancel_token().is_some_and(CancelToken::is_cancelled) {
-                    budget = budget.with_cancel(cancel.clone());
-                }
-            }
-            // The fault names a query of the call; only its group sees it,
-            // at that query's position within the group.
-            let fault = opts.fault.and_then(|f| {
-                let query = idxs.iter().position(|&i| i == f.query)?;
-                Some(FaultInjection { query, ..f })
-            });
-            let cfg = BatchConfig {
-                ctx: self.ctx.clone().with_budget(budget),
-                fail_fast: cancel.clone(),
-                retries: opts.retries.unwrap_or(BatchConfig::default().retries),
-                fault,
-                degrade: q.policy.degrade,
-            };
+        for (idxs, cfg) in self.batch_groups(queries, opts) {
+            let q = &queries[idxs[0]];
             let graph = match q.engine {
                 Engine::Ci => {
                     self.ensure_ci_csr();
@@ -989,6 +955,7 @@ impl AnalysisSession {
                 threads,
                 &cfg,
                 &mut self.scratch,
+                &self.cs_scratch[kind_slot(q.kind)],
             );
             for (&i, r) in idxs.iter().zip(results) {
                 out[i] = Some(r);
@@ -996,6 +963,69 @@ impl AnalysisSession {
         }
         out.into_iter()
             .map(|o| o.expect("every query answered by its group"))
+            .collect()
+    }
+
+    /// How many workers [`AnalysisSession::query_batch_with`] runs these
+    /// queries on when `threads` are asked for: the most that any of its
+    /// (engine, kind, policy) groups gets from the batch engine's rule.
+    pub fn batch_workers(&self, queries: &[Query], threads: usize, opts: &BatchOptions) -> usize {
+        self.batch_groups(queries, opts)
+            .iter()
+            .map(|(idxs, cfg)| cfg.workers(queries[idxs[0]].engine, threads, idxs.len()))
+            .max()
+            .unwrap_or(1)
+    }
+
+    /// The (engine, kind, policy) groups of a batch call, each with its
+    /// queries' indices in call order and the configuration it runs under.
+    fn batch_groups(
+        &self,
+        queries: &[Query],
+        opts: &BatchOptions,
+    ) -> Vec<(Vec<usize>, BatchConfig)> {
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (i, q) in queries.iter().enumerate() {
+            let found = groups.iter_mut().find(|idxs| {
+                let r = &queries[idxs[0]];
+                r.engine == q.engine && r.kind == q.kind && r.policy == q.policy
+            });
+            match found {
+                Some(idxs) => idxs.push(i),
+                None => groups.push(vec![i]),
+            }
+        }
+        // One fresh token for the whole call, so that under fail-fast a
+        // hard failure cancels every later query, whatever its group, and
+        // never a token the session or a policy keeps.
+        let cancel = opts.fail_fast.then(CancelToken::new);
+        groups
+            .into_iter()
+            .map(|idxs| {
+                let q = &queries[idxs[0]];
+                let mut budget = self.effective_budget(&q.policy);
+                if let Some(cancel) = &cancel {
+                    // A group whose own token is already cancelled keeps
+                    // it, and answers as its single queries would.
+                    if !budget.cancel_token().is_some_and(CancelToken::is_cancelled) {
+                        budget = budget.with_cancel(cancel.clone());
+                    }
+                }
+                // The fault names a query of the call; only its group sees
+                // it, at that query's position within the group.
+                let fault = opts.fault.and_then(|f| {
+                    let query = idxs.iter().position(|&i| i == f.query)?;
+                    Some(FaultInjection { query, ..f })
+                });
+                let cfg = BatchConfig {
+                    ctx: self.ctx.clone().with_budget(budget),
+                    fail_fast: cancel.clone(),
+                    retries: opts.retries.unwrap_or(BatchConfig::default().retries),
+                    fault,
+                    degrade: q.policy.degrade,
+                };
+                (idxs, cfg)
+            })
             .collect()
     }
 
@@ -1011,10 +1041,10 @@ impl AnalysisSession {
     /// stage is truncated — a budget-cut artifact must be rebuilt, not
     /// warmed over — so only exact, complete results are ever persisted.
     ///
-    /// Scratch space, tabulation memos, and the per-method caches are
-    /// deliberately *not* serialized: they are performance state that
-    /// repopulates on use, and the bit-identity contract holds without
-    /// them.
+    /// Scratch space, tabulation memos, summary graphs and the per-method
+    /// caches are deliberately *not* serialized: they are performance
+    /// state that repopulates on use, and the bit-identity contract holds
+    /// without them.
     ///
     /// The write is timed as a `snapshot.write` span on the session's
     /// telemetry, carrying the bytes written as `snapshot.bytes`.

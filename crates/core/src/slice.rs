@@ -381,7 +381,7 @@ struct LaneMasks {
 }
 
 /// The lanes set in `mask`, lowest first.
-fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
+pub(crate) fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (mask != 0).then(|| {
             let l = mask.trailing_zeros() as usize;

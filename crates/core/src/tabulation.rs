@@ -18,15 +18,24 @@
 //! this way, on warm [`CsScratch`] that memoises summaries and callee-exit
 //! regions across queries.
 //!
+//! Once every summary edge of a (graph, kind) pair is known, a complete
+//! answer needs no tabulation: it is two-phase reachability (Horwitz,
+//! Reps and Binkley's slicer). `SummaryGraph` runs the same tabulation
+//! loop once from every callee exit and adds the summary edges it records
+//! to the graph's edges; `cs_lanes` then answers up to 64 unbudgeted
+//! queries with one bit-parallel walk over that graph, which is what the
+//! batch engine does with a batch of two or more ungoverned queries.
+//!
 //! A tabulation answers with the same `Slice` shape as reachability:
 //! its statements, sorted, and the number of nodes with a path edge.
 
-use crate::slice::{Slice, SliceKind};
+use crate::slice::{lanes_of, Slice, SliceKind, LANES};
 use crate::stmtset::StmtSet;
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 use thinslice_ir::StmtRef;
-use thinslice_sdg::{DenseDisplay, DepGraph, EdgeKind, NodeId, NodeKind, NO_DISPLAY};
-use thinslice_util::{BitSet, Completeness, FxHashMap, FxHashSet, IdxVec, Meter};
+use thinslice_sdg::{DenseDisplay, DepGraph, EdgeKind, FrozenSdg, NodeId, NodeKind, NO_DISPLAY};
+use thinslice_util::{BitSet, Completeness, FxHashMap, FxHashSet, Idx, IdxVec, Meter, Telemetry};
 
 /// The source of a tabulation path edge: either the seed region (ascending
 /// allowed) or a callee exit being summarised.
@@ -432,6 +441,12 @@ impl DenseStore {
 /// cleared between queries retaining capacity, while memoised graph facts
 /// (summaries, callee-exit regions) persist and make later queries
 /// cheaper. In steady state a query allocates nothing but its result.
+///
+/// It also holds a lane walk's buffers, and a slot for the summary graph
+/// of its (graph, kind) pair, the graph plus its summary edges that
+/// context-sensitive lane walks follow: the session's per-kind scratch
+/// fills that slot on its first lane-walked batch and keeps it until
+/// [`CsScratch::invalidate`].
 #[derive(Debug, Default)]
 pub struct CsScratch {
     store: DenseStore,
@@ -441,6 +456,10 @@ pub struct CsScratch {
     tmp_srcs: Vec<Src>,
     /// Staging buffer for a consumer's summary continuations, ditto.
     tmp_conts: Vec<NodeId>,
+    /// The lane walks' view of the (graph, kind) pair, once built.
+    summary_graph: OnceLock<SummaryGraph>,
+    /// The buffers of [`cs_lanes`], empty or zero between walks.
+    lanes: LaneBuffers,
 }
 
 impl CsScratch {
@@ -453,12 +472,37 @@ impl CsScratch {
     /// leave it (memoised graph facts persist by design).
     #[cfg(test)]
     pub(crate) fn is_clean(&self) -> bool {
-        let s = &self.store;
+        let (s, l) = (&self.store, &self.lanes);
         s.reached.is_empty()
             && s.stmt_seen.is_empty()
             && s.stmt_touched.is_empty()
             && s.path.iter().all(Vec::is_empty)
             && self.wl.is_empty()
+            && l.masks
+                .iter()
+                .all(|m| m.reached == [0; 2] && m.pending == [0; 2])
+            && l.wl.is_empty()
+            && l.touched.is_empty()
+            && l.stmt_lanes.iter().all(|&m| m == 0)
+            && l.stmt_touched.is_empty()
+    }
+
+    /// The [`SummaryGraph`] of this scratch's (graph, kind) pair, built on
+    /// first use and kept until [`CsScratch::invalidate`]. The build is
+    /// timed as a `cs.summary_index` span that carries the number of
+    /// summary edges as `cs.summary_edges`.
+    pub(crate) fn summary_graph(
+        &self,
+        graph: &FrozenSdg,
+        kind: SliceKind,
+        tel: &Telemetry,
+    ) -> &SummaryGraph {
+        self.summary_graph.get_or_init(|| {
+            let mut span = tel.span("cs.summary_index");
+            let built = SummaryGraph::build(graph, graph.down_consumers(), kind);
+            span.add("cs.summary_edges", built.summary_edges as u64);
+            built
+        })
     }
 
     /// Cumulative memoisation counters of this scratch (exit-region memo
@@ -478,8 +522,9 @@ impl CsScratch {
             .count()
     }
 
-    /// Drops every memoised graph fact (summary edges and callee-exit
-    /// regions), returning how many cached exit regions were discarded.
+    /// Drops every memoised graph fact (summary edges, the summary graph
+    /// and callee-exit regions), returning how many cached exit regions
+    /// were discarded.
     ///
     /// Required whenever the scratch's graph is *replaced* rather than
     /// merely regrown: the dense store only resets itself when the node
@@ -495,8 +540,258 @@ impl CsScratch {
         self.wl.clear();
         self.tmp_srcs.clear();
         self.tmp_conts.clear();
+        self.summary_graph = OnceLock::new();
         dropped
     }
+}
+
+/// The graph a context-sensitive lane walk ([`cs_lanes`]) follows for one
+/// (graph, slice kind) pair: each node's edges that the kind follows,
+/// sorted by [`classify`] into local, up and down rows, with every summary
+/// edge of the pair (call-site consumer → call-site actual) added to the
+/// consumer's local row.
+///
+/// The summary edges come from running [`tabulate`] to fixpoint from every
+/// callee exit a consumer descends into. Summary edges are facts of the
+/// pair, and an `Exit` region grows the same whichever query starts it, so
+/// this run records every summary edge any query's tabulation can record:
+/// the ones [`CsScratch`]'s dense store gathers lazily.
+#[derive(Debug)]
+pub(crate) struct SummaryGraph {
+    /// Row `i` of node `n`, local (0), up (1) or down (2), is
+    /// `targets[rows[3 * n + i]..rows[3 * n + i + 1]]`.
+    rows: Vec<u32>,
+    targets: Vec<NodeId>,
+    /// How many summary edges the local rows hold.
+    summary_edges: usize,
+}
+
+impl SummaryGraph {
+    /// Tabulates `sdg`'s callee exits under `kind` and lays out the walk's
+    /// rows.
+    fn build<G: DepGraph>(sdg: &G, index: &DownConsumers, kind: SliceKind) -> SummaryGraph {
+        let mut store = DenseStore::default();
+        store.ensure(sdg.node_count());
+        let exits = index.exits().into_iter().map(|x| (Src::Exit(x), x));
+        tabulate(
+            sdg,
+            index,
+            exits,
+            kind,
+            &mut store,
+            &mut VecDeque::new(),
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &mut Meter::unlimited(),
+        );
+        let row_end =
+            |targets: &Vec<NodeId>| u32::try_from(targets.len()).expect("edge count exceeds u32");
+        let mut rows = Vec::with_capacity(3 * sdg.node_count() + 1);
+        let mut targets = Vec::new();
+        rows.push(0);
+        let (mut up, mut down) = (Vec::new(), Vec::new());
+        for n in (0..sdg.node_count()).map(NodeId::new) {
+            for e in sdg.deps(n).iter().filter(|e| kind.follows(&e.kind)) {
+                match classify(&e.kind, sdg, e.target) {
+                    Step::Local => targets.push(e.target),
+                    Step::Up(_) => up.push(e.target),
+                    Step::Down(_) => down.push(e.target),
+                }
+            }
+            targets.extend_from_slice(&store.summaries[n]);
+            rows.push(row_end(&targets));
+            targets.append(&mut up);
+            rows.push(row_end(&targets));
+            targets.append(&mut down);
+            rows.push(row_end(&targets));
+        }
+        SummaryGraph {
+            rows,
+            targets,
+            summary_edges: store.memo.summary_edges as usize,
+        }
+    }
+
+    /// Node `n`'s local, up and down rows.
+    fn rows(&self, n: NodeId) -> [&[NodeId]; 3] {
+        let r = &self.rows[3 * n.index()..3 * n.index() + 4];
+        let row = |i: usize| &self.targets[r[i] as usize..r[i + 1] as usize];
+        [row(0), row(1), row(2)]
+    }
+}
+
+/// The phases of a lane walk: the seed's own context, and inside a callee
+/// entered through a down edge.
+const SEED: usize = 0;
+const CALLEE: usize = 1;
+
+/// One node's lane masks in a [`cs_lanes`] walk, per phase: bit `l`
+/// stands for query `l`.
+#[derive(Debug, Default, Clone, Copy)]
+struct PhaseMasks {
+    /// The lanes that have reached the node.
+    reached: [u64; 2],
+    /// The lanes that reached it since it was last expanded.
+    pending: [u64; 2],
+}
+
+/// The buffers of a [`cs_lanes`] walk.
+#[derive(Debug, Default)]
+struct LaneBuffers {
+    /// Masks per node, zero between walks.
+    masks: Vec<PhaseMasks>,
+    /// Nodes with pending lanes, first in first out.
+    wl: VecDeque<NodeId>,
+    /// Nodes some lane reached, the clear list.
+    touched: Vec<NodeId>,
+    /// The lanes holding each dense display statement, zero between walks,
+    /// and the statements some lane holds.
+    stmt_lanes: Vec<u64>,
+    stmt_touched: Vec<u32>,
+}
+
+impl LaneBuffers {
+    /// Marks `n` reached in `phase` by `lanes`, queueing it for the lanes
+    /// new to it.
+    fn reach(&mut self, n: NodeId, phase: usize, lanes: u64) {
+        let m = &mut self.masks[n.index()];
+        let new = lanes & !m.reached[phase];
+        if new == 0 {
+            return;
+        }
+        if m.reached == [0; 2] {
+            self.touched.push(n);
+        }
+        if m.pending == [0; 2] {
+            self.wl.push_back(n);
+        }
+        m.reached[phase] |= new;
+        m.pending[phase] |= new;
+    }
+}
+
+/// A count per lane, kept as bit planes: `planes[k]` holds bit `k` of
+/// every lane's count, so one addition counts for all the lanes of a mask.
+#[derive(Default)]
+struct LaneCounts {
+    planes: [u64; 32],
+}
+
+impl LaneCounts {
+    /// Adds one to the count of every lane in `lanes`.
+    fn add(&mut self, mut lanes: u64) {
+        for plane in &mut self.planes {
+            if lanes == 0 {
+                break;
+            }
+            let carry = *plane & lanes;
+            *plane ^= lanes;
+            lanes = carry;
+        }
+    }
+
+    /// Lane `l`'s count.
+    fn get(&self, l: usize) -> usize {
+        (self.planes.iter().enumerate())
+            .map(|(k, plane)| ((plane >> l & 1) as usize) << k)
+            .sum()
+    }
+}
+
+/// Answers up to [`LANES`] unbudgeted context-sensitive queries with one
+/// walk over `graph`, the [`SummaryGraph`] of `sdg` and `kind`: two-phase
+/// reachability (Horwitz, Reps and Binkley), with one bit per query in
+/// each phase's mask of a node. Query `l` seeds lane `l` in the seed
+/// phase.
+///
+/// The seed phase follows local, up and summary edges; the callee phase
+/// follows local and summary edges and never ascends. A down edge taken
+/// in either phase enters its exit in the callee phase.
+///
+/// Each answer equals the complete tabulation's. At the tabulation's
+/// fixpoint, the `Seed`-sourced path edges are exactly the seed phase, and
+/// the union of its `Exit` regions is exactly the callee phase: a summary
+/// edge fires only at a reached consumer, and the tabulation always enters
+/// that consumer's exits, since every kind follows `ParamOut`. So a lane
+/// reaches the tabulation's visited nodes, and its statements, sorted,
+/// are the tabulation's statements.
+pub(crate) fn cs_lanes<G: DenseDisplay>(
+    sdg: &G,
+    graph: &SummaryGraph,
+    queries: &[Vec<NodeId>],
+    kind: SliceKind,
+    scratch: &mut CsScratch,
+) -> Vec<Slice> {
+    assert!(queries.len() <= LANES);
+    let b = &mut scratch.lanes;
+    if b.masks.len() < sdg.node_count() {
+        b.masks.resize(sdg.node_count(), PhaseMasks::default());
+    }
+    if b.stmt_lanes.len() < sdg.dense_stmt_count() {
+        b.stmt_lanes.resize(sdg.dense_stmt_count(), 0);
+    }
+    for (l, seeds) in queries.iter().enumerate() {
+        for &n in seeds {
+            b.reach(n, SEED, 1 << l);
+        }
+    }
+    while let Some(n) = b.wl.pop_front() {
+        let [seed, callee] = std::mem::take(&mut b.masks[n.index()].pending);
+        let [local, up, down] = graph.rows(n);
+        for &t in local {
+            b.reach(t, SEED, seed);
+            b.reach(t, CALLEE, callee);
+        }
+        for &t in up {
+            b.reach(t, SEED, seed);
+        }
+        for &t in down {
+            b.reach(t, CALLEE, seed | callee);
+        }
+    }
+    // Each lane's nodes and statements, counted for all lanes at once; the
+    // statements are sorted once for the group, which orders every lane's.
+    let (mut nodes, mut stmts) = (LaneCounts::default(), LaneCounts::default());
+    #[cfg(test)]
+    let mut visited: Vec<Vec<NodeId>> = vec![Vec::new(); queries.len()];
+    for n in b.touched.drain(..) {
+        let [seed, callee] = std::mem::take(&mut b.masks[n.index()]).reached;
+        let at = seed | callee;
+        nodes.add(at);
+        #[cfg(test)]
+        for l in lanes_of(at) {
+            visited[l].push(n);
+        }
+        let d = sdg.display_dense(n);
+        if d != NO_DISPLAY {
+            let held = &mut b.stmt_lanes[d as usize];
+            if *held == 0 {
+                b.stmt_touched.push(d);
+            }
+            stmts.add(at & !*held);
+            *held |= at;
+        }
+    }
+    b.stmt_touched.sort_unstable_by_key(|&d| sdg.dense_stmt(d));
+    let mut lane_stmts: Vec<Vec<StmtRef>> = (0..queries.len())
+        .map(|l| Vec::with_capacity(stmts.get(l)))
+        .collect();
+    for d in b.stmt_touched.drain(..) {
+        for l in lanes_of(std::mem::take(&mut b.stmt_lanes[d as usize])) {
+            lane_stmts[l].push(sdg.dense_stmt(d));
+        }
+    }
+    lane_stmts
+        .into_iter()
+        .enumerate()
+        .map(|(l, stmts)| Slice {
+            kind,
+            nodes_visited: nodes.get(l),
+            stmts: StmtSet::from_ordered(stmts),
+            #[cfg(test)]
+            visited: crate::slice::sorted_ids(std::mem::take(&mut visited[l])),
+        })
+        .collect()
 }
 
 /// The one-shot metered tabulation on a fresh [`SparseStore`] (no O(graph)
@@ -514,7 +809,7 @@ pub(crate) fn cs_oneshot<G: DepGraph>(
     let completeness = tabulate(
         sdg,
         index,
-        seeds,
+        seeds.iter().map(|&s| (Src::Seed, s)),
         kind,
         &mut store,
         &mut VecDeque::new(),
@@ -548,8 +843,10 @@ pub(crate) fn cs_reusing<G: DenseDisplay>(
         wl,
         tmp_srcs,
         tmp_conts,
+        ..
     } = scratch;
     store.ensure(sdg.node_count());
+    let seeds = seeds.iter().map(|&s| (Src::Seed, s));
     let completeness = tabulate(
         sdg, index, seeds, kind, store, wl, tmp_srcs, tmp_conts, meter,
     );
@@ -558,7 +855,9 @@ pub(crate) fn cs_reusing<G: DenseDisplay>(
 }
 
 /// The paper's §5.3 tabulation, generic over graph and storage; see
-/// [`TabStore`] for why two storages exist.
+/// [`TabStore`] for why two storages exist. It starts from the path edges
+/// `start`: a query's seeds in the `Seed` context, or, for a
+/// [`SummaryIndex`], every callee exit in its own `Exit` context.
 ///
 /// Metered per worklist pop: once `meter` is exhausted the popped item is
 /// pushed back (honest frontier count) and the path edges accumulated so
@@ -568,7 +867,7 @@ pub(crate) fn cs_reusing<G: DenseDisplay>(
 fn tabulate<G: DepGraph, S: TabStore>(
     sdg: &G,
     index: &DownConsumers,
-    seeds: &[NodeId],
+    start: impl IntoIterator<Item = (Src, NodeId)>,
     kind: SliceKind,
     store: &mut S,
     wl: &mut VecDeque<(Src, NodeId)>,
@@ -584,8 +883,8 @@ fn tabulate<G: DepGraph, S: TabStore>(
         }
     };
 
-    for &s in seeds {
-        add(store, wl, Src::Seed, s);
+    for (src, n) in start {
+        add(store, wl, src, n);
     }
 
     while let Some((src, n)) = wl.pop_front() {
@@ -892,6 +1191,78 @@ mod tests {
                 assert!(cs.stmts.is_subset(&ci.stmts), "kind {kind:?}");
             }
         }
+    }
+
+    #[test]
+    fn lane_walks_answer_like_the_tabulation() {
+        // Groups of up to 64 queries on the CS graph of every order-test
+        // program, each lane against its own tabulation: the one-shot store
+        // for thin and data slices; for full slices, whose one-shot
+        // tabulation on the larger programs takes minutes in a debug build,
+        // the memoising store, which `order_tests` pins to the one-shot one.
+        // The queries hold a repeated one, one with no seed node and one
+        // seeded at two statements' nodes, and every walk must leave the
+        // scratch clean.
+        use crate::order_tests::{corpus, seeds};
+        use crate::AnalysisSession;
+        use thinslice_util::SmallRng;
+        let mut rng = SmallRng::new(0xc5_1a9e);
+        let mut scratch = CsScratch::new();
+        let (mut groups, mut multi) = (0, 0);
+        for (name, files) in corpus() {
+            let refs: Vec<(&str, &str)> = files
+                .iter()
+                .map(|(n, t)| (n.as_str(), t.as_str()))
+                .collect();
+            let mut session = AnalysisSession::new(&refs).unwrap();
+            let stmts = seeds(&mut session, &mut rng);
+            let graph = session.cs_graph();
+            let index = graph.down_consumers();
+            // Two full groups and a short one per kind.
+            let mut queries: Vec<Vec<NodeId>> = stmts
+                .iter()
+                .map(|&s| graph.stmt_nodes_of(s).to_vec())
+                .filter(|q| !q.is_empty())
+                .take(2 * LANES)
+                .collect();
+            let pair = [queries[0].clone(), queries[1].clone()].concat();
+            queries.insert(1, queries[0].clone());
+            queries.insert(2, Vec::new());
+            queries.insert(3, pair);
+            multi += queries.iter().filter(|q| q.len() > 1).count();
+            for kind in [
+                SliceKind::Thin,
+                SliceKind::TraditionalData,
+                SliceKind::TraditionalFull,
+            ] {
+                let lanes = SummaryGraph::build(graph, index, kind);
+                let mut memo = CsScratch::new();
+                let mut tabulate = |q: &[NodeId]| match kind {
+                    SliceKind::TraditionalFull => {
+                        cs_reusing(graph, index, q, kind, &mut memo, &mut Meter::unlimited())
+                    }
+                    _ => cs_oneshot(graph, index, q, kind, &mut Meter::unlimited()),
+                };
+                for (g, group) in queries.chunks(LANES).enumerate() {
+                    let at = format!("{name} {kind:?} group {g}");
+                    let walked = cs_lanes(graph, &lanes, group, kind, &mut scratch);
+                    assert!(scratch.is_clean(), "{at}");
+                    for (l, (got, q)) in walked.iter().zip(group).enumerate() {
+                        let (want, c) = tabulate(q);
+                        assert!(c.is_complete(), "{at} lane {l}");
+                        assert_eq!(got.stmts, want.stmts, "{at} lane {l}");
+                        assert_eq!(got.visited, want.visited, "{at} lane {l}");
+                        assert_eq!(got.nodes_visited, want.nodes_visited, "{at} lane {l}");
+                    }
+                    groups += 1;
+                }
+            }
+        }
+        assert!(
+            groups > 3 * corpus().len(),
+            "some program needs several groups"
+        );
+        assert!(multi > corpus().len(), "few multi-node seeds: {multi}");
     }
 
     #[test]

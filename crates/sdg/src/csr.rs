@@ -324,6 +324,14 @@ impl DownConsumers {
         let i = self.keys.binary_search(&(site, exit)).ok()?;
         Some(&self.consumers[self.offsets[i] as usize..self.offsets[i + 1] as usize])
     }
+
+    /// Every callee exit some consumer descends into, ascending, each once.
+    pub fn exits(&self) -> Vec<NodeId> {
+        let mut exits: Vec<NodeId> = self.keys.iter().map(|&(_, exit)| exit).collect();
+        exits.sort_unstable();
+        exits.dedup();
+        exits
+    }
 }
 
 /// An edge-filtered view over a [`FrozenSdg`]: its own CSR edge arrays,

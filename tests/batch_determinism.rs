@@ -156,3 +156,42 @@ fn lane_walked_batches_match_sequential_across_group_boundaries() {
         }
     }
 }
+
+#[test]
+fn cs_lane_walked_batches_match_sequential_across_group_boundaries() {
+    // Ungoverned CS batches of two or more queries are answered 64 queries
+    // per walk over the graph's summary edges; the prefixes put a group
+    // boundary at each side of one and two full groups.
+    let generated = thinslice_suite::generate(&GeneratorConfig::scaled(2));
+    let mut s = AnalysisSession::new(&[("gen.mj", generated.as_str())]).unwrap();
+    let stmts: Vec<_> = {
+        let program = s.program();
+        program
+            .all_stmts()
+            .filter(|&st| program.files[program.instr(st).span.file].name == "gen.mj")
+            .collect()
+    };
+    let graph = s.cs_graph();
+    let stmts: Vec<_> = stmts
+        .into_iter()
+        .filter(|&st| !graph.stmt_nodes_of(st).is_empty())
+        .collect();
+    assert!(stmts.len() > 129, "{} statements", stmts.len());
+    for kind in BFS_KINDS {
+        let all: Vec<Query> = stmts
+            .iter()
+            .map(|&st| Query::new(vec![st], kind, Engine::Cs))
+            .collect();
+        for n in [2, 63, 64, 65, 129] {
+            let queries = &all[..n];
+            for threads in [1, 2, 4, 8] {
+                let batched = s.query_batch(queries, threads);
+                assert_matches_queries(&mut s, queries, &batched);
+                for (i, got) in batched.iter().enumerate() {
+                    let got = got.slice.as_ref().expect("ungoverned batch never fails");
+                    assert!(!got.degraded, "query {i} of {n}: {kind:?}");
+                }
+            }
+        }
+    }
+}

@@ -12,8 +12,9 @@
 //! pipeline a fresh session runs. These tests pin that argument against
 //! the randomized edit generator.
 
-use thinslice::{AnalysisSession, Engine, Query, SliceKind, UpdateStats};
+use thinslice::{AnalysisSession, Engine, Query, RunCtx, SliceKind, UpdateStats};
 use thinslice_ir::InstrKind;
+use thinslice_pta::PtaConfig;
 use thinslice_suite::edits::EditScript;
 
 const KINDS: [SliceKind; 3] = [
@@ -176,4 +177,66 @@ fn comment_edits_are_free_on_a_benchmark() {
     assert_eq!(stats.memo_entries_invalidated, 0);
     // Seeds shifted by one line but answers are identical.
     assert!(assert_matches_fresh(&mut live, &commented, 2, "after comment") > 0);
+}
+
+/// Asserts every CS batch `live` answers, on each kind over all print
+/// seeds, equals a fresh session's single queries over the same sources.
+fn assert_cs_batches_match_fresh(
+    live: &mut AnalysisSession,
+    sources: &[(String, String)],
+    ctx: &str,
+) {
+    let mut fresh = AnalysisSession::new(&refs(sources)).expect("edited sources compile");
+    let seeds = print_seeds(&fresh, usize::MAX);
+    assert!(seeds.len() > 1, "{ctx}: a lane walk needs two queries");
+    for kind in KINDS {
+        let qs: Vec<Query> = seeds
+            .iter()
+            .map(|&seed| Query::new(vec![seed], kind, Engine::Cs))
+            .collect();
+        for threads in [1, 2] {
+            for (i, (q, got)) in qs.iter().zip(live.query_batch(&qs, threads)).enumerate() {
+                let got = got.slice.expect("ungoverned batch never fails");
+                let want = fresh.query(q);
+                let at = format!("{ctx}: {kind:?} query {i} at {threads} threads");
+                assert_eq!(got.stmts, want.stmts, "{at}");
+                assert_eq!(got.nodes_visited, want.nodes_visited, "{at}");
+                assert_eq!(got.completeness, want.completeness, "{at}");
+                assert_eq!(
+                    (got.engine, got.degraded),
+                    (want.engine, want.degraded),
+                    "{at}"
+                );
+            }
+        }
+    }
+}
+
+/// CS batches walk a summary graph their session keeps per slice kind; an
+/// edit that changes the CS graph must drop it, and a session restored from
+/// a snapshot must build its own.
+#[test]
+fn cs_batches_after_a_graph_edit_and_a_restore_match_fresh_sessions() {
+    let b = thinslice_suite::benchmark_named("nanoxml").expect("nanoxml is in the suite");
+    let sources = owned(&b.sources);
+    let mut live = AnalysisSession::new(&refs(&sources)).expect("nanoxml compiles");
+    assert_cs_batches_match_fresh(&mut live, &sources, "warmup");
+    let (file, text) = &sources[0];
+    let brace = text.find(") {").expect("a method header") + 3;
+    let mut inserted = text.clone();
+    inserted.insert_str(brace, "\nint freshLocal = 1;");
+    let mut edited = sources.clone();
+    edited[0] = (file.clone(), inserted);
+    let stats = live.update(&refs(&edited)).expect("insert compiles");
+    assert!(
+        !stats.cs_graph_reused,
+        "the edit changes the CS graph: {stats:?}"
+    );
+    assert_cs_batches_match_fresh(&mut live, &edited, "after edit");
+    let key = thinslice::source_hash(&refs(&edited));
+    let bytes = live.write_snapshot(&key).expect("complete stages snapshot");
+    let mut restored =
+        AnalysisSession::from_snapshot(&bytes, &key, PtaConfig::default(), RunCtx::disabled())
+            .expect("the snapshot restores");
+    assert_cs_batches_match_fresh(&mut restored, &edited, "restored");
 }

@@ -148,7 +148,16 @@ fn counters_aggregate_across_batch_workers() {
 fn cs_batch_records_memo_hits_and_misses() {
     let tel = Telemetry::enabled();
     let mut s = session(RunCtx::disabled().with_telemetry(tel.clone()));
-    let qs = queries(s.program(), Engine::Cs);
+    // A governed CS batch is tabulated one query at a time, where an
+    // ungoverned one takes lane walks over the summary edges.
+    let policy = QueryPolicy {
+        budget: Some(Budget::unlimited().with_step_limit(1 << 40)),
+        ..QueryPolicy::default()
+    };
+    let qs: Vec<Query> = queries(s.program(), Engine::Cs)
+        .into_iter()
+        .map(|q| q.with_policy(policy.clone()))
+        .collect();
     // Repeats of the same queries: later queries splice memoised exit
     // regions, so both hits and misses must show up.
     let tiled: Vec<Query> = qs.iter().cycle().take(3 * qs.len()).cloned().collect();
@@ -174,6 +183,58 @@ fn cs_batch_records_memo_hits_and_misses() {
         "repeats must hit the exit memo: {:?}",
         report.counters
     );
+}
+
+#[test]
+fn cs_lane_batches_build_each_summary_index_once_per_graph_and_kind() {
+    let tel = Telemetry::enabled();
+    let mut s = session(RunCtx::disabled().with_telemetry(tel.clone()));
+    let thin = queries(s.program(), Engine::Cs);
+    assert!(thin.len() >= 2, "a batch of one query takes no lane walk");
+    let data: Vec<Query> = thin
+        .iter()
+        .map(|q| Query::new(q.seeds.clone(), SliceKind::TraditionalData, Engine::Cs))
+        .collect();
+    // The summary-edge count of each index built so far.
+    let builds = || -> Vec<u64> {
+        tel.report()
+            .spans
+            .iter()
+            .filter(|sp| sp.name == "cs.summary_index")
+            .map(|sp| {
+                sp.counters
+                    .iter()
+                    .find(|(name, _)| name == "cs.summary_edges")
+                    .map_or(0, |&(_, n)| n)
+            })
+            .collect()
+    };
+    for threads in [1, 2, 1] {
+        let _ = s.query_batch(&thin, threads);
+    }
+    assert_eq!(builds().len(), 1, "one index per (graph, kind)");
+    for _ in 0..2 {
+        let _ = s.query_batch(&data, 1);
+    }
+    assert_eq!(builds().len(), 2, "another kind builds its own");
+    // A value-only edit keeps the graph, and with it the indexes.
+    let tweaked = PROGRAM.replace("int x = 3;", "int x = 5;");
+    let stats = s.update(&[("t.mj", tweaked.as_str())]).unwrap();
+    assert!(stats.cs_graph_reused, "{stats:?}");
+    let _ = s.query_batch(&thin, 1);
+    assert_eq!(builds().len(), 2);
+    // An edit that changes the graph drops them: each kind's next batch
+    // rebuilds its index once.
+    let edited = PROGRAM.replace("print(y);", "print(x);");
+    let stats = s.update(&[("t.mj", edited.as_str())]).unwrap();
+    assert!(!stats.cs_graph_reused, "{stats:?}");
+    for _ in 0..2 {
+        let _ = s.query_batch(&thin, 1);
+    }
+    assert_eq!(builds().len(), 3);
+    let _ = s.query_batch(&data, 1);
+    assert_eq!(builds().len(), 4);
+    assert!(builds().iter().all(|&n| n > 0), "{:?}", builds());
 }
 
 #[test]
