@@ -11,7 +11,7 @@
 //! * **per-slicer query time** — for each of the four slicer variants
 //!   (thin, traditional-data, traditional-full, context-sensitive thin):
 //!   - `seq`: `AnalysisSession::query`, one query at a time on a warm
-//!     session (graphs built, scratch and tabulation memo reused),
+//!     session (graphs, summary graphs and scratch reused),
 //!   - `batch`: `AnalysisSession::query_batch` over all the seeds at once
 //!     on the same session;
 //! * **throughput** — slices/sec for `seq` vs `batch`.

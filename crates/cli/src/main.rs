@@ -71,7 +71,7 @@ serve runs the multi-tenant slice daemon: line-delimited JSON requests on
 serve observability: the flight recorder is always on (--recorder-capacity
   events, 0 disables); --slow-ms logs queries over the threshold;
   --stats-interval prints a stats snapshot to stderr every <secs> seconds.
-  `thinslice stats` asks a running daemon for its thinslice.serve_stats.v2
+  `thinslice stats` asks a running daemon for its thinslice.serve_stats.v3
   document over the socket and renders a top-style table (--json prints
   the raw response line instead).
 
@@ -410,7 +410,7 @@ fn emit_telemetry(o: &Options, tel: &Telemetry) -> Result<(), String> {
 /// Validates previously emitted machine-readable output: a
 /// `thinslice.run_report.v1` report (from `--metrics-out`), a
 /// `thinslice.serve_response.v1` transcript (the line-delimited responses
-/// a serve run wrote), or a `thinslice.serve_stats.v2` snapshot (the
+/// a serve run wrote), or a `thinslice.serve_stats.v3` snapshot (the
 /// document the `stats` op embeds). Dispatches on the `schema` field of
 /// the first non-empty line; any other schema id is rejected by name.
 fn cmd_validate_report(o: &Options) -> Result<(), String> {
@@ -623,7 +623,7 @@ fn parse_stats_options(args: &[String]) -> Result<StatsCli, String> {
 }
 
 /// One-shot observability client: asks a running daemon for its
-/// `thinslice.serve_stats.v2` snapshot over the Unix socket and renders
+/// `thinslice.serve_stats.v3` snapshot over the Unix socket and renders
 /// it as a `top`-style table (or the raw response line with `--json`).
 #[cfg(unix)]
 fn cmd_stats(args: &[String]) -> Result<(), String> {
@@ -778,7 +778,7 @@ fn cmd_reload(args: &[String]) -> Result<(), String> {
     println!(
         "reloaded {} (content {}) path={} methods {}/{} changed · \
          constraints retracted {} readded {} of {} · \
-         csr refrozen {}/{} · memo invalidated {} kept {}",
+         csr refrozen {}/{} · summary graphs dropped {} kept {}",
         s("program"),
         s("content"),
         s("path"),
@@ -801,7 +801,7 @@ fn cmd_reload(args: &[String]) -> Result<(), String> {
     Err("reload talks to a Unix-socket daemon; only supported on unix".into())
 }
 
-/// Renders a parsed `thinslice.serve_stats.v2` document as text: a daemon
+/// Renders a parsed `thinslice.serve_stats.v3` document as text: a daemon
 /// header line, the per-tenant table, the per-session table, the
 /// slow-query log, and the flight-recorder tail. Missing fields render as
 /// zeros rather than failing — the wire doc was already validated.
@@ -819,16 +819,6 @@ fn render_stats(doc: &thinslice_util::telemetry::Json) -> String {
     }
     fn arr<'a>(v: &'a Json, key: &str) -> &'a [Json] {
         v.get(key).and_then(Json::as_arr).unwrap_or(&[])
-    }
-    /// Exit-memo hit rate in percent, from hit/miss counters on `v`.
-    fn memo_pct(v: &Json) -> f64 {
-        let hits = u(v, "exit_hits");
-        let total = hits + u(v, "exit_misses");
-        if total > 0 {
-            100.0 * hits as f64 / total as f64
-        } else {
-            0.0
-        }
     }
     let pool = doc.get("pool");
     let server = doc.get("server");
@@ -866,25 +856,15 @@ fn render_stats(doc: &thinslice_util::telemetry::Json) -> String {
     if !tenants.is_empty() {
         let _ = writeln!(
             out,
-            "\n{:<16} {:>6} {:>5} {:>5} {:>5} {:>5} {:>10} {:>9} {:>9} {:>9} {:>6}",
-            "CLIENT",
-            "REQ",
-            "ERR",
-            "RETRY",
-            "DEGR",
-            "SHED",
-            "STEPS",
-            "p50us",
-            "p95us",
-            "maxus",
-            "MEMO%"
+            "\n{:<16} {:>6} {:>5} {:>5} {:>5} {:>5} {:>10} {:>9} {:>9} {:>9}",
+            "CLIENT", "REQ", "ERR", "RETRY", "DEGR", "SHED", "STEPS", "p50us", "p95us", "maxus"
         );
         for t in tenants {
             let lat = t.get("latency_us");
             let lf = |key: &str| lat.map_or(0.0, |l| f(l, key));
             let _ = writeln!(
                 out,
-                "{:<16} {:>6} {:>5} {:>5} {:>5} {:>5} {:>10} {:>9.0} {:>9.0} {:>9.0} {:>6.1}",
+                "{:<16} {:>6} {:>5} {:>5} {:>5} {:>5} {:>10} {:>9.0} {:>9.0} {:>9.0}",
                 s(t, "client"),
                 u(t, "requests"),
                 u(t, "errors"),
@@ -895,7 +875,6 @@ fn render_stats(doc: &thinslice_util::telemetry::Json) -> String {
                 lf("p50"),
                 lf("p95"),
                 lf("max"),
-                memo_pct(t),
             );
         }
     }
@@ -903,8 +882,8 @@ fn render_stats(doc: &thinslice_util::telemetry::Json) -> String {
     if !sessions.is_empty() {
         let _ = writeln!(
             out,
-            "\n{:<16} {:>5} {:>5} {:>10} {:>6} {:>6} {:>9}",
-            "SESSION", "LIVE", "QUAR", "RESIDENT", "REQ", "MEMO%", "p95us"
+            "\n{:<16} {:>5} {:>5} {:>10} {:>6} {:>9}",
+            "SESSION", "LIVE", "QUAR", "RESIDENT", "REQ", "p95us"
         );
         for r in sessions {
             let yes = |key: &str| {
@@ -917,13 +896,12 @@ fn render_stats(doc: &thinslice_util::telemetry::Json) -> String {
             let lat = r.get("latency_us");
             let _ = writeln!(
                 out,
-                "{:<16} {:>5} {:>5} {:>10} {:>6} {:>6.1} {:>9.0}",
+                "{:<16} {:>5} {:>5} {:>10} {:>6} {:>9.0}",
                 s(r, "program"),
                 yes("live"),
                 yes("quarantined"),
                 u(r, "resident"),
                 lat.map_or(0, |l| u(l, "count")),
-                memo_pct(r),
                 lat.map_or(0.0, |l| f(l, "p95")),
             );
         }
@@ -1543,7 +1521,7 @@ mod tests {
     fn renders_stats_documents() {
         use thinslice_util::telemetry::Json;
         let doc = Json::parse(
-            r#"{"schema":"thinslice.serve_stats.v2","uptime_ms":1500,
+            r#"{"schema":"thinslice.serve_stats.v3","uptime_ms":1500,
                 "pool":{"programs":1,"live_sessions":1,"capacity":8,"quarantined":0,
                         "resident":123,"hits":3,"misses":1,"builds":1,"evictions":0,
                         "quarantines":0,"rebuilds":0,"reloads":0,"reloads_incremental":0,
@@ -1551,10 +1529,10 @@ mod tests {
                         "snapshot_discarded_corrupt":1},
                 "server":{"served":4,"errors":0,"panics":0,"recorded":6,"recorder_capacity":256},
                 "tenants":[{"client":"alpha","requests":4,"errors":0,"retries":0,"degraded":1,
-                            "shed":0,"spent_steps":900,"exit_hits":3,"exit_misses":1,
+                            "shed":0,"spent_steps":900,
                             "latency_us":{"count":4,"sum":800,"p50":150,"p95":400,"max":420}}],
                 "sessions":[{"program":"00deadbeef00cafe","content":"00deadbeef00cafe","live":true,"quarantined":false,
-                             "resident":123,"exit_hits":3,"exit_misses":1,
+                             "resident":123,
                              "latency_us":{"count":4,"sum":800,"p50":150,"p95":400,"max":420}}],
                 "slow":[{"id":7,"client":"alpha","program":"00deadbeef00cafe","kind":"thin",
                          "engine":"ci","admission":"full","completeness":"complete","seeds":1,
@@ -1575,7 +1553,7 @@ mod tests {
         );
         assert!(text.contains("CLIENT"), "{text}");
         assert!(text.contains("alpha"), "{text}");
-        assert!(text.contains("75.0"), "memo hit rate: {text}");
+        assert!(text.contains("900"), "tenant steps: {text}");
         assert!(text.contains("SESSION"), "{text}");
         assert!(text.contains("00deadbeef00cafe"), "{text}");
         assert!(text.contains("slow queries (1):"), "{text}");
@@ -1583,7 +1561,7 @@ mod tests {
         assert!(text.contains("session_built"), "{text}");
         // An idle daemon renders just the header line.
         let idle = Json::parse(
-            r#"{"schema":"thinslice.serve_stats.v2","uptime_ms":0,
+            r#"{"schema":"thinslice.serve_stats.v3","uptime_ms":0,
                 "pool":{"programs":0,"live_sessions":0,"capacity":8,"quarantined":0,
                         "resident":0,"hits":0,"misses":0,"builds":0,"evictions":0,
                         "quarantines":0,"rebuilds":0,"reloads":0,"reloads_incremental":0,

@@ -3,10 +3,10 @@
 //! The paper's evaluation workload is query-heavy: one dependence graph,
 //! many seeds (every task of Table 2/3 slices the same benchmark). This
 //! module amortises everything that does not depend on the seed —
-//! the CSR graph ([`FrozenSdg`]), per-worker scratch buffers (the BFS
-//! and lane-walk scratch, [`CsScratch`]), the tabulation's down-edge
-//! index ([`FrozenSdg::down_consumers`]) and the summary edges — and fans
-//! the queries out across a thread pool over the shared immutable graph.
+//! the CSR graph ([`FrozenSdg`]), per-worker scratch buffers (the BFS,
+//! tabulation and lane-walk buffers), the tabulation's down-edge index
+//! ([`FrozenSdg::down_consumers`]) and the summary edges — and fans the
+//! queries out across a thread pool over the shared immutable graph.
 //!
 //! Results are returned in query order, and each result is identical to
 //! what the sequential single-query path ([`AnalysisSession::query`])
@@ -20,14 +20,18 @@
 //! the Merrier*, VLDB 2014). A context-sensitive run is two-phase
 //! reachability over the graph plus its summary edges (Horwitz, Reps and
 //! Binkley), which the session builds once per slice kind and graph, on
-//! its first such batch. A lane-walked batch gets one worker per run.
+//! its first ungoverned CS query or batch. A lane-walked batch gets one
+//! worker per run.
 //!
 //! A run of one query, the run holding a fault-injected query, a run
 //! whose walk panicked, and every run of a batch without retries are
 //! answered one query at a time instead, as is every run of a CI batch
-//! under a deadline and of a CS batch under any limit or cancel token. A
-//! batch answered one query at a time gets a worker per 8 queries, and at
-//! least one run per worker.
+//! under a deadline and of a CS batch under any limit or cancel token:
+//! a CI query by the BFS, an ungoverned CS query by a walk of one lane,
+//! and a governed CS query by the tabulation from its seeds, which
+//! carries nothing over from earlier queries. A batch answered one query
+//! at a time gets a worker per 8 queries, and at least one run per
+//! worker.
 //!
 //! One engine answers every batch, governed or not; an ungoverned batch
 //! simply runs under an unlimited budget. Every query arms its own meter,
@@ -40,10 +44,8 @@
 //! graph that keeps only the edges their kind follows, built once per
 //! batch; smaller ones, full slices and tabulation walk the graph itself.
 //! The meter ticks once per emitted node, so a filtered walk truncates at
-//! the same node as an unfiltered one. A one-query CS batch tabulates on
-//! a hash-based store, whose cost follows the slice, instead of dense
-//! scratch. Both size rules only choose what a batch costs: every answer
-//! is the same either way.
+//! the same node as an unfiltered one: the size rule only chooses what a
+//! batch costs, and every answer is the same either way.
 //!
 //! # Examples
 //!
@@ -72,7 +74,7 @@
 
 use crate::session::{Engine, SliceResult};
 use crate::slice::{slice_dense, slice_lanes, Slice, SliceKind, SliceScratch, LANES};
-use crate::tabulation::{cs_lanes, cs_oneshot, cs_reusing, CsScratch, MemoStats};
+use crate::tabulation::{cs_lanes, cs_tabulate, CsScratch, SummaryGraphs};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -86,12 +88,6 @@ use thinslice_util::{
 /// once, which a few queries never earn back: below this size they walk
 /// the shared graph and test each edge's kind instead.
 const FILTER_THRESHOLD: usize = 16;
-
-/// Minimum CS batch size for the dense reusable scratch. Its node-indexed
-/// tables cost O(graph) to set up, repaid by cheaper per-step bookkeeping
-/// and memoisation across the batch's queries; a lone query tabulates on
-/// the hash-based one-shot store, whose cost follows the slice.
-const CS_DENSE_THRESHOLD: usize = 2;
 
 /// Minimum queries a worker must stand to receive before it is worth
 /// spawning, in a batch answered one query at a time: an OS thread costs
@@ -115,6 +111,15 @@ pub struct FaultInjection {
     pub query: usize,
     /// How many of its attempts panic before it would succeed.
     pub attempts: u32,
+}
+
+/// One thread's query scratch: the BFS and CI lane-walk buffers, and the
+/// tabulation and CS lane-walk buffers. Both parts start empty and grow
+/// on first use, and every query leaves them empty again.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    pub bfs: SliceScratch,
+    pub cs: CsScratch,
 }
 
 /// How one batch runs: the group's context and robustness options.
@@ -289,45 +294,63 @@ fn answer(slice: Slice, engine: Engine, completeness: Completeness, degraded: bo
     }
 }
 
-/// Answers one context-sensitive query: the tabulation over `graph` (with
-/// the down-edge index cached on it) on warm scratch `cs`, or on a
-/// one-shot store when `cs` is `None`, under a meter freshly armed from
-/// `budget`. A tabulation cut short with
-/// `degrade` set takes the scalability ladder, CS → CI → truncated: the
-/// CI BFS over the same graph answers instead, under a second meter from
-/// the same budget, and the result is marked `degraded` (and counted as
+/// Answers one context-sensitive query over `graph` (with the down-edge
+/// index cached on it) on `scratch`. Under an unlimited budget it is a
+/// lane walk of one lane over the kind's summary graph in `summaries`;
+/// otherwise the tabulation from `seeds` under a meter freshly armed from
+/// `budget`. A tabulation cut short with `degrade` set takes the
+/// scalability ladder, CS → CI → truncated: the CI BFS over the same
+/// graph answers instead, under a second meter from the same budget, and
+/// the result is marked `degraded` (and counted as
 /// `govern.degraded_queries`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn answer_cs(
     graph: &FrozenSdg,
+    summaries: &SummaryGraphs,
     seeds: &[NodeId],
     kind: SliceKind,
     budget: &Budget,
     degrade: bool,
-    cs: Option<&mut CsScratch>,
-    bfs: &mut SliceScratch,
+    scratch: &mut Scratch,
     tel: &Telemetry,
 ) -> SliceResult {
+    if budget.is_unlimited() {
+        let mut walked = answer_cs_lanes(graph, summaries, &[seeds], kind, &mut scratch.cs, tel);
+        return walked.pop().expect("one lane, one answer");
+    }
     let mut meter = budget.meter();
     let index = graph.down_consumers();
-    let (slice, completeness) = match cs {
-        Some(cs) => cs_reusing(graph, index, seeds, kind, cs, &mut meter),
-        None => cs_oneshot(graph, index, seeds, kind, &mut meter),
-    };
+    let (slice, completeness) = cs_tabulate(graph, index, seeds, kind, &mut scratch.cs, &mut meter);
     let mut checks = meter.slow_checks();
     let result = if completeness.is_complete() || !degrade {
         answer(slice, Engine::Cs, completeness, false)
     } else {
         let mut ci_meter = budget.meter();
+        let bfs = &mut scratch.bfs;
         let (ci, ci_completeness) = slice_dense(graph, seeds, kind, bfs, false, &mut ci_meter);
         checks += ci_meter.slow_checks();
         tel.count("govern.degraded_queries", 1);
         answer(ci, Engine::Ci, ci_completeness, true)
     };
-    if !budget.is_unlimited() {
-        tel.count("govern.meter_checks", checks);
-    }
+    tel.count("govern.meter_checks", checks);
     result
+}
+
+/// Answers up to [`LANES`] ungoverned context-sensitive queries with one
+/// [`cs_lanes`] walk over the kind's summary graph in `summaries`, which
+/// the first walk that needs it builds.
+fn answer_cs_lanes<Q: AsRef<[NodeId]>>(
+    graph: &FrozenSdg,
+    summaries: &SummaryGraphs,
+    queries: &[Q],
+    kind: SliceKind,
+    cs: &mut CsScratch,
+    tel: &Telemetry,
+) -> Vec<SliceResult> {
+    cs_lanes(graph, summaries.get(graph, kind, tel), queries, kind, cs)
+        .into_iter()
+        .map(|slice| answer(slice, Engine::Cs, Completeness::Complete, false))
+        .collect()
 }
 
 /// Runs query `i`'s attempts under `catch_unwind`: a panic poisons only
@@ -335,13 +358,12 @@ pub(crate) fn answer_cs(
 /// times, and on final failure under fail-fast cancels the call's token,
 /// which the rest of the call's queries run under. `spent` attempts (a
 /// failed lane walk) are already charged against the retries.
-fn run_guarded<S>(
+fn run_guarded(
     i: usize,
     cfg: &BatchConfig,
     spent: u32,
-    scratch: &mut S,
-    fresh: impl Fn() -> S,
-    attempt: impl Fn(&mut S) -> SliceResult,
+    scratch: &mut Scratch,
+    attempt: impl Fn(&mut Scratch) -> SliceResult,
 ) -> QueryOutcome {
     let start = Instant::now();
     let mut attempts_used = spent;
@@ -368,7 +390,7 @@ fn run_guarded<S>(
         // The unwound attempt may have left the scratch mid-update;
         // replace it so the retry (and the worker's later queries) start
         // from known-good state.
-        *scratch = fresh();
+        *scratch = Scratch::default();
         if attempts_used < cfg.retries {
             attempts_used += 1;
             continue;
@@ -421,17 +443,11 @@ fn record_outcome(tel: &Telemetry, stage: &str, out: &QueryOutcome) {
     }
 }
 
-fn record_memo(tel: &Telemetry, delta: MemoStats) {
-    tel.count("cs.exit_memo_hits", delta.exit_hits);
-    tel.count("cs.exit_memo_misses", delta.exit_misses);
-    tel.count("cs.summary_edges", delta.summary_edges);
-}
-
 /// The batch engine: answers `queries` (seed nodes of `graph`) on up to
 /// `threads` workers, in query order, under `cfg`. See the module docs. A
-/// CI batch that runs on the calling thread alone walks on `scratch`; a CS
-/// batch's lane walks read the summary graph that `summaries`, the
-/// session's CS scratch for `kind`, builds on first use.
+/// batch that runs on the calling thread alone walks on `scratch`; a CS
+/// batch's ungoverned queries walk the summary graph of `kind` in
+/// `summaries`, built on first use.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_batch(
     graph: &FrozenSdg,
@@ -440,15 +456,17 @@ pub(crate) fn run_batch(
     engine: Engine,
     threads: usize,
     cfg: &BatchConfig,
-    scratch: &mut SliceScratch,
-    summaries: &CsScratch,
+    scratch: &mut Scratch,
+    summaries: &SummaryGraphs,
 ) -> Vec<QueryOutcome> {
     let mut span = cfg.ctx.telemetry().span("batch.slices");
     span.add("batch.queries", queries.len() as u64);
     let threads = cfg.workers(engine, threads, queries.len());
     let lanes = cfg.lanes(engine);
     if engine == Engine::Cs {
-        return run_cs(graph, queries, kind, threads, lanes, cfg, summaries);
+        return run_cs(
+            graph, queries, kind, threads, lanes, cfg, scratch, summaries,
+        );
     }
     // The full slicer follows every edge, so the graph is its own filtered
     // view.
@@ -492,7 +510,7 @@ fn lane_groups(n: usize, workers: usize) -> Vec<Range<usize>> {
 /// Answers `n` queries in lane groups of consecutive queries
 /// ([`lane_groups`]) spread over `threads` workers, in query order. With
 /// one worker the groups run on the calling thread, on `scratch`; with
-/// more, each worker starts from `fresh`.
+/// more, each worker starts from empty scratch.
 ///
 /// With `lanes` set, a group of two or more queries is answered by `walk`,
 /// one lane walk. A group is answered one query at a time instead, each
@@ -503,23 +521,22 @@ fn lane_groups(n: usize, workers: usize) -> Vec<Range<usize>> {
 /// order and sibling isolation are those of single queries. Every query
 /// of a lane-walked group reports the group's wall time as its latency.
 #[allow(clippy::too_many_arguments)]
-fn run_groups<S: Send>(
+fn run_groups(
     n: usize,
     threads: usize,
     cfg: &BatchConfig,
     stage: &str,
     lanes: bool,
-    scratch: &mut S,
-    fresh: impl Fn() -> S + Sync,
-    walk: impl Fn(&mut S, Range<usize>) -> Vec<SliceResult> + Sync,
-    single: impl Fn(&mut S, usize) -> SliceResult + Sync,
+    scratch: &mut Scratch,
+    walk: impl Fn(&mut Scratch, Range<usize>) -> Vec<SliceResult> + Sync,
+    single: impl Fn(&mut Scratch, usize) -> SliceResult + Sync,
 ) -> Vec<QueryOutcome> {
     let tel = cfg.ctx.telemetry();
     let record = |out: QueryOutcome| {
         record_outcome(tel, stage, &out);
         out
     };
-    let answer_group = |scratch: &mut S, range: &Range<usize>| {
+    let answer_group = |scratch: &mut Scratch, range: &Range<usize>| {
         let faulty = cfg.fault.is_some_and(|f| range.contains(&f.query));
         let (mut spent, mut wasted) = (0, Duration::ZERO);
         if lanes && range.len() > 1 && !faulty {
@@ -540,7 +557,7 @@ fn run_groups<S: Send>(
                 }
                 Err(payload) => {
                     // The unwound walk may have left the scratch mid-update.
-                    *scratch = fresh();
+                    *scratch = Scratch::default();
                     tel.count("batch.lane_walk_failures", 1);
                     tel.event(
                         "batch.lane_walk_failed",
@@ -556,7 +573,7 @@ fn run_groups<S: Send>(
         range
             .clone()
             .map(|i| {
-                let mut out = run_guarded(i, cfg, spent, scratch, &fresh, |s| single(s, i));
+                let mut out = run_guarded(i, cfg, spent, scratch, |s| single(s, i));
                 out.latency += wasted;
                 record(out)
             })
@@ -569,7 +586,7 @@ fn run_groups<S: Send>(
             .flat_map(|range| answer_group(scratch, range))
             .collect();
     }
-    par::map_with(&groups, threads, &fresh, |scratch, _, range| {
+    par::map_with(&groups, threads, Scratch::default, |scratch, _, range| {
         answer_group(scratch, range)
     })
     .into_iter()
@@ -590,7 +607,7 @@ fn run_ci<G: DenseDisplay + Sync>(
     threads: usize,
     lanes: bool,
     cfg: &BatchConfig,
-    scratch: &mut SliceScratch,
+    scratch: &mut Scratch,
 ) -> Vec<QueryOutcome> {
     let tel = cfg.ctx.telemetry();
     let budget = cfg.ctx.budget();
@@ -601,32 +618,29 @@ fn run_ci<G: DenseDisplay + Sync>(
         "slice",
         lanes,
         scratch,
-        SliceScratch::new,
-        |scratch, range| {
-            answer_lanes(
+        |s, range| {
+            let queries = &queries[range];
+            answer_lanes(view, prefiltered, queries, kind, budget, &mut s.bfs, tel)
+        },
+        |s, i| {
+            answer_ci(
                 view,
                 prefiltered,
-                &queries[range],
+                &queries[i],
                 kind,
                 budget,
-                scratch,
+                &mut s.bfs,
                 tel,
             )
         },
-        |bfs, i| answer_ci(view, prefiltered, &queries[i], kind, budget, bfs, tel),
     )
 }
 
-/// Answers a context-sensitive batch over `graph` through [`run_groups`].
-///
-/// A lane-walked group is one [`cs_lanes`] walk over the graph's
-/// [`SummaryGraph`](crate::tabulation::SummaryGraph), which `summaries`
-/// (the session's scratch for `kind`) builds on the first walk and keeps.
-/// One at a time, each query is tabulated on its worker's own memoising
-/// scratch, so a worker memoises callee-exit regions for its own queries
-/// alone, and a panicked query's replacement scratch starts with an empty
-/// memo. Workers share only the immutable graph, its down-edge index and
-/// the summary graph.
+/// Answers a context-sensitive batch over `graph` through [`run_groups`]:
+/// a lane-walked group by [`answer_cs_lanes`], and each other query as
+/// [`answer_cs`] answers it alone. Workers share only the immutable
+/// graph, its down-edge index and the summary graphs; with one worker the
+/// groups run on `scratch`.
 #[allow(clippy::too_many_arguments)]
 fn run_cs(
     graph: &FrozenSdg,
@@ -635,42 +649,22 @@ fn run_cs(
     threads: usize,
     lanes: bool,
     cfg: &BatchConfig,
-    summaries: &CsScratch,
+    scratch: &mut Scratch,
+    summaries: &SummaryGraphs,
 ) -> Vec<QueryOutcome> {
     let tel = cfg.ctx.telemetry();
     let budget = cfg.ctx.budget();
-    let fresh = || (CsScratch::new(), SliceScratch::new());
-    let dense_cs = queries.len() >= CS_DENSE_THRESHOLD;
     run_groups(
         queries.len(),
         threads,
         cfg,
         "cs_slice",
         lanes,
-        &mut fresh(),
-        fresh,
-        |(cs, _), range| {
-            let lanes_graph = summaries.summary_graph(graph, kind, tel);
-            cs_lanes(graph, lanes_graph, &queries[range], kind, cs)
-                .into_iter()
-                .map(|slice| answer(slice, Engine::Cs, Completeness::Complete, false))
-                .collect()
-        },
-        |(cs, bfs), i| {
-            let before = cs.memo_stats();
-            let cs_scratch = dense_cs.then_some(&mut *cs);
-            let result = answer_cs(
-                graph,
-                &queries[i],
-                kind,
-                budget,
-                cfg.degrade,
-                cs_scratch,
-                bfs,
-                tel,
-            );
-            record_memo(tel, cs.memo_stats().since(&before));
-            result
+        scratch,
+        |s, range| answer_cs_lanes(graph, summaries, &queries[range], kind, &mut s.cs, tel),
+        |s, i| {
+            let seeds = &queries[i];
+            answer_cs(graph, summaries, seeds, kind, budget, cfg.degrade, s, tel)
         },
     )
 }
@@ -699,14 +693,18 @@ mod tests {
 
     /// Sequential oracle: the one-shot CS slice over the growable graph.
     fn cs_slice(sdg: &thinslice_sdg::Sdg, seeds: &[NodeId], kind: SliceKind) -> Slice {
-        cs_oneshot(
-            sdg,
-            &DownConsumers::build(sdg),
-            seeds,
-            kind,
-            &mut Meter::unlimited(),
-        )
-        .0
+        cs_slice_under(sdg, seeds, kind, &Budget::unlimited()).0
+    }
+
+    /// Sequential oracle: the one-shot CS slice under a meter from `budget`.
+    fn cs_slice_under(
+        sdg: &thinslice_sdg::Sdg,
+        seeds: &[NodeId],
+        kind: SliceKind,
+        budget: &Budget,
+    ) -> (Slice, Completeness) {
+        let index = DownConsumers::build(sdg);
+        cs_oneshot(sdg, &index, seeds, kind, &mut budget.meter())
     }
 
     /// The ungoverned batch's answers, unwrapped.
@@ -724,8 +722,8 @@ mod tests {
             engine,
             threads,
             &BatchConfig::default(),
-            &mut SliceScratch::new(),
-            &CsScratch::new(),
+            &mut Scratch::default(),
+            &SummaryGraphs::default(),
         )
         .into_iter()
         .map(|o| {
@@ -840,11 +838,11 @@ mod tests {
     }
 
     #[test]
-    fn cs_exit_memoisation_does_not_change_results() {
-        // Many repeats of the same queries on one thread: from the second
-        // query on, every callee-exit region comes from the scratch's
-        // memo (spliced) rather than fresh tabulation, and each result
-        // must still match a from-scratch sequential run.
+    fn reused_cs_scratch_does_not_change_results() {
+        // Three rounds of the same queries on one thread, every kind, with
+        // and without a step limit: each tabulation and walk reuses the
+        // scratch the one before it left, and each answer must still match
+        // a from-scratch sequential run under the same budget.
         let a = setup();
         let q = all_print_queries(&a);
         let tiled: Vec<Vec<NodeId>> = q.iter().cycle().take(3 * q.len()).cloned().collect();
@@ -853,11 +851,32 @@ mod tests {
             SliceKind::TraditionalData,
             SliceKind::TraditionalFull,
         ] {
-            let batched = batch(&a.csr, &tiled, kind, Engine::Cs, 1);
-            for (b, seeds) in batched.iter().zip(&tiled) {
-                let s = cs_slice(&a.sdg, seeds, kind);
-                assert_eq!(b.stmts, s.stmts, "{kind:?}");
-                assert_eq!(b.visited, s.visited);
+            for budget in [Budget::unlimited(), Budget::unlimited().with_step_limit(3)] {
+                let cfg = BatchConfig {
+                    ctx: RunCtx::new(Telemetry::disabled(), budget.clone()),
+                    degrade: false,
+                    ..BatchConfig::default()
+                };
+                let mut scratch = Scratch::default();
+                let summaries = SummaryGraphs::default();
+                let out = run_batch(
+                    &a.csr,
+                    &tiled,
+                    kind,
+                    Engine::Cs,
+                    1,
+                    &cfg,
+                    &mut scratch,
+                    &summaries,
+                );
+                assert!(scratch.cs.is_clean(), "{kind:?}");
+                for (o, seeds) in out.iter().zip(&tiled) {
+                    let b = o.slice.as_ref().expect("no faults injected");
+                    let (s, c) = cs_slice_under(&a.sdg, seeds, kind, &budget);
+                    assert_eq!(b.stmts, s.stmts, "{kind:?}");
+                    assert_eq!(b.visited, s.visited);
+                    assert_eq!(b.completeness, c);
+                }
             }
         }
     }
@@ -959,8 +978,8 @@ mod tests {
                 engine,
                 1,
                 &cfg,
-                &mut SliceScratch::new(),
-                &CsScratch::new(),
+                &mut Scratch::default(),
+                &SummaryGraphs::default(),
             );
             let report = cfg.ctx.telemetry().report();
             let failed_walks = report

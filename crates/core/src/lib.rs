@@ -69,12 +69,12 @@ pub use expand::{
 };
 pub use inspect::{simulate_inspection, InspectTask, InspectionResult};
 pub use session::{
-    AnalysisSession, BatchOptions, Engine, Query, QueryPolicy, SliceResult, UpdateStats,
+    AnalysisSession, BatchOptions, Engine, MemoStats, Query, QueryPolicy, SliceResult, UpdateStats,
 };
 pub use slice::SliceKind;
 pub use snapshot::{source_hash, SnapshotLoad, SnapshotStore};
 pub use stmtset::StmtSet;
-pub use tabulation::{CsScratch, DownConsumers, MemoStats};
+pub use tabulation::DownConsumers;
 pub use thinslice_util::{
     Budget, CancelToken, Completeness, ExhaustReason, Meter, Outcome, RunCtx, RunReport, Telemetry,
 };

@@ -13,7 +13,7 @@
 
 use crate::session::{AnalysisSession, Engine, Query, QueryPolicy, SliceResult};
 use crate::slice::{slice_sparse, SliceKind, SliceScratch};
-use crate::tabulation::{cs_oneshot, cs_reusing, CsScratch, DownConsumers};
+use crate::tabulation::{cs_oneshot, DownConsumers};
 use thinslice_ir::{compile, InstrKind, StmtRef};
 use thinslice_pta::{ModRef, Pta, PtaConfig};
 use thinslice_sdg::{build_ci, build_cs, DepGraph, FrozenSdg, NodeId};
@@ -186,44 +186,21 @@ fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
             for steps in cuts(got.nodes_visited) {
                 let at = format!("{at} /{steps}");
                 let budget = || Budget::unlimited().with_step_limit(steps).meter();
-                // A memo-free scratch follows the sparse store's traversal
-                // step for step, so their truncated answers are equal.
-                let (cold, c) = cs_reusing(
-                    &cs,
-                    index,
-                    &cs_seeds,
-                    kind,
-                    &mut CsScratch::new(),
-                    &mut budget(),
-                );
-                let (want, w) = cs_oneshot(&cs, index, &cs_seeds, kind, &mut budget());
-                assert!(!c.is_complete() && !w.is_complete(), "{at}");
-                assert_eq!(cold.stmts, want.stmts, "{at}: memo-free stmts");
-                assert_eq!(cold.visited, want.visited, "{at}: memo-free nodes");
-                assert_eq!(
-                    cold.nodes_visited,
-                    want.visited.len(),
-                    "{at}: memo-free count"
-                );
-                // The session's warm memo splices regions instead of
-                // tabulating them, so it may finish within the limit, and
-                // is otherwise cut somewhere inside the fixpoint.
+                // The session's dense store keeps nothing between queries,
+                // so it follows the sparse store's traversal step for step
+                // and is cut where the sparse store is cut.
                 let cut = session.query(&q.clone().with_policy(limited(steps, false)));
-                if cut.completeness.is_complete() {
-                    assert_same(&cut, got.stmts.in_order(), &got.visited, &at);
-                } else {
-                    assert!(cut.stmts.is_subset(&got.stmts), "{at}");
-                }
-                // With degradation on, a cut tabulation is re-answered by
+                let (want, w) = cs_oneshot(&cs, index, &cs_seeds, kind, &mut budget());
+                assert!(!w.is_complete(), "{at}");
+                assert_eq!(cut.completeness, w, "{at}");
+                assert_same(&cut, want.stmts.in_order(), &want.visited, &at);
+                // With degradation on, the cut tabulation is re-answered by
                 // the dense BFS over the CS graph under a fresh meter.
                 let ladder = session.query(&q.clone().with_policy(limited(steps, true)));
-                if ladder.degraded {
-                    let (want, _) = slice_sparse(&cs, &cs_seeds, kind, &mut sparse, &mut budget());
-                    assert_same(&ladder, want.stmts.in_order(), &want.visited, &at);
-                    degraded += 1;
-                } else {
-                    assert_same(&ladder, got.stmts.in_order(), &got.visited, &at);
-                }
+                assert!(ladder.degraded, "{at}");
+                let (want, _) = slice_sparse(&cs, &cs_seeds, kind, &mut sparse, &mut budget());
+                assert_same(&ladder, want.stmts.in_order(), &want.visited, &at);
+                degraded += 1;
                 assert!(session.scratch_is_clean(), "{at}");
             }
         }

@@ -4,10 +4,10 @@
 //! query at a time or in batches:
 //!
 //! * it owns the pipeline's stage artifacts (compiled program → points-to
-//!   → dependence graph → frozen CSR → down-edge index → tabulation memo)
+//!   → dependence graph → frozen CSR → down-edge index → summary graphs)
 //!   and builds each **lazily, once** — a session that only ever answers
 //!   context-insensitive queries never pays for the context-sensitive
-//!   graph, and repeated queries reuse warm scratch and memo state;
+//!   graph, and repeated queries reuse warm scratch;
 //! * one [`RunCtx`] (telemetry + budget) threads through every stage, so
 //!   the same calls serve traced, governed and plain sessions;
 //! * one request shape, [`Query`] — seeds, slice kind, engine, policy —
@@ -17,12 +17,14 @@
 //!
 //! Cache invariants: stage artifacts are immutable once built (the MJ
 //! program never changes under a session), so memoisation is pure — a
-//! warm query returns exactly what a cold one would. The tabulation memo
-//! is keyed per slice kind because summary edges depend on which edges a
-//! kind follows; the CS scratch for one kind is never consulted for
-//! another. The same per-kind scratch holds the summary graph that
-//! lane-walked CS batches build on first use, and drops it with the memo
-//! whenever the CS graph changes.
+//! warm query returns exactly what a cold one would. The only
+//! context-sensitive graph facts a session keeps are its summary graphs,
+//! one per slice kind because summary edges depend on which edges a kind
+//! follows: the first ungoverned CS query or batch of a kind builds its
+//! summary graph, and the session drops them all whenever the CS graph
+//! changes. A governed CS query tabulates from its seeds on scratch that
+//! keeps nothing between queries, so its answer, truncated or not, never
+//! depends on what the session answered before.
 //!
 //! # Examples
 //!
@@ -40,11 +42,13 @@
 //! # Ok::<(), thinslice_ir::CompileError>(())
 //! ```
 
-use crate::batch::{answer_ci, answer_cs, run_batch, BatchConfig, FaultInjection, QueryOutcome};
-use crate::slice::{SliceKind, SliceScratch};
+use crate::batch::{
+    answer_ci, answer_cs, run_batch, BatchConfig, FaultInjection, QueryOutcome, Scratch,
+};
+use crate::slice::SliceKind;
 use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::stmtset::StmtSet;
-use crate::tabulation::{CsScratch, MemoStats};
+use crate::tabulation::SummaryGraphs;
 use crate::BuildReport;
 use thinslice_ir::delta::{ProgramDelta, ProgramFingerprints};
 use thinslice_ir::{compile_fingerprinted, CompileError, Program, StmtRef};
@@ -197,14 +201,24 @@ pub struct BatchOptions {
     pub fault: Option<FaultInjection>,
 }
 
-/// The number of [`SliceKind`] variants, for per-kind memo slots.
-const KINDS: usize = 3;
+/// The counters of the callee-exit region memo that context-sensitive
+/// tabulation once kept. The memo is gone, so both counters read 0; the
+/// type stays because the benchmark ledger reads it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Descents answered from the memo: always 0.
+    pub exit_hits: u64,
+    /// Descents that missed the memo: always 0.
+    pub exit_misses: u64,
+}
 
-fn kind_slot(kind: SliceKind) -> usize {
-    match kind {
-        SliceKind::Thin => 0,
-        SliceKind::TraditionalData => 1,
-        SliceKind::TraditionalFull => 2,
+impl MemoStats {
+    /// Counter-wise difference `self - earlier`.
+    pub fn since(&self, earlier: &MemoStats) -> MemoStats {
+        MemoStats {
+            exit_hits: self.exit_hits - earlier.exit_hits,
+            exit_misses: self.exit_misses - earlier.exit_misses,
+        }
     }
 }
 
@@ -236,7 +250,7 @@ pub struct UpdateStats {
     /// The CI dependence graph came out identical, keeping its frozen CSR.
     pub ci_graph_reused: bool,
     /// The CS dependence graph came out identical, keeping its frozen CSR,
-    /// down-edge index, tabulation memos and summary graphs.
+    /// down-edge index and summary graphs.
     pub cs_graph_reused: bool,
     /// Constraint-generation sites in the updated program (what a
     /// from-scratch solve generates).
@@ -255,9 +269,9 @@ pub struct UpdateStats {
     pub csr_segments_total: usize,
     /// Segments re-frozen because their graph changed.
     pub csr_segments_refrozen: usize,
-    /// Tabulation memo entries (callee-exit regions) invalidated.
+    /// Per-kind summary graphs dropped because the CS graph changed.
     pub memo_entries_invalidated: usize,
-    /// Tabulation memo entries kept warm.
+    /// Per-kind summary graphs kept warm.
     pub memo_entries_kept: usize,
 }
 
@@ -295,8 +309,10 @@ pub struct AnalysisSession {
     /// The growable CS graph, thawed like the CI one.
     cs: Option<Sdg>,
     cs_csr: Option<FrozenSdg>,
-    scratch: SliceScratch,
-    cs_scratch: [CsScratch; KINDS],
+    /// The CS graph's summary graphs, one per slice kind, built on first
+    /// use by ungoverned CS queries.
+    summaries: SummaryGraphs,
+    scratch: Scratch,
     /// Per-method constraint-generation streams (solver input), kept warm
     /// across updates for unchanged methods.
     gen_cache: GenCache,
@@ -353,8 +369,8 @@ impl AnalysisSession {
             ci_csr: None,
             cs: None,
             cs_csr: None,
-            scratch: SliceScratch::new(),
-            cs_scratch: [CsScratch::new(), CsScratch::new(), CsScratch::new()],
+            summaries: SummaryGraphs::default(),
+            scratch: Scratch::default(),
             gen_cache: GenCache::new(),
             sdg_cache: SdgCache::new(),
             resident: 0,
@@ -374,8 +390,9 @@ impl AnalysisSession {
     }
 
     /// A rough resident-set estimate for this session, in elements (IR
-    /// statements plus nodes and edges of every graph built so far) —
-    /// the same unit [`Budget::with_resident_limit`] polices.
+    /// statements plus nodes and edges of every graph built so far,
+    /// summary graphs included) — the same unit
+    /// [`Budget::with_resident_limit`] polices.
     ///
     /// This is what a session pool feeds into govern's watermark
     /// machinery after every request: a stored number (no allocation, no
@@ -403,6 +420,7 @@ impl AnalysisSession {
         for sdg in self.ci.iter().map(|(g, _)| g).chain(self.cs.iter()) {
             elems += sdg.node_count() + sdg.edge_count();
         }
+        elems += self.summaries.resident();
         // Solved and cached state is resident too: the points-to sets, the
         // warm constraint streams, and the per-method SDG artifacts all
         // survive across queries and updates, so a watermark that ignored
@@ -416,22 +434,10 @@ impl AnalysisSession {
         elems
     }
 
-    /// Cumulative [`MemoStats`] across this session's context-sensitive
-    /// scratches (one per slice kind), summed counter-wise.
-    ///
-    /// Counters are monotone over the session's lifetime; observers
-    /// (e.g. a server's per-tenant tables) snapshot before and after a
-    /// query and diff with [`MemoStats::since`] for per-query hit rates.
-    /// Cheap and read-only: no stage is forced, nothing allocates.
+    /// The counters of the callee-exit region memo, which reads 0: CS
+    /// answers no longer memoise regions (see [`MemoStats`]).
     pub fn memo_stats(&self) -> MemoStats {
-        let mut total = MemoStats::default();
-        for scratch in &self.cs_scratch {
-            let s = scratch.memo_stats();
-            total.exit_hits += s.exit_hits;
-            total.exit_misses += s.exit_misses;
-            total.summary_edges += s.summary_edges;
-        }
-        total
+        MemoStats::default()
     }
 
     // ---- incremental update ----
@@ -456,16 +462,16 @@ impl AnalysisSession {
     ///   graph re-derivation is skipped outright — the graphs would come
     ///   out byte-identical. Otherwise built graphs are re-derived over
     ///   the warm per-method caches, and a graph that comes out identical
-    ///   keeps its frozen CSR, down-edge index, tabulation memos and the
-    ///   summary graphs of lane-walked CS batches.
+    ///   keeps its frozen CSR, down-edge index and, for the CS graph, its
+    ///   summary graphs.
     /// * **structural edit** (or no retained fingerprints): identifier
     ///   numbering shifted, so caches are cleared and previously built
     ///   stages rebuild from scratch — still deterministic, still
     ///   bit-identical to a fresh session.
     ///
     /// Stage laziness is preserved: a stage never built is not built now.
-    /// A changed CS graph drops every per-kind summary graph with the
-    /// tabulation memos; the next lane-walked batch of a kind rebuilds it.
+    /// A changed CS graph drops every per-kind summary graph; the next
+    /// ungoverned CS query or batch of a kind rebuilds it.
     ///
     /// # Errors
     ///
@@ -531,7 +537,7 @@ impl AnalysisSession {
         stats.cs_graph_reused = self.cs.is_some();
         stats.control_deps_reused = self.sdg_cache.len() as u64;
         stats.csr_segments_total = self.segments_total();
-        stats.memo_entries_kept = self.memo_entries_total();
+        stats.memo_entries_kept = self.summaries.count();
         self.program = new_program;
     }
 
@@ -570,13 +576,13 @@ impl AnalysisSession {
         if graphs_unchanged {
             // Value-only edit (constants, string contents): nothing any
             // graph — or anything frozen from one — can observe changed,
-            // so the built graphs, CSRs, down-edge index and tabulation
-            // memos all stay valid as-is. The per-method cache entries
+            // so the built graphs, CSRs, down-edge index and summary
+            // graphs all stay valid as-is. The per-method cache entries
             // invalidated above simply repopulate on the next real build.
             stats.pta_reused = self.pta.is_some();
             stats.ci_graph_reused = self.ci.is_some();
             stats.cs_graph_reused = self.cs.is_some();
-            stats.memo_entries_kept = self.memo_entries_total();
+            stats.memo_entries_kept = self.summaries.count();
             stats.control_deps_reused = self.sdg_cache.len() as u64;
             stats.csr_segments_total = self.segments_total();
             return;
@@ -615,8 +621,8 @@ impl AnalysisSession {
             self.ci = Some((new_ci, comp));
         }
 
-        // CS graph: same, plus the tabulation memos that hang off the
-        // frozen graph (its down-edge index is cached on the graph).
+        // CS graph: same, plus the summary graphs that hang off the frozen
+        // graph (its down-edge index is cached on the graph).
         if let Some(old_cs) = self.cs.take() {
             let (pta, _) = self.pta.as_ref().expect("cs implies pta");
             let modref = ModRef::compute(&self.program, pta);
@@ -624,15 +630,13 @@ impl AnalysisSession {
                 build_cs_cached(&self.program, pta, &modref, &self.ctx, &mut self.sdg_cache);
             if new_cs.same_graph(&old_cs) {
                 stats.cs_graph_reused = true;
-                stats.memo_entries_kept = self.memo_entries_total();
+                stats.memo_entries_kept = self.summaries.count();
             } else {
                 if self.cs_csr.is_some() {
                     stats.csr_segments_refrozen += new_cs.instance_count();
                     self.cs_csr = Some(new_cs.freeze_ctx(&self.ctx));
                 }
-                for scratch in &mut self.cs_scratch {
-                    stats.memo_entries_invalidated += scratch.invalidate();
-                }
+                stats.memo_entries_invalidated = self.summaries.clear();
             }
             self.cs = Some(new_cs);
         }
@@ -651,9 +655,7 @@ impl AnalysisSession {
         }
         self.gen_cache.clear();
         self.sdg_cache.clear();
-        for scratch in &mut self.cs_scratch {
-            stats.memo_entries_invalidated += scratch.invalidate();
-        }
+        stats.memo_entries_invalidated = self.summaries.clear();
         let pta_was = self.pta.take().is_some();
         let ci_was = self.ci.take().is_some();
         let ci_csr_was = self.ci_csr.take().is_some();
@@ -686,11 +688,6 @@ impl AnalysisSession {
     fn segments_total(&self) -> usize {
         self.ci.as_ref().map_or(0, |(g, _)| g.instance_count())
             + self.cs.as_ref().map_or(0, Sdg::instance_count)
-    }
-
-    /// Live tabulation memo entries across the per-kind scratches.
-    fn memo_entries_total(&self) -> usize {
-        self.cs_scratch.iter().map(CsScratch::memo_entries).sum()
     }
 
     // ---- lazy stage artifacts ----
@@ -844,7 +841,7 @@ impl AnalysisSession {
     /// Whether every query scratch is back to empty per-query state.
     #[cfg(test)]
     pub(crate) fn scratch_is_clean(&self) -> bool {
-        self.scratch.is_clean() && self.cs_scratch.iter().all(CsScratch::is_clean)
+        self.scratch.bfs.is_clean() && self.scratch.cs.is_clean()
     }
 
     /// The budget a query runs under: its own, or the session's.
@@ -856,10 +853,10 @@ impl AnalysisSession {
     }
 
     /// Answers one query. Artifacts the query needs are built on first
-    /// use; scratch and (for CS) the per-kind tabulation memo are reused
-    /// across queries, so a warm session answers repeated queries without
-    /// re-deriving anything — and, by the cache invariants, identically
-    /// to a cold one.
+    /// use, an ungoverned CS query's summary graph among them, and scratch
+    /// is reused across queries, so a warm session answers repeated
+    /// queries without re-deriving anything — and, by the cache
+    /// invariants, identically to a cold one.
     pub fn query(&mut self, q: &Query) -> SliceResult {
         let budget = self.effective_budget(&q.policy);
         let tel = self.ctx.telemetry().clone();
@@ -878,24 +875,29 @@ impl AnalysisSession {
                     &seeds,
                     q.kind,
                     &budget,
-                    &mut self.scratch,
+                    &mut self.scratch.bfs,
                     &tel,
                 )
             }
             Engine::Cs => {
                 self.ensure_cs_csr();
+                let built = self.summaries.count();
                 let graph = self.cs_csr.as_ref().expect("cs csr ensured");
                 let seeds = resolve_seeds(graph, &q.seeds);
-                answer_cs(
+                let result = answer_cs(
                     graph,
+                    &self.summaries,
                     &seeds,
                     q.kind,
                     &budget,
                     q.policy.degrade,
-                    Some(&mut self.cs_scratch[kind_slot(q.kind)]),
                     &mut self.scratch,
                     &tel,
-                )
+                );
+                if self.summaries.count() != built {
+                    self.refresh_resident();
+                }
+                result
             }
         };
         span.add("slice.stmts", result.stmts.len() as u64);
@@ -931,6 +933,7 @@ impl AnalysisSession {
         opts: &BatchOptions,
     ) -> Vec<QueryOutcome> {
         let mut out: Vec<Option<QueryOutcome>> = (0..queries.len()).map(|_| None).collect();
+        let built = self.summaries.count();
         for (idxs, cfg) in self.batch_groups(queries, opts) {
             let q = &queries[idxs[0]];
             let graph = match q.engine {
@@ -955,11 +958,14 @@ impl AnalysisSession {
                 threads,
                 &cfg,
                 &mut self.scratch,
-                &self.cs_scratch[kind_slot(q.kind)],
+                &self.summaries,
             );
             for (&i, r) in idxs.iter().zip(results) {
                 out[i] = Some(r);
             }
+        }
+        if self.summaries.count() != built {
+            self.refresh_resident();
         }
         out.into_iter()
             .map(|o| o.expect("every query answered by its group"))
@@ -1041,8 +1047,8 @@ impl AnalysisSession {
     /// stage is truncated — a budget-cut artifact must be rebuilt, not
     /// warmed over — so only exact, complete results are ever persisted.
     ///
-    /// Scratch space, tabulation memos, summary graphs and the per-method
-    /// caches are deliberately *not* serialized: they are performance
+    /// Scratch space, summary graphs and the per-method caches are
+    /// deliberately *not* serialized: they are performance
     /// state that repopulates on use, and the bit-identity contract holds
     /// without them.
     ///
@@ -1196,8 +1202,8 @@ impl AnalysisSession {
             ci_csr,
             cs: None,
             cs_csr,
-            scratch: SliceScratch::new(),
-            cs_scratch: [CsScratch::new(), CsScratch::new(), CsScratch::new()],
+            summaries: SummaryGraphs::default(),
+            scratch: Scratch::default(),
             gen_cache: GenCache::new(),
             sdg_cache: SdgCache::new(),
             resident: 0,
@@ -1963,9 +1969,26 @@ class Main {
                 .map(|(n, t)| (n.as_str(), t.as_str()))
                 .collect()
         }
+        /// An ungoverned CS query of `kind` from the first print the CS
+        /// graph reaches; answering it builds the kind's summary graph.
+        fn cs_query(s: &mut AnalysisSession, kind: SliceKind) -> Query {
+            s.ensure_cs_csr();
+            let graph = s.cs_csr.as_ref().expect("cs csr ensured");
+            let print = (s.program.all_stmts())
+                .find(|&st| {
+                    matches!(
+                        s.program.instr(st).kind,
+                        thinslice_ir::InstrKind::Print { .. }
+                    ) && graph.stmt_node(st).is_some()
+                })
+                .expect("a reachable print");
+            Query::new(vec![print], kind, Engine::Cs)
+        }
         // Which update paths the edit scripts reached: no-op, body edit,
         // structural, undiffed.
         let mut paths = [false; 4];
+        // Summary graphs dropped by edits that changed the CS graph.
+        let mut dropped = 0;
         let mut record = |stats: &UpdateStats| {
             let path = if stats.noop {
                 0
@@ -1993,6 +2016,19 @@ class Main {
             assert_caches_fresh(&mut s, "ci_graph");
             s.cs_graph();
             assert_caches_fresh(&mut s, "cs_graph");
+            let before = s.resident_estimate();
+            let q = cs_query(&mut s, SliceKind::Thin);
+            s.query(&q);
+            assert!(s.resident_estimate() > before, "the summary graph counts");
+            assert_caches_fresh(&mut s, "cs query");
+            let before = s.resident_estimate();
+            let q = cs_query(&mut s, SliceKind::TraditionalData);
+            s.query_batch(&[q.clone(), q], 1);
+            assert!(
+                s.resident_estimate() > before,
+                "a batch's summary graph counts"
+            );
+            assert_caches_fresh(&mut s, "cs batch");
 
             // A blank first line shifts every line of the file without
             // changing the program: the no-op path must still re-key seeds.
@@ -2005,9 +2041,14 @@ class Main {
             for step in 0..10 {
                 let (edited, edit) = script.step(&sources);
                 sources = edited;
-                record(&s.update(&refs(&sources)).unwrap());
+                let stats = s.update(&refs(&sources)).unwrap();
+                record(&stats);
+                dropped += stats.memo_entries_invalidated;
                 let at = format!("{name} edit {step} ({})", edit.kind.label());
                 assert_caches_fresh(&mut s, &at);
+                let q = cs_query(&mut s, SliceKind::Thin);
+                s.query(&q);
+                assert_caches_fresh(&mut s, &format!("{at}, then a cs query"));
             }
 
             // Restore, then thaw the growable graphs.
@@ -2038,6 +2079,7 @@ class Main {
             assert_caches_fresh(&mut u, "undiffed update");
         }
         assert_eq!(paths, [true; 4], "no-op, body, structural, undiffed");
+        assert!(dropped > 0, "no edit dropped a summary graph");
     }
 
     #[test]

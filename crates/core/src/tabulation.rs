@@ -14,17 +14,20 @@
 //! direct-heap-edge graph, store→load edges cross procedures without call
 //! labels, so summarisation cannot continue past them and heap-borne flow
 //! is truncated; the paper likewise only pairs tabulation with heap
-//! parameters. [`crate::AnalysisSession`] answers `Engine::Cs` queries
-//! this way, on warm [`CsScratch`] that memoises summaries and callee-exit
-//! regions across queries.
+//! parameters.
 //!
 //! Once every summary edge of a (graph, kind) pair is known, a complete
 //! answer needs no tabulation: it is two-phase reachability (Horwitz,
 //! Reps and Binkley's slicer). `SummaryGraph` runs the same tabulation
 //! loop once from every callee exit and adds the summary edges it records
 //! to the graph's edges; `cs_lanes` then answers up to 64 unbudgeted
-//! queries with one bit-parallel walk over that graph, which is what the
-//! batch engine does with a batch of two or more ungoverned queries.
+//! queries with one bit-parallel walk over that graph. So
+//! [`crate::AnalysisSession`] answers an `Engine::Cs` query one of two
+//! ways: an ungoverned one, alone or batched, is a lane walk over its
+//! kind's summary graph (a single query is one lane); a governed one is
+//! the demand-driven tabulation from its seeds, on a store that keeps
+//! nothing from one query to the next, so where a budget cuts it depends
+//! only on the graph, the kind, the seeds and the budget.
 //!
 //! A tabulation answers with the same `Slice` shape as reachability:
 //! its statements, sorted, and the number of nodes with a path edge.
@@ -35,7 +38,9 @@ use std::collections::VecDeque;
 use std::sync::OnceLock;
 use thinslice_ir::StmtRef;
 use thinslice_sdg::{DenseDisplay, DepGraph, EdgeKind, FrozenSdg, NodeId, NodeKind, NO_DISPLAY};
-use thinslice_util::{BitSet, Completeness, FxHashMap, FxHashSet, Idx, IdxVec, Meter, Telemetry};
+use thinslice_util::{BitSet, Completeness, Idx, IdxVec, Meter, Telemetry};
+#[cfg(test)]
+use thinslice_util::{FxHashMap, FxHashSet};
 
 /// The source of a tabulation path edge: either the seed region (ascending
 /// allowed) or a callee exit being summarised.
@@ -77,14 +82,13 @@ pub use thinslice_sdg::DownConsumers;
 /// The algorithm ([`tabulate`]) is written once against this trait; the
 /// two implementations trade differently:
 ///
-/// * [`SparseStore`] — hash maps, no setup cost, per-step hashing, and a
-///   sort-based `finish`. What a one-shot query wants: its cost is
-///   proportional to the slice. It answers a one-query batch, and the
-///   tests compare the dense store against it.
 /// * [`DenseStore`] — [`NodeId`]-indexed tables, O(graph) one-time setup,
 ///   per-step array indexing, O(|slice|) clearing via touched-lists. What
-///   a reused scratch wants: across a batch the setup amortises to zero
-///   and every step is cheaper.
+///   every tabulation of the crate runs on: a governed query, on its
+///   thread's [`CsScratch`], and the build of a [`SummaryGraph`].
+/// * `SparseStore` (tests only) — hash maps, no setup cost, per-step
+///   hashing, and a sort-based `finish`: the reference the tests compare
+///   the dense store against, as `slice_sparse` is for reachability.
 ///
 /// Both store exactly the same relations, so the traversal — and the
 /// slice — is identical whichever backs it. Each store builds the result
@@ -98,22 +102,19 @@ trait TabStore {
     fn add_summary(&mut self, consumer: NodeId, actual: NodeId) -> bool;
     /// Copies `n`'s known summary continuations into `out` (cleared first).
     fn copy_summaries(&self, n: NodeId, out: &mut Vec<NodeId>);
-    /// Called when the traversal descends from a node with source `from`
-    /// into callee exit `exit`. Returns whether the caller should start
-    /// (or continue) tabulating the exit's region; a memoising store may
-    /// instead splice in an already-computed region and return `false`.
-    fn descend(&mut self, from: Src, exit: NodeId) -> bool;
     /// Current size of the path-edge relation, for watermark metering.
     fn resident(&self) -> usize;
 }
 
 /// Hash-map tabulation storage. See [`TabStore`].
+#[cfg(test)]
 #[derive(Debug, Default)]
 struct SparseStore {
     path: FxHashMap<NodeId, FxHashSet<Src>>,
     summaries: FxHashMap<NodeId, Vec<NodeId>>,
 }
 
+#[cfg(test)]
 impl TabStore for SparseStore {
     fn add_path(&mut self, n: NodeId, src: Src) -> bool {
         self.path.entry(n).or_default().insert(src)
@@ -142,22 +143,17 @@ impl TabStore for SparseStore {
         }
     }
 
-    fn descend(&mut self, _from: Src, _exit: NodeId) -> bool {
-        true
-    }
-
     fn resident(&self) -> usize {
         self.path.len()
     }
 }
 
+#[cfg(test)]
 impl SparseStore {
     /// Builds the result from every node with a path edge: their count and
     /// the sorted, deduplicated statements, by sorting. Tabulation
     /// discovery order depends on the store, so sorting is the canonical
-    /// order that makes answers comparable across stores. Nothing is
-    /// memoised across queries, so a truncated query needs no special
-    /// handling.
+    /// order that makes answers comparable across stores.
     fn finish<G: DepGraph>(self, sdg: &G, kind: SliceKind) -> Slice {
         let mut stmts: Vec<StmtRef> = self
             .path
@@ -170,41 +166,17 @@ impl SparseStore {
             kind,
             nodes_visited: self.path.len(),
             stmts: StmtSet::from_ordered(stmts),
-            #[cfg(test)]
             visited: crate::slice::sorted_ids(self.path.keys().copied()),
         }
     }
 }
 
-/// `exit_state` values for [`DenseStore`].
-mod exit_state {
-    /// Never descended into.
-    pub const UNSEEN: u8 = 0;
-    /// First explored by the in-flight query; harvested at its end.
-    pub const EXPLORING: u8 = 1;
-    /// Region fully tabulated by an earlier query; splice, don't explore.
-    pub const CACHED: u8 = 2;
-    /// Transient [`super::DenseStore::splice`] visit marker (cycle guard).
-    pub const SPLICING: u8 = 3;
-}
-
-/// Dense tabulation storage for reused scratch. See [`TabStore`].
+/// Dense tabulation storage. See [`TabStore`].
 ///
-/// Beyond the dense path/summary tables, this store memoises *graph
-/// facts* across the queries sharing it. Summary edges, and a callee
-/// exit's tabulated region, are seed-independent: an `Exit(e)` path edge
-/// grows only along followed edges and summary edges, all properties of
-/// (graph, slice kind). When the query that first descends into an exit
-/// finishes, its worklist has drained, so that exit's region — and every
-/// summary its consumers can ever receive — is at fixpoint and can be
-/// replayed verbatim. A later query that descends into a memoised exit
-/// splices the region (and, transitively, its sub-exits' regions) into
-/// its path table instead of re-tabulating the callee: across the queries
-/// sharing a store (one batch worker's, or one session slice kind's), each
-/// callee region is tabulated once, not once per query. Stores never
-/// exchange regions, so a batch on several workers tabulates a region once
-/// per worker that needs it. This is why a [`CsScratch`] may only be
-/// reused on one (graph, kind) pair.
+/// Nothing in it outlives a query: [`DenseStore::finish`] clears every
+/// path edge and summary edge the query recorded, so the next query, of
+/// any kind, starts from the empty relations a fresh store holds and
+/// follows the same traversal.
 #[derive(Debug, Default)]
 struct DenseStore {
     /// `path[n]` = sources with a path edge to `n`. The per-node source
@@ -215,95 +187,21 @@ struct DenseStore {
     /// clear list.
     reached: Vec<NodeId>,
     /// Summary edges discovered so far: consumer node → continuations.
-    /// A graph fact; persists across queries.
     summaries: IdxVec<NodeId, Vec<NodeId>>,
-    /// exit → its complete region, valid once `exit_state` is `CACHED`.
-    exit_cache: IdxVec<NodeId, Vec<NodeId>>,
-    /// exit → exits its region descends into. The deeper regions carry
-    /// their own `Exit` sources, so `exit_cache[e]` alone is not the full
-    /// set of nodes a descent into `e` reaches — splicing follows these.
-    exit_deps: IdxVec<NodeId, Vec<NodeId>>,
-    /// Per-exit [`exit_state`] value.
-    exit_state: IdxVec<NodeId, u8>,
-    /// Exits first explored by the in-flight query, for harvesting.
-    explored_now: Vec<NodeId>,
-    /// DFS stack and visited list for [`DenseStore::splice`].
-    splice_stack: Vec<NodeId>,
-    spliced: Vec<NodeId>,
+    /// Consumers with a summary edge, the clear list of `summaries`.
+    summarised: Vec<NodeId>,
     /// Dense display ids already harvested by the finishing query, and
     /// the list that clears them.
     stmt_seen: BitSet<u32>,
     stmt_touched: Vec<u32>,
-    /// Cross-query memoisation counters (monotone; telemetry reads deltas).
-    memo: MemoStats,
-}
-
-/// Cross-query memoisation counters of one worker's tabulation scratch.
-///
-/// Counters are cumulative over the scratch's lifetime; the batch engine
-/// snapshots them around each query and reports the deltas.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Descents answered by splicing a memoised callee-exit region.
-    pub exit_hits: u64,
-    /// Descents that had to tabulate an unseen callee-exit region.
-    pub exit_misses: u64,
-    /// Summary edges recorded (a graph fact shared by later queries).
-    pub summary_edges: u64,
-}
-
-impl MemoStats {
-    /// Counter-wise difference `self - earlier` (for per-query deltas).
-    pub fn since(&self, earlier: &MemoStats) -> MemoStats {
-        MemoStats {
-            exit_hits: self.exit_hits - earlier.exit_hits,
-            exit_misses: self.exit_misses - earlier.exit_misses,
-            summary_edges: self.summary_edges - earlier.summary_edges,
-        }
-    }
 }
 
 impl DenseStore {
-    /// Grows the tables to cover `node_count` nodes, resetting all
-    /// memoised state (the graph changed, or this is the first query).
+    /// Grows the tables to cover `node_count` nodes.
     fn ensure(&mut self, node_count: usize) {
         if self.path.len() < node_count {
             self.path = IdxVec::from_elem(Vec::new(), node_count);
             self.summaries = IdxVec::from_elem(Vec::new(), node_count);
-            self.exit_cache = IdxVec::from_elem(Vec::new(), node_count);
-            self.exit_deps = IdxVec::from_elem(Vec::new(), node_count);
-            self.exit_state = IdxVec::from_elem(exit_state::UNSEEN, node_count);
-        }
-    }
-
-    /// Replays the memoised region of `exit` (and transitively of the
-    /// exits it descends into) into the current query's path table.
-    fn splice(&mut self, exit: NodeId) {
-        self.splice_stack.push(exit);
-        while let Some(e) = self.splice_stack.pop() {
-            if self.exit_state[e] != exit_state::CACHED {
-                // SPLICING: already replayed on this walk. EXPLORING: the
-                // in-flight tabulation is computing it right now.
-                continue;
-            }
-            self.exit_state[e] = exit_state::SPLICING;
-            self.spliced.push(e);
-            for i in 0..self.exit_cache[e].len() {
-                let n = self.exit_cache[e][i];
-                let srcs = &mut self.path[n];
-                if srcs.is_empty() {
-                    self.reached.push(n);
-                }
-                if !srcs.contains(&Src::Exit(e)) {
-                    srcs.push(Src::Exit(e));
-                }
-            }
-            for i in 0..self.exit_deps[e].len() {
-                self.splice_stack.push(self.exit_deps[e][i]);
-            }
-        }
-        for e in self.spliced.drain(..) {
-            self.exit_state[e] = exit_state::CACHED;
         }
     }
 }
@@ -331,8 +229,10 @@ impl TabStore for DenseStore {
         if v.contains(&actual) {
             return false;
         }
+        if v.is_empty() {
+            self.summarised.push(consumer);
+        }
         v.push(actual);
-        self.memo.summary_edges += 1;
         true
     }
 
@@ -341,48 +241,17 @@ impl TabStore for DenseStore {
         out.extend(self.summaries[n].iter().copied());
     }
 
-    fn descend(&mut self, from: Src, exit: NodeId) -> bool {
-        // The dependency edge must be recorded whatever the exit's state,
-        // so a parent region's cache entry is complete when harvested.
-        if let Src::Exit(parent) = from {
-            if !self.exit_deps[parent].contains(&exit) {
-                self.exit_deps[parent].push(exit);
-            }
-        }
-        match self.exit_state[exit] {
-            exit_state::CACHED => {
-                self.memo.exit_hits += 1;
-                // An already-spliced region has its exit's own path edge
-                // set; skip the (idempotent) replay then.
-                if !self.path[exit].contains(&Src::Exit(exit)) {
-                    self.splice(exit);
-                }
-                false
-            }
-            exit_state::EXPLORING => true,
-            _ => {
-                self.memo.exit_misses += 1;
-                self.exit_state[exit] = exit_state::EXPLORING;
-                self.explored_now.push(exit);
-                true
-            }
-        }
-    }
-
     fn resident(&self) -> usize {
         self.reached.len()
     }
 }
 
 impl DenseStore {
-    /// Builds the result from every node with a path edge, then resets the
-    /// store for the next query. Display statements are deduplicated
-    /// through their dense ids first, so only the distinct ones are sorted.
-    /// `complete` says whether the worklist drained: only regions explored
-    /// by a *complete* query are promoted to the cache (a truncated query's
-    /// regions are not at fixpoint). Leaves every bitset of the store empty
-    /// either way.
-    fn finish<G: DenseDisplay>(&mut self, sdg: &G, kind: SliceKind, complete: bool) -> Slice {
+    /// Builds the result from every node with a path edge, then clears the
+    /// store, retaining capacity, so the next query allocates nothing.
+    /// Display statements are deduplicated through their dense ids first,
+    /// so only the distinct ones are sorted.
+    fn finish<G: DenseDisplay>(&mut self, sdg: &G, kind: SliceKind) -> Slice {
         for &n in &self.reached {
             let d = sdg.display_dense(n);
             if d != NO_DISPLAY && self.stmt_seen.insert(d) {
@@ -402,53 +271,23 @@ impl DenseStore {
             #[cfg(test)]
             visited: crate::slice::sorted_ids(self.reached.iter().copied()),
         };
-        if complete {
-            // Harvest the regions this query completed: the worklist has
-            // drained, so every exit first explored here is at fixpoint.
-            for &n in &self.reached {
-                for &src in self.path[n].iter() {
-                    if let Src::Exit(e) = src {
-                        if self.exit_state[e] == exit_state::EXPLORING {
-                            self.exit_cache[e].push(n);
-                        }
-                    }
-                }
-            }
-            for e in self.explored_now.drain(..) {
-                self.exit_state[e] = exit_state::CACHED;
-            }
-        } else {
-            // Truncated: the regions first explored here are NOT at
-            // fixpoint — caching them would poison every later query that
-            // splices them. Return them to UNSEEN (their `exit_cache` was
-            // never filled). Summary edges and `exit_deps` discovered so
-            // far are monotone graph facts and safely persist.
-            for e in self.explored_now.drain(..) {
-                self.exit_state[e] = exit_state::UNSEEN;
-            }
-        }
-        // Path edges are per-query: clear only what this query touched,
-        // retaining capacity, so the next query allocates nothing.
         for n in self.reached.drain(..) {
             self.path[n].clear();
+        }
+        for n in self.summarised.drain(..) {
+            self.summaries[n].clear();
         }
         slice
     }
 }
 
-/// Reusable tabulation state for the batched engine: a dense store plus
-/// the worklist and staging buffers. Kept per worker; per-query state is
-/// cleared between queries retaining capacity, while memoised graph facts
-/// (summaries, callee-exit regions) persist and make later queries
-/// cheaper. In steady state a query allocates nothing but its result.
-///
-/// It also holds a lane walk's buffers, and a slot for the summary graph
-/// of its (graph, kind) pair, the graph plus its summary edges that
-/// context-sensitive lane walks follow: the session's per-kind scratch
-/// fills that slot on its first lane-walked batch and keeps it until
-/// [`CsScratch::invalidate`].
+/// One thread's context-sensitive scratch: the dense tabulation store
+/// with its worklist and staging buffers, and the buffers of a lane walk.
+/// Every query leaves it empty, so it serves any graph and any kind, and
+/// in steady state a query allocates nothing but its result. Buffers grow
+/// on first use.
 #[derive(Debug, Default)]
-pub struct CsScratch {
+pub(crate) struct CsScratch {
     store: DenseStore,
     wl: VecDeque<(Src, NodeId)>,
     /// Staging buffer for a consumer's source set while it is extended
@@ -456,27 +295,21 @@ pub struct CsScratch {
     tmp_srcs: Vec<Src>,
     /// Staging buffer for a consumer's summary continuations, ditto.
     tmp_conts: Vec<NodeId>,
-    /// The lane walks' view of the (graph, kind) pair, once built.
-    summary_graph: OnceLock<SummaryGraph>,
     /// The buffers of [`cs_lanes`], empty or zero between walks.
     lanes: LaneBuffers,
 }
 
 impl CsScratch {
-    /// Creates an empty scratch. Buffers grow on first use.
-    pub fn new() -> CsScratch {
-        CsScratch::default()
-    }
-
-    /// Whether the per-query state is empty, as a finished query must
-    /// leave it (memoised graph facts persist by design).
+    /// Whether the scratch is empty, as every query must leave it.
     #[cfg(test)]
     pub(crate) fn is_clean(&self) -> bool {
         let (s, l) = (&self.store, &self.lanes);
         s.reached.is_empty()
+            && s.summarised.is_empty()
             && s.stmt_seen.is_empty()
             && s.stmt_touched.is_empty()
             && s.path.iter().all(Vec::is_empty)
+            && s.summaries.iter().all(Vec::is_empty)
             && self.wl.is_empty()
             && l.masks
                 .iter()
@@ -486,18 +319,30 @@ impl CsScratch {
             && l.stmt_lanes.iter().all(|&m| m == 0)
             && l.stmt_touched.is_empty()
     }
+}
 
-    /// The [`SummaryGraph`] of this scratch's (graph, kind) pair, built on
-    /// first use and kept until [`CsScratch::invalidate`]. The build is
-    /// timed as a `cs.summary_index` span that carries the number of
-    /// summary edges as `cs.summary_edges`.
-    pub(crate) fn summary_graph(
-        &self,
-        graph: &FrozenSdg,
-        kind: SliceKind,
-        tel: &Telemetry,
-    ) -> &SummaryGraph {
-        self.summary_graph.get_or_init(|| {
+/// The number of [`SliceKind`] variants, one summary graph slot each.
+const KINDS: usize = 3;
+
+/// A session's context-sensitive graph facts: one [`SummaryGraph`] per
+/// slice kind of its CS graph, each built by the first ungoverned CS
+/// query or batch of its kind and kept until [`SummaryGraphs::clear`],
+/// which the session calls whenever the CS graph changes. Batch workers
+/// read them through a shared reference.
+#[derive(Debug, Default)]
+pub(crate) struct SummaryGraphs([OnceLock<SummaryGraph>; KINDS]);
+
+impl SummaryGraphs {
+    /// The summary graph of `graph` for `kind`, built on first use. The
+    /// build is timed as a `cs.summary_index` span that carries the number
+    /// of summary edges as `cs.summary_edges`.
+    pub(crate) fn get(&self, graph: &FrozenSdg, kind: SliceKind, tel: &Telemetry) -> &SummaryGraph {
+        let slot = match kind {
+            SliceKind::Thin => 0,
+            SliceKind::TraditionalData => 1,
+            SliceKind::TraditionalFull => 2,
+        };
+        self.0[slot].get_or_init(|| {
             let mut span = tel.span("cs.summary_index");
             let built = SummaryGraph::build(graph, graph.down_consumers(), kind);
             span.add("cs.summary_edges", built.summary_edges as u64);
@@ -505,43 +350,26 @@ impl CsScratch {
         })
     }
 
-    /// Cumulative memoisation counters of this scratch (exit-region memo
-    /// hits/misses, summary edges). Snapshot before and after a query and
-    /// diff with [`MemoStats::since`] for per-query figures.
-    pub fn memo_stats(&self) -> MemoStats {
-        self.store.memo
+    fn built(&self) -> impl Iterator<Item = &SummaryGraph> {
+        self.0.iter().filter_map(OnceLock::get)
     }
 
-    /// Number of fully tabulated callee-exit regions currently memoised —
-    /// the cross-query memo entries the incremental session accounts for.
-    pub fn memo_entries(&self) -> usize {
-        self.store
-            .exit_state
-            .iter()
-            .filter(|&&s| s == exit_state::CACHED)
-            .count()
+    /// How many summary graphs are built.
+    pub(crate) fn count(&self) -> usize {
+        self.built().count()
     }
 
-    /// Drops every memoised graph fact (summary edges, the summary graph
-    /// and callee-exit regions), returning how many cached exit regions
-    /// were discarded.
-    ///
-    /// Required whenever the scratch's graph is *replaced* rather than
-    /// merely regrown: the dense store only resets itself when the node
-    /// count grows, so an edit that changes the graph at equal or smaller
-    /// size would otherwise splice stale regions into new queries.
-    /// Cumulative [`MemoStats`] counters are preserved (callers diff them).
-    pub fn invalidate(&mut self) -> usize {
-        let dropped = self.memo_entries();
-        self.store = DenseStore {
-            memo: self.store.memo,
-            ..DenseStore::default()
-        };
-        self.wl.clear();
-        self.tmp_srcs.clear();
-        self.tmp_conts.clear();
-        self.summary_graph = OnceLock::new();
-        dropped
+    /// The built summary graphs' nodes plus edge targets, in the unit of
+    /// the session's resident estimate.
+    pub(crate) fn resident(&self) -> usize {
+        self.built()
+            .map(|g| g.rows.len() / 3 + g.targets.len())
+            .sum()
+    }
+
+    /// Drops every built summary graph, returning how many there were.
+    pub(crate) fn clear(&mut self) -> usize {
+        std::mem::take(self).count()
     }
 }
 
@@ -554,8 +382,7 @@ impl CsScratch {
 /// The summary edges come from running [`tabulate`] to fixpoint from every
 /// callee exit a consumer descends into. Summary edges are facts of the
 /// pair, and an `Exit` region grows the same whichever query starts it, so
-/// this run records every summary edge any query's tabulation can record:
-/// the ones [`CsScratch`]'s dense store gathers lazily.
+/// this run records every summary edge any query's tabulation can record.
 #[derive(Debug)]
 pub(crate) struct SummaryGraph {
     /// Row `i` of node `n`, local (0), up (1) or down (2), is
@@ -589,7 +416,7 @@ impl SummaryGraph {
         let mut rows = Vec::with_capacity(3 * sdg.node_count() + 1);
         let mut targets = Vec::new();
         rows.push(0);
-        let (mut up, mut down) = (Vec::new(), Vec::new());
+        let (mut up, mut down, mut summary_edges) = (Vec::new(), Vec::new(), 0);
         for n in (0..sdg.node_count()).map(NodeId::new) {
             for e in sdg.deps(n).iter().filter(|e| kind.follows(&e.kind)) {
                 match classify(&e.kind, sdg, e.target) {
@@ -599,6 +426,7 @@ impl SummaryGraph {
                 }
             }
             targets.extend_from_slice(&store.summaries[n]);
+            summary_edges += store.summaries[n].len();
             rows.push(row_end(&targets));
             targets.append(&mut up);
             rows.push(row_end(&targets));
@@ -608,7 +436,7 @@ impl SummaryGraph {
         SummaryGraph {
             rows,
             targets,
-            summary_edges: store.memo.summary_edges as usize,
+            summary_edges,
         }
     }
 
@@ -715,10 +543,10 @@ impl LaneCounts {
 /// that consumer's exits, since every kind follows `ParamOut`. So a lane
 /// reaches the tabulation's visited nodes, and its statements, sorted,
 /// are the tabulation's statements.
-pub(crate) fn cs_lanes<G: DenseDisplay>(
+pub(crate) fn cs_lanes<G: DenseDisplay, Q: AsRef<[NodeId]>>(
     sdg: &G,
     graph: &SummaryGraph,
-    queries: &[Vec<NodeId>],
+    queries: &[Q],
     kind: SliceKind,
     scratch: &mut CsScratch,
 ) -> Vec<Slice> {
@@ -731,7 +559,7 @@ pub(crate) fn cs_lanes<G: DenseDisplay>(
         b.stmt_lanes.resize(sdg.dense_stmt_count(), 0);
     }
     for (l, seeds) in queries.iter().enumerate() {
-        for &n in seeds {
+        for &n in seeds.as_ref() {
             b.reach(n, SEED, 1 << l);
         }
     }
@@ -794,10 +622,10 @@ pub(crate) fn cs_lanes<G: DenseDisplay>(
         .collect()
 }
 
-/// The one-shot metered tabulation on a fresh [`SparseStore`] (no O(graph)
-/// setup, cost proportional to the slice) with a caller-armed meter: what
-/// a one-query batch runs, and the reference the tests compare
-/// [`cs_reusing`] against, on any [`DepGraph`].
+/// The metered tabulation on a fresh `SparseStore` (no O(graph) setup,
+/// cost proportional to the slice): the reference the tests compare
+/// [`cs_tabulate`] and [`cs_lanes`] against, on any [`DepGraph`].
+#[cfg(test)]
 pub(crate) fn cs_oneshot<G: DepGraph>(
     sdg: &G,
     index: &DownConsumers,
@@ -820,17 +648,11 @@ pub(crate) fn cs_oneshot<G: DepGraph>(
     (store.finish(sdg, kind), completeness)
 }
 
-/// The scratch-reusing metered tabulation — the batch engine's and the
-/// session's inner loop.
-///
-/// The scratch memoises summary edges and callee-exit regions, which are
-/// facts of the (graph, kind) pair — so a scratch may only be reused
-/// across queries on the **same graph with the same slice kind**. Under
-/// that contract the result is identical for any scratch left by previous
-/// queries, and a truncated query leaves no unsound memoised state behind
-/// (regions it explored are re-explored by the next query that needs
-/// them).
-pub(crate) fn cs_reusing<G: DenseDisplay>(
+/// A governed context-sensitive query: the metered tabulation from
+/// `seeds` on `scratch`, which it leaves empty. Nothing carries over from
+/// earlier queries, so the answer, cut short or not, depends only on the
+/// graph, the kind, the seeds and the meter.
+pub(crate) fn cs_tabulate<G: DenseDisplay>(
     sdg: &G,
     index: &DownConsumers,
     seeds: &[NodeId],
@@ -850,14 +672,13 @@ pub(crate) fn cs_reusing<G: DenseDisplay>(
     let completeness = tabulate(
         sdg, index, seeds, kind, store, wl, tmp_srcs, tmp_conts, meter,
     );
-    let slice = store.finish(sdg, kind, completeness.is_complete());
-    (slice, completeness)
+    (store.finish(sdg, kind), completeness)
 }
 
 /// The paper's §5.3 tabulation, generic over graph and storage; see
 /// [`TabStore`] for why two storages exist. It starts from the path edges
 /// `start`: a query's seeds in the `Seed` context, or, for a
-/// [`SummaryIndex`], every callee exit in its own `Exit` context.
+/// [`SummaryGraph`], every callee exit in its own `Exit` context.
 ///
 /// Metered per worklist pop: once `meter` is exhausted the popped item is
 /// pushed back (honest frontier count) and the path edges accumulated so
@@ -925,11 +746,8 @@ fn tabulate<G: DepGraph, S: TabStore>(
                 }
                 Step::Down(_site) => {
                     let exit = e.target;
-                    // Start the callee's tabulation — unless the store
-                    // already knows the exit's region and splices it in.
-                    if store.descend(src, exit) {
-                        add(store, wl, Src::Exit(exit), exit);
-                    }
+                    // Start (or continue) the callee's tabulation.
+                    add(store, wl, Src::Exit(exit), exit);
                     // Apply already-known summaries for this consumer.
                     store.copy_summaries(n, tmp_conts);
                     for &c in tmp_conts.iter() {
@@ -1199,15 +1017,15 @@ mod tests {
         // program, each lane against its own tabulation: the one-shot store
         // for thin and data slices; for full slices, whose one-shot
         // tabulation on the larger programs takes minutes in a debug build,
-        // the memoising store, which `order_tests` pins to the one-shot one.
+        // the dense store, which `order_tests` pins to the one-shot one.
         // The queries hold a repeated one, one with no seed node and one
-        // seeded at two statements' nodes, and every walk must leave the
-        // scratch clean.
+        // seeded at two statements' nodes, and every walk and tabulation
+        // must leave the scratch clean.
         use crate::order_tests::{corpus, seeds};
         use crate::AnalysisSession;
         use thinslice_util::SmallRng;
         let mut rng = SmallRng::new(0xc5_1a9e);
-        let mut scratch = CsScratch::new();
+        let mut scratch = CsScratch::default();
         let (mut groups, mut multi) = (0, 0);
         for (name, files) in corpus() {
             let refs: Vec<(&str, &str)> = files
@@ -1236,10 +1054,9 @@ mod tests {
                 SliceKind::TraditionalFull,
             ] {
                 let lanes = SummaryGraph::build(graph, index, kind);
-                let mut memo = CsScratch::new();
-                let mut tabulate = |q: &[NodeId]| match kind {
+                let tabulate = |q: &[NodeId], scratch: &mut CsScratch| match kind {
                     SliceKind::TraditionalFull => {
-                        cs_reusing(graph, index, q, kind, &mut memo, &mut Meter::unlimited())
+                        cs_tabulate(graph, index, q, kind, scratch, &mut Meter::unlimited())
                     }
                     _ => cs_oneshot(graph, index, q, kind, &mut Meter::unlimited()),
                 };
@@ -1248,7 +1065,8 @@ mod tests {
                     let walked = cs_lanes(graph, &lanes, group, kind, &mut scratch);
                     assert!(scratch.is_clean(), "{at}");
                     for (l, (got, q)) in walked.iter().zip(group).enumerate() {
-                        let (want, c) = tabulate(q);
+                        let (want, c) = tabulate(q, &mut scratch);
+                        assert!(scratch.is_clean(), "{at} lane {l}");
                         assert!(c.is_complete(), "{at} lane {l}");
                         assert_eq!(got.stmts, want.stmts, "{at} lane {l}");
                         assert_eq!(got.visited, want.visited, "{at} lane {l}");

@@ -15,7 +15,7 @@
 //! That guarantee is what lets an incremental session skip graph
 //! re-derivation entirely for value-only edits (the dominant kind during
 //! interactive editing: tweaking a constant, a string, an array size),
-//! keeping frozen CSR segments and tabulation memos warm without even a
+//! keeping frozen CSR segments and summary graphs warm without even a
 //! rebuild-and-compare pass.
 //!
 //! Soundness direction: the hash may *over*-include — a changed hash

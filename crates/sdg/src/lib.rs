@@ -200,7 +200,7 @@ impl Sdg {
     /// Because the frozen CSR and every slice answer are pure functions of
     /// this structure (plus seeds), two graphs for which this holds yield
     /// byte-identical slicer output — the test the incremental session
-    /// uses to keep a previous freeze and its memo tables after an edit.
+    /// uses to keep a previous freeze and its summary graphs after an edit.
     pub fn same_graph(&self, other: &Sdg) -> bool {
         self.mode == other.mode && self.nodes == other.nodes && self.deps == other.deps
     }

@@ -216,7 +216,7 @@ fn check_offsets(offsets: &[u32], rows: usize, len: usize) -> bool {
             .fold(true, |ok, (a, b)| ok & (a <= b))
 }
 
-/// Encodes a [`DownConsumers`] index (the tabulation memo seed) as four
+/// Encodes the tabulation's down-edge index, a [`DownConsumers`], as four
 /// dense `u32` arrays: call sites, exits, offsets, consumers.
 fn encode_down(down: &DownConsumers, w: &mut ByteWriter) {
     let sites: Vec<u32> = down.keys.iter().map(|&(site, _)| nid32(site)).collect();

@@ -25,7 +25,7 @@
 //! An always-on observability plane rides along: a fixed-capacity flight
 //! recorder of structured lifecycle events, per-tenant and per-session
 //! latency/counter tables, and a slow-query log, all reported by the
-//! `stats` op as an embedded `thinslice.serve_stats.v2` document —
+//! `stats` op as an embedded `thinslice.serve_stats.v3` document —
 //! without ever touching the bytes of non-stats responses.
 //!
 //! # Examples

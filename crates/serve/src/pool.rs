@@ -26,7 +26,10 @@
 //! sources yields bit-identical query results — sessions memoise pure
 //! stage artifacts of an immutable program, so eviction, quarantine, and
 //! cold starts are all observationally equivalent (pinned by this
-//! module's tests and the chaos suite).
+//! module's tests and the chaos suite). Budgeted requests included: a
+//! governed context-sensitive query keeps nothing between queries, so
+//! where its budget cuts it does not depend on what the session, or
+//! another tenant on the same program, asked before.
 //!
 //! [`AnalysisSession`]: thinslice::AnalysisSession
 //! [`resident_estimate`]: thinslice::AnalysisSession::resident_estimate
@@ -652,31 +655,20 @@ impl SessionPool {
         self.cfg.max_sessions.max(1)
     }
 
-    /// One [`SessionRow`] per registered program, in hash order, with
-    /// residency state and the live session's cumulative memo counters
-    /// (zero while evicted, quarantined, or checked out — memo state
-    /// travels with the session). Latency quantiles are the server's to
-    /// fill in; the pool does not observe wall-clock time.
+    /// One [`SessionRow`] per registered program, in hash order, with its
+    /// residency state. Latency quantiles are the server's to fill in; the
+    /// pool does not observe wall-clock time.
     pub fn session_rows(&self) -> Vec<SessionRow> {
         let mut rows: Vec<SessionRow> = self
             .entries
             .iter()
-            .map(|e| {
-                let memo = e
-                    .session
-                    .as_ref()
-                    .map(|s| s.memo_stats())
-                    .unwrap_or_default();
-                SessionRow {
-                    program: e.hash.clone(),
-                    content: e.content.clone(),
-                    live: e.session.is_some(),
-                    quarantined: e.quarantined,
-                    resident: e.resident,
-                    exit_hits: memo.exit_hits,
-                    exit_misses: memo.exit_misses,
-                    latency_us: Default::default(),
-                }
+            .map(|e| SessionRow {
+                program: e.hash.clone(),
+                content: e.content.clone(),
+                live: e.session.is_some(),
+                quarantined: e.quarantined,
+                resident: e.resident,
+                latency_us: Default::default(),
             })
             .collect();
         rows.sort_by(|a, b| a.program.cmp(&b.program));

@@ -49,7 +49,7 @@ pub const RESPONSE_SCHEMA: &str = "thinslice.serve_response.v1";
 
 /// Schema tag of the observability document embedded in a `stats`
 /// response (and accepted standalone by `validate-report`).
-pub const SERVE_STATS_SCHEMA: &str = "thinslice.serve_stats.v2";
+pub const SERVE_STATS_SCHEMA: &str = "thinslice.serve_stats.v3";
 
 /// Hard cap on one request line; longer lines are answered with a
 /// `too_large` error without being parsed.
@@ -712,10 +712,10 @@ pub fn shutdown_line(id: Option<u64>, drained: usize) -> String {
     )
 }
 
-// ---- stats document (`thinslice.serve_stats.v2`) ----
+// ---- stats document (`thinslice.serve_stats.v3`) ----
 
-/// One tenant's row in a stats document: request counters plus memo-hit
-/// deltas and the latency quantiles of everything this client ran.
+/// One tenant's row in a stats document: request counters and the
+/// latency quantiles of everything this client ran.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantRow {
     /// The client name requests carried.
@@ -733,16 +733,12 @@ pub struct TenantRow {
     pub shed: u64,
     /// Cumulative step spend (graph nodes visited).
     pub spent_steps: u64,
-    /// Exit-region memo hits this client's queries observed.
-    pub exit_hits: u64,
-    /// Exit-region memo misses this client's queries observed.
-    pub exit_misses: u64,
     /// Wall-clock latency quantiles in microseconds.
     pub latency_us: HistogramSummary,
 }
 
-/// One program's row in a stats document: pool residency plus the
-/// session's cumulative memo counters and per-session latency quantiles.
+/// One program's row in a stats document: pool residency and
+/// per-session latency quantiles.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionRow {
     /// The 16-hex-digit pool key (hash of the sources first loaded).
@@ -756,10 +752,6 @@ pub struct SessionRow {
     pub quarantined: bool,
     /// Resident estimate in elements (0 while evicted).
     pub resident: usize,
-    /// Exit-region memo hits accumulated by the live session.
-    pub exit_hits: u64,
-    /// Exit-region memo misses accumulated by the live session.
-    pub exit_misses: u64,
     /// Wall-clock latency quantiles of queries on this program, in
     /// microseconds.
     pub latency_us: HistogramSummary,
@@ -845,7 +837,7 @@ fn summary_json(s: &HistogramSummary) -> String {
 }
 
 /// Serializes a [`StatsSnapshot`] as a standalone
-/// `thinslice.serve_stats.v2` JSON document (fixed key order).
+/// `thinslice.serve_stats.v3` JSON document (fixed key order).
 pub fn stats_doc(s: &StatsSnapshot) -> String {
     let mut d = format!(
         "{{\"schema\":{},\"uptime_ms\":{},\"pool\":{{\"programs\":{},\"live_sessions\":{},\
@@ -888,8 +880,7 @@ pub fn stats_doc(s: &StatsSnapshot) -> String {
         let _ = write!(
             d,
             "{{\"client\":{},\"requests\":{},\"errors\":{},\"retries\":{},\"degraded\":{},\
-             \"shed\":{},\"spent_steps\":{},\"exit_hits\":{},\"exit_misses\":{},\
-             \"latency_us\":{}}}",
+             \"shed\":{},\"spent_steps\":{},\"latency_us\":{}}}",
             esc(&t.client),
             t.requests,
             t.errors,
@@ -897,8 +888,6 @@ pub fn stats_doc(s: &StatsSnapshot) -> String {
             t.degraded,
             t.shed,
             t.spent_steps,
-            t.exit_hits,
-            t.exit_misses,
             summary_json(&t.latency_us),
         );
     }
@@ -910,14 +899,12 @@ pub fn stats_doc(s: &StatsSnapshot) -> String {
         let _ = write!(
             d,
             "{{\"program\":{},\"content\":{},\"live\":{},\"quarantined\":{},\"resident\":{},\
-             \"exit_hits\":{},\"exit_misses\":{},\"latency_us\":{}}}",
+             \"latency_us\":{}}}",
             esc(&r.program),
             esc(&r.content),
             r.live,
             r.quarantined,
             r.resident,
-            r.exit_hits,
-            r.exit_misses,
             summary_json(&r.latency_us),
         );
     }
@@ -965,7 +952,7 @@ pub fn stats_doc(s: &StatsSnapshot) -> String {
 }
 
 /// Serializes a `stats` response: the standard envelope with the
-/// `thinslice.serve_stats.v2` document embedded under `"stats"`.
+/// `thinslice.serve_stats.v3` document embedded under `"stats"`.
 pub fn stats_line(id: Option<u64>, snapshot: &StatsSnapshot) -> String {
     format!(
         "{},\"stats\":{}}}",
@@ -1156,7 +1143,7 @@ fn need_summary(v: &Json, key: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a `thinslice.serve_stats.v2` document (standalone or as
+/// Validates a `thinslice.serve_stats.v3` document (standalone or as
 /// extracted from a `stats` response), returning a one-line summary.
 ///
 /// # Errors
@@ -1215,8 +1202,6 @@ pub fn validate_stats_doc(v: &Json) -> Result<String, String> {
             "degraded",
             "shed",
             "spent_steps",
-            "exit_hits",
-            "exit_misses",
         ] {
             need_u64(t, key).map_err(|e| format!("tenant: {e}"))?;
         }
@@ -1235,9 +1220,7 @@ pub fn validate_stats_doc(v: &Json) -> Result<String, String> {
                 ));
             }
         }
-        for key in ["resident", "exit_hits", "exit_misses"] {
-            need_u64(s, key).map_err(|e| format!("session: {e}"))?;
-        }
+        need_u64(s, "resident").map_err(|e| format!("session: {e}"))?;
         for key in ["live", "quarantined"] {
             if !matches!(s.get(key), Some(Json::Bool(_))) {
                 return Err(format!("session: field {key:?} must be a boolean"));
@@ -1586,7 +1569,6 @@ mod tests {
                 client: "ui".to_string(),
                 requests: 3,
                 spent_steps: 120,
-                exit_hits: 5,
                 latency_us: HistogramSummary {
                     count: 3,
                     sum: 450.0,
@@ -1644,7 +1626,7 @@ mod tests {
         };
         reject("{\"schema\":\"other.v1\"}", "schema");
         reject(
-            "{\"schema\":\"thinslice.serve_stats.v2\",\"uptime_ms\":1}",
+            "{\"schema\":\"thinslice.serve_stats.v3\",\"uptime_ms\":1}",
             "pool",
         );
         // An out-of-order event tail is caught.

@@ -200,8 +200,6 @@ struct TenantAgg {
     degraded: u64,
     shed: u64,
     spent_steps: u64,
-    exit_hits: u64,
-    exit_misses: u64,
     latency: LatencyRow,
 }
 
@@ -510,8 +508,6 @@ impl Server {
                 degraded: t.degraded,
                 shed: t.shed,
                 spent_steps: t.spent_steps,
-                exit_hits: t.exit_hits,
-                exit_misses: t.exit_misses,
                 latency_us: t.latency.summary(),
             })
             .collect();
@@ -874,7 +870,6 @@ impl Server {
                     u64::from(attempt),
                 );
             }
-            let memo_before = co.session().memo_stats();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if job.req.chaos_panics > attempt {
                     panic!("injected chaos panic (attempt {attempt})");
@@ -883,7 +878,6 @@ impl Server {
             }));
             match outcome {
                 Ok(Ok((slice, engine, stmts, spend))) => {
-                    let memo = co.session().memo_stats().since(&memo_before);
                     self.pool.lock().unwrap().checkin(co);
                     {
                         let mut sched = self.sched.lock().unwrap();
@@ -904,9 +898,7 @@ impl Server {
                         exec_us: started.elapsed().as_micros() as u64,
                         spend,
                     };
-                    self.observe(
-                        &job, &hash, admission, engine, &slice, attempt, memo, timing,
-                    );
+                    self.observe(&job, &hash, admission, engine, &slice, attempt, timing);
                     self.write_ok(
                         &job.out,
                         &slice_line(
@@ -966,7 +958,6 @@ impl Server {
         engine: Engine,
         slice: &SliceResult,
         retries: u32,
-        memo: thinslice::MemoStats,
         timing: ObservedTiming,
     ) {
         let total_us = timing.queue_us + timing.exec_us;
@@ -983,8 +974,6 @@ impl Server {
                 t.shed += 1;
             }
             t.spent_steps += timing.spend;
-            t.exit_hits += memo.exit_hits;
-            t.exit_misses += memo.exit_misses;
             t.latency.record(total_us as f64);
             obs.session_lat
                 .entry(hash.to_string())

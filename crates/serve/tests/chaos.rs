@@ -706,7 +706,7 @@ fn stats_op_is_answered_inline_during_chaos() {
     let doc = field(&map[&3], "stats");
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
-        Some("thinslice.serve_stats.v2")
+        Some("thinslice.serve_stats.v3")
     );
     assert_eq!(summary.errors, 0);
     assert_eq!(summary.panics, 1);
@@ -729,7 +729,7 @@ fn stats_after(cfg: ServeConfig, script: &[String]) -> Json {
 }
 
 #[test]
-fn stats_reports_tenant_tables_memo_and_slow_queries() {
+fn stats_reports_tenant_tables_and_slow_queries() {
     let cfg = ServeConfig {
         chaos: true,
         slow_ms: Some(0), // every request is "slow": the log must fill
@@ -763,10 +763,6 @@ fn stats_reports_tenant_tables_memo_and_slow_queries() {
     let lat = alpha.get("latency_us").unwrap();
     assert_eq!(lat.get("count").and_then(Json::as_u64), Some(2));
     assert!(lat.get("max").and_then(Json::as_f64).unwrap() > 0.0);
-    // The CS query tabulates exit regions: memo activity is visible.
-    let memo_touched = alpha.get("exit_hits").and_then(Json::as_u64).unwrap()
-        + alpha.get("exit_misses").and_then(Json::as_u64).unwrap();
-    assert!(memo_touched > 0, "CS query must touch the exit memo");
     let beta = &tenants[1];
     assert_eq!(beta.get("requests").and_then(Json::as_u64), Some(2));
     assert_eq!(beta.get("retries").and_then(Json::as_u64), Some(1));
@@ -1163,4 +1159,134 @@ fn quarantined_sessions_rebuild_from_sources_not_the_snapshot() {
         assert_eq!(f[&id], c[&id], "response {id} ≡ fault-free daemon");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Escapes `text` as the body of a JSON string.
+fn json_escape(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// A step-budgeted CS request gets the same response bytes from a fresh
+/// daemon, from one that has answered another tenant's CS traffic on the
+/// same program, and after a quarantine rebuild, at one and two workers:
+/// the pool's promise that eviction, quarantine and cold starts are
+/// observationally equivalent, applied to governed requests.
+#[test]
+fn budgeted_cs_answers_do_not_depend_on_daemon_history() {
+    let bench = thinslice_suite::benchmark_named("nanoxml").unwrap();
+    let files: Vec<thinslice_serve::protocol::SourceFile> = bench
+        .sources
+        .iter()
+        .map(|(name, text)| thinslice_serve::protocol::SourceFile {
+            name: name.to_string(),
+            text: text.to_string(),
+        })
+        .collect();
+    let hash = thinslice_serve::pool::program_hash(&files);
+    let sources: Vec<String> = files
+        .iter()
+        .map(|f| {
+            format!(
+                "{{\"name\":\"{}\",\"text\":\"{}\"}}",
+                json_escape(&f.name),
+                json_escape(&f.text)
+            )
+        })
+        .collect();
+    let load = format!(
+        "{{\"op\":\"load\",\"id\":1,\"sources\":[{}]}}",
+        sources.join(",")
+    );
+    // Every print line, and the first print's full CS visit count.
+    let mut session = AnalysisSession::new(&bench.sources).unwrap();
+    let file = bench.sources[0].0;
+    let lines: Vec<u32> = (1..=bench.sources[0].1.lines().count() as u32)
+        .filter(|&line| {
+            session.seed_at_line(file, line).is_some_and(|seeds| {
+                seeds.iter().any(|&st| {
+                    matches!(
+                        session.program().instr(st).kind,
+                        thinslice_ir::InstrKind::Print { .. }
+                    )
+                })
+            })
+        })
+        .collect();
+    assert!(lines.len() > 2, "nanoxml prints on {lines:?}");
+    let seeds = session.seed_at_line(file, lines[0]).unwrap();
+    let full = session
+        .query(&Query::new(seeds, SliceKind::Thin, Engine::Cs))
+        .nodes_visited;
+    let request = |id: u64, line: u32, extra: &str| {
+        format!(
+            "{{\"op\":\"slice\",\"id\":{id},\"program\":\"{hash}\",\
+             \"seed\":{{\"file\":\"{file}\",\"line\":{line}}},\"engine\":\"cs\"{extra}}}"
+        )
+    };
+    let traffic = |first: u64| -> Vec<String> {
+        (lines.iter().zip(first..))
+            .map(|(&line, id)| request(id, line, r#","client":"alpha""#))
+            .collect()
+    };
+    let budget = format!(r#","client":"beta","step_budget":{}"#, full / 2);
+    let budgeted = |panics: &str| {
+        vec![
+            request(
+                50,
+                lines[0],
+                &format!(r#"{budget},"degrade":false{panics}"#),
+            ),
+            request(51, lines[0], &budget),
+        ]
+    };
+    let fresh: Vec<String> = [vec![load.clone()], budgeted("")].concat();
+    let warm: Vec<String> = [vec![load.clone()], traffic(10), budgeted("")].concat();
+    // Request 50's first attempt panics on the warm session, which is
+    // quarantined; the retry runs on the rebuild, which request 51 then
+    // reaches after more of alpha's traffic.
+    let quarantine: Vec<String> = [
+        vec![load],
+        traffic(10),
+        budgeted(r#","chaos":{"panics":1}"#)[..1].to_vec(),
+        traffic(100),
+        budgeted("")[1..].to_vec(),
+    ]
+    .concat();
+    let answers_of = |workers: usize, script: &[String]| {
+        let cfg = ServeConfig {
+            workers,
+            ..chaos_cfg()
+        };
+        let map = by_id(&run_script(cfg, script).0);
+        [map[&50].clone(), map[&51].clone()]
+    };
+    let want = answers_of(1, &fresh);
+    assert_eq!(
+        field(&want[0], "completeness"),
+        Json::Str("truncated".into())
+    );
+    assert_eq!(field(&want[1], "degraded"), Json::Bool(true));
+    for workers in [1, 2] {
+        for (name, script) in [
+            ("fresh", &fresh),
+            ("warm", &warm),
+            ("quarantine", &quarantine),
+        ] {
+            assert_eq!(
+                answers_of(workers, script),
+                want,
+                "{name} daemon at {workers} workers"
+            );
+        }
+    }
 }

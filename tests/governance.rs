@@ -285,8 +285,8 @@ fn cs_line_queries(s: &mut AnalysisSession) -> Vec<Query> {
 #[test]
 fn a_panicking_cs_worker_cannot_corrupt_its_siblings() {
     // Sixteen or more queries at two threads run two workers, each on its
-    // own memoising CS scratch; the panicking query's worker continues on
-    // a fresh scratch.
+    // own CS scratch; the panicking query's worker continues on a fresh
+    // scratch.
     let mut s = nanoxml_session();
     let qs = cs_line_queries(&mut s);
     assert!(qs.len() >= 16, "two workers need at least 16 queries");
@@ -492,11 +492,12 @@ fn assert_answers_like(got: &QueryOutcome, want: &SliceResult, at: &str) {
 
 #[test]
 fn governed_batches_answer_like_governed_queries() {
-    // Thin and data batches of 16 queries walk a filtered view under the
-    // budget, batches of 3 walk the whole graph, as the single query
-    // does. Step limits of 1, half and full - 1 of the largest answer cut
-    // every query, some and only the largest; two threads run two
-    // workers on 16 queries.
+    // Thin and data CI batches of 16 queries walk a filtered view under the
+    // budget, batches of 3 walk the whole graph, as the single query does;
+    // every governed CS query of a batch is tabulated on its own. Step
+    // limits of 1, half and full - 1 of the largest answer cut every query,
+    // some and only the largest; two threads run two workers on 16
+    // queries.
     let generated = thinslice_suite::generate(&GeneratorConfig::scaled(2));
     let programs = [
         ("nanoxml", nanoxml_session()),
@@ -506,18 +507,24 @@ fn governed_batches_answer_like_governed_queries() {
         ),
     ];
     for (name, mut s) in programs {
-        for kind in [
-            SliceKind::Thin,
-            SliceKind::TraditionalData,
-            SliceKind::TraditionalFull,
-        ] {
-            let prints = queries(s.program(), kind, Engine::Ci);
+        for (engine, kind) in [Engine::Ci, Engine::Cs].into_iter().flat_map(|e| {
+            [
+                SliceKind::Thin,
+                SliceKind::TraditionalData,
+                SliceKind::TraditionalFull,
+            ]
+            .map(|k| (e, k))
+        }) {
+            let prints = queries(s.program(), kind, engine);
             let n = prints.len().max(16);
             let qs: Vec<Query> = prints.into_iter().cycle().take(n).collect();
             let sizes: Vec<usize> = qs.iter().map(|q| s.query(q).nodes_visited).collect();
             let full = *sizes.iter().max().unwrap();
             let largest = sizes.iter().position(|&len| len == full).unwrap();
-            assert!(full > 2, "{name}: {kind:?} answers too small to cut");
+            assert!(
+                full > 2,
+                "{name}: {engine:?}/{kind:?} answers too small to cut"
+            );
             for limit in [1, full / 2, full - 1] {
                 let policy = budgeted(steps(limit as u64));
                 let governed: Vec<Query> = qs
@@ -535,12 +542,14 @@ fn governed_batches_answer_like_governed_queries() {
                     .collect();
                 for (threads, batch) in [(1, &governed), (2, &governed), (1, &small)] {
                     let len = batch.len();
-                    let at = format!("{name} {kind:?} limit {limit} threads {threads} of {len}");
+                    let at = format!(
+                        "{name} {engine:?}/{kind:?} limit {limit} threads {threads} of {len}"
+                    );
                     let batched = s.query_batch(batch, threads);
                     let mut truncated = 0;
                     for (i, (q, got)) in batch.iter().zip(&batched).enumerate() {
                         let want = s.query(q);
-                        truncated += usize::from(!want.completeness.is_complete());
+                        truncated += usize::from(!want.completeness.is_complete() || want.degraded);
                         assert_answers_like(got, &want, &format!("{at} query {i}"));
                     }
                     assert!(truncated > 0, "{at}: the limit must cut something");
@@ -548,6 +557,62 @@ fn governed_batches_answer_like_governed_queries() {
             }
         }
     }
+}
+
+#[test]
+fn governed_cs_queries_answer_alike_on_fresh_and_warm_sessions() {
+    // Every print query of every suite program, thin and data, cut at a
+    // quarter, half and three quarters of its full answer, with the
+    // fallback to CI on and off: a fresh session, restored from a snapshot
+    // taken before any CS query, answers it as a session that has already
+    // answered every CS query of the program does.
+    let mut compared = 0;
+    for b in thinslice_suite::all_benchmarks() {
+        let mut warm = b.session(PtaConfig::default(), RunCtx::disabled());
+        warm.cs_graph();
+        let bytes = warm.write_snapshot("k").expect("complete stages snapshot");
+        let fresh = || {
+            AnalysisSession::from_snapshot(&bytes, "k", PtaConfig::default(), RunCtx::disabled())
+                .expect("the snapshot restores")
+        };
+        let mut qs = queries(warm.program(), SliceKind::Thin, Engine::Cs);
+        qs.extend(queries(
+            warm.program(),
+            SliceKind::TraditionalData,
+            Engine::Cs,
+        ));
+        let fulls: Vec<usize> = qs.iter().map(|q| warm.query(q).nodes_visited).collect();
+        for (q, full) in qs.iter().zip(fulls) {
+            for limit in [full / 4, full / 2, 3 * full / 4] {
+                if limit == 0 {
+                    continue;
+                }
+                for degrade in [true, false] {
+                    let q = q.clone().with_policy(QueryPolicy {
+                        budget: Some(steps(limit as u64)),
+                        degrade,
+                    });
+                    let want = fresh().query(&q);
+                    let at = format!(
+                        "{} {:?} limit {limit} of {full} degrade {degrade}",
+                        b.name, q.kind
+                    );
+                    assert!(want.degraded || !want.completeness.is_complete(), "{at}");
+                    let got = warm.query(&q);
+                    assert_eq!(got.stmts.in_order(), want.stmts.in_order(), "{at}: stmts");
+                    assert_eq!(got.nodes_visited, want.nodes_visited, "{at}: nodes visited");
+                    assert_eq!(got.completeness, want.completeness, "{at}: completeness");
+                    assert_eq!(
+                        (got.engine, got.degraded),
+                        (want.engine, want.degraded),
+                        "{at}"
+                    );
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert!(compared > 100, "only {compared} governed queries compared");
 }
 
 #[test]
@@ -575,10 +640,10 @@ fn one_query_ungoverned_batches_answer_like_queries() {
 
 #[test]
 fn one_query_governed_cs_batches_answer_like_cold_queries() {
-    // A one-query CS batch tabulates on the one-shot store, which follows
-    // memo-free dense scratch step for step. Cut short, it answers as the
-    // first CS query of a fresh session does: by the ladder to CI, or with
-    // the truncated CS prefix when the policy forbids degrading.
+    // A one-query governed CS batch tabulates from its seeds, as the
+    // session's own query does. Cut short, it answers as the first CS
+    // query of a fresh session does: by the ladder to CI, or with the
+    // truncated CS prefix when the policy forbids degrading.
     let mut warm = nanoxml_session();
     let q = queries(warm.program(), SliceKind::Thin, Engine::Cs)
         .into_iter()

@@ -41,13 +41,9 @@ fn governed_queries_return_truncated_subsets_of_the_full_answer() {
                 if full.nodes_visited < 2 || full.stmts.len() < 2 {
                     continue;
                 }
-                // The warm tabulation memo makes later CS queries cheap, so
-                // only a one-step quota reliably truncates them; the CI BFS
-                // has no cross-query memo and truncates at half its visits.
-                let quota = match engine {
-                    Engine::Ci => full.nodes_visited as u64 / 2,
-                    Engine::Cs => 1,
-                };
+                // Neither engine carries anything over from earlier
+                // queries, so half the visits truncates both.
+                let quota = full.nodes_visited as u64 / 2;
                 let policy = QueryPolicy {
                     budget: Some(Budget::unlimited().with_step_limit(quota)),
                     degrade: false,
@@ -118,9 +114,9 @@ fn batched_queries_match_sequential_queries_on_all_benchmarks() {
 
 #[test]
 fn a_fresh_session_answers_like_a_warm_one() {
-    // Cache invariant: memoised artifacts (scratch, tabulation exit memo)
-    // never change answers — a session that has already answered other
-    // queries agrees with a cold session on every later query.
+    // Cache invariant: memoised artifacts (scratch, summary graphs) never
+    // change answers — a session that has already answered other queries
+    // agrees with a cold session on every later query.
     let b = thinslice_suite::benchmark_named("nanoxml").expect("nanoxml exists");
     let mut warm = b.session(PtaConfig::default(), RunCtx::disabled());
     let seeds = print_seeds(warm.program(), 4);
