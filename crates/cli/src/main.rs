@@ -1142,7 +1142,7 @@ fn cmd_slice(o: &Options, ctx: &RunCtx) -> Result<(), String> {
                 ""
             },
         );
-        let mut stmts: Vec<_> = result.stmts.iter().copied().collect();
+        let mut stmts: Vec<_> = result.stmts.iter().collect();
         stmts.sort();
         let mut seen_lines = std::collections::HashSet::new();
         let program = s.program();

@@ -215,8 +215,7 @@ fn base_pointer_flow(
     let stmts = slice
         .stmts
         .iter()
-        .copied()
-        .filter(|s| stmt_touches_objects(program, pta, *s, objects))
+        .filter(|&s| stmt_touches_objects(program, pta, s, objects))
         .collect();
     (stmts, completeness)
 }
@@ -322,7 +321,7 @@ pub fn heap_flow_pairs(
 ) -> Vec<(StmtRef, StmtRef)> {
     let in_slice = stmts.to_hash_set();
     let mut out = Vec::new();
-    for &s in stmts {
+    for s in stmts {
         let is_load = matches!(
             program.instr(s).kind,
             InstrKind::Load { .. } | InstrKind::ArrayLoad { .. }

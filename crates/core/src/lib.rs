@@ -73,7 +73,7 @@ pub use session::{
 };
 pub use slice::SliceKind;
 pub use snapshot::{source_hash, SnapshotLoad, SnapshotStore};
-pub use stmtset::StmtSet;
+pub use stmtset::{StmtIter, StmtSet};
 pub use tabulation::DownConsumers;
 pub use thinslice_util::{
     Budget, CancelToken, Completeness, ExhaustReason, Meter, Outcome, RunCtx, RunReport, Telemetry,
@@ -155,7 +155,7 @@ class Main {
             let mut ls: Vec<u32> = r
                 .stmts
                 .iter()
-                .map(|&st| program.instr(st).span)
+                .map(|st| program.instr(st).span)
                 .filter(|sp| !sp.is_synthetic() && program.files[sp.file].name == "fig1.mj")
                 .map(|sp| sp.line)
                 .collect();

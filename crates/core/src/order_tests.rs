@@ -13,6 +13,7 @@
 
 use crate::session::{AnalysisSession, Engine, Query, QueryPolicy, SliceResult};
 use crate::slice::{slice_sparse, SliceKind, SliceScratch};
+use crate::stmtset::StmtSet;
 use crate::tabulation::{cs_oneshot, DownConsumers};
 use thinslice_ir::{compile, InstrKind, StmtRef};
 use thinslice_pta::{ModRef, Pta, PtaConfig};
@@ -121,8 +122,8 @@ fn limited(steps: u64, degrade: bool) -> QueryPolicy {
 
 /// Asserts that `got` holds `want_stmts` in order and visited exactly the
 /// nodes `want_visited`, and that its count says so.
-fn assert_same(got: &SliceResult, want_stmts: &[StmtRef], want_visited: &[NodeId], at: &str) {
-    assert_eq!(got.stmts.in_order(), want_stmts, "{at}: stmts");
+fn assert_same(got: &SliceResult, want_stmts: &StmtSet, want_visited: &[NodeId], at: &str) {
+    assert_eq!(got.stmts, *want_stmts, "{at}: stmts");
     assert_eq!(got.visited, want_visited, "{at}: visited nodes");
     assert_eq!(got.nodes_visited, want_visited.len(), "{at}: visited count");
 }
@@ -152,7 +153,7 @@ fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
                     slice_sparse(&ci, &ci_seeds, kind, &mut sparse, &mut Meter::unlimited());
                 let got = session.query(&q);
                 assert!(got.completeness.is_complete(), "{at}");
-                assert_same(&got, want.stmts.in_order(), &want.visited, &at);
+                assert_same(&got, &want.stmts, &want.visited, &at);
                 let (w, p) = level_shape(&ci, &ci_seeds, kind);
                 widest = widest.max(w);
                 unsorted |= p;
@@ -163,12 +164,7 @@ fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
                     let mut meter = Budget::unlimited().with_step_limit(steps).meter();
                     let (want, c) = slice_sparse(&ci, &ci_seeds, kind, &mut sparse, &mut meter);
                     assert!(!cut.completeness.is_complete() && !c.is_complete());
-                    assert_same(
-                        &cut,
-                        want.stmts.in_order(),
-                        &want.visited,
-                        &format!("{at} /{steps}"),
-                    );
+                    assert_same(&cut, &want.stmts, &want.visited, &format!("{at} /{steps}"));
                     assert!(session.scratch_is_clean(), "{at} /{steps}");
                 }
                 assert!(session.scratch_is_clean(), "{at}");
@@ -181,7 +177,7 @@ fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
             let (want, _) = cs_oneshot(&cs, index, &cs_seeds, kind, &mut Meter::unlimited());
             let got = session.query(&q);
             assert!(got.completeness.is_complete() && !got.degraded, "{at}");
-            assert_same(&got, want.stmts.in_order(), &want.visited, &at);
+            assert_same(&got, &want.stmts, &want.visited, &at);
             widest_cs_set = widest_cs_set.max(got.nodes_visited);
             for steps in cuts(got.nodes_visited) {
                 let at = format!("{at} /{steps}");
@@ -193,13 +189,13 @@ fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
                 let (want, w) = cs_oneshot(&cs, index, &cs_seeds, kind, &mut budget());
                 assert!(!w.is_complete(), "{at}");
                 assert_eq!(cut.completeness, w, "{at}");
-                assert_same(&cut, want.stmts.in_order(), &want.visited, &at);
+                assert_same(&cut, &want.stmts, &want.visited, &at);
                 // With degradation on, the cut tabulation is re-answered by
                 // the dense BFS over the CS graph under a fresh meter.
                 let ladder = session.query(&q.clone().with_policy(limited(steps, true)));
                 assert!(ladder.degraded, "{at}");
                 let (want, _) = slice_sparse(&cs, &cs_seeds, kind, &mut sparse, &mut budget());
-                assert_same(&ladder, want.stmts.in_order(), &want.visited, &at);
+                assert_same(&ladder, &want.stmts, &want.visited, &at);
                 degraded += 1;
                 assert!(session.scratch_is_clean(), "{at}");
             }
@@ -248,7 +244,7 @@ fn session_answers_match_the_sort_based_references_on_the_growable_graphs() {
                     let got = session.query(&Query::new(vec![stmt], kind, engine));
                     assert_eq!((got.engine, got.kind), (engine, kind), "{at}");
                     assert!(got.completeness.is_complete() && !got.degraded, "{at}");
-                    assert_same(&got, want.stmts.in_order(), &want.visited, &at);
+                    assert_same(&got, &want.stmts, &want.visited, &at);
                 }
             }
         }

@@ -16,7 +16,7 @@ pub fn stmt_lines(program: &Program, stmts: &StmtSet) -> Vec<String> {
     let mut seen: FxHashSet<(FileId, u32)> =
         FxHashSet::with_capacity_and_hasher(stmts.len(), Default::default());
     let mut out = Vec::new();
-    for &s in stmts {
+    for s in stmts {
         let span = program.instr(s).span;
         if !span.is_synthetic() && seen.insert((span.file, span.line)) {
             out.push(render_line(program, span));
@@ -42,10 +42,7 @@ fn render_line(program: &Program, span: Span) -> String {
 /// Renders a slice's statements at IR granularity (one line per IR
 /// statement), useful for debugging the analyses themselves.
 pub fn slice_instrs(program: &Program, stmts: &StmtSet) -> Vec<String> {
-    stmts
-        .iter()
-        .map(|&s| pretty::stmt_str(program, s))
-        .collect()
+    stmts.iter().map(|s| pretty::stmt_str(program, s)).collect()
 }
 
 /// Renders an inspection transcript: the lines a simulated user reads, in

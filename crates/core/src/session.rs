@@ -1228,8 +1228,7 @@ fn decode_section<'a, T>(
 /// `program`: a method with a body, and a block and an instruction index
 /// inside it.
 fn names_only_program_stmts(graph: &FrozenSdg, program: &Program) -> bool {
-    (0..graph.dense_stmt_count() as u32).all(|i| {
-        let s = graph.dense_stmt(i);
+    graph.stmt_table().iter().all(|s| {
         program
             .methods
             .get(s.method)
@@ -1259,6 +1258,7 @@ fn resolve_seeds(graph: &FrozenSdg, seeds: &[StmtRef]) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     const SRC: &str = "class Box { Object item;
         void fill(Object o) { this.item = o; }
@@ -1335,6 +1335,61 @@ mod tests {
         }
     }
 
+    #[test]
+    fn answers_share_their_graphs_statement_table() {
+        let mut s = AnalysisSession::new(&[("t.mj", SRC)]).unwrap();
+        let seeds = s.seed_at_line("t.mj", 10).unwrap();
+        for engine in [Engine::Ci, Engine::Cs] {
+            // One query, two (a lane walk) and twenty (a CI batch over the
+            // kind-filtered view of the graph).
+            let q = Query::new(seeds.clone(), SliceKind::Thin, engine);
+            let single = s.query(&q);
+            let table = Arc::clone(match engine {
+                Engine::Ci => s.ci_graph().stmt_table(),
+                Engine::Cs => s.cs_graph().stmt_table(),
+            });
+            assert!(Arc::ptr_eq(single.stmts.table(), &table), "{engine:?}");
+            for n in [1, 2, 20] {
+                for out in s.query_batch(&vec![q.clone(); n], 2) {
+                    let got = out.slice.expect("no faults injected");
+                    assert!(Arc::ptr_eq(got.stmts.table(), &table), "{engine:?} x{n}");
+                    assert_eq!(got.stmts, single.stmts);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn answers_taken_before_an_update_keep_their_statements() {
+        let mut s = AnalysisSession::new(&[("t.mj", SRC)]).unwrap();
+        let seeds = s.seed_at_line("t.mj", 10).unwrap();
+        let before: Vec<(SliceResult, Vec<StmtRef>)> = [Engine::Ci, Engine::Cs]
+            .into_iter()
+            .map(|engine| {
+                let r = s.query(&Query::new(seeds.clone(), SliceKind::Thin, engine));
+                let stmts = r.stmts.iter().collect();
+                (r, stmts)
+            })
+            .collect();
+        // A statement inserted ahead of the slice's shifts the locations
+        // of every statement after it, so both graphs are renumbered.
+        let edited = SRC.replace("Box b = new Box();", "int pad = 0; Box b = new Box();");
+        s.update(&[("t.mj", &edited)]).unwrap();
+        let seeds = s.seed_at_line("t.mj", 10).unwrap();
+        for (engine, (old, stmts)) in [Engine::Ci, Engine::Cs].into_iter().zip(&before) {
+            let now = s.query(&Query::new(seeds.clone(), SliceKind::Thin, engine));
+            assert!(
+                !Arc::ptr_eq(old.stmts.table(), now.stmts.table()),
+                "{engine:?}"
+            );
+            assert_ne!(old.stmts.table()[..], now.stmts.table()[..], "{engine:?}");
+            assert!(old.stmts.iter().eq(stmts.iter().copied()), "{engine:?}");
+            assert!(stmts.iter().all(|&st| old.stmts.contains(st)), "{engine:?}");
+            assert_ne!(old.stmts, now.stmts, "{engine:?}");
+            assert_eq!(old.stmts.len(), now.stmts.len(), "{engine:?}");
+        }
+    }
+
     /// Every engine × kind answer of `s` must be byte-identical to a fresh
     /// session compiled from `src`, seeding at `line`.
     fn assert_matches_fresh(s: &mut AnalysisSession, src: &str, line: u32) {
@@ -1349,11 +1404,7 @@ mod tests {
                 let q = Query::new(seeds.clone(), kind, engine);
                 let updated = s.query(&q);
                 let cold = fresh.query(&q);
-                assert_eq!(
-                    updated.stmts.in_order(),
-                    cold.stmts.in_order(),
-                    "{engine:?}/{kind:?}"
-                );
+                assert_eq!(updated.stmts, cold.stmts, "{engine:?}/{kind:?}");
                 assert_eq!(updated.visited, cold.visited);
                 assert_eq!(updated.completeness, cold.completeness);
             }
@@ -1480,8 +1531,11 @@ mod tests {
         assert!(partial.stmts.is_subset(&full.stmts));
         // The truncated CI result is a prefix of the full BFS order.
         assert_eq!(
-            partial.stmts.in_order(),
-            &full.stmts.in_order()[..partial.stmts.len()]
+            partial.stmts.iter().collect::<Vec<_>>(),
+            full.stmts
+                .iter()
+                .take(partial.stmts.len())
+                .collect::<Vec<_>>()
         );
     }
 
@@ -1499,11 +1553,7 @@ mod tests {
                 let q = Query::new(seeds.clone(), kind, engine);
                 let ra = a.query(&q);
                 let rb = b.query(&q);
-                assert_eq!(
-                    ra.stmts.in_order(),
-                    rb.stmts.in_order(),
-                    "{engine:?}/{kind:?}"
-                );
+                assert_eq!(ra.stmts, rb.stmts, "{engine:?}/{kind:?}");
                 assert_eq!(ra.visited, rb.visited);
                 assert_eq!(ra.completeness, rb.completeness);
             }
@@ -1776,8 +1826,10 @@ class Main {
         let graph = from_donor.section("ci_csr").unwrap();
         let decoded = decode_section(graph, thinslice_sdg::snap::decode_frozen).unwrap();
         assert!(
-            (0..decoded.dense_stmt_count() as u32)
-                .any(|i| decoded.dense_stmt(i).method.index() >= methods),
+            decoded
+                .stmt_table()
+                .iter()
+                .any(|s| s.method.index() >= methods),
             "the donor graph names methods past the small program's"
         );
         let mut resealed = SnapshotWriter::new(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, "k");

@@ -94,8 +94,10 @@ pub(crate) struct SliceScratch {
     #[cfg(test)]
     stmt_set: FxHashSet<StmtRef>,
     /// Dense-id statement dedup for [`slice_dense`]: a bit test instead of
-    /// a hash per node.
+    /// a hash per node. The answer's ids are its clear list.
     stmt_seen: BitSet<u32>,
+    /// The dense display statements some lane of [`slice_lanes`] has
+    /// emitted, the clear list of `stmt_lanes`.
     stmt_touched: Vec<u32>,
     /// The lane walk's ([`slice_lanes`]) masks per node, zero between uses.
     lane_masks: Vec<LaneMasks>,
@@ -293,7 +295,6 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
         next,
         next_bits,
         stmt_seen,
-        stmt_touched,
         ..
     } = scratch;
     let node_count = sdg.node_count();
@@ -315,8 +316,7 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
             touched.push(n);
             let d = sdg.display_dense(n);
             if d != NO_DISPLAY && stmt_seen.insert(d) {
-                stmt_touched.push(d);
-                stmts.push(sdg.dense_stmt(d));
+                stmts.push(d);
             }
             emitted += 1;
         }
@@ -352,18 +352,18 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
     }
     let completeness = meter.completeness(leftover);
     cur.clear();
+    for &d in &stmts {
+        stmt_seen.remove(d);
+    }
     let slice = Slice {
         kind,
         nodes_visited: touched.len(),
-        stmts: StmtSet::from_ordered(stmts),
+        stmts: StmtSet::from_ids(stmts, sdg.stmt_table()),
         #[cfg(test)]
         visited: sorted_ids(touched.iter().copied()),
     };
     for n in touched.drain(..) {
         visited.remove(n);
-    }
-    for d in stmt_touched.drain(..) {
-        stmt_seen.remove(d);
     }
     (slice, completeness)
 }
@@ -431,8 +431,8 @@ pub(crate) fn slice_lanes<G: DenseDisplay>(
     if masks.len() < sdg.node_count() {
         masks.resize(sdg.node_count(), LaneMasks::default());
     }
-    if stmt_lanes.len() < sdg.dense_stmt_count() {
-        stmt_lanes.resize(sdg.dense_stmt_count(), 0);
+    if stmt_lanes.len() < sdg.stmt_table().len() {
+        stmt_lanes.resize(sdg.stmt_table().len(), 0);
     }
     let lanes = queries.len();
     let mut emitted = vec![0usize; lanes];
@@ -527,11 +527,12 @@ pub(crate) fn slice_lanes<G: DenseDisplay>(
         .iter_mut()
         .enumerate()
         .map(|(l, ids)| {
-            let stmts = ids.drain(..).map(|d| sdg.dense_stmt(d)).collect();
+            let stmts = StmtSet::from_ids(ids.to_vec(), sdg.stmt_table());
+            ids.clear();
             let slice = Slice {
                 kind,
                 nodes_visited: emitted[l],
-                stmts: StmtSet::from_ordered(stmts),
+                stmts,
                 #[cfg(test)]
                 visited: sorted_ids(std::mem::take(&mut visited[l])),
             };
@@ -818,10 +819,7 @@ mod tests {
         let (p, sdg) = setup("class Main { static void main() { print(1); } }");
         let seed = print_seed(&p, &sdg);
         let thin = slice(&sdg, &[seed], SliceKind::Thin);
-        assert_eq!(
-            thin.stmts.in_order().first().copied(),
-            sdg.node(seed).as_stmt()
-        );
+        assert_eq!(thin.stmts.iter().next(), sdg.node(seed).as_stmt());
     }
 
     #[test]
@@ -837,7 +835,7 @@ mod tests {
         let seed = print_seed(&p, &sdg);
         let thin = slice(&sdg, &[seed], SliceKind::Thin);
         // Seed first; then c's def, then b's, then a's chain.
-        let order = thin.stmts.in_order();
+        let order: Vec<StmtRef> = thin.stmts.iter().collect();
         let pos = |pred: &dyn Fn(&InstrKind) -> bool| {
             order.iter().position(|s| pred(&p.instr(*s).kind)).unwrap()
         };

@@ -36,6 +36,7 @@ use crate::slice::{lanes_of, Slice, SliceKind, LANES};
 use crate::stmtset::StmtSet;
 use std::collections::VecDeque;
 use std::sync::OnceLock;
+#[cfg(test)]
 use thinslice_ir::StmtRef;
 use thinslice_sdg::{DenseDisplay, DepGraph, EdgeKind, FrozenSdg, NodeId, NodeKind, NO_DISPLAY};
 use thinslice_util::{BitSet, Completeness, Idx, IdxVec, Meter, Telemetry};
@@ -190,10 +191,9 @@ struct DenseStore {
     summaries: IdxVec<NodeId, Vec<NodeId>>,
     /// Consumers with a summary edge, the clear list of `summaries`.
     summarised: Vec<NodeId>,
-    /// Dense display ids already harvested by the finishing query, and
-    /// the list that clears them.
+    /// Dense display ids already harvested by the finishing query; the
+    /// answer's ids are its clear list.
     stmt_seen: BitSet<u32>,
-    stmt_touched: Vec<u32>,
 }
 
 impl DenseStore {
@@ -250,24 +250,24 @@ impl DenseStore {
     /// Builds the result from every node with a path edge, then clears the
     /// store, retaining capacity, so the next query allocates nothing.
     /// Display statements are deduplicated through their dense ids first,
-    /// so only the distinct ones are sorted.
+    /// so only the distinct ones are sorted, and sorting the ids sorts the
+    /// statements.
     fn finish<G: DenseDisplay>(&mut self, sdg: &G, kind: SliceKind) -> Slice {
+        let mut ids = Vec::new();
         for &n in &self.reached {
             let d = sdg.display_dense(n);
             if d != NO_DISPLAY && self.stmt_seen.insert(d) {
-                self.stmt_touched.push(d);
+                ids.push(d);
             }
         }
-        let mut stmts = Vec::with_capacity(self.stmt_touched.len());
-        for d in self.stmt_touched.drain(..) {
+        for &d in &ids {
             self.stmt_seen.remove(d);
-            stmts.push(sdg.dense_stmt(d));
         }
-        stmts.sort_unstable();
+        ids.sort_unstable();
         let slice = Slice {
             kind,
             nodes_visited: self.reached.len(),
-            stmts: StmtSet::from_ordered(stmts),
+            stmts: StmtSet::from_ids(ids, sdg.stmt_table()),
             #[cfg(test)]
             visited: crate::slice::sorted_ids(self.reached.iter().copied()),
         };
@@ -307,7 +307,6 @@ impl CsScratch {
         s.reached.is_empty()
             && s.summarised.is_empty()
             && s.stmt_seen.is_empty()
-            && s.stmt_touched.is_empty()
             && s.path.iter().all(Vec::is_empty)
             && s.summaries.iter().all(Vec::is_empty)
             && self.wl.is_empty()
@@ -555,8 +554,8 @@ pub(crate) fn cs_lanes<G: DenseDisplay, Q: AsRef<[NodeId]>>(
     if b.masks.len() < sdg.node_count() {
         b.masks.resize(sdg.node_count(), PhaseMasks::default());
     }
-    if b.stmt_lanes.len() < sdg.dense_stmt_count() {
-        b.stmt_lanes.resize(sdg.dense_stmt_count(), 0);
+    if b.stmt_lanes.len() < sdg.stmt_table().len() {
+        b.stmt_lanes.resize(sdg.stmt_table().len(), 0);
     }
     for (l, seeds) in queries.iter().enumerate() {
         for &n in seeds.as_ref() {
@@ -600,22 +599,22 @@ pub(crate) fn cs_lanes<G: DenseDisplay, Q: AsRef<[NodeId]>>(
             *held |= at;
         }
     }
-    b.stmt_touched.sort_unstable_by_key(|&d| sdg.dense_stmt(d));
-    let mut lane_stmts: Vec<Vec<StmtRef>> = (0..queries.len())
+    b.stmt_touched.sort_unstable();
+    let mut lane_stmts: Vec<Vec<u32>> = (0..queries.len())
         .map(|l| Vec::with_capacity(stmts.get(l)))
         .collect();
     for d in b.stmt_touched.drain(..) {
         for l in lanes_of(std::mem::take(&mut b.stmt_lanes[d as usize])) {
-            lane_stmts[l].push(sdg.dense_stmt(d));
+            lane_stmts[l].push(d);
         }
     }
     lane_stmts
         .into_iter()
         .enumerate()
-        .map(|(l, stmts)| Slice {
+        .map(|(l, ids)| Slice {
             kind,
             nodes_visited: nodes.get(l),
-            stmts: StmtSet::from_ordered(stmts),
+            stmts: StmtSet::from_ids(ids, sdg.stmt_table()),
             #[cfg(test)]
             visited: crate::slice::sorted_ids(std::mem::take(&mut visited[l])),
         })

@@ -94,7 +94,7 @@ print(7);
     let lines: std::collections::HashSet<u32> = thin
         .stmts
         .iter()
-        .map(|&s| a.program().instr(s).span.line)
+        .map(|s| a.program().instr(s).span.line)
         .filter(|&l| l > 0)
         .collect();
     assert_eq!(lines, std::collections::HashSet::from([2]));

@@ -13,17 +13,17 @@
 //!
 //! A frozen graph has four primary arrays: the heap mode, the CSR
 //! `offsets` and `edges`, and the node `kinds`. Everything else it holds —
-//! the dense display-statement numbering and the statement → instance-node
-//! map — is derived from them by one constructor that both [`Sdg::freeze`]
-//! and the snapshot decoder end in, so a snapshot stores only the primary
-//! arrays. [`FrozenSdg::thaw`] gives back the growable graph the frozen
-//! one was built from.
+//! the dense display-statement numbering, in ascending statement order,
+//! and the statement → instance-node map — is derived from them by one
+//! constructor that both [`Sdg::freeze`] and the snapshot decoder end in,
+//! so a snapshot stores only the primary arrays. [`FrozenSdg::thaw`] gives
+//! back the growable graph the frozen one was built from.
 
 use crate::node::{Edge, EdgeKind, NodeId, NodeKind};
 use crate::{HeapMode, Sdg};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use thinslice_ir::StmtRef;
-use thinslice_util::{FxHashMap, Idx, IdxVec, RunCtx};
+use thinslice_util::{Idx, IdxVec, RunCtx};
 
 /// The read-only graph surface the slicers need.
 ///
@@ -114,14 +114,15 @@ pub struct FrozenSdg {
     // `FrozenSdg::from_parts`.
     /// Dense id of each node's display statement ([`NO_DISPLAY`] if none).
     display_idx: Vec<u32>,
-    /// The distinct display statements, indexed by their dense id: the
-    /// statements of the statement nodes, in order of first appearance. A
-    /// statement's dense id is also its entry in `stmt_nodes`.
-    display_stmts: Vec<StmtRef>,
-    /// Each statement's dense id.
-    slot_of: FxHashMap<StmtRef, u32>,
-    /// All instance nodes of a statement, ascending, for seed resolution.
-    stmt_nodes: Vec<Vec<NodeId>>,
+    /// The distinct display statements, ascending, indexed by their dense
+    /// id: the statements of the statement nodes. Shared with every
+    /// answer that names statements by dense id
+    /// ([`DenseDisplay::stmt_table`]).
+    display_stmts: Arc<[StmtRef]>,
+    /// The instance nodes of statement `i`, ascending, are
+    /// `stmt_nodes[stmt_starts[i]..stmt_starts[i + 1]]`: seed resolution.
+    stmt_starts: Vec<u32>,
+    stmt_nodes: Vec<NodeId>,
     /// Lazily built [`DownConsumers`] index (a pure graph fact, so it is
     /// cached on the graph and shared by every batch and thread).
     pub(crate) down: OnceLock<DownConsumers>,
@@ -135,26 +136,27 @@ pub const NO_DISPLAY: u32 = u32::MAX;
 /// A slice's statement set is the set of display statements of its visited
 /// nodes. Deduplicating those through a hash set is the hottest per-node
 /// operation of a big BFS; the frozen graph instead numbers the distinct
-/// display statements densely at freeze time, so a traversal can dedup
-/// with a bit set over `0..dense_stmt_count()`. Guaranteed consistent with
-/// [`DepGraph::display_stmt`]: `display_dense(n)` is [`NO_DISPLAY`] exactly
-/// when `display_stmt(n)` is `None`, and `dense_stmt(display_dense(n))`
-/// equals `display_stmt(n).unwrap()` otherwise.
+/// display statements densely at freeze time, in ascending statement
+/// order, so a traversal can dedup with a bit set over the ids of
+/// [`DenseDisplay::stmt_table`], and sorting dense ids sorts statements.
+/// Guaranteed consistent with [`DepGraph::display_stmt`]:
+/// `display_dense(n)` is [`NO_DISPLAY`] exactly when `display_stmt(n)` is
+/// `None`, and `stmt_table()[display_dense(n)]` equals
+/// `display_stmt(n).unwrap()` otherwise.
 pub trait DenseDisplay: DepGraph {
     /// The dense id of `n`'s display statement, or [`NO_DISPLAY`].
     fn display_dense(&self, n: NodeId) -> u32;
 
-    /// The statement with dense id `i`.
-    fn dense_stmt(&self, i: u32) -> StmtRef;
-
-    /// Number of distinct display statements.
-    fn dense_stmt_count(&self) -> usize;
+    /// The distinct display statements, ascending, indexed by dense id.
+    /// An answer that lists dense ids keeps this table alive, so it
+    /// outlives the graph it came from.
+    fn stmt_table(&self) -> &Arc<[StmtRef]>;
 }
 
 impl FrozenSdg {
     /// Builds a frozen graph from its primary arrays and derives the rest:
     /// each statement's instance nodes and the dense numbering of display
-    /// statements.
+    /// statements, in ascending statement order.
     ///
     /// The arrays must fit together: `offsets` a CSR over `edges` with one
     /// row per kind, and every node id in an edge or a kind below the node
@@ -165,23 +167,28 @@ impl FrozenSdg {
         edges: Vec<Edge>,
         kinds: Vec<NodeKind>,
     ) -> FrozenSdg {
+        // Every statement node under its statement, sorted: one run of
+        // ascending nodes per statement, the runs in statement order.
+        let mut pairs: Vec<(StmtRef, NodeId)> = kinds
+            .iter()
+            .enumerate()
+            .filter_map(|(i, kind)| Some((kind.as_stmt()?, NodeId::new(i))))
+            .collect();
+        pairs.sort_unstable();
         // `slot[n]` is the dense id of statement node `n`'s statement, and
         // `NO_DISPLAY` for any other node.
-        let mut slot_of: FxHashMap<StmtRef, u32> = FxHashMap::default();
-        let mut display_stmts = Vec::new();
-        let mut stmt_nodes: Vec<Vec<NodeId>> = Vec::new();
         let mut slot = vec![NO_DISPLAY; kinds.len()];
-        for (i, kind) in kinds.iter().enumerate() {
-            if let Some(s) = kind.as_stmt() {
-                let k = *slot_of.entry(s).or_insert_with(|| {
-                    display_stmts.push(s);
-                    stmt_nodes.push(Vec::new());
-                    u32::try_from(display_stmts.len() - 1).expect("stmt count exceeds u32")
-                });
-                stmt_nodes[k as usize].push(NodeId::new(i));
-                slot[i] = k;
+        let mut display_stmts = Vec::new();
+        let mut stmt_starts = Vec::new();
+        for (i, &(s, n)) in pairs.iter().enumerate() {
+            if display_stmts.last() != Some(&s) {
+                display_stmts.push(s);
+                stmt_starts.push(i as u32);
             }
+            slot[n.index()] =
+                u32::try_from(display_stmts.len() - 1).expect("stmt count exceeds u32");
         }
+        stmt_starts.push(u32::try_from(pairs.len()).expect("node count exceeds u32"));
         // A node displays as its own statement, or an actual node as its
         // call site's.
         let display_idx = kinds
@@ -195,9 +202,9 @@ impl FrozenSdg {
             edges,
             kinds,
             display_idx,
-            display_stmts,
-            slot_of,
-            stmt_nodes,
+            display_stmts: display_stmts.into(),
+            stmt_starts,
+            stmt_nodes: pairs.into_iter().map(|(_, n)| n).collect(),
             down: OnceLock::new(),
         }
     }
@@ -382,12 +389,8 @@ impl DenseDisplay for FrozenSdg {
         self.display_idx[n.index()]
     }
 
-    fn dense_stmt(&self, i: u32) -> StmtRef {
-        self.display_stmts[i as usize]
-    }
-
-    fn dense_stmt_count(&self) -> usize {
-        self.display_stmts.len()
+    fn stmt_table(&self) -> &Arc<[StmtRef]> {
+        &self.display_stmts
     }
 }
 
@@ -396,12 +399,8 @@ impl DenseDisplay for FilteredCsr<'_> {
         self.base.display_dense(n)
     }
 
-    fn dense_stmt(&self, i: u32) -> StmtRef {
-        self.base.dense_stmt(i)
-    }
-
-    fn dense_stmt_count(&self) -> usize {
-        self.base.dense_stmt_count()
+    fn stmt_table(&self) -> &Arc<[StmtRef]> {
+        self.base.stmt_table()
     }
 }
 
@@ -425,9 +424,9 @@ impl DepGraph for FrozenSdg {
     }
 
     fn stmt_nodes_of(&self, s: StmtRef) -> &[NodeId] {
-        self.slot_of
-            .get(&s)
-            .map_or(&[], |&k| &self.stmt_nodes[k as usize])
+        self.display_stmts.binary_search(&s).map_or(&[], |k| {
+            &self.stmt_nodes[self.stmt_starts[k] as usize..self.stmt_starts[k + 1] as usize]
+        })
     }
 
     fn mode(&self) -> HeapMode {
@@ -564,7 +563,7 @@ mod tests {
         g.intern(NodeKind::Stmt(CgNode::new(1), sr0));
         g.intern(stmt(0, 1));
         let f = g.freeze();
-        assert_eq!(f.dense_stmt_count(), 2);
+        assert_eq!(f.stmt_table().len(), 2);
         let mut seen = std::collections::HashSet::new();
         for (id, _) in g.nodes() {
             let dense = f.display_dense(id);
@@ -572,12 +571,12 @@ mod tests {
                 None => assert_eq!(dense, NO_DISPLAY),
                 Some(s) => {
                     assert_ne!(dense, NO_DISPLAY);
-                    assert_eq!(f.dense_stmt(dense), s);
+                    assert_eq!(f.stmt_table()[dense as usize], s);
                     seen.insert(dense);
                 }
             }
         }
-        assert_eq!(seen.len(), f.dense_stmt_count());
+        assert_eq!(seen.len(), f.stmt_table().len());
         // The filtered view shares the numbering.
         let v = f.filtered(|_| true);
         for (id, _) in g.nodes() {

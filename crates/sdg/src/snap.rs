@@ -372,7 +372,7 @@ mod tests {
         assert_eq!(a.offsets, b.offsets);
         assert_eq!(a.edges, b.edges);
         assert_eq!(a.kinds, b.kinds);
-        assert_eq!(a.dense_stmt_count(), b.dense_stmt_count());
+        assert_eq!(a.stmt_table(), b.stmt_table());
         for i in 0..a.node_count() {
             let n = NodeId::new(i);
             assert_eq!(a.display_stmt(n), b.display_stmt(n));

@@ -2,12 +2,15 @@
 //! the CI and CS graphs of every suite program and of generated programs:
 //! the frozen graph answers `node`, `deps` and `stmt_nodes_of` exactly as
 //! the growable one, the thawed graph is `same_graph` as the one that was
-//! frozen, and freezing it again yields the same arrays.
+//! frozen, and freezing it again yields the same arrays. A frozen graph,
+//! from `freeze` or from snapshot bytes, numbers its display statements
+//! in ascending statement order.
 
+use std::collections::BTreeSet;
 use thinslice_ir::compile;
 use thinslice_pta::{ModRef, Pta, PtaConfig};
 use thinslice_sdg::snap::{decode_frozen, encode_frozen};
-use thinslice_sdg::{build_ci, build_cs, DepGraph, FrozenSdg, Sdg};
+use thinslice_sdg::{build_ci, build_cs, DenseDisplay, DepGraph, FrozenSdg, Sdg};
 use thinslice_suite::{all_benchmarks, generate, GeneratorConfig};
 use thinslice_util::{ByteReader, ByteWriter};
 
@@ -17,6 +20,29 @@ fn encode(f: &FrozenSdg) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// `f`, frozen from `g`, numbers each of `g`'s statements densely, in
+/// strictly ascending order, and finds every statement's instance nodes
+/// by that numbering as `g`'s hash map finds them.
+fn assert_sorted_numbering(name: &str, f: &FrozenSdg, g: &Sdg) {
+    let table = f.stmt_table();
+    for (i, w) in table.windows(2).enumerate() {
+        assert!(w[0] < w[1], "{name}: ids {i} and {}", i + 1);
+    }
+    let stmts: BTreeSet<_> = g.stmt_nodes().map(|(_, s)| s).collect();
+    assert!(table.iter().eq(&stmts), "{name}");
+    for &s in &stmts {
+        assert_eq!(f.stmt_nodes_of(s), g.stmt_nodes_of(s), "{name}: {s:?}");
+    }
+    // Between and beyond the numbered statements there is nothing.
+    for (i, s) in stmts.iter().enumerate() {
+        let mut gap = *s;
+        gap.loc.index += 1;
+        if !stmts.contains(&gap) {
+            assert!(f.stmt_nodes_of(gap).is_empty(), "{name}: after id {i}");
+        }
+    }
+}
+
 fn assert_thaw_undoes_freeze(name: &str, g: &Sdg) {
     let frozen = g.freeze();
     assert_eq!(frozen.node_count(), g.node_count(), "{name}");
@@ -24,9 +50,7 @@ fn assert_thaw_undoes_freeze(name: &str, g: &Sdg) {
         assert_eq!(frozen.node(id), kind, "{name}: node {id:?}");
         assert_eq!(frozen.deps(id), g.deps(id), "{name}: deps of {id:?}");
     }
-    for (_, s) in g.stmt_nodes() {
-        assert_eq!(frozen.stmt_nodes_of(s), g.stmt_nodes_of(s), "{name}: {s:?}");
-    }
+    assert_sorted_numbering(name, &frozen, g);
     let thawed = frozen.thaw().expect("a frozen graph has unique kinds");
     assert!(thawed.same_graph(g), "{name}");
     assert_eq!(thawed.edge_count(), g.edge_count(), "{name}");
@@ -39,8 +63,10 @@ fn assert_thaw_undoes_freeze(name: &str, g: &Sdg) {
     }
     let bytes = encode(&frozen);
     assert_eq!(encode(&thawed.freeze()), bytes, "{name}: refrozen");
-    // A graph decoded from those bytes thaws to the same graph.
+    // A graph decoded from those bytes numbers its statements the same
+    // way and thaws to the same graph.
     let decoded = decode_frozen(&mut ByteReader::new(&bytes)).expect("decodes");
+    assert_sorted_numbering(&format!("{name} decoded"), &decoded, g);
     assert!(
         decoded.thaw().expect("thaws").same_graph(g),
         "{name}: decoded"

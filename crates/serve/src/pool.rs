@@ -849,12 +849,7 @@ mod tests {
             thinslice::SliceKind::Thin,
             thinslice::Engine::Ci,
         ));
-        let out = r
-            .stmts
-            .in_order()
-            .iter()
-            .map(|st| format!("{st:?}"))
-            .collect();
+        let out = r.stmts.iter().map(|st| format!("{st:?}")).collect();
         pool.checkin(co);
         out
     }

@@ -52,7 +52,7 @@ fn reference_json(s: &str) -> String {
 fn reference_lines(program: &Program, slice: &SliceResult) -> Vec<String> {
     let mut seen = BTreeSet::new();
     let mut out = Vec::new();
-    for &s in &slice.stmts {
+    for s in &slice.stmts {
         let span = program.instr(s).span;
         if span.is_synthetic() || !seen.insert((span.file.raw(), span.line)) {
             continue;

@@ -56,7 +56,7 @@ fn thin_slice_is_exactly_the_producers() {
     let lines: std::collections::BTreeSet<u32> = thin
         .stmts
         .iter()
-        .map(|&s| a.program().instr(s).span.line)
+        .map(|s| a.program().instr(s).span.line)
         .collect();
 
     // Producers: the seed (12), the store (10), the value allocation (8).
@@ -85,7 +85,7 @@ fn traditional_slice_adds_the_explainers() {
     let lines_of = |s: &SliceResult| -> std::collections::BTreeSet<u32> {
         s.stmts
             .iter()
-            .map(|&st| a.program().instr(st).span.line)
+            .map(|st| a.program().instr(st).span.line)
             .collect()
     };
     let data_lines = lines_of(&data);

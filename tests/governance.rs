@@ -81,8 +81,11 @@ fn truncated_bfs_slices_are_nonempty_prefixes_of_the_full_slice() {
                     // The governed run walks in the same order, so the
                     // partial slice is a *prefix*, not just a subset.
                     assert_eq!(
-                        partial.stmts.in_order(),
-                        &full.stmts.in_order()[..partial.stmts.len()],
+                        partial.stmts.iter().collect::<Vec<_>>(),
+                        full.stmts
+                            .iter()
+                            .take(partial.stmts.len())
+                            .collect::<Vec<_>>(),
                         "{}: {kind:?} truncated slice is not a prefix",
                         b.name
                     );
@@ -145,7 +148,7 @@ fn truncated_tabulation_slices_are_nonempty_subsets_of_the_fixpoint() {
             );
             assert!(!partial.stmts.is_empty(), "{}", b.name);
             assert!(
-                partial.stmts.iter().all(|st| full.stmts.contains(*st)),
+                partial.stmts.iter().all(|st| full.stmts.contains(st)),
                 "{}: truncated tabulation escaped the fixpoint slice",
                 b.name
             );
@@ -480,7 +483,7 @@ fn fail_fast_failure_leaves_the_session_token_uncancelled() {
 /// Asserts a batched outcome equals the single query's answer.
 fn assert_answers_like(got: &QueryOutcome, want: &SliceResult, at: &str) {
     let got = got.slice.as_ref().expect("no worker may panic");
-    assert_eq!(got.stmts.in_order(), want.stmts.in_order(), "{at}: stmts");
+    assert_eq!(got.stmts, want.stmts, "{at}: stmts");
     assert_eq!(got.nodes_visited, want.nodes_visited, "{at}: nodes visited");
     assert_eq!(got.completeness, want.completeness, "{at}: completeness");
     assert_eq!(
@@ -599,7 +602,7 @@ fn governed_cs_queries_answer_alike_on_fresh_and_warm_sessions() {
                     );
                     assert!(want.degraded || !want.completeness.is_complete(), "{at}");
                     let got = warm.query(&q);
-                    assert_eq!(got.stmts.in_order(), want.stmts.in_order(), "{at}: stmts");
+                    assert_eq!(got.stmts, want.stmts, "{at}: stmts");
                     assert_eq!(got.nodes_visited, want.nodes_visited, "{at}: nodes visited");
                     assert_eq!(got.completeness, want.completeness, "{at}: completeness");
                     assert_eq!(

@@ -44,9 +44,7 @@ fn answers(s: &mut AnalysisSession) -> Vec<String> {
             let r = s.query(&Query::new(vec![seed], SliceKind::Thin, engine));
             out.push(format!(
                 "{engine:?} {:?} {:?} {}",
-                r.completeness,
-                r.stmts.in_order(),
-                r.nodes_visited,
+                r.completeness, r.stmts, r.nodes_visited,
             ));
         }
     }

@@ -73,7 +73,7 @@ fn pipeline_invariants_on_generated_programs() {
             // BFS order has no duplicates.
             let mut seen = std::collections::HashSet::new();
             for s in &thin.stmts {
-                assert!(seen.insert(*s), "duplicate statement in BFS order");
+                assert!(seen.insert(s), "duplicate statement in BFS order");
             }
         }
     }
