@@ -3,8 +3,8 @@
 //! The paper's evaluation workload is query-heavy: one dependence graph,
 //! many seeds (every task of Table 2/3 slices the same benchmark). This
 //! module amortises everything that does not depend on the seed —
-//! the CSR graph ([`FrozenSdg`]), per-worker scratch buffers (the BFS,
-//! tabulation and lane-walk buffers), the tabulation's down-edge index
+//! the CSR graph ([`FrozenSdg`]), per-worker scratch buffers (the BFS and
+//! lane-walk buffers), the tabulation's down-edge index
 //! ([`FrozenSdg::down_consumers`]) and the summary edges — and fans the
 //! queries out across a thread pool over the shared immutable graph.
 //!
@@ -13,39 +13,35 @@
 //! produces, whatever the thread count: workers share only immutable
 //! data, and each query's answer depends on its own seeds and meter alone.
 //!
-//! A batch is cut into runs of at most 64 consecutive queries, and each
-//! run is answered by one lane walk that carries a 64-bit lane mask per
-//! node, so the queries of a run share the scan of every node they reach.
-//! A context-insensitive run is a multi-source BFS (Then et al., *The More
-//! the Merrier*, VLDB 2014). A context-sensitive run is two-phase
+//! Each engine answers every query by one walk, each query under its own
+//! meter. A context-insensitive query is a BFS that tests each edge's
+//! label against its kind. A context-sensitive query is two-phase
 //! reachability over the graph plus its summary edges (Horwitz, Reps and
 //! Binkley), which the session builds once per slice kind and graph, on
-//! its first ungoverned CS query or batch. A lane-walked batch gets one
-//! worker per run.
+//! the first CS query or batch of the kind, outside every meter.
+//!
+//! A batch is cut into runs of at most 64 consecutive queries, and each
+//! run is answered by one lane walk that carries a 64-bit lane mask per
+//! node, so the queries of a run share the scan of every node they reach;
+//! a CI run is a multi-source BFS (Then et al., *The More the Merrier*,
+//! VLDB 2014). A lane whose meter can run out expands its own nodes in its
+//! own canonical order and ticks its own meter, and a lane whose meter
+//! cannot is never ticked, so each lane answers what its query answers
+//! alone. A lane-walked batch gets one worker per run.
 //!
 //! A run of one query, the run holding a fault-injected query, a run
-//! whose walk panicked, and every run of a batch without retries are
-//! answered one query at a time instead, as is every run of a CI batch
-//! under a deadline and of a CS batch under any limit or cancel token:
-//! a CI query by the BFS, an ungoverned CS query by a walk of one lane,
-//! and a governed CS query by the tabulation from its seeds, which
-//! carries nothing over from earlier queries. A batch answered one query
-//! at a time gets a worker per 8 queries, and at least one run per
-//! worker.
+//! whose walk panicked, and every run of a batch without retries or under
+//! a deadline are answered one query at a time instead, each by a walk of
+//! its own. A deadline is per query, and a lane's clock would also run
+//! during its siblings' work. A batch answered one query at a time gets a
+//! worker per 8 queries, and at least one run per worker.
 //!
 //! One engine answers every batch, governed or not; an ungoverned batch
-//! simply runs under an unlimited budget. Every query arms its own meter,
-//! and every walk runs under `catch_unwind`: a query that panics is
-//! retried on fresh scratch and, if it keeps panicking, answered with a
-//! [`QueryError`] while its siblings are unaffected. A context-sensitive
-//! query cut short by its budget takes the CS → CI ladder unless the
-//! policy forbids it.
-//! Thin and data CI batches of at least 16 queries walk a view of the
-//! graph that keeps only the edges their kind follows, built once per
-//! batch; smaller ones, full slices and tabulation walk the graph itself.
-//! The meter ticks once per emitted node, so a filtered walk truncates at
-//! the same node as an unfiltered one: the size rule only chooses what a
-//! batch costs, and every answer is the same either way.
+//! simply runs under an unlimited budget. Every walk runs under
+//! `catch_unwind`: a query that panics is retried on fresh scratch and, if
+//! it keeps panicking, answered with a [`QueryError`] while its siblings
+//! are unaffected. A context-sensitive query cut short by its budget takes
+//! the CS → CI ladder unless the policy forbids it.
 //!
 //! # Examples
 //!
@@ -74,20 +70,14 @@
 
 use crate::session::{Engine, SliceResult};
 use crate::slice::{slice_dense, slice_lanes, Slice, SliceKind, SliceScratch, LANES};
-use crate::tabulation::{cs_lanes, cs_tabulate, CsScratch, SummaryGraphs};
+use crate::tabulation::{cs_lanes, CsScratch, SummaryGraphs};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
-use thinslice_sdg::{DenseDisplay, FrozenSdg, NodeId};
+use thinslice_sdg::{FrozenSdg, NodeId};
 use thinslice_util::{
     panic_message, par, Budget, CancelToken, Completeness, Meter, RunCtx, Telemetry,
 };
-
-/// Minimum batch size at which thin and data CI queries walk a view of
-/// the graph filtered by their kind. Building the view scans every edge
-/// once, which a few queries never earn back: below this size they walk
-/// the shared graph and test each edge's kind instead.
-const FILTER_THRESHOLD: usize = 16;
 
 /// Minimum queries a worker must stand to receive before it is worth
 /// spawning, in a batch answered one query at a time: an OS thread costs
@@ -114,8 +104,8 @@ pub struct FaultInjection {
 }
 
 /// One thread's query scratch: the BFS and CI lane-walk buffers, and the
-/// tabulation and CS lane-walk buffers. Both parts start empty and grow
-/// on first use, and every query leaves them empty again.
+/// CS walk buffers. Both parts start empty and grow on first use, and
+/// every query leaves them empty again.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     pub bfs: SliceScratch,
@@ -157,28 +147,21 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
-    /// Whether `engine`'s batches run in lane walks under this
-    /// configuration. Never without a retry, since a walk that panics is
-    /// charged as each query's first attempt. A CI batch walks unless its
-    /// budget has a deadline: a deadline is per query, and a lane's clock
-    /// would also run during its siblings' work. A CS batch walks only
-    /// under an unlimited budget, because a lane walk cannot stop where
-    /// the tabulation's worklist order would stop it.
-    fn lanes(&self, engine: Engine) -> bool {
-        let budget = self.ctx.budget();
-        self.retries > 0
-            && match engine {
-                Engine::Ci => budget.time_limit().is_none(),
-                Engine::Cs => budget.is_unlimited(),
-            }
+    /// Whether batches run in lane walks under this configuration, for
+    /// either engine. Never without a retry, since a walk that panics is
+    /// charged as each query's first attempt, and never under a deadline:
+    /// a deadline is per query, and a lane's clock would also run during
+    /// its siblings' work.
+    fn lanes(&self) -> bool {
+        self.retries > 0 && self.ctx.budget().time_limit().is_none()
     }
 
-    /// How many workers a batch of `queries` queries of `engine` runs on
-    /// when `threads` are asked for, never below 1: one per lane group of
+    /// How many workers a batch of `queries` queries runs on when
+    /// `threads` are asked for, never below 1: one per lane group of
     /// [`LANES`] queries when the batch is lane-walked, otherwise one per
     /// [`MIN_QUERIES_PER_WORKER`] queries.
-    pub(crate) fn workers(&self, engine: Engine, threads: usize, queries: usize) -> usize {
-        let per_worker = if self.lanes(engine) {
+    pub(crate) fn workers(&self, threads: usize, queries: usize) -> usize {
+        let per_worker = if self.lanes() {
             LANES
         } else {
             MIN_QUERIES_PER_WORKER
@@ -234,12 +217,10 @@ impl QueryOutcome {
 }
 
 /// Answers one context-insensitive query: the BFS over `graph` on warm
-/// scratch, under a meter freshly armed from `budget`. With `prefiltered`
-/// the graph holds exactly the edges `kind` follows. Under a limited
+/// scratch, under a meter freshly armed from `budget`. Under a limited
 /// budget the meter's slow checks are counted as `govern.meter_checks`.
-pub(crate) fn answer_ci<G: DenseDisplay>(
-    graph: &G,
-    prefiltered: bool,
+pub(crate) fn answer_ci(
+    graph: &FrozenSdg,
     seeds: &[NodeId],
     kind: SliceKind,
     budget: &Budget,
@@ -247,7 +228,7 @@ pub(crate) fn answer_ci<G: DenseDisplay>(
     tel: &Telemetry,
 ) -> SliceResult {
     let mut meter = budget.meter();
-    let (slice, completeness) = slice_dense(graph, seeds, kind, scratch, prefiltered, &mut meter);
+    let (slice, completeness) = slice_dense(graph, seeds, kind, scratch, &mut meter);
     if !budget.is_unlimited() {
         tel.count("govern.meter_checks", meter.slow_checks());
     }
@@ -257,9 +238,8 @@ pub(crate) fn answer_ci<G: DenseDisplay>(
 /// Answers a group of up to [`LANES`] context-insensitive queries with one
 /// lane walk over `graph`, each query under its own meter armed from
 /// `budget`, so each answer is the one [`answer_ci`] gives.
-fn answer_lanes<G: DenseDisplay>(
-    graph: &G,
-    prefiltered: bool,
+fn answer_lanes(
+    graph: &FrozenSdg,
     queries: &[Vec<NodeId>],
     kind: SliceKind,
     budget: &Budget,
@@ -267,7 +247,7 @@ fn answer_lanes<G: DenseDisplay>(
     tel: &Telemetry,
 ) -> Vec<SliceResult> {
     let mut meters: Vec<Meter> = queries.iter().map(|_| budget.meter()).collect();
-    let walked = slice_lanes(graph, queries, kind, scratch, prefiltered, &mut meters);
+    let walked = slice_lanes(graph, queries, kind, scratch, &mut meters);
     if !budget.is_unlimited() {
         tel.count(
             "govern.meter_checks",
@@ -294,63 +274,50 @@ fn answer(slice: Slice, engine: Engine, completeness: Completeness, degraded: bo
     }
 }
 
-/// Answers one context-sensitive query over `graph` (with the down-edge
-/// index cached on it) on `scratch`. Under an unlimited budget it is a
-/// lane walk of one lane over the kind's summary graph in `summaries`;
-/// otherwise the tabulation from `seeds` under a meter freshly armed from
-/// `budget`. A tabulation cut short with `degrade` set takes the
-/// scalability ladder, CS → CI → truncated: the CI BFS over the same
-/// graph answers instead, under a second meter from the same budget, and
-/// the result is marked `degraded` (and counted as
-/// `govern.degraded_queries`).
+/// Answers up to [`LANES`] context-sensitive queries over `graph` with one
+/// [`cs_lanes`] walk over the kind's summary graph in `summaries`, each
+/// query under its own meter armed from `budget`. The first walk that
+/// needs the summary graph builds it, before any meter is armed. A query
+/// cut short with `degrade` set takes the scalability ladder, CS → CI →
+/// truncated: the CI BFS over the same graph answers instead, under a
+/// second meter from the same budget, and the result is marked `degraded`
+/// (and counted as `govern.degraded_queries`). A single query is a walk of
+/// one lane.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn answer_cs(
+pub(crate) fn answer_cs<Q: AsRef<[NodeId]>>(
     graph: &FrozenSdg,
     summaries: &SummaryGraphs,
-    seeds: &[NodeId],
+    queries: &[Q],
     kind: SliceKind,
     budget: &Budget,
     degrade: bool,
     scratch: &mut Scratch,
     tel: &Telemetry,
-) -> SliceResult {
-    if budget.is_unlimited() {
-        let mut walked = answer_cs_lanes(graph, summaries, &[seeds], kind, &mut scratch.cs, tel);
-        return walked.pop().expect("one lane, one answer");
-    }
-    let mut meter = budget.meter();
-    let index = graph.down_consumers();
-    let (slice, completeness) = cs_tabulate(graph, index, seeds, kind, &mut scratch.cs, &mut meter);
-    let mut checks = meter.slow_checks();
-    let result = if completeness.is_complete() || !degrade {
-        answer(slice, Engine::Cs, completeness, false)
-    } else {
-        let mut ci_meter = budget.meter();
-        let bfs = &mut scratch.bfs;
-        let (ci, ci_completeness) = slice_dense(graph, seeds, kind, bfs, false, &mut ci_meter);
-        checks += ci_meter.slow_checks();
-        tel.count("govern.degraded_queries", 1);
-        answer(ci, Engine::Ci, ci_completeness, true)
-    };
-    tel.count("govern.meter_checks", checks);
-    result
-}
-
-/// Answers up to [`LANES`] ungoverned context-sensitive queries with one
-/// [`cs_lanes`] walk over the kind's summary graph in `summaries`, which
-/// the first walk that needs it builds.
-fn answer_cs_lanes<Q: AsRef<[NodeId]>>(
-    graph: &FrozenSdg,
-    summaries: &SummaryGraphs,
-    queries: &[Q],
-    kind: SliceKind,
-    cs: &mut CsScratch,
-    tel: &Telemetry,
 ) -> Vec<SliceResult> {
-    cs_lanes(graph, summaries.get(graph, kind, tel), queries, kind, cs)
+    let summary = summaries.get(graph, kind, tel);
+    let mut meters: Vec<Meter> = queries.iter().map(|_| budget.meter()).collect();
+    let walked = cs_lanes(graph, summary, queries, kind, &mut scratch.cs, &mut meters);
+    let mut checks: u64 = meters.iter().map(Meter::slow_checks).sum();
+    let answers = walked
         .into_iter()
-        .map(|slice| answer(slice, Engine::Cs, Completeness::Complete, false))
-        .collect()
+        .zip(queries)
+        .map(|((slice, completeness), seeds)| {
+            if completeness.is_complete() || !degrade {
+                return answer(slice, Engine::Cs, completeness, false);
+            }
+            let mut ci_meter = budget.meter();
+            let bfs = &mut scratch.bfs;
+            let (ci, ci_completeness) =
+                slice_dense(graph, seeds.as_ref(), kind, bfs, &mut ci_meter);
+            checks += ci_meter.slow_checks();
+            tel.count("govern.degraded_queries", 1);
+            answer(ci, Engine::Ci, ci_completeness, true)
+        })
+        .collect();
+    if !budget.is_unlimited() {
+        tel.count("govern.meter_checks", checks);
+    }
+    answers
 }
 
 /// Runs query `i`'s attempts under `catch_unwind`: a panic poisons only
@@ -446,8 +413,8 @@ fn record_outcome(tel: &Telemetry, stage: &str, out: &QueryOutcome) {
 /// The batch engine: answers `queries` (seed nodes of `graph`) on up to
 /// `threads` workers, in query order, under `cfg`. See the module docs. A
 /// batch that runs on the calling thread alone walks on `scratch`; a CS
-/// batch's ungoverned queries walk the summary graph of `kind` in
-/// `summaries`, built on first use.
+/// batch walks the summary graph of `kind` in `summaries`, built on first
+/// use.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_batch(
     graph: &FrozenSdg,
@@ -461,33 +428,14 @@ pub(crate) fn run_batch(
 ) -> Vec<QueryOutcome> {
     let mut span = cfg.ctx.telemetry().span("batch.slices");
     span.add("batch.queries", queries.len() as u64);
-    let threads = cfg.workers(engine, threads, queries.len());
-    let lanes = cfg.lanes(engine);
-    if engine == Engine::Cs {
-        return run_cs(
+    let threads = cfg.workers(threads, queries.len());
+    let lanes = cfg.lanes();
+    match engine {
+        Engine::Ci => run_ci(graph, queries, kind, threads, lanes, cfg, scratch),
+        Engine::Cs => run_cs(
             graph, queries, kind, threads, lanes, cfg, scratch, summaries,
-        );
+        ),
     }
-    // The full slicer follows every edge, so the graph is its own filtered
-    // view.
-    let prefiltered = kind == SliceKind::TraditionalFull;
-    // Whether a kind follows an edge depends only on the edge's label, so
-    // dropping the unfollowed edges once per batch leaves every query's
-    // walk — and answer — unchanged.
-    if !prefiltered && queries.len() >= FILTER_THRESHOLD {
-        let filtered = graph.filtered(|e| kind.follows(&e.kind));
-        return run_ci(&filtered, true, queries, kind, threads, lanes, cfg, scratch);
-    }
-    run_ci(
-        graph,
-        prefiltered,
-        queries,
-        kind,
-        threads,
-        lanes,
-        cfg,
-        scratch,
-    )
 }
 
 /// `n` queries cut into runs of consecutive queries of near-equal length:
@@ -594,14 +542,11 @@ fn run_groups(
     .collect()
 }
 
-/// Answers a CI batch over `view`, which holds exactly the edges `kind`
-/// follows when `prefiltered` is set, through [`run_groups`], each lane
+/// Answers a CI batch over `graph` through [`run_groups`], each lane
 /// walk under per-lane meters. With one worker the groups walk on
 /// `scratch`.
-#[allow(clippy::too_many_arguments)]
-fn run_ci<G: DenseDisplay + Sync>(
-    view: &G,
-    prefiltered: bool,
+fn run_ci(
+    graph: &FrozenSdg,
     queries: &[Vec<NodeId>],
     kind: SliceKind,
     threads: usize,
@@ -618,29 +563,15 @@ fn run_ci<G: DenseDisplay + Sync>(
         "slice",
         lanes,
         scratch,
-        |s, range| {
-            let queries = &queries[range];
-            answer_lanes(view, prefiltered, queries, kind, budget, &mut s.bfs, tel)
-        },
-        |s, i| {
-            answer_ci(
-                view,
-                prefiltered,
-                &queries[i],
-                kind,
-                budget,
-                &mut s.bfs,
-                tel,
-            )
-        },
+        |s, range| answer_lanes(graph, &queries[range], kind, budget, &mut s.bfs, tel),
+        |s, i| answer_ci(graph, &queries[i], kind, budget, &mut s.bfs, tel),
     )
 }
 
 /// Answers a context-sensitive batch over `graph` through [`run_groups`]:
-/// a lane-walked group by [`answer_cs_lanes`], and each other query as
-/// [`answer_cs`] answers it alone. Workers share only the immutable
-/// graph, its down-edge index and the summary graphs; with one worker the
-/// groups run on `scratch`.
+/// a lane-walked group, and each query answered alone, by [`answer_cs`].
+/// Workers share only the immutable graph, its down-edge index and the
+/// summary graphs; with one worker the groups run on `scratch`.
 #[allow(clippy::too_many_arguments)]
 fn run_cs(
     graph: &FrozenSdg,
@@ -654,6 +585,9 @@ fn run_cs(
 ) -> Vec<QueryOutcome> {
     let tel = cfg.ctx.telemetry();
     let budget = cfg.ctx.budget();
+    let answer = |s: &mut Scratch, queries: &[Vec<NodeId>]| {
+        answer_cs(graph, summaries, queries, kind, budget, cfg.degrade, s, tel)
+    };
     run_groups(
         queries.len(),
         threads,
@@ -661,10 +595,11 @@ fn run_cs(
         "cs_slice",
         lanes,
         scratch,
-        |s, range| answer_cs_lanes(graph, summaries, &queries[range], kind, &mut s.cs, tel),
+        |s, range| answer(s, &queries[range]),
         |s, i| {
-            let seeds = &queries[i];
-            answer_cs(graph, summaries, seeds, kind, budget, cfg.degrade, s, tel)
+            answer(s, std::slice::from_ref(&queries[i]))
+                .pop()
+                .expect("one query, one answer")
         },
     )
 }
@@ -673,7 +608,7 @@ fn run_cs(
 mod tests {
     use super::*;
     use crate::slice::slice_sparse;
-    use crate::tabulation::{cs_oneshot, DownConsumers};
+    use crate::tabulation::{cs_oneshot, cs_walk_sparse, DownConsumers, SummaryGraph};
     use thinslice_ir::{compile, Program};
     use thinslice_pta::{Pta, PtaConfig};
     use thinslice_sdg::{build_ci, DepGraph, Sdg};
@@ -693,18 +628,19 @@ mod tests {
 
     /// Sequential oracle: the one-shot CS slice over the growable graph.
     fn cs_slice(sdg: &thinslice_sdg::Sdg, seeds: &[NodeId], kind: SliceKind) -> Slice {
-        cs_slice_under(sdg, seeds, kind, &Budget::unlimited()).0
+        cs_oneshot(sdg, &DownConsumers::build(sdg), seeds, kind)
     }
 
-    /// Sequential oracle: the one-shot CS slice under a meter from `budget`.
+    /// Sequential oracle: the sort-based two-phase walk over the growable
+    /// graph's summary graph, under a meter from `budget`.
     fn cs_slice_under(
         sdg: &thinslice_sdg::Sdg,
         seeds: &[NodeId],
         kind: SliceKind,
         budget: &Budget,
     ) -> (Slice, Completeness) {
-        let index = DownConsumers::build(sdg);
-        cs_oneshot(sdg, &index, seeds, kind, &mut budget.meter())
+        let summary = SummaryGraph::build(sdg, &DownConsumers::build(sdg), kind);
+        cs_walk_sparse(sdg, &summary, seeds, kind, &mut budget.meter())
     }
 
     /// The ungoverned batch's answers, unwrapped.
@@ -840,9 +776,9 @@ mod tests {
     #[test]
     fn reused_cs_scratch_does_not_change_results() {
         // Three rounds of the same queries on one thread, every kind, with
-        // and without a step limit: each tabulation and walk reuses the
-        // scratch the one before it left, and each answer must still match
-        // a from-scratch sequential run under the same budget.
+        // and without a step limit: each walk reuses the scratch the one
+        // before it left, and each answer must still match a from-scratch
+        // sequential walk under the same budget.
         let a = setup();
         let q = all_print_queries(&a);
         let tiled: Vec<Vec<NodeId>> = q.iter().cycle().take(3 * q.len()).cloned().collect();
@@ -882,19 +818,12 @@ mod tests {
     }
 
     #[test]
-    fn large_batches_take_the_filtered_path_and_still_match() {
-        // A tiled batch on two workers, past the filter threshold: thin
-        // and data CI queries walk the filtered view, and every answer
-        // matches the sequential one.
+    fn tiled_batches_on_two_workers_still_match() {
+        // A tiled batch of 17 queries on two workers: every answer, CI and
+        // CS, matches the sequential one.
         let a = setup();
         let q = all_print_queries(&a);
-        let tiled: Vec<Vec<NodeId>> = q
-            .iter()
-            .cycle()
-            .take(FILTER_THRESHOLD + 1)
-            .cloned()
-            .collect();
-        assert!(tiled.len() > FILTER_THRESHOLD);
+        let tiled: Vec<Vec<NodeId>> = q.iter().cycle().take(17).cloned().collect();
         for kind in [
             SliceKind::Thin,
             SliceKind::TraditionalData,
@@ -926,7 +855,7 @@ mod tests {
             ..BatchConfig::default()
         };
         let lens = |cfg: &BatchConfig, n, threads| -> Vec<usize> {
-            let groups = lane_groups(n, cfg.workers(Engine::Ci, threads, n));
+            let groups = lane_groups(n, cfg.workers(threads, n));
             assert_eq!(groups.last().map_or(0, |g| g.end), n);
             groups.iter().map(ExactSizeIterator::len).collect()
         };
@@ -941,19 +870,18 @@ mod tests {
         assert_eq!(lens(&single, 64, 2), [32, 32]);
         assert_eq!(lens(&single, 128, 8), [16; 8]);
         assert_eq!(lens(&single, 65, 3), [22, 22, 21]);
-        assert_eq!(walked.workers(Engine::Ci, 8, 26), 1);
-        assert_eq!(single.workers(Engine::Ci, 8, 26), 4);
-        // Any limit keeps a CS batch off lane walks; only a deadline keeps a
-        // CI batch off them.
-        let limited = BatchConfig {
-            ctx: RunCtx::new(
-                Telemetry::disabled(),
-                Budget::unlimited().with_step_limit(9),
-            ),
+        assert_eq!(walked.workers(8, 26), 1);
+        assert_eq!(single.workers(8, 26), 4);
+        // A step limit keeps a batch of either engine on lane walks; only a
+        // deadline keeps it off them.
+        let governed = |budget: Budget| BatchConfig {
+            ctx: RunCtx::new(Telemetry::disabled(), budget),
             ..BatchConfig::default()
         };
-        assert_eq!(limited.workers(Engine::Ci, 8, 26), 1);
-        assert_eq!(limited.workers(Engine::Cs, 8, 26), 4);
+        let limited = governed(Budget::unlimited().with_step_limit(9));
+        let deadline = governed(Budget::unlimited().with_deadline(Duration::from_secs(9)));
+        assert_eq!(limited.workers(8, 26), 1);
+        assert_eq!(deadline.workers(8, 26), 4);
     }
 
     /// A seed past the graph's last node panics every walk of `engine`:

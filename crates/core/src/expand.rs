@@ -211,7 +211,7 @@ fn base_pointer_flow(
     meter: &mut Meter,
 ) -> (Vec<StmtRef>, Completeness) {
     let seeds = def_nodes_of(program, pta, graph, method, base);
-    let (slice, completeness) = slice_dense(graph, &seeds, SliceKind::Thin, scratch, false, meter);
+    let (slice, completeness) = slice_dense(graph, &seeds, SliceKind::Thin, scratch, meter);
     let stmts = slice
         .stmts
         .iter()
@@ -365,7 +365,7 @@ mod tests {
     fn thin_from(graph: &FrozenSdg, seed: NodeId) -> StmtSet {
         let mut meter = Meter::unlimited();
         let scratch = &mut SliceScratch::new();
-        slice_dense(graph, &[seed], SliceKind::Thin, scratch, false, &mut meter)
+        slice_dense(graph, &[seed], SliceKind::Thin, scratch, &mut meter)
             .0
             .stmts
     }

@@ -1,10 +1,10 @@
 //! Pins the frozen-graph answers — whose canonical orders come from
-//! bitset drains — against the sort-based references ([`slice_sparse`]
-//! and the sparse tabulation store) on a corpus whose levels and visited
-//! sets span many bitset words and need reordering, unbudgeted and
-//! truncated, with truncated and unbudgeted queries interleaved on each
-//! session's reused scratch; and against the same references walking the
-//! growable graphs the frozen ones came from.
+//! bitset drains — against the sort-based references ([`slice_sparse`],
+//! the sparse tabulation store and the sparse two-phase walk) on a corpus
+//! whose levels and visited sets span many bitset words and need
+//! reordering, unbudgeted and truncated, with truncated and unbudgeted
+//! queries interleaved on each session's reused scratch; and against the
+//! same references walking the growable graphs the frozen ones came from.
 //!
 //! Each answer is compared in statement order and in visited-node
 //! membership. Answers carry only a visited-node count; the membership is
@@ -14,7 +14,7 @@
 use crate::session::{AnalysisSession, Engine, Query, QueryPolicy, SliceResult};
 use crate::slice::{slice_sparse, SliceKind, SliceScratch};
 use crate::stmtset::StmtSet;
-use crate::tabulation::{cs_oneshot, DownConsumers};
+use crate::tabulation::{cs_oneshot, cs_walk_sparse, DownConsumers, SummaryGraph};
 use thinslice_ir::{compile, InstrKind, StmtRef};
 use thinslice_pta::{ModRef, Pta, PtaConfig};
 use thinslice_sdg::{build_ci, build_cs, DepGraph, FrozenSdg, NodeId};
@@ -144,6 +144,7 @@ fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
         let ci = session.ci_graph().clone();
         let cs = session.cs_graph().clone();
         let index = cs.down_consumers();
+        let summary = SummaryGraph::build(&cs, index, SliceKind::Thin);
         for (i, &stmt) in stmts.iter().enumerate() {
             let ci_seeds = ci.stmt_nodes_of(stmt).to_vec();
             for kind in KINDS {
@@ -174,7 +175,7 @@ fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
             let kind = SliceKind::Thin;
             let cs_seeds = cs.stmt_nodes_of(stmt).to_vec();
             let q = Query::new(vec![stmt], kind, Engine::Cs);
-            let (want, _) = cs_oneshot(&cs, index, &cs_seeds, kind, &mut Meter::unlimited());
+            let want = cs_oneshot(&cs, index, &cs_seeds, kind);
             let got = session.query(&q);
             assert!(got.completeness.is_complete() && !got.degraded, "{at}");
             assert_same(&got, &want.stmts, &want.visited, &at);
@@ -182,16 +183,16 @@ fn frozen_answers_match_the_sort_based_references_on_wide_inputs() {
             for steps in cuts(got.nodes_visited) {
                 let at = format!("{at} /{steps}");
                 let budget = || Budget::unlimited().with_step_limit(steps).meter();
-                // The session's dense store keeps nothing between queries,
-                // so it follows the sparse store's traversal step for step
-                // and is cut where the sparse store is cut.
+                // The session's walk expands the query's (node, phase)
+                // states in the canonical order, as the sort-based walk
+                // does, so it is cut where the sort-based walk is cut.
                 let cut = session.query(&q.clone().with_policy(limited(steps, false)));
-                let (want, w) = cs_oneshot(&cs, index, &cs_seeds, kind, &mut budget());
+                let (want, w) = cs_walk_sparse(&cs, &summary, &cs_seeds, kind, &mut budget());
                 assert!(!w.is_complete(), "{at}");
                 assert_eq!(cut.completeness, w, "{at}");
                 assert_same(&cut, &want.stmts, &want.visited, &at);
-                // With degradation on, the cut tabulation is re-answered by
-                // the dense BFS over the CS graph under a fresh meter.
+                // With degradation on, the cut walk is re-answered by the
+                // dense BFS over the CS graph under a fresh meter.
                 let ladder = session.query(&q.clone().with_policy(limited(steps, true)));
                 assert!(ladder.degraded, "{at}");
                 let (want, _) = slice_sparse(&cs, &cs_seeds, kind, &mut sparse, &mut budget());
@@ -237,9 +238,9 @@ fn session_answers_match_the_sort_based_references_on_the_growable_graphs() {
                 for kind in KINDS {
                     let at = format!("{} {stmt:?} {engine:?}/{kind:?}", b.name);
                     let unlimited = &mut Meter::unlimited();
-                    let (want, _) = match engine {
-                        Engine::Ci => slice_sparse(sdg, &seeds, kind, &mut scratch, unlimited),
-                        Engine::Cs => cs_oneshot(sdg, &cs_index, &seeds, kind, unlimited),
+                    let want = match engine {
+                        Engine::Ci => slice_sparse(sdg, &seeds, kind, &mut scratch, unlimited).0,
+                        Engine::Cs => cs_oneshot(sdg, &cs_index, &seeds, kind),
                     };
                     let got = session.query(&Query::new(vec![stmt], kind, engine));
                     assert_eq!((got.engine, got.kind), (engine, kind), "{at}");

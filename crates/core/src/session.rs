@@ -20,11 +20,12 @@
 //! warm query returns exactly what a cold one would. The only
 //! context-sensitive graph facts a session keeps are its summary graphs,
 //! one per slice kind because summary edges depend on which edges a kind
-//! follows: the first ungoverned CS query or batch of a kind builds its
-//! summary graph, and the session drops them all whenever the CS graph
-//! changes. A governed CS query tabulates from its seeds on scratch that
-//! keeps nothing between queries, so its answer, truncated or not, never
-//! depends on what the session answered before.
+//! follows: the first CS query or batch of a kind, governed or not,
+//! builds its summary graph, and the session drops them all whenever the
+//! CS graph changes. A CS query walks that graph from its seeds in an
+//! order that depends only on its seeds, on scratch that keeps nothing
+//! between queries, so its answer, truncated or not, never depends on
+//! what the session answered before.
 //!
 //! # Examples
 //!
@@ -54,8 +55,8 @@ use thinslice_ir::delta::{ProgramDelta, ProgramFingerprints};
 use thinslice_ir::{compile_fingerprinted, CompileError, Program, StmtRef};
 use thinslice_pta::{incr, GenCache, ModRef, Pta, PtaConfig};
 use thinslice_sdg::{
-    body_fingerprint, build_ci_cached, build_cs_cached, DenseDisplay, DepGraph, FrozenSdg,
-    HeapMode, NodeId, Sdg, SdgCache,
+    body_fingerprint, build_ci_cached, build_cs_cached, DepGraph, FrozenSdg, HeapMode, NodeId, Sdg,
+    SdgCache,
 };
 use thinslice_util::{
     Budget, ByteReader, ByteWriter, CancelToken, CodecError, Completeness, FxHashSet, Idx, RunCtx,
@@ -68,8 +69,9 @@ pub enum Engine {
     /// Context-insensitive reachability (BFS over the CI dependence
     /// graph): cheap, may follow unrealisable call/return paths.
     Ci,
-    /// Context-sensitive tabulation (demand-driven RHS summaries over the
-    /// heap-parameter graph): precise across calls, more expensive.
+    /// Context-sensitive reachability over the heap-parameter graph and
+    /// its summary edges (demand-driven RHS tabulation): precise across
+    /// calls, more expensive.
     Cs,
 }
 
@@ -137,8 +139,8 @@ pub struct SliceResult {
     /// The dependence relation the slice followed.
     pub kind: SliceKind,
     /// Statements in the slice, in the answering engine's canonical
-    /// order: BFS (distance) order for reachability, sorted for
-    /// tabulation.
+    /// order: BFS (distance) order for CI reachability, sorted for the
+    /// context-sensitive walk.
     pub stmts: StmtSet,
     /// How many dependence-graph nodes the walk visited, statements and
     /// connective nodes alike: the work a query did, which the daemon
@@ -310,7 +312,7 @@ pub struct AnalysisSession {
     cs: Option<Sdg>,
     cs_csr: Option<FrozenSdg>,
     /// The CS graph's summary graphs, one per slice kind, built on first
-    /// use by ungoverned CS queries.
+    /// use by CS queries.
     summaries: SummaryGraphs,
     scratch: Scratch,
     /// Per-method constraint-generation streams (solver input), kept warm
@@ -470,8 +472,8 @@ impl AnalysisSession {
     ///   bit-identical to a fresh session.
     ///
     /// Stage laziness is preserved: a stage never built is not built now.
-    /// A changed CS graph drops every per-kind summary graph; the next
-    /// ungoverned CS query or batch of a kind rebuilds it.
+    /// A changed CS graph drops every per-kind summary graph; the next CS
+    /// query or batch of a kind rebuilds it.
     ///
     /// # Errors
     ///
@@ -853,7 +855,7 @@ impl AnalysisSession {
     }
 
     /// Answers one query. Artifacts the query needs are built on first
-    /// use, an ungoverned CS query's summary graph among them, and scratch
+    /// use, a CS query's summary graph among them, and scratch
     /// is reused across queries, so a warm session answers repeated
     /// queries without re-deriving anything — and, by the cache
     /// invariants, identically to a cold one.
@@ -866,18 +868,7 @@ impl AnalysisSession {
                 self.ensure_ci_csr();
                 let graph = self.ci_csr.as_ref().expect("ci csr ensured");
                 let seeds = resolve_seeds(graph, &q.seeds);
-                // The full slicer follows every edge: the graph is its own
-                // filtered view.
-                let prefiltered = q.kind == SliceKind::TraditionalFull;
-                answer_ci(
-                    graph,
-                    prefiltered,
-                    &seeds,
-                    q.kind,
-                    &budget,
-                    &mut self.scratch.bfs,
-                    &tel,
-                )
+                answer_ci(graph, &seeds, q.kind, &budget, &mut self.scratch.bfs, &tel)
             }
             Engine::Cs => {
                 self.ensure_cs_csr();
@@ -887,13 +878,15 @@ impl AnalysisSession {
                 let result = answer_cs(
                     graph,
                     &self.summaries,
-                    &seeds,
+                    &[seeds],
                     q.kind,
                     &budget,
                     q.policy.degrade,
                     &mut self.scratch,
                     &tel,
-                );
+                )
+                .pop()
+                .expect("one query, one answer");
                 if self.summaries.count() != built {
                     self.refresh_resident();
                 }
@@ -978,7 +971,7 @@ impl AnalysisSession {
     pub fn batch_workers(&self, queries: &[Query], threads: usize, opts: &BatchOptions) -> usize {
         self.batch_groups(queries, opts)
             .iter()
-            .map(|(idxs, cfg)| cfg.workers(queries[idxs[0]].engine, threads, idxs.len()))
+            .map(|(idxs, cfg)| cfg.workers(threads, idxs.len()))
             .max()
             .unwrap_or(1)
     }
@@ -1340,8 +1333,8 @@ mod tests {
         let mut s = AnalysisSession::new(&[("t.mj", SRC)]).unwrap();
         let seeds = s.seed_at_line("t.mj", 10).unwrap();
         for engine in [Engine::Ci, Engine::Cs] {
-            // One query, two (a lane walk) and twenty (a CI batch over the
-            // kind-filtered view of the graph).
+            // One query, two (a lane walk) and twenty (a lane walk on
+            // each of two workers).
             let q = Query::new(seeds.clone(), SliceKind::Thin, engine);
             let single = s.query(&q);
             let table = Arc::clone(match engine {
@@ -2021,8 +2014,8 @@ class Main {
                 .map(|(n, t)| (n.as_str(), t.as_str()))
                 .collect()
         }
-        /// An ungoverned CS query of `kind` from the first print the CS
-        /// graph reaches; answering it builds the kind's summary graph.
+        /// A CS query of `kind` from the first print the CS graph reaches;
+        /// answering it builds the kind's summary graph.
         fn cs_query(s: &mut AnalysisSession, kind: SliceKind) -> Query {
             s.ensure_cs_csr();
             let graph = s.cs_csr.as_ref().expect("cs csr ensured");

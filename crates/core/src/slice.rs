@@ -4,11 +4,12 @@
 //! every single CI answer: [`crate::AnalysisSession`] queries, the
 //! degradation ladder and the §4 expansions of [`crate::expand`]. The
 //! batch engine answers up to 64 queries per walk with `slice_lanes`, the
-//! same loop run for a word of lanes at once. The tests pin both against
-//! `slice_sparse`, a sort-based reference that walks any
-//! [`DepGraph`](thinslice_sdg::DepGraph), the growable graph included. An
-//! ungoverned caller passes an unlimited [`Meter`] (one predictable branch
-//! per node), a governed one an armed meter.
+//! same loop run for a word of lanes at once. Both walk the whole graph
+//! and test each edge's label against the slice kind. The tests pin both
+//! against `slice_sparse`, a sort-based reference that walks any
+//! [`DepGraph`], the growable graph included. An ungoverned caller passes
+//! an unlimited [`Meter`] (one predictable branch per node), a governed
+//! one an armed meter.
 //!
 //! A walk yields a crate-internal `Slice`: its statements and the number
 //! of graph nodes it visited. Callers read it as a
@@ -17,9 +18,7 @@
 use crate::stmtset::StmtSet;
 #[cfg(test)]
 use thinslice_ir::StmtRef;
-#[cfg(test)]
-use thinslice_sdg::DepGraph;
-use thinslice_sdg::{DenseDisplay, NodeId, NO_DISPLAY};
+use thinslice_sdg::{DepGraph, FrozenSdg, NodeId, NO_DISPLAY};
 #[cfg(test)]
 use thinslice_util::FxHashSet;
 use thinslice_util::{BitSet, Completeness, Idx, Meter};
@@ -50,9 +49,9 @@ impl SliceKind {
     }
 }
 
-/// The result of a backward slice, by reachability or by tabulation: the
-/// engines' internal answer, which [`crate::batch`] labels into a
-/// [`SliceResult`](crate::SliceResult).
+/// The result of a backward slice, by CI reachability or by the
+/// context-sensitive walk: the engines' internal answer, which
+/// [`crate::batch`] labels into a [`SliceResult`](crate::SliceResult).
 #[derive(Debug, Clone)]
 pub(crate) struct Slice {
     /// The dependence relation used.
@@ -61,8 +60,8 @@ pub(crate) struct Slice {
     /// connective nodes alike.
     pub(crate) nodes_visited: usize,
     /// Statements in the slice, in the engine's canonical order: BFS from
-    /// the seed (distance first, node id within a level) for
-    /// reachability, sorted for tabulation.
+    /// the seed (distance first, node id within a level) for CI
+    /// reachability, sorted for the context-sensitive walk.
     pub(crate) stmts: StmtSet,
     /// The visited nodes' ids, ascending: the membership the tests compare
     /// across slicers and graph representations.
@@ -263,12 +262,11 @@ pub(crate) fn slice_sparse<G: DepGraph>(
 /// The backward-reachability loop over a frozen graph: a metered
 /// level-synchronous wavefront whose canonical visit order is (BFS level,
 /// ascending node id), using the graph's dense statement numbering
-/// ([`DenseDisplay`]) so the per-node statement dedup is a bit test
-/// instead of a hash. With `prefiltered` the graph's edges are already
-/// exactly the ones `kind` follows (see `FrozenSdg::filtered`) and the
-/// inner loop skips the per-edge kind test. Truncation behaves as in
-/// `slice_sparse`: the emitted prefix of the canonical order, marked with
-/// the abandoned frontier size.
+/// ([`FrozenSdg::display_dense`]) so the per-node statement dedup is a bit
+/// test instead of a hash. The walk tests each edge's label against
+/// `kind`, except for the full slicer, which follows every edge.
+/// Truncation behaves as in `slice_sparse`: the emitted prefix of the
+/// canonical order, marked with the abandoned frontier size.
 ///
 /// Wide levels (more than one frontier node per [`WIDE_LEVEL_DIVISOR`]
 /// graph nodes) switch discovery to word-parallel bitset algebra: targets
@@ -280,12 +278,11 @@ pub(crate) fn slice_sparse<G: DepGraph>(
 /// slice — matches `slice_sparse` exactly; only the bookkeeping
 /// differs. Every scratch bitset is empty again when this returns,
 /// truncated or not.
-pub(crate) fn slice_dense<G: DenseDisplay>(
-    sdg: &G,
+pub(crate) fn slice_dense(
+    sdg: &FrozenSdg,
     seeds: &[NodeId],
     kind: SliceKind,
     scratch: &mut SliceScratch,
-    prefiltered: bool,
     meter: &mut Meter,
 ) -> (Slice, Completeness) {
     let SliceScratch {
@@ -298,6 +295,9 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
         ..
     } = scratch;
     let node_count = sdg.node_count();
+    // The full slicer follows every edge: matching on the kind spares its
+    // walk the per-edge test.
+    let every = kind == SliceKind::TraditionalFull;
     let mut stmts = Vec::new();
     for &n in seeds {
         if visited.insert(n) {
@@ -330,7 +330,7 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
             // Word mode: unconditional discovery, then level-wide algebra.
             for &n in cur.iter() {
                 for e in sdg.deps(n) {
-                    if prefiltered || kind.follows(&e.kind) {
+                    if every || kind.follows(&e.kind) {
                         next_bits.insert(e.target);
                     }
                 }
@@ -342,7 +342,7 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
         } else {
             for &n in cur.iter() {
                 for e in sdg.deps(n) {
-                    if (prefiltered || kind.follows(&e.kind)) && visited.insert(e.target) {
+                    if (every || kind.follows(&e.kind)) && visited.insert(e.target) {
                         next.push(e.target);
                     }
                 }
@@ -380,6 +380,13 @@ struct LaneMasks {
     next: u64,
 }
 
+/// The lanes whose meter can run out: a lane walk ticks only these.
+pub(crate) fn metered_lanes(meters: &[Meter]) -> u64 {
+    (meters.iter().enumerate())
+        .filter(|(_, m)| !m.is_unlimited())
+        .fold(0, |mask, (l, _)| mask | 1 << l)
+}
+
 /// The lanes set in `mask`, lowest first.
 pub(crate) fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -391,6 +398,34 @@ pub(crate) fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
+/// A count per lane, kept as bit planes: `planes[k]` holds bit `k` of
+/// every lane's count, so one addition counts for all the lanes of a mask.
+#[derive(Default)]
+pub(crate) struct LaneCounts {
+    planes: [u64; 32],
+}
+
+impl LaneCounts {
+    /// Adds one to the count of every lane in `lanes`.
+    pub(crate) fn add(&mut self, mut lanes: u64) {
+        for plane in &mut self.planes {
+            if lanes == 0 {
+                break;
+            }
+            let carry = *plane & lanes;
+            *plane ^= lanes;
+            lanes = carry;
+        }
+    }
+
+    /// Lane `l`'s count.
+    pub(crate) fn get(&self, l: usize) -> usize {
+        (self.planes.iter().enumerate())
+            .map(|(k, plane)| ((plane >> l & 1) as usize) << k)
+            .sum()
+    }
+}
+
 /// [`slice_dense`] for up to [`LANES`] queries at once: one
 /// level-synchronous walk over the union of their wavefronts (multi-source
 /// BFS), with a `u64` lane mask per node and per display statement. Query
@@ -400,19 +435,20 @@ pub(crate) fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
 /// lane emits exactly its own level in the canonical (level, id) order.
 /// A lane ticks its own meter once per node it emits, with its own emitted
 /// count as the tracked size, and dedups statements through its own bit of
-/// the statement masks. Each node is expanded once, for the lanes that
-/// emitted it. A lane whose meter runs out stops emitting, counts its
-/// unemitted nodes of that level as its frontier and is dropped from the
-/// next level, exactly where the single walk stops. So each lane answers
+/// the statement masks. A lane whose meter cannot run out emits every node
+/// it discovers without a tick, and its nodes are counted once the walk
+/// ends. Each node is expanded once, for the lanes that emitted it. A
+/// lane whose meter runs out stops emitting, counts its unemitted nodes
+/// of that level as its frontier and is dropped from the next level,
+/// exactly where the single walk stops. So each lane answers
 /// what `slice_dense` answers for its query under the same meter; what the
 /// lanes share is the scan of each node's edges, which every lane holding
 /// the node would otherwise repeat.
-pub(crate) fn slice_lanes<G: DenseDisplay>(
-    sdg: &G,
+pub(crate) fn slice_lanes(
+    sdg: &FrozenSdg,
     queries: &[Vec<NodeId>],
     kind: SliceKind,
     scratch: &mut SliceScratch,
-    prefiltered: bool,
     meters: &mut [Meter],
 ) -> Vec<(Slice, Completeness)> {
     assert!(queries.len() <= LANES && meters.len() == queries.len());
@@ -434,6 +470,8 @@ pub(crate) fn slice_lanes<G: DenseDisplay>(
     if stmt_lanes.len() < sdg.stmt_table().len() {
         stmt_lanes.resize(sdg.stmt_table().len(), 0);
     }
+    // As in `slice_dense`: the full slicer skips the per-edge test.
+    let every = kind == SliceKind::TraditionalFull;
     let lanes = queries.len();
     let mut emitted = vec![0usize; lanes];
     let mut leftover = vec![0usize; lanes];
@@ -442,7 +480,8 @@ pub(crate) fn slice_lanes<G: DenseDisplay>(
     }
     #[cfg(test)]
     let mut visited: Vec<Vec<NodeId>> = vec![Vec::new(); lanes];
-    // Lanes whose meter has run out.
+    // Lanes whose meter can run out, and those whose meter has.
+    let metered = metered_lanes(meters);
     let mut exhausted = 0u64;
     // Discovers `t` for the lanes in `lanes` that have not seen it yet.
     let mut discover = |masks: &mut [LaneMasks], next: &mut Vec<NodeId>, t: NodeId, lanes: u64| {
@@ -478,12 +517,11 @@ pub(crate) fn slice_lanes<G: DenseDisplay>(
             break;
         }
         for &(n, at) in cur.iter() {
-            for l in lanes_of(at & exhausted) {
-                leftover[l] += 1;
-            }
-            let mut emit = 0;
-            for l in lanes_of(at & !exhausted) {
-                if meters[l].tick_tracked(emitted[l]) {
+            let mut emit = at & !metered;
+            for l in lanes_of(at & metered) {
+                if exhausted & 1 << l != 0 {
+                    leftover[l] += 1;
+                } else if meters[l].tick_tracked(emitted[l]) {
                     emitted[l] += 1;
                     emit |= 1 << l;
                     #[cfg(test)]
@@ -511,14 +549,21 @@ pub(crate) fn slice_lanes<G: DenseDisplay>(
                 }
             }
             for e in sdg.deps(n) {
-                if prefiltered || kind.follows(&e.kind) {
+                if every || kind.follows(&e.kind) {
                     discover(masks, next, e.target, emit);
                 }
             }
         }
     }
+    // An unmetered lane emitted every node it saw.
+    let mut unmetered = LaneCounts::default();
     for n in touched.drain(..) {
-        masks[n.index()].seen = 0;
+        let seen = std::mem::take(&mut masks[n.index()].seen) & !metered;
+        unmetered.add(seen);
+        #[cfg(test)]
+        for l in lanes_of(seen) {
+            visited[l].push(n);
+        }
     }
     for d in stmt_touched.drain(..) {
         stmt_lanes[d as usize] = 0;
@@ -531,7 +576,10 @@ pub(crate) fn slice_lanes<G: DenseDisplay>(
             ids.clear();
             let slice = Slice {
                 kind,
-                nodes_visited: emitted[l],
+                nodes_visited: match metered & 1 << l {
+                    0 => unmetered.get(l),
+                    _ => emitted[l],
+                },
                 stmts,
                 #[cfg(test)]
                 visited: sorted_ids(std::mem::take(&mut visited[l])),
@@ -712,7 +760,6 @@ mod tests {
                 &[seed],
                 kind,
                 &mut SliceScratch::new(),
-                false,
                 &mut Meter::unlimited(),
             )
             .0;
@@ -760,7 +807,6 @@ mod tests {
                 SliceKind::TraditionalData,
                 SliceKind::TraditionalFull,
             ] {
-                let filtered = graph.filtered(|e| kind.follows(&e.kind));
                 for (g, group) in queries.chunks(LANES).enumerate() {
                     let at = format!("{name} {kind:?} group {g}");
                     let unlimited = |_: &Vec<NodeId>| Meter::unlimited();
@@ -769,7 +815,7 @@ mod tests {
                         .map(|q| slice_sparse(graph, q, kind, &mut sparse, &mut unlimited(q)))
                         .collect();
                     let mut meters: Vec<Meter> = group.iter().map(unlimited).collect();
-                    let walked = slice_lanes(&filtered, group, kind, &mut lanes, true, &mut meters);
+                    let walked = slice_lanes(graph, group, kind, &mut lanes, &mut meters);
                     assert!(lanes.is_clean(), "{at}");
                     for (l, ((got, c), (want, _))) in walked.iter().zip(&full).enumerate() {
                         assert!(c.is_complete(), "{at} lane {l}");
@@ -792,7 +838,7 @@ mod tests {
                         None => Meter::unlimited(),
                     };
                     let mut meters: Vec<Meter> = limits.iter().map(meter).collect();
-                    let walked = slice_lanes(graph, group, kind, &mut lanes, false, &mut meters);
+                    let walked = slice_lanes(graph, group, kind, &mut lanes, &mut meters);
                     assert!(lanes.is_clean(), "{at}");
                     for (l, ((got, c), q)) in walked.iter().zip(group).enumerate() {
                         let (want, w) =

@@ -11,8 +11,8 @@ use thinslice_util::FxHashSet;
 /// A deduplicated, canonically ordered set of statements in a slice.
 ///
 /// Stored as 4-byte dense ids into the frozen graph's table of display
-/// statements (`DenseDisplay::stmt_table` in `thinslice_sdg`), which
-/// every answer over that graph shares: batch queries produce millions of
+/// statements (`FrozenSdg::stmt_table` in `thinslice_sdg`), which every
+/// answer over that graph shares: batch queries produce millions of
 /// statements, and an id is a third of a [`StmtRef`]. The answer keeps
 /// its table alive, so it still names its statements after the session
 /// that answered it has moved on to an edited program. The order — BFS

@@ -1,4 +1,5 @@
-//! Context-sensitive backward slicing via demand-driven tabulation.
+//! Context-sensitive backward slicing: summary edges by demand-driven
+//! tabulation, answers by a two-phase walk.
 //!
 //! Implements the paper's §5.3 algorithm: "context-sensitive reachability
 //! as a partially balanced parentheses problem … a backwards, demand-driven
@@ -6,7 +7,7 @@
 //! callee (through a return value or heap actual-out) opens a parenthesis
 //! at the call site; ascending back to a caller must close it at the same
 //! site. Procedure *summary edges* (call-site consumer → call-site actual)
-//! are computed lazily as entry nodes are reached from exits.
+//! are computed as entry nodes are reached from exits.
 //!
 //! The tabulation is meant for graphs whose *every* cross-procedure edge
 //! is a labelled parameter/call edge — the heap-parameter mode of
@@ -16,30 +17,30 @@
 //! is truncated; the paper likewise only pairs tabulation with heap
 //! parameters.
 //!
-//! Once every summary edge of a (graph, kind) pair is known, a complete
-//! answer needs no tabulation: it is two-phase reachability (Horwitz,
-//! Reps and Binkley's slicer). `SummaryGraph` runs the same tabulation
-//! loop once from every callee exit and adds the summary edges it records
-//! to the graph's edges; `cs_lanes` then answers up to 64 unbudgeted
-//! queries with one bit-parallel walk over that graph. So
-//! [`crate::AnalysisSession`] answers an `Engine::Cs` query one of two
-//! ways: an ungoverned one, alone or batched, is a lane walk over its
-//! kind's summary graph (a single query is one lane); a governed one is
-//! the demand-driven tabulation from its seeds, on a store that keeps
-//! nothing from one query to the next, so where a budget cuts it depends
-//! only on the graph, the kind, the seeds and the budget.
+//! Once every summary edge of a (graph, kind) pair is known, an answer
+//! needs no tabulation: it is two-phase reachability (Horwitz, Reps and
+//! Binkley's slicer). `SummaryGraph` runs the tabulation loop once from
+//! every callee exit and adds the summary edges it records to the graph's
+//! edges, and `cs_lanes` answers up to 64 queries with one bit-parallel,
+//! level-synchronous walk over that graph, each query under its own
+//! meter. So [`crate::AnalysisSession`] answers every `Engine::Cs` query,
+//! governed or not, alone or batched, by that walk over its kind's summary
+//! graph (a single query is one lane). A lane whose meter can run out
+//! expands its (node, phase) states in a canonical order that depends
+//! only on its own seeds, so where a budget cuts it depends only on the
+//! graph, the kind, the seeds and the budget.
 //!
-//! A tabulation answers with the same `Slice` shape as reachability:
-//! its statements, sorted, and the number of nodes with a path edge.
+//! A walk answers with the same `Slice` shape as reachability: its
+//! statements, sorted, and the number of nodes it expanded.
 
-use crate::slice::{lanes_of, Slice, SliceKind, LANES};
+use crate::slice::{lanes_of, metered_lanes, LaneCounts, Slice, SliceKind, LANES};
 use crate::stmtset::StmtSet;
 use std::collections::VecDeque;
 use std::sync::OnceLock;
 #[cfg(test)]
 use thinslice_ir::StmtRef;
-use thinslice_sdg::{DenseDisplay, DepGraph, EdgeKind, FrozenSdg, NodeId, NodeKind, NO_DISPLAY};
-use thinslice_util::{BitSet, Completeness, Idx, IdxVec, Meter, Telemetry};
+use thinslice_sdg::{DepGraph, EdgeKind, FrozenSdg, NodeId, NodeKind, NO_DISPLAY};
+use thinslice_util::{Completeness, Idx, IdxVec, Meter, Telemetry};
 #[cfg(test)]
 use thinslice_util::{FxHashMap, FxHashSet};
 
@@ -47,6 +48,9 @@ use thinslice_util::{FxHashMap, FxHashSet};
 /// allowed) or a callee exit being summarised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Src {
+    /// A query's seed region: only the tests' reference tabulation
+    /// ([`cs_oneshot`]) starts there.
+    #[cfg_attr(not(test), allow(dead_code))]
     Seed,
     Exit(NodeId),
 }
@@ -83,17 +87,14 @@ pub use thinslice_sdg::DownConsumers;
 /// The algorithm ([`tabulate`]) is written once against this trait; the
 /// two implementations trade differently:
 ///
-/// * [`DenseStore`] — [`NodeId`]-indexed tables, O(graph) one-time setup,
-///   per-step array indexing, O(|slice|) clearing via touched-lists. What
-///   every tabulation of the crate runs on: a governed query, on its
-///   thread's [`CsScratch`], and the build of a [`SummaryGraph`].
+/// * [`DenseStore`] — [`NodeId`]-indexed tables, O(graph) setup, per-step
+///   array indexing: what builds every [`SummaryGraph`].
 /// * `SparseStore` (tests only) — hash maps, no setup cost, per-step
-///   hashing, and a sort-based `finish`: the reference the tests compare
-///   the dense store against, as `slice_sparse` is for reachability.
+///   hashing, and a sort-based `finish`: the complete tabulation from a
+///   query's seeds, the reference the tests hold the two-phase walk to.
 ///
-/// Both store exactly the same relations, so the traversal — and the
-/// slice — is identical whichever backs it. Each store builds the result
-/// from its reached nodes in its own `finish`.
+/// Both store exactly the same relations, so the traversal is identical
+/// whichever backs it.
 trait TabStore {
     /// Adds `src` to `n`'s path-edge set; true if it was not there.
     fn add_path(&mut self, n: NodeId, src: Src) -> bool;
@@ -103,8 +104,6 @@ trait TabStore {
     fn add_summary(&mut self, consumer: NodeId, actual: NodeId) -> bool;
     /// Copies `n`'s known summary continuations into `out` (cleared first).
     fn copy_summaries(&self, n: NodeId, out: &mut Vec<NodeId>);
-    /// Current size of the path-edge relation, for watermark metering.
-    fn resident(&self) -> usize;
 }
 
 /// Hash-map tabulation storage. See [`TabStore`].
@@ -143,10 +142,6 @@ impl TabStore for SparseStore {
             out.extend(conts.iter().copied());
         }
     }
-
-    fn resident(&self) -> usize {
-        self.path.len()
-    }
 }
 
 #[cfg(test)]
@@ -172,36 +167,24 @@ impl SparseStore {
     }
 }
 
-/// Dense tabulation storage. See [`TabStore`].
-///
-/// Nothing in it outlives a query: [`DenseStore::finish`] clears every
-/// path edge and summary edge the query recorded, so the next query, of
-/// any kind, starts from the empty relations a fresh store holds and
-/// follows the same traversal.
-#[derive(Debug, Default)]
+/// Dense tabulation storage for one [`SummaryGraph`] build. See
+/// [`TabStore`].
+#[derive(Debug)]
 struct DenseStore {
     /// `path[n]` = sources with a path edge to `n`. The per-node source
     /// sets are tiny (almost always 1–3), so a vector with linear dedup
     /// beats a hash set.
     path: IdxVec<NodeId, Vec<Src>>,
-    /// Nodes whose path set is non-empty — the visited nodes, and the
-    /// clear list.
-    reached: Vec<NodeId>,
     /// Summary edges discovered so far: consumer node → continuations.
     summaries: IdxVec<NodeId, Vec<NodeId>>,
-    /// Consumers with a summary edge, the clear list of `summaries`.
-    summarised: Vec<NodeId>,
-    /// Dense display ids already harvested by the finishing query; the
-    /// answer's ids are its clear list.
-    stmt_seen: BitSet<u32>,
 }
 
 impl DenseStore {
-    /// Grows the tables to cover `node_count` nodes.
-    fn ensure(&mut self, node_count: usize) {
-        if self.path.len() < node_count {
-            self.path = IdxVec::from_elem(Vec::new(), node_count);
-            self.summaries = IdxVec::from_elem(Vec::new(), node_count);
+    /// Empty tables covering `node_count` nodes.
+    fn new(node_count: usize) -> DenseStore {
+        DenseStore {
+            path: IdxVec::from_elem(Vec::new(), node_count),
+            summaries: IdxVec::from_elem(Vec::new(), node_count),
         }
     }
 }
@@ -211,9 +194,6 @@ impl TabStore for DenseStore {
         let srcs = &mut self.path[n];
         if srcs.contains(&src) {
             return false;
-        }
-        if srcs.is_empty() {
-            self.reached.push(n);
         }
         srcs.push(src);
         true
@@ -229,9 +209,6 @@ impl TabStore for DenseStore {
         if v.contains(&actual) {
             return false;
         }
-        if v.is_empty() {
-            self.summarised.push(consumer);
-        }
         v.push(actual);
         true
     }
@@ -240,83 +217,44 @@ impl TabStore for DenseStore {
         out.clear();
         out.extend(self.summaries[n].iter().copied());
     }
-
-    fn resident(&self) -> usize {
-        self.reached.len()
-    }
 }
 
-impl DenseStore {
-    /// Builds the result from every node with a path edge, then clears the
-    /// store, retaining capacity, so the next query allocates nothing.
-    /// Display statements are deduplicated through their dense ids first,
-    /// so only the distinct ones are sorted, and sorting the ids sorts the
-    /// statements.
-    fn finish<G: DenseDisplay>(&mut self, sdg: &G, kind: SliceKind) -> Slice {
-        let mut ids = Vec::new();
-        for &n in &self.reached {
-            let d = sdg.display_dense(n);
-            if d != NO_DISPLAY && self.stmt_seen.insert(d) {
-                ids.push(d);
-            }
-        }
-        for &d in &ids {
-            self.stmt_seen.remove(d);
-        }
-        ids.sort_unstable();
-        let slice = Slice {
-            kind,
-            nodes_visited: self.reached.len(),
-            stmts: StmtSet::from_ids(ids, sdg.stmt_table()),
-            #[cfg(test)]
-            visited: crate::slice::sorted_ids(self.reached.iter().copied()),
-        };
-        for n in self.reached.drain(..) {
-            self.path[n].clear();
-        }
-        for n in self.summarised.drain(..) {
-            self.summaries[n].clear();
-        }
-        slice
-    }
-}
-
-/// One thread's context-sensitive scratch: the dense tabulation store
-/// with its worklist and staging buffers, and the buffers of a lane walk.
-/// Every query leaves it empty, so it serves any graph and any kind, and
-/// in steady state a query allocates nothing but its result. Buffers grow
-/// on first use.
+/// One thread's context-sensitive scratch: the buffers of a [`cs_lanes`]
+/// walk. Every walk leaves it empty or zero, so it serves any graph and
+/// any kind, and in steady state a query allocates nothing but its
+/// result. Buffers grow on first use.
 #[derive(Debug, Default)]
 pub(crate) struct CsScratch {
-    store: DenseStore,
-    wl: VecDeque<(Src, NodeId)>,
-    /// Staging buffer for a consumer's source set while it is extended
-    /// (the extension mutates the store, so the set cannot stay borrowed).
-    tmp_srcs: Vec<Src>,
-    /// Staging buffer for a consumer's summary continuations, ditto.
-    tmp_conts: Vec<NodeId>,
-    /// The buffers of [`cs_lanes`], empty or zero between walks.
-    lanes: LaneBuffers,
+    /// Masks per node, zero between walks.
+    masks: Vec<PhaseMasks>,
+    /// The nodes of the next level, in discovery order.
+    next: Vec<NodeId>,
+    /// The current level's nodes.
+    ordered: Vec<NodeId>,
+    /// In a walk with metered lanes, the current level's lanes per phase,
+    /// node by node, taken when the level starts.
+    level: Vec<[u64; 2]>,
+    /// Nodes some lane reached, the clear list.
+    touched: Vec<NodeId>,
+    /// The lanes holding each dense display statement, zero between walks,
+    /// and the statements some lane holds.
+    stmt_lanes: Vec<u64>,
+    stmt_touched: Vec<u32>,
 }
 
 impl CsScratch {
     /// Whether the scratch is empty, as every query must leave it.
     #[cfg(test)]
     pub(crate) fn is_clean(&self) -> bool {
-        let (s, l) = (&self.store, &self.lanes);
-        s.reached.is_empty()
-            && s.summarised.is_empty()
-            && s.stmt_seen.is_empty()
-            && s.path.iter().all(Vec::is_empty)
-            && s.summaries.iter().all(Vec::is_empty)
-            && self.wl.is_empty()
-            && l.masks
-                .iter()
-                .all(|m| m.reached == [0; 2] && m.pending == [0; 2])
-            && l.wl.is_empty()
-            && l.touched.is_empty()
-            && l.stmt_lanes.iter().all(|&m| m == 0)
-            && l.stmt_touched.is_empty()
+        self.masks
+            .iter()
+            .all(|m| m.reached == [0; 2] && m.next == [0; 2])
+            && self.next.is_empty()
+            && self.ordered.is_empty()
+            && self.level.is_empty()
+            && self.touched.is_empty()
+            && self.stmt_lanes.iter().all(|&m| m == 0)
+            && self.stmt_touched.is_empty()
     }
 }
 
@@ -324,10 +262,10 @@ impl CsScratch {
 const KINDS: usize = 3;
 
 /// A session's context-sensitive graph facts: one [`SummaryGraph`] per
-/// slice kind of its CS graph, each built by the first ungoverned CS
-/// query or batch of its kind and kept until [`SummaryGraphs::clear`],
-/// which the session calls whenever the CS graph changes. Batch workers
-/// read them through a shared reference.
+/// slice kind of its CS graph, each built by the first CS query or batch
+/// of its kind and kept until [`SummaryGraphs::clear`], which the session
+/// calls whenever the CS graph changes. Batch workers read them through a
+/// shared reference.
 #[derive(Debug, Default)]
 pub(crate) struct SummaryGraphs([OnceLock<SummaryGraph>; KINDS]);
 
@@ -372,7 +310,7 @@ impl SummaryGraphs {
     }
 }
 
-/// The graph a context-sensitive lane walk ([`cs_lanes`]) follows for one
+/// The graph a context-sensitive walk ([`cs_lanes`]) follows for one
 /// (graph, slice kind) pair: each node's edges that the kind follows,
 /// sorted by [`classify`] into local, up and down rows, with every summary
 /// edge of the pair (call-site consumer → call-site actual) added to the
@@ -395,21 +333,14 @@ pub(crate) struct SummaryGraph {
 impl SummaryGraph {
     /// Tabulates `sdg`'s callee exits under `kind` and lays out the walk's
     /// rows.
-    fn build<G: DepGraph>(sdg: &G, index: &DownConsumers, kind: SliceKind) -> SummaryGraph {
-        let mut store = DenseStore::default();
-        store.ensure(sdg.node_count());
+    pub(crate) fn build<G: DepGraph>(
+        sdg: &G,
+        index: &DownConsumers,
+        kind: SliceKind,
+    ) -> SummaryGraph {
+        let mut store = DenseStore::new(sdg.node_count());
         let exits = index.exits().into_iter().map(|x| (Src::Exit(x), x));
-        tabulate(
-            sdg,
-            index,
-            exits,
-            kind,
-            &mut store,
-            &mut VecDeque::new(),
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut Meter::unlimited(),
-        );
+        tabulate(sdg, index, exits, kind, &mut store);
         let row_end =
             |targets: &Vec<NodeId>| u32::try_from(targets.len()).expect("edge count exceeds u32");
         let mut rows = Vec::with_capacity(3 * sdg.node_count() + 1);
@@ -447,142 +378,190 @@ impl SummaryGraph {
     }
 }
 
-/// The phases of a lane walk: the seed's own context, and inside a callee
+/// The phases of a walk: the seed's own context, and inside a callee
 /// entered through a down edge.
 const SEED: usize = 0;
 const CALLEE: usize = 1;
 
-/// One node's lane masks in a [`cs_lanes`] walk, per phase: bit `l`
-/// stands for query `l`.
+/// One node's lane masks in a [`cs_lanes`] walk: bit `l` stands for query
+/// `l`.
 #[derive(Debug, Default, Clone, Copy)]
 struct PhaseMasks {
-    /// The lanes that have reached the node.
+    /// Per phase, the lanes that have reached the node, less a cut lane's
+    /// states it never expanded.
     reached: [u64; 2],
-    /// The lanes that reached it since it was last expanded.
-    pending: [u64; 2],
+    /// Per phase, the lanes whose next level holds the node.
+    next: [u64; 2],
 }
 
-/// The buffers of a [`cs_lanes`] walk.
-#[derive(Debug, Default)]
-struct LaneBuffers {
-    /// Masks per node, zero between walks.
-    masks: Vec<PhaseMasks>,
-    /// Nodes with pending lanes, first in first out.
-    wl: VecDeque<NodeId>,
-    /// Nodes some lane reached, the clear list.
-    touched: Vec<NodeId>,
-    /// The lanes holding each dense display statement, zero between walks,
-    /// and the statements some lane holds.
-    stmt_lanes: Vec<u64>,
-    stmt_touched: Vec<u32>,
-}
-
-impl LaneBuffers {
-    /// Marks `n` reached in `phase` by `lanes`, queueing it for the lanes
-    /// new to it.
-    fn reach(&mut self, n: NodeId, phase: usize, lanes: u64) {
-        let m = &mut self.masks[n.index()];
-        let new = lanes & !m.reached[phase];
-        if new == 0 {
-            return;
-        }
-        if m.reached == [0; 2] {
-            self.touched.push(n);
-        }
-        if m.pending == [0; 2] {
-            self.wl.push_back(n);
-        }
-        m.reached[phase] |= new;
-        m.pending[phase] |= new;
+/// Marks `t` reached in `phase` by `lanes`, putting it in the next level
+/// of the lanes new to it; `touched` lists the nodes any lane reached.
+fn reach(
+    masks: &mut [PhaseMasks],
+    next: &mut Vec<NodeId>,
+    touched: &mut Vec<NodeId>,
+    t: NodeId,
+    phase: usize,
+    lanes: u64,
+) {
+    let m = &mut masks[t.index()];
+    let new = lanes & !m.reached[phase];
+    if new == 0 {
+        return;
     }
-}
-
-/// A count per lane, kept as bit planes: `planes[k]` holds bit `k` of
-/// every lane's count, so one addition counts for all the lanes of a mask.
-#[derive(Default)]
-struct LaneCounts {
-    planes: [u64; 32],
-}
-
-impl LaneCounts {
-    /// Adds one to the count of every lane in `lanes`.
-    fn add(&mut self, mut lanes: u64) {
-        for plane in &mut self.planes {
-            if lanes == 0 {
-                break;
-            }
-            let carry = *plane & lanes;
-            *plane ^= lanes;
-            lanes = carry;
-        }
+    if m.reached == [0; 2] {
+        touched.push(t);
     }
-
-    /// Lane `l`'s count.
-    fn get(&self, l: usize) -> usize {
-        (self.planes.iter().enumerate())
-            .map(|(k, plane)| ((plane >> l & 1) as usize) << k)
-            .sum()
+    if m.next == [0; 2] {
+        next.push(t);
     }
+    m.reached[phase] |= new;
+    m.next[phase] |= new;
 }
 
-/// Answers up to [`LANES`] unbudgeted context-sensitive queries with one
-/// walk over `graph`, the [`SummaryGraph`] of `sdg` and `kind`: two-phase
-/// reachability (Horwitz, Reps and Binkley), with one bit per query in
-/// each phase's mask of a node. Query `l` seeds lane `l` in the seed
-/// phase.
+/// Answers up to [`LANES`] context-sensitive queries with one walk over
+/// `graph`, the [`SummaryGraph`] of `sdg` and `kind`: two-phase
+/// reachability (Horwitz, Reps and Binkley) over (node, phase) states,
+/// with one bit per query in each phase's mask of a node. Query `l` seeds
+/// lane `l` in the seed phase and is metered by `meters[l]`.
 ///
 /// The seed phase follows local, up and summary edges; the callee phase
 /// follows local and summary edges and never ascends. A down edge taken
 /// in either phase enters its exit in the callee phase.
 ///
-/// Each answer equals the complete tabulation's. At the tabulation's
-/// fixpoint, the `Seed`-sourced path edges are exactly the seed phase, and
-/// the union of its `Exit` regions is exactly the callee phase: a summary
-/// edge fires only at a reached consumer, and the tabulation always enters
-/// that consumer's exits, since every kind follows `ParamOut`. So a lane
-/// reaches the tabulation's visited nodes, and its statements, sorted,
-/// are the tabulation's statements.
-pub(crate) fn cs_lanes<G: DenseDisplay, Q: AsRef<[NodeId]>>(
-    sdg: &G,
+/// The walk is level-synchronous, as [`crate::slice::slice_lanes`] is.
+/// When some lane's meter can run out, each level's nodes are taken in
+/// ascending id, with their lanes fixed as the level starts, and a node's
+/// seed phase before its callee phase, so every metered lane expands its
+/// own states in the canonical order (BFS level, ascending node id, seed
+/// phase before callee phase), whatever else shares the walk. A metered
+/// lane ticks its own meter once per state it expands, with its expanded
+/// count as the tracked size. A lane whose meter runs out stops, counts
+/// its unexpanded states of that level as its frontier and is dropped
+/// from the next level; it answers the nodes and statements of the states
+/// it expanded. A lane whose meter cannot run out expands every state it
+/// reaches, without a tick, and its answer does not depend on the order:
+/// so a walk without metered lanes takes each node's lanes as it expands
+/// the node, and lanes that reach the node later in the same level join
+/// them.
+///
+/// A complete answer equals the complete tabulation's. At the
+/// tabulation's fixpoint, the `Seed`-sourced path edges are exactly the
+/// seed phase, and the union of its `Exit` regions is exactly the callee
+/// phase: a summary edge fires only at a reached consumer, and the
+/// tabulation always enters that consumer's exits, since every kind
+/// follows `ParamOut`. So a lane reaches the tabulation's visited nodes,
+/// and its statements, sorted, are the tabulation's statements.
+pub(crate) fn cs_lanes<Q: AsRef<[NodeId]>>(
+    sdg: &FrozenSdg,
     graph: &SummaryGraph,
     queries: &[Q],
     kind: SliceKind,
     scratch: &mut CsScratch,
-) -> Vec<Slice> {
-    assert!(queries.len() <= LANES);
-    let b = &mut scratch.lanes;
-    if b.masks.len() < sdg.node_count() {
-        b.masks.resize(sdg.node_count(), PhaseMasks::default());
+    meters: &mut [Meter],
+) -> Vec<(Slice, Completeness)> {
+    assert!(queries.len() <= LANES && meters.len() == queries.len());
+    let CsScratch {
+        masks,
+        next,
+        ordered,
+        level,
+        touched,
+        stmt_lanes,
+        stmt_touched,
+    } = scratch;
+    if masks.len() < sdg.node_count() {
+        masks.resize(sdg.node_count(), PhaseMasks::default());
     }
-    if b.stmt_lanes.len() < sdg.stmt_table().len() {
-        b.stmt_lanes.resize(sdg.stmt_table().len(), 0);
+    if stmt_lanes.len() < sdg.stmt_table().len() {
+        stmt_lanes.resize(sdg.stmt_table().len(), 0);
     }
+    let lanes = queries.len();
+    let mut expanded = vec![0usize; lanes];
+    let mut leftover = vec![0usize; lanes];
+    // Lanes whose meter can run out, and those whose meter has. A lane
+    // whose meter cannot run out expands every state it reaches, without a
+    // tick.
+    let metered = metered_lanes(meters);
+    let mut exhausted = 0u64;
     for (l, seeds) in queries.iter().enumerate() {
         for &n in seeds.as_ref() {
-            b.reach(n, SEED, 1 << l);
+            reach(masks, next, touched, n, SEED, 1 << l);
         }
     }
-    while let Some(n) = b.wl.pop_front() {
-        let [seed, callee] = std::mem::take(&mut b.masks[n.index()].pending);
-        let [local, up, down] = graph.rows(n);
-        for &t in local {
-            b.reach(t, SEED, seed);
-            b.reach(t, CALLEE, callee);
+    loop {
+        // The next level. Its order and its bounds decide only where a
+        // metered lane stops, so only a walk with metered lanes sorts it and
+        // fixes its lanes, less those cut short in the last level.
+        if metered != 0 {
+            next.sort_unstable();
         }
-        for &t in up {
-            b.reach(t, SEED, seed);
+        std::mem::swap(next, ordered);
+        if metered != 0 {
+            // A lane cut short in the last level never expands its states
+            // of this one: they leave its reached set.
+            level.clear();
+            level.extend(ordered.iter().map(|&n| {
+                let m = &mut masks[n.index()];
+                let at = std::mem::take(&mut m.next);
+                m.reached = [0, 1].map(|p| m.reached[p] & !(at[p] & exhausted));
+                at.map(|lanes| lanes & !exhausted)
+            }));
         }
-        for &t in down {
-            b.reach(t, CALLEE, seed | callee);
+        if ordered.is_empty() {
+            break;
         }
+        for (i, &n) in ordered.iter().enumerate() {
+            let [seed, callee] = if metered == 0 {
+                std::mem::take(&mut masks[n.index()].next)
+            } else {
+                let mut emit = level[i];
+                for (phase, emit) in emit.iter_mut().enumerate() {
+                    let waiting = *emit;
+                    for l in lanes_of(waiting & metered) {
+                        if exhausted & 1 << l != 0 {
+                            leftover[l] += 1;
+                        } else if meters[l].tick_tracked(expanded[l]) {
+                            expanded[l] += 1;
+                        } else {
+                            exhausted |= 1 << l;
+                            leftover[l] = 1;
+                        }
+                    }
+                    *emit &= !exhausted;
+                    if *emit != waiting {
+                        // The states a cut lane did not expand leave its
+                        // reached set.
+                        masks[n.index()].reached[phase] &= *emit | !waiting;
+                    }
+                }
+                emit
+            };
+            if seed | callee == 0 {
+                continue;
+            }
+            let [local, up, down] = graph.rows(n);
+            for &t in local {
+                reach(masks, next, touched, t, SEED, seed);
+                reach(masks, next, touched, t, CALLEE, callee);
+            }
+            for &t in up {
+                reach(masks, next, touched, t, SEED, seed);
+            }
+            for &t in down {
+                reach(masks, next, touched, t, CALLEE, seed | callee);
+            }
+        }
+        ordered.clear();
     }
+    level.clear();
     // Each lane's nodes and statements, counted for all lanes at once; the
     // statements are sorted once for the group, which orders every lane's.
     let (mut nodes, mut stmts) = (LaneCounts::default(), LaneCounts::default());
     #[cfg(test)]
-    let mut visited: Vec<Vec<NodeId>> = vec![Vec::new(); queries.len()];
-    for n in b.touched.drain(..) {
-        let [seed, callee] = std::mem::take(&mut b.masks[n.index()]).reached;
+    let mut visited: Vec<Vec<NodeId>> = vec![Vec::new(); lanes];
+    for n in touched.drain(..) {
+        let [seed, callee] = std::mem::take(&mut masks[n.index()]).reached;
         let at = seed | callee;
         nodes.add(at);
         #[cfg(test)]
@@ -590,112 +569,128 @@ pub(crate) fn cs_lanes<G: DenseDisplay, Q: AsRef<[NodeId]>>(
             visited[l].push(n);
         }
         let d = sdg.display_dense(n);
-        if d != NO_DISPLAY {
-            let held = &mut b.stmt_lanes[d as usize];
+        if d != NO_DISPLAY && at != 0 {
+            let held = &mut stmt_lanes[d as usize];
             if *held == 0 {
-                b.stmt_touched.push(d);
+                stmt_touched.push(d);
             }
             stmts.add(at & !*held);
             *held |= at;
         }
     }
-    b.stmt_touched.sort_unstable();
-    let mut lane_stmts: Vec<Vec<u32>> = (0..queries.len())
+    stmt_touched.sort_unstable();
+    let mut lane_stmts: Vec<Vec<u32>> = (0..lanes)
         .map(|l| Vec::with_capacity(stmts.get(l)))
         .collect();
-    for d in b.stmt_touched.drain(..) {
-        for l in lanes_of(std::mem::take(&mut b.stmt_lanes[d as usize])) {
+    for d in stmt_touched.drain(..) {
+        for l in lanes_of(std::mem::take(&mut stmt_lanes[d as usize])) {
             lane_stmts[l].push(d);
         }
     }
     lane_stmts
         .into_iter()
         .enumerate()
-        .map(|(l, ids)| Slice {
-            kind,
-            nodes_visited: nodes.get(l),
-            stmts: StmtSet::from_ids(ids, sdg.stmt_table()),
-            #[cfg(test)]
-            visited: crate::slice::sorted_ids(std::mem::take(&mut visited[l])),
+        .map(|(l, ids)| {
+            let slice = Slice {
+                kind,
+                nodes_visited: nodes.get(l),
+                stmts: StmtSet::from_ids(ids, sdg.stmt_table()),
+                #[cfg(test)]
+                visited: crate::slice::sorted_ids(std::mem::take(&mut visited[l])),
+            };
+            (slice, meters[l].completeness(leftover[l]))
         })
         .collect()
 }
 
-/// The metered tabulation on a fresh `SparseStore` (no O(graph) setup,
-/// cost proportional to the slice): the reference the tests compare
-/// [`cs_tabulate`] and [`cs_lanes`] against, on any [`DepGraph`].
+/// The complete tabulation from `seeds` on a fresh `SparseStore` (no
+/// O(graph) setup, cost proportional to the slice): the reference the
+/// tests hold complete [`cs_lanes`] answers to, on any [`DepGraph`].
 #[cfg(test)]
 pub(crate) fn cs_oneshot<G: DepGraph>(
     sdg: &G,
     index: &DownConsumers,
     seeds: &[NodeId],
     kind: SliceKind,
-    meter: &mut Meter,
-) -> (Slice, Completeness) {
+) -> Slice {
     let mut store = SparseStore::default();
-    let completeness = tabulate(
-        sdg,
-        index,
-        seeds.iter().map(|&s| (Src::Seed, s)),
-        kind,
-        &mut store,
-        &mut VecDeque::new(),
-        &mut Vec::new(),
-        &mut Vec::new(),
-        meter,
-    );
-    (store.finish(sdg, kind), completeness)
+    let seeds = seeds.iter().map(|&s| (Src::Seed, s));
+    tabulate(sdg, index, seeds, kind, &mut store);
+    store.finish(sdg, kind)
 }
 
-/// A governed context-sensitive query: the metered tabulation from
-/// `seeds` on `scratch`, which it leaves empty. Nothing carries over from
-/// earlier queries, so the answer, cut short or not, depends only on the
-/// graph, the kind, the seeds and the meter.
-pub(crate) fn cs_tabulate<G: DenseDisplay>(
+/// The reference the tests pin [`cs_lanes`] against, governed or not: the
+/// metered two-phase walk of one query over `graph` (the [`SummaryGraph`]
+/// of `sdg` and `kind`), with a hash set of reached (node, phase) states
+/// and each level sorted into the canonical order. A cut answer holds the
+/// nodes of the states expanded before the meter ran out, with the rest
+/// of that level as its frontier.
+#[cfg(test)]
+pub(crate) fn cs_walk_sparse<G: DepGraph>(
     sdg: &G,
-    index: &DownConsumers,
+    graph: &SummaryGraph,
     seeds: &[NodeId],
     kind: SliceKind,
-    scratch: &mut CsScratch,
     meter: &mut Meter,
 ) -> (Slice, Completeness) {
-    let CsScratch {
-        store,
-        wl,
-        tmp_srcs,
-        tmp_conts,
-        ..
-    } = scratch;
-    store.ensure(sdg.node_count());
-    let seeds = seeds.iter().map(|&s| (Src::Seed, s));
-    let completeness = tabulate(
-        sdg, index, seeds, kind, store, wl, tmp_srcs, tmp_conts, meter,
-    );
-    (store.finish(sdg, kind), completeness)
+    let mut reached: FxHashSet<(NodeId, usize)> = FxHashSet::default();
+    let mut level: Vec<(NodeId, usize)> = seeds
+        .iter()
+        .map(|&n| (n, SEED))
+        .filter(|&s| reached.insert(s))
+        .collect();
+    let mut nodes: FxHashSet<NodeId> = FxHashSet::default();
+    let (mut expanded, mut leftover) = (0, 0);
+    while !level.is_empty() {
+        level.sort_unstable();
+        let mut next = Vec::new();
+        for (i, &(n, phase)) in level.iter().enumerate() {
+            if !meter.tick_tracked(expanded) {
+                leftover = level.len() - i;
+                break;
+            }
+            expanded += 1;
+            nodes.insert(n);
+            let [local, up, down] = graph.rows(n);
+            let ups = if phase == SEED { up } else { &[] };
+            let steps = (local.iter().map(|&t| (t, phase)))
+                .chain(ups.iter().map(|&t| (t, SEED)))
+                .chain(down.iter().map(|&t| (t, CALLEE)));
+            next.extend(steps.filter(|&s| reached.insert(s)));
+        }
+        if leftover > 0 {
+            break;
+        }
+        level = next;
+    }
+    let mut stmts: Vec<StmtRef> = nodes.iter().filter_map(|&n| sdg.display_stmt(n)).collect();
+    stmts.sort_unstable();
+    stmts.dedup();
+    let slice = Slice {
+        kind,
+        nodes_visited: nodes.len(),
+        stmts: StmtSet::from_ordered(stmts),
+        visited: crate::slice::sorted_ids(nodes),
+    };
+    (slice, meter.completeness(leftover))
 }
 
 /// The paper's §5.3 tabulation, generic over graph and storage; see
-/// [`TabStore`] for why two storages exist. It starts from the path edges
-/// `start`: a query's seeds in the `Seed` context, or, for a
-/// [`SummaryGraph`], every callee exit in its own `Exit` context.
-///
-/// Metered per worklist pop: once `meter` is exhausted the popped item is
-/// pushed back (honest frontier count) and the path edges accumulated so
-/// far — a subset of the fixpoint's, since the relation only grows — form
-/// the truncated result, which the caller reads out of `store`.
-#[allow(clippy::too_many_arguments)]
+/// [`TabStore`] for why two storages exist. It runs to fixpoint from the
+/// path edges `start`: every callee exit in its own `Exit` context, for a
+/// [`SummaryGraph`], or (in the tests) a query's seeds in the `Seed`
+/// context.
 fn tabulate<G: DepGraph, S: TabStore>(
     sdg: &G,
     index: &DownConsumers,
     start: impl IntoIterator<Item = (Src, NodeId)>,
     kind: SliceKind,
     store: &mut S,
-    wl: &mut VecDeque<(Src, NodeId)>,
-    tmp_srcs: &mut Vec<Src>,
-    tmp_conts: &mut Vec<NodeId>,
-    meter: &mut Meter,
-) -> Completeness {
-    wl.clear();
+) {
+    let mut wl: VecDeque<(Src, NodeId)> = VecDeque::new();
+    // Staging buffers for a consumer's sources and summary continuations
+    // (extending them mutates the store, so neither can stay borrowed).
+    let (mut tmp_srcs, mut tmp_conts) = (Vec::new(), Vec::new());
 
     let add = |store: &mut S, wl: &mut VecDeque<(Src, NodeId)>, src: Src, n: NodeId| {
         if store.add_path(n, src) {
@@ -704,25 +699,21 @@ fn tabulate<G: DepGraph, S: TabStore>(
     };
 
     for (src, n) in start {
-        add(store, wl, src, n);
+        add(store, &mut wl, src, n);
     }
 
     while let Some((src, n)) = wl.pop_front() {
-        if !meter.tick_tracked(store.resident()) {
-            wl.push_front((src, n));
-            break;
-        }
         for e in sdg.deps(n) {
             if !kind.follows(&e.kind) {
                 continue;
             }
             match classify(&e.kind, sdg, e.target) {
-                Step::Local => add(store, wl, src, e.target),
+                Step::Local => add(store, &mut wl, src, e.target),
                 Step::Up(site) => {
                     match src {
                         // Phase 1: unbalanced ascents are allowed from the
                         // seed region.
-                        Src::Seed => add(store, wl, Src::Seed, e.target),
+                        Src::Seed => add(store, &mut wl, Src::Seed, e.target),
                         // Summarising a callee: reaching an entry node and
                         // ascending to site `c` completes a summary for
                         // every consumer that descended into `exit` at `c`.
@@ -733,9 +724,9 @@ fn tabulate<G: DepGraph, S: TabStore>(
                                     if store.add_summary(consumer, actual) {
                                         // Extend everyone who already
                                         // reached the consumer.
-                                        store.copy_srcs(consumer, tmp_srcs);
+                                        store.copy_srcs(consumer, &mut tmp_srcs);
                                         for &s2 in tmp_srcs.iter() {
-                                            add(store, wl, s2, actual);
+                                            add(store, &mut wl, s2, actual);
                                         }
                                     }
                                 }
@@ -746,20 +737,16 @@ fn tabulate<G: DepGraph, S: TabStore>(
                 Step::Down(_site) => {
                     let exit = e.target;
                     // Start (or continue) the callee's tabulation.
-                    add(store, wl, Src::Exit(exit), exit);
+                    add(store, &mut wl, Src::Exit(exit), exit);
                     // Apply already-known summaries for this consumer.
-                    store.copy_summaries(n, tmp_conts);
+                    store.copy_summaries(n, &mut tmp_conts);
                     for &c in tmp_conts.iter() {
-                        add(store, wl, src, c);
+                        add(store, &mut wl, src, c);
                     }
                 }
             }
         }
     }
-
-    let completeness = meter.completeness(wl.len());
-    wl.clear();
-    completeness
 }
 
 #[cfg(test)]
@@ -771,14 +758,7 @@ mod tests {
     use thinslice_sdg::{build_ci, build_cs, Sdg};
 
     fn cs_slice<G: DepGraph>(sdg: &G, seeds: &[NodeId], kind: SliceKind) -> Slice {
-        cs_oneshot(
-            sdg,
-            &DownConsumers::build(sdg),
-            seeds,
-            kind,
-            &mut Meter::unlimited(),
-        )
-        .0
+        cs_oneshot(sdg, &DownConsumers::build(sdg), seeds, kind)
     }
 
     fn slice_from<G: DepGraph>(sdg: &G, seeds: &[NodeId], kind: SliceKind) -> Slice {
@@ -1010,21 +990,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lane_walks_answer_like_the_tabulation() {
-        // Groups of up to 64 queries on the CS graph of every order-test
-        // program, each lane against its own tabulation: the one-shot store
-        // for thin and data slices; for full slices, whose one-shot
-        // tabulation on the larger programs takes minutes in a debug build,
-        // the dense store, which `order_tests` pins to the one-shot one.
-        // The queries hold a repeated one, one with no seed node and one
-        // seeded at two statements' nodes, and every walk and tabulation
-        // must leave the scratch clean.
+    /// Calls `check` with the CS graph of every order-test program and its
+    /// queries: two full lane groups and a short one, holding a repeated
+    /// query, one with no seed node and one seeded at two statements'
+    /// nodes.
+    fn for_each_cs_corpus(rng: u64, mut check: impl FnMut(&str, &FrozenSdg, &[Vec<NodeId>])) {
         use crate::order_tests::{corpus, seeds};
         use crate::AnalysisSession;
         use thinslice_util::SmallRng;
-        let mut rng = SmallRng::new(0xc5_1a9e);
-        let mut scratch = CsScratch::default();
+        let mut rng = SmallRng::new(rng);
         let (mut groups, mut multi) = (0, 0);
         for (name, files) in corpus() {
             let refs: Vec<(&str, &str)> = files
@@ -1034,8 +1008,6 @@ mod tests {
             let mut session = AnalysisSession::new(&refs).unwrap();
             let stmts = seeds(&mut session, &mut rng);
             let graph = session.cs_graph();
-            let index = graph.down_consumers();
-            // Two full groups and a short one per kind.
             let mut queries: Vec<Vec<NodeId>> = stmts
                 .iter()
                 .map(|&s| graph.stmt_nodes_of(s).to_vec())
@@ -1047,39 +1019,103 @@ mod tests {
             queries.insert(2, Vec::new());
             queries.insert(3, pair);
             multi += queries.iter().filter(|q| q.len() > 1).count();
-            for kind in [
-                SliceKind::Thin,
-                SliceKind::TraditionalData,
-                SliceKind::TraditionalFull,
-            ] {
+            groups += queries.len().div_ceil(LANES);
+            check(&name, graph, &queries);
+        }
+        assert!(groups > corpus().len(), "some program needs several groups");
+        assert!(multi > corpus().len(), "few multi-node seeds: {multi}");
+    }
+
+    const KINDS: [SliceKind; 3] = [
+        SliceKind::Thin,
+        SliceKind::TraditionalData,
+        SliceKind::TraditionalFull,
+    ];
+
+    #[test]
+    fn lane_walks_answer_like_the_tabulation() {
+        // Unmetered groups of up to 64 queries on the CS graph of every
+        // order-test program, each lane against the one-shot tabulation
+        // from its seeds, every kind; every walk must leave the scratch
+        // clean.
+        let mut scratch = CsScratch::default();
+        for_each_cs_corpus(0xc5_1a9e, |name, graph, queries| {
+            let index = graph.down_consumers();
+            for kind in KINDS {
                 let lanes = SummaryGraph::build(graph, index, kind);
-                let tabulate = |q: &[NodeId], scratch: &mut CsScratch| match kind {
-                    SliceKind::TraditionalFull => {
-                        cs_tabulate(graph, index, q, kind, scratch, &mut Meter::unlimited())
-                    }
-                    _ => cs_oneshot(graph, index, q, kind, &mut Meter::unlimited()),
-                };
                 for (g, group) in queries.chunks(LANES).enumerate() {
                     let at = format!("{name} {kind:?} group {g}");
-                    let walked = cs_lanes(graph, &lanes, group, kind, &mut scratch);
+                    let mut meters: Vec<Meter> = group.iter().map(|_| Meter::unlimited()).collect();
+                    let walked = cs_lanes(graph, &lanes, group, kind, &mut scratch, &mut meters);
                     assert!(scratch.is_clean(), "{at}");
-                    for (l, (got, q)) in walked.iter().zip(group).enumerate() {
-                        let (want, c) = tabulate(q, &mut scratch);
-                        assert!(scratch.is_clean(), "{at} lane {l}");
+                    for (l, ((got, c), q)) in walked.iter().zip(group).enumerate() {
+                        let want = cs_oneshot(graph, index, q, kind);
                         assert!(c.is_complete(), "{at} lane {l}");
                         assert_eq!(got.stmts, want.stmts, "{at} lane {l}");
                         assert_eq!(got.visited, want.visited, "{at} lane {l}");
                         assert_eq!(got.nodes_visited, want.nodes_visited, "{at} lane {l}");
                     }
-                    groups += 1;
                 }
             }
-        }
-        assert!(
-            groups > 3 * corpus().len(),
-            "some program needs several groups"
-        );
-        assert!(multi > corpus().len(), "few multi-node seeds: {multi}");
+        });
+    }
+
+    #[test]
+    fn lane_walks_expand_what_the_sparse_walk_expands() {
+        // The groups of `lane_walks_answer_like_the_tabulation`, each lane
+        // against its own sort-based walk: unlimited, and with per-lane
+        // step limits that cut some lanes mid-level while their
+        // neighbours run on.
+        use thinslice_util::Budget;
+        let mut scratch = CsScratch::default();
+        let mut cut = 0;
+        for_each_cs_corpus(0x5ca1_ab1e, |name, graph, queries| {
+            for kind in KINDS {
+                let lanes = SummaryGraph::build(graph, graph.down_consumers(), kind);
+                for (g, group) in queries.chunks(LANES).enumerate() {
+                    let at = format!("{name} {kind:?} group {g}");
+                    let full: Vec<Slice> = group
+                        .iter()
+                        .map(|q| cs_walk_sparse(graph, &lanes, q, kind, &mut Meter::unlimited()).0)
+                        .collect();
+                    // Every third lane unlimited, the others cut at a
+                    // point of their own.
+                    let limits: Vec<Option<u64>> = full
+                        .iter()
+                        .enumerate()
+                        .map(|(l, s)| {
+                            (l % 3 != 0 && s.nodes_visited > 1)
+                                .then(|| 1 + (l * 7 % s.nodes_visited) as u64)
+                        })
+                        .collect();
+                    let meter = |limit: &Option<u64>| match limit {
+                        Some(n) => Budget::unlimited().with_step_limit(*n).meter(),
+                        None => Meter::unlimited(),
+                    };
+                    for limited in [false, true] {
+                        let mut meters: Vec<Meter> = limits
+                            .iter()
+                            .map(|limit| meter(if limited { limit } else { &None }))
+                            .collect();
+                        let walked =
+                            cs_lanes(graph, &lanes, group, kind, &mut scratch, &mut meters);
+                        assert!(scratch.is_clean(), "{at}");
+                        for (l, ((got, c), q)) in walked.iter().zip(group).enumerate() {
+                            let limit = if limited { limits[l] } else { None };
+                            let (want, w) =
+                                cs_walk_sparse(graph, &lanes, q, kind, &mut meter(&limit));
+                            let at = format!("{at} lane {l} limit {limit:?}");
+                            assert_eq!(*c, w, "{at}");
+                            assert_eq!(got.stmts, want.stmts, "{at}");
+                            assert_eq!(got.visited, want.visited, "{at}");
+                            assert_eq!(got.nodes_visited, want.nodes_visited, "{at}");
+                            cut += usize::from(!c.is_complete());
+                        }
+                    }
+                }
+            }
+        });
+        assert!(cut > 0, "some lane must be cut short");
     }
 
     #[test]

@@ -117,7 +117,7 @@ pub struct FrozenSdg {
     /// The distinct display statements, ascending, indexed by their dense
     /// id: the statements of the statement nodes. Shared with every
     /// answer that names statements by dense id
-    /// ([`DenseDisplay::stmt_table`]).
+    /// ([`FrozenSdg::stmt_table`]).
     display_stmts: Arc<[StmtRef]>,
     /// The instance nodes of statement `i`, ascending, are
     /// `stmt_nodes[stmt_starts[i]..stmt_starts[i + 1]]`: seed resolution.
@@ -130,28 +130,6 @@ pub struct FrozenSdg {
 
 /// Sentinel dense id for nodes without a display statement.
 pub const NO_DISPLAY: u32 = u32::MAX;
-
-/// Dense numbering of display statements, for hash-free statement dedup.
-///
-/// A slice's statement set is the set of display statements of its visited
-/// nodes. Deduplicating those through a hash set is the hottest per-node
-/// operation of a big BFS; the frozen graph instead numbers the distinct
-/// display statements densely at freeze time, in ascending statement
-/// order, so a traversal can dedup with a bit set over the ids of
-/// [`DenseDisplay::stmt_table`], and sorting dense ids sorts statements.
-/// Guaranteed consistent with [`DepGraph::display_stmt`]:
-/// `display_dense(n)` is [`NO_DISPLAY`] exactly when `display_stmt(n)` is
-/// `None`, and `stmt_table()[display_dense(n)]` equals
-/// `display_stmt(n).unwrap()` otherwise.
-pub trait DenseDisplay: DepGraph {
-    /// The dense id of `n`'s display statement, or [`NO_DISPLAY`].
-    fn display_dense(&self, n: NodeId) -> u32;
-
-    /// The distinct display statements, ascending, indexed by dense id.
-    /// An answer that lists dense ids keeps this table alive, so it
-    /// outlives the graph it came from.
-    fn stmt_table(&self) -> &Arc<[StmtRef]>;
-}
 
 impl FrozenSdg {
     /// Builds a frozen graph from its primary arrays and derives the rest:
@@ -251,28 +229,26 @@ impl FrozenSdg {
         self.down.get_or_init(|| DownConsumers::build(self))
     }
 
-    /// A view of the graph keeping only the edges `keep` accepts, per-node
-    /// order preserved. The batched engine filters once per batch by the
-    /// slice kind's edge predicate, so every query's BFS traverses a
-    /// smaller edge array with no per-edge kind test — traversal order
-    /// over the kept edges is unchanged. Only the edge arrays are rebuilt;
-    /// node metadata is borrowed from `self`, so the filter costs one scan
-    /// of the edge array.
-    pub fn filtered(&self, mut keep: impl FnMut(&Edge) -> bool) -> FilteredCsr<'_> {
-        let n = self.kinds.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut edges = Vec::with_capacity(self.edges.len());
-        offsets.push(0);
-        for i in 0..n {
-            let row = &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize];
-            edges.extend(row.iter().filter(|e| keep(e)).copied());
-            offsets.push(u32::try_from(edges.len()).expect("edge count exceeds u32"));
-        }
-        FilteredCsr {
-            base: self,
-            offsets,
-            edges,
-        }
+    /// The dense id of `n`'s display statement, or [`NO_DISPLAY`].
+    ///
+    /// A slice's statement set is the set of display statements of its
+    /// visited nodes. Deduplicating those through a hash set is the hottest
+    /// per-node operation of a big BFS; the frozen graph instead numbers the
+    /// distinct display statements densely, in ascending statement order,
+    /// so a traversal dedups with a bit set over the ids of
+    /// [`FrozenSdg::stmt_table`], and sorting dense ids sorts statements.
+    /// `display_dense(n)` is [`NO_DISPLAY`] exactly when
+    /// [`DepGraph::display_stmt`] is `None`, and
+    /// `stmt_table()[display_dense(n)]` is the statement otherwise.
+    pub fn display_dense(&self, n: NodeId) -> u32 {
+        self.display_idx[n.index()]
+    }
+
+    /// The distinct display statements, ascending, indexed by dense id.
+    /// An answer that lists dense ids keeps this table alive, so it
+    /// outlives the graph it came from.
+    pub fn stmt_table(&self) -> &Arc<[StmtRef]> {
+        &self.display_stmts
     }
 }
 
@@ -338,69 +314,6 @@ impl DownConsumers {
         exits.sort_unstable();
         exits.dedup();
         exits
-    }
-}
-
-/// An edge-filtered view over a [`FrozenSdg`]: its own CSR edge arrays,
-/// node metadata borrowed from the base graph. See [`FrozenSdg::filtered`].
-#[derive(Debug, Clone)]
-pub struct FilteredCsr<'g> {
-    base: &'g FrozenSdg,
-    offsets: Vec<u32>,
-    edges: Vec<Edge>,
-}
-
-impl FilteredCsr<'_> {
-    /// Edges kept by the filter.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-}
-
-impl DepGraph for FilteredCsr<'_> {
-    fn node_count(&self) -> usize {
-        self.base.node_count()
-    }
-
-    fn deps(&self, n: NodeId) -> &[Edge] {
-        let i = n.index();
-        &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    fn node(&self, n: NodeId) -> NodeKind {
-        self.base.node(n)
-    }
-
-    fn display_stmt(&self, n: NodeId) -> Option<StmtRef> {
-        self.base.display_stmt(n)
-    }
-
-    fn stmt_nodes_of(&self, s: StmtRef) -> &[NodeId] {
-        self.base.stmt_nodes_of(s)
-    }
-
-    fn mode(&self) -> HeapMode {
-        self.base.mode()
-    }
-}
-
-impl DenseDisplay for FrozenSdg {
-    fn display_dense(&self, n: NodeId) -> u32 {
-        self.display_idx[n.index()]
-    }
-
-    fn stmt_table(&self) -> &Arc<[StmtRef]> {
-        &self.display_stmts
-    }
-}
-
-impl DenseDisplay for FilteredCsr<'_> {
-    fn display_dense(&self, n: NodeId) -> u32 {
-        self.base.display_dense(n)
-    }
-
-    fn stmt_table(&self) -> &Arc<[StmtRef]> {
-        self.base.stmt_table()
     }
 }
 
@@ -577,11 +490,6 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), f.stmt_table().len());
-        // The filtered view shares the numbering.
-        let v = f.filtered(|_| true);
-        for (id, _) in g.nodes() {
-            assert_eq!(v.display_dense(id), f.display_dense(id));
-        }
     }
 
     #[test]

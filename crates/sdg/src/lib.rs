@@ -46,7 +46,7 @@ pub mod stats;
 
 pub use builder::{build_ci, build_ci_cached};
 pub use cache::SdgCache;
-pub use csr::{DenseDisplay, DepGraph, DownConsumers, FilteredCsr, FrozenSdg, NO_DISPLAY};
+pub use csr::{DepGraph, DownConsumers, FrozenSdg, NO_DISPLAY};
 pub use fingerprint::body_fingerprint;
 pub use heap_params::{build_cs, build_cs_cached};
 pub use node::{Edge, EdgeKind, NodeId, NodeKind};

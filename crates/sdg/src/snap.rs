@@ -332,7 +332,7 @@ pub fn decode_frozen(r: &mut ByteReader) -> Result<FrozenSdg, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::{DenseDisplay, DepGraph};
+    use crate::csr::DepGraph;
     use crate::{build_ci, build_cs, Sdg};
     use thinslice_ir::compile;
     use thinslice_pta::{ModRef, Pta, PtaConfig};

@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use thinslice_ir::compile;
 use thinslice_pta::{ModRef, Pta, PtaConfig};
 use thinslice_sdg::snap::{decode_frozen, encode_frozen};
-use thinslice_sdg::{build_ci, build_cs, DenseDisplay, DepGraph, FrozenSdg, Sdg};
+use thinslice_sdg::{build_ci, build_cs, DepGraph, FrozenSdg, Sdg};
 use thinslice_suite::{all_benchmarks, generate, GeneratorConfig};
 use thinslice_util::{ByteReader, ByteWriter};
 

@@ -333,6 +333,16 @@ impl Meter {
         false
     }
 
+    /// Whether the meter can never run out: no step quota, deadline,
+    /// resident watermark or cancel token. Ticking it only counts, so a
+    /// walk may skip its ticks without changing where it stops.
+    pub fn is_unlimited(&self) -> bool {
+        self.step_limit == u64::MAX
+            && self.deadline.is_none()
+            && self.resident_limit == usize::MAX
+            && self.cancel.is_none()
+    }
+
     /// Whether the budget has been exhausted.
     pub fn is_exhausted(&self) -> bool {
         self.exhausted.is_some()

@@ -11,7 +11,6 @@
 //! * [`codec`] — a hand-rolled binary codec (varints, section tables,
 //!   xxHash64 checksums) backing the persistent snapshot format,
 //! * [`Worklist`] — a FIFO worklist with membership dedup,
-//! * [`UnionFind`] — used for heap-partition merging,
 //! * [`FxHashMap`]/[`FxHashSet`] — fast non-DoS-resistant hashing for the
 //!   analyses' internal tables,
 //! * [`par`] — an order-preserving parallel map for batched queries,
@@ -45,7 +44,6 @@ pub mod par;
 mod rng;
 pub mod runctx;
 pub mod telemetry;
-mod unionfind;
 mod worklist;
 
 pub use bitset::{BitSet, BitSetIter};
@@ -58,7 +56,6 @@ pub use runctx::RunCtx;
 pub use telemetry::{
     FlightEvent, FlightKind, FlightRecorder, Histogram, MetricsRegistry, RunReport, Telemetry,
 };
-pub use unionfind::UnionFind;
 pub use worklist::Worklist;
 
 /// The message of a caught panic: its `&str` or `String` payload, or a

@@ -495,12 +495,11 @@ fn assert_answers_like(got: &QueryOutcome, want: &SliceResult, at: &str) {
 
 #[test]
 fn governed_batches_answer_like_governed_queries() {
-    // Thin and data CI batches of 16 queries walk a filtered view under the
-    // budget, batches of 3 walk the whole graph, as the single query does;
-    // every governed CS query of a batch is tabulated on its own. Step
-    // limits of 1, half and full - 1 of the largest answer cut every query,
-    // some and only the largest; two threads run two workers on 16
-    // queries.
+    // Batches of 16 queries and of 3, CI and CS, are lane-walked under
+    // the budget with a meter per lane, and each lane must stop where the
+    // single query's walk stops. Step limits of 1, half and full - 1 of the
+    // largest answer cut every query, some and only the largest; two
+    // threads run two workers on 16 queries.
     let generated = thinslice_suite::generate(&GeneratorConfig::scaled(2));
     let programs = [
         ("nanoxml", nanoxml_session()),
@@ -534,8 +533,7 @@ fn governed_batches_answer_like_governed_queries() {
                     .iter()
                     .map(|q| q.clone().with_policy(policy.clone()))
                     .collect();
-                // Below the filter threshold: the largest query and the
-                // two after it.
+                // A short batch: the largest query and the two after it.
                 let small: Vec<Query> = governed
                     .iter()
                     .cycle()
@@ -643,10 +641,10 @@ fn one_query_ungoverned_batches_answer_like_queries() {
 
 #[test]
 fn one_query_governed_cs_batches_answer_like_cold_queries() {
-    // A one-query governed CS batch tabulates from its seeds, as the
-    // session's own query does. Cut short, it answers as the first CS
-    // query of a fresh session does: by the ladder to CI, or with the
-    // truncated CS prefix when the policy forbids degrading.
+    // A one-query governed CS batch walks the summary graph from its
+    // seeds, as the session's own query does. Cut short, it answers as
+    // the first CS query of a fresh session does: by the ladder to CI, or
+    // with the truncated CS prefix when the policy forbids degrading.
     let mut warm = nanoxml_session();
     let q = queries(warm.program(), SliceKind::Thin, Engine::Cs)
         .into_iter()
@@ -689,9 +687,10 @@ fn latency_runs(out: &[QueryOutcome]) -> Vec<std::ops::Range<usize>> {
 #[test]
 fn governed_lane_groups_answer_like_governed_queries() {
     // The step limits of `governed_batches_answer_like_governed_queries`
-    // on batches of more than 64 queries, which the engine walks in
-    // several lane groups: each lane runs on its own meter, so a group
-    // holds cut and uncut lanes side by side.
+    // on batches of more than 64 queries, CI and CS, which the engine
+    // walks in several lane groups: each lane runs on its own meter, so a
+    // group holds cut and uncut lanes side by side. A cut CS lane takes
+    // the ladder to CI, as the single query does.
     let generated = thinslice_suite::generate(&GeneratorConfig::scaled(2));
     let programs = [
         ("nanoxml", nanoxml_session()),
@@ -701,16 +700,22 @@ fn governed_lane_groups_answer_like_governed_queries() {
         ),
     ];
     for (name, mut s) in programs {
-        for kind in [
-            SliceKind::Thin,
-            SliceKind::TraditionalData,
-            SliceKind::TraditionalFull,
-        ] {
-            let prints = queries(s.program(), kind, Engine::Ci);
+        for (engine, kind) in [Engine::Ci, Engine::Cs].into_iter().flat_map(|e| {
+            [
+                SliceKind::Thin,
+                SliceKind::TraditionalData,
+                SliceKind::TraditionalFull,
+            ]
+            .map(|k| (e, k))
+        }) {
+            let prints = queries(s.program(), kind, engine);
             let qs: Vec<Query> = prints.into_iter().cycle().take(100).collect();
             let sizes: Vec<usize> = qs.iter().map(|q| s.query(q).nodes_visited).collect();
             let full = *sizes.iter().max().unwrap();
-            assert!(full > 2, "{name}: {kind:?} answers too small to cut");
+            assert!(
+                full > 2,
+                "{name}: {engine:?}/{kind:?} answers too small to cut"
+            );
             let mut mixed_groups = 0;
             for limit in [1, full / 2, full - 1] {
                 let policy = budgeted(steps(limit as u64));
@@ -719,12 +724,12 @@ fn governed_lane_groups_answer_like_governed_queries() {
                     .map(|q| q.clone().with_policy(policy.clone()))
                     .collect();
                 for threads in [1, 2] {
-                    let at = format!("{name} {kind:?} limit {limit} threads {threads}");
+                    let at = format!("{name} {engine:?}/{kind:?} limit {limit} threads {threads}");
                     let batched = s.query_batch(&governed, threads);
                     let mut cut = vec![false; governed.len()];
                     for (i, (q, got)) in governed.iter().zip(&batched).enumerate() {
                         let want = s.query(q);
-                        cut[i] = !want.completeness.is_complete();
+                        cut[i] = !want.completeness.is_complete() || want.degraded;
                         assert_answers_like(got, &want, &format!("{at} query {i}"));
                     }
                     let groups = latency_runs(&batched);
@@ -739,7 +744,7 @@ fn governed_lane_groups_answer_like_governed_queries() {
             }
             assert!(
                 mixed_groups > 0,
-                "{name} {kind:?}: no group mixes cut and uncut lanes"
+                "{name} {engine:?}/{kind:?}: no group mixes cut and uncut lanes"
             );
         }
     }

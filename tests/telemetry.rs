@@ -144,22 +144,38 @@ fn counters_aggregate_across_batch_workers() {
     assert_eq!(report.counters.get("slice.nodes_visited"), Some(&expected));
 }
 
-#[test]
-fn governed_cs_batches_keep_no_memo_and_build_no_summary_graph() {
-    let tel = Telemetry::enabled();
-    let mut s = session(RunCtx::disabled().with_telemetry(tel.clone()));
-    // A governed CS batch is tabulated one query at a time from its seeds,
-    // where an ungoverned one takes lane walks over the summary edges.
+/// The queries under a step limit too large to cut any of them.
+fn governed(qs: &[Query]) -> Vec<Query> {
     let policy = QueryPolicy {
         budget: Some(Budget::unlimited().with_step_limit(1 << 40)),
         ..QueryPolicy::default()
     };
-    let qs: Vec<Query> = queries(s.program(), Engine::Cs)
-        .into_iter()
-        .map(|q| q.with_policy(policy.clone()))
-        .collect();
-    // Repeats of the same queries answer alike and record one latency
-    // each: nothing carries over from one tabulation to the next.
+    qs.iter()
+        .map(|q| q.clone().with_policy(policy.clone()))
+        .collect()
+}
+
+#[test]
+fn governed_cs_batches_keep_no_memo_and_build_no_summary_graph() {
+    let tel = Telemetry::enabled();
+    let mut s = session(RunCtx::disabled().with_telemetry(tel.clone()));
+    // A governed CS batch walks its kind's summary graph, as an ungoverned
+    // one does. The kind's first CS query builds that graph, and a
+    // governed batch after it builds none of its own.
+    let ungoverned = queries(s.program(), Engine::Cs);
+    let qs = governed(&ungoverned);
+    let _ = s.query(&qs[0]);
+    let built = || {
+        tel.report()
+            .spans
+            .iter()
+            .filter(|sp| sp.name == "cs.summary_index")
+            .count()
+    };
+    assert_eq!(built(), 1, "the first query builds the summary graph");
+    // Repeats of the same queries answer alike, as the ungoverned queries
+    // do, and record one latency each: nothing carries over from one walk
+    // to the next.
     let tiled: Vec<Query> = qs.iter().cycle().take(3 * qs.len()).cloned().collect();
     let out = s.query_batch(&tiled, 1);
     for (i, o) in out.iter().enumerate() {
@@ -168,6 +184,9 @@ fn governed_cs_batches_keep_no_memo_and_build_no_summary_graph() {
         assert!(got.completeness.is_complete() && !got.degraded, "query {i}");
         assert_eq!(got.stmts, first.stmts, "query {i}");
         assert_eq!(got.nodes_visited, first.nodes_visited, "query {i}");
+        let want = s.query(&ungoverned[i % qs.len()]);
+        assert_eq!(got.stmts, want.stmts, "query {i}");
+        assert_eq!(got.nodes_visited, want.nodes_visited, "query {i}");
     }
     let report = tel.report();
     let h = report.histograms.get("batch.query_us").unwrap();
@@ -177,10 +196,7 @@ fn governed_cs_batches_keep_no_memo_and_build_no_summary_graph() {
         "{:?}",
         report.counters
     );
-    assert!(
-        report.spans.iter().all(|sp| sp.name != "cs.summary_index"),
-        "a governed batch builds no summary graph"
-    );
+    assert_eq!(built(), 1, "a governed batch builds no summary graph");
 }
 
 #[test]
@@ -207,6 +223,10 @@ fn cs_lane_batches_build_each_summary_index_once_per_graph_and_kind() {
             })
             .collect()
     };
+    // A governed batch walks the summary graph too, and builds it first.
+    let governed_thin = governed(&thin);
+    let _ = s.query_batch(&governed_thin, 1);
+    assert_eq!(builds().len(), 1, "a governed batch builds the index");
     for threads in [1, 2, 1] {
         let _ = s.query_batch(&thin, threads);
     }
@@ -221,11 +241,12 @@ fn cs_lane_batches_build_each_summary_index_once_per_graph_and_kind() {
     assert!(stats.cs_graph_reused, "{stats:?}");
     let _ = s.query_batch(&thin, 1);
     assert_eq!(builds().len(), 2);
-    // An edit that changes the graph drops them: each kind's next batch
-    // rebuilds its index once.
+    // An edit that changes the graph drops them: each kind's next query or
+    // batch, governed or not, rebuilds its index once.
     let edited = PROGRAM.replace("print(y);", "print(x);");
     let stats = s.update(&[("t.mj", edited.as_str())]).unwrap();
     assert!(!stats.cs_graph_reused, "{stats:?}");
+    let _ = s.query(&governed_thin[0]);
     for _ in 0..2 {
         let _ = s.query_batch(&thin, 1);
     }
