@@ -1142,24 +1142,15 @@ fn cmd_slice(o: &Options, ctx: &RunCtx) -> Result<(), String> {
                 ""
             },
         );
-        let mut stmts: Vec<_> = result.stmts.iter().collect();
-        stmts.sort();
-        let mut seen_lines = std::collections::HashSet::new();
-        let program = s.program();
-        for st in stmts {
-            let sp = program.instr(st).span;
-            if seen_lines.insert((sp.file, sp.line)) {
-                println!("  {}", pretty::stmt_str(program, st));
-            }
-        }
-        return Ok(());
+    } else {
+        println!(
+            "{:?} slice: {} statements (BFS order from the seed){}",
+            o.kind,
+            result.len(),
+            report::completeness_marker(&result.completeness),
+        );
     }
-    println!(
-        "{:?} slice: {} statements (BFS order from the seed){}",
-        o.kind,
-        result.len(),
-        report::completeness_marker(&result.completeness),
-    );
+    // The daemon lists the same lines in a `slice` response's `stmts`.
     for line in report::stmt_lines(s.program(), &result.stmts) {
         println!("  {line}");
     }

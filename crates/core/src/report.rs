@@ -3,40 +3,29 @@
 use crate::batch::QueryOutcome;
 use crate::inspect::InspectionResult;
 use crate::stmtset::StmtSet;
-use std::fmt::Write as _;
-use thinslice_ir::{pretty, FileId, Program, Span};
-use thinslice_util::{Completeness, FxHashSet};
+use thinslice_ir::{pretty, Program};
+use thinslice_util::{BitSet, Completeness};
+
+pub use thinslice_ir::Line;
 
 /// Renders a slice's statements (a [`SliceResult`](crate::SliceResult)'s
 /// `stmts`) as source lines, deduplicated and in the set's canonical
 /// order: inspection (BFS) order for a CI slice. Synthetic statements
-/// (compiler-generated) are skipped. Costs one hash probe per statement
-/// plus the bytes of the rendered lines, whatever the files' length.
-pub fn stmt_lines(program: &Program, stmts: &StmtSet) -> Vec<String> {
-    let mut seen: FxHashSet<(FileId, u32)> =
-        FxHashSet::with_capacity_and_hasher(stmts.len(), Default::default());
+/// (compiler-generated) are skipped. Each line is rendered once per
+/// program ([`Program::source_line`]) and borrowed after that, so an
+/// answer costs a bit test per statement and a copy of two references
+/// per line, whatever the files' length.
+pub fn stmt_lines<'p>(program: &'p Program, stmts: &StmtSet) -> Vec<Line<'p>> {
+    let mut seen: BitSet = BitSet::with_domain_size(program.line_slots());
     let mut out = Vec::new();
     for s in stmts {
-        let span = program.instr(s).span;
-        if !span.is_synthetic() && seen.insert((span.file, span.line)) {
-            out.push(render_line(program, span));
+        if let Some(slot) = program.line_slot(program.instr(s).span) {
+            if seen.insert(slot) {
+                out.push(program.source_line(slot));
+            }
         }
     }
     out
-}
-
-/// `file:line: text`, with the source line trimmed.
-fn render_line(program: &Program, span: Span) -> String {
-    let file = &program.files[span.file];
-    let text = file.line(span.line).map_or("<unknown>", str::trim);
-    // `:`, up to ten digits, `: `.
-    let mut line = String::with_capacity(file.name.len() + text.len() + 13);
-    line.push_str(&file.name);
-    line.push(':');
-    let _ = write!(line, "{}", span.line);
-    line.push_str(": ");
-    line.push_str(text);
-    line
 }
 
 /// Renders a slice's statements at IR granularity (one line per IR

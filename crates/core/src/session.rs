@@ -1990,6 +1990,16 @@ class Main {
                     scan,
                     "{file}:{line} after {at}"
                 );
+                if let Some(&st) = scan.first() {
+                    let slot = s.program.line_slot(s.program.instr(st).span).unwrap();
+                    let f = s.program.files.iter().find(|f| f.name == *file).unwrap();
+                    let text = f.text().lines().nth(line as usize - 1).unwrap().trim();
+                    assert_eq!(
+                        &*s.program.source_line(slot),
+                        format!("{file}:{line}: {text}"),
+                        "rendered {file}:{line} after {at}"
+                    );
+                }
                 let Some(csr) = &s.ci_csr else { continue };
                 let reachable: Vec<StmtRef> = scan
                     .into_iter()

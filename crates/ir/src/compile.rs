@@ -288,6 +288,7 @@ impl Collector {
             string_class,
             main_method: MethodId::new(0), // fixed up below
             line_index: LineIndex::default(),
+            lines: LineMemo::default(),
         };
         check_overrides(&program, &decls)?;
         drop(resolve_span);

@@ -57,6 +57,11 @@ pub struct Program {
     /// [`Program::stmts_at_line`] call. A compiled program is never
     /// mutated, so the index cannot go stale; not serialized.
     pub(crate) line_index: LineIndex,
+    /// Source lines rendered for reports, one slot per line of every
+    /// file, each filled on the first [`Program::source_line`] call for
+    /// its line. Derived from `files` like `line_index`, so it needs no
+    /// invalidation either; not serialized.
+    pub(crate) lines: LineMemo,
 }
 
 /// Non-synthetic statements grouped by file name, then line, each group
@@ -74,6 +79,70 @@ impl fmt::Debug for LineIndex {
         // Derived state: a program prints the same before and after its
         // first lookup.
         f.write_str("LineIndex")
+    }
+}
+
+/// The memo behind [`Program::source_line`]: sized on first use, then
+/// filled one line at a time.
+#[derive(Clone, Default)]
+pub(crate) struct LineMemo(OnceLock<LineSlots>);
+
+/// One slot per source line, files in [`FileId`] order.
+#[derive(Clone)]
+struct LineSlots {
+    /// The slot of each file's line 1, then the slot count: file `f`
+    /// owns slots `first[f]..first[f + 1]`.
+    first: Vec<usize>,
+    slots: Box<[OnceLock<RenderedLine>]>,
+}
+
+/// A source line in both of the forms a [`Line`] lends.
+#[derive(Clone)]
+struct RenderedLine {
+    text: Box<str>,
+    json: Box<str>,
+}
+
+impl fmt::Debug for LineMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("LineMemo")
+    }
+}
+
+/// A source line as reports print it, `file:line: text` with the line's
+/// text trimmed, borrowed from its program's memo
+/// ([`Program::source_line`]). It dereferences to that text;
+/// [`Line::json`] is the same text as a JSON string literal.
+#[derive(Clone, Copy)]
+pub struct Line<'p> {
+    text: &'p str,
+    json: &'p str,
+}
+
+impl<'p> Line<'p> {
+    /// The line as a JSON string literal, quotes included.
+    pub fn json(&self) -> &'p str {
+        self.json
+    }
+}
+
+impl std::ops::Deref for Line<'_> {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.text
+    }
+}
+
+impl fmt::Display for Line<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.text)
+    }
+}
+
+impl fmt::Debug for Line<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.text, f)
     }
 }
 
@@ -742,6 +811,78 @@ impl Program {
             .get(file)
             .and_then(|lines| lines.get(&line))
             .map_or(&[], Vec::as_slice)
+    }
+
+    /// How many source lines the program's files hold together: the
+    /// domain of [`Program::line_slot`].
+    pub fn line_slots(&self) -> usize {
+        self.line_memo().slots.len()
+    }
+
+    /// The number of `span`'s source line among the lines of every file,
+    /// or `None` for a synthetic span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `span` lies past the end of its file, which no compiled
+    /// program's spans do: each points at a token of the file.
+    pub fn line_slot(&self, span: Span) -> Option<usize> {
+        if span.is_synthetic() {
+            return None;
+        }
+        let first = &self.line_memo().first;
+        let file = span.file.raw() as usize;
+        let slot = first[file] + span.line as usize - 1;
+        assert!(
+            slot < first[file + 1],
+            "line {} lies past the end of {}",
+            span.line,
+            self.files[span.file].name
+        );
+        Some(slot)
+    }
+
+    /// The source line in `slot` (see [`Program::line_slot`]), rendered
+    /// on the first call for the slot and borrowed from then on.
+    pub fn source_line(&self, slot: usize) -> Line<'_> {
+        let memo = self.line_memo();
+        let line = memo.slots[slot].get_or_init(|| {
+            let file = memo.first.partition_point(|&first| first <= slot) - 1;
+            let number = slot - memo.first[file] + 1;
+            let source = &self.files[FileId::new(file)];
+            let line = source
+                .line(number as u32)
+                .expect("a file's slots number its lines")
+                .trim();
+            let text = format!("{}:{number}: {line}", source.name);
+            let mut json = String::with_capacity(text.len() + 2);
+            thinslice_util::telemetry::escape_into(&mut json, &text);
+            RenderedLine {
+                text: text.into_boxed_str(),
+                json: json.into_boxed_str(),
+            }
+        });
+        Line {
+            text: &line.text,
+            json: &line.json,
+        }
+    }
+
+    /// The line memo, with one empty slot per line once sized.
+    fn line_memo(&self) -> &LineSlots {
+        self.lines.0.get_or_init(|| {
+            let mut first = Vec::with_capacity(self.files.len() + 1);
+            let mut slots = 0;
+            for file in self.files.iter() {
+                first.push(slots);
+                slots += file.line_count();
+            }
+            first.push(slots);
+            LineSlots {
+                first,
+                slots: (0..slots).map(|_| OnceLock::new()).collect(),
+            }
+        })
     }
 }
 

@@ -55,6 +55,7 @@ pub use compile::{compile, compile_ctx, compile_fingerprinted, compile_raw};
 pub use error::CompileError;
 pub use ir::{
     Block, BlockId, Body, CallKind, Class, ClassId, Const, Field, FieldId, Instr, InstrKind,
-    IrBinOp, IrUnOp, Loc, Method, MethodId, Operand, Program, StmtRef, Type, UseKind, Var, VarInfo,
+    IrBinOp, IrUnOp, Line, Loc, Method, MethodId, Operand, Program, StmtRef, Type, UseKind, Var,
+    VarInfo,
 };
 pub use span::{FileId, SourceFile, Span};

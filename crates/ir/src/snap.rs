@@ -18,7 +18,7 @@ use thinslice_util::{FxHashMap, Idx, IdxVec};
 
 use crate::ir::{
     Block, BlockId, Body, CallKind, Class, ClassId, Const, Field, FieldId, Instr, InstrKind,
-    IrBinOp, IrUnOp, LineIndex, Method, MethodId, Operand, Program, Type, Var, VarInfo,
+    IrBinOp, IrUnOp, LineIndex, LineMemo, Method, MethodId, Operand, Program, Type, Var, VarInfo,
 };
 use crate::parser::MAX_NESTING;
 use crate::span::{FileId, SourceFile, Span};
@@ -179,6 +179,7 @@ pub fn decode_program(r: &mut ByteReader) -> Result<Program, CodecError> {
         string_class,
         main_method,
         line_index: LineIndex::default(),
+        lines: LineMemo::default(),
     })
 }
 

@@ -84,16 +84,7 @@ impl SourceFile {
     /// Returns the 1-based `line` of the file, if it exists: exactly
     /// `text.lines().nth(line - 1)`, in O(1) once the file is indexed.
     pub fn line(&self, line: u32) -> Option<&str> {
-        let starts = self.line_starts.get_or_init(|| {
-            // `str::lines` yields one line per `\n`-terminated piece plus a
-            // final unterminated one, so a line starts at 0 and after every
-            // `\n`, except at the end of the text.
-            let len = self.text.len();
-            std::iter::once(0)
-                .chain(self.text.match_indices('\n').map(|(i, _)| i + 1))
-                .filter(|&start| start < len)
-                .collect()
-        });
+        let starts = self.line_starts();
         let i = (line as usize).checked_sub(1)?;
         let start = *starts.get(i)?;
         let end = starts.get(i + 1).copied().unwrap_or(self.text.len());
@@ -102,6 +93,24 @@ impl SourceFile {
         Some(match piece.strip_suffix('\n') {
             Some(piece) => piece.strip_suffix('\r').unwrap_or(piece),
             None => piece,
+        })
+    }
+
+    /// How many lines the file has: `text.lines().count()`.
+    pub(crate) fn line_count(&self) -> usize {
+        self.line_starts().len()
+    }
+
+    fn line_starts(&self) -> &[usize] {
+        self.line_starts.get_or_init(|| {
+            // `str::lines` yields one line per `\n`-terminated piece plus a
+            // final unterminated one, so a line starts at 0 and after every
+            // `\n`, except at the end of the text.
+            let len = self.text.len();
+            std::iter::once(0)
+                .chain(self.text.match_indices('\n').map(|(i, _)| i + 1))
+                .filter(|&start| start < len)
+                .collect()
         })
     }
 }
@@ -158,6 +167,7 @@ mod tests {
         for text in cases {
             let f = SourceFile::new("t.mj", text);
             let n = text.lines().count() as u32;
+            assert_eq!(f.line_count(), n as usize, "line count of {text:?}");
             for line in 0..=n + 2 {
                 let want = (line as usize)
                     .checked_sub(1)

@@ -38,6 +38,7 @@
 
 use std::fmt::Write as _;
 
+use thinslice::report::Line;
 use thinslice::{Engine, SliceKind, UpdateStats};
 use thinslice_util::govern::Completeness;
 use thinslice_util::telemetry::{
@@ -477,16 +478,26 @@ fn id_json(id: Option<u64>) -> String {
 }
 
 fn head(id: Option<u64>, ok: bool, op: Option<&str>) -> String {
-    let mut s = format!(
-        "{{\"schema\":{},\"id\":{},\"ok\":{}",
-        esc(RESPONSE_SCHEMA),
-        id_json(id),
-        ok
-    );
-    if let Some(op) = op {
-        let _ = write!(s, ",\"op\":{}", esc(op));
-    }
+    let mut s = String::new();
+    head_into(&mut s, id, ok, op);
     s
+}
+
+/// Appends a response's opening keys, `schema` to `op`, to `out`.
+fn head_into(out: &mut String, id: Option<u64>, ok: bool, op: Option<&str>) {
+    out.push_str("{\"schema\":");
+    escape_into(out, RESPONSE_SCHEMA);
+    match id {
+        Some(n) => {
+            let _ = write!(out, ",\"id\":{n}");
+        }
+        None => out.push_str(",\"id\":null"),
+    }
+    out.push_str(if ok { ",\"ok\":true" } else { ",\"ok\":false" });
+    if let Some(op) = op {
+        out.push_str(",\"op\":");
+        escape_into(out, op);
+    }
 }
 
 /// Serializes a structured error response.
@@ -601,7 +612,8 @@ impl Admission {
 
 /// Serializes a successful `slice` response. Deterministic: no timing
 /// fields, fixed key order, statements in the canonical `stmt_lines`
-/// order.
+/// order. Writes into one buffer, copying each line's JSON literal from
+/// the program's line memo.
 #[allow(clippy::too_many_arguments)]
 pub fn slice_line(
     id: Option<u64>,
@@ -611,20 +623,28 @@ pub fn slice_line(
     admission: Admission,
     degraded: bool,
     completeness: Completeness,
-    stmts: &[String],
+    stmts: &[Line<'_>],
 ) -> String {
-    let mut s = format!(
-        "{},\"program\":{},\"engine\":{},\"kind\":{},\"admission\":{},\"degraded\":{degraded}",
-        head(id, true, Some("slice")),
-        esc(program),
-        esc(engine_str(engine)),
-        esc(kind_str(kind)),
-        esc(admission.as_str()),
-    );
+    // The fixed keys take under 250 bytes; each line adds its literal and
+    // a comma.
+    let lines: usize = stmts.iter().map(|line| line.json().len() + 1).sum();
+    let mut s = String::with_capacity(256 + program.len() + lines);
+    head_into(&mut s, id, true, Some("slice"));
+    s.push_str(",\"program\":");
+    escape_into(&mut s, program);
+    s.push_str(",\"engine\":");
+    escape_into(&mut s, engine_str(engine));
+    s.push_str(",\"kind\":");
+    escape_into(&mut s, kind_str(kind));
+    s.push_str(",\"admission\":");
+    escape_into(&mut s, admission.as_str());
+    s.push_str(if degraded {
+        ",\"degraded\":true"
+    } else {
+        ",\"degraded\":false"
+    });
     match completeness {
-        Completeness::Complete => {
-            let _ = write!(s, ",\"completeness\":\"complete\"");
-        }
+        Completeness::Complete => s.push_str(",\"completeness\":\"complete\""),
         Completeness::Truncated { reason, frontier } => {
             let _ = write!(
                 s,
@@ -634,12 +654,11 @@ pub fn slice_line(
         }
     }
     let _ = write!(s, ",\"stmt_count\":{},\"stmts\":[", stmts.len());
-    s.reserve(stmts.iter().map(|line| line.len() + 3).sum::<usize>() + 2);
     for (i, line) in stmts.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        escape_into(&mut s, line);
+        s.push_str(line.json());
     }
     s.push_str("]}");
     s
@@ -1399,6 +1418,17 @@ mod tests {
         let l = load_line(Some(1), "00112233aabbccdd", true, 420);
         assert!(validate_response_line(&l).unwrap().contains("load"));
 
+        // A program whose line 2 reads `int x = 1`, so its memo lends the
+        // line `t.mj:2: int x = 1`.
+        let program = thinslice_ir::compile(&[(
+            "t.mj",
+            "class Main { static void main() {\nint x = 1\n; print(x); } }",
+        )])
+        .unwrap();
+        let span = program.instr(program.stmts_at_line("t.mj", 2)[0]).span;
+        let line = program.source_line(program.line_slot(span).unwrap());
+        assert_eq!(&*line, "t.mj:2: int x = 1");
+
         let s = slice_line(
             Some(2),
             "00112233aabbccdd",
@@ -1407,7 +1437,7 @@ mod tests {
             Admission::Full,
             false,
             Completeness::Complete,
-            &["t.mj:2: int x = 1".to_string()],
+            &[line],
         );
         assert_eq!(validate_response_line(&s).unwrap(), "ok slice id=2 stmts=1");
         // Byte-for-byte stability is what the chaos suite leans on.
@@ -1421,7 +1451,7 @@ mod tests {
                 Admission::Full,
                 false,
                 Completeness::Complete,
-                &["t.mj:2: int x = 1".to_string()],
+                &[line],
             )
         );
 

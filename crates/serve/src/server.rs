@@ -363,7 +363,7 @@ impl Server {
     /// Attributes one error response to a tenant's table.
     fn tenant_err(&self, client: &str) {
         let mut obs = self.obs.lock().unwrap();
-        obs.tenants.entry(client.to_string()).or_default().errors += 1;
+        row(&mut obs.tenants, client).errors += 1;
     }
 
     /// The external shutdown flag; a signal handler stores `true` and
@@ -676,7 +676,7 @@ impl Server {
         let admission = self.admission_for(sched.pending);
         let job = Job {
             id,
-            client: client.clone(),
+            client,
             req,
             admission,
             enqueued: Instant::now(),
@@ -688,9 +688,11 @@ impl Server {
             self.run_job(job);
             return;
         }
-        match sched.queues.iter_mut().find(|(c, _)| *c == client) {
+        match sched.queues.iter_mut().find(|(c, _)| *c == job.client) {
             Some((_, q)) => q.push_back(job),
-            None => sched.queues.push((client, VecDeque::from([job]))),
+            None => sched
+                .queues
+                .push((job.client.clone(), VecDeque::from([job]))),
         }
         sched.pending += 1;
         drop(sched);
@@ -870,21 +872,39 @@ impl Server {
                     u64::from(attempt),
                 );
             }
+            // The response is rendered under the same guard as the query,
+            // and before checkin: its lines borrow the session's program.
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if job.req.chaos_panics > attempt {
                     panic!("injected chaos panic (attempt {attempt})");
                 }
-                self.run_query(co.session(), &job.req, admission)
+                let (slice, engine, spend) = self.run_query(co.session(), &job.req, admission)?;
+                let degraded =
+                    slice.degraded || (job.req.engine == Engine::Cs && engine == Engine::Ci);
+                let response = slice_line(
+                    job.id,
+                    &hash,
+                    engine,
+                    job.req.kind,
+                    admission,
+                    degraded,
+                    slice.completeness,
+                    &report::stmt_lines(co.session().program(), &slice.stmts),
+                );
+                Ok::<_, String>((slice, engine, spend, response))
             }));
             match outcome {
-                Ok(Ok((slice, engine, stmts, spend))) => {
+                Ok(Ok((slice, engine, spend, response))) => {
                     self.pool.lock().unwrap().checkin(co);
                     {
                         let mut sched = self.sched.lock().unwrap();
-                        *sched.spent.entry(job.client.clone()).or_insert(0) += spend;
+                        match sched.spent.get_mut(&job.client) {
+                            Some(spent) => *spent += spend,
+                            None => {
+                                sched.spent.insert(job.client.clone(), spend);
+                            }
+                        }
                     }
-                    let degraded =
-                        slice.degraded || (job.req.engine == Engine::Cs && engine == Engine::Ci);
                     if let Completeness::Truncated { frontier, .. } = slice.completeness {
                         self.flight(
                             FlightKind::BudgetExhausted,
@@ -899,19 +919,7 @@ impl Server {
                         spend,
                     };
                     self.observe(&job, &hash, admission, engine, &slice, attempt, timing);
-                    self.write_ok(
-                        &job.out,
-                        &slice_line(
-                            job.id,
-                            &hash,
-                            engine,
-                            job.req.kind,
-                            admission,
-                            degraded,
-                            slice.completeness,
-                            &stmts,
-                        ),
-                    );
+                    self.write_ok(&job.out, &response);
                     return;
                 }
                 Ok(Err(msg)) => {
@@ -964,7 +972,7 @@ impl Server {
         let degraded = slice.degraded || (job.req.engine == Engine::Cs && engine == Engine::Ci);
         {
             let mut obs = self.obs.lock().unwrap();
-            let t = obs.tenants.entry(job.client.clone()).or_default();
+            let t = row(&mut obs.tenants, &job.client);
             t.requests += 1;
             t.retries += u64::from(retries);
             if degraded {
@@ -975,10 +983,7 @@ impl Server {
             }
             t.spent_steps += timing.spend;
             t.latency.record(total_us as f64);
-            obs.session_lat
-                .entry(hash.to_string())
-                .or_default()
-                .record(total_us as f64);
+            row(&mut obs.session_lat, hash).record(total_us as f64);
         }
         let Some(slow_ms) = self.cfg.slow_ms else {
             return;
@@ -1012,15 +1017,14 @@ impl Server {
     }
 
     /// Runs one query attempt on a checked-out session. Returns the
-    /// result, the engine actually used, the canonical statement lines,
-    /// and the step spend charged to the client.
-    #[allow(clippy::type_complexity)]
+    /// result, the engine actually used, and the step spend charged to
+    /// the client.
     fn run_query(
         &self,
         session: &mut thinslice::AnalysisSession,
         req: &SliceRequest,
         admission: Admission,
-    ) -> Result<(SliceResult, Engine, Vec<String>, u64), String> {
+    ) -> Result<(SliceResult, Engine, u64), String> {
         let mut seeds = Vec::new();
         for sr in &req.seeds {
             match session.seed_at_line(&sr.file, sr.line) {
@@ -1048,9 +1052,8 @@ impl Server {
         };
         let query = Query::new(seeds, req.kind, engine).with_policy(policy);
         let slice = session.query(&query);
-        let stmts = report::stmt_lines(session.program(), &slice.stmts);
         let spend = slice.nodes_visited as u64;
-        Ok((slice, engine, stmts, spend))
+        Ok((slice, engine, spend))
     }
 
     /// Emits the `--stats-interval` stderr snapshot when one is due.
@@ -1320,6 +1323,15 @@ impl Server {
             }
         }
     }
+}
+
+/// The row of `map` under `key`, inserted empty on the key's first use:
+/// the key is copied into the map only then, not on every lookup.
+fn row<'m, V: Default>(map: &'m mut BTreeMap<String, V>, key: &str) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("inserted above")
 }
 
 /// Discards input up to and including the next newline; `false` on EOF.

@@ -1003,11 +1003,10 @@ impl Json {
     /// Returns a byte-offset description of the first syntax error, or of
     /// the first array or object nested deeper than [`MAX_JSON_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let v = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing data at byte {pos}"));
         }
         Ok(v)
@@ -1078,7 +1077,8 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
 }
 
 /// Parses the value at `pos`, which `depth` arrays and objects enclose.
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = text.as_bytes();
     skip_ws(b, pos);
     if matches!(b.get(*pos), Some(b'{' | b'[')) && depth == MAX_JSON_DEPTH {
         return Err(format!(
@@ -1097,13 +1097,13 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(b, pos);
                 if b.get(*pos) != Some(&b':') {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(b, pos, depth + 1)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 entries.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -1125,7 +1125,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos, depth + 1)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -1137,7 +1137,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
                 }
             }
         }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
@@ -1165,56 +1165,51 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, 
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Decodes the string literal at `pos`. Each run of bytes up to the next
+/// `"` or `\` is copied in one step: both are ASCII, so in a `&str` every
+/// run ends on a character boundary. Raw control characters pass through.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let b = text.as_bytes();
     if b.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}"));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")
-                            .and_then(|h| std::str::from_utf8(h).map_err(|_| "bad \\u escape"))
-                            .map_err(str::to_string)?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unchanged).
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
-            }
+        let run = b[*pos..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')
+            .ok_or_else(|| "unterminated string".to_string())?;
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
+        if b[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match b.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b't') => out.push('\t'),
+            Some(b'r') => out.push('\r'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let hex = b
+                    .get(*pos + 1..*pos + 5)
+                    .ok_or("truncated \\u escape")
+                    .and_then(|h| std::str::from_utf8(h).map_err(|_| "bad \\u escape"))
+                    .map_err(str::to_string)?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                *pos += 4;
+            }
+            _ => return Err(format!("bad escape at byte {pos}")),
+        }
+        *pos += 1;
     }
 }
 
