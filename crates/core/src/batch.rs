@@ -6,7 +6,7 @@
 //! the CSR graph ([`FrozenSdg`]), per-worker scratch buffers (the BFS and
 //! lane-walk buffers), the tabulation's down-edge index
 //! ([`FrozenSdg::down_consumers`]) and the summary edges — and fans the
-//! queries out across a thread pool over the shared immutable graph.
+//! queries out across threads over the shared immutable graph.
 //!
 //! Results are returned in query order, and each result is identical to
 //! what the sequential single-query path ([`AnalysisSession::query`])
@@ -28,6 +28,12 @@
 //! own canonical order and ticks its own meter, and a lane whose meter
 //! cannot is never ticked, so each lane answers what its query answers
 //! alone. A lane-walked batch gets one worker per run.
+//!
+//! The calling thread is one of a batch's workers. It answers the first
+//! run on the scratch it was passed (the session's), then claims further
+//! runs from one shared counter, as do the other workers: scoped threads
+//! spawned for the batch, each on empty scratch. Runs are near-equal in
+//! length, so one counter spreads them as evenly as work stealing would.
 //!
 //! A run of one query, the run holding a fault-injected query, a run
 //! whose walk panicked, and every run of a batch without retries or under
@@ -73,18 +79,16 @@ use crate::slice::{slice_dense, slice_lanes, Slice, SliceKind, SliceScratch, LAN
 use crate::tabulation::{cs_lanes, CsScratch, SummaryGraphs};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use thinslice_sdg::{FrozenSdg, NodeId};
-use thinslice_util::{
-    panic_message, par, Budget, CancelToken, Completeness, Meter, RunCtx, Telemetry,
-};
+use thinslice_util::{panic_message, Budget, CancelToken, Completeness, Meter, RunCtx, Telemetry};
 
 /// Minimum queries a worker must stand to receive before it is worth
 /// spawning, in a batch answered one query at a time: an OS thread costs
 /// tens of microseconds to start, which a worker handed one or two
 /// microsecond-scale slices never earns back. A lane-walked batch gets one
-/// worker per lane group instead ([`BatchConfig::workers`]). Clamping here
-/// (not in [`par`]) keeps the executor a pure mechanism. Results are
+/// worker per lane group instead ([`BatchConfig::workers`]). Results are
 /// unaffected — batches are bit-identical at every thread count.
 const MIN_QUERIES_PER_WORKER: usize = 8;
 
@@ -456,9 +460,11 @@ fn lane_groups(n: usize, workers: usize) -> Vec<Range<usize>> {
 }
 
 /// Answers `n` queries in lane groups of consecutive queries
-/// ([`lane_groups`]) spread over `threads` workers, in query order. With
-/// one worker the groups run on the calling thread, on `scratch`; with
-/// more, each worker starts from empty scratch.
+/// ([`lane_groups`]) on `threads` workers, in query order. The calling
+/// thread answers group 0 on `scratch`, then claims further groups from
+/// one counter, as do `threads - 1` scoped helpers, each on empty
+/// scratch; each group's answers land in its own slot. With one worker
+/// the caller answers every group in order and nothing is spawned.
 ///
 /// With `lanes` set, a group of two or more queries is answered by `walk`,
 /// one lane walk. A group is answered one query at a time instead, each
@@ -528,18 +534,33 @@ fn run_groups(
             .collect::<Vec<_>>()
     };
     let groups = lane_groups(n, threads);
-    if threads <= 1 {
-        return groups
-            .iter()
-            .flat_map(|range| answer_group(scratch, range))
+    let next = AtomicUsize::new(1);
+    let claim = |scratch: &mut Scratch| {
+        let mut answered = Vec::new();
+        loop {
+            let g = next.fetch_add(1, Ordering::Relaxed);
+            let Some(range) = groups.get(g) else {
+                return answered;
+            };
+            answered.push((g, answer_group(scratch, range)));
+        }
+    };
+    let mut slots: Vec<Vec<QueryOutcome>> = groups.iter().map(|_| Vec::new()).collect();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads)
+            .map(|_| scope.spawn(|| claim(&mut Scratch::default())))
             .collect();
-    }
-    par::map_with(&groups, threads, Scratch::default, |scratch, _, range| {
-        answer_group(scratch, range)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+        slots[0] = answer_group(scratch, &groups[0]);
+        let mine = claim(scratch);
+        // A panic that escapes `answer_group` on a helper surfaces here.
+        let theirs = helpers
+            .into_iter()
+            .flat_map(|h| h.join().expect("batch helper panicked"));
+        for (g, answered) in mine.into_iter().chain(theirs) {
+            slots[g] = answered;
+        }
+    });
+    slots.into_iter().flatten().collect()
 }
 
 /// Answers a CI batch over `graph` through [`run_groups`], each lane
@@ -840,6 +861,52 @@ mod tests {
                 let s = cs_slice(&a.sdg, seeds, kind);
                 assert_eq!(b.stmts, s.stmts, "{kind:?}");
                 assert_eq!(b.visited, s.visited);
+            }
+        }
+    }
+
+    #[test]
+    fn the_caller_answers_a_share_of_a_multi_worker_batch() {
+        // 150 queries are three lane groups of 50 on two workers. The
+        // caller answers the first group on the scratch it passes, so that
+        // scratch grows its lane buffers, and every walk leaves it clean.
+        let a = setup();
+        let q = all_print_queries(&a);
+        let tiled: Vec<Vec<NodeId>> = q.iter().cycle().take(150).cloned().collect();
+        let cfg = BatchConfig::default();
+        assert_eq!(cfg.workers(2, tiled.len()), 2);
+        assert_eq!(lane_groups(tiled.len(), 2).len(), 3);
+        for engine in [Engine::Ci, Engine::Cs] {
+            let summaries = SummaryGraphs::default();
+            let run = |threads, scratch: &mut Scratch| {
+                run_batch(
+                    &a.csr,
+                    &tiled,
+                    SliceKind::Thin,
+                    engine,
+                    threads,
+                    &cfg,
+                    scratch,
+                    &summaries,
+                )
+            };
+            let alone = run(1, &mut Scratch::default());
+            let mut scratch = Scratch::default();
+            let shared = run(2, &mut scratch);
+            let grown = match engine {
+                Engine::Ci => scratch.bfs.lane_nodes(),
+                Engine::Cs => scratch.cs.lane_nodes(),
+            };
+            assert!(grown >= a.csr.node_count(), "{engine:?}: {grown} nodes");
+            assert!(
+                scratch.bfs.is_clean() && scratch.cs.is_clean(),
+                "{engine:?}"
+            );
+            assert_eq!(shared.len(), alone.len());
+            for (s, o) in shared.iter().zip(&alone) {
+                let (s, o) = (s.slice.as_ref().unwrap(), o.slice.as_ref().unwrap());
+                assert_eq!(s.stmts, o.stmts, "{engine:?}");
+                assert_eq!(s.visited, o.visited, "{engine:?}");
             }
         }
     }

@@ -133,6 +133,13 @@ impl SliceScratch {
             && self.stmt_lanes.iter().all(|&m| m == 0)
             && self.lane_stmts.iter().all(Vec::is_empty)
     }
+
+    /// How many nodes the lane walk's masks cover: 0 until a lane walk
+    /// runs on this scratch.
+    #[cfg(test)]
+    pub(crate) fn lane_nodes(&self) -> usize {
+        self.lane_masks.len()
+    }
 }
 
 /// Once the current level's frontier covers this fraction of the graph

@@ -256,6 +256,13 @@ impl CsScratch {
             && self.stmt_lanes.iter().all(|&m| m == 0)
             && self.stmt_touched.is_empty()
     }
+
+    /// How many nodes the walk's masks cover: 0 until a walk runs on this
+    /// scratch.
+    #[cfg(test)]
+    pub(crate) fn lane_nodes(&self) -> usize {
+        self.masks.len()
+    }
 }
 
 /// The number of [`SliceKind`] variants, one summary graph slot each.

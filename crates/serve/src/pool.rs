@@ -417,11 +417,6 @@ impl SessionPool {
         })
     }
 
-    /// Whether `hash` names a registered program (live or not).
-    pub fn contains(&self, hash: &str) -> bool {
-        self.find(hash).is_some()
-    }
-
     /// Exclusively checks out the session for `hash`, transparently
     /// rebuilding it after an eviction or a quarantine. An evicted session
     /// warm-starts from its snapshot when one is stored; a quarantined one

@@ -63,7 +63,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::pool::{PoolConfig, PoolError, SessionPool};
+use crate::pool::{Checkout, PoolConfig, PoolError, SessionPool};
 use crate::protocol::{
     engine_str, error_line, kind_str, load_line, parse_request, reload_line, shutdown_line,
     slice_line, stats_line, status_line, Admission, Op, ProgramRef, SliceRequest, SlowQueryRow,
@@ -794,40 +794,35 @@ impl Server {
         }
     }
 
-    /// Resolves the job's program to a pool hash, registering inline
-    /// sources on first use.
-    fn resolve_program(&self, job: &Job) -> Result<String, (&'static str, String)> {
-        match &job.req.program {
-            ProgramRef::Hash(h) => {
-                if self.pool.lock().unwrap().contains(h) {
-                    Ok(h.clone())
-                } else {
-                    Err((
-                        "unknown_program",
-                        format!("program {h:?} is not registered; send a load request first"),
-                    ))
-                }
-            }
+    /// Checks out the job's session under one pool guard, registering
+    /// inline sources on first use.
+    fn checkout(&self, job: &Job) -> Result<Checkout, (&'static str, String)> {
+        let mut pool = self.pool.lock().unwrap();
+        let registered;
+        let hash = match &job.req.program {
+            ProgramRef::Hash(h) => h,
             ProgramRef::Inline(sources) => {
-                match self.pool.lock().unwrap().register(sources.clone()) {
-                    Ok(r) => Ok(r.hash),
-                    Err(e) => Err(("compile", e.to_string())),
-                }
+                registered = pool
+                    .register(sources.clone())
+                    .map_err(|e| ("compile", e.to_string()))?;
+                &registered.hash
             }
-        }
+        };
+        pool.checkout(hash).map_err(|e| checkout_error(hash, e))
     }
 
     fn execute(&self, job: Job) {
         let started = Instant::now();
         let queue_us = started.duration_since(job.enqueued).as_micros() as u64;
-        let hash = match self.resolve_program(&job) {
-            Ok(h) => h,
+        let mut co = match self.checkout(&job) {
+            Ok(co) => co,
             Err((code, msg)) => {
                 self.tenant_err(&job.client);
                 self.write_err(&job.out, job.id, code, &msg);
                 return;
             }
         };
+        let hash = co.hash().to_string();
         // A client over its cumulative allowance is load-shed to the
         // truncate rung; other tenants are unaffected.
         let mut admission = job.admission;
@@ -846,24 +841,6 @@ impl Server {
 
         let mut attempt: u32 = 0;
         loop {
-            let mut co = match self.pool.lock().unwrap().checkout(&hash) {
-                Ok(co) => co,
-                Err(PoolError::UnknownProgram) => {
-                    self.tenant_err(&job.client);
-                    self.write_err(
-                        &job.out,
-                        job.id,
-                        "unknown_program",
-                        &format!("program {hash:?} is not registered"),
-                    );
-                    return;
-                }
-                Err(PoolError::Compile(e)) => {
-                    self.tenant_err(&job.client);
-                    self.write_err(&job.out, job.id, "compile", &e.to_string());
-                    return;
-                }
-            };
             if job.req.chaos_panics > attempt {
                 self.flight(
                     FlightKind::FaultInjected,
@@ -946,8 +923,17 @@ impl Server {
                         );
                         return;
                     }
-                    // Retry: the next checkout rebuilds the quarantined
+                    // Retry: the checkout rebuilds the quarantined
                     // session from sources.
+                    co = match self.pool.lock().unwrap().checkout(&hash) {
+                        Ok(co) => co,
+                        Err(e) => {
+                            let (code, msg) = checkout_error(&hash, e);
+                            self.tenant_err(&job.client);
+                            self.write_err(&job.out, job.id, code, &msg);
+                            return;
+                        }
+                    };
                 }
             }
         }
@@ -1322,6 +1308,18 @@ impl Server {
                 Err(_) => return, // unrecoverable I/O error on the stream
             }
         }
+    }
+}
+
+/// The error response a failed checkout of `hash` gets: entries are never
+/// removed, so an unknown hash is one no `load` registered.
+fn checkout_error(hash: &str, e: PoolError) -> (&'static str, String) {
+    match e {
+        PoolError::UnknownProgram => (
+            "unknown_program",
+            format!("program {hash:?} is not registered; send a load request first"),
+        ),
+        PoolError::Compile(e) => ("compile", e.to_string()),
     }
 }
 

@@ -1176,6 +1176,99 @@ fn json_escape(text: &str) -> String {
     out
 }
 
+/// [`json_escape`], then every non-ASCII character as `\u` escapes, one
+/// outside the Basic Multilingual Plane as a surrogate pair: what Python's
+/// `json.dumps` sends by default.
+fn json_escape_ascii(text: &str) -> String {
+    let mut out = String::new();
+    for c in json_escape(text).chars() {
+        if c.is_ascii() {
+            out.push(c);
+        } else {
+            for unit in c.encode_utf16(&mut [0; 2]) {
+                out.push_str(&format!("\\u{unit:04x}"));
+            }
+        }
+    }
+    out
+}
+
+/// A program with U+1F600 in a comment and in a sliced string literal is
+/// one program whether its load escapes the character as a surrogate pair
+/// or sends it raw, and its slice lists the literal intact.
+#[test]
+fn surrogate_pair_escapes_load_the_same_program_as_raw_utf8() {
+    let text = "class Main { static void main() {\n// \u{1f600} in a comment\n\
+                String s = \"smile \u{1f600}\";\nprint(s);\n} }";
+    let load = |id: u64, escaped: &str| {
+        format!(r#"{{"op":"load","id":{id},"sources":[{{"name":"u.mj","text":"{escaped}"}}]}}"#)
+    };
+    let pairs = json_escape_ascii(text);
+    assert_eq!(pairs.matches("\\ud83d\\ude00").count(), 2, "{pairs}");
+    let hash = thinslice_serve::pool::program_hash(&[thinslice_serve::protocol::SourceFile {
+        name: "u.mj".to_string(),
+        text: text.to_string(),
+    }]);
+    let script = vec![
+        load(1, &json_escape(text)),
+        load(2, &pairs),
+        format!(r#"{{"op":"slice","id":3,"program":"{hash}","seed":{{"file":"u.mj","line":4}}}}"#),
+    ];
+    let (lines, summary) = run_script(ServeConfig::default(), &script);
+    assert_eq!((summary.errors, summary.served), (0, 3), "{lines:?}");
+    let map = by_id(&lines);
+    assert_eq!(field(&map[&1], "program"), Json::Str(hash.clone()));
+    assert_eq!(field(&map[&2], "program"), Json::Str(hash));
+    assert_eq!(field(&map[&2], "cached"), Json::Bool(true));
+    let stmts = field(&map[&3], "stmts");
+    let listed: Vec<&str> = stmts
+        .as_arr()
+        .unwrap()
+        .iter()
+        .filter_map(Json::as_str)
+        .collect();
+    assert!(
+        listed.contains(&"u.mj:3: String s = \"smile \u{1f600}\";"),
+        "{listed:?}"
+    );
+}
+
+/// A slice naming a hash no `load` registered gets one `unknown_program`
+/// error, charged to its tenant, and the daemon answers the next request.
+#[test]
+fn a_slice_of_an_unregistered_hash_is_one_unknown_program_error() {
+    let script = vec![
+        load(1, 1),
+        r#"{"op":"slice","id":2,"program":"0123456789abcdef","seed":{"file":"p1.mj","line":4},"client":"gamma"}"#
+            .to_string(),
+        slice(3, 1, 4, r#","client":"gamma""#),
+        r#"{"op":"stats","id":4}"#.to_string(),
+    ];
+    let (lines, summary) = run_script_lockstep(ServeConfig::default(), &script);
+    assert_eq!(lines.len(), script.len(), "one response per request line");
+    assert_eq!((summary.errors, summary.served), (1, 3));
+    let map = by_id(&lines);
+    assert_eq!(field(&map[&2], "ok"), Json::Bool(false));
+    let error = field(&map[&2], "error");
+    assert_eq!(
+        error.get("code"),
+        Some(&Json::Str("unknown_program".into()))
+    );
+    assert_eq!(
+        error.get("message").and_then(Json::as_str),
+        Some("program \"0123456789abcdef\" is not registered; send a load request first")
+    );
+    assert_eq!(field(&map[&3], "ok"), Json::Bool(true));
+    let stats = field(&map[&4], "stats");
+    let tenants = stats.get("tenants").and_then(Json::as_arr).unwrap();
+    let gamma = tenants
+        .iter()
+        .find(|t| t.get("client").and_then(Json::as_str) == Some("gamma"))
+        .expect("gamma has a row");
+    assert_eq!(gamma.get("errors").and_then(Json::as_u64), Some(1));
+    assert_eq!(gamma.get("requests").and_then(Json::as_u64), Some(1));
+}
+
 /// A step-budgeted CS request gets the same response bytes from a fresh
 /// daemon, from one that has answered another tenant's CS traffic on the
 /// same program, and after a quarantine rebuild, at one and two workers:

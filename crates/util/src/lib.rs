@@ -13,7 +13,8 @@
 //! * [`Worklist`] — a FIFO worklist with membership dedup,
 //! * [`FxHashMap`]/[`FxHashSet`] — fast non-DoS-resistant hashing for the
 //!   analyses' internal tables,
-//! * [`par`] — an order-preserving parallel map for batched queries,
+//! * [`par`] — the default worker-thread count for batched queries and
+//!   its `THINSLICE_THREADS` override,
 //! * [`govern`] — resource budgets, cancellation and truncation labels
 //!   shared by every analysis stage,
 //! * [`telemetry`] — tracing spans, a metrics registry and JSON run

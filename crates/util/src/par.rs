@@ -1,32 +1,10 @@
-//! A minimal data-parallel executor over scoped threads.
+//! The worker-thread count that batched queries default to.
 //!
-//! The batched slicing engine fans independent queries out across cores.
-//! `rayon` would be the natural dependency, but the build must work without
-//! network access, so this module provides the one primitive the engine
-//! needs: an order-preserving parallel map with per-worker state, built on
-//! `std::thread::scope` and per-worker block deques with work stealing.
-//!
-//! Query costs are wildly skewed (a context-sensitive thin slice can cost
-//! 30× a context-insensitive one), so a static partition idles workers.
-//! Each worker owns a contiguous block of item indices packed into one
-//! `AtomicU64` as `(next, end)` halves; the owner claims items from the
-//! front one at a time, and a worker whose block is empty steals the back
-//! half of the fullest remaining block. Every claim is a CAS on the one
-//! word, so there are no locks and no idle spinning while work remains.
-//!
-//! Results are returned in input order regardless of completion order, so
-//! parallel callers observe exactly the sequential output.
-//!
-//! # Examples
-//!
-//! ```
-//! use thinslice_util::par;
-//!
-//! let squares = par::map_with(&[1u64, 2, 3, 4], 2, || (), |(), _i, x| x * x);
-//! assert_eq!(squares, vec![1, 4, 9, 16]);
-//! ```
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The CLI and the benchmarks run batches on [`default_threads`] workers:
+//! the machine's available parallelism, or the `THINSLICE_THREADS`
+//! override. The batch engine itself (`thinslice::batch`) runs a batch on
+//! the calling thread plus scoped helpers that claim lane groups from one
+//! shared counter.
 
 /// Environment variable overriding [`default_threads`] (and therefore every
 /// CLI and benchmark default). Must be a positive integer when set; an
@@ -85,239 +63,9 @@ pub fn default_threads() -> usize {
     }
 }
 
-/// [`default_threads`] capped at `batch` — CI containers report up to 128
-/// CPUs, and spawning 128 workers for a 3-query batch costs more than it
-/// saves. Never returns 0 (an empty batch still gets one thread).
-pub fn default_threads_for(batch: usize) -> usize {
-    default_threads().clamp(1, batch.max(1))
-}
-
-/// A worker's range of pending item indices, packed as `next << 32 | end`
-/// so both halves move under a single CAS.
-fn pack(next: u32, end: u32) -> u64 {
-    (u64::from(next) << 32) | u64::from(end)
-}
-
-fn unpack(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, v as u32)
-}
-
-/// Maps `f` over `items` on up to `threads` worker threads, giving each
-/// worker a private scratch state built by `init`; returns the results in
-/// input order.
-///
-/// With `threads <= 1` (or one item) everything runs on the calling thread
-/// with no spawning, so single-threaded behaviour is exactly a `for` loop —
-/// useful both for determinism tests and for machines without spare cores.
-pub fn map_with<T, R, S, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        let mut scratch = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(&mut scratch, i, t))
-            .collect();
-    }
-    assert!(
-        items.len() <= u32::MAX as usize,
-        "batch exceeds u32 item indices"
-    );
-
-    // Initial partition: contiguous blocks, remainder spread over the
-    // first workers so block sizes differ by at most one.
-    let deques: Vec<AtomicU64> = {
-        let per = items.len() / threads;
-        let extra = items.len() % threads;
-        let mut start = 0u32;
-        (0..threads)
-            .map(|w| {
-                let len = (per + usize::from(w < extra)) as u32;
-                let d = AtomicU64::new(pack(start, start + len));
-                start += len;
-                d
-            })
-            .collect()
-    };
-
-    let claim_own = |w: usize| -> Option<usize> {
-        let d = &deques[w];
-        loop {
-            let cur = d.load(Ordering::Acquire);
-            let (next, end) = unpack(cur);
-            if next >= end {
-                return None;
-            }
-            if d.compare_exchange_weak(
-                cur,
-                pack(next + 1, end),
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            )
-            .is_ok()
-            {
-                return Some(next as usize);
-            }
-            std::hint::spin_loop();
-        }
-    };
-    // Steal the back half of the fullest block into worker `w`'s (empty)
-    // deque. Returns false only when every deque was observed empty — at
-    // which point all remaining items are already claimed by their owners,
-    // so exiting early costs at most some tail parallelism, never an item.
-    let steal_into = |w: usize| -> bool {
-        loop {
-            let mut victim = None;
-            let mut best = 0u32;
-            for (v, d) in deques.iter().enumerate() {
-                if v == w {
-                    continue;
-                }
-                let (next, end) = unpack(d.load(Ordering::Acquire));
-                if end - next > best {
-                    best = end - next;
-                    victim = Some(v);
-                }
-            }
-            let Some(v) = victim else { return false };
-            let d = &deques[v];
-            let cur = d.load(Ordering::Acquire);
-            let (next, end) = unpack(cur);
-            if next >= end {
-                continue; // raced to empty; rescan
-            }
-            let mid = next + (end - next).div_ceil(2);
-            if d.compare_exchange(cur, pack(next, mid), Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                deques[w].store(pack(mid, end), Ordering::Release);
-                return true;
-            }
-            std::hint::spin_loop();
-        }
-    };
-
-    let mut slots: Vec<Option<R>> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|w| {
-                let (claim_own, steal_into) = (&claim_own, &steal_into);
-                let (init, f) = (&init, &f);
-                scope.spawn(move || {
-                    let mut scratch = init();
-                    let mut produced = Vec::new();
-                    loop {
-                        match claim_own(w) {
-                            Some(i) => produced.push((i, f(&mut scratch, i, &items[i]))),
-                            None => {
-                                if !steal_into(w) {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    produced
-                })
-            })
-            .collect();
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        for w in workers {
-            // A panic in a worker propagates here, matching sequential
-            // behaviour (the panic surfaces to the caller).
-            for (i, r) in w.join().expect("parallel map worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-        slots
-    });
-    slots
-        .iter_mut()
-        .map(|s| s.take().expect("every index produced"))
-        .collect()
-}
-
-/// [`map_with`] without per-worker state.
-pub fn map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    map_with(items, threads, || (), |(), i, t| f(i, t))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn preserves_input_order() {
-        let items: Vec<usize> = (0..500).collect();
-        let out = map(&items, 4, |_, &x| x * 2);
-        assert_eq!(out, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn single_thread_matches_parallel() {
-        let items: Vec<u64> = (0..100).collect();
-        let seq = map(&items, 1, |i, &x| x.wrapping_mul(i as u64 + 1));
-        let par = map(&items, 8, |i, &x| x.wrapping_mul(i as u64 + 1));
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn worker_state_is_reused_not_shared() {
-        // Each worker counts how many items it saw; totals must add up.
-        let total = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..200).collect();
-        let out = map_with(
-            &items,
-            3,
-            || 0usize,
-            |count, _, &x| {
-                *count += 1;
-                total.fetch_add(1, Ordering::Relaxed);
-                x
-            },
-        );
-        assert_eq!(out, items);
-        assert_eq!(total.load(Ordering::Relaxed), 200);
-    }
-
-    #[test]
-    fn empty_and_tiny_inputs() {
-        let empty: Vec<u8> = Vec::new();
-        assert!(map(&empty, 4, |_, &x| x).is_empty());
-        assert_eq!(map(&[9u8], 4, |_, &x| x + 1), vec![10]);
-    }
-
-    #[test]
-    fn oversubscribed_thread_count_is_clamped() {
-        let items = [1, 2, 3];
-        assert_eq!(map(&items, 64, |_, &x| x), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn skewed_workloads_complete_every_item() {
-        // One expensive item per block forces stealing; every result must
-        // still land in its slot exactly once.
-        let items: Vec<u64> = (0..137).collect();
-        let out = map(&items, 4, |_, &x| {
-            let spin = if x % 37 == 0 { 20_000 } else { 10 };
-            let mut acc = x;
-            for i in 0..spin {
-                acc = std::hint::black_box(acc.wrapping_mul(31).wrapping_add(i));
-            }
-            (acc, x).1
-        });
-        assert_eq!(out, items);
-    }
 
     #[test]
     fn threads_env_values_are_validated_not_ignored() {
@@ -331,13 +79,5 @@ mod tests {
                  token: {err:?}"
             );
         }
-    }
-
-    #[test]
-    fn default_threads_for_caps_at_batch_size() {
-        assert_eq!(default_threads_for(0), 1);
-        assert_eq!(default_threads_for(1), 1);
-        assert!(default_threads_for(usize::MAX) >= 1);
-        assert!(default_threads_for(2) <= 2);
     }
 }

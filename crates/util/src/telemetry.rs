@@ -1165,9 +1165,12 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, 
     }
 }
 
-/// Decodes the string literal at `pos`. Each run of bytes up to the next
-/// `"` or `\` is copied in one step: both are ASCII, so in a `&str` every
-/// run ends on a character boundary. Raw control characters pass through.
+/// Decodes the string literal at `pos` as RFC 8259 defines it. Each run
+/// of bytes up to the next `"`, `\` or control character is copied in one
+/// step: all three are ASCII, so in a `&str` every run ends on a character
+/// boundary. A raw control character (below U+0020) is an error, `\u`
+/// takes exactly four hex digits, and an escaped high surrogate must be
+/// followed by an escaped low one, the two decoding to one scalar.
 fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
     let b = text.as_bytes();
     if b.get(*pos) != Some(&b'"') {
@@ -1178,39 +1181,69 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
     loop {
         let run = b[*pos..]
             .iter()
-            .position(|&c| c == b'"' || c == b'\\')
+            .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
             .ok_or_else(|| "unterminated string".to_string())?;
         out.push_str(&text[*pos..*pos + run]);
         *pos += run;
-        if b[*pos] == b'"' {
-            *pos += 1;
-            return Ok(out);
+        match b[*pos] {
+            b'"' => {
+                *pos += 1;
+                return Ok(out);
+            }
+            b'\\' => *pos += 1,
+            c => {
+                return Err(format!(
+                    "control character {c:#04x} in string at byte {pos}"
+                ))
+            }
         }
-        *pos += 1;
-        match b.get(*pos) {
-            Some(b'"') => out.push('"'),
-            Some(b'\\') => out.push('\\'),
-            Some(b'/') => out.push('/'),
-            Some(b'n') => out.push('\n'),
-            Some(b't') => out.push('\t'),
-            Some(b'r') => out.push('\r'),
-            Some(b'b') => out.push('\u{8}'),
-            Some(b'f') => out.push('\u{c}'),
+        let c = match b.get(*pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
             Some(b'u') => {
-                let hex = b
-                    .get(*pos + 1..*pos + 5)
-                    .ok_or("truncated \\u escape")
-                    .and_then(|h| std::str::from_utf8(h).map_err(|_| "bad \\u escape"))
-                    .map_err(str::to_string)?;
-                let code =
-                    u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                *pos += 4;
+                let at = *pos;
+                let unit = hex4(b, pos)?;
+                let code = match unit {
+                    0xD800..=0xDBFF if b.get(*pos + 1..*pos + 3) == Some(&b"\\u"[..]) => {
+                        *pos += 2;
+                        match hex4(b, pos)? {
+                            low @ 0xDC00..=0xDFFF => {
+                                0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+                            }
+                            _ => unit,
+                        }
+                    }
+                    _ => unit,
+                };
+                char::from_u32(code)
+                    .ok_or_else(|| format!("unpaired surrogate \\u{unit:04x} at byte {at}"))?
             }
             _ => return Err(format!("bad escape at byte {pos}")),
-        }
+        };
+        out.push(c);
         *pos += 1;
     }
+}
+
+/// The four hex digits after the `u` of a `\u` escape at `pos`, which is
+/// left on the last digit.
+fn hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
+    let digits = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
+    let mut code = 0;
+    for &d in digits {
+        let digit = char::from(d)
+            .to_digit(16)
+            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
+        code = code << 4 | digit;
+    }
+    *pos += 4;
+    Ok(code)
 }
 
 #[cfg(test)]

@@ -1,17 +1,35 @@
-//! `Json::parse`'s string decoder against the one it replaced.
+//! `Json::parse`'s string decoder against a reference decoder.
 //!
-//! The decoder copies each run of bytes up to the next `"` or `\` in one
-//! step. The reference below is the earlier decoder, kept verbatim in
-//! behaviour: it copies one UTF-8 scalar at a time and validates each.
-//! Seeded documents holding one string literal mix plain runs, every
-//! escape, 1- to 4-byte characters, raw control characters, bad and
-//! truncated escapes, missing closing quotes and trailing data; for each,
-//! both decoders must return the same value or the same error message.
+//! The decoder copies each run of bytes up to the next `"`, `\` or
+//! control character in one step. The reference below copies one UTF-8
+//! scalar at a time and decodes `\u` escapes through
+//! `char::decode_utf16`, under the rules of RFC 8259: a raw control
+//! character is an error, `\u` takes exactly four hex digits, and a
+//! surrogate must be a high one escaped right before a low one. Seeded
+//! documents holding one string literal mix plain runs, every escape,
+//! surrogate halves, 1- to 4-byte characters, raw control characters, bad
+//! and truncated escapes, missing closing quotes and trailing data; for
+//! each, both decoders must return the same value or the same error
+//! message.
 
 use thinslice_util::telemetry::Json;
 use thinslice_util::SmallRng;
 
-/// The earlier string decoder: one UTF-8 scalar per step.
+/// The UTF-16 unit of the `\u` escape whose `u` is at `pos`, leaving `pos`
+/// on its last hex digit.
+fn reference_unit(b: &[u8], pos: &mut usize) -> Result<u16, String> {
+    let digits = b
+        .get(*pos + 1..*pos + 5)
+        .ok_or_else(|| "truncated \\u escape".to_string())?;
+    if !digits.iter().all(u8::is_ascii_hexdigit) {
+        return Err(format!("bad \\u escape at byte {pos}"));
+    }
+    let unit = u16::from_str_radix(std::str::from_utf8(digits).unwrap(), 16).unwrap();
+    *pos += 4;
+    Ok(unit)
+}
+
+/// The reference string decoder: one UTF-8 scalar per step.
 fn reference_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     if b.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}"));
@@ -25,6 +43,11 @@ fn reference_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
                 return Ok(out);
             }
+            Some(&c) if c < 0x20 => {
+                return Err(format!(
+                    "control character {c:#04x} in string at byte {pos}"
+                ))
+            }
             Some(b'\\') => {
                 *pos += 1;
                 match b.get(*pos) {
@@ -37,15 +60,23 @@ fn reference_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")
-                            .and_then(|h| std::str::from_utf8(h).map_err(|_| "bad \\u escape"))
-                            .map_err(str::to_string)?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
+                        let at = *pos;
+                        let mut units = vec![reference_unit(b, pos)?];
+                        let high = (0xD800..0xDC00).contains(&units[0]);
+                        if high && b.get(*pos + 1) == Some(&b'\\') && b.get(*pos + 2) == Some(&b'u')
+                        {
+                            *pos += 2;
+                            units.push(reference_unit(b, pos)?);
+                        }
+                        match char::decode_utf16(units).next().unwrap() {
+                            Ok(c) => out.push(c),
+                            Err(e) => {
+                                return Err(format!(
+                                    "unpaired surrogate \\u{:04x} at byte {at}",
+                                    e.unpaired_surrogate()
+                                ))
+                            }
+                        }
                     }
                     _ => return Err(format!("bad escape at byte {pos}")),
                 }
@@ -79,8 +110,9 @@ fn reference(doc: &str) -> Result<Json, String> {
 }
 
 /// Pieces a string body is built from: plain runs, every escape, good and
-/// bad `\u` escapes, multi-byte characters, raw control characters, a
-/// bad escape and a backslash before a multi-byte character.
+/// bad `\u` escapes, surrogate pairs and halves, multi-byte characters,
+/// raw control characters, a bad escape and a backslash before a
+/// multi-byte character.
 const PIECES: &[&str] = &[
     "a",
     "plain run of ascii ",
@@ -96,7 +128,11 @@ const PIECES: &[&str] = &[
     "\\u00e9",
     "\\u0041",
     "\\u20AC",
+    "\\u0001",
+    "\\ud83d\\ude00",
+    "\\uDBFF\\uDFFF",
     "\\ud800",
+    "\\udc00",
     "\\u+0e9",
     "\\u12",
     "\\uzzzz",
@@ -173,4 +209,31 @@ fn run_boundaries_decode_like_the_reference() {
     ] {
         assert_eq!(Json::parse(doc), reference(doc), "document {doc:?}");
     }
+}
+
+#[test]
+fn strings_decode_as_rfc_8259_defines_them() {
+    let decoded = |doc: &str| {
+        assert_eq!(Json::parse(doc), reference(doc), "document {doc:?}");
+        Json::parse(doc)
+    };
+    let value = |s: &str| Ok(Json::Str(s.to_string()));
+    // A surrogate pair is one scalar, however its hex digits are cased.
+    assert_eq!(decoded("\"\\ud83d\\ude00\""), value("\u{1f600}"));
+    assert_eq!(decoded("\"a\\uD83D\\uDE00b\""), value("a\u{1f600}b"));
+    for (doc, error) in [
+        ("\"\\ud83d\"", "unpaired surrogate \\ud83d at byte 2"),
+        ("\"\\ude00\"", "unpaired surrogate \\ude00 at byte 2"),
+        ("\"\\ud83d\\u0041\"", "unpaired surrogate \\ud83d at byte 2"),
+        ("\"\\ud83d\\ud83d\"", "unpaired surrogate \\ud83d at byte 2"),
+        ("\"\\u+0e9\"", "bad \\u escape at byte 2"),
+        ("\"\\u0e9\"", "bad \\u escape at byte 2"),
+        ("\"\\u12", "truncated \\u escape"),
+        ("\"a\tb\"", "control character 0x09 in string at byte 2"),
+        ("\"\u{1f}\"", "control character 0x1f in string at byte 1"),
+    ] {
+        assert_eq!(decoded(doc), Err(error.to_string()), "document {doc:?}");
+    }
+    // DEL and escaped control characters are fine.
+    assert_eq!(decoded("\"\u{7f}\\u0009\""), value("\u{7f}\t"));
 }
