@@ -22,13 +22,50 @@
 //! per invocation, one [`RunCtx`] carrying whatever telemetry and budget
 //! the flags describe, and every slice answered through [`Query`].
 
+use std::io::Write;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use thinslice::{
     report, AnalysisSession, BatchOptions, Budget, Engine, Query, QueryPolicy, RunCtx, RunReport,
     SliceKind, Telemetry,
 };
 use thinslice_interp::{dynamic_thin_slice, run_ctx as interp_run, ExecConfig};
 use thinslice_ir::pretty;
+
+/// Writes to stdout: every line the CLI prints goes through here. A
+/// reader that closed the pipe (`thinslice ... | head -1`) ends the
+/// output: this write and every later one are dropped, and the command
+/// runs on to its usual exit. Any other write error is returned.
+fn write_out(text: std::fmt::Arguments) -> Result<(), String> {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return Ok(());
+    }
+    match std::io::stdout().lock().write_fmt(text) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            CLOSED.store(true, Ordering::Relaxed);
+            Ok(())
+        }
+        written => written.map_err(|e| format!("stdout: {e}")),
+    }
+}
+
+/// `print!` through [`write_out`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_out(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_out`].
+macro_rules! outln {
+    () => {
+        write_out(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -432,10 +469,10 @@ fn cmd_validate_report(o: &Options) -> Result<(), String> {
                     .map_err(|e| format!("{path}:{}: {e}", i + 1))?;
                 responses += 1;
             }
-            println!(
+            outln!(
                 "{path}: valid {} transcript ({responses} responses)",
                 thinslice_serve::RESPONSE_SCHEMA,
-            );
+            )?;
             continue;
         }
         if first_schema.as_deref() == Some(thinslice_serve::SERVE_STATS_SCHEMA) {
@@ -443,10 +480,10 @@ fn cmd_validate_report(o: &Options) -> Result<(), String> {
                 Json::parse(text.trim()).map_err(|e| format!("{path}: malformed JSON: {e}"))?;
             let summary = thinslice_serve::protocol::validate_stats_doc(&doc)
                 .map_err(|e| format!("{path}: {e}"))?;
-            println!(
+            outln!(
                 "{path}: valid {} snapshot ({summary})",
                 thinslice_serve::SERVE_STATS_SCHEMA,
-            );
+            )?;
             continue;
         }
         let report = RunReport::from_json(&text).map_err(|e| match first_schema.as_deref() {
@@ -458,14 +495,14 @@ fn cmd_validate_report(o: &Options) -> Result<(), String> {
             ),
             _ => format!("{path}: {e}"),
         })?;
-        println!(
+        outln!(
             "{path}: valid {} report ({} spans, {} counters, {} histograms, {} events)",
             thinslice_util::telemetry::RUN_REPORT_SCHEMA,
             report.spans.len(),
             report.counters.len(),
             report.histograms.len(),
             report.events.len(),
-        );
+        )?;
     }
     Ok(())
 }
@@ -653,7 +690,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     thinslice_serve::protocol::validate_response_line(line)
         .map_err(|e| format!("{}: bad response: {e}", cli.socket))?;
     if cli.json {
-        println!("{line}");
+        outln!("{line}")?;
         return Ok(());
     }
     let v = Json::parse(line).map_err(|e| format!("{}: {e}", cli.socket))?;
@@ -668,7 +705,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let doc = v
         .get("stats")
         .ok_or_else(|| format!("{}: response has no embedded stats document", cli.socket))?;
-    print!("{}", render_stats(doc));
+    out!("{}", render_stats(doc))?;
     Ok(())
 }
 
@@ -761,7 +798,7 @@ fn cmd_reload(args: &[String]) -> Result<(), String> {
     thinslice_serve::protocol::validate_response_line(line)
         .map_err(|e| format!("{}: bad response: {e}", cli.socket))?;
     if cli.json {
-        println!("{line}");
+        outln!("{line}")?;
         return Ok(());
     }
     let v = Json::parse(line).map_err(|e| format!("{}: {e}", cli.socket))?;
@@ -775,7 +812,7 @@ fn cmd_reload(args: &[String]) -> Result<(), String> {
     }
     let s = |key: &str| v.get(key).and_then(Json::as_str).unwrap_or("?").to_string();
     let u = |key: &str| v.get(key).and_then(Json::as_u64).unwrap_or(0);
-    println!(
+    outln!(
         "reloaded {} (content {}) path={} methods {}/{} changed · \
          constraints retracted {} readded {} of {} · \
          csr refrozen {}/{} · summary graphs dropped {} kept {}",
@@ -791,7 +828,7 @@ fn cmd_reload(args: &[String]) -> Result<(), String> {
         u("csr_segments_total"),
         u("memo_invalidated"),
         u("memo_kept"),
-    );
+    )?;
     Ok(())
 }
 
@@ -1036,24 +1073,23 @@ fn cmd_slice_batch(s: &mut AnalysisSession, o: &Options, ctx: &RunCtx) -> Result
     let workers = s.batch_workers(&queries, o.threads, &opts);
 
     if o.governed() {
-        print_governed_batch(o, &seed_lines, &outcomes);
+        print_governed_batch(o, &seed_lines, &outcomes)?;
     } else {
         for ((f, l), out) in seed_lines.iter().zip(&outcomes) {
             match &out.slice {
-                Ok(s) => println!("{f}:{l}  {:?} slice: {} statements", o.kind, s.len()),
-                Err(e) => println!("{f}:{l}  FAILED: {e}"),
+                Ok(s) => outln!("{f}:{l}  {:?} slice: {} statements", o.kind, s.len())?,
+                Err(e) => outln!("{f}:{l}  FAILED: {e}")?,
             }
         }
-        println!(
+        outln!(
             "-- {} slices in {:.1} ms on {} thread(s) ({:.0} slices/sec)",
             outcomes.len(),
             elapsed.as_secs_f64() * 1000.0,
             workers,
             outcomes.len() as f64 / elapsed.as_secs_f64().max(1e-9),
-        );
+        )?;
     }
-    print_latency_footer(ctx.telemetry());
-    Ok(())
+    print_latency_footer(ctx.telemetry())
 }
 
 /// Per-seed outcome lines for a governed batch (size, truncation marker,
@@ -1062,7 +1098,7 @@ fn print_governed_batch(
     o: &Options,
     seed_lines: &[(String, u32)],
     outcomes: &[thinslice::QueryOutcome],
-) {
+) -> Result<(), String> {
     for ((f, l), out) in seed_lines.iter().zip(outcomes) {
         let ms = out.latency.as_secs_f64() * 1000.0;
         let retried = if out.retries > 0 {
@@ -1081,31 +1117,35 @@ fn print_governed_batch(
                 } else {
                     ""
                 };
-                println!(
+                outln!(
                     "{f}:{l}  {:?} slice: {} statements{}{}  [{ms:.1} ms{retried}]",
                     o.kind,
                     s.stmts.len(),
                     report::completeness_marker(&s.completeness),
                     degraded,
-                );
+                )?;
             }
-            Err(e) => println!("{f}:{l}  FAILED: {e}  [{ms:.1} ms{retried}]"),
+            Err(e) => outln!("{f}:{l}  FAILED: {e}  [{ms:.1} ms{retried}]")?,
         }
     }
-    println!("{}", report::governed_batch_footer(outcomes));
+    outln!("{}", report::governed_batch_footer(outcomes))
 }
 
 /// With telemetry enabled, one extra footer line summarising the per-query
 /// latency histogram. Plain runs print nothing extra. CI queries answered
 /// together in one lane walk each report the walk's wall time.
-fn print_latency_footer(tel: &Telemetry) {
+fn print_latency_footer(tel: &Telemetry) -> Result<(), String> {
     if let Some(h) = tel.histogram_summary("batch.query_us") {
-        println!(
+        outln!(
             "-- per-query latency: p50 {:.1} us, p95 {:.1} us, max {:.1} us over {} queries \
              (a lane-walked query reports its group's wall time)",
-            h.p50, h.p95, h.max, h.count
-        );
+            h.p50,
+            h.p95,
+            h.max,
+            h.count
+        )?;
     }
+    Ok(())
 }
 
 fn cmd_slice(o: &Options, ctx: &RunCtx) -> Result<(), String> {
@@ -1131,7 +1171,7 @@ fn cmd_slice(o: &Options, ctx: &RunCtx) -> Result<(), String> {
                  degraded to context-insensitive reachability over the same graph"
             );
         }
-        println!(
+        outln!(
             "context-sensitive {:?} slice: {} statements{}{}",
             o.kind,
             result.len(),
@@ -1141,18 +1181,18 @@ fn cmd_slice(o: &Options, ctx: &RunCtx) -> Result<(), String> {
             } else {
                 ""
             },
-        );
+        )?;
     } else {
-        println!(
+        outln!(
             "{:?} slice: {} statements (BFS order from the seed){}",
             o.kind,
             result.len(),
             report::completeness_marker(&result.completeness),
-        );
+        )?;
     }
     // The daemon lists the same lines in a `slice` response's `stmts`.
     for line in report::stmt_lines(s.program(), &result.stmts) {
-        println!("  {line}");
+        outln!("  {line}")?;
     }
     Ok(())
 }
@@ -1178,33 +1218,33 @@ fn cmd_explain(o: &Options, ctx: &RunCtx) -> Result<(), String> {
             }
         }
     }
-    println!("relevant control dependences (paper 4.2):");
+    outln!("relevant control dependences (paper 4.2):")?;
     if ctrl.is_empty() {
-        println!("  (none — the seed is unconditionally executed)");
+        outln!("  (none — the seed is unconditionally executed)")?;
     }
     for c in &ctrl {
-        println!("  {}", pretty::stmt_str(program, *c));
+        outln!("  {}", pretty::stmt_str(program, *c))?;
     }
     // Heap-flow pairs of the thin slice and their aliasing explanations.
     let pairs = thinslice::expand::heap_flow_pairs(program, graph, &thin.stmts);
-    println!("\nheap-based value flow in the thin slice (paper 4.1):");
+    outln!("\nheap-based value flow in the thin slice (paper 4.1):")?;
     if pairs.is_empty() {
-        println!("  (none — the value never travels through the heap)");
+        outln!("  (none — the value never travels through the heap)")?;
     }
     for (load, store) in pairs {
-        println!("  load : {}", pretty::stmt_str(program, load));
-        println!("  store: {}", pretty::stmt_str(program, store));
+        outln!("  load : {}", pretty::stmt_str(program, load))?;
+        outln!("  store: {}", pretty::stmt_str(program, store))?;
         match thinslice::explain_aliasing_ctx(program, pta, graph, load, store, ctx) {
             Ok(e) => {
                 let e = e.result;
-                println!("  common objects: {}", e.common_objects.len());
+                outln!("  common objects: {}", e.common_objects.len())?;
                 for st in e.statements() {
-                    println!("    {}", pretty::stmt_str(program, st));
+                    outln!("    {}", pretty::stmt_str(program, st))?;
                 }
             }
-            Err(err) => println!("  (no explanation: {err})"),
+            Err(err) => outln!("  (no explanation: {err})")?,
         }
-        println!();
+        outln!()?;
     }
     Ok(())
 }
@@ -1220,27 +1260,27 @@ fn cmd_run(o: &Options, ctx: &RunCtx) -> Result<(), String> {
     };
     let exec = interp_run(program, &config, ctx);
     for (_, text) in &exec.prints {
-        println!("{text}");
+        outln!("{text}")?;
     }
-    println!(
+    outln!(
         "-- outcome: {:?} after {} steps",
         exec.outcome,
         exec.step_count()
-    );
+    )?;
     if o.dynamic_slice {
         if let Some((event, _)) = exec.prints.last() {
             let slice = dynamic_thin_slice(&exec, *event);
-            println!(
+            outln!(
                 "\ndynamic thin slice of the last print ({} statements):",
                 slice.stmt_count()
-            );
+            )?;
             let mut stmts: Vec<_> = slice.stmts.iter().copied().collect();
             stmts.sort();
             for st in stmts {
-                println!("  {}", pretty::stmt_str(program, st));
+                outln!("  {}", pretty::stmt_str(program, st))?;
             }
         } else {
-            println!("(nothing printed — no dynamic slice)");
+            outln!("(nothing printed — no dynamic slice)")?;
         }
     }
     Ok(())
@@ -1251,18 +1291,18 @@ fn cmd_info(o: &Options, ctx: &RunCtx) -> Result<(), String> {
     let (program, pta, graph) = s.ci_parts();
     let stats = thinslice_pta::ProgramStats::compute(program, pta);
     let sdg_stats = thinslice_sdg::SdgStats::compute(graph);
-    println!("classes:               {}", stats.classes);
-    println!("reachable methods:     {}", stats.methods);
-    println!("call-graph nodes:      {}", stats.cg_nodes);
-    println!("abstract objects:      {}", stats.abstract_objects);
-    println!("SDG statements:        {}", sdg_stats.stmt_nodes);
-    println!("SDG nodes (total):     {}", sdg_stats.nodes);
-    println!("SDG edges:             {}", sdg_stats.edges);
-    println!("implicit conditionals: {}", stats.implicit_conditionals);
-    println!("PTA constraint edges:  {}", stats.constraint_edges);
-    println!("PTA delta rounds:      {}", stats.pta_delta_rounds);
-    println!("PTA max worklist:      {}", stats.pta_max_worklist_depth);
-    println!("PTA delta objects:     {}", stats.pta_delta_objects);
+    outln!("classes:               {}", stats.classes)?;
+    outln!("reachable methods:     {}", stats.methods)?;
+    outln!("call-graph nodes:      {}", stats.cg_nodes)?;
+    outln!("abstract objects:      {}", stats.abstract_objects)?;
+    outln!("SDG statements:        {}", sdg_stats.stmt_nodes)?;
+    outln!("SDG nodes (total):     {}", sdg_stats.nodes)?;
+    outln!("SDG edges:             {}", sdg_stats.edges)?;
+    outln!("implicit conditionals: {}", stats.implicit_conditionals)?;
+    outln!("PTA constraint edges:  {}", stats.constraint_edges)?;
+    outln!("PTA delta rounds:      {}", stats.pta_delta_rounds)?;
+    outln!("PTA max worklist:      {}", stats.pta_max_worklist_depth)?;
+    outln!("PTA delta objects:     {}", stats.pta_delta_objects)?;
     Ok(())
 }
 

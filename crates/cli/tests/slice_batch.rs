@@ -1,9 +1,10 @@
 //! `thinslice slice --all-seeds` ends with a footer that names the workers
 //! the batch engine ran, which can be fewer than `--threads` asks for: a
-//! lane-walked batch gets one worker per group of 64 queries.
+//! lane-walked batch gets one worker per group of 64 queries. A reader
+//! that closes the output early ends it without an error.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// The CI smoke program: 26 seed lines, one lane group.
 const SMOKE: &str = "class Main {
@@ -92,4 +93,24 @@ fn the_batch_footer_names_the_workers_the_engine_ran() {
             "{extra:?}: {line}"
         );
     }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_without_a_panic() {
+    // `thinslice slice wide.mj --all-seeds | head -1`, with a reader that
+    // has gone before the first line is written.
+    let wide = write("closed.mj", &wide());
+    let mut child = Command::new(env!("CARGO_BIN_EXE_thinslice"))
+        .arg("slice")
+        .arg(&wide)
+        .arg("--all-seeds")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the CLI starts");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("the CLI exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

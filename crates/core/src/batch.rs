@@ -20,27 +20,39 @@
 //! Binkley), which the session builds once per slice kind and graph, on
 //! the first CS query or batch of the kind, outside every meter.
 //!
-//! A batch is cut into runs of at most 64 consecutive queries, and each
-//! run is answered by one lane walk that carries a 64-bit lane mask per
-//! node, so the queries of a run share the scan of every node they reach;
-//! a CI run is a multi-source BFS (Then et al., *The More the Merrier*,
-//! VLDB 2014). A lane whose meter can run out expands its own nodes in its
-//! own canonical order and ticks its own meter, and a lane whose meter
-//! cannot is never ticked, so each lane answers what its query answers
-//! alone. A lane-walked batch gets one worker per run.
+//! A batch is cut into lane groups of at most 64 queries, and each group
+//! is answered by one lane walk that carries a 64-bit lane mask per node,
+//! so the queries of a group share the scan of every node they reach at
+//! the same BFS level; a CI group is a multi-source BFS (Then et al., *The
+//! More the Merrier*, VLDB 2014). A lane whose meter can run out expands
+//! its own nodes in its own canonical order and ticks its own meter, and a
+//! lane whose meter cannot is never ticked, so each lane answers what its
+//! query answers alone. A lane-walked batch gets one worker per group.
+//!
+//! Consecutive statements form dependence chains whose lanes reach their
+//! shared producers one level apart, and so scan them once per level. A
+//! lane-walked batch of two or more groups is therefore cut from its
+//! queries ordered by dependence height ([`FrozenSdg::heights`]), deepest
+//! first, so that a group's queries reach shared producers at about the
+//! same level. The order decides only which queries share a walk, never
+//! an answer, and outcomes come back in query order. A fail-fast batch
+//! keeps query order, because a failure cancels the queries after it, and
+//! so does every batch of one group or answered one query at a time.
 //!
 //! The calling thread is one of a batch's workers. It answers the first
-//! run on the scratch it was passed (the session's), then claims further
-//! runs from one shared counter, as do the other workers: scoped threads
-//! spawned for the batch, each on empty scratch. Runs are near-equal in
-//! length, so one counter spreads them as evenly as work stealing would.
+//! group on the scratch it was passed (the session's), then claims further
+//! groups from one shared counter, as do the other workers: scoped threads
+//! spawned for the batch, each on empty scratch. Groups are near-equal in
+//! length and the deepest, costliest walks are claimed first, so the
+//! cheap ones fill in at the end and one counter keeps the workers busy
+//! without stealing.
 //!
-//! A run of one query, the run holding a fault-injected query, a run
-//! whose walk panicked, and every run of a batch without retries or under
-//! a deadline are answered one query at a time instead, each by a walk of
-//! its own. A deadline is per query, and a lane's clock would also run
-//! during its siblings' work. A batch answered one query at a time gets a
-//! worker per 8 queries, and at least one run per worker.
+//! A group of one query, the group holding a fault-injected query, a
+//! group whose walk panicked, and every group of a batch without retries
+//! or under a deadline are answered one query at a time instead, each by
+//! a walk of its own. A deadline is per query, and a lane's clock would
+//! also run during its siblings' work. A batch answered one query at a
+//! time gets a worker per 8 queries, and at least one group per worker.
 //!
 //! One engine answers every batch, governed or not; an ungoverned batch
 //! simply runs under an unlimited budget. Every walk runs under
@@ -77,12 +89,15 @@
 use crate::session::{Engine, SliceResult};
 use crate::slice::{slice_dense, slice_lanes, Slice, SliceKind, SliceScratch, LANES};
 use crate::tabulation::{cs_lanes, CsScratch, SummaryGraphs};
+use std::cmp::Reverse;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use thinslice_sdg::{FrozenSdg, NodeId};
-use thinslice_util::{panic_message, Budget, CancelToken, Completeness, Meter, RunCtx, Telemetry};
+use thinslice_util::{
+    panic_message, Budget, CancelToken, Completeness, Idx, Meter, RunCtx, Telemetry,
+};
 
 /// Minimum queries a worker must stand to receive before it is worth
 /// spawning, in a batch answered one query at a time: an OS thread costs
@@ -244,7 +259,7 @@ pub(crate) fn answer_ci(
 /// `budget`, so each answer is the one [`answer_ci`] gives.
 fn answer_lanes(
     graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
+    queries: &[&[NodeId]],
     kind: SliceKind,
     budget: &Budget,
     scratch: &mut SliceScratch,
@@ -442,10 +457,11 @@ pub(crate) fn run_batch(
     }
 }
 
-/// `n` queries cut into runs of consecutive queries of near-equal length:
-/// as few as lane walks allow ([`LANES`] queries each), but at least one
-/// per worker. A lane-walked batch has no more workers than that, so its
-/// runs are full words but for the remainder spread over them.
+/// `n` queries cut into lane groups of near-equal length: as few as lane
+/// walks allow ([`LANES`] queries each), but at least one per worker. A
+/// lane-walked batch has no more workers than that, so its groups are
+/// full words but for the remainder spread over them. Each range is a
+/// span of the order [`run_groups`] takes the queries in.
 fn lane_groups(n: usize, workers: usize) -> Vec<Range<usize>> {
     let groups = n.div_ceil(LANES).max(workers).max(1);
     let (per, extra) = (n / groups, n % groups);
@@ -459,12 +475,29 @@ fn lane_groups(n: usize, workers: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Answers `n` queries in lane groups of consecutive queries
-/// ([`lane_groups`]) on `threads` workers, in query order. The calling
-/// thread answers group 0 on `scratch`, then claims further groups from
-/// one counter, as do `threads - 1` scoped helpers, each on empty
-/// scratch; each group's answers land in its own slot. With one worker
+/// The queries' indices, deepest first: by the highest dependence height
+/// ([`FrozenSdg::heights`]) among each query's seeds, ties in query
+/// order. A seed outside the graph, and a query with no seed, count as
+/// height 0.
+fn by_height(queries: &[Vec<NodeId>], heights: &[u32]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..queries.len()).collect();
+    order.sort_by_cached_key(|&i| {
+        let deepest = queries[i].iter().filter_map(|n| heights.get(n.index()));
+        Reverse(deepest.max().copied().unwrap_or(0))
+    });
+    order
+}
+
+/// Answers `queries` (seed nodes of `graph`) in lane groups ([`lane_groups`])
+/// on `threads` workers, and returns the outcomes in query order. The
+/// calling thread answers group 0 on `scratch`, then claims further groups
+/// from one counter, as do `threads - 1` scoped helpers, each on empty
+/// scratch; each query's outcome lands in its own slot. With one worker
 /// the caller answers every group in order and nothing is spawned.
+///
+/// A lane-walked batch of two or more groups that is not fail-fast is cut
+/// in height order ([`by_height`]; see the module docs). Every other
+/// batch is cut in query order and builds no height table.
 ///
 /// With `lanes` set, a group of two or more queries is answered by `walk`,
 /// one lane walk. A group is answered one query at a time instead, each
@@ -476,26 +509,29 @@ fn lane_groups(n: usize, workers: usize) -> Vec<Range<usize>> {
 /// of a lane-walked group reports the group's wall time as its latency.
 #[allow(clippy::too_many_arguments)]
 fn run_groups(
-    n: usize,
+    graph: &FrozenSdg,
+    queries: &[Vec<NodeId>],
+    kind: SliceKind,
     threads: usize,
     cfg: &BatchConfig,
     stage: &str,
     lanes: bool,
     scratch: &mut Scratch,
-    walk: impl Fn(&mut Scratch, Range<usize>) -> Vec<SliceResult> + Sync,
-    single: impl Fn(&mut Scratch, usize) -> SliceResult + Sync,
+    walk: impl Fn(&mut Scratch, &[&[NodeId]]) -> Vec<SliceResult> + Sync,
+    single: impl Fn(&mut Scratch, &[NodeId]) -> SliceResult + Sync,
 ) -> Vec<QueryOutcome> {
     let tel = cfg.ctx.telemetry();
     let record = |out: QueryOutcome| {
         record_outcome(tel, stage, &out);
         out
     };
-    let answer_group = |scratch: &mut Scratch, range: &Range<usize>| {
-        let faulty = cfg.fault.is_some_and(|f| range.contains(&f.query));
+    let answer_group = |scratch: &mut Scratch, group: &[usize]| {
+        let faulty = cfg.fault.is_some_and(|f| group.contains(&f.query));
         let (mut spent, mut wasted) = (0, Duration::ZERO);
-        if lanes && range.len() > 1 && !faulty {
+        if lanes && group.len() > 1 && !faulty {
+            let seeds: Vec<&[NodeId]> = group.iter().map(|&i| queries[i].as_slice()).collect();
             let start = Instant::now();
-            match catch_unwind(AssertUnwindSafe(|| walk(scratch, range.clone()))) {
+            match catch_unwind(AssertUnwindSafe(|| walk(scratch, &seeds))) {
                 Ok(answers) => {
                     let latency = start.elapsed();
                     return answers
@@ -516,7 +552,7 @@ fn run_groups(
                     tel.event(
                         "batch.lane_walk_failed",
                         &[
-                            ("queries", range.len().to_string()),
+                            ("queries", group.len().to_string()),
                             ("error", panic_message(payload.as_ref())),
                         ],
                     );
@@ -524,43 +560,57 @@ fn run_groups(
                 }
             }
         }
-        range
-            .clone()
-            .map(|i| {
-                let mut out = run_guarded(i, cfg, spent, scratch, |s| single(s, i));
+        group
+            .iter()
+            .map(|&i| {
+                let mut out = run_guarded(i, cfg, spent, scratch, |s| single(s, &queries[i]));
                 out.latency += wasted;
                 record(out)
             })
             .collect::<Vec<_>>()
     };
-    let groups = lane_groups(n, threads);
+    let groups = lane_groups(queries.len(), threads);
+    let order = if lanes && cfg.fail_fast.is_none() && groups.len() > 1 {
+        by_height(queries, graph.heights(kind))
+    } else {
+        (0..queries.len()).collect()
+    };
+    let group = |g: usize| &order[groups[g].clone()];
     let next = AtomicUsize::new(1);
     let claim = |scratch: &mut Scratch| {
         let mut answered = Vec::new();
         loop {
             let g = next.fetch_add(1, Ordering::Relaxed);
-            let Some(range) = groups.get(g) else {
+            if g >= groups.len() {
                 return answered;
-            };
-            answered.push((g, answer_group(scratch, range)));
+            }
+            answered.push((g, answer_group(scratch, group(g))));
         }
     };
-    let mut slots: Vec<Vec<QueryOutcome>> = groups.iter().map(|_| Vec::new()).collect();
+    let mut slots: Vec<Option<QueryOutcome>> = queries.iter().map(|_| None).collect();
+    let mut place = |g: usize, answered: Vec<QueryOutcome>| {
+        for (&i, out) in group(g).iter().zip(answered) {
+            slots[i] = Some(out);
+        }
+    };
     std::thread::scope(|scope| {
         let helpers: Vec<_> = (1..threads)
             .map(|_| scope.spawn(|| claim(&mut Scratch::default())))
             .collect();
-        slots[0] = answer_group(scratch, &groups[0]);
+        place(0, answer_group(scratch, group(0)));
         let mine = claim(scratch);
         // A panic that escapes `answer_group` on a helper surfaces here.
         let theirs = helpers
             .into_iter()
             .flat_map(|h| h.join().expect("batch helper panicked"));
         for (g, answered) in mine.into_iter().chain(theirs) {
-            slots[g] = answered;
+            place(g, answered);
         }
     });
-    slots.into_iter().flatten().collect()
+    slots
+        .into_iter()
+        .map(|out| out.expect("every query is in one group"))
+        .collect()
 }
 
 /// Answers a CI batch over `graph` through [`run_groups`], each lane
@@ -578,14 +628,16 @@ fn run_ci(
     let tel = cfg.ctx.telemetry();
     let budget = cfg.ctx.budget();
     run_groups(
-        queries.len(),
+        graph,
+        queries,
+        kind,
         threads,
         cfg,
         "slice",
         lanes,
         scratch,
-        |s, range| answer_lanes(graph, &queries[range], kind, budget, &mut s.bfs, tel),
-        |s, i| answer_ci(graph, &queries[i], kind, budget, &mut s.bfs, tel),
+        |s, group| answer_lanes(graph, group, kind, budget, &mut s.bfs, tel),
+        |s, seeds| answer_ci(graph, seeds, kind, budget, &mut s.bfs, tel),
     )
 }
 
@@ -606,22 +658,20 @@ fn run_cs(
 ) -> Vec<QueryOutcome> {
     let tel = cfg.ctx.telemetry();
     let budget = cfg.ctx.budget();
-    let answer = |s: &mut Scratch, queries: &[Vec<NodeId>]| {
+    let answer = |s: &mut Scratch, queries: &[&[NodeId]]| {
         answer_cs(graph, summaries, queries, kind, budget, cfg.degrade, s, tel)
     };
     run_groups(
-        queries.len(),
+        graph,
+        queries,
+        kind,
         threads,
         cfg,
         "cs_slice",
         lanes,
         scratch,
-        |s, range| answer(s, &queries[range]),
-        |s, i| {
-            answer(s, std::slice::from_ref(&queries[i]))
-                .pop()
-                .expect("one query, one answer")
-        },
+        answer,
+        |s, seeds| answer(s, &[seeds]).pop().expect("one query, one answer"),
     )
 }
 
@@ -907,6 +957,133 @@ mod tests {
                 let (s, o) = (s.slice.as_ref().unwrap(), o.slice.as_ref().unwrap());
                 assert_eq!(s.stmts, o.stmts, "{engine:?}");
                 assert_eq!(s.visited, o.visited, "{engine:?}");
+            }
+        }
+    }
+
+    /// The chain program of the CLI's batch tests: 245 seed lines, one of
+    /// them in the standard library, so four lane groups. Each `Box` reads
+    /// the one before it, so the statements of one step range from
+    /// allocations, which depend on nothing, to reads whose dependence
+    /// height grows down the file.
+    fn wide() -> String {
+        let mut text = String::from(
+            "class Box { int v; Box next; }\nclass Main {\n  static void main() {\n    \
+             Box b0 = new Box();\n    b0.v = 0;\n",
+        );
+        for i in 1..=60 {
+            text += &format!(
+                "    Box b{i} = new Box();\n    b{i}.next = b{p};\n    b{i}.v = b{p}.v + {i};\n    \
+                 if (b{i}.v > {i}) {{ print(b{i}.next.v); }}\n",
+                p = i - 1
+            );
+        }
+        text + "  }\n}\n"
+    }
+
+    #[test]
+    fn lane_groups_are_cut_deepest_first() {
+        // A lane-walked group's queries share one latency, the walk's wall
+        // time. Taken from the deepest group down, each group's shallowest
+        // seed is at least as high as the next group's deepest: the groups
+        // are cut from the queries in height order. Consecutive statements
+        // would put an allocation and a deep read in every group.
+        use crate::session::{AnalysisSession, Query};
+        use thinslice_util::Idx;
+        let mut s = AnalysisSession::new(&[("wide.mj", &wide())]).unwrap();
+        // Every source line with a statement, as `--all-seeds` takes them.
+        let lines: std::collections::BTreeSet<(String, u32)> = {
+            let program = s.program();
+            (program.all_stmts().map(|st| program.instr(st).span))
+                .filter(|span| !span.is_synthetic())
+                .map(|span| (program.files[span.file].name.clone(), span.line))
+                .collect()
+        };
+        let seeds: Vec<_> = (lines.iter())
+            .filter_map(|(file, line)| s.seed_at_line(file, *line))
+            .collect();
+        assert_eq!(seeds.len(), 245);
+        for engine in [Engine::Ci, Engine::Cs] {
+            for kind in [
+                SliceKind::Thin,
+                SliceKind::TraditionalData,
+                SliceKind::TraditionalFull,
+            ] {
+                let graph = match engine {
+                    Engine::Ci => s.ci_graph(),
+                    Engine::Cs => s.cs_graph(),
+                };
+                let heights = graph.heights(kind);
+                let key: Vec<u32> = seeds
+                    .iter()
+                    .map(|q| {
+                        let nodes = q.iter().flat_map(|&st| graph.stmt_nodes_of(st));
+                        nodes.map(|n| heights[n.index()]).max().unwrap_or(0)
+                    })
+                    .collect();
+                let queries: Vec<Query> = seeds
+                    .iter()
+                    .map(|q| Query::new(q.clone(), kind, engine))
+                    .collect();
+                for threads in [1, 2] {
+                    let at = format!("{engine:?}/{kind:?} at {threads} thread(s)");
+                    let out = s.query_batch(&queries, threads);
+                    // Each group's (deepest, shallowest) seed height.
+                    let mut groups: Vec<(Duration, u32, u32)> = Vec::new();
+                    for (o, &k) in out.iter().zip(&key) {
+                        match groups.iter_mut().find(|g| g.0 == o.latency) {
+                            Some(g) => (g.1, g.2) = (g.1.max(k), g.2.min(k)),
+                            None => groups.push((o.latency, k, k)),
+                        }
+                    }
+                    assert_eq!(groups.len(), 4, "{at}");
+                    groups.sort_by_key(|&(_, deepest, shallowest)| {
+                        std::cmp::Reverse((deepest, shallowest))
+                    });
+                    for pair in groups.windows(2) {
+                        assert!(pair[0].2 >= pair[1].1, "{at}: {groups:?}");
+                    }
+                    for (q, o) in queries.iter().zip(&out) {
+                        let got = o.slice.as_ref().expect("no faults injected");
+                        assert_eq!(got.stmts, s.query(q).stmts, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seeds_outside_the_graph_do_not_stop_the_height_order() {
+        // A batch of three lane groups is ordered by height before any walk
+        // runs, outside `catch_unwind`. There a seed past the graph's last
+        // node and a query with no seed count as height 0; only the walk
+        // that holds the bad seed panics, and only its query fails.
+        let a = setup();
+        let q = all_print_queries(&a);
+        let mut tiled: Vec<Vec<NodeId>> = q.iter().cycle().take(150).cloned().collect();
+        tiled[7] = vec![NodeId::new(a.csr.node_count())];
+        tiled[8] = Vec::new();
+        let kind = SliceKind::Thin;
+        for engine in [Engine::Ci, Engine::Cs] {
+            let out = run_batch(
+                &a.csr,
+                &tiled,
+                kind,
+                engine,
+                1,
+                &BatchConfig::default(),
+                &mut Scratch::default(),
+                &SummaryGraphs::default(),
+            );
+            assert_eq!(out.len(), tiled.len());
+            assert!(out[7].slice.is_err(), "{engine:?}");
+            for (o, seeds) in out.iter().zip(&tiled).filter(|(_, s)| **s != tiled[7]) {
+                let want = match engine {
+                    Engine::Ci => slice_from(&a.sdg, seeds, kind),
+                    Engine::Cs => cs_slice(&a.sdg, seeds, kind),
+                };
+                let got = o.slice.as_ref().expect("only the bad seed fails");
+                assert_eq!(got.stmts, want.stmts, "{engine:?}");
             }
         }
     }

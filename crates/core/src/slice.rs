@@ -23,31 +23,10 @@ use thinslice_sdg::{DepGraph, FrozenSdg, NodeId, NO_DISPLAY};
 use thinslice_util::FxHashSet;
 use thinslice_util::{BitSet, Completeness, Idx, Meter};
 
-/// Which dependence relation a slice follows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SliceKind {
-    /// Producer flow dependences only: no base-pointer/array-index flow, no
-    /// control dependence. The paper's contribution (§2–3).
-    Thin,
-    /// All flow dependences (including base pointers) but no control
-    /// dependence — the "traditional data slicer" configuration the paper
-    /// evaluates against (§6.1 handles control dependence out of band).
-    TraditionalData,
-    /// Everything, including control and interprocedural control (Call)
-    /// edges: Weiser-style full relevance.
-    TraditionalFull,
-}
-
-impl SliceKind {
-    /// Whether this slice follows `kind`-labelled edges.
-    pub fn follows(&self, kind: &thinslice_sdg::EdgeKind) -> bool {
-        match self {
-            SliceKind::Thin => kind.in_thin_slice(),
-            SliceKind::TraditionalData => kind.in_data_slice(),
-            SliceKind::TraditionalFull => kind.in_traditional_slice(),
-        }
-    }
-}
+// Which dependence relation a slice follows: defined beside the edge
+// labels it tests, in `thinslice_sdg`, whose frozen graphs keep facts per
+// kind.
+pub use thinslice_sdg::SliceKind;
 
 /// The result of a backward slice, by CI reachability or by the
 /// context-sensitive walk: the engines' internal answer, which
@@ -451,9 +430,9 @@ impl LaneCounts {
 /// what `slice_dense` answers for its query under the same meter; what the
 /// lanes share is the scan of each node's edges, which every lane holding
 /// the node would otherwise repeat.
-pub(crate) fn slice_lanes(
+pub(crate) fn slice_lanes<Q: AsRef<[NodeId]>>(
     sdg: &FrozenSdg,
-    queries: &[Vec<NodeId>],
+    queries: &[Q],
     kind: SliceKind,
     scratch: &mut SliceScratch,
     meters: &mut [Meter],
@@ -506,7 +485,7 @@ pub(crate) fn slice_lanes(
         }
     };
     for (l, seeds) in queries.iter().enumerate() {
-        for &n in seeds {
+        for &n in seeds.as_ref() {
             discover(masks, next, n, 1 << l);
         }
     }

@@ -19,7 +19,7 @@
 //! so a snapshot stores only the primary arrays. [`FrozenSdg::thaw`] gives
 //! back the growable graph the frozen one was built from.
 
-use crate::node::{Edge, EdgeKind, NodeId, NodeKind};
+use crate::node::{Edge, EdgeKind, NodeId, NodeKind, SliceKind};
 use crate::{HeapMode, Sdg};
 use std::sync::{Arc, OnceLock};
 use thinslice_ir::StmtRef;
@@ -126,6 +126,9 @@ pub struct FrozenSdg {
     /// Lazily built [`DownConsumers`] index (a pure graph fact, so it is
     /// cached on the graph and shared by every batch and thread).
     pub(crate) down: OnceLock<DownConsumers>,
+    /// Lazily built dependence heights, one table per [`SliceKind`]
+    /// ([`FrozenSdg::heights`]).
+    heights: [OnceLock<Vec<u32>>; 3],
 }
 
 /// Sentinel dense id for nodes without a display statement.
@@ -184,6 +187,7 @@ impl FrozenSdg {
             stmt_starts,
             stmt_nodes: pairs.into_iter().map(|(_, n)| n).collect(),
             down: OnceLock::new(),
+            heights: Default::default(),
         }
     }
 
@@ -227,6 +231,23 @@ impl FrozenSdg {
     /// for the life of the frozen graph.
     pub fn down_consumers(&self) -> &DownConsumers {
         self.down.get_or_init(|| DownConsumers::build(self))
+    }
+
+    /// Each node's dependence height for `kind`, indexed by node id: the
+    /// longest path, counted in strongly connected components, from the
+    /// node's component to a component with no outgoing edge, over the
+    /// edges `kind` follows (the graph's own edges: a context-sensitive
+    /// graph's summary edges live outside it). A backward slice from a
+    /// node of height `h` reaches its deepest producers about `h` BFS
+    /// levels down, so the batch engine walks queries of close height
+    /// together.
+    ///
+    /// Built on first use by one iterative Tarjan pass, which recurses on
+    /// nothing, and cached for the life of the frozen graph, so a graph
+    /// that replaces this one starts without it. Snapshots do not store
+    /// it.
+    pub fn heights(&self, kind: SliceKind) -> &[u32] {
+        self.heights[kind as usize].get_or_init(|| crate::height::heights(self, kind))
     }
 
     /// The dense id of `n`'s display statement, or [`NO_DISPLAY`].

@@ -40,6 +40,7 @@ pub mod control;
 pub mod csr;
 pub mod fingerprint;
 pub mod heap_params;
+mod height;
 pub mod node;
 pub mod snap;
 pub mod stats;
@@ -49,7 +50,7 @@ pub use cache::SdgCache;
 pub use csr::{DepGraph, DownConsumers, FrozenSdg, NO_DISPLAY};
 pub use fingerprint::body_fingerprint;
 pub use heap_params::{build_cs, build_cs_cached};
-pub use node::{Edge, EdgeKind, NodeId, NodeKind};
+pub use node::{Edge, EdgeKind, NodeId, NodeKind, SliceKind};
 pub use stats::SdgStats;
 
 use thinslice_ir::{MethodId, StmtRef};

@@ -137,6 +137,32 @@ impl EdgeKind {
     }
 }
 
+/// Which dependence relation a slice follows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SliceKind {
+    /// Producer flow dependences only: no base-pointer/array-index flow, no
+    /// control dependence. The paper's contribution (§2–3).
+    Thin,
+    /// All flow dependences (including base pointers) but no control
+    /// dependence — the "traditional data slicer" configuration the paper
+    /// evaluates against (§6.1 handles control dependence out of band).
+    TraditionalData,
+    /// Everything, including control and interprocedural control (Call)
+    /// edges: Weiser-style full relevance.
+    TraditionalFull,
+}
+
+impl SliceKind {
+    /// Whether this slice follows `kind`-labelled edges.
+    pub fn follows(&self, kind: &EdgeKind) -> bool {
+        match self {
+            SliceKind::Thin => kind.in_thin_slice(),
+            SliceKind::TraditionalData => kind.in_data_slice(),
+            SliceKind::TraditionalFull => kind.in_traditional_slice(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
