@@ -32,38 +32,57 @@ use thinslice::{
 use thinslice_interp::{dynamic_thin_slice, run_ctx as interp_run, ExecConfig};
 use thinslice_ir::pretty;
 
-/// Writes to stdout: every line the CLI prints goes through here. A
-/// reader that closed the pipe (`thinslice ... | head -1`) ends the
-/// output: this write and every later one are dropped, and the command
-/// runs on to its usual exit. Any other write error is returned.
-fn write_out(text: std::fmt::Arguments) -> Result<(), String> {
-    static CLOSED: AtomicBool = AtomicBool::new(false);
-    if CLOSED.load(Ordering::Relaxed) {
+/// The two streams the CLI writes to.
+#[derive(Clone, Copy)]
+enum Stream {
+    Stdout,
+    Stderr,
+}
+
+/// Writes to `stream`: every line the CLI prints goes through here. A
+/// reader that closed the stream's pipe (`thinslice ... | head -1`) ends
+/// that stream: this write and every later one to it are dropped, and the
+/// command runs on to its usual exit. Any other write error is returned.
+fn write_out(stream: Stream, text: std::fmt::Arguments) -> Result<(), String> {
+    static CLOSED: [AtomicBool; 2] = [AtomicBool::new(false), AtomicBool::new(false)];
+    let closed = &CLOSED[stream as usize];
+    if closed.load(Ordering::Relaxed) {
         return Ok(());
     }
-    match std::io::stdout().lock().write_fmt(text) {
+    let (written, name) = match stream {
+        Stream::Stdout => (std::io::stdout().lock().write_fmt(text), "stdout"),
+        Stream::Stderr => (std::io::stderr().lock().write_fmt(text), "stderr"),
+    };
+    match written {
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
-            CLOSED.store(true, Ordering::Relaxed);
+            closed.store(true, Ordering::Relaxed);
             Ok(())
         }
-        written => written.map_err(|e| format!("stdout: {e}")),
+        written => written.map_err(|e| format!("{name}: {e}")),
     }
 }
 
 /// `print!` through [`write_out`].
 macro_rules! out {
     ($($arg:tt)*) => {
-        write_out(format_args!($($arg)*))
+        write_out(Stream::Stdout, format_args!($($arg)*))
     };
 }
 
 /// `println!` through [`write_out`].
 macro_rules! outln {
     () => {
-        write_out(format_args!("\n"))
+        write_out(Stream::Stdout, format_args!("\n"))
     };
     ($($arg:tt)*) => {
-        write_out(format_args!("{}\n", format_args!($($arg)*)))
+        write_out(Stream::Stdout, format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `eprintln!` through [`write_out`].
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        write_out(Stream::Stderr, format_args!("{}\n", format_args!($($arg)*)))
     };
 }
 
@@ -72,9 +91,8 @@ fn main() -> ExitCode {
     match real_main(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("{USAGE}");
+            // A failure to write the error has nowhere left to be reported.
+            let _ = errln!("error: {msg}\n\n{USAGE}");
             ExitCode::FAILURE
         }
     }
@@ -334,16 +352,16 @@ fn load_with_snapshot(
     if o.governed() {
         let build = session.build_report();
         if !build.pta.is_complete() {
-            eprintln!(
+            errln!(
                 "warning: points-to solve {}; the call graph is partial",
                 build.pta
-            );
+            )?;
         }
         if !build.sdg.is_complete() {
-            eprintln!(
+            errln!(
                 "warning: SDG construction {}; some dependences are missing",
                 build.sdg
-            );
+            )?;
         }
     }
     Ok((session, snapshot))
@@ -436,9 +454,9 @@ fn emit_telemetry(o: &Options, tel: &Telemetry) -> Result<(), String> {
     }
     if o.trace {
         if o.trace_json {
-            eprintln!("{}", report.to_json());
+            errln!("{}", report.to_json())?;
         } else {
-            eprint!("{}", report.render_text());
+            write_out(Stream::Stderr, format_args!("{}", report.render_text()))?;
         }
     }
     Ok(())
@@ -616,7 +634,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             let _ = std::fs::remove_file(path);
             let listener =
                 std::os::unix::net::UnixListener::bind(path).map_err(|e| format!("{path}: {e}"))?;
-            eprintln!("thinslice-serve: listening on {path}");
+            errln!("thinslice-serve: listening on {path}")?;
             let summary = server.serve_listener(listener);
             let _ = std::fs::remove_file(path);
             summary
@@ -628,11 +646,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             thinslice_serve::shared_out(std::io::stdout()),
         ),
     };
-    eprintln!(
+    errln!(
         "thinslice-serve: done (served {}, errors {}, panics {})",
-        summary.served, summary.errors, summary.panics
-    );
-    Ok(())
+        summary.served,
+        summary.errors,
+        summary.panics
+    )
 }
 
 /// The stats subcommand's options: which daemon socket to query and
@@ -1166,10 +1185,10 @@ fn cmd_slice(o: &Options, ctx: &RunCtx) -> Result<(), String> {
     }
     if o.context_sensitive {
         if result.degraded {
-            eprintln!(
+            errln!(
                 "note: the context-sensitive query exhausted its budget; \
                  degraded to context-insensitive reachability over the same graph"
-            );
+            )?;
         }
         outln!(
             "context-sensitive {:?} slice: {} statements{}{}",

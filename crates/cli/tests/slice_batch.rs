@@ -1,7 +1,7 @@
 //! `thinslice slice --all-seeds` ends with a footer that names the workers
 //! the batch engine ran, which can be fewer than `--threads` asks for: a
 //! lane-walked batch gets one worker per group of 64 queries. A reader
-//! that closes the output early ends it without an error.
+//! that closes the output or the trace early ends it without an error.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -113,4 +113,27 @@ fn a_closed_stdout_ends_the_output_without_a_panic() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{:?}: {stderr}", out.status);
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn a_closed_stderr_ends_the_trace_without_a_panic() {
+    // `thinslice slice wide.mj --all-seeds --trace 2>&1 | head -1` closes
+    // the stream the run report goes to, here before the run starts.
+    let wide = write("closed_trace.mj", &wide());
+    let mut child = Command::new(env!("CARGO_BIN_EXE_thinslice"))
+        .arg("slice")
+        .arg(&wide)
+        .arg("--all-seeds")
+        .arg("--trace")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the CLI starts");
+    drop(child.stderr.take());
+    let out = child.wait_with_output().expect("the CLI exits");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{:?}: {stdout}", out.status);
+    assert_eq!(stdout.matches(" slice: ").count(), 245, "{stdout}");
+    let last = stdout.lines().last().unwrap_or_default();
+    assert!(last.starts_with("-- per-query latency: "), "{stdout}");
 }

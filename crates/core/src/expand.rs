@@ -16,7 +16,7 @@
 //! Every expansion walks the frozen context-insensitive graph, the one
 //! CI queries walk ([`crate::AnalysisSession::ci_parts`] lends it with
 //! the program and the points-to result), so a session restored from a
-//! snapshot explains without rebuilding its growable graph.
+//! snapshot explains on the graph it decoded, without a build.
 
 use crate::slice::{slice_dense, SliceKind, SliceScratch};
 use crate::stmtset::StmtSet;

@@ -55,7 +55,7 @@ use thinslice_ir::delta::{ProgramDelta, ProgramFingerprints};
 use thinslice_ir::{compile_fingerprinted, CompileError, Program, StmtRef};
 use thinslice_pta::{incr, GenCache, ModRef, Pta, PtaConfig};
 use thinslice_sdg::{
-    body_fingerprint, build_ci_cached, build_cs_cached, DepGraph, FrozenSdg, HeapMode, NodeId, Sdg,
+    body_fingerprint, build_ci_cached, build_cs_cached, DepGraph, FrozenSdg, HeapMode, NodeId,
     SdgCache,
 };
 use thinslice_util::{
@@ -303,14 +303,12 @@ pub struct AnalysisSession {
     /// and starts retaining fingerprints).
     fingerprints: Option<ProgramFingerprints>,
     pta: Option<(Pta, Completeness)>,
-    /// The growable CI graph. A session restored from a snapshot holds
-    /// only the frozen graph, and thaws this one from it on the first
-    /// edit or [`AnalysisSession::ci_sdg`] call: queries never need it.
-    ci: Option<(Sdg, Completeness)>,
-    ci_csr: Option<FrozenSdg>,
-    /// The growable CS graph, thawed like the CI one.
-    cs: Option<Sdg>,
-    cs_csr: Option<FrozenSdg>,
+    /// The frozen CI graph and the completeness of its build. The growable
+    /// graph it was frozen from is dropped once frozen: queries walk the
+    /// frozen graph, and an edit compares its rebuilt graph with it.
+    ci: Option<(FrozenSdg, Completeness)>,
+    /// The frozen CS graph, kept alone like the CI one.
+    cs: Option<FrozenSdg>,
     /// The CS graph's summary graphs, one per slice kind, built on first
     /// use by CS queries.
     summaries: SummaryGraphs,
@@ -368,9 +366,7 @@ impl AnalysisSession {
             fingerprints: None,
             pta: None,
             ci: None,
-            ci_csr: None,
             cs: None,
-            cs_csr: None,
             summaries: SummaryGraphs::default(),
             scratch: Scratch::default(),
             gen_cache: GenCache::new(),
@@ -416,11 +412,8 @@ impl AnalysisSession {
     /// and every built artifact.
     fn count_resident(&self) -> usize {
         let mut elems = self.program.all_stmts().count();
-        for csr in [&self.ci_csr, &self.cs_csr].into_iter().flatten() {
-            elems += csr.node_count() + csr.edge_count();
-        }
-        for sdg in self.ci.iter().map(|(g, _)| g).chain(self.cs.iter()) {
-            elems += sdg.node_count() + sdg.edge_count();
+        for graph in self.graphs() {
+            elems += graph.node_count() + graph.edge_count();
         }
         elems += self.summaries.resident();
         // Solved and cached state is resident too: the points-to sets, the
@@ -487,15 +480,6 @@ impl AnalysisSession {
         // diff against the retained previous-version fingerprints costs
         // no extra pass over either version's text.
         let (new_program, new_fingerprints) = compile_fingerprinted(new_sources, &self.ctx)?;
-        // The delta paths below diff and rebuild the growable graphs in
-        // place, so a graph restored only in frozen form thaws first,
-        // while the frozen form still describes the pre-edit program.
-        if self.ci_csr.is_some() {
-            self.ensure_ci();
-        }
-        if self.cs_csr.is_some() {
-            self.ensure_cs();
-        }
         let delta = self
             .fingerprints
             .as_ref()
@@ -608,39 +592,38 @@ impl AnalysisSession {
             }
         }
 
-        // CI graph: re-derive over the warm per-method caches; keep the
-        // freeze when the graph came out identical.
+        // CI graph: re-derive over the warm per-method caches and compare
+        // the result with the kept frozen graph, which stays when equal.
         if let Some((old_ci, _)) = self.ci.take() {
             let (pta, _) = self.pta.as_ref().expect("ci implies pta");
             let (new_ci, comp) =
                 build_ci_cached(&self.program, pta, &self.ctx, &mut self.sdg_cache);
-            if new_ci.same_graph(&old_ci) {
+            let ci = if old_ci.is_freeze_of(&new_ci) {
                 stats.ci_graph_reused = true;
-            } else if self.ci_csr.is_some() {
+                old_ci
+            } else {
                 stats.csr_segments_refrozen += new_ci.instance_count();
-                self.ci_csr = Some(new_ci.freeze_ctx(&self.ctx));
-            }
-            self.ci = Some((new_ci, comp));
+                new_ci.freeze_ctx(&self.ctx)
+            };
+            self.ci = Some((ci, comp));
         }
 
-        // CS graph: same, plus the summary graphs that hang off the frozen
-        // graph (its down-edge index is cached on the graph).
+        // CS graph: same, and an equal graph keeps the summary graphs that
+        // hang off it too (its down-edge index is cached on the graph).
         if let Some(old_cs) = self.cs.take() {
             let (pta, _) = self.pta.as_ref().expect("cs implies pta");
             let modref = ModRef::compute(&self.program, pta);
             let new_cs =
                 build_cs_cached(&self.program, pta, &modref, &self.ctx, &mut self.sdg_cache);
-            if new_cs.same_graph(&old_cs) {
+            self.cs = Some(if old_cs.is_freeze_of(&new_cs) {
                 stats.cs_graph_reused = true;
                 stats.memo_entries_kept = self.summaries.count();
+                old_cs
             } else {
-                if self.cs_csr.is_some() {
-                    stats.csr_segments_refrozen += new_cs.instance_count();
-                    self.cs_csr = Some(new_cs.freeze_ctx(&self.ctx));
-                }
+                stats.csr_segments_refrozen += new_cs.instance_count();
                 stats.memo_entries_invalidated = self.summaries.clear();
-            }
-            self.cs = Some(new_cs);
+                new_cs.freeze_ctx(&self.ctx)
+            });
         }
 
         stats.control_deps_recomputed = self.sdg_cache.misses - misses0;
@@ -660,9 +643,7 @@ impl AnalysisSession {
         stats.memo_entries_invalidated = self.summaries.clear();
         let pta_was = self.pta.take().is_some();
         let ci_was = self.ci.take().is_some();
-        let ci_csr_was = self.ci_csr.take().is_some();
         let cs_was = self.cs.take().is_some();
-        let cs_csr_was = self.cs_csr.take().is_some();
         self.program = new_program;
         let misses0 = self.sdg_cache.misses;
         if pta_was {
@@ -671,25 +652,23 @@ impl AnalysisSession {
         if ci_was {
             self.ensure_ci();
         }
-        if ci_csr_was {
-            self.ensure_ci_csr();
-            stats.csr_segments_refrozen += self.ci.as_ref().expect("ci ensured").0.instance_count();
-        }
         if cs_was {
             self.ensure_cs();
         }
-        if cs_csr_was {
-            self.ensure_cs_csr();
-            stats.csr_segments_refrozen += self.cs.as_ref().expect("cs ensured").instance_count();
-        }
         stats.control_deps_recomputed = self.sdg_cache.misses - misses0;
+        // Every graph was rebuilt, and every graph built is frozen.
         stats.csr_segments_total = self.segments_total();
+        stats.csr_segments_refrozen = stats.csr_segments_total;
+    }
+
+    /// The frozen graphs built so far: the CI graph, then the CS graph.
+    fn graphs(&self) -> impl Iterator<Item = &FrozenSdg> {
+        self.ci.iter().map(|(g, _)| g).chain(self.cs.iter())
     }
 
     /// CSR segment count across the built graphs (method instances).
     fn segments_total(&self) -> usize {
-        self.ci.as_ref().map_or(0, |(g, _)| g.instance_count())
-            + self.cs.as_ref().map_or(0, Sdg::instance_count)
+        self.graphs().map(FrozenSdg::instance_count).sum()
     }
 
     // ---- lazy stage artifacts ----
@@ -706,53 +685,25 @@ impl AnalysisSession {
         }
     }
 
+    /// Builds the CI graph, freezes it and drops the growable graph.
     fn ensure_ci(&mut self) {
         self.ensure_pta();
         if self.ci.is_none() {
-            // A restored frozen graph thaws to the exact graph the donor
-            // session held; one that does not thaw falls through to a
-            // clean rebuild (bit-identical by construction).
-            let thawed = self.ci_csr.as_ref().and_then(FrozenSdg::thaw);
-            self.ci = Some(match thawed {
-                Some(sdg) => (sdg, Completeness::Complete),
-                None => {
-                    let (pta, _) = self.pta.as_ref().expect("pta ensured");
-                    build_ci_cached(&self.program, pta, &self.ctx, &mut self.sdg_cache)
-                }
-            });
+            let (pta, _) = self.pta.as_ref().expect("pta ensured");
+            let (sdg, comp) = build_ci_cached(&self.program, pta, &self.ctx, &mut self.sdg_cache);
+            self.ci = Some((sdg.freeze_ctx(&self.ctx), comp));
             self.refresh_resident();
         }
     }
 
-    fn ensure_ci_csr(&mut self) {
-        // Short-circuit on a present frozen graph: a snapshot restores
-        // only the frozen graph, and queries must not force a thaw.
-        if self.ci_csr.is_none() {
-            self.ensure_ci();
-            let (sdg, _) = self.ci.as_ref().expect("ci ensured");
-            self.ci_csr = Some(sdg.freeze_ctx(&self.ctx));
-            self.refresh_resident();
-        }
-    }
-
+    /// Builds the CS graph, freezes it and drops the growable graph.
     fn ensure_cs(&mut self) {
         self.ensure_pta();
         if self.cs.is_none() {
-            let thawed = self.cs_csr.as_ref().and_then(FrozenSdg::thaw);
-            self.cs = Some(thawed.unwrap_or_else(|| {
-                let (pta, _) = self.pta.as_ref().expect("pta ensured");
-                let modref = ModRef::compute(&self.program, pta);
-                build_cs_cached(&self.program, pta, &modref, &self.ctx, &mut self.sdg_cache)
-            }));
-            self.refresh_resident();
-        }
-    }
-
-    fn ensure_cs_csr(&mut self) {
-        if self.cs_csr.is_none() {
-            self.ensure_cs();
-            let sdg = self.cs.as_ref().expect("cs ensured");
-            self.cs_csr = Some(sdg.freeze_ctx(&self.ctx));
+            let (pta, _) = self.pta.as_ref().expect("pta ensured");
+            let modref = ModRef::compute(&self.program, pta);
+            let sdg = build_cs_cached(&self.program, pta, &modref, &self.ctx, &mut self.sdg_cache);
+            self.cs = Some(sdg.freeze_ctx(&self.ctx));
             self.refresh_resident();
         }
     }
@@ -763,31 +714,30 @@ impl AnalysisSession {
         &self.pta.as_ref().expect("pta ensured").0
     }
 
-    /// The context-insensitive dependence graph (built on first use).
-    pub fn ci_sdg(&mut self) -> &Sdg {
-        self.ensure_ci();
-        &self.ci.as_ref().expect("ci ensured").0
+    /// The same as [`AnalysisSession::ci_graph`]. It stays only because
+    /// the benchmark ledger calls it.
+    pub fn ci_sdg(&mut self) -> &FrozenSdg {
+        self.ci_graph()
     }
 
     /// The frozen (CSR) context-insensitive graph — what CI queries
     /// traverse (built on first use).
     pub fn ci_graph(&mut self) -> &FrozenSdg {
-        self.ensure_ci_csr();
-        self.ci_csr.as_ref().expect("ci csr ensured")
+        self.ensure_ci();
+        &self.ci.as_ref().expect("ci ensured").0
     }
 
     /// The program, its points-to result and the frozen CI graph, lent
     /// together (the last two built on first use): what the §6.1
     /// inspection ([`crate::inspect`]) and the §4 expansions
     /// ([`crate::expand`]) read. A session restored from a snapshot lends
-    /// its restored graph, so explaining never thaws the growable one.
+    /// its restored graph.
     pub fn ci_parts(&mut self) -> (&Program, &Pta, &FrozenSdg) {
-        self.ensure_pta();
-        self.ensure_ci_csr();
+        self.ensure_ci();
         (
             &self.program,
             &self.pta.as_ref().expect("pta ensured").0,
-            self.ci_csr.as_ref().expect("ci csr ensured"),
+            &self.ci.as_ref().expect("ci ensured").0,
         )
     }
 
@@ -795,8 +745,8 @@ impl AnalysisSession {
     /// queries traverse (built on first use). Expensive on large
     /// programs; that is the paper's point.
     pub fn cs_graph(&mut self) -> &FrozenSdg {
-        self.ensure_cs_csr();
-        self.cs_csr.as_ref().expect("cs csr ensured")
+        self.ensure_cs();
+        self.cs.as_ref().expect("cs ensured")
     }
 
     /// Per-stage completeness of the governed pipeline stages built so
@@ -822,8 +772,8 @@ impl AnalysisSession {
     /// reachable statement. Forces the frozen CI graph (reachability is
     /// defined against it), which queries need anyway.
     pub fn seed_at_line(&mut self, file: &str, line: u32) -> Option<Vec<StmtRef>> {
-        self.ensure_ci_csr();
-        let sdg = self.ci_csr.as_ref().expect("ci csr ensured");
+        self.ensure_ci();
+        let (sdg, _) = self.ci.as_ref().expect("ci ensured");
         let stmts: Vec<StmtRef> = self
             .program
             .stmts_at_line(file, line)
@@ -865,15 +815,15 @@ impl AnalysisSession {
         let mut span = tel.span("session.query");
         let result = match q.engine {
             Engine::Ci => {
-                self.ensure_ci_csr();
-                let graph = self.ci_csr.as_ref().expect("ci csr ensured");
+                self.ensure_ci();
+                let (graph, _) = self.ci.as_ref().expect("ci ensured");
                 let seeds = resolve_seeds(graph, &q.seeds);
                 answer_ci(graph, &seeds, q.kind, &budget, &mut self.scratch.bfs, &tel)
             }
             Engine::Cs => {
-                self.ensure_cs_csr();
+                self.ensure_cs();
                 let built = self.summaries.count();
-                let graph = self.cs_csr.as_ref().expect("cs csr ensured");
+                let graph = self.cs.as_ref().expect("cs ensured");
                 let seeds = resolve_seeds(graph, &q.seeds);
                 let result = answer_cs(
                     graph,
@@ -931,12 +881,12 @@ impl AnalysisSession {
             let q = &queries[idxs[0]];
             let graph = match q.engine {
                 Engine::Ci => {
-                    self.ensure_ci_csr();
-                    self.ci_csr.as_ref().expect("ci csr ensured")
+                    self.ensure_ci();
+                    &self.ci.as_ref().expect("ci ensured").0
                 }
                 Engine::Cs => {
-                    self.ensure_cs_csr();
-                    self.cs_csr.as_ref().expect("cs csr ensured")
+                    self.ensure_cs();
+                    self.cs.as_ref().expect("cs ensured")
                 }
             };
             let node_q: Vec<Vec<NodeId>> = idxs
@@ -1035,10 +985,10 @@ impl AnalysisSession {
     /// [`crate::snapshot::source_hash`]). Stage presence mirrors the
     /// session's lazy state: a stage never built is not written, and a
     /// restored session stays lazy about it. Each dependence graph is
-    /// written once, in frozen form; a growable graph that was never
-    /// frozen is frozen for the write. Returns `None` when any built
-    /// stage is truncated — a budget-cut artifact must be rebuilt, not
-    /// warmed over — so only exact, complete results are ever persisted.
+    /// written once, in the frozen form the session keeps. Returns `None`
+    /// when any built stage is truncated — a budget-cut artifact must be
+    /// rebuilt, not warmed over — so only exact, complete results are ever
+    /// persisted.
     ///
     /// Scratch space, summary graphs and the per-method caches are
     /// deliberately *not* serialized: they are performance
@@ -1076,23 +1026,13 @@ impl AnalysisSession {
             thinslice_pta::snap::encode_stream_hashes(&hashes, &mut w);
             snap.section("streams", w.into_bytes());
         }
-        for (name, csr, sdg) in [
-            ("ci_csr", &self.ci_csr, self.ci.as_ref().map(|(g, _)| g)),
-            ("cs_csr", &self.cs_csr, self.cs.as_ref()),
+        for (name, graph) in [
+            ("ci_csr", self.ci.as_ref().map(|(g, _)| g)),
+            ("cs_csr", self.cs.as_ref()),
         ] {
-            // A graph is stored in frozen form only; one built but never
-            // frozen is frozen here, and a restored session thaws it.
-            let fresh;
-            let csr = match (csr, sdg) {
-                (Some(csr), _) => csr,
-                (None, Some(sdg)) => {
-                    fresh = sdg.freeze();
-                    &fresh
-                }
-                (None, None) => continue,
-            };
+            let Some(graph) = graph else { continue };
             let mut w = ByteWriter::new();
-            thinslice_sdg::snap::encode_frozen(csr, &mut w);
+            thinslice_sdg::snap::encode_frozen(graph, &mut w);
             snap.section(name, w.into_bytes());
         }
         let bytes = snap.finish();
@@ -1179,10 +1119,10 @@ impl AnalysisSession {
             }
             None => Some(None),
         };
-        let ci_csr = frozen("ci_csr", HeapMode::DirectEdges)?;
-        let cs_csr = frozen("cs_csr", HeapMode::Parameters)?;
+        let ci = frozen("ci_csr", HeapMode::DirectEdges)?;
+        let cs = frozen("cs_csr", HeapMode::Parameters)?;
         // A graph implies its points-to input.
-        if pta.is_none() && (ci_csr.is_some() || cs_csr.is_some()) {
+        if pta.is_none() && (ci.is_some() || cs.is_some()) {
             return None;
         }
         let mut session = AnalysisSession {
@@ -1191,10 +1131,8 @@ impl AnalysisSession {
             program,
             fingerprints,
             pta,
-            ci: None,
-            ci_csr,
-            cs: None,
-            cs_csr,
+            ci: ci.map(|g| (g, Completeness::Complete)),
+            cs,
             summaries: SummaryGraphs::default(),
             scratch: Scratch::default(),
             gen_cache: GenCache::new(),
@@ -1576,23 +1514,11 @@ mod tests {
         )
         .expect("clean snapshot restores");
         assert!(restored.pta.is_some());
-        assert!(restored.ci_csr.is_some() && restored.cs_csr.is_some());
-        // Only the frozen graphs are stored; queries go through them and
-        // never thaw the growable ones.
-        assert!(restored.ci.is_none() && restored.cs.is_none());
-        assert_sessions_identical(&mut restored, &mut s, 10);
-        assert!(restored.ci.is_none() && restored.cs.is_none());
+        assert!(restored.ci.is_some() && restored.cs.is_some());
         let again = |r: &AnalysisSession| r.write_snapshot("deadbeef").unwrap();
-        assert_eq!(again(&restored), bytes, "re-encoded before thawing");
-        // Thawing yields the donor's exact graphs.
-        assert!(restored.ci_sdg().same_graph(s.ci_sdg()));
-        restored.ensure_cs();
-        assert!(restored
-            .cs
-            .as_ref()
-            .unwrap()
-            .same_graph(s.cs.as_ref().unwrap()));
-        assert_eq!(again(&restored), bytes, "re-encoded after thawing");
+        assert_eq!(again(&restored), bytes, "re-encoded before querying");
+        assert_sessions_identical(&mut restored, &mut s, 10);
+        assert_eq!(again(&restored), bytes, "re-encoded after querying");
         // And against a genuinely fresh build.
         assert_matches_fresh(&mut restored, SRC, 10);
     }
@@ -1607,9 +1533,9 @@ mod tests {
         let restored =
             AnalysisSession::from_snapshot(&bytes, "k", PtaConfig::default(), RunCtx::disabled())
                 .unwrap();
-        assert!(restored.pta.is_some() && restored.ci_csr.is_some());
+        assert!(restored.pta.is_some() && restored.ci.is_some());
         assert!(
-            restored.cs.is_none() && restored.cs_csr.is_none(),
+            restored.cs.is_none(),
             "a stage never built must not materialise through a snapshot"
         );
     }
@@ -1663,7 +1589,7 @@ class Main {
     }
 
     #[test]
-    fn restored_sessions_expand_like_fresh_ones_without_thawing() {
+    fn restored_sessions_expand_like_fresh_ones_without_a_build() {
         let nanoxml = thinslice_suite::benchmark_named("nanoxml").unwrap();
         let task = thinslice_suite::all_bug_tasks()
             .into_iter()
@@ -1686,8 +1612,8 @@ class Main {
             .unwrap();
             assert_eq!(expansions(&mut restored, file, line), want, "{file}:{line}");
             assert!(
-                restored.ci.is_none() && restored.cs.is_none(),
-                "{file}:{line}: expanding built a growable graph"
+                restored.sdg_cache.misses == 0 && restored.cs.is_none(),
+                "{file}:{line}: expanding built a graph"
             );
         }
     }
@@ -1938,11 +1864,8 @@ class Main {
         // only. Solved points-to sets, constraint streams, and per-method
         // SDG artifacts were invisible to the eviction watermark.
         let mut csr_only = s.program.all_stmts().count();
-        for csr in [&s.ci_csr, &s.cs_csr].into_iter().flatten() {
+        for csr in s.graphs() {
             csr_only += csr.node_count() + csr.edge_count();
-        }
-        for sdg in s.ci.iter().map(|(g, _)| g).chain(s.cs.iter()) {
-            csr_only += sdg.node_count() + sdg.edge_count();
         }
         let full = s.resident_estimate();
         assert!(
@@ -2000,7 +1923,7 @@ class Main {
                         "rendered {file}:{line} after {at}"
                     );
                 }
-                let Some(csr) = &s.ci_csr else { continue };
+                let Some((csr, _)) = &s.ci else { continue };
                 let reachable: Vec<StmtRef> = scan
                     .into_iter()
                     .filter(|st| csr.stmt_node(*st).is_some())
@@ -2027,8 +1950,8 @@ class Main {
         /// A CS query of `kind` from the first print the CS graph reaches;
         /// answering it builds the kind's summary graph.
         fn cs_query(s: &mut AnalysisSession, kind: SliceKind) -> Query {
-            s.ensure_cs_csr();
-            let graph = s.cs_csr.as_ref().expect("cs csr ensured");
+            s.ensure_cs();
+            let graph = s.cs.as_ref().expect("cs ensured");
             let print = (s.program.all_stmts())
                 .find(|&st| {
                     matches!(
@@ -2106,7 +2029,7 @@ class Main {
                 assert_caches_fresh(&mut s, &format!("{at}, then a cs query"));
             }
 
-            // Restore, then thaw the growable graphs.
+            // Restore, then edit.
             let bytes = s.write_snapshot("k").expect("complete stages");
             let mut r = AnalysisSession::from_snapshot(
                 &bytes,
@@ -2116,10 +2039,6 @@ class Main {
             )
             .expect("snapshot restores");
             assert_caches_fresh(&mut r, "from_snapshot");
-            r.ci_sdg();
-            assert_caches_fresh(&mut r, "ci graph thaw");
-            r.ensure_cs();
-            assert_caches_fresh(&mut r, "cs graph thaw");
             let (edited, _) = script.step(&sources);
             record(&r.update(&refs(&edited)).unwrap());
             assert_caches_fresh(&mut r, "update after restore");

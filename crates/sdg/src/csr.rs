@@ -16,14 +16,19 @@
 //! the dense display-statement numbering, in ascending statement order,
 //! and the statement → instance-node map — is derived from them by one
 //! constructor that both [`Sdg::freeze`] and the snapshot decoder end in,
-//! so a snapshot stores only the primary arrays. [`FrozenSdg::thaw`] gives
-//! back the growable graph the frozen one was built from.
+//! so a snapshot stores only the primary arrays.
+//!
+//! A session keeps only frozen graphs: it builds a growable graph, freezes
+//! it and drops it. An edit rebuilds the growable graph and asks
+//! [`FrozenSdg::is_freeze_of`] whether the kept frozen graph is what
+//! freezing it would give; if so, the kept graph stays, with everything
+//! cached on it.
 
 use crate::node::{Edge, EdgeKind, NodeId, NodeKind, SliceKind};
 use crate::{HeapMode, Sdg};
 use std::sync::{Arc, OnceLock};
 use thinslice_ir::StmtRef;
-use thinslice_util::{Idx, IdxVec, RunCtx};
+use thinslice_util::{FxHashSet, Idx, RunCtx};
 
 /// The read-only graph surface the slicers need.
 ///
@@ -100,6 +105,7 @@ impl DepGraph for Sdg {
 /// let sdg = build_ci(&program, &pta);
 /// let frozen = sdg.freeze();
 /// assert_eq!(frozen.node_count(), sdg.node_count());
+/// assert!(frozen.is_freeze_of(&sdg));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FrozenSdg {
@@ -191,30 +197,28 @@ impl FrozenSdg {
         }
     }
 
-    /// Rebuilds the growable graph this one was frozen from: nodes
-    /// interned in id order, each with its dependence list in its
-    /// original order. The result is [`Sdg::same_graph`] as the graph that
-    /// was frozen, and freezing it again yields this graph's arrays.
-    ///
-    /// Returns `None` when two nodes share a kind. No frozen growable
-    /// graph has such a pair, because interning makes kinds unique, but a
-    /// graph decoded from a snapshot can; its caller rebuilds from the
-    /// program instead.
-    pub fn thaw(&self) -> Option<Sdg> {
-        let n = self.kinds.len();
-        let mut sdg = Sdg::empty(self.mode);
-        sdg.nodes = IdxVec::with_capacity(n);
-        sdg.deps = IdxVec::with_capacity(n);
-        sdg.node_of.reserve(n);
-        for (i, &kind) in self.kinds.iter().enumerate() {
-            let id = sdg.intern(kind);
-            if id.index() != i {
-                return None;
-            }
-            sdg.deps[id] = self.deps(id).to_vec();
-        }
-        sdg.edge_count = self.edges.len();
-        Some(sdg)
+    /// Whether this graph is what freezing `sdg` gives: the same heap
+    /// mode, the same node kinds in id order, and each node's row the
+    /// node's dependence list in order. Every answer is a function of
+    /// these primary arrays, so an edit whose rebuilt graph passes keeps
+    /// this frozen graph and everything cached on it.
+    pub fn is_freeze_of(&self, sdg: &Sdg) -> bool {
+        self.mode == sdg.mode
+            && self.kinds == sdg.nodes.as_slice()
+            && (sdg.deps.iter_enumerated()).all(|(n, row)| self.deps(n) == row.as_slice())
+    }
+
+    /// Number of method instances (call-graph clones) with statement
+    /// nodes in the graph, as [`Sdg::instance_count`] counts them: the
+    /// CSR segment count of incremental accounting.
+    pub fn instance_count(&self) -> usize {
+        (self.kinds.iter())
+            .filter_map(|kind| match kind {
+                NodeKind::Stmt(inst, _) => Some(*inst),
+                _ => None,
+            })
+            .collect::<FxHashSet<_>>()
+            .len()
     }
 
     /// Total edge count.

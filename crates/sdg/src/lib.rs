@@ -195,17 +195,6 @@ impl Sdg {
         self.method_of_inst.len()
     }
 
-    /// Structural equality: same heap mode, same node interning order, and
-    /// identical per-node dependence lists.
-    ///
-    /// Because the frozen CSR and every slice answer are pure functions of
-    /// this structure (plus seeds), two graphs for which this holds yield
-    /// byte-identical slicer output — the test the incremental session
-    /// uses to keep a previous freeze and its summary graphs after an edit.
-    pub fn same_graph(&self, other: &Sdg) -> bool {
-        self.mode == other.mode && self.nodes == other.nodes && self.deps == other.deps
-    }
-
     /// The method a node belongs to (call-site nodes belong to the caller).
     pub fn method_of(&self, n: NodeId) -> MethodId {
         match self.nodes[n] {

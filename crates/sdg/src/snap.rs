@@ -6,9 +6,10 @@
 //! The decoder hands the arrays to the same constructor
 //! [`Sdg::freeze`](crate::Sdg::freeze) ends in, which derives the dense
 //! display numbering and the statement map, so a restored graph answers
-//! every query in the same order as the one that was frozen. The growable
-//! graph is not stored: [`FrozenSdg::thaw`] rebuilds it from the frozen
-//! one.
+//! every query in the same order as the one that was frozen. No growable
+//! graph is stored, and none is rebuilt from a decoded one: queries walk
+//! the decoded graph, and an edit compares the graph it rebuilds from the
+//! program with it ([`FrozenSdg::is_freeze_of`]).
 //!
 //! The encoding is canonical: encoding the same graph twice yields the
 //! same bytes, and a decoded graph re-encodes to its input.
@@ -384,14 +385,17 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_thaw_rejects_repeated_node_kinds() {
-        let f = frozen_ci();
-        assert!(f.thaw().is_some());
+    fn snapshot_repeated_node_kinds_are_no_freeze_of_the_source() {
+        let (ci, _) = graphs();
+        let f = ci.freeze();
+        assert!(f.is_freeze_of(&ci));
         let mut bad = f.clone();
         bad.kinds[1] = bad.kinds[0];
-        // The decoder does not check kinds for uniqueness; thaw does.
+        // The decoder does not check kinds for uniqueness. The comparison
+        // an edit runs tells the graph from its source, so the edit
+        // replaces it.
         let decoded = decode_frozen(&mut ByteReader::new(&encode(&bad))).unwrap();
-        assert!(decoded.thaw().is_none());
+        assert!(!decoded.is_freeze_of(&ci));
     }
 
     #[test]

@@ -240,3 +240,66 @@ fn cs_batches_after_a_graph_edit_and_a_restore_match_fresh_sessions() {
             .expect("the snapshot restores");
     assert_cs_batches_match_fresh(&mut restored, &edited, "restored");
 }
+
+/// A restored session holds only the frozen graphs it decoded, and an edit
+/// compares the graphs it rebuilds with them: on a body edit whose rebuilt
+/// graphs come out equal and on one that changes them, the restored
+/// session must report the reuse its donor reports and answer like a
+/// fresh session.
+#[test]
+fn restored_sessions_report_their_donors_reuse_on_body_edits() {
+    let b = thinslice_suite::benchmark_named("nanoxml").expect("nanoxml is in the suite");
+    let sources = owned(&b.sources);
+    let mut donor = AnalysisSession::new(&refs(&sources)).expect("nanoxml compiles");
+    assert!(assert_matches_fresh(&mut donor, &sources, 2, "warmup") > 0);
+    let key = thinslice::source_hash(&refs(&sources));
+    let bytes = donor
+        .write_snapshot(&key)
+        .expect("complete stages snapshot");
+    let mut restored =
+        AnalysisSession::from_snapshot(&bytes, &key, PtaConfig::default(), RunCtx::disabled())
+            .expect("the snapshot restores");
+    // The same queries on the restored session build the summary graphs
+    // the donor holds.
+    assert!(assert_matches_fresh(&mut restored, &sources, 2, "restored") > 0);
+
+    // A flipped comparison is no value-only edit, so both graphs are
+    // rebuilt, but no dependence reads an operator: they come out equal.
+    let (file, text) = &sources[0];
+    let flipped = text.replacen("indexOf(\"/\") > 0", "indexOf(\"/\") >= 0", 1);
+    assert_ne!(&flipped, text, "nanoxml has a comparison to flip");
+    let brace = flipped.find(") {").expect("a method header") + 3;
+    let mut inserted = flipped.clone();
+    inserted.insert_str(brace, "\nint freshLocal = 1;");
+    for (edit, text, graphs_equal) in [("flip", flipped, true), ("insert", inserted, false)] {
+        let mut edited = sources.clone();
+        edited[0] = (file.clone(), text);
+        let want = donor.update(&refs(&edited)).expect("the edit compiles");
+        let got = restored.update(&refs(&edited)).expect("the edit compiles");
+        assert!(
+            !want.noop && !want.structural && !want.undiffed,
+            "{edit}: {want:?}"
+        );
+        assert!(want.control_deps_recomputed > 0, "{edit}: graphs rebuilt");
+        assert_eq!(want.ci_graph_reused, graphs_equal, "{edit}: {want:?}");
+        assert_eq!(want.cs_graph_reused, graphs_equal, "{edit}: {want:?}");
+        assert_eq!(want.csr_segments_refrozen > 0, !graphs_equal, "{edit}");
+        assert_eq!(want.memo_entries_kept > 0, graphs_equal, "{edit}");
+        assert_eq!(want.memo_entries_invalidated > 0, !graphs_equal, "{edit}");
+        assert_eq!(got.ci_graph_reused, want.ci_graph_reused, "{edit}");
+        assert_eq!(got.cs_graph_reused, want.cs_graph_reused, "{edit}");
+        assert_eq!(got.csr_segments_total, want.csr_segments_total, "{edit}");
+        assert_eq!(
+            got.csr_segments_refrozen, want.csr_segments_refrozen,
+            "{edit}"
+        );
+        assert_eq!(got.memo_entries_kept, want.memo_entries_kept, "{edit}");
+        assert_eq!(
+            got.memo_entries_invalidated, want.memo_entries_invalidated,
+            "{edit}"
+        );
+        let ctx = format!("restored, after {edit}");
+        assert!(assert_matches_fresh(&mut restored, &edited, 2, &ctx) > 0);
+        assert!(assert_matches_fresh(&mut donor, &edited, 2, edit) > 0);
+    }
+}
