@@ -29,6 +29,13 @@
 //! lane whose meter cannot is never ticked, so each lane answers what its
 //! query answers alone. A lane-walked batch gets one worker per group.
 //!
+//! A group's answers share memory. Its walk writes each statement once,
+//! to one emission log, with the lanes that newly emit it, and each
+//! query's statements are a view of that log ([`StmtSet`]): no id is
+//! pushed once per lane or copied into a list per query. Cloning an
+//! outcome copies no ids, and an answer kept alone keeps its group's log
+//! alive.
+//!
 //! Consecutive statements form dependence chains whose lanes reach their
 //! shared producers one level apart, and so scan them once per level. A
 //! lane-walked batch of two or more groups is therefore cut from its
@@ -85,6 +92,7 @@
 //! ```
 //!
 //! [`AnalysisSession::query`]: crate::AnalysisSession::query
+//! [`StmtSet`]: crate::StmtSet
 
 use crate::session::{Engine, SliceResult};
 use crate::slice::{slice_dense, slice_lanes, Slice, SliceKind, SliceScratch, LANES};

@@ -1321,6 +1321,51 @@ mod tests {
         }
     }
 
+    #[test]
+    fn batch_answers_outlive_the_session_that_answered_them() {
+        // Lane-walked batches of 150 queries (three lane groups) over
+        // every seed line, both engines and every kind: each answer is a
+        // view of its group's shared log, and must still list its
+        // statements once the session and its graphs are gone.
+        let mut s = AnalysisSession::new(&[("t.mj", SRC)]).unwrap();
+        let seeds: Vec<Vec<StmtRef>> = (1..=11)
+            .filter_map(|line| s.seed_at_line("t.mj", line))
+            .collect();
+        let mut queries = Vec::new();
+        for engine in [Engine::Ci, Engine::Cs] {
+            for kind in [
+                SliceKind::Thin,
+                SliceKind::TraditionalData,
+                SliceKind::TraditionalFull,
+            ] {
+                let batch: Vec<Query> = (seeds.iter().cycle().take(150))
+                    .map(|seeds| Query::new(seeds.clone(), kind, engine))
+                    .collect();
+                queries.push(batch);
+            }
+        }
+        let want: Vec<Vec<Vec<StmtRef>>> = (queries.iter())
+            .map(|batch| {
+                batch
+                    .iter()
+                    .map(|q| s.query(q).stmts.iter().collect())
+                    .collect()
+            })
+            .collect();
+        let answers: Vec<Vec<QueryOutcome>> = queries.iter().map(|b| s.query_batch(b, 2)).collect();
+        drop(s);
+        for (batch, want) in answers.iter().zip(&want) {
+            for (out, want) in batch.iter().zip(want) {
+                let got = &out.slice.as_ref().expect("no faults injected").stmts;
+                assert!(!want.is_empty());
+                assert!(got.iter().eq(want.iter().copied()));
+                assert_eq!(got.len(), want.len());
+                assert!(want.iter().all(|&st| got.contains(st)));
+                assert_eq!(*got, got.clone());
+            }
+        }
+    }
+
     /// Every engine × kind answer of `s` must be byte-identical to a fresh
     /// session compiled from `src`, seeding at `line`.
     fn assert_matches_fresh(s: &mut AnalysisSession, src: &str, line: u32) {

@@ -13,7 +13,11 @@
 //!
 //! A walk yields a crate-internal `Slice`: its statements and the number
 //! of graph nodes it visited. Callers read it as a
-//! [`SliceResult`](crate::SliceResult).
+//! [`SliceResult`](crate::SliceResult). A single walk lists its own
+//! statements. A lane walk writes each statement emission once, to one
+//! log shared by its lanes, with the lanes that newly emit it, and every
+//! lane's statements are a view of that log ([`StmtSet`]), so the walk
+//! neither pushes an id per lane nor copies a list per query.
 
 use crate::stmtset::StmtSet;
 #[cfg(test)]
@@ -74,9 +78,6 @@ pub(crate) struct SliceScratch {
     /// Dense-id statement dedup for [`slice_dense`]: a bit test instead of
     /// a hash per node. The answer's ids are its clear list.
     stmt_seen: BitSet<u32>,
-    /// The dense display statements some lane of [`slice_lanes`] has
-    /// emitted, the clear list of `stmt_lanes`.
-    stmt_touched: Vec<u32>,
     /// The lane walk's ([`slice_lanes`]) masks per node, zero between uses.
     lane_masks: Vec<LaneMasks>,
     /// The lane walk's current level, ascending, each node with the lanes
@@ -85,9 +86,12 @@ pub(crate) struct SliceScratch {
     /// The lanes that have emitted each dense display statement, zero
     /// between uses.
     stmt_lanes: Vec<u64>,
-    /// Each lane's statements so far, as dense ids in emission order,
-    /// empty between uses.
-    lane_stmts: Vec<Vec<u32>>,
+    /// The lane walk's emission log, empty between uses: each dense
+    /// display statement some lanes emit, in walk order, beside the lanes
+    /// that newly emit it. The statements are also `stmt_lanes`' clear
+    /// list.
+    log: Vec<u32>,
+    log_lanes: Vec<u64>,
 }
 
 impl SliceScratch {
@@ -106,11 +110,11 @@ impl SliceScratch {
             && self.touched.is_empty()
             && self.cur.is_empty()
             && self.next.is_empty()
-            && self.stmt_touched.is_empty()
             && self.lane_masks.iter().all(|m| m.seen == 0 && m.next == 0)
             && self.lane_level.is_empty()
             && self.stmt_lanes.iter().all(|&m| m == 0)
-            && self.lane_stmts.iter().all(Vec::is_empty)
+            && self.log.is_empty()
+            && self.log_lanes.is_empty()
     }
 
     /// How many nodes the lane walk's masks cover: 0 until a lane walk
@@ -430,6 +434,11 @@ impl LaneCounts {
 /// what `slice_dense` answers for its query under the same meter; what the
 /// lanes share is the scan of each node's edges, which every lane holding
 /// the node would otherwise repeat.
+///
+/// The walk logs each statement emission once, in walk order, with the
+/// lanes that newly emit it, and the answers are views of that log
+/// ([`StmtSet::lanes`]): a lane's statements are the entries that hold
+/// its bit, in walk order, which is the lane's canonical order.
 pub(crate) fn slice_lanes<Q: AsRef<[NodeId]>>(
     sdg: &FrozenSdg,
     queries: &[Q],
@@ -446,8 +455,8 @@ pub(crate) fn slice_lanes<Q: AsRef<[NodeId]>>(
         cur: ordered,
         next_bits,
         stmt_lanes,
-        stmt_touched,
-        lane_stmts,
+        log,
+        log_lanes,
         ..
     } = scratch;
     if masks.len() < sdg.node_count() {
@@ -461,9 +470,6 @@ pub(crate) fn slice_lanes<Q: AsRef<[NodeId]>>(
     let lanes = queries.len();
     let mut emitted = vec![0usize; lanes];
     let mut leftover = vec![0usize; lanes];
-    if lane_stmts.len() < lanes {
-        lane_stmts.resize_with(lanes, Vec::new);
-    }
     #[cfg(test)]
     let mut visited: Vec<Vec<NodeId>> = vec![Vec::new(); lanes];
     // Lanes whose meter can run out, and those whose meter has.
@@ -525,13 +531,9 @@ pub(crate) fn slice_lanes<Q: AsRef<[NodeId]>>(
                 let seen = &mut stmt_lanes[d as usize];
                 let new = emit & !*seen;
                 if new != 0 {
-                    if *seen == 0 {
-                        stmt_touched.push(d);
-                    }
                     *seen |= new;
-                    for l in lanes_of(new) {
-                        lane_stmts[l].push(d);
-                    }
+                    log.push(d);
+                    log_lanes.push(new);
                 }
             }
             for e in sdg.deps(n) {
@@ -551,15 +553,16 @@ pub(crate) fn slice_lanes<Q: AsRef<[NodeId]>>(
             visited[l].push(n);
         }
     }
-    for d in stmt_touched.drain(..) {
+    for &d in log.iter() {
         stmt_lanes[d as usize] = 0;
     }
-    lane_stmts[..lanes]
-        .iter_mut()
+    let answers = StmtSet::lanes(log, log_lanes, lanes, sdg.stmt_table());
+    log.clear();
+    log_lanes.clear();
+    answers
+        .into_iter()
         .enumerate()
-        .map(|(l, ids)| {
-            let stmts = StmtSet::from_ids(ids.to_vec(), sdg.stmt_table());
-            ids.clear();
+        .map(|(l, stmts)| {
             let slice = Slice {
                 kind,
                 nodes_visited: match metered & 1 << l {

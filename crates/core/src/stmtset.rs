@@ -3,10 +3,23 @@
 //! *canonical* order — BFS (distance) order for CI slices, sorted order
 //! for CS slices — so equality is deterministic and order-sensitive, and
 //! iteration allocates nothing.
+//!
+//! A set holds its ids in one of two forms. A single CI walk's answer is
+//! a list of its own. A lane walk's answers are views of one shared
+//! emission log: the walk records each statement once, as (dense id,
+//! lanes that newly emit it), in walk order, and [`StmtSet::lanes`] gives
+//! every lane a bitmap over the log by a 64×64 bit transpose per block of
+//! 64 entries. A lane's ids are the log's entries that hold its bit, in
+//! log order. One id iterator reads both forms, so every method, and
+//! equality between a view and a list, treats them alike.
 
 use std::sync::Arc;
 use thinslice_ir::StmtRef;
 use thinslice_util::FxHashSet;
+
+/// Bits per bitmap word: each word covers one block of this many log
+/// entries.
+const BLOCK: usize = u64::BITS as usize;
 
 /// A deduplicated, canonically ordered set of statements in a slice.
 ///
@@ -15,25 +28,121 @@ use thinslice_util::FxHashSet;
 /// answer over that graph shares: batch queries produce millions of
 /// statements, and an id is a third of a [`StmtRef`]. The answer keeps
 /// its table alive, so it still names its statements after the session
-/// that answered it has moved on to an edited program. The order — BFS
-/// from the seed for CI slices, sorted for CS slices — is part of each
-/// engine's contract, so building a hash set per query would cost without
-/// informing.
+/// that answered it has moved on to an edited program, or been dropped.
+/// The order — BFS from the seed for CI slices, sorted for CS slices — is
+/// part of each engine's contract, so building a hash set per query would
+/// cost without informing.
+///
+/// The answers of one lane walk (a batch's group of up to 64 queries, or
+/// a context-sensitive query) share memory: each is a view of the walk's
+/// emission log and of its own lane's bitmap over it, both allocated once
+/// per walk. A view keeps its whole group's log and bitmaps alive, about
+/// 100 kB for a group of 64 full slices of a scale-4 generated program,
+/// where 64 lists held about 384 kB. Cloning a set copies no ids.
 #[derive(Clone, Default)]
 pub struct StmtSet {
-    /// Indexes into `table`, in canonical order.
-    ids: Vec<u32>,
+    ids: Ids,
     /// The statements the ids name, ascending.
     table: Arc<[StmtRef]>,
+}
+
+/// Where a set's ids live.
+#[derive(Clone)]
+enum Ids {
+    /// The ids themselves, in canonical order.
+    List(Vec<u32>),
+    /// Lane `lane` of a lane walk's emission log: the `len` entries of
+    /// `log` whose bit is set in the lane's words of `bits`, in log order.
+    /// `bits` holds one word per block of the log for each lane, lane by
+    /// lane.
+    Lane {
+        log: Arc<[u32]>,
+        bits: Arc<[u64]>,
+        lane: usize,
+        len: usize,
+    },
+}
+
+impl Default for Ids {
+    fn default() -> Ids {
+        Ids::List(Vec::new())
+    }
+}
+
+/// Transposes a 64×64 bit matrix in place: bit `j` of `rows[i]` and bit
+/// `i` of `rows[j]` trade places. Each round swaps the two off-diagonal
+/// blocks of every diagonal block twice its width, from 32 down to 1
+/// (Hacker's Delight, §7-3).
+fn transpose(rows: &mut [u64; BLOCK]) {
+    let mut width = BLOCK / 2;
+    // The low `width` bits of every `2 * width`-bit field.
+    let mut low = u64::MAX >> width;
+    while width > 0 {
+        for pair in rows.chunks_exact_mut(2 * width) {
+            let (top, bottom) = pair.split_at_mut(width);
+            for (a, b) in top.iter_mut().zip(bottom) {
+                let t = ((*a >> width) ^ *b) & low;
+                *a ^= t << width;
+                *b ^= t;
+            }
+        }
+        width /= 2;
+        low ^= low << width;
+    }
 }
 
 impl StmtSet {
     /// Wraps deduplicated, canonically ordered dense ids into `table`.
     pub(crate) fn from_ids(ids: Vec<u32>, table: &Arc<[StmtRef]>) -> StmtSet {
         StmtSet {
-            ids,
+            ids: Ids::List(ids),
             table: Arc::clone(table),
         }
+    }
+
+    /// The answers of a lane walk of `lanes` queries, lane by lane, from
+    /// its emission log: entry `k` says that the lanes set in `masks[k]`
+    /// emit dense id `ids[k]` of `table`. Lane `l`'s answer lists the ids
+    /// of the entries holding bit `l`, in log order, so the log must name
+    /// each id at most once per lane, in each lane's canonical order.
+    ///
+    /// Each block of 64 entries is transposed into one word per lane. The
+    /// log and the bitmaps are each copied into one allocation, which
+    /// every answer shares.
+    pub(crate) fn lanes(
+        ids: &[u32],
+        masks: &[u64],
+        lanes: usize,
+        table: &Arc<[StmtRef]>,
+    ) -> Vec<StmtSet> {
+        assert_eq!(ids.len(), masks.len(), "one mask per log entry");
+        let blocks = masks.len().div_ceil(BLOCK);
+        let mut bits: Arc<[u64]> = std::iter::repeat_n(0, lanes * blocks).collect();
+        let words = Arc::get_mut(&mut bits).expect("a new allocation has one owner");
+        let mut block = [0u64; BLOCK];
+        for (b, chunk) in masks.chunks(BLOCK).enumerate() {
+            block[..chunk.len()].copy_from_slice(chunk);
+            block[chunk.len()..].fill(0);
+            transpose(&mut block);
+            for (l, &word) in block[..lanes].iter().enumerate() {
+                words[l * blocks + b] = word;
+            }
+        }
+        let log: Arc<[u32]> = ids.into();
+        (0..lanes)
+            .map(|lane| {
+                let words = &bits[lane * blocks..][..blocks];
+                StmtSet {
+                    ids: Ids::Lane {
+                        log: Arc::clone(&log),
+                        bits: Arc::clone(&bits),
+                        lane,
+                        len: words.iter().map(|w| w.count_ones() as usize).sum(),
+                    },
+                    table: Arc::clone(table),
+                }
+            })
+            .collect()
     }
 
     /// Wraps an already-deduplicated, canonically ordered statement list
@@ -46,10 +155,7 @@ impl StmtSet {
             .iter()
             .map(|s| table.binary_search(s).expect("in the table") as u32)
             .collect();
-        StmtSet {
-            ids,
-            table: table.into(),
-        }
+        StmtSet::from_ids(ids, &table.into())
     }
 
     /// The table the ids index.
@@ -58,30 +164,53 @@ impl StmtSet {
         &self.table
     }
 
+    /// The dense ids, in canonical order.
+    fn ids(&self) -> IdIter<'_> {
+        match &self.ids {
+            Ids::List(ids) => IdIter::List(ids.iter()),
+            Ids::Lane {
+                log,
+                bits,
+                lane,
+                len,
+            } => {
+                let blocks = log.len().div_ceil(BLOCK);
+                let (&word, words) = bits[lane * blocks..][..blocks]
+                    .split_first()
+                    .unwrap_or((&0, &[]));
+                IdIter::Lane {
+                    words: words.iter(),
+                    log,
+                    base: 0,
+                    word,
+                    left: *len,
+                }
+            }
+        }
+    }
+
     /// Number of statements in the set.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.ids().len()
     }
 
     /// Whether the set is empty (possible only for unreachable seeds).
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len() == 0
     }
 
     /// Whether the set contains `stmt`: a binary search of the table, then
     /// a linear scan of the ids. Callers needing many membership tests
     /// should take [`StmtSet::to_hash_set`] once.
     pub fn contains(&self, stmt: StmtRef) -> bool {
-        self.table
-            .binary_search(&stmt)
-            .is_ok_and(|id| self.ids.contains(&(id as u32)))
+        (self.table.binary_search(&stmt)).is_ok_and(|id| self.ids().any(|d| d == id as u32))
     }
 
     /// Iterates the statements, by value, in canonical order (BFS order
     /// for CI slices, sorted for CS slices).
     pub fn iter(&self) -> StmtIter<'_> {
         StmtIter {
-            ids: self.ids.iter(),
+            ids: self.ids(),
             table: &self.table,
         }
     }
@@ -102,15 +231,17 @@ impl StmtSet {
     }
 }
 
-/// Equal when both list the same statements in the same order: compared
-/// id by id when both share one table, statement by statement otherwise.
+/// Equal when both list the same statements in the same order, whether
+/// each is a list or a view: compared id by id when both share one table,
+/// statement by statement otherwise.
 impl PartialEq for StmtSet {
     fn eq(&self, other: &StmtSet) -> bool {
-        if Arc::ptr_eq(&self.table, &other.table) {
-            self.ids == other.ids
-        } else {
-            self.len() == other.len() && self.iter().eq(other.iter())
-        }
+        self.len() == other.len()
+            && if Arc::ptr_eq(&self.table, &other.table) {
+                self.ids().eq(other.ids())
+            } else {
+                self.iter().eq(other.iter())
+            }
     }
 }
 
@@ -124,18 +255,75 @@ impl std::fmt::Debug for StmtSet {
     }
 }
 
+/// A set's dense ids, in canonical order.
+#[derive(Debug, Clone)]
+enum IdIter<'a> {
+    List(std::slice::Iter<'a, u32>),
+    /// A view: the lane's bitmap words after the current one, the log,
+    /// the log index of the current word's first bit, the current word's
+    /// bits not yet read, and the number of ids left.
+    Lane {
+        words: std::slice::Iter<'a, u64>,
+        log: &'a [u32],
+        base: usize,
+        word: u64,
+        left: usize,
+    },
+}
+
+impl Iterator for IdIter<'_> {
+    type Item = u32;
+
+    // Runs once per statement, mostly in other crates' loops over answers
+    // (the CLI, the daemon's renderer), which inline it only when marked:
+    // a call per statement made iterating a view nearly twice as slow.
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            IdIter::List(ids) => ids.next().copied(),
+            IdIter::Lane {
+                words,
+                log,
+                base,
+                word,
+                left,
+            } => {
+                while *word == 0 {
+                    *word = *words.next()?;
+                    *base += BLOCK;
+                }
+                let j = word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                *left -= 1;
+                Some(log[*base + j])
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = match self {
+            IdIter::List(ids) => ids.len(),
+            IdIter::Lane { left, .. } => *left,
+        };
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for IdIter<'_> {}
+
 /// The statements of a [`StmtSet`], by value, in canonical order.
 #[derive(Debug, Clone)]
 pub struct StmtIter<'a> {
-    ids: std::slice::Iter<'a, u32>,
+    ids: IdIter<'a>,
     table: &'a [StmtRef],
 }
 
 impl Iterator for StmtIter<'_> {
     type Item = StmtRef;
 
+    #[inline]
     fn next(&mut self) -> Option<StmtRef> {
-        self.ids.next().map(|&id| self.table[id as usize])
+        self.ids.next().map(|id| self.table[id as usize])
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -157,6 +345,7 @@ impl<'a> IntoIterator for &'a StmtSet {
 mod tests {
     use super::*;
     use thinslice_ir::{BlockId, Loc, MethodId, StmtRef};
+    use thinslice_util::SmallRng;
 
     fn s(m: usize, i: usize) -> StmtRef {
         StmtRef {
@@ -231,5 +420,121 @@ mod tests {
         let want = format!("StmtSet {{ stmts: {:?} }}", vec![s(3, 7), s(0, 0)]);
         assert_eq!(format!("{set:?}"), want);
         assert_eq!(format!("{:?}", StmtSet::default()), "StmtSet { stmts: [] }");
+    }
+
+    /// The transpose one bit at a time.
+    fn naive_transpose(rows: &[u64; BLOCK]) -> [u64; BLOCK] {
+        let mut out = [0u64; BLOCK];
+        for (i, row) in rows.iter().enumerate() {
+            for (j, col) in out.iter_mut().enumerate() {
+                *col |= (row >> j & 1) << i;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn transpose_matches_the_bit_by_bit_transpose() {
+        let mut rng = SmallRng::new(0x7a05_b175);
+        let mut cases: Vec<[u64; BLOCK]> = vec![[0; BLOCK], [u64::MAX; BLOCK]];
+        cases.extend((0..BLOCK).map(|k| {
+            let mut rows = [0; BLOCK];
+            rows[k] = 1 << (BLOCK - 1 - k);
+            rows
+        }));
+        cases.extend((0..200).map(|_| std::array::from_fn(|_| rng.next_u64())));
+        for rows in cases {
+            let mut got = rows;
+            transpose(&mut got);
+            assert_eq!(got, naive_transpose(&rows), "{rows:x?}");
+            transpose(&mut got);
+            assert_eq!(got, rows, "a transpose is its own inverse");
+        }
+    }
+
+    #[test]
+    fn lane_views_list_their_lanes_log_entries() {
+        // Each lane's view against the log read one entry at a time, for
+        // logs on both sides of a block boundary and masks of no lane,
+        // every lane, one lane per entry, and seeded random lanes.
+        let table: Arc<[StmtRef]> = (0..100).map(|i| s(i / 10, i % 10)).collect();
+        let mut rng = SmallRng::new(0x10_9f00d);
+        for entries in [0, 1, 63, 64, 65, 200] {
+            for lanes in [1, 2, 63, 64] {
+                let every = u64::MAX >> (BLOCK - lanes);
+                let ids: Vec<u32> = (0..entries).map(|k| (k * 7 % 100) as u32).collect();
+                for pattern in ["none", "every", "single", "random"] {
+                    let masks: Vec<u64> = (0..entries)
+                        .map(|k| match pattern {
+                            "none" => 0,
+                            "every" => every,
+                            "single" => 1 << (k * 5 % lanes),
+                            _ => rng.next_u64() & every,
+                        })
+                        .collect();
+                    let views = StmtSet::lanes(&ids, &masks, lanes, &table);
+                    assert_eq!(views.len(), lanes);
+                    for (l, view) in views.iter().enumerate() {
+                        let at = format!("{entries} entries, lane {l} of {lanes}, {pattern}");
+                        let want: Vec<u32> = (ids.iter().zip(&masks))
+                            .filter(|&(_, m)| m >> l & 1 == 1)
+                            .map(|(&d, _)| d)
+                            .collect();
+                        assert_eq!(view.ids().collect::<Vec<_>>(), want, "{at}");
+                        assert_eq!(view.len(), want.len(), "{at}");
+                        assert_eq!(view.iter().len(), want.len(), "{at}");
+                        let list = StmtSet::from_ids(want, &table);
+                        assert_eq!(*view, list, "{at}");
+                        assert_eq!(list, *view, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn views_answer_like_lists() {
+        let table: Arc<[StmtRef]> = vec![s(0, 0), s(0, 1), s(1, 0), s(2, 5)].into();
+        // Lane 0 emits 3, 0, 2; lane 1 emits 2, 3; lane 2 emits nothing.
+        let (ids, masks) = ([3, 0, 2, 3], [0b001, 0b001, 0b011, 0b010]);
+        let views = StmtSet::lanes(&ids, &masks, 3, &table);
+        let [view, other, empty] = &views[..] else {
+            panic!("one view per lane")
+        };
+        let list = StmtSet::from_ids(vec![3, 0, 2], &table);
+        assert_eq!(*view, list);
+        // The same statements over a table of other ids.
+        let wider: Arc<[StmtRef]> = vec![s(0, 0), s(0, 1), s(0, 2), s(1, 0), s(2, 5)].into();
+        assert_eq!(*view, StmtSet::from_ids(vec![4, 0, 3], &wider));
+        assert_eq!(StmtSet::from_ids(vec![4, 0, 3], &wider), *view);
+        assert_ne!(
+            *view,
+            StmtSet::from_ids(vec![0, 3, 2], &table),
+            "order counts"
+        );
+        assert_ne!(
+            *view,
+            StmtSet::from_ids(vec![0, 3, 4], &wider),
+            "order counts"
+        );
+        assert_ne!(*view, *other);
+        assert_eq!(*other, StmtSet::from_ids(vec![2, 3], &table));
+        assert_eq!((view.len(), view.iter().len()), (3, 3));
+        assert!(!view.is_empty());
+        assert!(view.contains(s(2, 5)) && view.contains(s(0, 0)));
+        assert!(!view.contains(s(0, 1)) && !view.contains(s(9, 9)));
+        assert_eq!(view.to_hash_set(), list.to_hash_set());
+        assert!(other.is_subset(view) && !view.is_subset(other));
+        assert!(view.is_subset(&list) && list.is_subset(view));
+        assert_eq!(format!("{view:?}"), format!("{list:?}"));
+        assert_eq!(view.iter().collect::<Vec<_>>(), [s(2, 5), s(0, 0), s(1, 0)]);
+        // A lane that emitted nothing.
+        assert!(empty.is_empty());
+        assert_eq!((empty.len(), empty.iter().next()), (0, None));
+        assert_eq!(*empty, StmtSet::default());
+        assert!(empty.is_subset(view) && !empty.contains(s(0, 0)));
+        assert_eq!(format!("{empty:?}"), "StmtSet { stmts: [] }");
+        // A clone shares the log.
+        assert_eq!(view.clone(), *view);
     }
 }

@@ -31,7 +31,10 @@
 //! graph, the kind, the seeds and the budget.
 //!
 //! A walk answers with the same `Slice` shape as reachability: its
-//! statements, sorted, and the number of nodes it expanded.
+//! statements, sorted, and the number of nodes it expanded. The walk sorts
+//! the statements any lane holds once, and passes them with each one's
+//! lane mask to `StmtSet::lanes`, so every lane's answer is a view of
+//! that one sorted list rather than a list of its own.
 
 use crate::slice::{lanes_of, metered_lanes, LaneCounts, Slice, SliceKind, LANES};
 use crate::stmtset::StmtSet;
@@ -240,6 +243,9 @@ pub(crate) struct CsScratch {
     /// and the statements some lane holds.
     stmt_lanes: Vec<u64>,
     stmt_touched: Vec<u32>,
+    /// Each of `stmt_touched`'s statements' lanes, once they are sorted:
+    /// the walk's emission log. Empty between walks.
+    stmt_masks: Vec<u64>,
 }
 
 impl CsScratch {
@@ -255,6 +261,7 @@ impl CsScratch {
             && self.touched.is_empty()
             && self.stmt_lanes.iter().all(|&m| m == 0)
             && self.stmt_touched.is_empty()
+            && self.stmt_masks.is_empty()
     }
 
     /// How many nodes the walk's masks cover: 0 until a walk runs on this
@@ -476,6 +483,7 @@ pub(crate) fn cs_lanes<Q: AsRef<[NodeId]>>(
         touched,
         stmt_lanes,
         stmt_touched,
+        stmt_masks,
     } = scratch;
     if masks.len() < sdg.node_count() {
         masks.resize(sdg.node_count(), PhaseMasks::default());
@@ -562,9 +570,9 @@ pub(crate) fn cs_lanes<Q: AsRef<[NodeId]>>(
         ordered.clear();
     }
     level.clear();
-    // Each lane's nodes and statements, counted for all lanes at once; the
-    // statements are sorted once for the group, which orders every lane's.
-    let (mut nodes, mut stmts) = (LaneCounts::default(), LaneCounts::default());
+    // Each lane's nodes, counted for all lanes at once, and the statements
+    // any lane holds, sorted once for the group, which orders every lane's.
+    let mut nodes = LaneCounts::default();
     #[cfg(test)]
     let mut visited: Vec<Vec<NodeId>> = vec![Vec::new(); lanes];
     for n in touched.drain(..) {
@@ -581,27 +589,25 @@ pub(crate) fn cs_lanes<Q: AsRef<[NodeId]>>(
             if *held == 0 {
                 stmt_touched.push(d);
             }
-            stmts.add(at & !*held);
             *held |= at;
         }
     }
     stmt_touched.sort_unstable();
-    let mut lane_stmts: Vec<Vec<u32>> = (0..lanes)
-        .map(|l| Vec::with_capacity(stmts.get(l)))
-        .collect();
-    for d in stmt_touched.drain(..) {
-        for l in lanes_of(std::mem::take(&mut stmt_lanes[d as usize])) {
-            lane_stmts[l].push(d);
-        }
-    }
-    lane_stmts
+    let masks = stmt_touched
+        .iter()
+        .map(|&d| std::mem::take(&mut stmt_lanes[d as usize]));
+    stmt_masks.extend(masks);
+    let answers = StmtSet::lanes(stmt_touched, stmt_masks, lanes, sdg.stmt_table());
+    stmt_touched.clear();
+    stmt_masks.clear();
+    answers
         .into_iter()
         .enumerate()
-        .map(|(l, ids)| {
+        .map(|(l, stmts)| {
             let slice = Slice {
                 kind,
                 nodes_visited: nodes.get(l),
-                stmts: StmtSet::from_ids(ids, sdg.stmt_table()),
+                stmts,
                 #[cfg(test)]
                 visited: crate::slice::sorted_ids(std::mem::take(&mut visited[l])),
             };

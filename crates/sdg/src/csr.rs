@@ -129,6 +129,9 @@ pub struct FrozenSdg {
     /// `stmt_nodes[stmt_starts[i]..stmt_starts[i + 1]]`: seed resolution.
     stmt_starts: Vec<u32>,
     stmt_nodes: Vec<NodeId>,
+    /// How many method instances have statement nodes
+    /// ([`FrozenSdg::instance_count`]).
+    instances: usize,
     /// Lazily built [`DownConsumers`] index (a pure graph fact, so it is
     /// cached on the graph and shared by every batch and thread).
     pub(crate) down: OnceLock<DownConsumers>,
@@ -142,8 +145,8 @@ pub const NO_DISPLAY: u32 = u32::MAX;
 
 impl FrozenSdg {
     /// Builds a frozen graph from its primary arrays and derives the rest:
-    /// each statement's instance nodes and the dense numbering of display
-    /// statements, in ascending statement order.
+    /// each statement's instance nodes, the dense numbering of display
+    /// statements, in ascending statement order, and the instance count.
     ///
     /// The arrays must fit together: `offsets` a CSR over `edges` with one
     /// row per kind, and every node id in an edge or a kind below the node
@@ -183,6 +186,13 @@ impl FrozenSdg {
             .enumerate()
             .map(|(i, kind)| slot[kind.site().map_or(i, NodeId::index)])
             .collect();
+        let instances = (kinds.iter())
+            .filter_map(|kind| match kind {
+                NodeKind::Stmt(inst, _) => Some(*inst),
+                _ => None,
+            })
+            .collect::<FxHashSet<_>>()
+            .len();
         FrozenSdg {
             mode,
             offsets,
@@ -192,6 +202,7 @@ impl FrozenSdg {
             display_stmts: display_stmts.into(),
             stmt_starts,
             stmt_nodes: pairs.into_iter().map(|(_, n)| n).collect(),
+            instances,
             down: OnceLock::new(),
             heights: Default::default(),
         }
@@ -210,15 +221,10 @@ impl FrozenSdg {
 
     /// Number of method instances (call-graph clones) with statement
     /// nodes in the graph, as [`Sdg::instance_count`] counts them: the
-    /// CSR segment count of incremental accounting.
+    /// CSR segment count of incremental accounting. Counted once, when
+    /// the graph is frozen or decoded.
     pub fn instance_count(&self) -> usize {
-        (self.kinds.iter())
-            .filter_map(|kind| match kind {
-                NodeKind::Stmt(inst, _) => Some(*inst),
-                _ => None,
-            })
-            .collect::<FxHashSet<_>>()
-            .len()
+        self.instances
     }
 
     /// Total edge count.
