@@ -13,11 +13,11 @@
 //!
 //! A walk yields a crate-internal `Slice`: its statements and the number
 //! of graph nodes it visited. Callers read it as a
-//! [`SliceResult`](crate::SliceResult). A single walk lists its own
-//! statements. A lane walk writes each statement emission once, to one
-//! log shared by its lanes, with the lanes that newly emit it, and every
-//! lane's statements are a view of that log ([`StmtSet`]), so the walk
-//! neither pushes an id per lane nor copies a list per query.
+//! [`SliceResult`](crate::SliceResult). Every walk writes each statement
+//! emission once, to a log on its scratch, and its answers are views of
+//! one copy of that log ([`StmtSet`]). A lane walk logs with each
+//! statement the lanes that newly emit it, so it neither pushes an id per
+//! lane nor copies a list per query.
 
 use crate::stmtset::StmtSet;
 #[cfg(test)]
@@ -76,7 +76,7 @@ pub(crate) struct SliceScratch {
     #[cfg(test)]
     stmt_set: FxHashSet<StmtRef>,
     /// Dense-id statement dedup for [`slice_dense`]: a bit test instead of
-    /// a hash per node. The answer's ids are its clear list.
+    /// a hash per node. The walk's log is its clear list.
     stmt_seen: BitSet<u32>,
     /// The lane walk's ([`slice_lanes`]) masks per node, zero between uses.
     lane_masks: Vec<LaneMasks>,
@@ -86,10 +86,10 @@ pub(crate) struct SliceScratch {
     /// The lanes that have emitted each dense display statement, zero
     /// between uses.
     stmt_lanes: Vec<u64>,
-    /// The lane walk's emission log, empty between uses: each dense
-    /// display statement some lanes emit, in walk order, beside the lanes
-    /// that newly emit it. The statements are also `stmt_lanes`' clear
-    /// list.
+    /// The emission log, empty between uses: each dense display statement
+    /// the walk emits, in walk order. A lane walk keeps beside each the
+    /// lanes that newly emit it, and the statements are also
+    /// `stmt_lanes`' clear list.
     log: Vec<u32>,
     log_lanes: Vec<u64>,
 }
@@ -282,13 +282,13 @@ pub(crate) fn slice_dense(
         next,
         next_bits,
         stmt_seen,
+        log: stmts,
         ..
     } = scratch;
     let node_count = sdg.node_count();
     // The full slicer follows every edge: matching on the kind spares its
     // walk the per-edge test.
     let every = kind == SliceKind::TraditionalFull;
-    let mut stmts = Vec::new();
     for &n in seeds {
         if visited.insert(n) {
             next.push(n);
@@ -342,7 +342,7 @@ pub(crate) fn slice_dense(
     }
     let completeness = meter.completeness(leftover);
     cur.clear();
-    for &d in &stmts {
+    for &d in stmts.iter() {
         stmt_seen.remove(d);
     }
     let slice = Slice {
@@ -352,6 +352,7 @@ pub(crate) fn slice_dense(
         #[cfg(test)]
         visited: sorted_ids(touched.iter().copied()),
     };
+    stmts.clear();
     for n in touched.drain(..) {
         visited.remove(n);
     }

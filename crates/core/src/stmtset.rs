@@ -4,14 +4,13 @@
 //! for CS slices — so equality is deterministic and order-sensitive, and
 //! iteration allocates nothing.
 //!
-//! A set holds its ids in one of two forms. A single CI walk's answer is
-//! a list of its own. A lane walk's answers are views of one shared
-//! emission log: the walk records each statement once, as (dense id,
-//! lanes that newly emit it), in walk order, and [`StmtSet::lanes`] gives
-//! every lane a bitmap over the log by a 64×64 bit transpose per block of
-//! 64 entries. A lane's ids are the log's entries that hold its bit, in
-//! log order. One id iterator reads both forms, so every method, and
-//! equality between a view and a list, treats them alike.
+//! Every set is a view of the emission log of the walk that answered it.
+//! A walk records each statement once, as (dense id, lanes that newly
+//! emit it), in walk order, and [`StmtSet::lanes`] gives every lane a
+//! bitmap over the log by a 64×64 bit transpose per block of 64 entries.
+//! A lane's ids are the log's entries that hold its bit, in log order. A
+//! single CI walk is a walk of one lane that emits every entry of its log
+//! ([`StmtSet::from_ids`]).
 
 use std::sync::Arc;
 use thinslice_ir::StmtRef;
@@ -33,40 +32,32 @@ const BLOCK: usize = u64::BITS as usize;
 /// part of each engine's contract, so building a hash set per query would
 /// cost without informing.
 ///
-/// The answers of one lane walk (a batch's group of up to 64 queries, or
-/// a context-sensitive query) share memory: each is a view of the walk's
+/// The answers of one walk share memory: each is a view of the walk's
 /// emission log and of its own lane's bitmap over it, both allocated once
-/// per walk. A view keeps its whole group's log and bitmaps alive, about
-/// 100 kB for a group of 64 full slices of a scale-4 generated program,
-/// where 64 lists held about 384 kB. Cloning a set copies no ids.
+/// per walk, and cloning a set copies no ids. A walk of `L` lanes over a
+/// log of `n` entries keeps `4n` bytes of log and `L·⌈n/64⌉` bitmap
+/// words, about `4 + L/8` bytes per entry, against 4 bytes per answer
+/// statement for a list of ids per lane. So a group's views keep less
+/// than such lists only while its entries average more than `1 + L/32`
+/// lanes, 3 for a group of 64: a group of 64 full slices of a scale-4
+/// generated program keeps about 99 kB against 382 kB, but a group of
+/// slices that share few statements keeps up to a few times more. A
+/// single walk's answer keeps one bitmap word per 64 statements beside
+/// its log. A view kept alone keeps its whole group's log and bitmaps
+/// alive.
 #[derive(Clone, Default)]
 pub struct StmtSet {
-    ids: Ids,
+    /// The answering walk's emission log: dense ids into `table`.
+    log: Arc<[u32]>,
+    /// One word per block of `log` for each lane of the walk, lane by
+    /// lane: bit `j` of lane `l`'s word `b` says that entry `64b + j`
+    /// is in lane `l`'s answer.
+    bits: Arc<[u64]>,
+    /// This set's lane, and the number of entries that hold its bit.
+    lane: usize,
+    len: usize,
     /// The statements the ids name, ascending.
     table: Arc<[StmtRef]>,
-}
-
-/// Where a set's ids live.
-#[derive(Clone)]
-enum Ids {
-    /// The ids themselves, in canonical order.
-    List(Vec<u32>),
-    /// Lane `lane` of a lane walk's emission log: the `len` entries of
-    /// `log` whose bit is set in the lane's words of `bits`, in log order.
-    /// `bits` holds one word per block of the log for each lane, lane by
-    /// lane.
-    Lane {
-        log: Arc<[u32]>,
-        bits: Arc<[u64]>,
-        lane: usize,
-        len: usize,
-    },
-}
-
-impl Default for Ids {
-    fn default() -> Ids {
-        Ids::List(Vec::new())
-    }
 }
 
 /// Transposes a 64×64 bit matrix in place: bit `j` of `rows[i]` and bit
@@ -92,10 +83,17 @@ fn transpose(rows: &mut [u64; BLOCK]) {
 }
 
 impl StmtSet {
-    /// Wraps deduplicated, canonically ordered dense ids into `table`.
-    pub(crate) fn from_ids(ids: Vec<u32>, table: &Arc<[StmtRef]>) -> StmtSet {
+    /// Wraps deduplicated, canonically ordered dense ids into `table`: the
+    /// answer of a walk of one lane, which emits every entry it logs.
+    pub(crate) fn from_ids(ids: &[u32], table: &Arc<[StmtRef]>) -> StmtSet {
         StmtSet {
-            ids: Ids::List(ids),
+            log: ids.into(),
+            bits: (0..ids.len())
+                .step_by(BLOCK)
+                .map(|at| u64::MAX >> BLOCK.saturating_sub(ids.len() - at))
+                .collect(),
+            lane: 0,
+            len: ids.len(),
             table: Arc::clone(table),
         }
     }
@@ -133,12 +131,10 @@ impl StmtSet {
             .map(|lane| {
                 let words = &bits[lane * blocks..][..blocks];
                 StmtSet {
-                    ids: Ids::Lane {
-                        log: Arc::clone(&log),
-                        bits: Arc::clone(&bits),
-                        lane,
-                        len: words.iter().map(|w| w.count_ones() as usize).sum(),
-                    },
+                    log: Arc::clone(&log),
+                    bits: Arc::clone(&bits),
+                    lane,
+                    len: words.iter().map(|w| w.count_ones() as usize).sum(),
                     table: Arc::clone(table),
                 }
             })
@@ -151,11 +147,11 @@ impl StmtSet {
     pub(crate) fn from_ordered(stmts: Vec<StmtRef>) -> StmtSet {
         let mut table = stmts.clone();
         table.sort_unstable();
-        let ids = stmts
+        let ids: Vec<u32> = stmts
             .iter()
             .map(|s| table.binary_search(s).expect("in the table") as u32)
             .collect();
-        StmtSet::from_ids(ids, &table.into())
+        StmtSet::from_ids(&ids, &table.into())
     }
 
     /// The table the ids index.
@@ -166,26 +162,16 @@ impl StmtSet {
 
     /// The dense ids, in canonical order.
     fn ids(&self) -> IdIter<'_> {
-        match &self.ids {
-            Ids::List(ids) => IdIter::List(ids.iter()),
-            Ids::Lane {
-                log,
-                bits,
-                lane,
-                len,
-            } => {
-                let blocks = log.len().div_ceil(BLOCK);
-                let (&word, words) = bits[lane * blocks..][..blocks]
-                    .split_first()
-                    .unwrap_or((&0, &[]));
-                IdIter::Lane {
-                    words: words.iter(),
-                    log,
-                    base: 0,
-                    word,
-                    left: *len,
-                }
-            }
+        let blocks = self.log.len().div_ceil(BLOCK);
+        let (&word, words) = self.bits[self.lane * blocks..][..blocks]
+            .split_first()
+            .unwrap_or((&0, &[]));
+        IdIter {
+            words: words.iter(),
+            log: &self.log,
+            base: 0,
+            word,
+            left: self.len,
         }
     }
 
@@ -231,8 +217,8 @@ impl StmtSet {
     }
 }
 
-/// Equal when both list the same statements in the same order, whether
-/// each is a list or a view: compared id by id when both share one table,
+/// Equal when both list the same statements in the same order, whatever
+/// walks answered them: compared id by id when both share one table,
 /// statement by statement otherwise.
 impl PartialEq for StmtSet {
     fn eq(&self, other: &StmtSet) -> bool {
@@ -255,20 +241,16 @@ impl std::fmt::Debug for StmtSet {
     }
 }
 
-/// A set's dense ids, in canonical order.
+/// A set's dense ids, in canonical order: the lane's bitmap words after
+/// the current one, the log, the log index of the current word's first
+/// bit, the current word's bits not yet read, and the number of ids left.
 #[derive(Debug, Clone)]
-enum IdIter<'a> {
-    List(std::slice::Iter<'a, u32>),
-    /// A view: the lane's bitmap words after the current one, the log,
-    /// the log index of the current word's first bit, the current word's
-    /// bits not yet read, and the number of ids left.
-    Lane {
-        words: std::slice::Iter<'a, u64>,
-        log: &'a [u32],
-        base: usize,
-        word: u64,
-        left: usize,
-    },
+struct IdIter<'a> {
+    words: std::slice::Iter<'a, u64>,
+    log: &'a [u32],
+    base: usize,
+    word: u64,
+    left: usize,
 }
 
 impl Iterator for IdIter<'_> {
@@ -279,33 +261,18 @@ impl Iterator for IdIter<'_> {
     // a call per statement made iterating a view nearly twice as slow.
     #[inline]
     fn next(&mut self) -> Option<u32> {
-        match self {
-            IdIter::List(ids) => ids.next().copied(),
-            IdIter::Lane {
-                words,
-                log,
-                base,
-                word,
-                left,
-            } => {
-                while *word == 0 {
-                    *word = *words.next()?;
-                    *base += BLOCK;
-                }
-                let j = word.trailing_zeros() as usize;
-                *word &= *word - 1;
-                *left -= 1;
-                Some(log[*base + j])
-            }
+        while self.word == 0 {
+            self.word = *self.words.next()?;
+            self.base += BLOCK;
         }
+        let j = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        self.left -= 1;
+        Some(self.log[self.base + j])
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = match self {
-            IdIter::List(ids) => ids.len(),
-            IdIter::Lane { left, .. } => *left,
-        };
-        (left, Some(left))
+        (self.left, Some(self.left))
     }
 }
 
@@ -392,10 +359,10 @@ mod tests {
     fn the_same_statements_over_different_tables_are_equal() {
         let small: Arc<[StmtRef]> = vec![s(0, 1), s(0, 2)].into();
         let large: Arc<[StmtRef]> = vec![s(0, 0), s(0, 1), s(0, 2), s(1, 0)].into();
-        let a = StmtSet::from_ids(vec![1, 0], &small);
-        let b = StmtSet::from_ids(vec![2, 1], &large);
+        let a = StmtSet::from_ids(&[1, 0], &small);
+        let b = StmtSet::from_ids(&[2, 1], &large);
         assert_eq!(a, b);
-        assert_ne!(a, StmtSet::from_ids(vec![1, 2], &large));
+        assert_ne!(a, StmtSet::from_ids(&[1, 2], &large));
         assert_eq!(a, StmtSet::from_ordered(vec![s(0, 2), s(0, 1)]));
     }
 
@@ -403,20 +370,20 @@ mod tests {
     fn the_same_ids_over_tables_of_different_statements_differ() {
         let one: Arc<[StmtRef]> = vec![s(0, 0), s(0, 1)].into();
         let other: Arc<[StmtRef]> = vec![s(0, 0), s(0, 2)].into();
-        let a = StmtSet::from_ids(vec![0, 1], &one);
-        let b = StmtSet::from_ids(vec![0, 1], &other);
+        let a = StmtSet::from_ids(&[0, 1], &one);
+        let b = StmtSet::from_ids(&[0, 1], &other);
         assert_ne!(a, b);
         assert!(!a.is_subset(&b));
         assert!(!b.contains(s(0, 1)));
         // Over one table the ids decide.
-        assert_eq!(a, StmtSet::from_ids(vec![0, 1], &one));
-        assert_ne!(a, StmtSet::from_ids(vec![1, 0], &one));
+        assert_eq!(a, StmtSet::from_ids(&[0, 1], &one));
+        assert_ne!(a, StmtSet::from_ids(&[1, 0], &one));
     }
 
     #[test]
     fn debug_prints_statements() {
         let table: Arc<[StmtRef]> = vec![s(0, 0), s(3, 7)].into();
-        let set = StmtSet::from_ids(vec![1, 0], &table);
+        let set = StmtSet::from_ids(&[1, 0], &table);
         let want = format!("StmtSet {{ stmts: {:?} }}", vec![s(3, 7), s(0, 0)]);
         assert_eq!(format!("{set:?}"), want);
         assert_eq!(format!("{:?}", StmtSet::default()), "StmtSet { stmts: [] }");
@@ -483,9 +450,9 @@ mod tests {
                         assert_eq!(view.ids().collect::<Vec<_>>(), want, "{at}");
                         assert_eq!(view.len(), want.len(), "{at}");
                         assert_eq!(view.iter().len(), want.len(), "{at}");
-                        let list = StmtSet::from_ids(want, &table);
-                        assert_eq!(*view, list, "{at}");
-                        assert_eq!(list, *view, "{at}");
+                        let single = StmtSet::from_ids(&want, &table);
+                        assert_eq!(*view, single, "{at}");
+                        assert_eq!(single, *view, "{at}");
                     }
                 }
             }
@@ -493,7 +460,19 @@ mod tests {
     }
 
     #[test]
-    fn views_answer_like_lists() {
+    fn a_single_walks_answer_lists_its_whole_log() {
+        let table: Arc<[StmtRef]> = (0..100).map(|i| s(i / 10, i % 10)).collect();
+        for entries in [0, 1, 63, 64, 65, 128, 200] {
+            let ids: Vec<u32> = (0..entries).map(|k| (k * 7 % 100) as u32).collect();
+            let set = StmtSet::from_ids(&ids, &table);
+            assert_eq!(set.ids().collect::<Vec<_>>(), ids, "{entries} entries");
+            assert_eq!((set.len(), set.iter().len()), (entries, entries));
+            assert_eq!(set.bits.len(), entries.div_ceil(BLOCK));
+        }
+    }
+
+    #[test]
+    fn lane_views_answer_like_single_walk_answers() {
         let table: Arc<[StmtRef]> = vec![s(0, 0), s(0, 1), s(1, 0), s(2, 5)].into();
         // Lane 0 emits 3, 0, 2; lane 1 emits 2, 3; lane 2 emits nothing.
         let (ids, masks) = ([3, 0, 2, 3], [0b001, 0b001, 0b011, 0b010]);
@@ -501,32 +480,24 @@ mod tests {
         let [view, other, empty] = &views[..] else {
             panic!("one view per lane")
         };
-        let list = StmtSet::from_ids(vec![3, 0, 2], &table);
-        assert_eq!(*view, list);
+        let single = StmtSet::from_ids(&[3, 0, 2], &table);
+        assert_eq!(*view, single);
         // The same statements over a table of other ids.
         let wider: Arc<[StmtRef]> = vec![s(0, 0), s(0, 1), s(0, 2), s(1, 0), s(2, 5)].into();
-        assert_eq!(*view, StmtSet::from_ids(vec![4, 0, 3], &wider));
-        assert_eq!(StmtSet::from_ids(vec![4, 0, 3], &wider), *view);
-        assert_ne!(
-            *view,
-            StmtSet::from_ids(vec![0, 3, 2], &table),
-            "order counts"
-        );
-        assert_ne!(
-            *view,
-            StmtSet::from_ids(vec![0, 3, 4], &wider),
-            "order counts"
-        );
+        assert_eq!(*view, StmtSet::from_ids(&[4, 0, 3], &wider));
+        assert_eq!(StmtSet::from_ids(&[4, 0, 3], &wider), *view);
+        assert_ne!(*view, StmtSet::from_ids(&[0, 3, 2], &table), "order counts");
+        assert_ne!(*view, StmtSet::from_ids(&[0, 3, 4], &wider), "order counts");
         assert_ne!(*view, *other);
-        assert_eq!(*other, StmtSet::from_ids(vec![2, 3], &table));
+        assert_eq!(*other, StmtSet::from_ids(&[2, 3], &table));
         assert_eq!((view.len(), view.iter().len()), (3, 3));
         assert!(!view.is_empty());
         assert!(view.contains(s(2, 5)) && view.contains(s(0, 0)));
         assert!(!view.contains(s(0, 1)) && !view.contains(s(9, 9)));
-        assert_eq!(view.to_hash_set(), list.to_hash_set());
+        assert_eq!(view.to_hash_set(), single.to_hash_set());
         assert!(other.is_subset(view) && !view.is_subset(other));
-        assert!(view.is_subset(&list) && list.is_subset(view));
-        assert_eq!(format!("{view:?}"), format!("{list:?}"));
+        assert!(view.is_subset(&single) && single.is_subset(view));
+        assert_eq!(format!("{view:?}"), format!("{single:?}"));
         assert_eq!(view.iter().collect::<Vec<_>>(), [s(2, 5), s(0, 0), s(1, 0)]);
         // A lane that emitted nothing.
         assert!(empty.is_empty());
